@@ -11,14 +11,13 @@ order never matters.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .device import ParityDevice, QubitState, _loaded_zero_estimate, Mode
+from .device import Mode, ParityDevice, QubitState, _loaded_zero_estimate, _resonator
 from .eraser import EraserSolution, _same_parity_pairs
 from .fidelity import (
     ProbePulse,
@@ -28,16 +27,7 @@ from .fidelity import (
     fidelity_numeric,
     fidelity_quadratic_closed,
 )
-from .network import (
-    Capacitor,
-    Inductor,
-    Parallel,
-    PhaseCurve,
-    QuarterWaveStub,
-    Series,
-    phase_sweep,
-    wrap_phase,
-)
+from .network import Capacitor, PhaseCurve, Series, wrap_phase
 
 __all__ = [
     "CascadeCavity",
@@ -116,27 +106,14 @@ def _cascade_band(cavity: CascadeCavity, z0: float) -> tuple[float, float]:
     return (z_lo - cavity.chi - pad, cavity.omega_r + cavity.chi + pad)
 
 
-@functools.lru_cache(maxsize=512)
-def _cavity_curve(cavity: CascadeCavity, bit: int, z0: float, model: str,
-                  band: tuple) -> PhaseCurve:
-    shift = cavity.chi if bit == 0 else -cavity.chi
-    omega = cavity.omega_r + shift
-    if model == "stub":
-        res = QuarterWaveStub(z0=z0, omega_r=omega)
-    else:
-        from .network import lumped_equivalent
-
-        c, l = lumped_equivalent(omega, z0)
-        res = Parallel((Inductor(l), Capacitor(c)))
-    net = Series((Capacitor(cavity.c_couple), res))
-    profile = phase_sweep(net, band[0], band[1], base_points=192, z0=z0)
-    return PhaseCurve(net, z0, profile)
-
-
 def _curve(dev: CascadeDevice, j: int, bit: int) -> PhaseCurve:
+    """Phase curve of cavity j with its qubit in state ``bit``."""
     cavity = dev.cavities[j]
     band = dev.band if dev.band is not None else _cascade_band(cavity, dev.z0)
-    return _cavity_curve(cavity, bit, dev.z0, dev.resonator_model, band)
+    omega = cavity.omega_r + (cavity.chi if bit == 0 else -cavity.chi)
+    net = Series((Capacitor(cavity.c_couple),
+                  _resonator(omega, dev.z0, dev.resonator_model)))
+    return PhaseCurve(net, dev.z0, band)
 
 
 def cascade_phase(dev: CascadeDevice, state: QubitState, omega):
@@ -166,8 +143,15 @@ class TunedCascade:
     b_single: float      # theta_0' - theta_1' at omega_p (target: 0)
 
 
-def _symmetric_point(dev: CascadeDevice,
-                     window: tuple[float, float]) -> float:
+def _probe_window(dev: CascadeDevice) -> tuple[float, float]:
+    """Window around the loaded zero that holds the per-qubit step extremum."""
+    cav = dev.cavities[0]
+    z_lo = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), dev.z0)
+    return (z_lo - 2.0 * cav.chi - 0.002 * cav.omega_r,
+            z_lo + 2.0 * cav.chi + 0.002 * cav.omega_r)
+
+
+def _symmetric_point(dev: CascadeDevice) -> float:
     """Frequency where the per-qubit phase step is extremal, i.e. where the
     first-derivative mismatch of the +/-chi-detuned cavities crosses zero."""
     c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
@@ -175,7 +159,7 @@ def _symmetric_point(dev: CascadeDevice,
     def b_of(w):
         return c0.dtheta_unchecked(w) - c1.dtheta_unchecked(w)
 
-    ws = np.linspace(window[0], window[1], 257)
+    ws = np.linspace(*_probe_window(dev), 257)
     step = c0.theta(ws) - c1.theta(ws)
     j = int(np.argmax(step))
     lo = ws[max(0, j - 2)]
@@ -192,6 +176,18 @@ def _symmetric_point(dev: CascadeDevice,
     return brentq(b_of, lo, hi, xtol=1e-3)
 
 
+def _probe_symmetric_point(dev: CascadeDevice) -> TunedCascade:
+    """The cascade probed at its symmetric point, with its chi as given."""
+    wp = _symmetric_point(dev)
+    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
+    return TunedCascade(
+        device=dev,
+        omega_p=wp,
+        step=float(c0.theta(wp) - c1.theta(wp)),
+        b_single=float(c0.dtheta_unchecked(wp) - c1.dtheta_unchecked(wp)),
+    )
+
+
 def tune_cascade(dev: CascadeDevice,
                  chi_range: tuple[float, float] = (TWO_PI * 0.05e6, TWO_PI * 80e6),
                  ) -> TunedCascade:
@@ -201,15 +197,9 @@ def tune_cascade(dev: CascadeDevice,
     mismatch vanishes there by construction; a 1-D bisection on chi drives
     the step to pi.
     """
-    cavity = dev.cavities[0]
-
     def step_minus_pi(chi: float) -> float:
         trial = dev.with_chi(chi)
-        cav = trial.cavities[0]
-        z_lo = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), trial.z0)
-        window = (z_lo - 2.0 * chi - 0.002 * cav.omega_r,
-                  z_lo + 2.0 * chi + 0.002 * cav.omega_r)
-        wp = _symmetric_point(trial, window)
+        wp = _symmetric_point(trial)
         c0, c1 = _curve(trial, 0, 0), _curve(trial, 0, 1)
         return float(c0.theta(wp) - c1.theta(wp)) - math.pi
 
@@ -228,19 +218,8 @@ def tune_cascade(dev: CascadeDevice,
             f"max deviation {max(vals):+.3f} rad"
         )
     chi = brentq(step_minus_pi, bracket[0], bracket[1], xtol=1e-2)
-    tuned = dev.with_chi(chi)
-    cav = tuned.cavities[0]
-    z_lo = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), tuned.z0)
-    window = (z_lo - 2.0 * chi - 0.002 * cav.omega_r,
-              z_lo + 2.0 * chi + 0.002 * cav.omega_r)
-    wp = _symmetric_point(tuned, window)
-    c0, c1 = _curve(tuned, 0, 0), _curve(tuned, 0, 1)
-    return TunedCascade(
-        device=tuned,
-        omega_p=wp,
-        step=float(c0.theta(wp) - c1.theta(wp)),
-        b_single=float(c0.dtheta_unchecked(wp) - c1.dtheta_unchecked(wp)),
-    )
+    return _probe_symmetric_point(dev.with_chi(chi))
+
 
 
 # ----------------------------------------------------------------------
@@ -363,20 +342,7 @@ def compare_schemes(parallel_dev: ParityDevice, parallel_sol: EraserSolution,
     else:
         # keep the given chi but still probe at the symmetric point, where
         # the first-order mismatch cancels (the step may then differ from pi)
-        cav = cascade_dev.cavities[0]
-        chi = cav.chi
-        z_lo = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple),
-                                     cascade_dev.z0)
-        window = (z_lo - 2.0 * chi - 0.002 * cav.omega_r,
-                  z_lo + 2.0 * chi + 0.002 * cav.omega_r)
-        wp = _symmetric_point(cascade_dev, window)
-        c0, c1 = _curve(cascade_dev, 0, 0), _curve(cascade_dev, 0, 1)
-        tuned = TunedCascade(
-            device=cascade_dev,
-            omega_p=wp,
-            step=float(c0.theta(wp) - c1.theta(wp)),
-            b_single=float(c0.dtheta_unchecked(wp) - c1.dtheta_unchecked(wp)),
-        )
+        tuned = _probe_symmetric_point(cascade_dev)
     pulse_par = ProbePulse(pulse.alpha, parallel_sol.omega_p, pulse.bandwidth)
     pulse_cas = ProbePulse(pulse.alpha, tuned.omega_p, pulse.bandwidth)
     grid_par = build_mode_grid(pulse_par.omega_p, pulse_par.bandwidth)

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -94,22 +93,6 @@ def _write_json(path: Path, payload: dict) -> None:
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
-
-
-def thread_cap() -> int:
-    """PARITY_THREADS cap on internal parallelism.
-
-    Evaluation is currently sequential (and deterministic regardless), so
-    the cap is validated and reported but never exceeded by construction.
-    """
-    raw = os.environ.get("PARITY_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"PARITY_THREADS: expected an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"PARITY_THREADS: must be >= 1, got {cap}")
-    return cap
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +226,8 @@ def parse_cascade_config(cfg: dict, path: str) -> tuple[CascadeDevice, object]:
     else:
         raise ConfigError(f"{path}.chi_MHz: expected a number or 'tune'")
     z0 = _optional(cfg, "Z0_ohms", float, path, 50.0)
+    if z0 <= 0:
+        raise ConfigError(f"{path}.Z0_ohms: must be > 0, got {z0}")
     model = _optional(cfg, "resonator_model", str, path, "stub")
     if model not in ("stub", "lumped"):
         raise ConfigError(f"{path}.resonator_model: expected 'stub' or "
@@ -495,7 +480,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        thread_cap()
         return ns.func(ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ required by the parity conditions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,7 +27,6 @@ from .network import (
     QuarterWaveStub,
     Series,
     lumped_equivalent,
-    phase_sweep,
 )
 
 __all__ = [
@@ -283,34 +281,22 @@ def analysis_band(dev: ParityDevice) -> tuple[float, float]:
     return (z_min - margin, w_max + margin)
 
 
-@functools.lru_cache(maxsize=1024)
-def _state_phase_curve_cached(dev: ParityDevice, state: QubitState,
-                              base_points: int) -> PhaseCurve:
-    net = build_state_network(dev, state)
-    lo, hi = analysis_band(dev)
-    profile = phase_sweep(net, lo, hi, base_points=base_points, z0=dev.z0)
-    return PhaseCurve(net, dev.z0, profile)
-
-
-def state_phase_curve(dev: ParityDevice, state: QubitState,
-                      base_points: int = 192) -> PhaseCurve:
-    """Anchored phase curve for one state, cached per device.
+def state_phase_curve(dev: ParityDevice, state: QubitState) -> PhaseCurve:
+    """Closed-form phase curve for one state over the device's analysis band.
 
     Equal-coupling devices collapse onto Hamming weight: equal-weight states
-    map to the identical representative state, hence the identical curve
-    object, making the weight-collapse invariant exact.
+    map to the same representative state, hence the identical network and
+    bit-identical phases, making the weight-collapse invariant exact.
     """
     if state.n != dev.n:
         raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
     if dev.equal_chi:
         state = QubitState.of_weight(dev.n, state.weight)
-    return _state_phase_curve_cached(dev, state, base_points)
+    return PhaseCurve(build_state_network(dev, state), dev.z0, analysis_band(dev))
 
 
-def weight_phase_curve(dev: ParityDevice, weight: int,
-                       base_points: int = 192) -> PhaseCurve:
-    return state_phase_curve(dev, QubitState.of_weight(dev.n, weight),
-                             base_points=base_points)
+def weight_phase_curve(dev: ParityDevice, weight: int) -> PhaseCurve:
+    return state_phase_curve(dev, QubitState.of_weight(dev.n, weight))
 
 
 def phase_for_state(dev: ParityDevice, state: QubitState, omega: float):
@@ -335,4 +321,4 @@ def loaded_poles(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
     from the shifted mode frequencies; diagnostics report both rather than
     assuming either bookkeeping.
     """
-    return tuple(float(p) for p in state_phase_curve(dev, state).profile.poles)
+    return tuple(float(p) for p in state_phase_curve(dev, state).poles)

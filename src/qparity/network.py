@@ -1,4 +1,4 @@
-"""Lossless one-port microwave networks: impedance, reflection, phase sweeps.
+"""Lossless one-port microwave networks: impedance, reflection, phase curves.
 
 Networks are finite trees of quarter-wave stubs, lumped capacitors and
 inductors, combined by series/parallel rules.  All evaluation is done
@@ -17,6 +17,7 @@ deterministic and safe to call from any number of threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -427,46 +428,150 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 
 
 # ----------------------------------------------------------------------
-# Anchored phase curve
+# Closed-form phase curve
 # ----------------------------------------------------------------------
 
-class PhaseCurve:
-    """Exact point evaluation of the unwrapped phase, anchored to a profile.
+# Relative distance from a branch zero inside which theta decides the side
+# of the zero from the sign of the branch numerator rather than by comparing
+# omega with the located root (which is only accurate to a few ulp).  Pole
+# brackets step off the zeros by the same amount.
+ZERO_SIDE_WINDOW = 1e-12
 
-    theta(omega) snaps to the profile's nearest grid sample and adds the
-    wrapped principal-phase difference, which is exact because profile steps
-    are below pi/4.  Derivative evaluation uses Richardson-extrapolated
-    central differences.
+
+def _branch_resonator(branch: NetworkElement) -> NetworkElement:
+    """The resonator of a Series((Capacitor, resonator)) branch.
+
+    The resonator is a QuarterWaveStub or a Parallel of one Inductor and
+    one Capacitor; anything else raises TypeError.
+    """
+    if (isinstance(branch, Series) and len(branch.children) == 2
+            and isinstance(branch.children[0], Capacitor)):
+        res = branch.children[1]
+        if isinstance(res, QuarterWaveStub):
+            return res
+        if (isinstance(res, Parallel) and len(res.children) == 2
+                and {type(c) for c in res.children} == {Inductor, Capacitor}):
+            return res
+    raise TypeError(
+        "PhaseCurve needs Series((Capacitor, resonator)) branches, got "
+        f"{branch!r}"
+    )
+
+
+def _branch_zeros(branch: Series, lo: float, hi: float) -> list[tuple[float, float]]:
+    """Series zeros of one branch in [lo, hi], each with the sign that the
+    branch numerator N (Z = N/D) takes just above it.
+
+    Lumped tank: the single zero 1/sqrt(L (C + C_c)), N = 1 - w^2 L (C + C_c).
+    Stub: N = cos x - z0 w C_c sin x with x = (pi/2) w/w_r changes sign once
+    on each monotone interval ((2m-1) w_r, (2m+1) w_r) of tan x, so one
+    brentq per interval that meets the band.
+    """
+    res = _branch_resonator(branch)
+    c_c = branch.children[0].c
+    if isinstance(res, Parallel):
+        l = next(c.l for c in res.children if isinstance(c, Inductor))
+        c = next(c.c for c in res.children if isinstance(c, Capacitor))
+        z = 1.0 / math.sqrt(l * (c + c_c))
+        return [(z, -1.0)] if lo <= z <= hi else []
+
+    w_r, zs = res.omega_r, res.z0
+
+    def num(w):
+        x = 0.5 * math.pi * (w / w_r)
+        return math.cos(x) - zs * math.sin(x) * (w * c_c)
+
+    zeros = []
+    m = int(math.floor(0.5 * (lo / w_r + 1.0)))
+    while (2 * m - 1) * w_r < hi:
+        a, b = max(lo, (2 * m - 1) * w_r), min(hi, (2 * m + 1) * w_r)
+        na, nb = num(a), num(b)
+        if na * nb < 0.0:
+            zeros.append((brentq(num, a, b), math.copysign(1.0, nb)))
+        m += 1
+    return zeros
+
+
+class PhaseCurve:
+    """Unwrapped reflection phase of a coupled-resonator one-port, in closed form.
+
+    ``net`` is one Series((Capacitor, resonator)) branch or a Parallel of
+    such branches -- the networks every parity device and cascade cavity
+    builds; other trees raise TypeError (use phase_sweep for those).
+
+    The principal phase arg r jumps by +2*pi exactly where Z = 0, i.e. at
+    the branch series zeros, and descends continuously everywhere else
+    (Foster), so
+
+        theta(omega) = arg r(omega) - 2*pi * #{branch zeros in [lo, omega)}
+
+    is the unwrapped phase anchored to the principal branch at the band's
+    lower edge ``lo``.  Loaded poles (r = +1) are the zeros of the
+    susceptance, one per bracket between branch zeros, located on demand.
+    Derivative evaluation uses Richardson-extrapolated central differences.
     """
 
-    def __init__(self, net: NetworkElement, z0: float, profile: PhaseProfile):
+    def __init__(self, net: NetworkElement, z0: float, band: tuple[float, float]):
+        lo, hi = float(band[0]), float(band[1])
+        if not 0.0 < lo < hi:
+            raise ValueError(f"need 0 < band[0] < band[1], got {band}")
         self.net = net
         self.z0 = z0
-        self.profile = profile
+        self.band = (lo, hi)
+        branches = net.children if isinstance(net, Parallel) else (net,)
+        found = sorted((z, above, i) for i, branch in enumerate(branches)
+                       for z, above in _branch_zeros(branch, lo, hi))
+        self.zeros = np.array([z for z, _, _ in found])
+        # (zero, sign of N above it, branch) for the side test near each zero
+        self._sides = tuple((z, above, branches[i]) for z, above, i in found)
 
     def theta(self, omega):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
-        grid, th = self.profile.grid, self.profile.theta
-        if np.any(w < grid[0]) or np.any(w > grid[-1]):
-            raise ValueError("omega outside the swept band")
-        idx = np.clip(np.searchsorted(grid, w), 1, len(grid) - 1)
-        left = idx - 1
-        use_left = (w - grid[left]) <= (grid[idx] - w)
-        j = np.where(use_left, left, idx)
-        a = np.angle(reflection_coefficient(self.net, w, self.z0))
-        out = th[j] + wrap_phase(a - wrap_phase(th[j]))
+        lo, hi = self.band
+        if np.any(w < lo) or np.any(w > hi):
+            raise ValueError("omega outside the phase curve's band")
+        args = np.angle(reflection_coefficient(self.net, w, self.z0))
+        passed = np.searchsorted(self.zeros, w, side="left")
+        for z, above, branch in self._sides:
+            near = np.abs(w - z) <= ZERO_SIDE_WINDOW * z
+            if near.any():
+                # the sign of this branch's own numerator decides which side
+                # of its zero omega lies on, exactly as it decides which way
+                # arg r leaves -pi; an exact zero falls back to arg r itself
+                side = np.sign(_impedance_parts(branch, w[near])[0].real)
+                beyond = np.where(side == 0.0, args[near] > 0.0, side == above)
+                passed[near] += beyond.astype(int) - (w[near] > z)
+        out = args - TWO_PI * passed
         return out if np.ndim(omega) else float(out[0])
+
+    @functools.cached_property
+    def poles(self) -> np.ndarray:
+        """Loaded pole frequencies of Z in the band (zeros of Im Y).
+
+        Im Y increases between its poles, the branch zeros (Foster), so each
+        bracket between consecutive zeros holds exactly one root, and the
+        end brackets hold one when Im Y changes sign there.
+        """
+        lo, hi = self.band
+        starts = [lo] + [z * (1.0 + ZERO_SIDE_WINDOW) for z in self.zeros]
+        stops = [z * (1.0 - ZERO_SIDE_WINDOW) for z in self.zeros] + [hi]
+        poles = []
+        for a, b in zip(starts, stops):
+            if a < b and _susceptance(self.net, a) < 0.0 < _susceptance(self.net, b):
+                poles.append(brentq(lambda w: _susceptance(self.net, w), a, b,
+                                    xtol=1e-6, rtol=1e-15))
+        return np.asarray(poles, dtype=float)
 
     def dtheta(self, omega: float, order: int = 1) -> float:
         """Richardson-extrapolated central finite difference, order 1 or 2.
 
-        Refuses stencils that straddle a detected pole of Z; use
+        Refuses stencils that straddle a loaded pole of Z; use
         dtheta_unchecked where the caller knows the phase is smooth there
         (the projective evaluation is analytic through poles).
         """
         w = float(omega)
         h = max(w * 1e-7, TWO_PI * 1e3)
-        for p in self.profile.poles:
+        for p in self.poles:
             if abs(w - p) <= h:
                 raise PoleProximity(
                     f"derivative stencil at omega={w:.6e} crosses pole {p:.6e}"

@@ -104,15 +104,10 @@ def test_tuning_bracket_oracle():
     # the 1-D root the tuner solves: step(chi) - pi changes sign on a scan
     dev = uniform_cascade()
     from qparity.cascade import _curve, _symmetric_point
-    from qparity.device import _loaded_zero_estimate, Mode
 
     def step_at(chi):
         trial = dev.with_chi(chi)
-        cav = trial.cavities[0]
-        z_lo = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), trial.z0)
-        window = (z_lo - 2 * chi - 0.002 * cav.omega_r,
-                  z_lo + 2 * chi + 0.002 * cav.omega_r)
-        wp = _symmetric_point(trial, window)
+        wp = _symmetric_point(trial)
         return _curve(trial, 0, 0).theta(wp) - _curve(trial, 0, 1).theta(wp)
 
     lo = step_at(TWO_PI * 0.5e6) - math.pi

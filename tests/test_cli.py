@@ -95,9 +95,11 @@ def test_sweep_requires_numeric_chi(paper_cfg, tmp_path, capsys):
     assert "chi_MHz" in capsys.readouterr().err
 
 
-def test_bad_parity_threads_env(monkeypatch, paper_cfg, tmp_path):
-    monkeypatch.setenv("PARITY_THREADS", "zero")
-    assert main(["solve", str(paper_cfg)]) == 2
+def test_cascade_nonpositive_z0_names_field(paper_cfg, tmp_path, capsys):
+    c = tmp_path / "cascade.json"
+    c.write_text(json.dumps(dict(CASCADE_CONFIG, Z0_ohms=0.0)))
+    assert main(["compare", str(paper_cfg), str(c)]) == 2
+    assert f"{c}.Z0_ohms" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

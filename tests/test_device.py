@@ -150,16 +150,12 @@ def test_hamming_weight_collapse_is_exact(paper_device):
     assert vals[0] == vals[1] == vals[2]
 
 
-def test_equal_weight_curves_are_same_object(paper_device):
-    c1 = state_phase_curve(paper_device, QubitState((0, 1, 1)))
-    c2 = state_phase_curve(paper_device, QubitState((1, 1, 0)))
-    assert c1 is c2
-
-
 def test_parity_pair_structure(paper_device):
     # at most n+1 distinct curves, one per Hamming weight
+    lo, hi = analysis_band(paper_device)
+    grid = np.linspace(lo, hi, 257)
     curves = {state_phase_curve(paper_device, QubitState(tuple(
-        int(b) for b in f"{k:03b}"))) for k in range(8)}
+        int(b) for b in f"{k:03b}"))).theta(grid).tobytes() for k in range(8)}
     assert len(curves) == 4
 
 
@@ -255,7 +251,7 @@ def test_second_derivative_matches_first_derivative_secant(paper_solution):
 
 def test_derivative_refuses_pole_straddle(paper_device):
     curve = state_phase_curve(paper_device, QubitState((0, 0, 0)))
-    pole = curve.profile.poles[0]
+    pole = curve.poles[0]
     with pytest.raises(PoleProximity):
         curve.dtheta(pole)
 
