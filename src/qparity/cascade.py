@@ -157,7 +157,7 @@ def _symmetric_point(dev: CascadeDevice) -> float:
     c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
 
     def b_of(w):
-        return c0.dtheta_unchecked(w) - c1.dtheta_unchecked(w)
+        return c0.dtheta(w) - c1.dtheta(w)
 
     ws = np.linspace(*_probe_window(dev), 257)
     step = c0.theta(ws) - c1.theta(ws)
@@ -184,7 +184,7 @@ def _probe_symmetric_point(dev: CascadeDevice) -> TunedCascade:
         device=dev,
         omega_p=wp,
         step=float(c0.theta(wp) - c1.theta(wp)),
-        b_single=float(c0.dtheta_unchecked(wp) - c1.dtheta_unchecked(wp)),
+        b_single=float(c0.dtheta(wp) - c1.dtheta(wp)),
     )
 
 
@@ -259,8 +259,8 @@ def _parallel_metrics(dev: ParityDevice, sol: EraserSolution,
     n = dev.n
     wp = sol.omega_p
     curves = {w: weight_phase_curve(dev, w) for w in range(n + 1)}
-    d1 = {w: curves[w].dtheta_unchecked(wp, 1) for w in range(n + 1)}
-    d2 = {w: curves[w].dtheta_unchecked(wp, 2) for w in range(n + 1)}
+    d1 = {w: curves[w].dtheta(wp, 1) for w in range(n + 1)}
+    d2 = {w: curves[w].dtheta(wp, 2) for w in range(n + 1)}
     pairs = _same_parity_pairs(n)
     same_f, same_c = {}, {}
     for w1, w2 in pairs:
@@ -290,8 +290,8 @@ def _cascade_metrics(tuned: TunedCascade, pulse: ProbePulse, grid):
     n = dev.n
     wp = tuned.omega_p
     c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
-    d1 = (c0.dtheta_unchecked(wp, 1), c1.dtheta_unchecked(wp, 1))
-    d2 = (c0.dtheta_unchecked(wp, 2), c1.dtheta_unchecked(wp, 2))
+    d1 = (c0.dtheta(wp, 1), c1.dtheta(wp, 1))
+    d2 = (c0.dtheta(wp, 2), c1.dtheta(wp, 2))
     fns = {w: _weight_phase_fn(dev, w) for w in range(n + 1)}
     th = {w: float(fns[w](wp)) for w in range(n + 1)}
     residuals = tuple(th[i] - th[i + 2] - TWO_PI for i in range(n - 1))
@@ -376,7 +376,9 @@ def comparison_to_dict(rep: ComparisonReport) -> dict:
     return {
         "parallel": metrics(rep.parallel),
         "cascade": metrics(rep.cascade),
-        "b_ratio_parallel_over_cascade": rep.b_ratio,
+        # null when the cascade's mismatch cancels exactly (JSON has no inf)
+        "b_ratio_parallel_over_cascade": (rep.b_ratio if math.isfinite(rep.b_ratio)
+                                          else None),
         "cascade_quadratic_closed_match": {f"{a}-{b}": v for (a, b), v
                                            in rep.quadratic_match.items()},
     }

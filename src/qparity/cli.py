@@ -21,19 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import CascadeDevice, comparison_to_dict, compare_schemes
-from .device import Mode, ParityDevice, weight_phase_curve
+from .device import Mode, ParityDevice, analysis_band, weight_phase_curve
 from .eraser import (
     EraserError,
     EraserSolution,
-    eraser_residuals,
     NoSolution,
     InfeasibleDevice,
+    make_solution,
     solution_to_dict,
     solve_eraser,
 )
 from .estimates import estimate_report
 from .fidelity import ProbePulse, eraser_quality, reports_to_dicts
-from .network import NetworkError, wrap_phase
+from .network import NetworkError
 
 TWO_PI = 2.0 * math.pi
 
@@ -250,9 +250,7 @@ def cmd_sweep(ns) -> int:
     dev, chi_spec = parse_parallel_config(cfg, ns.config)
     if chi_spec == "solve":
         raise ConfigError(f"{ns.config}.chi_MHz: sweep needs a numeric chi")
-    from .device import analysis_band
-
-    lo, hi = dev.band if dev.band is not None else analysis_band(dev)
+    lo, hi = analysis_band(dev)
     grid = np.linspace(lo, hi, ns.points)
     columns = [grid / TWO_PI / 1e9]
     header = ["f_GHz"]
@@ -291,42 +289,40 @@ def cmd_solve(ns) -> int:
     return EXIT_OK
 
 
+def _numbers(cfg: dict, key: str, path: str, count: int) -> list[float]:
+    values = _need(cfg, key, list, path)
+    if len(values) != count or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{path}.{key}: expected a list of {count} numbers")
+    return [float(v) for v in values]
+
+
 def _solution_from_file(path: str, dev: ParityDevice) -> EraserSolution:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: cannot load solution: {exc}")
-    for key in ("omega_p_rad_s", "chi_rad_s", "mode_f_Hz"):
-        if key not in data:
-            raise ConfigError(f"{path}.{key}: missing required field")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    wp = _need(data, "omega_p_rad_s", float, path)
+    chi = _need(data, "chi_rad_s", float, path)
+    f_hz = _numbers(data, "mode_f_Hz", path, dev.m)
     if "mode_omega_rad_s" in data:
-        omegas = [float(w) for w in data["mode_omega_rad_s"]]
+        omegas = _numbers(data, "mode_omega_rad_s", path, dev.m)
     else:
-        omegas = [TWO_PI * f for f in data["mode_f_Hz"]]
-    dev = dev.with_mode_frequencies(omegas).with_chi(float(data["chi_rad_s"]))
-    if data.get("band_rad_s") is not None:
-        from dataclasses import replace
+        omegas = [TWO_PI * f for f in f_hz]
+    try:
+        dev = dev.with_mode_frequencies(omegas).with_chi(chi)
+        if data.get("band_rad_s") is not None:
+            from dataclasses import replace
 
-        dev = replace(dev, band=tuple(float(v) for v in data["band_rad_s"]))
-    wp = float(data["omega_p_rad_s"])
-    residuals = eraser_residuals(dev, wp)
-    th = [weight_phase_curve(dev, w).theta(wp) for w in range(dev.n + 1)]
-    dth = float(wrap_phase(th[0] - th[1]))
-    from .eraser import dispersion_report
-
-    sol = EraserSolution(
-        device=dev, omega_p=wp, chi=dev.chi,
-        theta_by_weight=tuple(float(t) for t in th),
-        residuals=tuple(float(r) for r in residuals),
-        delta_theta=dth, dispersion_b=0.0, dispersion_b2=0.0,
-    )
-    rep = dispersion_report(dev, sol, strict=False)
-    return EraserSolution(
-        device=dev, omega_p=wp, chi=dev.chi,
-        theta_by_weight=sol.theta_by_weight, residuals=sol.residuals,
-        delta_theta=dth, dispersion_b=rep.max_abs_first,
-        dispersion_b2=rep.max_abs_second,
-    )
+            dev = replace(dev, band=tuple(_numbers(data, "band_rad_s", path, 2)))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+    lo, hi = analysis_band(dev)
+    if not lo <= wp <= hi:
+        raise ConfigError(f"{path}.omega_p_rad_s: {wp!r} lies outside the band")
+    return make_solution(dev, wp)
 
 
 def cmd_fidelity(ns) -> int:

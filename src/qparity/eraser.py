@@ -4,14 +4,15 @@ For an n-qubit equal-coupling device the parity conditions require, at the
 probe frequency, theta_wt(i) = theta_wt(i+2) + 2*pi for every weight pair
 two apart: n-1 residuals.  The solver runs a coarse residual-norm grid over
 (omega_p, chi) to localize smooth basins (the landscape has 2*pi jumps near
-poles), then polishes each basin with a damped Newton iteration, verifying
-every returned root by re-evaluating the residuals.  Among verified roots
-the most distinguishable one (largest |sin(delta_theta/2)|) wins.
+poles), then polishes each basin with a damped Gauss-Newton iteration on
+the exact phase derivatives, verifying every returned root by its
+residuals.  Among verified roots the most distinguishable one (largest
+|sin(delta_theta/2)|) wins.
 
 With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
 2 knobs), mode gaps become extra unknowns: the template spacing is searched
-symmetrically first, then a least-squares Gauss-Newton polish splits the
-gaps as needed.
+symmetrically first, then the same Gauss-Newton, with the gaps added to its
+unknowns, splits them as needed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "EraserSolution",
     "min_modes_required",
     "eraser_residuals",
+    "make_solution",
     "solve_eraser",
     "contrast",
     "dispersion_report",
@@ -105,16 +107,23 @@ def min_modes_required(n: int) -> int:
     return (n + 2) // 2
 
 
-def _weight_thetas(dev: ParityDevice, omega_p: float) -> np.ndarray:
-    return np.array([
-        weight_phase_curve(dev, w).theta(omega_p) for w in range(dev.n + 1)
-    ])
+def _weight_curves(dev: ParityDevice) -> list:
+    return [weight_phase_curve(dev, w) for w in range(dev.n + 1)]
 
 
-def eraser_residuals(dev: ParityDevice, omega_p: float) -> np.ndarray:
-    """theta_wt(i) - theta_wt(i+2) - 2*pi for i = 0..n-2 (n-1 entries)."""
-    th = _weight_thetas(dev, omega_p)
-    return np.array([th[i] - th[i + 2] - TWO_PI for i in range(dev.n - 1)])
+def _thetas(curves: list, omega_p) -> np.ndarray:
+    return np.array([c.theta(omega_p) for c in curves])
+
+
+def _residuals(th: np.ndarray) -> np.ndarray:
+    """theta_wt(i) - theta_wt(i+2) - 2*pi from the per-weight phases."""
+    return th[:-2] - th[2:] - TWO_PI
+
+
+def eraser_residuals(dev: ParityDevice, omega_p) -> np.ndarray:
+    """theta_wt(i) - theta_wt(i+2) - 2*pi for i = 0..n-2 (n-1 entries), at
+    one probe frequency or, row by row, along an array of them."""
+    return _residuals(_thetas(_weight_curves(dev), omega_p))
 
 
 def contrast(sol: EraserSolution) -> float:
@@ -151,28 +160,39 @@ def _same_parity_pairs(n: int):
     return list(combinations(evens, 2)) + list(combinations(odds, 2))
 
 
-def dispersion_report(dev: ParityDevice, sol: EraserSolution,
-                      strict: bool = True) -> DispersionReport:
-    """First/second phase-derivative mismatches among same-parity weights.
-
-    strict=True propagates PoleProximity when a finite-difference stencil
-    straddles a detected pole; strict=False uses the unchecked evaluation
-    (the projective phase is smooth through poles).
-    """
-    wp = sol.omega_p
-    d1, d2 = {}, {}
-    for w in range(dev.n + 1):
-        curve = weight_phase_curve(dev, w)
-        if strict:
-            d1[w] = curve.dtheta(wp, order=1)
-            d2[w] = curve.dtheta(wp, order=2)
-        else:
-            d1[w] = curve.dtheta_unchecked(wp, order=1)
-            d2[w] = curve.dtheta_unchecked(wp, order=2)
-    pairs = _same_parity_pairs(dev.n)
+def _dispersion(curves: list, omega_p: float) -> DispersionReport:
+    d1 = [c.dtheta(omega_p, order=1) for c in curves]
+    d2 = [c.dtheta(omega_p, order=2) for c in curves]
+    pairs = _same_parity_pairs(len(curves) - 1)
     return DispersionReport(
         first={p: d1[p[0]] - d1[p[1]] for p in pairs},
         second={p: d2[p[0]] - d2[p[1]] for p in pairs},
+    )
+
+
+def dispersion_report(dev: ParityDevice, sol: EraserSolution) -> DispersionReport:
+    """First/second phase-derivative mismatches among same-parity weights
+    at the solution's probe frequency, from the exact derivatives (finite
+    at loaded poles, so no point is refused)."""
+    return _dispersion(_weight_curves(dev), sol.omega_p)
+
+
+def make_solution(dev: ParityDevice, omega_p: float, basins=()) -> EraserSolution:
+    """The solution object at (dev, omega_p): per-weight phases, residuals,
+    contrast and dispersion, each computed once."""
+    curves = _weight_curves(dev)
+    th = _thetas(curves, omega_p)
+    rep = _dispersion(curves, omega_p)
+    return EraserSolution(
+        device=dev,
+        omega_p=omega_p,
+        chi=dev.chi,
+        theta_by_weight=tuple(float(t) for t in th),
+        residuals=tuple(float(v) for v in _residuals(th)),
+        delta_theta=float(wrap_phase(th[0] - th[1])),
+        dispersion_b=rep.max_abs_first,
+        dispersion_b2=rep.max_abs_second,
+        basins=tuple(basins),
     )
 
 
@@ -205,59 +225,67 @@ def _solver_band(dev: ParityDevice, chi_range, search_band) -> tuple[float, floa
     return float(f"{lo:.12g}"), float(f"{hi:.12g}")
 
 
-def _residual_matrix(dev: ParityDevice, wps: np.ndarray) -> np.ndarray:
-    """Residual vectors on an omega_p grid; shape (n-1, len(wps))."""
-    th = np.stack([weight_phase_curve(dev, w).theta(wps) for w in range(dev.n + 1)])
-    return np.stack([th[i] - th[i + 2] - TWO_PI for i in range(dev.n - 1)])
+def _with_gaps(dev: ParityDevice, gaps) -> ParityDevice:
+    """dev with its modes respaced by ``gaps`` about their mean frequency."""
+    center = float(np.mean([mo.omega for mo in dev.modes]))
+    offs = np.concatenate([[0.0], np.cumsum(gaps)])
+    offs -= offs.mean()
+    return dev.with_mode_frequencies(center + offs)
 
 
-def _residual_jacobian(dev: ParityDevice, wp: float, chi: float,
-                       r0: np.ndarray) -> np.ndarray:
-    """d residuals / d (omega_p, chi); the phase is smooth through poles."""
-    n = dev.n
-    d1 = [weight_phase_curve(dev, w).dtheta_unchecked(wp) for w in range(n + 1)]
-    col_wp = np.array([d1[i] - d1[i + 2] for i in range(n - 1)])
-    dchi = chi * 1e-6
-    r1 = eraser_residuals(dev.with_chi(chi + dchi), wp)
-    return np.column_stack([col_wp, (r1 - r0) / dchi])
+def _jacobian(curves: list, wp: float, free_gaps: bool) -> np.ndarray:
+    """d residuals / d (omega_p, chi[, gaps]) from the exact derivatives.
+
+    The weight-w state moves every mode by (n - 2w) chi, and the gaps move
+    the modes through the fixed cumsum-minus-mean map of _with_gaps.
+    """
+    n = len(curves) - 1
+    d_modes = np.array([c.dtheta_dresonance(wp) for c in curves])
+    cols = [[c.dtheta(wp) for c in curves],
+            (n - 2 * np.arange(n + 1)) * d_modes.sum(axis=1)]
+    if free_gaps:
+        m = d_modes.shape[1]
+        lower = np.tri(m, m - 1, -1)
+        cols.append(d_modes @ (lower - lower.mean(axis=0)))
+    d_theta = np.column_stack(cols)
+    return d_theta[:-2] - d_theta[2:]
 
 
-def _newton_polish(dev0: ParityDevice, wp: float, chi: float,
-                   band: tuple[float, float], chi_range: tuple[float, float],
-                   tol: float):
-    """Damped Newton on (omega_p, chi); returns (wp, chi, residuals) or None."""
+def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol):
+    """Damped Gauss-Newton on x = (omega_p, chi[, gaps]) of dev0.
+
+    Returns the last accepted point and its residuals; the caller decides
+    whether max|r| is good enough.
+    """
     lo, hi = band
+
+    def evaluate(x):
+        dev = (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
+        curves = _weight_curves(dev)
+        return curves, _residuals(_thetas(curves, x[0]))
+
+    curves, r = evaluate(x)
     for _ in range(NEWTON_MAX_ITER):
-        dev = dev0.with_chi(chi)
-        r = eraser_residuals(dev, wp)
         if np.max(np.abs(r)) < tol:
-            return wp, chi, r
-        jac = _residual_jacobian(dev, wp, chi, r)
+            break
+        jac = _jacobian(curves, x[0], len(x) > 2)
         try:
-            if jac.shape[0] == jac.shape[1]:
-                step = np.linalg.solve(jac, -r)
-            else:
-                step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
-            return None
-        norm0 = np.linalg.norm(r)
-        lam, ok = 1.0, False
+            break
+        lam = 1.0
         while lam > 1e-10:
-            wp_n, chi_n = wp + lam * step[0], chi + lam * step[1]
-            if lo < wp_n < hi and chi_range[0] * 0.2 < chi_n < chi_range[1] * 5.0:
-                r_n = eraser_residuals(dev0.with_chi(chi_n), wp_n)
-                if np.linalg.norm(r_n) < norm0:
-                    ok = True
+            xn = x + lam * step
+            if (lo < xn[0] < hi and chi_range[0] * 0.2 < xn[1] < chi_range[1] * 5.0
+                    and np.all(xn[2:] > 0.0)):
+                curves_n, r_n = evaluate(xn)
+                if np.linalg.norm(r_n) < np.linalg.norm(r):
                     break
             lam *= 0.5
-        if not ok:
-            return None
-        wp, chi = wp + lam * step[0], chi + lam * step[1]
-    dev = dev0.with_chi(chi)
-    r = eraser_residuals(dev, wp)
-    if np.max(np.abs(r)) < tol:
-        return wp, chi, r
-    return None
+        else:
+            break
+        x, curves, r = xn, curves_n, r_n
+    return x, r
 
 
 def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points, top_k=12):
@@ -266,7 +294,7 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points, top_k=12):
     wps = np.linspace(lo, hi, wp_points)
     norm = np.empty((len(chi_grid), len(wps)))
     for i, chi in enumerate(chi_grid):
-        r = _residual_matrix(dev0.with_chi(chi), wps)
+        r = eraser_residuals(dev0.with_chi(chi), wps)
         norm[i] = np.sqrt((r ** 2).sum(axis=0))
     cands = []
     for i in range(len(chi_grid)):
@@ -283,42 +311,28 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points, top_k=12):
     return cands[:top_k], best_cell
 
 
-def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
-    """Dedupe verified roots, rank by distinguishability, build the solution."""
+def _assemble(roots: list, tol: float) -> EraserSolution:
+    """Dedupe verified (omega_p, device) roots, rank them by
+    distinguishability, build the solution."""
     distinct = []
-    for wp, chi, r, dev in roots:
-        dup = any(abs(wp - w2) < TWO_PI * 1e4 and abs(chi - c2) < TWO_PI * 1e3
-                  for w2, c2, _, _ in distinct)
-        if not dup:
-            distinct.append((wp, chi, r, dev))
+    for wp, dev in roots:
+        if not any(abs(wp - w2) < TWO_PI * 1e4
+                   and abs(dev.chi - d2.chi) < TWO_PI * 1e3 for w2, d2 in distinct):
+            distinct.append((wp, dev))
     scored = []
-    for wp, chi, r, dev in distinct:
-        th = _weight_thetas(dev, wp)
-        dth = float(wrap_phase(th[0] - th[1])) if dev.n >= 1 else 0.0
-        scored.append((abs(math.sin(0.5 * dth)), wp, chi, r, dev, th, dth))
+    for wp, dev in distinct:
+        th0, th1 = (weight_phase_curve(dev, w).theta(wp) for w in (0, 1))
+        dth = float(wrap_phase(th0 - th1))
+        scored.append((abs(math.sin(0.5 * dth)), wp, dev, dth))
     scored.sort(key=lambda t: (-t[0], t[1]))
-    _, wp, chi, r, dev, th, dth = scored[0]
-
-    if min(abs(wrap_phase(t)) for t in th) < 10.0 * tol:
+    _, wp, dev, _ = scored[0]
+    sol = make_solution(dev, wp, basins=[(w, d.chi, dth) for _, w, d, dth in scored])
+    if min(abs(wrap_phase(t)) for t in sol.theta_by_weight) < 10.0 * tol:
         raise PoleCollision(
             f"solution at omega_p={wp:.6e} sits within {10 * tol:.1e} rad "
             "of a reflection pole"
         )
-    rep = dispersion_report(dev, EraserSolution(
-        device=dev, omega_p=wp, chi=chi, theta_by_weight=tuple(th),
-        residuals=tuple(r), delta_theta=dth, dispersion_b=0.0,
-        dispersion_b2=0.0), strict=False)
-    return EraserSolution(
-        device=dev,
-        omega_p=wp,
-        chi=chi,
-        theta_by_weight=tuple(float(t) for t in th),
-        residuals=tuple(float(v) for v in r),
-        delta_theta=dth,
-        dispersion_b=rep.max_abs_first,
-        dispersion_b2=rep.max_abs_second,
-        basins=tuple((w, c, d) for _, w, c, _, _, _, d in scored),
-    )
+    return sol
 
 
 def _solve_two_knobs(dev0: ParityDevice, band, chi_range, tol, grid_points):
@@ -334,16 +348,16 @@ def _solve_two_knobs(dev0: ParityDevice, band, chi_range, tol, grid_points):
         )
     roots = []
     for _, wp0, chi0 in cands:
-        hit = _newton_polish(dev0, wp0, chi0, band, chi_range, tol)
-        if hit is not None:
-            wp, chi, r = hit
-            roots.append((wp, chi, r, dev0.with_chi(chi)))
+        (wp, chi), r = _gauss_newton(dev0, np.array([wp0, chi0]), band,
+                                     chi_range, tol)
+        if np.max(np.abs(r)) < tol:
+            roots.append((wp, dev0.with_chi(chi)))
     if not roots:
         raise NoSolution(
             f"Newton failed from every grid basin; best cell |R|={best_cell[0]:.3f}",
             best=best_cell,
         )
-    return _assemble(dev0, roots, tol)
+    return _assemble(roots, tol)
 
 
 def _solve_single_condition(dev0: ParityDevice, band, chi_range, tol, grid_points):
@@ -358,14 +372,14 @@ def _solve_single_condition(dev0: ParityDevice, band, chi_range, tol, grid_point
     def best_root(chi):
         """(score, omega_p) of the best root at this chi, or None."""
         dev = dev0.with_chi(chi)
-        r = _residual_matrix(dev, wps)[0]
+        r = eraser_residuals(dev, wps)[0]
         sign = np.sign(r)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         out = None
         for j in flips:
             wp = brentq(lambda w: float(eraser_residuals(dev, w)[0]),
                         float(wps[j]), float(wps[j + 1]), xtol=1e-3)
-            th = _weight_thetas(dev, wp)
+            th = _thetas(_weight_curves(dev), wp)
             score = abs(math.sin(0.5 * wrap_phase(th[0] - th[1])))
             if out is None or score > out[0]:
                 out = (score, wp)
@@ -407,10 +421,7 @@ def _solve_single_condition(dev0: ParityDevice, band, chi_range, tol, grid_point
     if hit is None:
         chi = chi_best
         hit = best_root(chi)
-    wp = hit[1]
-    dev = dev0.with_chi(chi)
-    r = eraser_residuals(dev, wp)
-    return _assemble(dev0, [(wp, chi, r, dev)], tol)
+    return _assemble([(hit[1], dev0.with_chi(chi))], tol)
 
 
 def _solve_contrast_only(dev0: ParityDevice, band, chi_range, tol, grid_points):
@@ -424,106 +435,37 @@ def _solve_contrast_only(dev0: ParityDevice, band, chi_range, tol, grid_points):
     score = np.abs(np.sin(0.5 * wrap_phase(th0 - th1)))
     j = int(np.argmax(score))
     wp = float(wps[j])
-    return _assemble(dev0, [(wp, chi, np.zeros(0), dev)], tol)
+    return _assemble([(wp, dev)], tol)
 
 
 def _solve_free_modes(dev0: ParityDevice, band, chi_range, tol, grid_points):
     """Mode gaps freed: symmetric template first, then split-gap polish."""
-    center = float(np.mean([mo.omega for mo in dev0.modes]))
     gaps0 = np.diff([mo.omega for mo in dev0.modes])
 
-    def with_gaps(gaps):
-        offs = np.concatenate([[0.0], np.cumsum(gaps)])
-        offs -= offs.mean()
-        return dev0.with_mode_frequencies(center + offs)
-
     # Stage A: best least-squares point over gap scale factors
-    best = None  # (norm, wp, chi, gaps)
+    best = None  # (max|r|, (omega_p, chi, gaps...))
     for scale in (1.0, 0.7, 1.4, 0.5, 2.0):
-        dev_s = with_gaps(gaps0 * scale)
+        dev_s = _with_gaps(dev0, gaps0 * scale)
         chi_grid = np.geomspace(chi_range[0], chi_range[1], grid_points)
         cands, best_cell = _grid_candidates(dev_s, band, chi_grid,
                                             max(grid_points, 129), top_k=6)
-        seeds = cands if cands else [best_cell]
-        for _, wp0, chi0 in seeds:
-            res = _gauss_newton_gaps(dev0, center, gaps0 * scale, wp0, chi0,
-                                     band, chi_range, tol, free_gaps=False)
-            if res is not None:
-                nrm, wp, chi, gaps = res
-                if best is None or nrm < best[0]:
-                    best = (nrm, wp, chi, gaps)
-        if best is not None and best[0] < tol:
+        for _, wp0, chi0 in (cands if cands else [best_cell]):
+            x, r = _gauss_newton(dev_s, np.array([wp0, chi0]), band, chi_range, tol)
+            nrm = float(np.max(np.abs(r)))
+            if best is None or nrm < best[0]:
+                best = (nrm, np.concatenate([x, gaps0 * scale]))
+        if best[0] < tol:
             break
-    if best is None:
-        raise NoSolution("free-mode search found no basin on any gap scale")
 
     # Stage B: free the gaps
     if best[0] >= tol:
-        res = _gauss_newton_gaps(dev0, center, best[3], best[1], best[2],
-                                 band, chi_range, tol, free_gaps=True)
-        if res is None or res[0] >= tol:
-            raise NoSolution(
-                f"gap polish stalled at |R|={best[0] if res is None else res[0]:.3e}",
-                best=best,
-            )
-        best = res
-    _, wp, chi, gaps = best
-    offs = np.concatenate([[0.0], np.cumsum(gaps)])
-    offs -= offs.mean()
-    dev = dev0.with_mode_frequencies(center + offs).with_chi(chi)
-    r = eraser_residuals(dev, wp)
-    return _assemble(dev, [(wp, chi, r, dev)], tol)
-
-
-def _gauss_newton_gaps(dev0, center, gaps, wp, chi, band, chi_range, tol,
-                       free_gaps):
-    """Damped Gauss-Newton on (omega_p, chi[, gaps]); returns best point."""
-    gaps = np.asarray(gaps, dtype=float)
-    lo, hi = band
-
-    def make(chi_v, gaps_v):
-        offs = np.concatenate([[0.0], np.cumsum(gaps_v)])
-        offs -= offs.mean()
-        return dev0.with_mode_frequencies(center + offs).with_chi(chi_v)
-
-    x = np.concatenate([[wp, chi], gaps if free_gaps else []])
-    for _ in range(NEWTON_MAX_ITER):
-        gv = x[2:] if free_gaps else gaps
-        dev = make(x[1], gv)
-        r = eraser_residuals(dev, x[0])
-        nrm = np.linalg.norm(r)
-        if np.max(np.abs(r)) < tol:
-            return float(np.max(np.abs(r))), x[0], x[1], np.asarray(gv)
-        ncol = len(x)
-        jac = np.zeros((len(r), ncol))
-        d1 = [weight_phase_curve(dev, w).dtheta_unchecked(x[0])
-              for w in range(dev.n + 1)]
-        jac[:, 0] = [d1[i] - d1[i + 2] for i in range(dev.n - 1)]
-        for k in range(1, ncol):
-            dx = abs(x[k]) * 1e-6
-            xp = x.copy()
-            xp[k] += dx
-            gp = xp[2:] if free_gaps else gaps
-            rp = eraser_residuals(make(xp[1], gp), xp[0])
-            jac[:, k] = (rp - r) / dx
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam, ok = 1.0, False
-        while lam > 1e-10:
-            xn = x + lam * step
-            gn = xn[2:] if free_gaps else gaps
-            if (lo < xn[0] < hi and chi_range[0] * 0.2 < xn[1] < chi_range[1] * 5.0
-                    and np.all(np.asarray(gn) > 0)):
-                rn = eraser_residuals(make(xn[1], gn), xn[0])
-                if np.linalg.norm(rn) < nrm:
-                    ok = True
-                    break
-            lam *= 0.5
-        if not ok:
-            return float(np.max(np.abs(r))), x[0], x[1], np.asarray(gv)
-        x = x + lam * step
-    gv = x[2:] if free_gaps else gaps
-    r = eraser_residuals(make(x[1], gv), x[0])
-    return float(np.max(np.abs(r))), x[0], x[1], np.asarray(gv)
+        x, r = _gauss_newton(dev0, best[1], band, chi_range, tol)
+        nrm = float(np.max(np.abs(r)))
+        if nrm >= tol:
+            raise NoSolution(f"gap polish stalled at |R|={nrm:.3e}", best=best)
+        best = (nrm, x)
+    wp, chi, gaps = best[1][0], best[1][1], best[1][2:]
+    return _assemble([(wp, _with_gaps(dev0, gaps).with_chi(chi))], tol)
 
 
 def solve_eraser(dev_template: ParityDevice, free=("chi",),

@@ -220,8 +220,8 @@ def eraser_quality(dev: ParityDevice, sol: EraserSolution,
     n = dev.n
     wp = sol.omega_p
     curves = {w: weight_phase_curve(dev, w) for w in range(n + 1)}
-    d1 = {w: curves[w].dtheta_unchecked(wp, order=1) for w in range(n + 1)}
-    d2 = {w: curves[w].dtheta_unchecked(wp, order=2) for w in range(n + 1)}
+    d1 = {w: curves[w].dtheta(wp, order=1) for w in range(n + 1)}
+    d2 = {w: curves[w].dtheta(wp, order=2) for w in range(n + 1)}
     same_parity = set(_same_parity_pairs(n))
     dth_contrast = contrast(sol)
 

@@ -412,9 +412,10 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
     poles = []
     for i in range(len(grid) - 1):
         t1, t2 = theta[i], theta[i + 1]
-        k_hi = math.floor(t1 / TWO_PI)
-        level = k_hi * TWO_PI
-        if t2 < level <= t1 and t1 != level:
+        # half-open: a sample sitting exactly on a level closes the interval
+        # that ends there, so each pole is counted once
+        level = (math.ceil(t1 / TWO_PI) - 1) * TWO_PI
+        if t2 <= level < t1:
             a, b = float(grid[i]), float(grid[i + 1])
             ba, bb = _susceptance(net, a), _susceptance(net, b)
             if ba < 0.0 < bb:
@@ -432,9 +433,9 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 # ----------------------------------------------------------------------
 
 # Relative distance from a branch zero inside which theta decides the side
-# of the zero from the sign of the branch numerator rather than by comparing
-# omega with the located root (which is only accurate to a few ulp).  Pole
-# brackets step off the zeros by the same amount.
+# of the zero from the sign of arg r rather than by comparing omega with the
+# located root (which is only accurate to a few ulp).  Pole brackets step off
+# the zeros by the same amount.
 ZERO_SIDE_WINDOW = 1e-12
 
 
@@ -458,38 +459,87 @@ def _branch_resonator(branch: NetworkElement) -> NetworkElement:
     )
 
 
-def _branch_zeros(branch: Series, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Series zeros of one branch in [lo, hi], each with the sign that the
-    branch numerator N (Z = N/D) takes just above it.
+def _tank(res: Parallel) -> tuple[float, float]:
+    """(L, C) of a lumped Parallel((Inductor, Capacitor)) tank."""
+    l = next(c.l for c in res.children if isinstance(c, Inductor))
+    c = next(c.c for c in res.children if isinstance(c, Capacitor))
+    return l, c
+
+
+def _branch_parts(branch: Series, w, derivatives: bool = False):
+    """Numerator P and denominator N of one branch's susceptance B = P/N.
+
+    The resonator's impedance is i*s/c, with (c, s) = (cos x, z0 sin x),
+    x = (pi/2) w/w_r, for the stub and (1 - w^2 L C, w L) for the lumped
+    tank.  In series with the coupler C_c the branch has B = -1/X = P/N,
+    P = w C_c c and N = c - w C_c s, so N changes sign at the branch's
+    series zeros.  With ``derivatives`` each of P and N is an array of rows
+    (value, d/dw, d2/dw2, d/dw_r), the last at fixed resonator impedance
+    (the stub's z0, the tank's sqrt(L/C)).
+    """
+    res = branch.children[1]
+    c_c = branch.children[0].c
+    if isinstance(res, QuarterWaveStub):
+        w_r = res.omega_r
+        x = 0.5 * math.pi * (w / w_r)
+        cos, sin = np.cos(x), np.sin(x)
+        c, s = cos, res.z0 * sin
+        if derivatives:
+            a = 0.5 * math.pi / w_r
+            c = np.array([cos, -a * sin, -a * a * cos, x * sin / w_r])
+            s = res.z0 * np.array([sin, a * cos, -a * a * sin, -x * cos / w_r])
+    else:
+        l, cap = _tank(res)
+        c, s = 1.0 - w * w * (l * cap), w * l
+        if derivatives:
+            w_r = 1.0 / math.sqrt(l * cap)
+            c = np.array([c, -2.0 * w * l * cap, -2.0 * l * cap, 2.0 * (1.0 - c) / w_r])
+            s = np.array([s, l, 0.0, -s / w_r])
+    k = w * c_c
+    if not derivatives:
+        return k * c, c - k * s
+
+    def times_k(f):  # product rule for k = w C_c, linear in w
+        return k * f + c_c * np.array([0.0, f[0], 2.0 * f[1], 0.0])
+
+    return times_k(c), c - times_k(s)
+
+
+def _branch_zeros(branch: Series, lo: float, hi: float) -> list[float]:
+    """Series zeros of one branch in [lo, hi]: the sign changes of its N
+    (see _branch_parts).
 
     Lumped tank: the single zero 1/sqrt(L (C + C_c)), N = 1 - w^2 L (C + C_c).
-    Stub: N = cos x - z0 w C_c sin x with x = (pi/2) w/w_r changes sign once
-    on each monotone interval ((2m-1) w_r, (2m+1) w_r) of tan x, so one
-    brentq per interval that meets the band.
+    Stub: N changes sign once on each monotone interval
+    ((2m-1) w_r, (2m+1) w_r) of tan x, so one brentq per interval that
+    meets the band.
     """
     res = _branch_resonator(branch)
-    c_c = branch.children[0].c
     if isinstance(res, Parallel):
-        l = next(c.l for c in res.children if isinstance(c, Inductor))
-        c = next(c.c for c in res.children if isinstance(c, Capacitor))
-        z = 1.0 / math.sqrt(l * (c + c_c))
-        return [(z, -1.0)] if lo <= z <= hi else []
-
-    w_r, zs = res.omega_r, res.z0
+        l, c = _tank(res)
+        z = 1.0 / math.sqrt(l * (c + branch.children[0].c))
+        return [z] if lo <= z <= hi else []
 
     def num(w):
-        x = 0.5 * math.pi * (w / w_r)
-        return math.cos(x) - zs * math.sin(x) * (w * c_c)
+        return _branch_parts(branch, w)[1]
 
+    w_r = res.omega_r
     zeros = []
     m = int(math.floor(0.5 * (lo / w_r + 1.0)))
     while (2 * m - 1) * w_r < hi:
         a, b = max(lo, (2 * m - 1) * w_r), min(hi, (2 * m + 1) * w_r)
-        na, nb = num(a), num(b)
-        if na * nb < 0.0:
-            zeros.append((brentq(num, a, b), math.copysign(1.0, nb)))
+        if num(a) * num(b) < 0.0:
+            zeros.append(brentq(num, a, b))
         m += 1
     return zeros
+
+
+def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two jets (value, d/dw, d2/dw2, first-order directions...)."""
+    out = a[0] * b + b[0] * a
+    out[0] = a[0] * b[0]
+    out[2] += 2.0 * a[1] * b[1]
+    return out
 
 
 class PhaseCurve:
@@ -508,7 +558,10 @@ class PhaseCurve:
     is the unwrapped phase anchored to the principal branch at the band's
     lower edge ``lo``.  Loaded poles (r = +1) are the zeros of the
     susceptance, one per bracket between branch zeros, located on demand.
-    Derivative evaluation uses Richardson-extrapolated central differences.
+    Derivatives are exact: folding the branches' B_k = P_k/N_k into
+    B = U/V makes theta = -2 atan2(z0 U, V) up to its 2*pi steps, and that
+    form differentiates smoothly through branch zeros (V = 0) and loaded
+    poles (U = 0).
     """
 
     def __init__(self, net: NetworkElement, z0: float, band: tuple[float, float]):
@@ -518,29 +571,27 @@ class PhaseCurve:
         self.net = net
         self.z0 = z0
         self.band = (lo, hi)
-        branches = net.children if isinstance(net, Parallel) else (net,)
-        found = sorted((z, above, i) for i, branch in enumerate(branches)
-                       for z, above in _branch_zeros(branch, lo, hi))
-        self.zeros = np.array([z for z, _, _ in found])
-        # (zero, sign of N above it, branch) for the side test near each zero
-        self._sides = tuple((z, above, branches[i]) for z, above, i in found)
+        self._branches = net.children if isinstance(net, Parallel) else (net,)
+        self.zeros = np.array(sorted(z for branch in self._branches
+                                     for z in _branch_zeros(branch, lo, hi)))
 
-    def theta(self, omega):
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
+    def _check_band(self, w) -> None:
         lo, hi = self.band
         if np.any(w < lo) or np.any(w > hi):
             raise ValueError("omega outside the phase curve's band")
+
+    def theta(self, omega):
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        self._check_band(w)
         args = np.angle(reflection_coefficient(self.net, w, self.z0))
         passed = np.searchsorted(self.zeros, w, side="left")
-        for z, above, branch in self._sides:
+        for z in self.zeros:
             near = np.abs(w - z) <= ZERO_SIDE_WINDOW * z
             if near.any():
-                # the sign of this branch's own numerator decides which side
-                # of its zero omega lies on, exactly as it decides which way
-                # arg r leaves -pi; an exact zero falls back to arg r itself
-                side = np.sign(_impedance_parts(branch, w[near])[0].real)
-                beyond = np.where(side == 0.0, args[near] > 0.0, side == above)
-                passed[near] += beyond.astype(int) - (w[near] > z)
+                # this close to a zero arg r sits within ~1e-8 rad of -pi
+                # below it and of +pi above it, so its own sign says which
+                # side of its jump omega lies on
+                passed[near] += (args[near] > 0.0).astype(int) - (w[near] > z)
         out = args - TWO_PI * passed
         return out if np.ndim(omega) else float(out[0])
 
@@ -562,35 +613,37 @@ class PhaseCurve:
                                     xtol=1e-6, rtol=1e-15))
         return np.asarray(poles, dtype=float)
 
-    def dtheta(self, omega: float, order: int = 1) -> float:
-        """Richardson-extrapolated central finite difference, order 1 or 2.
+    def _derivatives(self, omega: float):
+        """(theta', theta'', d theta/d w_r of each branch) at one frequency.
 
-        Refuses stencils that straddle a loaded pole of Z; use
-        dtheta_unchecked where the caller knows the phase is smooth there
-        (the projective evaluation is analytic through poles).
+        U and V are jets (value, d/dw, d2/dw2, d/dw_r of each branch),
+        folded as U <- U N_k + P_k V, V <- V N_k; then with A = z0 (U' V - U V')
+        and D = V^2 + z0^2 U^2, theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2.
         """
         w = float(omega)
-        h = max(w * 1e-7, TWO_PI * 1e3)
-        for p in self.poles:
-            if abs(w - p) <= h:
-                raise PoleProximity(
-                    f"derivative stencil at omega={w:.6e} crosses pole {p:.6e}"
-                )
-        return self.dtheta_unchecked(omega, order)
+        self._check_band(w)
+        m = len(self._branches)
+        u, v = np.zeros(3 + m), np.eye(1, 3 + m)[0]
+        for k, branch in enumerate(self._branches):
+            p, n = (np.concatenate([j[:3], j[3] * (np.arange(m) == k)])
+                    for j in _branch_parts(branch, w, derivatives=True))
+            u, v = _jet_mul(u, n) + _jet_mul(p, v), _jet_mul(v, n)
+        a = self.z0 * (u * v[0] - u[0] * v)
+        d = v[0] ** 2 + (self.z0 * u[0]) ** 2
+        d_prime = 2.0 * (v[0] * v[1] + self.z0 ** 2 * u[0] * u[1])
+        return (-2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / d ** 2,
+                -2.0 * a[3:] / d)
 
-    def dtheta_unchecked(self, omega: float, order: int = 1) -> float:
+    def dtheta(self, omega: float, order: int = 1) -> float:
+        """Exact d theta/d omega (order 1, in s) or d2 theta/d omega2
+        (order 2, in s^2), finite through branch zeros and loaded poles."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        w = float(omega)
-        h = max(w * 1e-7, TWO_PI * 1e3)
-        if order == 1:
-            def diff(step):
-                return (self.theta(w + step) - self.theta(w - step)) / (2.0 * step)
-        else:
-            t0 = self.theta(w)
+        return float(self._derivatives(omega)[order - 1])
 
-            def diff(step):
-                return (self.theta(w + step) - 2.0 * t0 + self.theta(w - step)) / step ** 2
-        d_h = diff(h)
-        d_h2 = diff(0.5 * h)
-        return (4.0 * d_h2 - d_h) / 3.0
+    dtheta_unchecked = dtheta  # former name; perfbench's tracer still patches it
+
+    def dtheta_dresonance(self, omega: float) -> np.ndarray:
+        """d theta/d w_r of each branch's resonator frequency, in branch
+        order, at fixed resonator impedance."""
+        return self._derivatives(omega)[2]

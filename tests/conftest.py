@@ -24,3 +24,38 @@ def paper_device() -> ParityDevice:
 @pytest.fixture(scope="session")
 def paper_solution(paper_device):
     return solve_eraser(paper_device)
+
+
+def _mp_phase(dev: ParityDevice, weight: int):
+    """50-digit phase of one weight's network as theta(omega, resonances) =
+    -2 atan(z0 B), smooth away from branch zeros, with the state-shifted
+    resonances it is built on."""
+    import mpmath as mp
+
+    from qparity.device import QubitState, shifted_frequency
+
+    mp.mp.dps = 50
+    state = QubitState.of_weight(dev.n, weight)
+    z0 = mp.mpf(dev.z0)
+    resonances = [mp.mpf(shifted_frequency(mo.omega, [dev.chi] * dev.n, state))
+                  for mo in dev.modes]
+    couplers = [mp.mpf(mo.c_couple) for mo in dev.modes]
+
+    def theta(w, res):
+        b = 0
+        for w_r, c_c in zip(res, couplers):
+            if dev.resonator_model == "stub":
+                x_res = z0 * mp.tan(mp.pi / 2 * w / w_r)
+            else:
+                c = mp.pi / (4 * w_r * z0)
+                l = 1 / (w_r ** 2 * c)
+                x_res = w * l / (1 - w * w * l * c)
+            b -= 1 / (x_res - 1 / (w * c_c))
+        return -2 * mp.atan(z0 * b)
+
+    return theta, resonances
+
+
+@pytest.fixture(scope="session")
+def mp_phase():
+    return _mp_phase

@@ -94,8 +94,8 @@ def test_tuned_first_order_dispersion_cancels(tuned):
     from qparity.cascade import _curve
 
     dev = tuned.device
-    b2 = _curve(dev, 0, 0).dtheta_unchecked(tuned.omega_p, 2) \
-        - _curve(dev, 0, 1).dtheta_unchecked(tuned.omega_p, 2)
+    b2 = _curve(dev, 0, 0).dtheta(tuned.omega_p, 2) \
+        - _curve(dev, 0, 1).dtheta(tuned.omega_p, 2)
     assert abs(tuned.b_single) < 1e-3 * abs(b2) * 1e6  # vs b2*W at W = 1 MHz
     assert b2 != 0.0
 
@@ -146,6 +146,21 @@ def test_cascade_kills_first_order_dispersion(comparison):
     assert comparison.cascade.b_max < comparison.parallel.b_max / 100.0
     assert comparison.cascade.b2_max > 0.0
     assert comparison.b_ratio > 100.0
+
+
+def test_exact_cancellation_serializes_as_null_ratio(comparison):
+    # exact derivatives can cancel the cascade's b to 0.0 at the symmetric
+    # point; the report must stay strict JSON
+    import json
+    from dataclasses import replace
+
+    from qparity.cascade import comparison_to_dict
+
+    data = comparison_to_dict(replace(comparison, b_ratio=math.inf))
+    assert data["b_ratio_parallel_over_cascade"] is None
+    json.dumps(data, allow_nan=False)
+    assert comparison_to_dict(comparison)["b_ratio_parallel_over_cascade"] \
+        == comparison.b_ratio
 
 
 def test_cascade_fidelity_matches_quadratic_closed(comparison):

@@ -209,6 +209,45 @@ def test_fidelity_outputs_and_round_trip(solved, tmp_path):
     assert len(rows) == 7
 
 
+def _bad_top_level(sol):
+    return [sol]
+
+
+def _chi_object(sol):
+    return dict(sol, chi_rad_s={"value": sol["chi_rad_s"]})
+
+
+def _chi_string(sol):
+    return dict(sol, chi_rad_s="x")
+
+
+def _short_modes(sol):
+    sol = dict(sol, mode_f_Hz=sol["mode_f_Hz"][:1])
+    del sol["mode_omega_rad_s"]
+    return sol
+
+
+def _probe_off_band(sol):
+    return dict(sol, omega_p_rad_s=-5.0)
+
+
+@pytest.mark.parametrize("corrupt,field", [
+    (_bad_top_level, ""),
+    (_chi_object, ".chi_rad_s"),
+    (_chi_string, ".chi_rad_s"),
+    (_short_modes, ".mode_f_Hz"),
+    (_probe_off_band, ".omega_p_rad_s"),
+], ids=["json-list", "chi-object", "chi-string", "mode-count", "probe-off-band"])
+def test_bad_solution_file_names_field(solved, tmp_path, capsys, corrupt, field):
+    cfg, sol_path = solved
+    bad = tmp_path / "bad_sol.json"
+    bad.write_text(json.dumps(corrupt(json.loads(sol_path.read_text()))))
+    assert main(["fidelity", str(cfg), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}{field}:" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # compare and estimate
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from qparity.device import (
     state_phase_curve,
     weight_phase_curve,
 )
-from qparity.network import Capacitor, Parallel, PoleProximity, Series, phase_sweep
+from qparity.network import Capacitor, Parallel, Series, phase_sweep
 
 TWO_PI = 2.0 * math.pi
 CHI_PAPER = TWO_PI * 5.77e6
@@ -228,7 +228,7 @@ def test_derivative_matches_dense_secant_oracle(paper_solution):
     wp = paper_solution.omega_p
     h = wp * 1e-5
     for weight in range(4):
-        d = weight_phase_curve(dev, weight).dtheta_unchecked(wp, order=1)
+        d = weight_phase_curve(dev, weight).dtheta(wp, order=1)
         net = build_state_network(dev, QubitState.of_weight(3, weight))
         prof = phase_sweep(net, wp - 3 * h, wp + 3 * h, base_points=64,
                            z0=dev.z0)
@@ -243,17 +243,23 @@ def test_second_derivative_matches_first_derivative_secant(paper_solution):
     dev = paper_solution.device
     wp = paper_solution.omega_p
     curve = weight_phase_curve(dev, 0)
-    d2 = curve.dtheta_unchecked(wp, order=2)
+    d2 = curve.dtheta(wp, order=2)
     h = wp * 1e-6
-    sec = (curve.dtheta_unchecked(wp + h) - curve.dtheta_unchecked(wp - h)) / (2.0 * h)
+    sec = (curve.dtheta(wp + h) - curve.dtheta(wp - h)) / (2.0 * h)
     assert d2 == pytest.approx(sec, rel=1e-3)
 
 
-def test_derivative_refuses_pole_straddle(paper_device):
+def test_derivative_finite_at_loaded_pole(paper_device, mp_phase):
+    import mpmath as mp
+
     curve = state_phase_curve(paper_device, QubitState((0, 0, 0)))
     pole = curve.poles[0]
-    with pytest.raises(PoleProximity):
-        curve.dtheta(pole)
+    theta, res = mp_phase(paper_device, 0)
+    for order in (1, 2):
+        d = curve.dtheta(pole, order)
+        assert math.isfinite(d)
+        assert d == pytest.approx(
+            float(mp.diff(lambda f: theta(f, res), mp.mpf(pole), order)), rel=1e-9)
 
 
 def test_derivative_order_validation(paper_device):

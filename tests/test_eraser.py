@@ -16,6 +16,7 @@ from qparity.eraser import (
     contrast,
     dispersion_report,
     eraser_residuals,
+    make_solution,
     min_modes_required,
     solution_to_dict,
     solve_eraser,
@@ -162,11 +163,11 @@ def test_two_qubit_brute_force_scan_shows_sign_change():
     from dataclasses import replace
 
     from qparity.eraser import (DEFAULT_CHI_RANGE, _default_search_band,
-                                _residual_matrix, _solver_band)
+                                _solver_band)
 
     band = _default_search_band(dev, DEFAULT_CHI_RANGE[1])
     dev_b = replace(dev, band=_solver_band(dev, DEFAULT_CHI_RANGE, band))
-    r = _residual_matrix(dev_b, wps)[0]
+    r = eraser_residuals(dev_b, wps)[0]
     assert r.min() < 0.0 < r.max()
 
 
@@ -240,6 +241,12 @@ def test_dispersion_b_scale_and_secant_oracle(paper_solution):
     assert b02 == pytest.approx(secants[0] - secants[1], rel=1e-4)
 
 
+def test_make_solution_rebuilds_the_solved_point(paper_solution):
+    sol = make_solution(paper_solution.device, paper_solution.omega_p,
+                        paper_solution.basins)
+    assert sol == paper_solution
+
+
 def test_dispersion_report_four_qubit_pair_count():
     from qparity.eraser import _same_parity_pairs
 
@@ -308,3 +315,63 @@ def test_lumped_model_solves_nearby():
     assert sol.omega_p / TWO_PI == pytest.approx(9.804e9, abs=5e6)
     assert sol.chi / TWO_PI == pytest.approx(5.77e6, abs=0.15e6)
     assert math.degrees(abs(sol.delta_theta)) == pytest.approx(175.0, abs=1.0)
+
+
+# ----------------------------------------------------------------------
+# Gauss-Newton internals
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("free_gaps", [False, True])
+def test_jacobian_matches_central_difference(free_gaps):
+    from dataclasses import replace
+
+    from qparity.eraser import _jacobian, _weight_curves, _with_gaps
+
+    if free_gaps:
+        modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (9.97, 10.0, 10.03))
+        dev0 = ParityDevice.equal_coupling(4, modes, TWO_PI * 5e6)
+        x = TWO_PI * np.array([9.79e9, 16e6, 30e6, 30e6])
+    else:
+        dev0 = two_mode_device(3)
+        x = TWO_PI * np.array([9.804e9, 5.77e6])
+    dev0 = replace(dev0, band=(TWO_PI * 9.5e9, TWO_PI * 10.5e9))
+
+    def device(x):
+        return (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
+
+    jac = _jacobian(_weight_curves(device(x)), x[0], free_gaps)
+    assert jac.shape == (dev0.n - 1, len(x))
+    h = 1e3
+    for k in range(len(x)):
+        step = h * (np.arange(len(x)) == k)
+        xp, xm = x + step, x - step
+        fd = (eraser_residuals(device(xp), xp[0])
+              - eraser_residuals(device(xm), xm[0])) / (2.0 * h)
+        assert np.max(np.abs(jac[:, k] - fd)) <= 1e-6 * np.max(np.abs(jac[:, k]))
+
+
+def test_paper_solve_work_count(paper_device, monkeypatch):
+    # deterministic work bound for one paper n = 3 solve: phase curves built
+    # (132 of them on the coarse grid) and residual calls (the 33 grid
+    # rows); rebuilding devices for finite differences breaks the first
+    from collections import Counter
+
+    from qparity import eraser, network
+
+    counts = Counter()
+    init = network.PhaseCurve.__init__
+    residuals = eraser.eraser_residuals
+
+    def counting_init(self, *args, **kwargs):
+        counts["curves"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_residuals(*args, **kwargs):
+        counts["residuals"] += 1
+        return residuals(*args, **kwargs)
+
+    monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
+    monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
+    solve_eraser(paper_device)
+    assert counts["curves"] <= 154
+    assert counts["residuals"] <= 33

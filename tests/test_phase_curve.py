@@ -130,6 +130,50 @@ def test_theta_against_50_digit_oracle():
                 _mp_theta(dev, w, omega), abs=1e-11)
 
 
+@pytest.mark.parametrize("make", [lambda: paper("stub"), lambda: paper("lumped"),
+                                  three_mode], ids=["paper-stub", "paper-lumped",
+                                                    "n4-three-mode"])
+def test_derivatives_against_50_digit_oracle(make, mp_phase):
+    dev = make()
+    points = [TWO_PI * f for f in (9.7e9, 9.804e9, 9.95e9, 10.0e9, 10.05e9)]
+    for w, curve in enumerate(device_curves(dev)):
+        theta, res = mp_phase(dev, w)
+        for omega in points:
+            om = mp.mpf(omega)
+            assert curve.dtheta(omega) == pytest.approx(
+                float(mp.diff(lambda f: theta(f, res), om)), rel=1e-9)
+            assert curve.dtheta(omega, 2) == pytest.approx(
+                float(mp.diff(lambda f: theta(f, res), om, 2)), rel=1e-9)
+            d_res = [mp.diff(lambda q: theta(om, res[:k] + [q] + res[k + 1:]), res[k])
+                     for k in range(len(res))]
+            assert curve.dtheta_dresonance(omega) == pytest.approx(
+                [float(d) for d in d_res], rel=1e-9)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_derivatives_continuous_at_every_branch_zero(model):
+    for curve in device_curves(paper(model)) + device_curves(three_mode()):
+        for z in curve.zeros:
+            pts = np.concatenate([
+                [z],
+                np.nextafter(z, 0.0) - np.arange(40) * np.spacing(z),
+                np.nextafter(z, np.inf) + np.arange(40) * np.spacing(z)])
+            for order in (1, 2):
+                d = np.array([curve.dtheta(p, order) for p in pts])
+                assert np.all(np.isfinite(d))
+                assert np.ptp(d) <= 1e-6 * abs(d[0])
+
+
+def test_sweep_counts_a_pole_on_a_grid_sample():
+    # phase_sweep seeds omega_r, the loaded pole of a single-branch network,
+    # so theta lands exactly on a 2*pi level there; the pole must count once
+    dev = ParityDevice.equal_coupling(2, (Mode(TWO_PI * 8e9, 5e-15),), TWO_PI * 1e6)
+    curve = weight_phase_curve(dev, 0)
+    prof = phase_sweep(curve.net, *curve.band, z0=curve.z0)
+    assert len(curve.poles) == len(prof.poles) == 1
+    assert prof.poles[0] == pytest.approx(curve.poles[0], abs=1e-3)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 5),
