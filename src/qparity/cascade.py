@@ -17,17 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .device import Mode, ParityDevice, QubitState, _loaded_zero_estimate, _resonator
-from .eraser import EraserSolution, _same_parity_pairs
-from .fidelity import (
-    ProbePulse,
-    build_mode_grid,
-    fidelity_even_odd,
-    fidelity_linear_closed,
-    fidelity_numeric,
-    fidelity_quadratic_closed,
-)
-from .network import Capacitor, PhaseCurve, Series, wrap_phase
+from .device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
+                     weight_phase_curve)
+from .eraser import EraserSolution, _residuals, _thetas, _weight_curves
+from .fidelity import ProbePulse, _pair_table, build_mode_grid
+from .network import PhaseCurve, wrap_phase
 
 __all__ = [
     "CascadeCavity",
@@ -100,37 +94,39 @@ class CascadeDevice:
         return replace(self, cavities=cavities)
 
 
-def _cascade_band(cavity: CascadeCavity, z0: float) -> tuple[float, float]:
-    z_lo = _loaded_zero_estimate(Mode(cavity.omega_r, cavity.c_couple), z0)
-    pad = max(20.0 * cavity.chi, 0.004 * cavity.omega_r)
-    return (z_lo - cavity.chi - pad, cavity.omega_r + cavity.chi + pad)
-
-
 def _curve(dev: CascadeDevice, j: int, bit: int) -> PhaseCurve:
-    """Phase curve of cavity j with its qubit in state ``bit``."""
-    cavity = dev.cavities[j]
-    band = dev.band if dev.band is not None else _cascade_band(cavity, dev.z0)
-    omega = cavity.omega_r + (cavity.chi if bit == 0 else -cavity.chi)
-    net = Series((Capacitor(cavity.c_couple),
-                  _resonator(omega, dev.z0, dev.resonator_model)))
-    return PhaseCurve(net, dev.z0, band)
+    """Phase curve of cavity j with its qubit in state ``bit``: the cavity is
+    a one-qubit, one-mode parity device."""
+    cav = dev.cavities[j]
+    single = ParityDevice.equal_coupling(
+        n=1, modes=(Mode(cav.omega_r, cav.c_couple),), chi=cav.chi, z0=dev.z0,
+        resonator_model=dev.resonator_model, band=dev.band)
+    return weight_phase_curve(single, bit)
+
+
+@dataclass(frozen=True)
+class _CavitySum:
+    """Phase response of the cascade in one qubit state: the sum of its
+    cavities' curves, in cavity order."""
+
+    curves: tuple
+
+    def theta(self, omega):
+        return sum(c.theta(omega) for c in self.curves)
+
+    def dtheta(self, omega, order=1):
+        return sum(c.dtheta(omega, order) for c in self.curves)
+
+
+def _state_curve(dev: CascadeDevice, state: QubitState) -> _CavitySum:
+    if state.n != dev.n:
+        raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
+    return _CavitySum(tuple(_curve(dev, j, b) for j, b in enumerate(state.bits)))
 
 
 def cascade_phase(dev: CascadeDevice, state: QubitState, omega):
     """Total reflected phase: sum of the per-cavity reflection phases."""
-    if state.n != dev.n:
-        raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
-    total = sum(_curve(dev, j, b).theta(omega) for j, b in enumerate(state.bits))
-    return total
-
-
-def _weight_phase_fn(dev: CascadeDevice, weight: int):
-    state = QubitState.of_weight(dev.n, weight)
-
-    def theta(omega):
-        return cascade_phase(dev, state, omega)
-
-    return theta
+    return _state_curve(dev, state).theta(omega)
 
 
 @dataclass(frozen=True)
@@ -151,9 +147,10 @@ def _probe_window(dev: CascadeDevice) -> tuple[float, float]:
             z_lo + 2.0 * cav.chi + 0.002 * cav.omega_r)
 
 
-def _symmetric_point(dev: CascadeDevice) -> float:
-    """Frequency where the per-qubit phase step is extremal, i.e. where the
-    first-derivative mismatch of the +/-chi-detuned cavities crosses zero."""
+def _symmetric_point(dev: CascadeDevice) -> TunedCascade:
+    """The cascade, with its chi as given, probed where the per-qubit phase
+    step is extremal, i.e. where the first-derivative mismatch of the
+    +/-chi-detuned cavities crosses zero."""
     c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
 
     def b_of(w):
@@ -173,18 +170,12 @@ def _symmetric_point(dev: CascadeDevice) -> float:
         b_lo, b_hi = b_of(lo), b_of(hi)
     if b_lo * b_hi > 0.0:
         raise ValueError("no symmetric point found in the cascade window")
-    return brentq(b_of, lo, hi, xtol=1e-3)
-
-
-def _probe_symmetric_point(dev: CascadeDevice) -> TunedCascade:
-    """The cascade probed at its symmetric point, with its chi as given."""
-    wp = _symmetric_point(dev)
-    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
+    wp = brentq(b_of, lo, hi, xtol=1e-3)
     return TunedCascade(
         device=dev,
         omega_p=wp,
         step=float(c0.theta(wp) - c1.theta(wp)),
-        b_single=float(c0.dtheta(wp) - c1.dtheta(wp)),
+        b_single=float(b_of(wp)),
     )
 
 
@@ -198,10 +189,7 @@ def tune_cascade(dev: CascadeDevice,
     the step to pi.
     """
     def step_minus_pi(chi: float) -> float:
-        trial = dev.with_chi(chi)
-        wp = _symmetric_point(trial)
-        c0, c1 = _curve(trial, 0, 0), _curve(trial, 0, 1)
-        return float(c0.theta(wp) - c1.theta(wp)) - math.pi
+        return _symmetric_point(dev.with_chi(chi)).step - math.pi
 
     chis = np.geomspace(chi_range[0], chi_range[1], 41)
     vals = []
@@ -218,8 +206,7 @@ def tune_cascade(dev: CascadeDevice,
             f"max deviation {max(vals):+.3f} rad"
         )
     chi = brentq(step_minus_pi, bracket[0], bracket[1], xtol=1e-2)
-    return _probe_symmetric_point(dev.with_chi(chi))
-
+    return _symmetric_point(dev.with_chi(chi))
 
 
 # ----------------------------------------------------------------------
@@ -249,80 +236,34 @@ class ComparisonReport:
     parallel: SchemeMetrics
     cascade: SchemeMetrics
     b_ratio: float               # parallel b_max / cascade b_max
-    quadratic_match: dict        # (w1, w2) -> |F_numeric - F_quadratic| cascade
+    quadratic_match: dict        # (w1, w2) -> |F_numeric - F_closed| of the cascade
 
 
-def _parallel_metrics(dev: ParityDevice, sol: EraserSolution,
-                      pulse: ProbePulse, grid) -> SchemeMetrics:
-    from .device import weight_phase_curve
-
-    n = dev.n
-    wp = sol.omega_p
-    curves = {w: weight_phase_curve(dev, w) for w in range(n + 1)}
-    d1 = {w: curves[w].dtheta(wp, 1) for w in range(n + 1)}
-    d2 = {w: curves[w].dtheta(wp, 2) for w in range(n + 1)}
-    pairs = _same_parity_pairs(n)
-    same_f, same_c = {}, {}
-    for w1, w2 in pairs:
-        same_f[(w1, w2)] = fidelity_numeric(curves[w1].theta, curves[w2].theta,
-                                            pulse, grid)
-        same_c[(w1, w2)] = fidelity_linear_closed(
-            pulse.alpha, d1[w1] - d1[w2], pulse.bandwidth)
-    cross = fidelity_numeric(curves[0].theta, curves[1].theta, pulse, grid)
-    return SchemeMetrics(
-        name="parallel-multimode",
-        resonator_count=dev.m,
-        omega_p=wp,
-        chi=sol.chi,
-        residuals=tuple(sol.residuals),
-        delta_theta=sol.delta_theta,
-        b_max=max(abs(d1[a] - d1[b]) for a, b in pairs),
-        b2_max=max(abs(d2[a] - d2[b]) for a, b in pairs),
-        same_parity_fidelity=same_f,
-        same_parity_closed=same_c,
-        cross_parity_fidelity=cross,
-        cross_parity_closed=fidelity_even_odd(pulse.alpha, sol.delta_theta),
-    )
-
-
-def _cascade_metrics(tuned: TunedCascade, pulse: ProbePulse, grid):
-    dev = tuned.device
-    n = dev.n
-    wp = tuned.omega_p
-    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
-    d1 = (c0.dtheta(wp, 1), c1.dtheta(wp, 1))
-    d2 = (c0.dtheta(wp, 2), c1.dtheta(wp, 2))
-    fns = {w: _weight_phase_fn(dev, w) for w in range(n + 1)}
-    th = {w: float(fns[w](wp)) for w in range(n + 1)}
-    residuals = tuple(th[i] - th[i + 2] - TWO_PI for i in range(n - 1))
-    pairs = _same_parity_pairs(n)
-    same_f, same_c, quad_match = {}, {}, {}
-    for w1, w2 in pairs:
-        f_num = fidelity_numeric(fns[w1], fns[w2], pulse, grid)
-        same_f[(w1, w2)] = f_num
-        # per-pair mismatches scale with the number of flipped qubits
-        flips = w2 - w1
-        b2_pair = flips * (d2[0] - d2[1])
-        f_quad = fidelity_quadratic_closed(pulse.alpha, 0.5 * b2_pair,
-                                           pulse.bandwidth)
-        same_c[(w1, w2)] = f_quad
-        quad_match[(w1, w2)] = abs(f_num - f_quad)
-    cross = fidelity_numeric(fns[0], fns[1], pulse, grid)
+def _scheme_metrics(name: str, resonator_count: int, chi: float, curves,
+                    omega_p: float, pulse: ProbePulse) -> SchemeMetrics:
+    """One scheme's metrics from its per-weight phase responses, scored by
+    the pairwise fidelity table with the pulse centred on omega_p."""
+    pulse = ProbePulse(pulse.alpha, omega_p, pulse.bandwidth)
+    th = _thetas(curves, omega_p)
     delta = float(wrap_phase(th[0] - th[1]))
+    table = _pair_table(curves, omega_p, th, delta, pulse,
+                        build_mode_grid(omega_p, pulse.bandwidth))
+    same = [r for r in table if r.branch != "even-odd"]
+    cross = table[0]  # weights (0, 1)
     return SchemeMetrics(
-        name="sequential-cascade",
-        resonator_count=n,
-        omega_p=wp,
-        chi=dev.chi,
-        residuals=residuals,
+        name=name,
+        resonator_count=resonator_count,
+        omega_p=omega_p,
+        chi=chi,
+        residuals=tuple(float(v) for v in _residuals(th)),
         delta_theta=delta,
-        b_max=max(abs((w2 - w1) * (d1[0] - d1[1])) for w1, w2 in pairs),
-        b2_max=max(abs((w2 - w1) * (d2[0] - d2[1])) for w1, w2 in pairs),
-        same_parity_fidelity=same_f,
-        same_parity_closed=same_c,
-        cross_parity_fidelity=cross,
-        cross_parity_closed=fidelity_even_odd(pulse.alpha, delta),
-    ), quad_match
+        b_max=max(abs(r.b) for r in same),
+        b2_max=max(abs(r.b2) for r in same),
+        same_parity_fidelity={r.weights: r.f_numeric for r in same},
+        same_parity_closed={r.weights: r.f_closed for r in same},
+        cross_parity_fidelity=cross.f_numeric,
+        cross_parity_closed=cross.f_closed,
+    )
 
 
 def compare_schemes(parallel_dev: ParityDevice, parallel_sol: EraserSolution,
@@ -336,19 +277,22 @@ def compare_schemes(parallel_dev: ParityDevice, parallel_sol: EraserSolution,
     """
     if parallel_dev.n != cascade_dev.n:
         raise ValueError("schemes must measure the same number of qubits")
-    parallel_dev = parallel_sol.device  # the solved chi/modes, not the template
     if tune:
         tuned = tune_cascade(cascade_dev)
     else:
         # keep the given chi but still probe at the symmetric point, where
         # the first-order mismatch cancels (the step may then differ from pi)
-        tuned = _probe_symmetric_point(cascade_dev)
-    pulse_par = ProbePulse(pulse.alpha, parallel_sol.omega_p, pulse.bandwidth)
-    pulse_cas = ProbePulse(pulse.alpha, tuned.omega_p, pulse.bandwidth)
-    grid_par = build_mode_grid(pulse_par.omega_p, pulse_par.bandwidth)
-    grid_cas = build_mode_grid(pulse_cas.omega_p, pulse_cas.bandwidth)
-    par = _parallel_metrics(parallel_dev, parallel_sol, pulse_par, grid_par)
-    cas, quad_match = _cascade_metrics(tuned, pulse_cas, grid_cas)
+        tuned = _symmetric_point(cascade_dev)
+    dev = parallel_sol.device  # the solved chi/modes, not the template
+    par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
+                          _weight_curves(dev), parallel_sol.omega_p, pulse)
+    cdev = tuned.device
+    cas = _scheme_metrics("sequential-cascade", cdev.n, cdev.chi,
+                          [_state_curve(cdev, QubitState.of_weight(cdev.n, w))
+                           for w in range(cdev.n + 1)],
+                          tuned.omega_p, pulse)
+    quad_match = {p: abs(f - cas.same_parity_closed[p])
+                  for p, f in cas.same_parity_fidelity.items()}
     ratio = par.b_max / cas.b_max if cas.b_max > 0.0 else math.inf
     return ComparisonReport(parallel=par, cascade=cas, b_ratio=ratio,
                             quadratic_match=quad_match)

@@ -137,14 +137,47 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
-    """Returns (device template, chi spec) with chi spec 'solve' or rad/s."""
-    kind = _optional(cfg, "kind", str, path, "parallel")
-    if kind != "parallel":
-        raise ConfigError(f"{path}.kind: expected 'parallel', got {kind!r}")
+def _shared_fields(cfg: dict, path: str, kind: str, chi_keyword: str):
+    """The fields both device kinds share: kind, n_qubits, chi_MHz (a number
+    or ``chi_keyword``), Z0_ohms and resonator_model.
+
+    Returns (n, chi spec, chi start, z0, model); the chi spec is
+    ``chi_keyword`` or chi in rad/s, the chi start what the device is built
+    with.
+    """
+    got = _optional(cfg, "kind", str, path, kind)
+    if got != kind:
+        raise ConfigError(f"{path}.kind: expected {kind!r}, got {got!r}")
     n = _need(cfg, "n_qubits", int, path)
     if not 1 <= n <= 8:
         raise ConfigError(f"{path}.n_qubits: must be 1..8, got {n}")
+    chi_raw = cfg.get("chi_MHz", chi_keyword)
+    if isinstance(chi_raw, str):
+        if chi_raw != chi_keyword:
+            raise ConfigError(f"{path}.chi_MHz: expected a number or "
+                              f"{chi_keyword!r}, got {chi_raw!r}")
+        chi_spec = chi_keyword
+        chi_start = _mhz(5.0)
+    elif isinstance(chi_raw, (int, float)) and not isinstance(chi_raw, bool):
+        if chi_raw <= 0:
+            raise ConfigError(f"{path}.chi_MHz: must be > 0, got {chi_raw}")
+        chi_spec = _mhz(float(chi_raw))
+        chi_start = chi_spec
+    else:
+        raise ConfigError(f"{path}.chi_MHz: expected a number or {chi_keyword!r}")
+    z0 = _optional(cfg, "Z0_ohms", float, path, 50.0)
+    if z0 <= 0:
+        raise ConfigError(f"{path}.Z0_ohms: must be > 0, got {z0}")
+    model = _optional(cfg, "resonator_model", str, path, "stub")
+    if model not in ("stub", "lumped"):
+        raise ConfigError(f"{path}.resonator_model: expected 'stub' or "
+                          f"'lumped', got {model!r}")
+    return n, chi_spec, chi_start, z0, model
+
+
+def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
+    """Returns (device template, chi spec) with chi spec 'solve' or rad/s."""
+    n, chi_spec, chi_start, z0, model = _shared_fields(cfg, path, "parallel", "solve")
     raw_modes = _need(cfg, "modes", list, path)
     if not raw_modes:
         raise ConfigError(f"{path}.modes: must be non-empty")
@@ -161,27 +194,6 @@ def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
     freqs = [mo.omega for mo in modes]
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ConfigError(f"{path}.modes: f_GHz values must be strictly increasing")
-    chi_raw = cfg.get("chi_MHz", "solve")
-    if isinstance(chi_raw, str):
-        if chi_raw != "solve":
-            raise ConfigError(f"{path}.chi_MHz: expected a number or 'solve', "
-                              f"got {chi_raw!r}")
-        chi_spec = "solve"
-        chi_start = _mhz(5.0)
-    elif isinstance(chi_raw, (int, float)) and not isinstance(chi_raw, bool):
-        if chi_raw <= 0:
-            raise ConfigError(f"{path}.chi_MHz: must be > 0, got {chi_raw}")
-        chi_spec = _mhz(float(chi_raw))
-        chi_start = chi_spec
-    else:
-        raise ConfigError(f"{path}.chi_MHz: expected a number or 'solve'")
-    z0 = _optional(cfg, "Z0_ohms", float, path, 50.0)
-    if z0 <= 0:
-        raise ConfigError(f"{path}.Z0_ohms: must be > 0, got {z0}")
-    model = _optional(cfg, "resonator_model", str, path, "stub")
-    if model not in ("stub", "lumped"):
-        raise ConfigError(f"{path}.resonator_model: expected 'stub' or "
-                          f"'lumped', got {model!r}")
     band = None
     if "band" in cfg:
         b = _need(cfg, "band", dict, path)
@@ -200,38 +212,12 @@ def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
 
 
 def parse_cascade_config(cfg: dict, path: str) -> tuple[CascadeDevice, object]:
-    kind = _optional(cfg, "kind", str, path, "cascade")
-    if kind != "cascade":
-        raise ConfigError(f"{path}.kind: expected 'cascade', got {kind!r}")
-    n = _need(cfg, "n_qubits", int, path)
-    if not 1 <= n <= 8:
-        raise ConfigError(f"{path}.n_qubits: must be 1..8, got {n}")
+    n, chi_spec, chi_start, z0, model = _shared_fields(cfg, path, "cascade", "tune")
     cav = _need(cfg, "cavity", dict, path)
     f = _need(cav, "f_GHz", float, f"{path}.cavity")
     c = _need(cav, "C_couple_fF", float, f"{path}.cavity")
     if f <= 0 or c <= 0:
         raise ConfigError(f"{path}.cavity: f_GHz and C_couple_fF must be > 0")
-    chi_raw = cfg.get("chi_MHz", "tune")
-    if isinstance(chi_raw, str):
-        if chi_raw != "tune":
-            raise ConfigError(f"{path}.chi_MHz: expected a number or 'tune', "
-                              f"got {chi_raw!r}")
-        chi_spec = "tune"
-        chi_start = _mhz(5.0)
-    elif isinstance(chi_raw, (int, float)) and not isinstance(chi_raw, bool):
-        if chi_raw <= 0:
-            raise ConfigError(f"{path}.chi_MHz: must be > 0, got {chi_raw}")
-        chi_spec = _mhz(float(chi_raw))
-        chi_start = chi_spec
-    else:
-        raise ConfigError(f"{path}.chi_MHz: expected a number or 'tune'")
-    z0 = _optional(cfg, "Z0_ohms", float, path, 50.0)
-    if z0 <= 0:
-        raise ConfigError(f"{path}.Z0_ohms: must be > 0, got {z0}")
-    model = _optional(cfg, "resonator_model", str, path, "stub")
-    if model not in ("stub", "lumped"):
-        raise ConfigError(f"{path}.resonator_model: expected 'stub' or "
-                          f"'lumped', got {model!r}")
     try:
         dev = CascadeDevice.uniform(n=n, omega_r=_ghz(f), chi=chi_start,
                                     c_couple=_ff(c), z0=z0,

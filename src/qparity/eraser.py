@@ -371,15 +371,15 @@ def _solve_single_condition(dev0: ParityDevice, band, chi_range, tol, grid_point
 
     def best_root(chi):
         """(score, omega_p) of the best root at this chi, or None."""
-        dev = dev0.with_chi(chi)
-        r = eraser_residuals(dev, wps)[0]
+        curves = _weight_curves(dev0.with_chi(chi))
+        r = _residuals(_thetas(curves, wps))[0]
         sign = np.sign(r)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         out = None
         for j in flips:
-            wp = brentq(lambda w: float(eraser_residuals(dev, w)[0]),
+            wp = brentq(lambda w: float(_residuals(_thetas(curves, w))[0]),
                         float(wps[j]), float(wps[j + 1]), xtol=1e-3)
-            th = _thetas(_weight_curves(dev), wp)
+            th = _thetas(curves, wp)
             score = abs(math.sin(0.5 * wrap_phase(th[0] - th[1])))
             if out is None or score > out[0]:
                 out = (score, wp)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ParityDevice, QubitState, weight_phase_curve
-from .eraser import EraserSolution, _same_parity_pairs, contrast
+from .device import ParityDevice, QubitState
+from .eraser import EraserSolution, _dispersion, _weight_curves, contrast
 from .network import wrap_phase
 
 __all__ = [
@@ -125,6 +125,13 @@ def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
     return ModeGrid(frequencies=freqs, spacing=float(spacing), weights=weights)
 
 
+def _mode_sum(dphase: np.ndarray, pulse: ProbePulse, grid: ModeGrid) -> float:
+    """Overlap from the phase difference sampled on the mode comb."""
+    amp2 = pulse.mean_photons * grid.weights ** 2
+    exponent = np.sum(amp2 * (1.0 - np.exp(-1j * dphase)))
+    return float(abs(np.exp(-exponent)))
+
+
 def fidelity_numeric(theta_s, theta_s2, pulse: ProbePulse,
                      grid: ModeGrid | None = None) -> float:
     """Mode-sum overlap between the scattered pulses for two phase responses.
@@ -135,11 +142,8 @@ def fidelity_numeric(theta_s, theta_s2, pulse: ProbePulse,
     """
     if grid is None:
         grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    dphase = np.asarray(theta_s(grid.frequencies)) \
-        - np.asarray(theta_s2(grid.frequencies))
-    amp2 = pulse.mean_photons * grid.weights ** 2
-    exponent = np.sum(amp2 * (1.0 - np.exp(-1j * dphase)))
-    return float(abs(np.exp(-exponent)))
+    return _mode_sum(np.asarray(theta_s(grid.frequencies))
+                     - np.asarray(theta_s2(grid.frequencies)), pulse, grid)
 
 
 def fidelity_linear_closed(alpha: complex, b: float, bandwidth: float) -> float:
@@ -205,36 +209,29 @@ class FidelityReport:
     delta_theta: float | None = None
 
 
-def eraser_quality(dev: ParityDevice, sol: EraserSolution,
-                   pulse: ProbePulse, grid: ModeGrid | None = None) -> tuple:
-    """Full pairwise fidelity table at a solved operating point.
+def _pair_table(curves, omega_p: float, theta_p, delta_theta: float,
+                pulse: ProbePulse, grid: ModeGrid) -> tuple:
+    """Fidelity of every unordered pair of Hamming weights.
 
-    Every unordered pair of Hamming weights gets the numeric mode-sum
-    fidelity from the true device phase curves (bandwidth corrections
-    included); same-parity pairs additionally get the linear (or, when the
-    first-order mismatch cancels, quadratic) closed form, cross-parity pairs
-    the even/odd closed form at the solution contrast.
+    ``curves[w]`` is weight w's phase response (anything with ``theta(omega)``
+    and ``dtheta(omega, order)``), ``theta_p[w]`` its phase at omega_p and
+    ``delta_theta`` the parity contrast quoted for cross-parity pairs.  Every
+    pair gets the numeric mode sum; same-parity pairs also get the linear
+    closed form, or the quadratic one when the first-order mismatch cancels
+    (|b| < QUADRATIC_BRANCH_RATIO |b2| W); cross-parity pairs get the
+    even/odd closed form.
     """
-    if grid is None:
-        grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    n = dev.n
-    wp = sol.omega_p
-    curves = {w: weight_phase_curve(dev, w) for w in range(n + 1)}
-    d1 = {w: curves[w].dtheta(wp, order=1) for w in range(n + 1)}
-    d2 = {w: curves[w].dtheta(wp, order=2) for w in range(n + 1)}
-    same_parity = set(_same_parity_pairs(n))
-    dth_contrast = contrast(sol)
-
+    n = len(curves) - 1
+    rep = _dispersion(curves, omega_p)
+    phases = [np.asarray(c.theta(grid.frequencies)) for c in curves]
+    w_band = pulse.bandwidth
     reports = []
     for w1 in range(n + 1):
         for w2 in range(w1 + 1, n + 1):
-            f_num = fidelity_numeric(curves[w1].theta, curves[w2].theta,
-                                     pulse, grid)
+            f_num = _mode_sum(phases[w1] - phases[w2], pulse, grid)
             states = (QubitState.of_weight(n, w1), QubitState.of_weight(n, w2))
-            if (w1, w2) in same_parity:
-                b = d1[w1] - d1[w2]
-                b2 = d2[w1] - d2[w2]
-                w_band = pulse.bandwidth
+            if (w1, w2) in rep.first:
+                b, b2 = rep.first[(w1, w2)], rep.second[(w1, w2)]
                 if abs(b) < QUADRATIC_BRANCH_RATIO * abs(b2) * w_band:
                     branch = "same-parity-quadratic"
                     f_closed = fidelity_quadratic_closed(pulse.alpha, 0.5 * b2, w_band)
@@ -251,17 +248,32 @@ def eraser_quality(dev: ParityDevice, sol: EraserSolution,
                     pair=states, weights=(w1, w2), branch=branch,
                     f_numeric=f_num, f_closed=f_closed, f_expansion=f_exp,
                     b=b, b2=b2,
-                    delta_theta=float(wrap_phase(
-                        sol.theta_by_weight[w1] - sol.theta_by_weight[w2])),
+                    delta_theta=float(wrap_phase(theta_p[w1] - theta_p[w2])),
                 ))
             else:
                 reports.append(FidelityReport(
                     pair=states, weights=(w1, w2), branch="even-odd",
                     f_numeric=f_num,
-                    f_closed=fidelity_even_odd(pulse.alpha, dth_contrast),
-                    delta_theta=dth_contrast,
+                    f_closed=fidelity_even_odd(pulse.alpha, delta_theta),
+                    delta_theta=delta_theta,
                 ))
     return tuple(reports)
+
+
+def eraser_quality(dev: ParityDevice, sol: EraserSolution,
+                   pulse: ProbePulse, grid: ModeGrid | None = None) -> tuple:
+    """Full pairwise fidelity table at a solved operating point.
+
+    Every unordered pair of Hamming weights gets the numeric mode-sum
+    fidelity from the true device phase curves (bandwidth corrections
+    included); same-parity pairs additionally get the linear (or, when the
+    first-order mismatch cancels, quadratic) closed form, cross-parity pairs
+    the even/odd closed form at the solution contrast.
+    """
+    if grid is None:
+        grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
+    return _pair_table(_weight_curves(dev), sol.omega_p, sol.theta_by_weight,
+                       contrast(sol), pulse, grid)
 
 
 def reports_to_dicts(reports) -> list[dict]:

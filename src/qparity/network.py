@@ -42,7 +42,6 @@ __all__ = [
     "lumped_equivalent",
     "network_impedance",
     "reflection_coefficient",
-    "reflection_phase",
     "phase_sweep",
 ]
 
@@ -236,11 +235,6 @@ def reflection_coefficient(net: NetworkElement, omega, z0: float):
     num, den = _impedance_parts(net, w)
     r = (num - z0 * den) / (num + z0 * den)
     return r if np.ndim(omega) else complex(r)
-
-
-def reflection_phase(net: NetworkElement, omega, z0: float):
-    """Principal-branch reflection phase arg r(omega) in (-pi, pi]."""
-    return np.angle(reflection_coefficient(net, omega, z0))
 
 
 def _susceptance(net: NetworkElement, omega: float) -> float:

@@ -82,6 +82,29 @@ def test_cavity_order_permutation_invariance():
     assert pa == pb
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_weight_derivative_is_sum_of_cavity_devices(order):
+    # each cavity is a one-qubit, one-mode parity device; the cascade's
+    # per-weight response adds their derivatives (distinct per-cavity chis)
+    from qparity.cascade import _state_curve
+    from qparity.device import Mode, ParityDevice, phase_derivatives
+
+    cavities = (
+        CascadeCavity(TWO_PI * 10e9, TWO_PI * 4e6, 1e-14),
+        CascadeCavity(TWO_PI * 10e9, TWO_PI * 6e6, 1e-14),
+        CascadeCavity(TWO_PI * 10e9, TWO_PI * 8e6, 1e-14),
+    )
+    dev = CascadeDevice(n=3, cavities=cavities)
+    for w in TWO_PI * np.array([9.80e9, 9.81e9, 9.83e9]):
+        for weight in range(4):
+            state = QubitState.of_weight(3, weight)
+            parts = [phase_derivatives(
+                ParityDevice.equal_coupling(1, (Mode(c.omega_r, c.c_couple),), c.chi),
+                QubitState((b,)), w, order) for c, b in zip(cavities, state.bits)]
+            got = _state_curve(dev, state).dtheta(w, order)
+            assert got == pytest.approx(sum(parts), rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # tuning
 # ----------------------------------------------------------------------
@@ -107,7 +130,7 @@ def test_tuning_bracket_oracle():
 
     def step_at(chi):
         trial = dev.with_chi(chi)
-        wp = _symmetric_point(trial)
+        wp = _symmetric_point(trial).omega_p
         return _curve(trial, 0, 0).theta(wp) - _curve(trial, 0, 1).theta(wp)
 
     lo = step_at(TWO_PI * 0.5e6) - math.pi
@@ -161,6 +184,27 @@ def test_exact_cancellation_serializes_as_null_ratio(comparison):
     json.dumps(data, allow_nan=False)
     assert comparison_to_dict(comparison)["b_ratio_parallel_over_cascade"] \
         == comparison.b_ratio
+
+
+def test_parallel_side_is_the_eraser_quality_table(comparison, paper_solution):
+    # both schemes are scored by one pairwise table: the parallel side must
+    # read exactly what eraser_quality reports for the solved device
+    from qparity.fidelity import eraser_quality
+
+    sol = paper_solution
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
+    table = {r.weights: r for r in eraser_quality(sol.device, sol, pulse)}
+    par = comparison.parallel
+    assert par.same_parity_fidelity.keys() == {(0, 2), (1, 3)}
+    for pair, f in par.same_parity_fidelity.items():
+        assert f == table[pair].f_numeric
+        assert par.same_parity_closed[pair] == table[pair].f_closed
+    assert par.cross_parity_fidelity == table[(0, 1)].f_numeric
+    assert par.cross_parity_closed == table[(0, 1)].f_closed
+    assert par.b_max == sol.dispersion_b
+    assert par.b2_max == sol.dispersion_b2
+    assert par.residuals == sol.residuals
+    assert par.delta_theta == sol.delta_theta
 
 
 def test_cascade_fidelity_matches_quadratic_closed(comparison):

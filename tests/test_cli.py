@@ -102,6 +102,31 @@ def test_cascade_nonpositive_z0_names_field(paper_cfg, tmp_path, capsys):
     assert f"{c}.Z0_ohms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("kind", "tandem", "expected {kind!r}, got 'tandem'"),
+    ("n_qubits", 9, "must be 1..8, got 9"),
+    ("chi_MHz", "auto", "expected a number or {keyword!r}, got 'auto'"),
+    ("chi_MHz", -2.0, "must be > 0, got -2.0"),
+    ("chi_MHz", [5.0], "expected a number or {keyword!r}"),
+    ("Z0_ohms", -5.0, "must be > 0, got -5.0"),
+    ("resonator_model", "coax", "expected 'stub' or 'lumped', got 'coax'"),
+], ids=["kind", "n-range", "chi-word", "chi-negative", "chi-list", "z0", "model"])
+@pytest.mark.parametrize("kind", ["parallel", "cascade"])
+def test_shared_field_errors_name_field(tmp_path, capsys, kind, field, value,
+                                        message):
+    # both config kinds check their shared fields with the same messages
+    configs = {"parallel": dict(PAPER_CONFIG), "cascade": dict(CASCADE_CONFIG)}
+    configs[kind][field] = value
+    paths = {k: tmp_path / f"{k}.json" for k in configs}
+    for k, cfg in configs.items():
+        paths[k].write_text(json.dumps(cfg))
+    assert main(["compare", str(paths["parallel"]), str(paths["cascade"])]) == 2
+    keyword = {"parallel": "solve", "cascade": "tune"}[kind]
+    expected = f"config error: {paths[kind]}.{field}: " \
+        + message.format(kind=kind, keyword=keyword)
+    assert capsys.readouterr().err.strip() == expected
+
+
 # ----------------------------------------------------------------------
 # solve (exit 0/4) and summary line
 # ----------------------------------------------------------------------

@@ -350,10 +350,8 @@ def test_jacobian_matches_central_difference(free_gaps):
         assert np.max(np.abs(jac[:, k] - fd)) <= 1e-6 * np.max(np.abs(jac[:, k]))
 
 
-def test_paper_solve_work_count(paper_device, monkeypatch):
-    # deterministic work bound for one paper n = 3 solve: phase curves built
-    # (132 of them on the coarse grid) and residual calls (the 33 grid
-    # rows); rebuilding devices for finite differences breaks the first
+def _solve_work(dev, monkeypatch):
+    """Phase curves built and eraser_residuals calls made by one solve."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -372,6 +370,21 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
 
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
-    solve_eraser(paper_device)
+    solve_eraser(dev)
+    return counts
+
+
+def test_paper_solve_work_count(paper_device, monkeypatch):
+    # deterministic work bound for one paper n = 3 solve: phase curves built
+    # (132 of them on the coarse grid) and residual calls (the 33 grid
+    # rows); rebuilding devices for finite differences breaks the first
+    counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] <= 154
     assert counts["residuals"] <= 33
+
+
+def test_two_qubit_solve_work_count(monkeypatch):
+    # one set of weight curves per chi the n = 2 search visits (233 curves);
+    # rebuilding them on every root-finder step costs ~2600
+    counts = _solve_work(two_mode_device(2), monkeypatch)
+    assert counts["curves"] <= 250
