@@ -58,7 +58,6 @@ class CascadeDevice:
     cavities: tuple
     z0: float = 50.0
     resonator_model: str = "stub"
-    band: tuple | None = None
 
     def __post_init__(self):
         cavities = tuple(self.cavities)
@@ -100,7 +99,7 @@ def _curve(dev: CascadeDevice, j: int, bit: int) -> PhaseCurve:
     cav = dev.cavities[j]
     single = ParityDevice.equal_coupling(
         n=1, modes=(Mode(cav.omega_r, cav.c_couple),), chi=cav.chi, z0=dev.z0,
-        resonator_model=dev.resonator_model, band=dev.band)
+        resonator_model=dev.resonator_model)
     return weight_phase_curve(single, bit)
 
 

@@ -6,7 +6,7 @@ this module is the single place where interface units are converted to
 angular SI.  Outputs are deterministic: identical invocations produce
 byte-identical CSV/JSON (floats rendered at 12 significant digits).
 
-Exit codes: 0 ok, 2 config error, 3 evaluation error, 4 no solution.
+Exit codes: 0 ok, 2 config or flag error, 3 evaluation error, 4 no solution.
 """
 
 from __future__ import annotations
@@ -404,6 +404,23 @@ def cmd_estimate(ns) -> int:
 # Parser wiring
 # ----------------------------------------------------------------------
 
+def _checked(kind, ok, need: str):
+    """argparse type: parse with ``kind`` and refuse values failing ``ok``,
+    so a bad flag exits 2 naming itself before any work starts."""
+    def parse(text):
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+POINTS = _checked(int, lambda v: v >= 2, ">= 2")
+ALPHA_SQ = _checked(float, lambda v: v >= 0.0, ">= 0")
+DURATION_US = _checked(float, lambda v: v > 0.0, "> 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qparity",
@@ -416,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="Per-weight reflection phase curves to CSV.")
     sp.add_argument("config")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--points", type=int, default=2001)
+    sp.add_argument("--points", type=POINTS, default=2001)
     sp.set_defaults(func=cmd_sweep)
 
     so = sub.add_parser("solve", help="Solve the quantum-eraser conditions.")
@@ -431,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     sf = sub.add_parser("fidelity", help="Pairwise output-state overlaps.")
     sf.add_argument("config")
     sf.add_argument("solution", help="solution JSON from 'solve'")
-    sf.add_argument("--alpha-sq", type=float, default=5.0)
-    sf.add_argument("--T-us", dest="t_us", type=float, default=1.0)
+    sf.add_argument("--alpha-sq", type=ALPHA_SQ, default=5.0)
+    sf.add_argument("--T-us", dest="t_us", type=DURATION_US, default=1.0)
     sf.add_argument("--out-json")
     sf.add_argument("--out-csv")
     sf.set_defaults(func=cmd_fidelity)
@@ -440,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("compare", help="Parallel multimode vs sequential cascade.")
     sc.add_argument("config_parallel")
     sc.add_argument("config_cascade")
-    sc.add_argument("--alpha-sq", type=float, default=5.0)
-    sc.add_argument("--T-us", dest="t_us", type=float, default=1.0)
+    sc.add_argument("--alpha-sq", type=ALPHA_SQ, default=5.0)
+    sc.add_argument("--T-us", dest="t_us", type=DURATION_US, default=1.0)
     sc.add_argument("--out")
     sc.set_defaults(func=cmd_compare)
 
@@ -449,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--delta-GHz", dest="delta_ghz", type=float, required=True)
     se.add_argument("--kappa-MHz", dest="kappa_mhz", type=float, required=True)
     se.add_argument("--chi-MHz", dest="chi_mhz", type=float, required=True)
-    se.add_argument("--alpha-sq", type=float, default=5.0)
-    se.add_argument("--T-us", dest="t_us", type=float, default=1.0)
+    se.add_argument("--alpha-sq", type=ALPHA_SQ, default=5.0)
+    se.add_argument("--T-us", dest="t_us", type=DURATION_US, default=1.0)
     se.add_argument("--fp-GHz", dest="fp_ghz", type=float, required=True)
     se.add_argument("--json", help="write the full report here")
     se.set_defaults(func=cmd_estimate)

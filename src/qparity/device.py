@@ -6,11 +6,10 @@ seen by the probe depends on the joint qubit state only through the shifted
 mode frequencies.  Under equal coupling the phase response collapses onto
 Hamming weight, giving at most n+1 distinct curves.
 
-Phase curves for all states share a common unwrapping anchor at the lower
-edge of the analysis band.  The band starts below every state's lowest
-loaded feature, where the principal-branch phase equals the true (DC-
-referenced) phase, so cross-state phase differences are meaningful as
-required by the parity conditions.
+Every state's phase curve is DC-referenced by construction (the closed
+form counts each branch's zeros from zero frequency), so cross-state phase
+differences, 2*pi offsets included, are meaningful as the parity conditions
+require, whatever band a curve is evaluated on.
 """
 
 from __future__ import annotations
@@ -265,12 +264,12 @@ def _loaded_zero_estimate(mode: Mode, z0: float) -> float:
 
 
 def analysis_band(dev: ParityDevice) -> tuple[float, float]:
-    """Frequency window for phase comparison across states.
+    """Frequency window the device's phase curves are evaluated on.
 
-    The lower edge sits below every state's lowest loaded feature (zeros are
-    pulled a few percent below the bare modes by the coupling capacitors),
-    so the principal-branch phase there is the true phase and serves as the
-    common unwrapping anchor.
+    The band is only the domain of evaluation: phases are DC-referenced
+    whatever it is.  The default covers every state's loaded features
+    (zeros are pulled a few percent below the bare modes by the coupling
+    capacitors) with a margin on both sides.
     """
     if dev.band is not None:
         return dev.band
@@ -302,8 +301,8 @@ def weight_phase_curve(dev: ParityDevice, weight: int) -> PhaseCurve:
 def phase_for_state(dev: ParityDevice, state: QubitState, omega: float):
     """Unwrapped reflection phase of the state network at omega.
 
-    All states share the anchor at the band's lower edge, so differences
-    between states (including their 2*pi winding offsets) are well defined.
+    Every state's phase is DC-referenced, so differences between states
+    (including their 2*pi winding offsets) are well defined.
     """
     return state_phase_curve(dev, state).theta(omega)
 

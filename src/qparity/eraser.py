@@ -18,12 +18,13 @@ unknowns, splits them as needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from .device import ParityDevice, QubitState, loaded_poles, weight_phase_curve
+from .device import (ParityDevice, QubitState, _loaded_zero_estimate, loaded_poles,
+                     weight_phase_curve)
 from .network import wrap_phase
 
 __all__ = [
@@ -201,8 +202,6 @@ def make_solution(dev: ParityDevice, omega_p: float, basins=()) -> EraserSolutio
 # ----------------------------------------------------------------------
 
 def _default_search_band(dev: ParityDevice, chi_hi: float) -> tuple[float, float]:
-    from .device import _loaded_zero_estimate
-
     spread = dev.n * chi_hi
     lo = min(_loaded_zero_estimate(mo, dev.z0) for mo in dev.modes) - spread
     hi = max(mo.omega for mo in dev.modes) + spread
@@ -210,10 +209,8 @@ def _default_search_band(dev: ParityDevice, chi_hi: float) -> tuple[float, float
 
 
 def _solver_band(dev: ParityDevice, chi_range, search_band) -> tuple[float, float]:
-    """Fixed sweep window covering the whole chi range, every gap rescaling
+    """Fixed evaluation band covering the whole chi range, every gap rescaling
     the free-mode search may try, and the probe search band."""
-    from .device import _loaded_zero_estimate
-
     freqs = [mo.omega for mo in dev.modes]
     span = (max(freqs) - min(freqs)) if len(freqs) > 1 else 0.0
     spread = dev.n * chi_range[1]
@@ -477,7 +474,9 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
 
     ``free`` lists the searched knobs: "chi" (always) and optionally
     "mode_frequencies" (required when the condition count n-1 exceeds 2).
-    ``grid_points`` sets the coarse-grid density per axis.  Raises
+    ``grid_points`` sets the coarse-grid density per axis.  A device
+    ``band`` clips the probe search band (by default one that covers every
+    mode and chi in ``chi_range``).  Raises
     InfeasibleDevice / NoSolution / PoleCollision.
     """
     free = frozenset(free)
@@ -498,12 +497,19 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
     if search_band is None:
         search_band = _default_search_band(dev_template, chi_range[1])
     if dev_template.band is None:
-        from dataclasses import replace
-
         dev_template = replace(
             dev_template,
             band=_solver_band(dev_template, chi_range, search_band),
         )
+    else:
+        clipped = (max(search_band[0], dev_template.band[0]),
+                   min(search_band[1], dev_template.band[1]))
+        if not clipped[0] < clipped[1]:
+            dev_ghz, search_ghz = (f"{a / TWO_PI / 1e9:.6g}-{b / TWO_PI / 1e9:.6g} GHz"
+                                   for a, b in (dev_template.band, search_band))
+            raise NoSolution(f"the device band {dev_ghz} misses the probe "
+                             f"search band {search_ghz}")
+        search_band = clipped
 
     if n == 1:
         return _solve_contrast_only(dev_template, search_band, chi_range,

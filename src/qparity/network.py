@@ -426,13 +426,6 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 # Closed-form phase curve
 # ----------------------------------------------------------------------
 
-# Relative distance from a branch zero inside which theta decides the side
-# of the zero from the sign of arg r rather than by comparing omega with the
-# located root (which is only accurate to a few ulp).  Pole brackets step off
-# the zeros by the same amount.
-ZERO_SIDE_WINDOW = 1e-12
-
-
 def _branch_resonator(branch: NetworkElement) -> NetworkElement:
     """The resonator of a Series((Capacitor, resonator)) branch.
 
@@ -451,13 +444,6 @@ def _branch_resonator(branch: NetworkElement) -> NetworkElement:
         "PhaseCurve needs Series((Capacitor, resonator)) branches, got "
         f"{branch!r}"
     )
-
-
-def _tank(res: Parallel) -> tuple[float, float]:
-    """(L, C) of a lumped Parallel((Inductor, Capacitor)) tank."""
-    l = next(c.l for c in res.children if isinstance(c, Inductor))
-    c = next(c.c for c in res.children if isinstance(c, Capacitor))
-    return l, c
 
 
 def _branch_parts(branch: Series, w, derivatives: bool = False):
@@ -483,7 +469,8 @@ def _branch_parts(branch: Series, w, derivatives: bool = False):
             c = np.array([cos, -a * sin, -a * a * cos, x * sin / w_r])
             s = res.z0 * np.array([sin, a * cos, -a * a * sin, -x * cos / w_r])
     else:
-        l, cap = _tank(res)
+        l = next(e.l for e in res.children if isinstance(e, Inductor))
+        cap = next(e.c for e in res.children if isinstance(e, Capacitor))
         c, s = 1.0 - w * w * (l * cap), w * l
         if derivatives:
             w_r = 1.0 / math.sqrt(l * cap)
@@ -499,33 +486,20 @@ def _branch_parts(branch: Series, w, derivatives: bool = False):
     return times_k(c), c - times_k(s)
 
 
-def _branch_zeros(branch: Series, lo: float, hi: float) -> list[float]:
-    """Series zeros of one branch in [lo, hi]: the sign changes of its N
-    (see _branch_parts).
+def _zeros_below(branch: Series, n, w):
+    """Series zeros of one branch below w, from the sign of its N (see
+    _branch_parts).
 
-    Lumped tank: the single zero 1/sqrt(L (C + C_c)), N = 1 - w^2 L (C + C_c).
-    Stub: N changes sign once on each monotone interval
-    ((2m-1) w_r, (2m+1) w_r) of tan x, so one brentq per interval that
-    meets the band.
+    Lumped tank: its one zero is behind w once N = 1 - w^2 L (C + C_c) < 0.
+    Stub: N/cos x = 1 - w C_c z0 tan x falls through zero once on each
+    interval ((2m-1) w_r, (2m+1) w_r) of tan x, where cos x has the sign
+    (-1)^m: m completed intervals, plus one once N (-1)^m < 0.
     """
-    res = _branch_resonator(branch)
+    res = branch.children[1]
     if isinstance(res, Parallel):
-        l, c = _tank(res)
-        z = 1.0 / math.sqrt(l * (c + branch.children[0].c))
-        return [z] if lo <= z <= hi else []
-
-    def num(w):
-        return _branch_parts(branch, w)[1]
-
-    w_r = res.omega_r
-    zeros = []
-    m = int(math.floor(0.5 * (lo / w_r + 1.0)))
-    while (2 * m - 1) * w_r < hi:
-        a, b = max(lo, (2 * m - 1) * w_r), min(hi, (2 * m + 1) * w_r)
-        if num(a) * num(b) < 0.0:
-            zeros.append(brentq(num, a, b))
-        m += 1
-    return zeros
+        return n < 0.0
+    m = np.floor(0.5 * w / res.omega_r + 0.5)
+    return m + (np.where(m % 2.0 == 0.0, n, -n) < 0.0)
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -543,19 +517,20 @@ class PhaseCurve:
     such branches -- the networks every parity device and cascade cavity
     builds; other trees raise TypeError (use phase_sweep for those).
 
-    The principal phase arg r jumps by +2*pi exactly where Z = 0, i.e. at
-    the branch series zeros, and descends continuously everywhere else
-    (Foster), so
+    Folding the branches' susceptances B_k = P_k/N_k (see _branch_parts)
+    as U <- U N_k + P_k V, V <- V N_k gives B = U/V, and
 
-        theta(omega) = arg r(omega) - 2*pi * #{branch zeros in [lo, omega)}
+        theta(omega) = -2 atan(z0 U/V) - 2*pi * #{branch zeros below omega}
 
-    is the unwrapped phase anchored to the principal branch at the band's
-    lower edge ``lo``.  Loaded poles (r = +1) are the zeros of the
-    susceptance, one per bracket between branch zeros, located on demand.
-    Derivatives are exact: folding the branches' B_k = P_k/N_k into
-    B = U/V makes theta = -2 atan2(z0 U, V) up to its 2*pi steps, and that
-    form differentiates smoothly through branch zeros (V = 0) and loaded
-    poles (U = 0).
+    is the DC-referenced unwrapped phase: the atan term is the principal
+    phase, which jumps by +2*pi where V = 0 (Z = 0, a branch series zero)
+    and descends continuously everywhere else (Foster), and each branch
+    counts its zeros from the sign of the same N_k, so jump and count
+    switch together.  The band is only the domain of evaluation.  Zeros
+    (theta = -pi mod 2*pi) and loaded poles (theta = 0 mod 2*pi, r = +1)
+    are level crossings of this continuous descent, located on demand.
+    The same fold carried as jets gives exact derivatives, smooth through
+    branch zeros (V = 0) and loaded poles (U = 0).
     """
 
     def __init__(self, net: NetworkElement, z0: float, band: tuple[float, float]):
@@ -566,8 +541,8 @@ class PhaseCurve:
         self.z0 = z0
         self.band = (lo, hi)
         self._branches = net.children if isinstance(net, Parallel) else (net,)
-        self.zeros = np.array(sorted(z for branch in self._branches
-                                     for z in _branch_zeros(branch, lo, hi)))
+        for branch in self._branches:
+            _branch_resonator(branch)
 
     def _check_band(self, w) -> None:
         lo, hi = self.band
@@ -577,35 +552,38 @@ class PhaseCurve:
     def theta(self, omega):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
         self._check_band(w)
-        args = np.angle(reflection_coefficient(self.net, w, self.z0))
-        passed = np.searchsorted(self.zeros, w, side="left")
-        for z in self.zeros:
-            near = np.abs(w - z) <= ZERO_SIDE_WINDOW * z
-            if near.any():
-                # this close to a zero arg r sits within ~1e-8 rad of -pi
-                # below it and of +pi above it, so its own sign says which
-                # side of its jump omega lies on
-                passed[near] += (args[near] > 0.0).astype(int) - (w[near] > z)
-        out = args - TWO_PI * passed
+        u, v, passed = np.zeros_like(w), np.ones_like(w), np.zeros_like(w)
+        for branch in self._branches:
+            p, n = _branch_parts(branch, w)
+            u, v = u * n + p * v, v * n
+            passed += _zeros_below(branch, n, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # V = 0 only exactly on a zero, which B approaches from below
+            z0_b = np.where(v == 0.0, np.inf, self.z0 * u / v)
+        out = -2.0 * np.arctan(z0_b) - TWO_PI * passed
         return out if np.ndim(omega) else float(out[0])
+
+    def _crossings(self, level: float) -> np.ndarray:
+        """Frequencies in the band where theta descends through level
+        mod 2*pi, in ascending order: theta is continuous and decreasing,
+        so one brentq over the band finds each."""
+        lo, hi = self.band
+        turns = range(math.ceil((self.theta(lo) - level) / TWO_PI) - 1,
+                      math.ceil((self.theta(hi) - level) / TWO_PI) - 1, -1)
+        return np.array([brentq(lambda w, t=level + TWO_PI * k: self.theta(w) - t,
+                                lo, hi, xtol=1e-6, rtol=1e-15) for k in turns],
+                        dtype=float)
+
+    @functools.cached_property
+    def zeros(self) -> np.ndarray:
+        """Branch series zeros (Z = 0) in the band: theta = -pi mod 2*pi."""
+        return self._crossings(-math.pi)
 
     @functools.cached_property
     def poles(self) -> np.ndarray:
-        """Loaded pole frequencies of Z in the band (zeros of Im Y).
-
-        Im Y increases between its poles, the branch zeros (Foster), so each
-        bracket between consecutive zeros holds exactly one root, and the
-        end brackets hold one when Im Y changes sign there.
-        """
-        lo, hi = self.band
-        starts = [lo] + [z * (1.0 + ZERO_SIDE_WINDOW) for z in self.zeros]
-        stops = [z * (1.0 - ZERO_SIDE_WINDOW) for z in self.zeros] + [hi]
-        poles = []
-        for a, b in zip(starts, stops):
-            if a < b and _susceptance(self.net, a) < 0.0 < _susceptance(self.net, b):
-                poles.append(brentq(lambda w: _susceptance(self.net, w), a, b,
-                                    xtol=1e-6, rtol=1e-15))
-        return np.asarray(poles, dtype=float)
+        """Loaded pole frequencies of Z (r = +1) in the band: theta = 0
+        mod 2*pi."""
+        return self._crossings(0.0)
 
     def _derivatives(self, omega: float):
         """(theta', theta'', d theta/d w_r of each branch) at one frequency.

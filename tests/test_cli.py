@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -95,6 +96,36 @@ def test_sweep_requires_numeric_chi(paper_cfg, tmp_path, capsys):
     assert "chi_MHz" in capsys.readouterr().err
 
 
+ESTIMATE_ARGS = ["estimate", "--delta-GHz", "5", "--kappa-MHz", "5",
+                 "--chi-MHz", "5.77", "--fp-GHz", "9.804"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "{cfg}", "--out", "{out}", "--points", "0"], "--points"),
+    (["sweep", "{cfg}", "--out", "{out}", "--points", "-5"], "--points"),
+    (["fidelity", "{cfg}", "{sol}", "--out-json", "{out}", "--T-us", "0"], "--T-us"),
+    (["fidelity", "{cfg}", "{sol}", "--out-json", "{out}", "--alpha-sq", "-1"],
+     "--alpha-sq"),
+    (["compare", "{cfg}", "{cas}", "--out", "{out}", "--alpha-sq", "-2"], "--alpha-sq"),
+    (["compare", "{cfg}", "{cas}", "--out", "{out}", "--T-us", "-1"], "--T-us"),
+    (ESTIMATE_ARGS + ["--json", "{out}", "--alpha-sq", "-1"], "--alpha-sq"),
+    (ESTIMATE_ARGS + ["--json", "{out}", "--T-us", "0"], "--T-us"),
+], ids=["points-0", "points-neg", "fidelity-T", "fidelity-alpha", "compare-alpha",
+        "compare-T", "estimate-alpha", "estimate-T"])
+def test_bad_numeric_flag_exits_2_before_any_work(tmp_path, capsys, argv, flag):
+    cfg, sol = tmp_path / "c.json", tmp_path / "sol.json"
+    cas, out = tmp_path / "cascade.json", tmp_path / "out"
+    cfg.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
+    sol.write_text("{}")
+    cas.write_text(json.dumps(CASCADE_CONFIG))
+    argv = [a.format(cfg=cfg, sol=sol, cas=cas, out=out) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cascade_nonpositive_z0_names_field(paper_cfg, tmp_path, capsys):
     c = tmp_path / "cascade.json"
     c.write_text(json.dumps(dict(CASCADE_CONFIG, Z0_ohms=0.0)))
@@ -151,9 +182,43 @@ def test_infeasible_device_exits_4(tmp_path, capsys):
     assert "modes" in capsys.readouterr().err
 
 
+NARROW_BAND = {"f_lo_GHz": 9.80, "f_hi_GHz": 10.20}
+
+
+def test_solve_searches_inside_a_config_band(tmp_path, capsys):
+    # the band's lower edge sits above the branch zeros near 9.79 GHz and
+    # above the default search band's, which starts near 9.65 GHz
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(PAPER_CONFIG, band=NARROW_BAND)))
+    assert main(["solve", str(p)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "f_p= 9.80398232178 GHz  chi= 5.77349964909 MHz")
+    p.write_text(json.dumps(dict(PAPER_CONFIG,
+                                 band={"f_lo_GHz": 11.0, "f_hi_GHz": 12.0})))
+    assert main(["solve", str(p)]) == 4
+    assert "band" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # sweep output shape and determinism
 # ----------------------------------------------------------------------
+
+def test_sweep_does_not_depend_on_the_config_band(tmp_path):
+    # both grids step by 1 MHz; phases in shared rows agree to the 12-digit
+    # rendering (1e-9 deg at |theta| >= 100 deg), 2*pi offsets included
+    rows = {}
+    for name, band, points in (("narrow", NARROW_BAND, "401"),
+                               ("wide", {"f_lo_GHz": 9.40, "f_hi_GHz": 10.60}, "1201")):
+        p, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        p.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77, band=band)))
+        assert main(["sweep", str(p), "--out", str(out), "--points", points]) == 0
+        with out.open() as fh:
+            rows[name] = {r[0]: r[1:] for r in list(csv.reader(fh))[1:]}
+    assert len(rows["narrow"]) == 401 and rows["narrow"].keys() <= rows["wide"].keys()
+    for f, thetas in rows["narrow"].items():
+        for a, b in zip(thetas, rows["wide"][f]):
+            assert abs(Decimal(a) - Decimal(b)) <= Decimal("1e-9"), (f, a, b)
+
 
 def test_sweep_paper_columns(tmp_path):
     cfg = dict(PAPER_CONFIG, chi_MHz=5.77,

@@ -351,7 +351,8 @@ def test_jacobian_matches_central_difference(free_gaps):
 
 
 def _solve_work(dev, monkeypatch):
-    """Phase curves built and eraser_residuals calls made by one solve."""
+    """Phase curves built, eraser_residuals calls and root solves in
+    qparity.network made by one solve."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -359,6 +360,7 @@ def _solve_work(dev, monkeypatch):
     counts = Counter()
     init = network.PhaseCurve.__init__
     residuals = eraser.eraser_residuals
+    root_solve = network.brentq
 
     def counting_init(self, *args, **kwargs):
         counts["curves"] += 1
@@ -368,19 +370,26 @@ def _solve_work(dev, monkeypatch):
         counts["residuals"] += 1
         return residuals(*args, **kwargs)
 
+    def counting_brentq(*args, **kwargs):
+        counts["brentq"] += 1
+        return root_solve(*args, **kwargs)
+
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
+    monkeypatch.setattr(network, "brentq", counting_brentq)
     solve_eraser(dev)
     return counts
 
 
 def test_paper_solve_work_count(paper_device, monkeypatch):
     # deterministic work bound for one paper n = 3 solve: phase curves built
-    # (132 of them on the coarse grid) and residual calls (the 33 grid
-    # rows); rebuilding devices for finite differences breaks the first
+    # (132 of them on the coarse grid), residual calls (the 33 grid rows)
+    # and root solves; rebuilding devices for finite differences breaks the
+    # first, and locating branch zeros while building a curve the last
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] <= 154
     assert counts["residuals"] <= 33
+    assert counts["brentq"] == 0
 
 
 def test_two_qubit_solve_work_count(monkeypatch):

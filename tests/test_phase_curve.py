@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -95,6 +96,49 @@ def test_continuous_at_every_branch_zero(model, chi_mhz):
             assert curve.theta(float(z)) == theta[40]
 
 
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_theta_does_not_depend_on_the_band(model):
+    # the lower edge of this band sits above the branch zeros near 9.79 GHz,
+    # which the DC-referenced phase still counts
+    dev = paper(model)
+    narrow = replace(dev, band=(TWO_PI * 9.80e9, TWO_PI * 10.20e9))
+    grid = np.linspace(*narrow.band, 801)
+    for wide, clipped in zip(device_curves(dev), device_curves(narrow)):
+        assert np.array_equal(clipped.theta(grid), wide.theta(grid))
+
+
+def _mp_reactance(branch: Series):
+    """50-digit reactance z0 tan((pi/2) w/w_r) - 1/(w C_c) of a coupler +
+    stub branch, and its series zero (its root below w_r)."""
+    mp.mp.dps = 50
+    c_c = mp.mpf(branch.children[0].c)
+    z0 = mp.mpf(branch.children[1].z0)
+    w_r = mp.mpf(branch.children[1].omega_r)
+
+    def x_of(f):
+        return z0 * mp.tan(mp.pi / 2 * f / w_r) - 1 / (f * c_c)
+
+    return x_of, mp.findroot(x_of, w_r * (1 - c_c / (2 * mp.pi / (4 * w_r * z0))))
+
+
+@pytest.mark.parametrize("chi_mhz", [1.0, 5.77, 20.0])
+def test_stub_zeros_match_50_digit_roots(chi_mhz):
+    for curve in device_curves(paper("stub", chi_mhz)):
+        expected = sorted(float(_mp_reactance(b)[1]) for b in curve.net.children)
+        assert curve.zeros == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("chi_mhz", [1.0, 5.77, 20.0])
+def test_lumped_zeros_match_the_tank_formula(chi_mhz):
+    for curve in device_curves(paper("lumped", chi_mhz)):
+        expected = []
+        for branch in curve.net.children:
+            tank = {type(e): e for e in branch.children[1].children}
+            c_total = tank[Capacitor].c + branch.children[0].c
+            expected.append(1.0 / math.sqrt(tank[Inductor].l * c_total))
+        assert curve.zeros == pytest.approx(sorted(expected), rel=1e-12)
+
+
 def _mp_theta(dev: ParityDevice, weight: int, omega: float) -> float:
     """Unwrapped phase at 50 digits: arg r minus 2*pi per branch zero in
     [lo, omega), with the zeros solved by mpmath from the tan form."""
@@ -106,13 +150,7 @@ def _mp_theta(dev: ParityDevice, weight: int, omega: float) -> float:
     admittance = mp.mpf(0)
     zeros_below = 0
     for branch in build_state_network(dev, state).children:
-        c_c = mp.mpf(branch.children[0].c)
-        w_r = mp.mpf(branch.children[1].omega_r)
-
-        def x_of(f):
-            return z0 * mp.tan(mp.pi / 2 * f / w_r) - 1 / (f * c_c)
-
-        zero = mp.findroot(x_of, w_r * (1 - c_c / (2 * mp.pi / (4 * w_r * z0))))
+        x_of, zero = _mp_reactance(branch)
         zeros_below += lo <= zero < w
         admittance += 1 / (1j * x_of(w))
     z = 1 / admittance
