@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,12 +100,24 @@ def _write_json(path: Path, payload: dict) -> None:
 # Config parsing
 # ----------------------------------------------------------------------
 
+def _finite(value, where: str) -> float:
+    """A JSON number as a finite float; json reads NaN and Infinity, and an
+    integer too large for a float."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite")
+    return value
+
+
 def _need(cfg: dict, key: str, kind, path: str):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = _finite(value, f"{path}.{key}")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(
             f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, "
@@ -159,9 +172,10 @@ def _shared_fields(cfg: dict, path: str, kind: str, chi_keyword: str):
         chi_spec = chi_keyword
         chi_start = _mhz(5.0)
     elif isinstance(chi_raw, (int, float)) and not isinstance(chi_raw, bool):
+        chi_raw = _finite(chi_raw, f"{path}.chi_MHz")
         if chi_raw <= 0:
             raise ConfigError(f"{path}.chi_MHz: must be > 0, got {chi_raw}")
-        chi_spec = _mhz(float(chi_raw))
+        chi_spec = _mhz(chi_raw)
         chi_start = chi_spec
     else:
         raise ConfigError(f"{path}.chi_MHz: expected a number or {chi_keyword!r}")
@@ -280,7 +294,7 @@ def _numbers(cfg: dict, key: str, path: str, count: int) -> list[float]:
     if len(values) != count or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ConfigError(f"{path}.{key}: expected a list of {count} numbers")
-    return [float(v) for v in values]
+    return [_finite(v, f"{path}.{key}") for v in values]
 
 
 def _solution_from_file(path: str, dev: ParityDevice) -> EraserSolution:
@@ -294,17 +308,20 @@ def _solution_from_file(path: str, dev: ParityDevice) -> EraserSolution:
     chi = _need(data, "chi_rad_s", float, path)
     f_hz = _numbers(data, "mode_f_Hz", path, dev.m)
     if "mode_omega_rad_s" in data:
-        omegas = _numbers(data, "mode_omega_rad_s", path, dev.m)
+        modes_key = "mode_omega_rad_s"
+        omegas = _numbers(data, modes_key, path, dev.m)
     else:
-        omegas = [TWO_PI * f for f in f_hz]
-    try:
-        dev = dev.with_mode_frequencies(omegas).with_chi(chi)
-        if data.get("band_rad_s") is not None:
-            from dataclasses import replace
-
-            dev = replace(dev, band=tuple(_numbers(data, "band_rad_s", path, 2)))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+        modes_key, omegas = "mode_f_Hz", [TWO_PI * f for f in f_hz]
+    changes = [(modes_key, lambda d: d.with_mode_frequencies(omegas)),
+               ("chi_rad_s", lambda d: d.with_chi(chi))]
+    if data.get("band_rad_s") is not None:
+        band = tuple(_numbers(data, "band_rad_s", path, 2))
+        changes.append(("band_rad_s", lambda d: replace(d, band=band)))
+    for key, change in changes:
+        try:
+            dev = change(dev)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.{key}: {exc}")
     lo, hi = analysis_band(dev)
     if not lo <= wp <= hi:
         raise ConfigError(f"{path}.omega_p_rad_s: {wp!r} lies outside the band")

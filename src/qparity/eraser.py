@@ -2,17 +2,20 @@
 
 For an n-qubit equal-coupling device the parity conditions require, at the
 probe frequency, theta_wt(i) = theta_wt(i+2) + 2*pi for every weight pair
-two apart: n-1 residuals.  The solver runs a coarse residual-norm grid over
-(omega_p, chi) to localize smooth basins (the landscape has 2*pi jumps near
-poles), then polishes each basin with a damped Gauss-Newton iteration on
-the exact phase derivatives, verifying every returned root by its
-residuals.  Among verified roots the most distinguishable one (largest
+two apart: n-1 residuals.  Every n >= 2 takes one path.  A coarse
+residual-norm grid over (omega_p, chi) localizes smooth basins (the
+landscape has 2*pi jumps near poles); from each, a damped Gauss-Newton
+iteration on the exact phase derivatives moves x = (omega_p, chi[, gaps])
+onto the root set, and every returned root is verified by its residuals.
+Among verified roots the most distinguishable one (largest
 |sin(delta_theta/2)|) wins.
 
 With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
-2 knobs), mode gaps become extra unknowns: the template spacing is searched
-symmetrically first, then the same Gauss-Newton, with the gaps added to its
-unknowns, splits them as needed.
+2 knobs), the mode gaps join the unknowns, starting at the template's
+spacing.  Where the unknowns outnumber the conditions (n = 2, or freed
+gaps) the roots form a family, and one more condition, cos(delta_theta/2)
+= 0, makes the system square: a second Gauss-Newton from each root goes to
+delta_theta = pi, the maximum of the ranking score.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_CHI_RANGE = (TWO_PI * 0.1e6, TWO_PI * 50e6)
 DEFAULT_TOL = 1e-9
 NEWTON_MAX_ITER = 30
-GRID_FAIL_NORM = 1.0  # rad; no grid cell below this means no basin to polish
+GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
 
 
 class EraserError(Exception):
@@ -230,8 +233,14 @@ def _with_gaps(dev: ParityDevice, gaps) -> ParityDevice:
     return dev.with_mode_frequencies(center + offs)
 
 
-def _jacobian(curves: list, wp: float, free_gaps: bool) -> np.ndarray:
-    """d residuals / d (omega_p, chi[, gaps]) from the exact derivatives.
+def _device(dev0: ParityDevice, x) -> ParityDevice:
+    """dev0 at the solver point x = (omega_p, chi[, gaps])."""
+    return (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
+
+
+def _theta_jacobian(curves: list, wp: float, free_gaps: bool) -> np.ndarray:
+    """d theta_w / d (omega_p, chi[, gaps]), one row per weight w, from the
+    exact derivatives.
 
     The weight-w state moves every mode by (n - 2w) chi, and the gaps move
     the modes through the fixed cumsum-minus-mean map of _with_gaps.
@@ -244,28 +253,43 @@ def _jacobian(curves: list, wp: float, free_gaps: bool) -> np.ndarray:
         m = d_modes.shape[1]
         lower = np.tri(m, m - 1, -1)
         cols.append(d_modes @ (lower - lower.mean(axis=0)))
-    d_theta = np.column_stack(cols)
-    return d_theta[:-2] - d_theta[2:]
+    return np.column_stack(cols)
 
 
-def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol):
+def _jacobian(curves: list, wp: float, free_gaps: bool, th=None) -> np.ndarray:
+    """d residuals / d (omega_p, chi[, gaps]); given the phases ``th`` at wp,
+    also the gradient of the contrast row cos(delta_theta/2)."""
+    d_theta = _theta_jacobian(curves, wp, free_gaps)
+    jac = d_theta[:-2] - d_theta[2:]
+    if th is None:
+        return jac
+    half = 0.5 * (th[0] - th[1])
+    return np.vstack([jac, -0.5 * math.sin(half) * (d_theta[0] - d_theta[1])])
+
+
+def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
+                  contrast: bool = False):
     """Damped Gauss-Newton on x = (omega_p, chi[, gaps]) of dev0.
 
-    Returns the last accepted point and its residuals; the caller decides
-    whether max|r| is good enough.
+    With ``contrast`` the residuals gain a last row cos(delta_theta/2),
+    zero at delta_theta = pi.  Returns the last accepted point and its
+    residuals; the caller decides whether max|r| is good enough.
     """
     lo, hi = band
 
     def evaluate(x):
-        dev = (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
-        curves = _weight_curves(dev)
-        return curves, _residuals(_thetas(curves, x[0]))
+        curves = _weight_curves(_device(dev0, x))
+        th = _thetas(curves, x[0])
+        r = _residuals(th)
+        if contrast:
+            r = np.append(r, math.cos(0.5 * (th[0] - th[1])))
+        return curves, th, r
 
-    curves, r = evaluate(x)
+    curves, th, r = evaluate(x)
     for _ in range(NEWTON_MAX_ITER):
         if np.max(np.abs(r)) < tol:
             break
-        jac = _jacobian(curves, x[0], len(x) > 2)
+        jac = _jacobian(curves, x[0], len(x) > 2, th if contrast else None)
         try:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
@@ -275,13 +299,13 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol):
             xn = x + lam * step
             if (lo < xn[0] < hi and chi_range[0] * 0.2 < xn[1] < chi_range[1] * 5.0
                     and np.all(xn[2:] > 0.0)):
-                curves_n, r_n = evaluate(xn)
+                curves_n, th_n, r_n = evaluate(xn)
                 if np.linalg.norm(r_n) < np.linalg.norm(r):
                     break
             lam *= 0.5
         else:
             break
-        x, curves, r = xn, curves_n, r_n
+        x, curves, th, r = xn, curves_n, th_n, r_n
     return x, r
 
 
@@ -332,93 +356,42 @@ def _assemble(roots: list, tol: float) -> EraserSolution:
     return sol
 
 
-def _solve_two_knobs(dev0: ParityDevice, band, chi_range, tol, grid_points):
+def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
+                      free_gaps: bool):
+    """n >= 2: grid basins, Gauss-Newton onto the root set, then _assemble.
+
+    x = (omega_p, chi[, gaps]), the gaps starting at the template's spacing.
+    When the unknowns outnumber the n - 1 conditions the roots form a
+    family; a second Gauss-Newton from each root adds cos(delta_theta/2) = 0,
+    the best score _assemble can rank, and both roots compete.  A basin
+    whose contrast root verifies ends the search: nothing later scores
+    higher.
+    """
     chi_grid = np.geomspace(chi_range[0], chi_range[1], grid_points)
-    wp_points = max(grid_points, 129)
-    cands, best_cell = _grid_candidates(dev0, band, chi_grid, wp_points)
-    if not cands:
+    cands, best_cell = _grid_candidates(dev0, band, chi_grid, max(grid_points, 129))
+    gaps0 = np.diff([mo.omega for mo in dev0.modes]) if free_gaps else []
+    underdetermined = 2 + len(gaps0) > dev0.n - 1
+    roots = []
+    for _, wp0, chi0 in cands or [best_cell]:
+        x, r = _gauss_newton(dev0, np.array([wp0, chi0, *gaps0]), band,
+                             chi_range, tol)
+        if np.max(np.abs(r)) >= tol:
+            continue
+        if underdetermined:
+            xc, rc = _gauss_newton(dev0, x, band, chi_range, tol, contrast=True)
+            if np.max(np.abs(rc[:-1])) < tol:
+                roots.append(xc)  # ahead of x, so it outlives a near-duplicate x
+        roots.append(x)
+        if underdetermined and np.max(np.abs(rc)) < tol:
+            break
+    if not roots:
         raise NoSolution(
-            f"no grid cell brought the residual norm below {GRID_FAIL_NORM} rad; "
-            f"best cell: |R|={best_cell[0]:.3f} at f_p={best_cell[1] / TWO_PI / 1e9:.4f} GHz, "
+            f"Newton failed from every grid basin; best cell: |R|={best_cell[0]:.3f} "
+            f"at f_p={best_cell[1] / TWO_PI / 1e9:.4f} GHz, "
             f"chi={best_cell[2] / TWO_PI / 1e6:.4f} MHz",
             best=best_cell,
         )
-    roots = []
-    for _, wp0, chi0 in cands:
-        (wp, chi), r = _gauss_newton(dev0, np.array([wp0, chi0]), band,
-                                     chi_range, tol)
-        if np.max(np.abs(r)) < tol:
-            roots.append((wp, dev0.with_chi(chi)))
-    if not roots:
-        raise NoSolution(
-            f"Newton failed from every grid basin; best cell |R|={best_cell[0]:.3f}",
-            best=best_cell,
-        )
-    return _assemble(roots, tol)
-
-
-def _solve_single_condition(dev0: ParityDevice, band, chi_range, tol, grid_points):
-    """n = 2: one residual, one-parameter root family; pick the most
-    distinguishable point on it (largest |sin(delta_theta/2)|)."""
-    from scipy.optimize import brentq
-
-    lo, hi = band
-    wps = np.linspace(lo, hi, max(grid_points, 257))
-    chi_grid = np.geomspace(chi_range[0], chi_range[1], max(grid_points, 33))
-
-    def best_root(chi):
-        """(score, omega_p) of the best root at this chi, or None."""
-        curves = _weight_curves(dev0.with_chi(chi))
-        r = _residuals(_thetas(curves, wps))[0]
-        sign = np.sign(r)
-        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        out = None
-        for j in flips:
-            wp = brentq(lambda w: float(_residuals(_thetas(curves, w))[0]),
-                        float(wps[j]), float(wps[j + 1]), xtol=1e-3)
-            th = _thetas(curves, wp)
-            score = abs(math.sin(0.5 * wrap_phase(th[0] - th[1])))
-            if out is None or score > out[0]:
-                out = (score, wp)
-        return out
-
-    scored = []
-    for chi in chi_grid:
-        hit = best_root(chi)
-        if hit is not None:
-            scored.append((hit[0], hit[1], chi))
-    if not scored:
-        raise NoSolution("single-condition residual never changes sign on the grid")
-    scored.sort(key=lambda t: (-t[0], t[2]))
-    chi_best = scored[0][2]
-
-    # golden-section polish of chi between its grid neighbours
-    idx = int(np.argmin(np.abs(chi_grid - chi_best)))
-    a = float(chi_grid[max(0, idx - 1)])
-    b = float(chi_grid[min(len(chi_grid) - 1, idx + 1)])
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def score_only(chi):
-        hit = best_root(chi)
-        return hit[0] if hit is not None else -1.0
-
-    x1, x2 = b - ratio * (b - a), a + ratio * (b - a)
-    f1, f2 = score_only(x1), score_only(x2)
-    for _ in range(40):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = score_only(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = score_only(x2)
-    chi = 0.5 * (a + b)
-    hit = best_root(chi)
-    if hit is None:
-        chi = chi_best
-        hit = best_root(chi)
-    return _assemble([(hit[1], dev0.with_chi(chi))], tol)
+    return _assemble([(x[0], _device(dev0, x)) for x in roots], tol)
 
 
 def _solve_contrast_only(dev0: ParityDevice, band, chi_range, tol, grid_points):
@@ -435,36 +408,6 @@ def _solve_contrast_only(dev0: ParityDevice, band, chi_range, tol, grid_points):
     return _assemble([(wp, dev)], tol)
 
 
-def _solve_free_modes(dev0: ParityDevice, band, chi_range, tol, grid_points):
-    """Mode gaps freed: symmetric template first, then split-gap polish."""
-    gaps0 = np.diff([mo.omega for mo in dev0.modes])
-
-    # Stage A: best least-squares point over gap scale factors
-    best = None  # (max|r|, (omega_p, chi, gaps...))
-    for scale in (1.0, 0.7, 1.4, 0.5, 2.0):
-        dev_s = _with_gaps(dev0, gaps0 * scale)
-        chi_grid = np.geomspace(chi_range[0], chi_range[1], grid_points)
-        cands, best_cell = _grid_candidates(dev_s, band, chi_grid,
-                                            max(grid_points, 129), top_k=6)
-        for _, wp0, chi0 in (cands if cands else [best_cell]):
-            x, r = _gauss_newton(dev_s, np.array([wp0, chi0]), band, chi_range, tol)
-            nrm = float(np.max(np.abs(r)))
-            if best is None or nrm < best[0]:
-                best = (nrm, np.concatenate([x, gaps0 * scale]))
-        if best[0] < tol:
-            break
-
-    # Stage B: free the gaps
-    if best[0] >= tol:
-        x, r = _gauss_newton(dev0, best[1], band, chi_range, tol)
-        nrm = float(np.max(np.abs(r)))
-        if nrm >= tol:
-            raise NoSolution(f"gap polish stalled at |R|={nrm:.3e}", best=best)
-        best = (nrm, x)
-    wp, chi, gaps = best[1][0], best[1][1], best[1][2:]
-    return _assemble([(wp, _with_gaps(dev0, gaps).with_chi(chi))], tol)
-
-
 def solve_eraser(dev_template: ParityDevice, free=("chi",),
                  search_band: tuple[float, float] | None = None,
                  tol: float = DEFAULT_TOL,
@@ -474,7 +417,11 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
 
     ``free`` lists the searched knobs: "chi" (always) and optionally
     "mode_frequencies" (required when the condition count n-1 exceeds 2).
-    ``grid_points`` sets the coarse-grid density per axis.  A device
+    When the knobs outnumber the conditions (n = 2, or freed mode
+    frequencies) the returned root is the delta_theta = pi point of its
+    family wherever Gauss-Newton reaches it, and ``basins`` ends at the
+    first such root.  n = 1 has no conditions and maximizes the contrast
+    alone.  ``grid_points`` sets the coarse-grid density per axis.  A device
     ``band`` clips the probe search band (by default one that covers every
     mode and chi in ``chi_range``).  Raises
     InfeasibleDevice / NoSolution / PoleCollision.
@@ -514,19 +461,14 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
     if n == 1:
         return _solve_contrast_only(dev_template, search_band, chi_range,
                                     tol, grid_points)
-    if n == 2:
-        return _solve_single_condition(dev_template, search_band, chi_range,
-                                       tol, grid_points)
-    if "mode_frequencies" in free:
-        return _solve_free_modes(dev_template, search_band, chi_range,
-                                 tol, grid_points)
-    if n - 1 > 2:
+    free_gaps = "mode_frequencies" in free
+    if n - 1 > 2 and not free_gaps:
         raise NoSolution(
             f"{n - 1} conditions with only (omega_p, chi) free; "
             'add "mode_frequencies" to free'
         )
-    return _solve_two_knobs(dev_template, search_band, chi_range, tol,
-                            grid_points)
+    return _solve_conditions(dev_template, search_band, chi_range, tol,
+                             grid_points, free_gaps)
 
 
 # ----------------------------------------------------------------------

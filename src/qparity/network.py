@@ -205,9 +205,13 @@ def lumped_equivalent(omega_r: float, z0: float) -> tuple[float, float]:
     """
     if omega_r <= 0.0 or z0 <= 0.0:
         raise ValueError("omega_r and z0 must be > 0")
-    c = math.pi / (4.0 * omega_r * z0)
-    l = 1.0 / (omega_r * omega_r * c)
-    return c, l
+    with np.errstate(all="ignore"):
+        c = math.pi / (4.0 * np.float64(omega_r) * z0)
+        l = 1.0 / (omega_r * omega_r * c)
+    if not (0.0 < c < math.inf and 0.0 < l < math.inf):
+        raise ValueError(f"omega_r={omega_r:.3e} rad/s with z0={z0:.3e} ohm has no "
+                         "lumped equivalent in float range")
+    return float(c), float(l)
 
 
 def network_impedance(net: NetworkElement, omega: float) -> complex:
@@ -537,6 +541,8 @@ class PhaseCurve:
         lo, hi = float(band[0]), float(band[1])
         if not 0.0 < lo < hi:
             raise ValueError(f"need 0 < band[0] < band[1], got {band}")
+        if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
+            raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
         self.net = net
         self.z0 = z0
         self.band = (lo, hi)

@@ -338,6 +338,67 @@ def test_bad_solution_file_names_field(solved, tmp_path, capsys, corrupt, field)
     assert "Traceback" not in err
 
 
+def _with_field(cfg, field, value):
+    """A copy of cfg with the dotted field (list indices as digits) set."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+    holder = cfg
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("field,value,shown", [
+    ("modes.0.f_GHz", math.nan, "modes[0].f_GHz"),
+    ("chi_MHz", math.nan, "chi_MHz"),
+    ("Z0_ohms", math.nan, "Z0_ohms"),
+    ("band.f_hi_GHz", math.inf, "band.f_hi_GHz"),
+], ids=["f-nan", "chi-nan", "z0-nan", "band-inf"])
+def test_non_finite_config_number_names_field(tmp_path, capsys, field, value, shown):
+    # json reads NaN and Infinity, which slip past every <= 0 check
+    cfg = dict(PAPER_CONFIG, chi_MHz=5.77, band={"f_lo_GHz": 9.4, "f_hi_GHz": 10.6})
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(_with_field(cfg, field, value)))
+    assert main(["sweep", str(p), "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {p}.{shown}: must be finite"
+
+
+def test_non_finite_solution_number_names_field(solved, tmp_path, capsys):
+    cfg, sol_path = solved
+    bad = tmp_path / "bad_sol.json"
+    bad.write_text(json.dumps(dict(json.loads(sol_path.read_text()),
+                                   omega_p_rad_s=math.nan)))
+    assert main(["fidelity", str(cfg), str(bad)]) == 2
+    assert capsys.readouterr().err.strip() \
+        == f"config error: {bad}.omega_p_rad_s: must be finite"
+
+
+@pytest.mark.parametrize("command,kind,field,value", [
+    ("solve", "parallel", "modes.0.f_GHz", 1e-300),
+    ("sweep", "parallel", "modes.0.f_GHz", 1e-300),
+    ("compare", "cascade", "cavity.f_GHz", 1e-300),
+    ("solve", "parallel", "Z0_ohms", 1e-300),
+    ("solve", "parallel", "Z0_ohms", 1e300),
+], ids=["solve-f", "sweep-f", "compare-cavity-f", "solve-z0-tiny", "solve-z0-huge"])
+def test_extreme_finite_value_ends_in_one_line(tmp_path, capsys, command, kind,
+                                               field, value):
+    # values whose lumped equivalent under- or overflows once squared
+    paper = dict(PAPER_CONFIG, chi_MHz=5.77) if command == "sweep" else PAPER_CONFIG
+    configs = {"parallel": paper, "cascade": CASCADE_CONFIG}
+    configs[kind] = _with_field(configs[kind], field, value)
+    paths = {k: tmp_path / f"{k}.json" for k in configs}
+    for k, cfg in configs.items():
+        paths[k].write_text(json.dumps(cfg))
+    argv = {"solve": ["solve", str(paths["parallel"])],
+            "sweep": ["sweep", str(paths["parallel"]), "--out", str(tmp_path / "s.csv")],
+            "compare": ["compare", str(paths["parallel"]), str(paths["cascade"])]}
+    assert main(argv[command]) in (2, 3)
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(("config error: ", "evaluation error: "))
+    assert "\n" not in err
+
+
 # ----------------------------------------------------------------------
 # compare and estimate
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qparity.device import Mode, ParityDevice, QubitState
 from qparity.eraser import (
@@ -29,6 +31,13 @@ TWO_PI = 2.0 * math.pi
 def two_mode_device(n, chi=TWO_PI * 5e6):
     return ParityDevice.equal_coupling(
         n, (Mode(TWO_PI * 9.99e9, 10e-15), Mode(TWO_PI * 10.01e9, 10e-15)), chi)
+
+
+def four_qubit_device():
+    """The acceptance 4-qubit device: three modes 30 MHz apart."""
+    return ParityDevice.equal_coupling(
+        4, tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (9.97, 10.0, 10.03)),
+        TWO_PI * 5e6)
 
 
 # ----------------------------------------------------------------------
@@ -172,9 +181,11 @@ def test_two_qubit_brute_force_scan_shows_sign_change():
 
 
 def test_two_qubit_solution(two_qubit_solution):
+    # one condition leaves (omega_p, chi) a root family; the contrast row
+    # picks its delta_theta = pi point
     sol = two_qubit_solution
     assert abs(sol.residuals[0]) < 1e-9
-    assert abs(sol.delta_theta) > math.radians(90.0)
+    assert abs(abs(sol.delta_theta) - math.pi) < 1e-8
 
 
 def test_single_qubit_solution_has_no_conditions():
@@ -187,6 +198,56 @@ def test_single_qubit_solution_has_no_conditions():
 @pytest.fixture(scope="module")
 def two_qubit_solution():
     return solve_eraser(two_mode_device(2))
+
+
+def test_two_qubit_stub_device_missed_by_a_chi_scan():
+    # a chi-by-chi root search with a golden-section polish returned
+    # |delta_theta| = 2.671 rad here; a dense residual scan finds 3.114 rad
+    dev = ParityDevice.equal_coupling(
+        2, (Mode(TWO_PI * 9.456886e9, 12.6115e-15),
+            Mode(TWO_PI * 9.468626e9, 12.6115e-15)), TWO_PI * 5e6)
+    sol = solve_eraser(dev)
+    assert abs(sol.residuals[0]) < 1e-9
+    assert abs(sol.delta_theta) >= 3.11
+
+
+def test_four_qubit_free_modes_reach_pi():
+    # three conditions, four unknowns (omega_p, chi and two gaps): the
+    # contrast row closes the system at delta_theta = pi, where the first
+    # Gauss-Newton root sat at -74.35 deg
+    sol = solve_eraser(four_qubit_device(), free=("chi", "mode_frequencies"))
+    assert np.max(np.abs(sol.residuals)) < 1e-9
+    assert abs(abs(sol.delta_theta) - math.pi) < 1e-8
+    assert sol.basins[0][2] == sol.delta_theta
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from([(2, 2, False), (3, 2, False), (4, 3, True)]),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(9.6, 10.4),
+    gap_mhz=st.floats(14.0, 35.0),
+    coupler_ff=st.floats(7.0, 13.0),
+)
+def test_returned_root_reverifies_on_a_rebuilt_device(case, model, f0_ghz, gap_mhz,
+                                                      coupler_ff):
+    # the solution JSON alone (mode frequencies, chi, band) rebuilds a device
+    # on which the probe frequency satisfies every condition
+    n, m, free_modes = case
+    modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + k * gap_mhz * 1e6), coupler_ff * 1e-15)
+                  for k in range(m))
+    dev = ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6, resonator_model=model)
+    try:
+        sol = solve_eraser(dev, free=("chi", "mode_frequencies") if free_modes
+                           else ("chi",))
+    except NoSolution:
+        assume(False)
+    d = solution_to_dict(sol)
+    rebuilt = ParityDevice.equal_coupling(
+        n, tuple(Mode(w, coupler_ff * 1e-15) for w in d["mode_omega_rad_s"]),
+        d["chi_rad_s"], resonator_model=model, band=tuple(d["band_rad_s"]))
+    r = eraser_residuals(rebuilt, d["omega_p_rad_s"])
+    assert len(r) == n - 1 and np.max(np.abs(r)) < 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +386,7 @@ def test_lumped_model_solves_nearby():
 def test_jacobian_matches_central_difference(free_gaps):
     from dataclasses import replace
 
+    from qparity.device import weight_phase_curve
     from qparity.eraser import _jacobian, _weight_curves, _with_gaps
 
     if free_gaps:
@@ -339,18 +401,29 @@ def test_jacobian_matches_central_difference(free_gaps):
     def device(x):
         return (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
 
-    jac = _jacobian(_weight_curves(device(x)), x[0], free_gaps)
+    def contrast(x):
+        th0, th1 = (weight_phase_curve(device(x), w).theta(x[0]) for w in (0, 1))
+        return math.cos(0.5 * (th0 - th1))
+
+    curves = _weight_curves(device(x))
+    jac = _jacobian(curves, x[0], free_gaps)
     assert jac.shape == (dev0.n - 1, len(x))
+    # given the phases, one more row: the gradient of cos(delta_theta/2)
+    full = _jacobian(curves, x[0], free_gaps, [c.theta(x[0]) for c in curves])
+    assert np.array_equal(full[:-1], jac)
     h = 1e3
+    fd_contrast = []
     for k in range(len(x)):
         step = h * (np.arange(len(x)) == k)
         xp, xm = x + step, x - step
         fd = (eraser_residuals(device(xp), xp[0])
               - eraser_residuals(device(xm), xm[0])) / (2.0 * h)
         assert np.max(np.abs(jac[:, k] - fd)) <= 1e-6 * np.max(np.abs(jac[:, k]))
+        fd_contrast.append((contrast(xp) - contrast(xm)) / (2.0 * h))
+    assert np.max(np.abs(full[-1] - fd_contrast)) <= 1e-6 * np.max(np.abs(full[-1]))
 
 
-def _solve_work(dev, monkeypatch):
+def _solve_work(dev, monkeypatch, **kwargs):
     """Phase curves built, eraser_residuals calls and root solves in
     qparity.network made by one solve."""
     from collections import Counter
@@ -377,7 +450,7 @@ def _solve_work(dev, monkeypatch):
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
     monkeypatch.setattr(network, "brentq", counting_brentq)
-    solve_eraser(dev)
+    solve_eraser(dev, **kwargs)
     return counts
 
 
@@ -393,7 +466,18 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
 
 
 def test_two_qubit_solve_work_count(monkeypatch):
-    # one set of weight curves per chi the n = 2 search visits (233 curves);
-    # rebuilding them on every root-finder step costs ~2600
+    # the coarse grid (99 curves) and two Gauss-Newton solves from its best
+    # basin, onto the root and then to delta_theta = pi: 139 curves; a
+    # chi-by-chi root search with a golden-section polish built 233
     counts = _solve_work(two_mode_device(2), monkeypatch)
     assert counts["curves"] <= 250
+
+
+def test_four_qubit_free_solve_work_count(monkeypatch):
+    # the coarse grid at the template spacing (165 curves) and two
+    # Gauss-Newton solves from its first basin: 269 curves; least-squares
+    # passes over five fixed gap scales before freeing the gaps built 3392
+    counts = _solve_work(four_qubit_device(), monkeypatch,
+                         free=("chi", "mode_frequencies"))
+    assert counts["curves"] <= 300
+    assert counts["brentq"] == 0
