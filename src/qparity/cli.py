@@ -25,6 +25,7 @@ from .cascade import CascadeDevice, comparison_to_dict, compare_schemes
 from .device import Mode, ParityDevice, analysis_band, weight_phase_curve
 from .eraser import (
     EraserError,
+    MIN_TOL,
     EraserSolution,
     NoSolution,
     InfeasibleDevice,
@@ -33,7 +34,7 @@ from .eraser import (
     solve_eraser,
 )
 from .estimates import estimate_report
-from .fidelity import ProbePulse, eraser_quality, reports_to_dicts
+from .fidelity import ProbePulse, ShortPulse, eraser_quality, reports_to_dicts
 from .network import NetworkError
 
 TWO_PI = 2.0 * math.pi
@@ -52,16 +53,23 @@ class ConfigError(Exception):
 # Unit conversion boundary (the only place interface units appear)
 # ----------------------------------------------------------------------
 
-def _ghz(value: float) -> float:
-    return TWO_PI * value * 1e9
+def _si(value: float, si: float, where: str) -> float:
+    """``si`` (``value`` in SI units) unless the conversion left float range."""
+    if not math.isfinite(si) or (si == 0.0) != (value == 0.0):
+        raise ConfigError(f"{where}: {value!r} is out of float range in SI units")
+    return si
 
 
-def _mhz(value: float) -> float:
-    return TWO_PI * value * 1e6
+def _ghz(value: float, where: str) -> float:
+    return _si(value, TWO_PI * value * 1e9, where)
 
 
-def _ff(value: float) -> float:
-    return value * 1e-15
+def _mhz(value: float, where: str) -> float:
+    return _si(value, TWO_PI * value * 1e6, where)
+
+
+def _ff(value: float, where: str) -> float:
+    return _si(value, value * 1e-15, where)
 
 
 def _fmt(x) -> str:
@@ -93,7 +101,8 @@ def _write_json(path: Path, payload: dict) -> None:
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -134,14 +143,11 @@ def _optional(cfg: dict, key: str, kind, path: str, default):
 
 def load_config(path: str) -> dict:
     try:
-        raw = Path(path).read_text()
+        cfg = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}")
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # JSONDecodeError, or an integer past int-string limits
+        raise ConfigError(f"{path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     version = _need(cfg, "schema_version", str, path)
@@ -170,12 +176,12 @@ def _shared_fields(cfg: dict, path: str, kind: str, chi_keyword: str):
             raise ConfigError(f"{path}.chi_MHz: expected a number or "
                               f"{chi_keyword!r}, got {chi_raw!r}")
         chi_spec = chi_keyword
-        chi_start = _mhz(5.0)
+        chi_start = _mhz(5.0, f"{path}.chi_MHz")
     elif isinstance(chi_raw, (int, float)) and not isinstance(chi_raw, bool):
         chi_raw = _finite(chi_raw, f"{path}.chi_MHz")
         if chi_raw <= 0:
             raise ConfigError(f"{path}.chi_MHz: must be > 0, got {chi_raw}")
-        chi_spec = _mhz(chi_raw)
+        chi_spec = _mhz(chi_raw, f"{path}.chi_MHz")
         chi_start = chi_spec
     else:
         raise ConfigError(f"{path}.chi_MHz: expected a number or {chi_keyword!r}")
@@ -204,7 +210,7 @@ def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
         c = _need(m, "C_couple_fF", float, mpath)
         if f <= 0 or c <= 0:
             raise ConfigError(f"{mpath}: f_GHz and C_couple_fF must be > 0")
-        modes.append(Mode(omega=_ghz(f), c_couple=_ff(c)))
+        modes.append(Mode(_ghz(f, f"{mpath}.f_GHz"), _ff(c, f"{mpath}.C_couple_fF")))
     freqs = [mo.omega for mo in modes]
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ConfigError(f"{path}.modes: f_GHz values must be strictly increasing")
@@ -215,7 +221,7 @@ def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
         hi = _need(b, "f_hi_GHz", float, f"{path}.band")
         if not 0 < lo < hi:
             raise ConfigError(f"{path}.band: need 0 < f_lo_GHz < f_hi_GHz")
-        band = (_ghz(lo), _ghz(hi))
+        band = (_ghz(lo, f"{path}.band.f_lo_GHz"), _ghz(hi, f"{path}.band.f_hi_GHz"))
     try:
         dev = ParityDevice.equal_coupling(n=n, modes=modes, chi=chi_start,
                                           z0=z0, resonator_model=model,
@@ -233,9 +239,9 @@ def parse_cascade_config(cfg: dict, path: str) -> tuple[CascadeDevice, object]:
     if f <= 0 or c <= 0:
         raise ConfigError(f"{path}.cavity: f_GHz and C_couple_fF must be > 0")
     try:
-        dev = CascadeDevice.uniform(n=n, omega_r=_ghz(f), chi=chi_start,
-                                    c_couple=_ff(c), z0=z0,
-                                    resonator_model=model)
+        dev = CascadeDevice.uniform(n=n, omega_r=_ghz(f, f"{path}.cavity.f_GHz"),
+                                    chi=chi_start, z0=z0, resonator_model=model,
+                                    c_couple=_ff(c, f"{path}.cavity.C_couple_fF"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
     return dev, chi_spec
@@ -300,7 +306,7 @@ def _numbers(cfg: dict, key: str, path: str, count: int) -> list[float]:
 def _solution_from_file(path: str, dev: ParityDevice) -> EraserSolution:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise ConfigError(f"{path}: cannot load solution: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -396,11 +402,11 @@ def cmd_compare(ns) -> int:
 
 def cmd_estimate(ns) -> int:
     rep = estimate_report(
-        delta=_ghz(ns.delta_ghz),
-        kappa=_mhz(ns.kappa_mhz),
-        chi=_mhz(ns.chi_mhz),
+        delta=_ghz(ns.delta_ghz, "argument --delta-GHz"),
+        kappa=_mhz(ns.kappa_mhz, "argument --kappa-MHz"),
+        chi=_mhz(ns.chi_mhz, "argument --chi-MHz"),
         alpha_sq=ns.alpha_sq,
-        omega_p=_ghz(ns.fp_ghz),
+        omega_p=_ghz(ns.fp_ghz, "argument --fp-GHz"),
         duration=ns.t_us * 1e-6,
     )
     t1 = rep["purcell_T1_s"]
@@ -410,7 +416,8 @@ def cmd_estimate(ns) -> int:
     print(f"Purcell T1 [us]              {t1['cyclic'] * 1e6:<19.6g} {t1['angular'] * 1e6:.6g}")
     print(f"measurement time T [us]      {tm['cyclic'] * 1e6:<19.6g} {tm['angular'] * 1e6:.6g}")
     print(f"  (optimistic, factor 1)     {tm['optimistic_cyclic'] * 1e6:.6g}")
-    print(f"peak power                   {pp['watts']:.6g} W = {pp['dBm']:.4g} dBm")
+    dbm = "-inf" if pp["dBm"] is None else f"{pp['dBm']:.4g}"
+    print(f"peak power                   {pp['watts']:.6g} W = {dbm} dBm")
     print("note: cyclic convention reads quoted MHz/GHz as ordinary frequencies")
     if ns.json:
         _write_json(Path(ns.json), rep)
@@ -434,8 +441,10 @@ def _checked(kind, ok, need: str):
 
 
 POINTS = _checked(int, lambda v: v >= 2, ">= 2")
-ALPHA_SQ = _checked(float, lambda v: v >= 0.0, ">= 0")
-DURATION_US = _checked(float, lambda v: v > 0.0, "> 0")
+FINITE = _checked(float, math.isfinite, "finite")
+ALPHA_SQ = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+DURATION_US = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+TOL = _checked(float, lambda v: MIN_TOL <= v < math.inf, f"finite and >= {MIN_TOL}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="Solve the quantum-eraser conditions.")
     so.add_argument("config")
-    so.add_argument("--tol", type=float, default=1e-9,
+    so.add_argument("--tol", type=TOL, default=1e-9,
                     help="residual tolerance in radians")
     so.add_argument("--out", help="write the solution JSON here")
     so.add_argument("--free-modes", action="store_true",
@@ -480,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=cmd_compare)
 
     se = sub.add_parser("estimate", help="Purcell T1, measurement time, power.")
-    se.add_argument("--delta-GHz", dest="delta_ghz", type=float, required=True)
-    se.add_argument("--kappa-MHz", dest="kappa_mhz", type=float, required=True)
-    se.add_argument("--chi-MHz", dest="chi_mhz", type=float, required=True)
+    se.add_argument("--delta-GHz", dest="delta_ghz", type=FINITE, required=True)
+    se.add_argument("--kappa-MHz", dest="kappa_mhz", type=FINITE, required=True)
+    se.add_argument("--chi-MHz", dest="chi_mhz", type=FINITE, required=True)
     se.add_argument("--alpha-sq", type=ALPHA_SQ, default=5.0)
     se.add_argument("--T-us", dest="t_us", type=DURATION_US, default=1.0)
-    se.add_argument("--fp-GHz", dest="fp_ghz", type=float, required=True)
+    se.add_argument("--fp-GHz", dest="fp_ghz", type=FINITE, required=True)
     se.add_argument("--json", help="write the full report here")
     se.set_defaults(func=cmd_estimate)
 
@@ -500,10 +509,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ShortPulse as exc:  # only fidelity and compare build mode combs
+        print(f"config error: argument --T-us: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NoSolution, InfeasibleDevice) as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (NetworkError, EraserError, ValueError) as exc:
+    except (NetworkError, EraserError, ValueError, ArithmeticError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 

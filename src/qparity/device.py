@@ -264,10 +264,11 @@ def _loaded_zero_estimate(mode: Mode, z0: float) -> float:
 
 
 def analysis_band(dev: ParityDevice) -> tuple[float, float]:
-    """Frequency window the device's phase curves are evaluated on.
+    """Frequency window of the device's sweeps and of its phase curves'
+    zero and pole searches.
 
-    The band is only the domain of evaluation: phases are DC-referenced
-    whatever it is.  The default covers every state's loaded features
+    Phases are DC-referenced and hold at any omega > 0, whatever the band
+    is.  The default covers every state's loaded features
     (zeros are pulled a few percent below the bare modes by the coupling
     capacitors) with a margin on both sides.
     """

@@ -2,7 +2,7 @@
 
 For an n-qubit equal-coupling device the parity conditions require, at the
 probe frequency, theta_wt(i) = theta_wt(i+2) + 2*pi for every weight pair
-two apart: n-1 residuals.  Every n >= 2 takes one path.  A coarse
+two apart: n-1 residuals.  Every n >= 1 takes one path.  A coarse
 residual-norm grid over (omega_p, chi) localizes smooth basins (the
 landscape has 2*pi jumps near poles); from each, a damped Gauss-Newton
 iteration on the exact phase derivatives moves x = (omega_p, chi[, gaps])
@@ -12,7 +12,7 @@ Among verified roots the most distinguishable one (largest
 
 With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
 2 knobs), the mode gaps join the unknowns, starting at the template's
-spacing.  Where the unknowns outnumber the conditions (n = 2, or freed
+spacing.  Where the unknowns outnumber the conditions (n <= 2, or freed
 gaps) the roots form a family, and one more condition, cos(delta_theta/2)
 = 0, makes the system square: a second Gauss-Newton from each root goes to
 delta_theta = pi, the maximum of the ranking score.
@@ -51,8 +51,10 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_CHI_RANGE = (TWO_PI * 0.1e6, TWO_PI * 50e6)
 DEFAULT_TOL = 1e-9
+MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
 NEWTON_MAX_ITER = 30
 GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
+GRID_TOP_K = 12       # grid basins Gauss-Newton starts from, best first
 
 
 class EraserError(Exception):
@@ -204,25 +206,20 @@ def make_solution(dev: ParityDevice, omega_p: float, basins=()) -> EraserSolutio
 # Solver internals
 # ----------------------------------------------------------------------
 
-def _default_search_band(dev: ParityDevice, chi_hi: float) -> tuple[float, float]:
-    spread = dev.n * chi_hi
-    lo = min(_loaded_zero_estimate(mo, dev.z0) for mo in dev.modes) - spread
-    hi = max(mo.omega for mo in dev.modes) + spread
-    return (lo, hi)
-
-
-def _solver_band(dev: ParityDevice, chi_range, search_band) -> tuple[float, float]:
-    """Fixed evaluation band covering the whole chi range, every gap rescaling
-    the free-mode search may try, and the probe search band."""
+def _solver_band(dev: ParityDevice, chi_range) -> tuple[tuple, tuple[float, float]]:
+    """(probe search band, evaluation band).  The search band covers every
+    mode and every chi in chi_range; the fixed evaluation band also covers
+    every gap rescaling the free-mode search may try."""
     freqs = [mo.omega for mo in dev.modes]
     span = (max(freqs) - min(freqs)) if len(freqs) > 1 else 0.0
     spread = dev.n * chi_range[1]
-    z_lo = min(_loaded_zero_estimate(mo, dev.z0) for mo in dev.modes)
+    search = (min(_loaded_zero_estimate(mo, dev.z0) for mo in dev.modes) - spread,
+              max(freqs) + spread)
     pad = 0.005 * min(freqs) + spread + 1.5 * span
-    lo = min(z_lo, search_band[0]) - pad
-    hi = max(max(freqs), search_band[1]) + spread + pad
+    lo = search[0] - pad
+    hi = search[1] + spread + pad
     # 12-significant-digit values survive the serialized-solution round trip
-    return float(f"{lo:.12g}"), float(f"{hi:.12g}")
+    return search, (float(f"{lo:.12g}"), float(f"{hi:.12g}"))
 
 
 def _with_gaps(dev: ParityDevice, gaps) -> ParityDevice:
@@ -287,7 +284,7 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
 
     curves, th, r = evaluate(x)
     for _ in range(NEWTON_MAX_ITER):
-        if np.max(np.abs(r)) < tol:
+        if np.max(np.abs(r), initial=0.0) < tol:
             break
         jac = _jacobian(curves, x[0], len(x) > 2, th if contrast else None)
         try:
@@ -309,27 +306,28 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
     return x, r
 
 
-def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points, top_k=12):
-    """Local minima of the residual norm on the (omega_p, chi) grid."""
-    lo, hi = band
-    wps = np.linspace(lo, hi, wp_points)
+def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
+    """Local minima of the residual norm on the (omega_p, chi) grid, best
+    first; with no conditions (n = 1) the contrast row's |cos(delta_theta/2)|."""
+    wps = np.linspace(band[0], band[1], wp_points)
     norm = np.empty((len(chi_grid), len(wps)))
     for i, chi in enumerate(chi_grid):
-        r = eraser_residuals(dev0.with_chi(chi), wps)
+        dev = dev0.with_chi(chi)
+        r = eraser_residuals(dev, wps)
+        if not len(r):  # n = 1
+            th = _thetas(_weight_curves(dev), wps)
+            r = np.cos(0.5 * (th[:1] - th[1:]))
         norm[i] = np.sqrt((r ** 2).sum(axis=0))
-    cands = []
-    for i in range(len(chi_grid)):
-        for j in range(len(wps)):
-            v = norm[i, j]
-            if v >= GRID_FAIL_NORM:
-                continue
-            neigh = norm[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
-            if v <= neigh.min():
-                cands.append((v, float(wps[j]), float(chi_grid[i])))
-    cands.sort(key=lambda t: (t[0], t[1]))
+    # a NaN anywhere in a cell's 3x3 window makes its minimum NaN: no candidate
+    neigh = np.lib.stride_tricks.sliding_window_view(
+        np.pad(norm, 1, constant_values=np.inf), (3, 3)).min(axis=(2, 3))
+    i, j = np.nonzero((norm <= neigh) & (norm < GRID_FAIL_NORM))
+    order = np.lexsort((wps[j], norm[i, j]))[:GRID_TOP_K]  # stable: row-major ties
+    cands = [(float(norm[a, b]), float(wps[b]), float(chi_grid[a]))
+             for a, b in zip(i[order], j[order])]
     flat = np.unravel_index(np.argmin(norm), norm.shape)
     best_cell = (float(norm[flat]), float(wps[flat[1]]), float(chi_grid[flat[0]]))
-    return cands[:top_k], best_cell
+    return cands, best_cell
 
 
 def _assemble(roots: list, tol: float) -> EraserSolution:
@@ -358,14 +356,14 @@ def _assemble(roots: list, tol: float) -> EraserSolution:
 
 def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
                       free_gaps: bool):
-    """n >= 2: grid basins, Gauss-Newton onto the root set, then _assemble.
+    """Grid basins, Gauss-Newton onto the root set, then _assemble.
 
     x = (omega_p, chi[, gaps]), the gaps starting at the template's spacing.
-    When the unknowns outnumber the n - 1 conditions the roots form a
-    family; a second Gauss-Newton from each root adds cos(delta_theta/2) = 0,
-    the best score _assemble can rank, and both roots compete.  A basin
-    whose contrast root verifies ends the search: nothing later scores
-    higher.
+    When the unknowns outnumber the n - 1 conditions (n <= 2, or freed gaps)
+    the roots form a family; a second Gauss-Newton from each root adds
+    cos(delta_theta/2) = 0, the best score _assemble can rank, and both
+    roots compete.  A basin whose contrast root verifies ends the search:
+    nothing later scores higher.
     """
     chi_grid = np.geomspace(chi_range[0], chi_range[1], grid_points)
     cands, best_cell = _grid_candidates(dev0, band, chi_grid, max(grid_points, 129))
@@ -375,11 +373,11 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
     for _, wp0, chi0 in cands or [best_cell]:
         x, r = _gauss_newton(dev0, np.array([wp0, chi0, *gaps0]), band,
                              chi_range, tol)
-        if np.max(np.abs(r)) >= tol:
+        if np.max(np.abs(r), initial=0.0) >= tol:
             continue
         if underdetermined:
             xc, rc = _gauss_newton(dev0, x, band, chi_range, tol, contrast=True)
-            if np.max(np.abs(rc[:-1])) < tol:
+            if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
                 roots.append(xc)  # ahead of x, so it outlives a near-duplicate x
         roots.append(x)
         if underdetermined and np.max(np.abs(rc)) < tol:
@@ -394,22 +392,7 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
     return _assemble([(x[0], _device(dev0, x)) for x in roots], tol)
 
 
-def _solve_contrast_only(dev0: ParityDevice, band, chi_range, tol, grid_points):
-    """n = 1: no eraser conditions; maximize the parity contrast."""
-    chi = math.sqrt(chi_range[0] * chi_range[1])
-    dev = dev0.with_chi(chi)
-    lo, hi = band
-    wps = np.linspace(lo, hi, max(grid_points, 513))
-    th0 = weight_phase_curve(dev, 0).theta(wps)
-    th1 = weight_phase_curve(dev, 1).theta(wps)
-    score = np.abs(np.sin(0.5 * wrap_phase(th0 - th1)))
-    j = int(np.argmax(score))
-    wp = float(wps[j])
-    return _assemble([(wp, dev)], tol)
-
-
 def solve_eraser(dev_template: ParityDevice, free=("chi",),
-                 search_band: tuple[float, float] | None = None,
                  tol: float = DEFAULT_TOL,
                  chi_range: tuple[float, float] = DEFAULT_CHI_RANGE,
                  grid_points: int = 33) -> EraserSolution:
@@ -417,13 +400,14 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
 
     ``free`` lists the searched knobs: "chi" (always) and optionally
     "mode_frequencies" (required when the condition count n-1 exceeds 2).
-    When the knobs outnumber the conditions (n = 2, or freed mode
+    When the knobs outnumber the conditions (n <= 2, or freed mode
     frequencies) the returned root is the delta_theta = pi point of its
     family wherever Gauss-Newton reaches it, and ``basins`` ends at the
-    first such root.  n = 1 has no conditions and maximizes the contrast
-    alone.  ``grid_points`` sets the coarse-grid density per axis.  A device
-    ``band`` clips the probe search band (by default one that covers every
-    mode and chi in ``chi_range``).  Raises
+    first such root; n = 1 has no conditions, so its root is that point.
+    ``tol`` (rad) bounds every verified residual; it must be finite and at
+    least MIN_TOL.  ``grid_points`` sets the coarse-grid density per axis.
+    The probe search band covers every mode and chi in ``chi_range``; a
+    device ``band`` clips it.  Raises
     InfeasibleDevice / NoSolution / PoleCollision.
     """
     free = frozenset(free)
@@ -433,21 +417,17 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
         raise ValueError(f"unknown free knobs: {free - {'chi', 'mode_frequencies'}}")
     if not dev_template.equal_chi:
         raise ValueError("solve_eraser requires an equal_chi device template")
-    if tol < 1e-12:
-        raise ValueError("tol below achievable float accuracy")
+    if not MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= {MIN_TOL}, got {tol!r}")
     n, m = dev_template.n, dev_template.m
     if m < min_modes_required(n):
         raise InfeasibleDevice(
             f"{n}-qubit parity needs the phase to wind through at least "
             f"{n}*pi: {min_modes_required(n)} modes required, device has {m}"
         )
-    if search_band is None:
-        search_band = _default_search_band(dev_template, chi_range[1])
+    search_band, eval_band = _solver_band(dev_template, chi_range)
     if dev_template.band is None:
-        dev_template = replace(
-            dev_template,
-            band=_solver_band(dev_template, chi_range, search_band),
-        )
+        dev_template = replace(dev_template, band=eval_band)
     else:
         clipped = (max(search_band[0], dev_template.band[0]),
                    min(search_band[1], dev_template.band[1]))
@@ -458,9 +438,6 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
                              f"search band {search_ghz}")
         search_band = clipped
 
-    if n == 1:
-        return _solve_contrast_only(dev_template, search_band, chi_range,
-                                    tol, grid_points)
     free_gaps = "mode_frequencies" in free
     if n - 1 > 2 and not free_gaps:
         raise NoSolution(

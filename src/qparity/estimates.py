@@ -118,7 +118,7 @@ def estimate_report(delta: float, kappa: float, chi: float, alpha_sq: float,
         },
         "peak_power": {
             "watts": watts,
-            "dBm": dbm,
+            "dBm": dbm if watts > 0.0 else None,  # JSON has no -inf
             "convention_note": "photon energy hbar*omega_p with angular omega_p",
         },
         "kappa_estimate_note": (

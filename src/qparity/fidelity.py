@@ -25,6 +25,7 @@ from .eraser import EraserSolution, _dispersion, _weight_curves, contrast
 from .network import wrap_phase
 
 __all__ = [
+    "ShortPulse",
     "ProbePulse",
     "ModeGrid",
     "FidelityReport",
@@ -47,6 +48,10 @@ QUADRATIC_BRANCH_RATIO = 1e-3
 
 # Small-parameter expansions are only quoted where they are valid.
 EXPANSION_LIMIT = 0.1
+
+
+class ShortPulse(ValueError):
+    """The pulse's mode comb reaches omega <= 0: too short for its carrier."""
 
 
 def _mean_photons(alpha: complex) -> float:
@@ -105,7 +110,7 @@ class ModeGrid:
 
 def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
                     points: int = 4001) -> ModeGrid:
-    """Mode comb over omega_p +/- span_sigmas*W with Gaussian weights.
+    """Mode comb over omega_p +/- span_sigmas*W > 0 with Gaussian weights.
 
     C_i = sqrt(d_omega) * exp(-(w_i - w_p)^2 / (4 W^2)) / (2 pi W^2)^(1/4),
     normalized so sum C_i^2 -> 1 in the continuum limit.
@@ -117,6 +122,9 @@ def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
     if omega_p <= 0.0 or bandwidth <= 0.0:
         raise ValueError("omega_p and bandwidth must be > 0")
     half = span_sigmas * bandwidth
+    if not half < omega_p:
+        raise ShortPulse(f"too short for its carrier: the mode comb f_p +/- {span_sigmas:g} W "
+                         f"reaches f <= 0 (f_p = {omega_p / TWO_PI / 1e9:.6g} GHz)")
     freqs = np.linspace(omega_p - half, omega_p + half, points)
     spacing = freqs[1] - freqs[0]
     weights = (math.sqrt(spacing)

@@ -530,9 +530,9 @@ class PhaseCurve:
     phase, which jumps by +2*pi where V = 0 (Z = 0, a branch series zero)
     and descends continuously everywhere else (Foster), and each branch
     counts its zeros from the sign of the same N_k, so jump and count
-    switch together.  The band is only the domain of evaluation.  Zeros
-    (theta = -pi mod 2*pi) and loaded poles (theta = 0 mod 2*pi, r = +1)
-    are level crossings of this continuous descent, located on demand.
+    switch together.  So theta holds at any omega > 0; the band is only
+    where zeros (theta = -pi mod 2*pi) and loaded poles (theta = 0 mod 2*pi,
+    r = +1) are searched, as level crossings of this continuous descent.
     The same fold carried as jets gives exact derivatives, smooth through
     branch zeros (V = 0) and loaded poles (U = 0).
     """
@@ -550,14 +550,8 @@ class PhaseCurve:
         for branch in self._branches:
             _branch_resonator(branch)
 
-    def _check_band(self, w) -> None:
-        lo, hi = self.band
-        if np.any(w < lo) or np.any(w > hi):
-            raise ValueError("omega outside the phase curve's band")
-
     def theta(self, omega):
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        self._check_band(w)
+        w = np.atleast_1d(_check_omega(omega))
         u, v, passed = np.zeros_like(w), np.ones_like(w), np.zeros_like(w)
         for branch in self._branches:
             p, n = _branch_parts(branch, w)
@@ -591,6 +585,7 @@ class PhaseCurve:
         mod 2*pi."""
         return self._crossings(0.0)
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
     def _derivatives(self, omega: float):
         """(theta', theta'', d theta/d w_r of each branch) at one frequency.
 
@@ -598,8 +593,7 @@ class PhaseCurve:
         folded as U <- U N_k + P_k V, V <- V N_k; then with A = z0 (U' V - U V')
         and D = V^2 + z0^2 U^2, theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2.
         """
-        w = float(omega)
-        self._check_band(w)
+        w = float(_check_omega(omega))
         m = len(self._branches)
         u, v = np.zeros(3 + m), np.eye(1, 3 + m)[0]
         for k, branch in enumerate(self._branches):
@@ -609,8 +603,12 @@ class PhaseCurve:
         a = self.z0 * (u * v[0] - u[0] * v)
         d = v[0] ** 2 + (self.z0 * u[0]) ** 2
         d_prime = 2.0 * (v[0] * v[1] + self.z0 ** 2 * u[0] * u[1])
-        return (-2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / d ** 2,
-                -2.0 * a[3:] / d)
+        out = (-2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / d ** 2,
+               -2.0 * a[3:] / d)
+        if not (math.isfinite(out[0]) and math.isfinite(out[1])
+                and np.isfinite(out[2]).all()):
+            raise NetworkError(f"phase derivatives at omega={w:.6e} rad/s leave float range")
+        return out
 
     def dtheta(self, omega: float, order: int = 1) -> float:
         """Exact d theta/d omega (order 1, in s) or d2 theta/d omega2

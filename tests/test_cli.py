@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from decimal import Decimal
 
 import pytest
@@ -110,8 +111,16 @@ ESTIMATE_ARGS = ["estimate", "--delta-GHz", "5", "--kappa-MHz", "5",
     (["compare", "{cfg}", "{cas}", "--out", "{out}", "--T-us", "-1"], "--T-us"),
     (ESTIMATE_ARGS + ["--json", "{out}", "--alpha-sq", "-1"], "--alpha-sq"),
     (ESTIMATE_ARGS + ["--json", "{out}", "--T-us", "0"], "--T-us"),
+    (["solve", "{cfg}", "--out", "{out}", "--tol", "nan"], "--tol"),
+    (["solve", "{cfg}", "--out", "{out}", "--tol", "1e-13"], "--tol"),
+    (["fidelity", "{cfg}", "{sol}", "--out-json", "{out}", "--T-us", "inf"], "--T-us"),
+    (["compare", "{cfg}", "{cas}", "--out", "{out}", "--alpha-sq", "inf"], "--alpha-sq"),
+    (ESTIMATE_ARGS + ["--json", "{out}", "--delta-GHz", "nan"], "--delta-GHz"),
+    (ESTIMATE_ARGS + ["--json", "{out}", "--kappa-MHz", "inf"], "--kappa-MHz"),
 ], ids=["points-0", "points-neg", "fidelity-T", "fidelity-alpha", "compare-alpha",
-        "compare-T", "estimate-alpha", "estimate-T"])
+        "compare-T", "estimate-alpha", "estimate-T", "solve-tol-nan", "solve-tol-tiny",
+        "fidelity-T-inf", "compare-alpha-inf", "estimate-delta-nan",
+        "estimate-kappa-inf"])
 def test_bad_numeric_flag_exits_2_before_any_work(tmp_path, capsys, argv, flag):
     cfg, sol = tmp_path / "c.json", tmp_path / "sol.json"
     cas, out = tmp_path / "cascade.json", tmp_path / "out"
@@ -350,18 +359,43 @@ def _with_field(cfg, field, value):
 
 
 @pytest.mark.parametrize("field,value,shown", [
-    ("modes.0.f_GHz", math.nan, "modes[0].f_GHz"),
-    ("chi_MHz", math.nan, "chi_MHz"),
-    ("Z0_ohms", math.nan, "Z0_ohms"),
-    ("band.f_hi_GHz", math.inf, "band.f_hi_GHz"),
-], ids=["f-nan", "chi-nan", "z0-nan", "band-inf"])
+    ("modes.0.f_GHz", math.nan, "modes[0].f_GHz: must be finite"),
+    ("chi_MHz", math.nan, "chi_MHz: must be finite"),
+    ("Z0_ohms", math.nan, "Z0_ohms: must be finite"),
+    ("band.f_hi_GHz", math.inf, "band.f_hi_GHz: must be finite"),
+    ("band.f_hi_GHz", 1e300, "band.f_hi_GHz: 1e+300 is out of float range in SI units"),
+    ("modes.1.f_GHz", 1e299, "modes[1].f_GHz: 1e+299 is out of float range in SI units"),
+    ("chi_MHz", 1e305, "chi_MHz: 1e+305 is out of float range in SI units"),
+    ("modes.0.C_couple_fF", 1e-320,
+     "modes[0].C_couple_fF: 1e-320 is out of float range in SI units"),
+], ids=["f-nan", "chi-nan", "z0-nan", "band-inf", "band-huge", "f-huge", "chi-huge",
+        "c-tiny"])
 def test_non_finite_config_number_names_field(tmp_path, capsys, field, value, shown):
-    # json reads NaN and Infinity, which slip past every <= 0 check
+    # json reads NaN and Infinity, which slip past every <= 0 check, and a
+    # finite number can still overflow (or round to zero) in SI units
     cfg = dict(PAPER_CONFIG, chi_MHz=5.77, band={"f_lo_GHz": 9.4, "f_hi_GHz": 10.6})
     p = tmp_path / "c.json"
     p.write_text(json.dumps(_with_field(cfg, field, value)))
     assert main(["sweep", str(p), "--out", str(tmp_path / "s.csv")]) == 2
-    assert capsys.readouterr().err.strip() == f"config error: {p}.{shown}: must be finite"
+    assert capsys.readouterr().err.strip() == f"config error: {p}.{shown}"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_huge_json_integer_is_a_config_error(solved, tmp_path, capsys):
+    # json.loads refuses integers beyond 4300 digits with a plain ValueError
+    cfg, sol_path = solved
+    huge = "1" * 5000
+    bad_cfg = tmp_path / "c.json"
+    bad_cfg.write_text(json.dumps(PAPER_CONFIG).replace('"n_qubits": 3',
+                                                        f'"n_qubits": {huge}'))
+    assert main(["solve", str(bad_cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {bad_cfg}: invalid JSON")
+    bad_sol = tmp_path / "sol.json"
+    bad_sol.write_text(sol_path.read_text().replace('"chi_rad_s": ',
+                                                    f'"chi_rad_s": {huge}, "x": '))
+    assert main(["fidelity", str(cfg), str(bad_sol)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {bad_sol}: cannot load solution")
 
 
 def test_non_finite_solution_number_names_field(solved, tmp_path, capsys):
@@ -465,3 +499,90 @@ def test_estimate_prints_conventions(capsys, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["purcell_T1_s"]["cyclic"] * 1e6 == pytest.approx(173.3, rel=1e-3)
     assert rep["peak_power"]["dBm"] == pytest.approx(-135.0, abs=0.5)
+
+
+def test_estimate_frequency_beyond_float_range_names_flag(capsys, tmp_path):
+    out = tmp_path / "est.json"
+    assert main(ESTIMATE_ARGS + ["--fp-GHz", "1e300", "--json", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: argument --fp-GHz: 1e+300 is out of float range in SI units")
+    assert not out.exists()
+
+
+def test_estimate_underflowing_rates_end_in_one_line(capsys):
+    # kappa * chi underflows to zero in the Purcell ratio's denominator
+    assert main(ESTIMATE_ARGS + ["--kappa-MHz", "1e-300", "--chi-MHz", "1e-300"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "evaluation error: float division by zero"
+
+
+def test_estimate_zero_power_writes_null_dbm(capsys, tmp_path):
+    out = tmp_path / "est.json"
+    assert main(ESTIMATE_ARGS + ["--alpha-sq", "0", "--json", str(out)]) == 0
+    assert "0 W = -inf dBm" in capsys.readouterr().out
+    text = out.read_text()
+    assert "Infinity" not in text
+    assert json.loads(text)["peak_power"]["dBm"] is None
+
+
+# ----------------------------------------------------------------------
+# output files hold finite numbers only
+# ----------------------------------------------------------------------
+
+def test_write_json_refuses_non_finite(tmp_path):
+    from qparity.cli import _write_json
+
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"a": [1.0, bad]})
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_overflowing_phase_derivatives_end_in_one_line(solved, tmp_path, capsys):
+    # a 1e300 fF coupler keeps theta finite, but its derivative jets overflow
+    cfg, sol_path = solved
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(_with_field(PAPER_CONFIG, "modes.0.C_couple_fF", 1e300)))
+    out = tmp_path / "fid.json"
+    assert main(["fidelity", str(p), str(sol_path), "--out-json", str(out)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("evaluation error: phase derivatives at omega=")
+    assert "\n" not in err
+    assert not out.exists()
+
+
+def test_short_pulse_outside_the_band_is_scored(solved, tmp_path):
+    # a 3 ns pulse's mode comb spans f_p +/- 0.42 GHz, beyond the solution's
+    # band: theta holds at any omega > 0, so it is scored like any other
+    cfg, sol_path = solved
+    out = tmp_path / "fid.json"
+    assert main(["fidelity", str(cfg), str(sol_path), "--T-us", "0.003",
+                 "--out-json", str(out)]) == 0
+    pairs = json.loads(out.read_text())["pairs"]
+    assert len(pairs) == 6 and all(0.0 <= d["F_numeric"] <= 1.0 for d in pairs)
+
+
+@pytest.mark.parametrize("command", ["fidelity", "compare"])
+def test_pulse_whose_comb_reaches_zero_names_t_us(solved, tmp_path, capsys, command):
+    cfg, sol_path = solved
+    cas, out = tmp_path / "cascade.json", tmp_path / "out.json"
+    cas.write_text(json.dumps(CASCADE_CONFIG))
+    argv = {"fidelity": ["fidelity", str(cfg), str(sol_path), "--out-json", str(out)],
+            "compare": ["compare", str(cfg), str(cas), "--out", str(out)]}[command]
+    assert main(argv + ["--T-us", "1e-5"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: argument --T-us: too short for its carrier")
+    assert "\n" not in err
+    assert not out.exists()
+
+
+def test_solve_single_qubit_reaches_pi(tmp_path, capsys):
+    cfg = {"schema_version": "1", "n_qubits": 1,
+           "modes": [{"f_GHz": 10.0, "C_couple_fF": 10.0}], "chi_MHz": "solve"}
+    p, out = tmp_path / "n1.json", tmp_path / "sol.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["solve", str(p), "--out", str(out)]) == 0
+    sol = json.loads(out.read_text())
+    assert sol["residuals_rad"] == []
+    assert abs(abs(sol["delta_theta_rad"]) - math.pi) < 1e-8
+    assert re.search(r"dtheta= -?180 deg$", capsys.readouterr().out.rstrip())

@@ -169,14 +169,7 @@ def test_two_qubit_brute_force_scan_shows_sign_change():
     # changes sign across the omega_p grid at fixed chi
     dev = two_mode_device(2, TWO_PI * 5.5e6)
     wps = TWO_PI * np.linspace(9.75e9, 9.9e9, 1001)
-    from dataclasses import replace
-
-    from qparity.eraser import (DEFAULT_CHI_RANGE, _default_search_band,
-                                _solver_band)
-
-    band = _default_search_band(dev, DEFAULT_CHI_RANGE[1])
-    dev_b = replace(dev, band=_solver_band(dev, DEFAULT_CHI_RANGE, band))
-    r = eraser_residuals(dev_b, wps)[0]
+    r = eraser_residuals(dev, wps)[0]
     assert r.min() < 0.0 < r.max()
 
 
@@ -189,10 +182,18 @@ def test_two_qubit_solution(two_qubit_solution):
 
 
 def test_single_qubit_solution_has_no_conditions():
-    dev = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 1e10, 1e-14),), TWO_PI * 5e6)
-    sol = solve_eraser(dev)
-    assert sol.residuals == ()
-    assert abs(sol.delta_theta) > 0.0
+    # no conditions: every point is a root, and the contrast row takes the
+    # solve to delta_theta = pi, as tune_cascade does for a cascade cavity
+    for model in ("stub", "lumped"):
+        for modes in (1, 2, 3):
+            dev = ParityDevice.equal_coupling(
+                1, tuple(Mode(TWO_PI * (10.0 + 0.02 * k) * 1e9, 1e-14)
+                         for k in range(modes)),
+                TWO_PI * 5e6, resonator_model=model)
+            for free in (("chi",), ("chi", "mode_frequencies")):
+                sol = solve_eraser(dev, free=free)
+                assert sol.residuals == ()
+                assert abs(abs(sol.delta_theta) - math.pi) < 1e-8, (model, modes, free)
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +382,45 @@ def test_lumped_model_solves_nearby():
 # ----------------------------------------------------------------------
 # Gauss-Newton internals
 # ----------------------------------------------------------------------
+
+def _cell_by_cell_minima(norm, wps, chi_grid, top_k, fail_norm):
+    """Reference rule: cells below fail_norm and no larger than any cell of
+    their 3x3 window, sorted by (norm, omega_p), ties in row-major order."""
+    cands = []
+    for i in range(norm.shape[0]):
+        for j in range(norm.shape[1]):
+            v = norm[i, j]
+            if v < fail_norm and v <= norm[max(0, i - 1):i + 2, max(0, j - 1):j + 2].min():
+                cands.append((v, float(wps[j]), float(chi_grid[i])))
+    cands.sort(key=lambda t: (t[0], t[1]))
+    return cands[:top_k]
+
+
+@pytest.mark.parametrize("levels", [3, 4, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_minima_match_the_cell_by_cell_rule(paper_device, monkeypatch,
+                                                  levels, seed):
+    # few norm levels make plateaus and exact ties; NaN cells and cells at or
+    # above GRID_FAIL_NORM are never basins
+    from qparity import eraser
+
+    rng = np.random.default_rng(seed)
+    chi_grid = np.geomspace(*eraser.DEFAULT_CHI_RANGE, 9)
+    band, points = (TWO_PI * 9.6e9, TWO_PI * 10.4e9), 40
+    norm = rng.integers(0, levels, (len(chi_grid), points)) * 0.5
+    norm[rng.random(norm.shape) < 0.05] = np.nan
+    rows = dict(zip(chi_grid.tolist(), norm))
+    monkeypatch.setattr(eraser, "eraser_residuals",
+                        lambda dev, wps: rows[dev.chi][None])
+    wps = np.linspace(*band, points)
+    for top_k in (eraser.GRID_TOP_K, norm.size):  # the solver's cut, then every cell
+        monkeypatch.setattr(eraser, "GRID_TOP_K", top_k)
+        cands, _ = eraser._grid_candidates(paper_device, band, chi_grid, points)
+        expected = _cell_by_cell_minima(norm, wps, chi_grid, top_k,
+                                        eraser.GRID_FAIL_NORM)
+        assert len(expected) > 0
+        assert cands == expected
+
 
 @pytest.mark.parametrize("free_gaps", [False, True])
 def test_jacobian_matches_central_difference(free_gaps):

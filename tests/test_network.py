@@ -315,11 +315,26 @@ def test_phase_curve_matches_profile_samples():
     assert np.allclose(curve.theta(prof.grid[idx]), prof.theta[idx], atol=1e-12)
 
 
-def test_phase_curve_rejects_out_of_band():
-    net = Series((Capacitor(10e-15), QuarterWaveStub(50.0, TWO_PI * 10e9)))
-    curve = PhaseCurve(net, 50.0, (TWO_PI * 9e9, TWO_PI * 10e9))
-    with pytest.raises(ValueError):
-        curve.theta(TWO_PI * 8e9)
+def test_phase_curve_holds_outside_its_band():
+    # theta is DC-referenced: the band only windows the zero and pole
+    # searches, so values outside it equal those of a curve whose band
+    # covers them; only omega <= 0 is refused
+    w_r = TWO_PI * 10e9
+    c, l = lumped_equivalent(w_r, 50.0)
+    net = Parallel((Series((Capacitor(10e-15), Parallel((Inductor(l), Capacitor(c))))),
+                    Series((Capacitor(8e-15), QuarterWaveStub(50.0, 1.01 * w_r)))))
+    narrow = PhaseCurve(net, 50.0, (TWO_PI * 9.9e9, TWO_PI * 10e9))
+    wide = PhaseCurve(net, 50.0, (TWO_PI * 0.1e9, TWO_PI * 40e9))
+    ws = TWO_PI * np.array([0.2e9, 5e9, 9.7e9, 10.05e9, 10.2e9, 25e9, 35e9])
+    assert np.array_equal(narrow.theta(ws), wide.theta(ws))
+    for w in ws:
+        assert np.array_equal(np.hstack(narrow._derivatives(w)),
+                              np.hstack(wide._derivatives(w)))
+    for bad in (0.0, -TWO_PI * 1e9):
+        for call in (narrow.theta, narrow.dtheta, narrow.dtheta_dresonance,
+                     lambda w: narrow.theta(np.array([w_r, w]))):
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 def test_wrap_phase_range_and_fixed_points():
