@@ -7,15 +7,16 @@ at the probe frequency, the +/-chi detunings are symmetric and the
 first-order dispersion mismatch cancels; the second-order mismatch survives
 and sets the fidelity limit.  Circulators are treated as ideal, so cavity
 order never matters.
+
+Tuning is Newton on one cavity's exact phase derivatives: in omega onto the
+step maximum, b = theta_0' - theta_1' = 0, and in chi, by the envelope
+derivative of that maximum, onto pi: the smallest chi with a pi step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
-from scipy.optimize import brentq
 
 from .device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
                      weight_phase_curve)
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+CHI_RANGE = (TWO_PI * 0.05e6, TWO_PI * 80e6)  # tuning bounds; Newton starts low
+MAX_NEWTON_STEPS = 50
+OMEGA_ULPS = 16     # omega_p has converged once a Newton step is this many ulps
+STEP_TOL = 1e-10    # rad; the step itself is rounding noise below ~1e-12
 
 
 @dataclass(frozen=True)
@@ -138,74 +144,67 @@ class TunedCascade:
     b_single: float      # theta_0' - theta_1' at omega_p (target: 0)
 
 
-def _probe_window(dev: CascadeDevice) -> tuple[float, float]:
-    """Window around the loaded zero that holds the per-qubit step extremum."""
-    cav = dev.cavities[0]
-    z_lo = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), dev.z0)
-    return (z_lo - 2.0 * cav.chi - 0.002 * cav.omega_r,
-            z_lo + 2.0 * cav.chi + 0.002 * cav.omega_r)
+def _newton_symmetric(dev: CascadeDevice, w: float | None = None
+                      ) -> tuple[TunedCascade, float]:
+    """Newton on b with slope b' = theta_0'' - theta_1'' from w (default:
+    the loaded zero, the step's centre at small chi); refuses b' >= 0, which
+    is no maximum.  Returns the symmetric point and, from the same jets,
+    d step/d chi = d theta_0/d omega_r + d theta_1/d omega_r at fixed omega
+    (state 0 and 1 put the cavity at omega_r + chi and omega_r - chi)."""
+    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
+    if w is None:
+        cav = dev.cavities[0]
+        w = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), dev.z0)
+    for _ in range(MAX_NEWTON_STEPS):
+        (b0, s0, r0), (b1, s1, r1) = c0._derivatives(w), c1._derivatives(w)
+        b, slope = float(b0 - b1), float(s0 - s1)
+        if not slope < 0.0:
+            raise ValueError("no symmetric point: the per-qubit phase step has no "
+                             f"maximum near f = {w / TWO_PI:.9g} Hz")
+        dw = -b / slope
+        if abs(dw) <= OMEGA_ULPS * math.ulp(w):
+            tuned = TunedCascade(device=dev, omega_p=w, b_single=b,
+                                 step=float(c0.theta(w) - c1.theta(w)))
+            return tuned, float(r0[0] + r1[0])
+        w += dw
+        if not 0.0 < w < math.inf:
+            break
+    raise ValueError("no symmetric point: Newton on the per-qubit phase step "
+                     "did not converge")
 
 
 def _symmetric_point(dev: CascadeDevice) -> TunedCascade:
     """The cascade, with its chi as given, probed where the per-qubit phase
-    step is extremal, i.e. where the first-derivative mismatch of the
-    +/-chi-detuned cavities crosses zero."""
-    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
-
-    def b_of(w):
-        return c0.dtheta(w) - c1.dtheta(w)
-
-    ws = np.linspace(*_probe_window(dev), 257)
-    step = c0.theta(ws) - c1.theta(ws)
-    j = int(np.argmax(step))
-    lo = ws[max(0, j - 2)]
-    hi = ws[min(len(ws) - 1, j + 2)]
-    b_lo, b_hi = b_of(lo), b_of(hi)
-    k = 2
-    while b_lo * b_hi > 0.0 and k < 64:
-        k *= 2
-        lo = ws[max(0, j - k)]
-        hi = ws[min(len(ws) - 1, j + k)]
-        b_lo, b_hi = b_of(lo), b_of(hi)
-    if b_lo * b_hi > 0.0:
-        raise ValueError("no symmetric point found in the cascade window")
-    wp = brentq(b_of, lo, hi, xtol=1e-3)
-    return TunedCascade(
-        device=dev,
-        omega_p=wp,
-        step=float(c0.theta(wp) - c1.theta(wp)),
-        b_single=float(b_of(wp)),
-    )
+    step is maximal (b = 0): the linear dispersion mismatch cancels, and as
+    no smaller chi gets this step anywhere, a pi here is the smallest-chi one."""
+    return _newton_symmetric(dev)[0]
 
 
-def tune_cascade(dev: CascadeDevice,
-                 chi_range: tuple[float, float] = (TWO_PI * 0.05e6, TWO_PI * 80e6),
-                 ) -> TunedCascade:
-    """Adjust chi so the extremal per-qubit phase step equals exactly pi.
+def tune_cascade(dev: CascadeDevice) -> TunedCascade:
+    """Adjust chi so the maximal per-qubit phase step S(chi) equals pi.
 
-    The probe sits at the step extremum, so the first-order dispersion
-    mismatch vanishes there by construction; a 1-D bisection on chi drives
-    the step to pi.
+    Below that chi no probe frequency gives a pi step, so this is the
+    smallest-chi pi root (longest Purcell T1), and at b = 0.  Newton on chi
+    uses dS/dchi = the step's partial in chi at fixed omega (envelope
+    theorem: b = 0 at the maximum).  S rises from 0 and is concave, like the
+    Lorentzian 4 atan(2 chi/kappa), so from CHI_RANGE's bottom the iterates
+    climb below pi, each warm-starting omega.  A start above pi or an
+    iterate leaving CHI_RANGE raises ValueError.
     """
-    def step_minus_pi(chi: float) -> float:
-        return _symmetric_point(dev.with_chi(chi)).step - math.pi
-
-    chis = np.geomspace(chi_range[0], chi_range[1], 41)
-    vals = []
-    bracket = None
-    for chi in chis:
-        v = step_minus_pi(chi)
-        vals.append(v)
-        if len(vals) > 1 and vals[-2] * v < 0.0:
-            bracket = (chis[len(vals) - 2], chi)
-            break
-    if bracket is None:
-        raise ValueError(
-            "per-qubit phase step never crosses pi over the chi range; "
-            f"max deviation {max(vals):+.3f} rad"
-        )
-    chi = brentq(step_minus_pi, bracket[0], bracket[1], xtol=1e-2)
-    return _symmetric_point(dev.with_chi(chi))
+    chi_lo, chi_hi = CHI_RANGE
+    chi, w = chi_lo, None
+    for _ in range(MAX_NEWTON_STEPS):
+        tuned, ds_dchi = _newton_symmetric(dev.with_chi(chi), w)
+        if abs(tuned.step - math.pi) <= STEP_TOL:
+            return tuned
+        chi += (math.pi - tuned.step) / ds_dchi if ds_dchi > 0.0 else math.inf
+        w = tuned.omega_p
+        if not chi_lo <= chi <= chi_hi:
+            raise ValueError(
+                "per-qubit phase step never crosses pi over the chi range "
+                f"{chi_lo / TWO_PI / 1e6:g}-{chi_hi / TWO_PI / 1e6:g} MHz; step "
+                f"{tuned.step:.3f} rad at {tuned.device.chi / TWO_PI / 1e6:.6g} MHz")
+    raise ValueError("Newton on chi did not converge")
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .cascade import CascadeDevice, comparison_to_dict, compare_schemes
 from .device import Mode, ParityDevice, analysis_band, weight_phase_curve
 from .eraser import (
     EraserError,
+    DEFAULT_TOL,
     MIN_TOL,
     EraserSolution,
     NoSolution,
@@ -33,8 +34,8 @@ from .eraser import (
     solution_to_dict,
     solve_eraser,
 )
-from .estimates import estimate_report
-from .fidelity import ProbePulse, ShortPulse, eraser_quality, reports_to_dicts
+from .estimates import NonFiniteEstimate, estimate_report
+from .fidelity import ProbePulse, PulseOutOfRange, eraser_quality, reports_to_dicts
 from .network import NetworkError
 
 TWO_PI = 2.0 * math.pi
@@ -400,15 +401,25 @@ def cmd_compare(ns) -> int:
     return EXIT_OK
 
 
+# estimate_report argument -> the flag it is read from
+ESTIMATE_FLAGS = {"delta": "--delta-GHz", "kappa": "--kappa-MHz", "chi": "--chi-MHz",
+                  "alpha_sq": "--alpha-sq", "omega_p": "--fp-GHz", "duration": "--T-us"}
+
+
 def cmd_estimate(ns) -> int:
-    rep = estimate_report(
-        delta=_ghz(ns.delta_ghz, "argument --delta-GHz"),
-        kappa=_mhz(ns.kappa_mhz, "argument --kappa-MHz"),
-        chi=_mhz(ns.chi_mhz, "argument --chi-MHz"),
-        alpha_sq=ns.alpha_sq,
-        omega_p=_ghz(ns.fp_ghz, "argument --fp-GHz"),
-        duration=ns.t_us * 1e-6,
-    )
+    try:
+        rep = estimate_report(
+            delta=_ghz(ns.delta_ghz, "argument --delta-GHz"),
+            kappa=_mhz(ns.kappa_mhz, "argument --kappa-MHz"),
+            chi=_mhz(ns.chi_mhz, "argument --chi-MHz"),
+            alpha_sq=ns.alpha_sq,
+            omega_p=_ghz(ns.fp_ghz, "argument --fp-GHz"),
+            duration=ns.t_us * 1e-6,
+        )
+    except NonFiniteEstimate as exc:
+        first, *rest = (ESTIMATE_FLAGS[name] for name in exc.inputs)
+        raise ConfigError(f"argument {first}: {exc}"
+                          + (f" with {' and '.join(rest)}" if rest else ""))
     t1 = rep["purcell_T1_s"]
     tm = rep["measurement_time_s"]
     pp = rep["peak_power"]
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="Solve the quantum-eraser conditions.")
     so.add_argument("config")
-    so.add_argument("--tol", type=TOL, default=1e-9,
+    so.add_argument("--tol", type=TOL, default=DEFAULT_TOL,
                     help="residual tolerance in radians")
     so.add_argument("--out", help="write the solution JSON here")
     so.add_argument("--free-modes", action="store_true",
@@ -509,7 +520,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ShortPulse as exc:  # only fidelity and compare build mode combs
+    except PulseOutOfRange as exc:  # only fidelity and compare build mode combs
         print(f"config error: argument --T-us: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoSolution, InfeasibleDevice) as exc:

@@ -12,6 +12,7 @@ import math
 
 __all__ = [
     "HBAR",
+    "NonFiniteEstimate",
     "purcell_t1",
     "purcell_t1_angular",
     "measurement_time",
@@ -23,6 +24,15 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 HBAR = 1.054571817e-34  # J*s
+
+
+class NonFiniteEstimate(ValueError):
+    """An estimate left float range; ``inputs`` names the estimate_report
+    arguments it is computed from."""
+
+    def __init__(self, result: str, inputs: tuple):
+        super().__init__(f"{result} is out of float range")
+        self.inputs = inputs
 
 
 def _require_positive(**kwargs):
@@ -86,8 +96,19 @@ def kappa_from_coupling(c_couple: float, z0: float, omega_r: float) -> float:
 
 def estimate_report(delta: float, kappa: float, chi: float, alpha_sq: float,
                     omega_p: float, duration: float) -> dict:
-    """All estimates with both frequency conventions, tagged."""
+    """All estimates with both frequency conventions, tagged.
+
+    Raises NonFiniteEstimate when a result overflows float range.
+    """
+    t1 = purcell_t1(delta, kappa, chi), purcell_t1_angular(delta, kappa, chi)
+    tm = measurement_time(chi), measurement_time_angular(chi), measurement_time(chi, 1.0)
     watts, dbm = peak_power(alpha_sq, omega_p, duration)
+    for result, values, inputs in (("Purcell T1", t1, ("delta", "kappa", "chi")),
+                                   ("measurement time", tm, ("chi",)),
+                                   ("peak power", (watts,), ("alpha_sq", "omega_p",
+                                                             "duration"))):
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteEstimate(result, inputs)
     return {
         "inputs": {
             "delta_Hz": delta / TWO_PI,
@@ -98,8 +119,8 @@ def estimate_report(delta: float, kappa: float, chi: float, alpha_sq: float,
             "T_s": duration,
         },
         "purcell_T1_s": {
-            "cyclic": purcell_t1(delta, kappa, chi),
-            "angular": purcell_t1_angular(delta, kappa, chi),
+            "cyclic": t1[0],
+            "angular": t1[1],
             "convention_note": (
                 "cyclic: MHz/GHz inputs read as ordinary frequencies "
                 "(reproduces the quoted ~1e2 us scale); angular: literal "
@@ -107,10 +128,10 @@ def estimate_report(delta: float, kappa: float, chi: float, alpha_sq: float,
             ),
         },
         "measurement_time_s": {
-            "cyclic": measurement_time(chi),
-            "angular": measurement_time_angular(chi),
+            "cyclic": tm[0],
+            "angular": tm[1],
             "safety_factor": 10.0,
-            "optimistic_cyclic": measurement_time(chi, 1.0),
+            "optimistic_cyclic": tm[2],
             "convention_note": (
                 "cyclic: T = 10/(chi/2pi) (reproduces the quoted ~us scale); "
                 "angular: T = 10/chi"

@@ -25,7 +25,7 @@ from .eraser import EraserSolution, _dispersion, _weight_curves, contrast
 from .network import wrap_phase
 
 __all__ = [
-    "ShortPulse",
+    "PulseOutOfRange",
     "ProbePulse",
     "ModeGrid",
     "FidelityReport",
@@ -49,9 +49,13 @@ QUADRATIC_BRANCH_RATIO = 1e-3
 # Small-parameter expansions are only quoted where they are valid.
 EXPANSION_LIMIT = 0.1
 
+# A mode comb finer than this many float spacings at omega_p does not resolve.
+MIN_SPACING_ULPS = 1000.0
 
-class ShortPulse(ValueError):
-    """The pulse's mode comb reaches omega <= 0: too short for its carrier."""
+
+class PulseOutOfRange(ValueError):
+    """The pulse has no mode comb: too short (the comb reaches omega <= 0)
+    or too long (its spacing is below MIN_SPACING_ULPS float spacings)."""
 
 
 def _mean_photons(alpha: complex) -> float:
@@ -113,7 +117,8 @@ def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
     """Mode comb over omega_p +/- span_sigmas*W > 0 with Gaussian weights.
 
     C_i = sqrt(d_omega) * exp(-(w_i - w_p)^2 / (4 W^2)) / (2 pi W^2)^(1/4),
-    normalized so sum C_i^2 -> 1 in the continuum limit.
+    normalized so sum C_i^2 -> 1 in the continuum limit.  Raises
+    PulseOutOfRange for a comb that reaches omega <= 0 or does not resolve.
     """
     if span_sigmas < 6.0:
         raise ValueError("span_sigmas must be >= 6 for negligible truncation")
@@ -123,10 +128,15 @@ def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
         raise ValueError("omega_p and bandwidth must be > 0")
     half = span_sigmas * bandwidth
     if not half < omega_p:
-        raise ShortPulse(f"too short for its carrier: the mode comb f_p +/- {span_sigmas:g} W "
-                         f"reaches f <= 0 (f_p = {omega_p / TWO_PI / 1e9:.6g} GHz)")
+        raise PulseOutOfRange(f"too short for its carrier: the mode comb f_p +/- "
+                              f"{span_sigmas:g} W reaches f <= 0 "
+                              f"(f_p = {omega_p / TWO_PI / 1e9:.6g} GHz)")
     freqs = np.linspace(omega_p - half, omega_p + half, points)
     spacing = freqs[1] - freqs[0]
+    if not spacing >= MIN_SPACING_ULPS * math.ulp(omega_p):
+        raise PulseOutOfRange(f"too long for its carrier: the mode comb spacing "
+                              f"{spacing:.3g} rad/s is below {MIN_SPACING_ULPS:g} float "
+                              f"spacings of omega_p = {omega_p:.6g} rad/s")
     weights = (math.sqrt(spacing)
                * np.exp(-((freqs - omega_p) ** 2) / (4.0 * bandwidth ** 2))
                / (TWO_PI * bandwidth ** 2) ** 0.25)

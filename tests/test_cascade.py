@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import math
 
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qparity.cascade import (
     CascadeCavity,
@@ -14,7 +20,8 @@ from qparity.cascade import (
     compare_schemes,
     tune_cascade,
 )
-from qparity.device import QubitState
+from qparity.cli import main
+from qparity.device import Mode, QubitState, _loaded_zero_estimate
 from qparity.fidelity import ProbePulse, fidelity_quadratic_closed
 
 TWO_PI = 2.0 * math.pi
@@ -110,7 +117,7 @@ def test_weight_derivative_is_sum_of_cavity_devices(order):
 # ----------------------------------------------------------------------
 
 def test_tuned_step_is_pi(tuned):
-    assert tuned.step == pytest.approx(math.pi, abs=1e-6)
+    assert tuned.step == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_tuned_first_order_dispersion_cancels(tuned):
@@ -136,6 +143,118 @@ def test_tuning_bracket_oracle():
     lo = step_at(TWO_PI * 0.5e6) - math.pi
     hi = step_at(TWO_PI * 40e6) - math.pi
     assert lo < 0.0 < hi
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(f_ghz=st.floats(9.5, 10.5), c_ff=st.floats(5.0, 15.0), n=st.integers(1, 4),
+       model=st.sampled_from(["stub", "lumped"]))
+def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, n, model):
+    # the compare workload's cavity ranges; the oracle is a bracketing root
+    # solve of step(chi) - pi, independent of the Newton iteration on chi
+    from qparity.cascade import _curve, _symmetric_point
+
+    dev = CascadeDevice.uniform(n, TWO_PI * f_ghz * 1e9, TWO_PI * 5e6, c_ff * 1e-15,
+                                resonator_model=model)
+    t = tune_cascade(dev)
+    chi = t.device.chi
+    assert abs(t.step - math.pi) < 1e-9
+    b2 = (_curve(t.device, 0, 0).dtheta(t.omega_p, 2)
+          - _curve(t.device, 0, 1).dtheta(t.omega_p, 2))
+    assert b2 < 0.0  # b' < 0: the step is at its maximum, not a minimum
+    assert abs(t.b_single) < 1e-3 * abs(b2) * 1e6
+    oracle = brentq(lambda c: _symmetric_point(dev.with_chi(c)).step - math.pi,
+                    0.5 * chi, 2.0 * chi)
+    assert chi == pytest.approx(oracle, rel=1e-8)
+
+
+def _old_window_root(dev):
+    """Root of b = theta_0' - theta_1' bracketed on the window the tuner
+    used to scan: the loaded zero +/- (2 chi + 0.002 omega_r)."""
+    from qparity.cascade import _curve
+
+    cav = dev.cavities[0]
+    z = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), dev.z0)
+    half = 2.0 * cav.chi + 0.002 * cav.omega_r
+    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
+    return brentq(lambda w: c0.dtheta(w) - c1.dtheta(w), z - half, z + half,
+                  xtol=1e-3)
+
+
+@pytest.mark.parametrize("chi_mhz", [1.0, 5.0, 30.0])
+def test_untuned_comparison_probes_the_symmetric_point(paper_solution, chi_mhz):
+    # tune=False keeps chi and only moves the probe onto the step maximum
+    dev = uniform_cascade(chi=TWO_PI * chi_mhz * 1e6)
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-6)
+    rep = compare_schemes(paper_solution.device, paper_solution, dev, pulse, tune=False)
+    assert rep.cascade.chi == dev.chi
+    assert abs(rep.cascade.omega_p - _old_window_root(dev)) < 10.0
+
+
+# stub cavities with no pi root in 0.05-80 MHz: the 60 fF one needs ~192 MHz,
+# the 1 fF one at 5 GHz has a step above pi already at 0.05 MHz
+NO_PI_ROOT = [pytest.param(10.0, 60.0, id="root-above-range"),
+              pytest.param(5.0, 1.0, id="above-pi-at-start")]
+
+
+@pytest.mark.parametrize("f_ghz, c_ff", NO_PI_ROOT)
+def test_cavity_without_pi_root_in_range_is_refused(f_ghz, c_ff):
+    dev = CascadeDevice.uniform(3, TWO_PI * f_ghz * 1e9, TWO_PI * 5e6, c_ff * 1e-15)
+    with pytest.raises(ValueError, match="never crosses pi over the chi range"):
+        tune_cascade(dev)
+
+
+@pytest.mark.parametrize("f_ghz, c_ff", NO_PI_ROOT)
+def test_compare_without_pi_root_exits_3_in_one_line(tmp_path, capsys, f_ghz, c_ff):
+    paper, cas = tmp_path / "paper.json", tmp_path / "cascade.json"
+    paper.write_text(json.dumps({
+        "schema_version": "1", "n_qubits": 3, "chi_MHz": "solve",
+        "modes": [{"f_GHz": 9.99, "C_couple_fF": 10.0},
+                  {"f_GHz": 10.01, "C_couple_fF": 10.0}]}))
+    cas.write_text(json.dumps({
+        "schema_version": "1", "kind": "cascade", "n_qubits": 3, "chi_MHz": "tune",
+        "cavity": {"f_GHz": f_ghz, "C_couple_fF": c_ff}}))
+    out = tmp_path / "cmp.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(paper), str(cas), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("evaluation error: per-qubit phase step never crosses pi")
+    assert "\n" not in err
+    assert not out.exists()
+
+
+def test_tune_cascade_work_count(monkeypatch):
+    # two Newton iterations on exact jets: ~30 derivative evaluations and no
+    # vector theta or bracketing root solve; the nested brentq search with
+    # its 257-point window scans made 630 jets, 70 x 257 theta points and
+    # 36 brentq calls
+    from collections import Counter
+
+    from qparity import cascade, network
+
+    counts = Counter()
+    derivatives, theta = network.PhaseCurve._derivatives, network.PhaseCurve.theta
+
+    def counting_derivatives(self, omega):
+        counts["jets"] += 1
+        return derivatives(self, omega)
+
+    def counting_theta(self, omega):
+        counts["vector theta" if np.ndim(omega) else "scalar theta"] += 1
+        return theta(self, omega)
+
+    def counting_brentq(*args, **kwargs):
+        counts["brentq"] += 1
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(network.PhaseCurve, "_derivatives", counting_derivatives)
+    monkeypatch.setattr(network.PhaseCurve, "theta", counting_theta)
+    monkeypatch.setattr(network, "brentq", counting_brentq)
+    monkeypatch.setattr(cascade, "brentq", counting_brentq, raising=False)
+    tune_cascade(uniform_cascade())
+    assert counts["jets"] <= 100
+    assert counts["vector theta"] == 0
+    assert counts["brentq"] == 0
 
 
 def test_tuned_eraser_conditions_hold(tuned):

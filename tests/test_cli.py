@@ -516,6 +516,25 @@ def test_estimate_underflowing_rates_end_in_one_line(capsys):
     assert err == "evaluation error: float division by zero"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--delta-GHz", "1e290", "--kappa-MHz", "1e-20", "--chi-MHz", "1e-20"],
+     "argument --delta-GHz: Purcell T1 is out of float range with --kappa-MHz "
+     "and --chi-MHz"),
+    (["--delta-GHz", "1e-300", "--chi-MHz", "1e-318"],
+     "argument --chi-MHz: measurement time is out of float range"),
+    (["--fp-GHz", "1e290", "--alpha-sq", "1e300", "--T-us", "1e-290"],
+     "argument --alpha-sq: peak power is out of float range with --fp-GHz and --T-us"),
+], ids=["purcell", "measurement-time", "peak-power"])
+def test_estimate_overflowing_result_names_its_flags(capsys, tmp_path, flags, message):
+    # finite flags whose result overflows printed inf, or exited 3 naming no flag
+    out = tmp_path / "est.json"
+    assert main(ESTIMATE_ARGS + flags + ["--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"config error: {message}"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_estimate_zero_power_writes_null_dbm(capsys, tmp_path):
     out = tmp_path / "est.json"
     assert main(ESTIMATE_ARGS + ["--alpha-sq", "0", "--json", str(out)]) == 0
@@ -562,16 +581,23 @@ def test_short_pulse_outside_the_band_is_scored(solved, tmp_path):
     assert len(pairs) == 6 and all(0.0 <= d["F_numeric"] <= 1.0 for d in pairs)
 
 
-@pytest.mark.parametrize("command", ["fidelity", "compare"])
-def test_pulse_whose_comb_reaches_zero_names_t_us(solved, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, t_us, why", [
+    pytest.param("fidelity", "1e-5", "too short", id="fidelity"),
+    pytest.param("compare", "1e-5", "too short", id="compare"),
+    # the comb spacing rounds to zero at the carrier: F was nan, exit 0 to CSV
+    pytest.param("fidelity", "1e300", "too long", id="fidelity-long"),
+    pytest.param("compare", "1e300", "too long", id="compare-long"),
+])
+def test_pulse_whose_comb_reaches_zero_names_t_us(solved, tmp_path, capsys, command,
+                                                  t_us, why):
     cfg, sol_path = solved
     cas, out = tmp_path / "cascade.json", tmp_path / "out.json"
     cas.write_text(json.dumps(CASCADE_CONFIG))
     argv = {"fidelity": ["fidelity", str(cfg), str(sol_path), "--out-json", str(out)],
             "compare": ["compare", str(cfg), str(cas), "--out", str(out)]}[command]
-    assert main(argv + ["--T-us", "1e-5"]) == 2
+    assert main(argv + ["--T-us", t_us]) == 2
     err = capsys.readouterr().err.strip()
-    assert err.startswith("config error: argument --T-us: too short for its carrier")
+    assert err.startswith(f"config error: argument --T-us: {why} for its carrier")
     assert "\n" not in err
     assert not out.exists()
 
