@@ -24,7 +24,6 @@ from .network import (
     wrap_phase,
 )
 from .device import (
-    DispersiveCoupling,
     Mode,
     NonPositiveResult,
     ParityDevice,

@@ -31,7 +31,6 @@ from .network import (
 __all__ = [
     "NonPositiveResult",
     "QubitState",
-    "DispersiveCoupling",
     "Mode",
     "ParityDevice",
     "shifted_frequency",
@@ -80,35 +79,6 @@ class QubitState:
 
 
 @dataclass(frozen=True)
-class DispersiveCoupling:
-    """Dispersive pull chi of one qubit on one mode, optionally from (g, delta).
-
-    chi, g, delta are angular rates; chi = g**2/delta must hold to 1e-12
-    relative when both are given.
-    """
-
-    chi: float
-    g: float | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.chi <= 0.0:
-            raise ValueError(f"chi must be > 0, got {self.chi}")
-        if (self.g is None) != (self.delta is None):
-            raise ValueError("give both g and delta or neither")
-        if self.g is not None:
-            implied = self.g ** 2 / self.delta
-            if abs(implied - self.chi) > 1e-12 * abs(self.chi):
-                raise ValueError(
-                    f"chi={self.chi!r} inconsistent with g**2/delta={implied!r}"
-                )
-
-    @classmethod
-    def from_g_delta(cls, g: float, delta: float) -> "DispersiveCoupling":
-        return cls(chi=g ** 2 / delta, g=g, delta=delta)
-
-
-@dataclass(frozen=True)
 class Mode:
     """One resonant mode and its probe coupling capacitor."""
 
@@ -116,18 +86,19 @@ class Mode:
     c_couple: float
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError(f"mode frequency must be > 0, got {self.omega}")
-        if self.c_couple <= 0.0:
-            raise ValueError(f"coupling capacitance must be > 0, got {self.c_couple}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"mode omega must be finite and > 0, got {self.omega!r}")
+        if not 0.0 < self.c_couple < math.inf:
+            raise ValueError(f"mode c_couple must be finite and > 0, got {self.c_couple!r}")
 
 
 @dataclass(frozen=True)
 class ParityDevice:
     """n qubits, m modes, chi matrix, and the one-port construction recipe.
 
-    chi_matrix[j][k] is qubit j's pull on mode k.  resonator_model selects
-    the quarter-wave stub (tan form) or its lumped LC equivalent for each
+    chi_matrix[j][k] is qubit j's pull on mode k, in rad/s: an n x m tuple
+    of floats, each finite and > 0.  resonator_model selects the
+    quarter-wave stub (tan form) or its lumped LC equivalent for each
     branch; the stub form is the default because it reproduces the worked
     two-mode solution exactly.
     """
@@ -135,7 +106,6 @@ class ParityDevice:
     n: int
     modes: tuple
     chi_matrix: tuple
-    equal_chi: bool
     z0: float = 50.0
     resonator_model: str = "stub"
     band: tuple | None = None
@@ -149,24 +119,25 @@ class ParityDevice:
         freqs = [mo.omega for mo in modes]
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ValueError("mode frequencies must be strictly increasing")
-        chi = tuple(tuple(row) for row in self.chi_matrix)
+        chi = tuple(tuple(float(c) for c in row) for row in self.chi_matrix)
         if len(chi) != self.n or any(len(row) != len(modes) for row in chi):
             raise ValueError(
                 f"chi_matrix must be {self.n} x {len(modes)}, got "
                 f"{len(chi)} x {set(len(r) for r in chi)}"
             )
-        if self.equal_chi:
-            vals = {c.chi for row in chi for c in row}
-            if len(vals) != 1:
-                raise ValueError("equal_chi device has non-identical chi entries")
-        if self.z0 <= 0.0:
-            raise ValueError(f"z0 must be > 0, got {self.z0}")
+        for j, row in enumerate(chi):
+            for k, c in enumerate(row):
+                if not 0.0 < c < math.inf:
+                    raise ValueError(f"chi_matrix[{j}][{k}] must be finite and > 0, "
+                                     f"got {c!r}")
+        if not 0.0 < self.z0 < math.inf:
+            raise ValueError(f"z0 must be finite and > 0, got {self.z0!r}")
         if self.resonator_model not in ("stub", "lumped"):
             raise ValueError(f"unknown resonator_model {self.resonator_model!r}")
         if self.band is not None:
             lo, hi = self.band
-            if not 0.0 < lo < hi:
-                raise ValueError(f"bad band {self.band}")
+            if not 0.0 < lo < hi < math.inf:
+                raise ValueError(f"band needs finite 0 < lo < hi, got {self.band}")
             object.__setattr__(self, "band", (float(lo), float(hi)))
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "chi_matrix", chi)
@@ -176,9 +147,7 @@ class ParityDevice:
                        resonator_model: str = "stub", band=None) -> "ParityDevice":
         """Canonical device: every qubit pulls every mode by the same chi."""
         modes = tuple(modes)
-        coupling = DispersiveCoupling(chi=chi)
-        matrix = tuple(tuple(coupling for _ in modes) for _ in range(n))
-        return cls(n=n, modes=modes, chi_matrix=matrix, equal_chi=True,
+        return cls(n=n, modes=modes, chi_matrix=((chi,) * len(modes),) * n,
                    z0=z0, resonator_model=resonator_model, band=band)
 
     @property
@@ -186,23 +155,26 @@ class ParityDevice:
         return len(self.modes)
 
     @property
+    def equal_chi(self) -> bool:
+        """Whether every qubit pulls every mode by the same chi."""
+        return len({c for row in self.chi_matrix for c in row}) == 1
+
+    @property
     def chi(self) -> float:
         """The common chi of an equal-coupling device."""
         if not self.equal_chi:
             raise ValueError("device does not have a single common chi")
-        return self.chi_matrix[0][0].chi
+        return self.chi_matrix[0][0]
 
     @property
     def max_chi(self) -> float:
-        return max(c.chi for row in self.chi_matrix for c in row)
+        return max(c for row in self.chi_matrix for c in row)
 
     def with_chi(self, chi: float) -> "ParityDevice":
         """Equal-coupling clone with a new chi (solver knob)."""
         if not self.equal_chi:
             raise ValueError("with_chi requires an equal_chi device")
-        coupling = DispersiveCoupling(chi=chi)
-        matrix = tuple(tuple(coupling for _ in self.modes) for _ in range(self.n))
-        return replace(self, chi_matrix=matrix)
+        return replace(self, chi_matrix=((chi,) * self.m,) * self.n)
 
     def with_mode_frequencies(self, omegas) -> "ParityDevice":
         """Clone with new mode frequencies, keeping coupling capacitors."""
@@ -235,26 +207,27 @@ def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
     return Parallel((Inductor(l), Capacitor(c)))
 
 
+def _shifted_modes(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
+    """The state's pulled mode frequencies, in mode order."""
+    if state.n != dev.n:
+        raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
+    return tuple(shifted_frequency(mode.omega, [row[k] for row in dev.chi_matrix], state)
+                 for k, mode in enumerate(dev.modes))
+
+
 def build_state_network(dev: ParityDevice, state: QubitState) -> NetworkElement:
-    """One-port seen by the probe for a given joint qubit state.
+    """One-port seen by the probe for a given joint qubit state, as a tree
+    for phase_sweep and reflection_coefficient (phase curves read the same
+    numbers directly).
 
     Parallel combination over modes of (coupling capacitor in series with
     the state-shifted resonator); a single-mode device degenerates to the
     bare series branch.
     """
-    if state.n != dev.n:
-        raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
-    branches = []
-    for k, mode in enumerate(dev.modes):
-        chis = [dev.chi_matrix[j][k].chi for j in range(dev.n)]
-        w_shift = shifted_frequency(mode.omega, chis, state)
-        branches.append(Series((
-            Capacitor(mode.c_couple),
-            _resonator(w_shift, dev.z0, dev.resonator_model),
-        )))
-    if len(branches) == 1:
-        return branches[0]
-    return Parallel(tuple(branches))
+    branches = tuple(Series((Capacitor(mode.c_couple),
+                             _resonator(w_shift, dev.z0, dev.resonator_model)))
+                     for mode, w_shift in zip(dev.modes, _shifted_modes(dev, state)))
+    return branches[0] if len(branches) == 1 else Parallel(branches)
 
 
 def _loaded_zero_estimate(mode: Mode, z0: float) -> float:
@@ -285,14 +258,15 @@ def state_phase_curve(dev: ParityDevice, state: QubitState) -> PhaseCurve:
     """Closed-form phase curve for one state over the device's analysis band.
 
     Equal-coupling devices collapse onto Hamming weight: equal-weight states
-    map to the same representative state, hence the identical network and
-    bit-identical phases, making the weight-collapse invariant exact.
+    map to the same representative state, hence the identical branch table
+    and bit-identical phases, making the weight-collapse invariant exact.
     """
     if state.n != dev.n:
         raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
     if dev.equal_chi:
         state = QubitState.of_weight(dev.n, state.weight)
-    return PhaseCurve(build_state_network(dev, state), dev.z0, analysis_band(dev))
+    return PhaseCurve([mo.c_couple for mo in dev.modes], _shifted_modes(dev, state),
+                      dev.z0, analysis_band(dev), dev.resonator_model)
 
 
 def weight_phase_curve(dev: ParityDevice, weight: int) -> PhaseCurve:

@@ -5,7 +5,9 @@ inductors, combined by series/parallel rules.  All evaluation is done
 projectively: a node is represented by a pair (N, D) with Z = N/D, so that
 impedance poles (D -> 0) and zeros (N -> 0) stay finite and the reflection
 coefficient r = (N - Z0*D)/(N + Z0*D) is well defined everywhere, with
-r = +1 exactly at a pole of Z.
+r = +1 exactly at a pole of Z.  PhaseCurve, the closed form every parity
+device and cascade cavity reads, takes its one-port as numbers instead: a
+coupling capacitor and a resonance frequency per parallel branch.
 
 Sign convention: the unwrapped reflection phase theta(omega) decreases with
 increasing omega through a resonance (passive delay convention).  A window
@@ -303,11 +305,17 @@ def _collect_feature_seeds(net: NetworkElement, lo: float, hi: float) -> list[fl
                 if lo * 0.5 <= f <= hi * 1.5:
                     centers.append(f)
                 k += 1
-            # series-capacitor-loaded zero, estimated from the lumped
-            # equivalent (lands inside the true transition for weak coupling)
-            c_r = math.pi / (4.0 * node.omega_r * node.z0)
+            # series-capacitor-loaded zero: the root of the reactance
+            # z0 tan((pi/2) w/w_r) - 1/(w C) on (0, w_r), where it rises from
+            # -inf to +inf.  Two branches' zeros can lie closer together than
+            # the offset cloud below, so the seed is the zero itself.
             for c_ser in series_caps:
-                centers.append(node.omega_r * math.sqrt(c_r / (c_r + c_ser)))
+                def reactance(w, stub=node, c_ser=c_ser):
+                    return (stub.z0 * math.tan(0.5 * math.pi * w / stub.omega_r)
+                            - 1.0 / (w * c_ser))
+                centers.append(brentq(reactance, 1e-9 * node.omega_r,
+                                      (1.0 - 1e-12) * node.omega_r,
+                                      xtol=1e-6, rtol=1e-15))
         elif isinstance(node, Parallel):
             ls = [c.l for c in node.children if isinstance(c, Inductor)]
             cs = [c.c for c in node.children if isinstance(c, Capacitor)]
@@ -430,51 +438,30 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 # Closed-form phase curve
 # ----------------------------------------------------------------------
 
-def _branch_resonator(branch: NetworkElement) -> NetworkElement:
-    """The resonator of a Series((Capacitor, resonator)) branch.
-
-    The resonator is a QuarterWaveStub or a Parallel of one Inductor and
-    one Capacitor; anything else raises TypeError.
-    """
-    if (isinstance(branch, Series) and len(branch.children) == 2
-            and isinstance(branch.children[0], Capacitor)):
-        res = branch.children[1]
-        if isinstance(res, QuarterWaveStub):
-            return res
-        if (isinstance(res, Parallel) and len(res.children) == 2
-                and {type(c) for c in res.children} == {Inductor, Capacitor}):
-            return res
-    raise TypeError(
-        "PhaseCurve needs Series((Capacitor, resonator)) branches, got "
-        f"{branch!r}"
-    )
-
-
-def _branch_parts(branch: Series, w, derivatives: bool = False):
+def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = False):
     """Numerator P and denominator N of one branch's susceptance B = P/N.
 
-    The resonator's impedance is i*s/c, with (c, s) = (cos x, z0 sin x),
-    x = (pi/2) w/w_r, for the stub and (1 - w^2 L C, w L) for the lumped
-    tank.  In series with the coupler C_c the branch has B = -1/X = P/N,
-    P = w C_c c and N = c - w C_c s, so N changes sign at the branch's
-    series zeros.  With ``derivatives`` each of P and N is an array of rows
-    (value, d/dw, d2/dw2, d/dw_r), the last at fixed resonator impedance
-    (the stub's z0, the tank's sqrt(L/C)).
+    ``branch`` is a row of PhaseCurve's table: (C_c, w_r) for the stub,
+    (C_c, C, L) for the lumped tank.  The resonator's impedance is i*s/c,
+    with (c, s) = (cos x, z0 sin x), x = (pi/2) w/w_r, for the stub and
+    (1 - w^2 L C, w L) for the tank.  In series with the coupler C_c the
+    branch has B = -1/X = P/N, P = w C_c c and N = c - w C_c s, so N changes
+    sign at the branch's series zeros.  With ``derivatives`` each of P and N
+    is an array of rows (value, d/dw, d2/dw2, d/dw_r), the last at fixed
+    resonator impedance (the stub's z0, the tank's sqrt(L/C)).
     """
-    res = branch.children[1]
-    c_c = branch.children[0].c
-    if isinstance(res, QuarterWaveStub):
-        w_r = res.omega_r
+    c_c = branch[0]
+    if stub:
+        w_r = branch[1]
         x = 0.5 * math.pi * (w / w_r)
         cos, sin = np.cos(x), np.sin(x)
-        c, s = cos, res.z0 * sin
+        c, s = cos, z0 * sin
         if derivatives:
             a = 0.5 * math.pi / w_r
             c = np.array([cos, -a * sin, -a * a * cos, x * sin / w_r])
-            s = res.z0 * np.array([sin, a * cos, -a * a * sin, -x * cos / w_r])
+            s = z0 * np.array([sin, a * cos, -a * a * sin, -x * cos / w_r])
     else:
-        l = next(e.l for e in res.children if isinstance(e, Inductor))
-        cap = next(e.c for e in res.children if isinstance(e, Capacitor))
+        cap, l = branch[1:]
         c, s = 1.0 - w * w * (l * cap), w * l
         if derivatives:
             w_r = 1.0 / math.sqrt(l * cap)
@@ -490,7 +477,7 @@ def _branch_parts(branch: Series, w, derivatives: bool = False):
     return times_k(c), c - times_k(s)
 
 
-def _zeros_below(branch: Series, n, w):
+def _zeros_below(stub: bool, branch: tuple, n, w):
     """Series zeros of one branch below w, from the sign of its N (see
     _branch_parts).
 
@@ -499,10 +486,9 @@ def _zeros_below(branch: Series, n, w):
     interval ((2m-1) w_r, (2m+1) w_r) of tan x, where cos x has the sign
     (-1)^m: m completed intervals, plus one once N (-1)^m < 0.
     """
-    res = branch.children[1]
-    if isinstance(res, Parallel):
+    if not stub:
         return n < 0.0
-    m = np.floor(0.5 * w / res.omega_r + 0.5)
+    m = np.floor(0.5 * w / branch[1] + 0.5)
     return m + (np.where(m % 2.0 == 0.0, n, -n) < 0.0)
 
 
@@ -517,9 +503,12 @@ def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PhaseCurve:
     """Unwrapped reflection phase of a coupled-resonator one-port, in closed form.
 
-    ``net`` is one Series((Capacitor, resonator)) branch or a Parallel of
-    such branches -- the networks every parity device and cascade cavity
-    builds; other trees raise TypeError (use phase_sweep for those).
+    The one-port is m branches in parallel, branch k a coupling capacitor
+    c_couple[k] in series with a resonator at omega_r[k]: a shorted
+    quarter-wave stub of impedance z0 (``model`` "stub") or its parallel-LC
+    equivalent (``model`` "lumped", with lumped_equivalent's L and C).  The
+    curve keeps only that table of numbers; phase_sweep evaluates the same
+    one-port built as a tree.
 
     Folding the branches' susceptances B_k = P_k/N_k (see _branch_parts)
     as U <- U N_k + P_k V, V <- V N_k gives B = U/V, and
@@ -537,26 +526,39 @@ class PhaseCurve:
     branch zeros (V = 0) and loaded poles (U = 0).
     """
 
-    def __init__(self, net: NetworkElement, z0: float, band: tuple[float, float]):
+    def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
+                 model: str):
+        c_couple, omega_r = tuple(c_couple), tuple(omega_r)
+        if not 0 < len(c_couple) == len(omega_r):
+            raise ValueError("need one c_couple per omega_r and at least one, got "
+                             f"{len(c_couple)} and {len(omega_r)}")
+        for name, values in (("c_couple", c_couple), ("omega_r", omega_r)):
+            for k, value in enumerate(values):
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
         lo, hi = float(band[0]), float(band[1])
-        if not 0.0 < lo < hi:
-            raise ValueError(f"need 0 < band[0] < band[1], got {band}")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError(f"need finite 0 < band[0] < band[1], got {band}")
         if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
             raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
-        self.net = net
+        if model not in ("stub", "lumped"):
+            raise ValueError(f"model must be 'stub' or 'lumped', got {model!r}")
         self.z0 = z0
         self.band = (lo, hi)
-        self._branches = net.children if isinstance(net, Parallel) else (net,)
-        for branch in self._branches:
-            _branch_resonator(branch)
+        self._stub = model == "stub"
+        if self._stub:
+            self._branches = tuple(zip(c_couple, omega_r))
+        else:
+            self._branches = tuple((c_c, *lumped_equivalent(w_r, z0))
+                                   for c_c, w_r in zip(c_couple, omega_r))
 
     def theta(self, omega):
         w = np.atleast_1d(_check_omega(omega))
         u, v, passed = np.zeros_like(w), np.ones_like(w), np.zeros_like(w)
         for branch in self._branches:
-            p, n = _branch_parts(branch, w)
+            p, n = _branch_parts(self._stub, self.z0, branch, w)
             u, v = u * n + p * v, v * n
-            passed += _zeros_below(branch, n, w)
+            passed += _zeros_below(self._stub, branch, n, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             # V = 0 only exactly on a zero, which B approaches from below
             z0_b = np.where(v == 0.0, np.inf, self.z0 * u / v)
@@ -598,7 +600,8 @@ class PhaseCurve:
         u, v = np.zeros(3 + m), np.eye(1, 3 + m)[0]
         for k, branch in enumerate(self._branches):
             p, n = (np.concatenate([j[:3], j[3] * (np.arange(m) == k)])
-                    for j in _branch_parts(branch, w, derivatives=True))
+                    for j in _branch_parts(self._stub, self.z0, branch, w,
+                                           derivatives=True))
             u, v = _jet_mul(u, n) + _jet_mul(p, v), _jet_mul(v, n)
         a = self.z0 * (u * v[0] - u[0] * v)
         d = v[0] ** 2 + (self.z0 * u[0]) ** 2

@@ -545,6 +545,31 @@ def test_estimate_zero_power_writes_null_dbm(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# no command builds a network tree
+# ----------------------------------------------------------------------
+
+def test_no_cli_path_builds_a_network_tree(monkeypatch, paper_device, tmp_path):
+    # phase curves read the branch table; the tree is only the test oracle's
+    import qparity.device
+    from qparity import (CascadeDevice, ProbePulse, compare_schemes, eraser_quality,
+                         solve_eraser)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network tree was built")
+
+    monkeypatch.setattr(qparity.device, "build_state_network", refuse)
+    sol = solve_eraser(paper_device)
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
+    assert eraser_quality(sol.device, sol, pulse)
+    cascade = CascadeDevice.uniform(3, TWO_PI * 10e9, sol.chi, 10e-15)
+    assert compare_schemes(sol.device, sol, cascade, pulse).cascade.b2_max > 0.0
+    cfg = tmp_path / "paper.json"
+    cfg.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
+    assert main(["sweep", str(cfg), "--points", "101",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
+# ----------------------------------------------------------------------
 # output files hold finite numbers only
 # ----------------------------------------------------------------------
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qparity.device import (
-    DispersiveCoupling,
     Mode,
     NonPositiveResult,
     ParityDevice,
@@ -49,16 +48,6 @@ def test_state_of_weight():
         QubitState.of_weight(3, 4)
 
 
-def test_dispersive_coupling_consistency():
-    g, delta = TWO_PI * 100e6, TWO_PI * 5e9
-    c = DispersiveCoupling.from_g_delta(g, delta)
-    assert c.chi == pytest.approx(g * g / delta, rel=1e-14)
-    with pytest.raises(ValueError):
-        DispersiveCoupling(chi=g * g / delta * 1.001, g=g, delta=delta)
-    with pytest.raises(ValueError):
-        DispersiveCoupling(chi=1.0, g=g)
-
-
 # ----------------------------------------------------------------------
 # shifted frequencies
 # ----------------------------------------------------------------------
@@ -97,6 +86,55 @@ def test_device_invariants():
         ParityDevice.equal_coupling(3, modes[::-1], CHI_PAPER)
     with pytest.raises(ValueError):
         ParityDevice.equal_coupling(3, modes, CHI_PAPER, resonator_model="exact")
+
+
+PAPER_MODES = (Mode(W_A, 10e-15), Mode(TWO_PI * 10.01e9, 10e-15))
+BAD_POSITIVE = [math.nan, math.inf, -1.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_every_chi_entry_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match=r"chi_matrix\[0\]\[0\] must be finite"):
+        ParityDevice.equal_coupling(3, PAPER_MODES, bad)
+    rows = ((CHI_PAPER, CHI_PAPER), (CHI_PAPER, CHI_PAPER), (CHI_PAPER, bad))
+    with pytest.raises(ValueError, match=r"chi_matrix\[2\]\[1\] must be finite"):
+        ParityDevice(n=3, modes=PAPER_MODES, chi_matrix=rows)
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_mode_fields_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="mode omega must be finite"):
+        Mode(bad, 10e-15)
+    with pytest.raises(ValueError, match="mode c_couple must be finite"):
+        Mode(W_A, bad)
+
+
+@pytest.mark.parametrize("band", [(W_A, math.inf), (math.nan, W_A), (-W_A, W_A),
+                                  (W_A, W_A)],
+                         ids=["hi-inf", "lo-nan", "lo-negative", "empty"])
+def test_device_band_edges_must_be_finite_and_ordered(band):
+    with pytest.raises(ValueError, match="band needs finite"):
+        ParityDevice.equal_coupling(3, PAPER_MODES, CHI_PAPER, band=band)
+
+
+@pytest.mark.parametrize("z0", [math.nan, math.inf, 0.0])
+def test_device_z0_must_be_finite_and_positive(z0):
+    with pytest.raises(ValueError, match="z0 must be finite"):
+        ParityDevice.equal_coupling(3, PAPER_MODES, CHI_PAPER, z0=z0)
+
+
+def test_equal_chi_is_read_from_the_matrix():
+    assert ParityDevice.equal_coupling(3, PAPER_MODES, CHI_PAPER).equal_chi
+    plain = ParityDevice(n=3, modes=PAPER_MODES, chi_matrix=((CHI_PAPER, CHI_PAPER),) * 3)
+    assert plain == ParityDevice.equal_coupling(3, PAPER_MODES, CHI_PAPER)
+    assert plain.equal_chi and plain.chi == CHI_PAPER
+    skewed = ParityDevice(n=3, modes=PAPER_MODES,
+                          chi_matrix=((CHI_PAPER, CHI_PAPER),) * 2 + ((CHI_PAPER, 1e6),))
+    assert not skewed.equal_chi
+    with pytest.raises(ValueError):
+        skewed.chi
+    with pytest.raises(ValueError):
+        skewed.with_chi(CHI_PAPER)
 
 
 def test_build_state_network_two_branches(paper_device):
@@ -187,23 +225,13 @@ def test_monotone_chi_response(paper_device):
 
 def test_unequal_chi_breaks_weight_collapse():
     modes = (Mode(TWO_PI * 9.99e9, 1e-14), Mode(TWO_PI * 10.01e9, 1e-14))
-    chi_matrix = (
-        (DispersiveCoupling(TWO_PI * 4e6), DispersiveCoupling(TWO_PI * 4e6)),
-        (DispersiveCoupling(TWO_PI * 7e6), DispersiveCoupling(TWO_PI * 7e6)),
-    )
-    dev = ParityDevice(n=2, modes=modes, chi_matrix=chi_matrix, equal_chi=False)
+    chi_matrix = ((TWO_PI * 4e6, TWO_PI * 4e6), (TWO_PI * 7e6, TWO_PI * 7e6))
+    dev = ParityDevice(n=2, modes=modes, chi_matrix=chi_matrix)
+    assert not dev.equal_chi
     w = TWO_PI * 9.82e9
     t01 = phase_for_state(dev, QubitState((0, 1)), w)
     t10 = phase_for_state(dev, QubitState((1, 0)), w)
     assert t01 != t10
-
-
-def test_equal_chi_flag_must_match_matrix():
-    modes = (Mode(TWO_PI * 1e10, 1e-14),)
-    chi_matrix = ((DispersiveCoupling(TWO_PI * 4e6),),
-                  (DispersiveCoupling(TWO_PI * 7e6),))
-    with pytest.raises(ValueError):
-        ParityDevice(n=2, modes=modes, chi_matrix=chi_matrix, equal_chi=True)
 
 
 # ----------------------------------------------------------------------

@@ -151,11 +151,9 @@ def test_four_qubits_fixed_modes_needs_freed_frequencies():
 def test_solver_requires_equal_chi(paper_device):
     from dataclasses import replace
 
-    from qparity.device import DispersiveCoupling
-
     rows = list(paper_device.chi_matrix)
-    rows[0] = (DispersiveCoupling(TWO_PI * 1e6), DispersiveCoupling(TWO_PI * 2e6))
-    dev = replace(paper_device, chi_matrix=tuple(rows), equal_chi=False)
+    rows[0] = (TWO_PI * 1e6, TWO_PI * 2e6)
+    dev = replace(paper_device, chi_matrix=tuple(rows))
     with pytest.raises(ValueError):
         solve_eraser(dev)
 

@@ -310,7 +310,8 @@ def test_lumped_matches_stub_near_resonance():
 def test_phase_curve_matches_profile_samples():
     net = Series((Capacitor(10e-15), QuarterWaveStub(50.0, TWO_PI * 10e9)))
     prof = phase_sweep(net, TWO_PI * 9.5e9, TWO_PI * 10.5e9, z0=50.0)
-    curve = PhaseCurve(net, 50.0, (TWO_PI * 9.5e9, TWO_PI * 10.5e9))
+    curve = PhaseCurve((10e-15,), (TWO_PI * 10e9,), 50.0,
+                       (TWO_PI * 9.5e9, TWO_PI * 10.5e9), "stub")
     idx = np.linspace(0, len(prof.grid) - 1, 25).astype(int)
     assert np.allclose(curve.theta(prof.grid[idx]), prof.theta[idx], atol=1e-12)
 
@@ -320,21 +321,20 @@ def test_phase_curve_holds_outside_its_band():
     # searches, so values outside it equal those of a curve whose band
     # covers them; only omega <= 0 is refused
     w_r = TWO_PI * 10e9
-    c, l = lumped_equivalent(w_r, 50.0)
-    net = Parallel((Series((Capacitor(10e-15), Parallel((Inductor(l), Capacitor(c))))),
-                    Series((Capacitor(8e-15), QuarterWaveStub(50.0, 1.01 * w_r)))))
-    narrow = PhaseCurve(net, 50.0, (TWO_PI * 9.9e9, TWO_PI * 10e9))
-    wide = PhaseCurve(net, 50.0, (TWO_PI * 0.1e9, TWO_PI * 40e9))
     ws = TWO_PI * np.array([0.2e9, 5e9, 9.7e9, 10.05e9, 10.2e9, 25e9, 35e9])
-    assert np.array_equal(narrow.theta(ws), wide.theta(ws))
-    for w in ws:
-        assert np.array_equal(np.hstack(narrow._derivatives(w)),
-                              np.hstack(wide._derivatives(w)))
-    for bad in (0.0, -TWO_PI * 1e9):
-        for call in (narrow.theta, narrow.dtheta, narrow.dtheta_dresonance,
-                     lambda w: narrow.theta(np.array([w_r, w]))):
-            with pytest.raises(ValueError):
-                call(bad)
+    table = ((10e-15, 8e-15), (w_r, 1.01 * w_r), 50.0)
+    for model in ("stub", "lumped"):
+        narrow = PhaseCurve(*table, (TWO_PI * 9.9e9, TWO_PI * 10e9), model)
+        wide = PhaseCurve(*table, (TWO_PI * 0.1e9, TWO_PI * 40e9), model)
+        assert np.array_equal(narrow.theta(ws), wide.theta(ws))
+        for w in ws:
+            assert np.array_equal(np.hstack(narrow._derivatives(w)),
+                                  np.hstack(wide._derivatives(w)))
+        for bad in (0.0, -TWO_PI * 1e9):
+            for call in (narrow.theta, narrow.dtheta, narrow.dtheta_dresonance,
+                         lambda w: narrow.theta(np.array([w_r, w]))):
+                with pytest.raises(ValueError):
+                    call(bad)
 
 
 def test_wrap_phase_range_and_fixed_points():

@@ -3,13 +3,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qparity.cascade import CascadeDevice, _curve
@@ -19,14 +21,13 @@ from qparity.device import (
     QubitState,
     analysis_band,
     build_state_network,
+    state_phase_curve,
     weight_phase_curve,
 )
 from qparity.network import (
     Capacitor,
     Inductor,
-    Parallel,
     PhaseCurve,
-    QuarterWaveStub,
     Series,
     phase_sweep,
     reflection_coefficient,
@@ -50,30 +51,49 @@ def device_curves(dev: ParityDevice):
     return [weight_phase_curve(dev, w) for w in range(dev.n + 1)]
 
 
-def cascade_curves():
+def device_pairs(dev: ParityDevice):
+    """(phase curve, oracle tree) of each weight."""
+    return [(curve, build_state_network(dev, QubitState.of_weight(dev.n, w)))
+            for w, curve in enumerate(device_curves(dev))]
+
+
+def cascade_pairs():
     dev = CascadeDevice.uniform(3, TWO_PI * 10e9, TWO_PI * 5e6, 10e-15)
-    return [_curve(dev, 0, bit) for bit in (0, 1)]
+    cav = dev.cavities[0]
+    single = ParityDevice.equal_coupling(1, (Mode(cav.omega_r, cav.c_couple),),
+                                         cav.chi, z0=dev.z0,
+                                         resonator_model=dev.resonator_model)
+    return [(_curve(dev, 0, bit), build_state_network(single, QubitState((bit,))))
+            for bit in (0, 1)]
 
 
 CURVE_SETS = {
-    "paper-stub": lambda: device_curves(paper("stub")),
-    "paper-lumped": lambda: device_curves(paper("lumped")),
-    "n4-three-mode": lambda: device_curves(three_mode()),
-    "cascade-cavity": cascade_curves,
+    "paper-stub": lambda: device_pairs(paper("stub")),
+    "paper-lumped": lambda: device_pairs(paper("lumped")),
+    "n4-three-mode": lambda: device_pairs(three_mode()),
+    "cascade-cavity": cascade_pairs,
 }
 
 
-def assert_matches_sweep(curve: PhaseCurve, tol: float = 1e-11):
-    prof = phase_sweep(curve.net, *curve.band, z0=curve.z0)
-    err = np.max(np.abs(curve.theta(prof.grid) - prof.theta))
-    assert err <= tol, f"closed form vs sweep: {err:.3e} rad"
+def assert_matches_sweep(curve: PhaseCurve, net, tol: float = 1e-11,
+                         slope_ulps: float = 0.0):
+    """theta against the adaptive sweep of the same one-port, to ``tol``;
+    with ``slope_ulps``, plus that many ulps of omega times |theta'|, the
+    rounding any double-precision evaluation makes where the phase is steep."""
+    prof = phase_sweep(net, *curve.band, z0=curve.z0)
+    err = np.abs(curve.theta(prof.grid) - prof.theta)
+    over = np.flatnonzero(err > tol)
+    bound = tol + slope_ulps * np.array(
+        [np.spacing(prof.grid[i]) * abs(curve.dtheta(prof.grid[i])) for i in over])
+    assert np.all(err[over] <= bound), \
+        f"closed form vs sweep: {np.max(err):.3e} rad"
     return prof
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_SETS))
 def test_closed_form_matches_sweep(name):
-    for curve in CURVE_SETS[name]():
-        prof = assert_matches_sweep(curve)
+    for curve, net in CURVE_SETS[name]():
+        prof = assert_matches_sweep(curve, net)
         assert len(curve.poles) == len(prof.poles)
         assert np.allclose(curve.poles, prof.poles, rtol=0.0, atol=1e-3)
 
@@ -123,16 +143,16 @@ def _mp_reactance(branch: Series):
 
 @pytest.mark.parametrize("chi_mhz", [1.0, 5.77, 20.0])
 def test_stub_zeros_match_50_digit_roots(chi_mhz):
-    for curve in device_curves(paper("stub", chi_mhz)):
-        expected = sorted(float(_mp_reactance(b)[1]) for b in curve.net.children)
+    for curve, net in device_pairs(paper("stub", chi_mhz)):
+        expected = sorted(float(_mp_reactance(b)[1]) for b in net.children)
         assert curve.zeros == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("chi_mhz", [1.0, 5.77, 20.0])
 def test_lumped_zeros_match_the_tank_formula(chi_mhz):
-    for curve in device_curves(paper("lumped", chi_mhz)):
+    for curve, net in device_pairs(paper("lumped", chi_mhz)):
         expected = []
-        for branch in curve.net.children:
+        for branch in net.children:
             tank = {type(e): e for e in branch.children[1].children}
             c_total = tank[Capacitor].c + branch.children[0].c
             expected.append(1.0 / math.sqrt(tank[Inductor].l * c_total))
@@ -207,7 +227,8 @@ def test_sweep_counts_a_pole_on_a_grid_sample():
     # so theta lands exactly on a 2*pi level there; the pole must count once
     dev = ParityDevice.equal_coupling(2, (Mode(TWO_PI * 8e9, 5e-15),), TWO_PI * 1e6)
     curve = weight_phase_curve(dev, 0)
-    prof = phase_sweep(curve.net, *curve.band, z0=curve.z0)
+    net = build_state_network(dev, QubitState.of_weight(2, 0))
+    prof = phase_sweep(net, *curve.band, z0=curve.z0)
     assert len(curve.poles) == len(prof.poles) == 1
     assert prof.poles[0] == pytest.approx(curve.poles[0], abs=1e-3)
 
@@ -229,26 +250,78 @@ def test_random_equal_chi_devices(n, m, model, f0_ghz, gaps_mhz, couplers_ff,
                   for d, c in zip(offsets, couplers_ff))
     dev = ParityDevice.equal_coupling(n, modes, TWO_PI * chi_mhz * 1e6,
                                       resonator_model=model)
-    for curve in device_curves(dev):
-        prof = assert_matches_sweep(curve)
+    for curve, net in device_pairs(dev):
+        prof = assert_matches_sweep(curve, net)
         # Foster: the unwrapped phase never rises
         assert np.all(np.diff(curve.theta(prof.grid)) < 1e-9)
         lo, hi = curve.band
-        principal = np.angle(reflection_coefficient(curve.net, [lo, hi], curve.z0))
+        principal = np.angle(reflection_coefficient(net, [lo, hi], curve.z0))
         winding = (curve.theta(hi) - curve.theta(lo)) - (principal[1] - principal[0])
         assert len(curve.poles) == round(-winding / TWO_PI) == m
         # a pole of Z reflects with r = +1
-        r = reflection_coefficient(curve.net, curve.poles, curve.z0)
+        r = reflection_coefficient(net, curve.poles, curve.z0)
         assert np.all(np.abs(r - 1.0) < 1e-6)
 
 
-@pytest.mark.parametrize("net", [
-    Capacitor(1e-14),
-    Parallel((Inductor(1e-9), Capacitor(1e-13))),
-    Series((QuarterWaveStub(50.0, TWO_PI * 10e9), Capacitor(1e-14))),
-    Parallel((Series((Capacitor(1e-14), QuarterWaveStub(50.0, TWO_PI * 10e9))),
-              Inductor(1e-9))),
-])
-def test_other_topologies_are_refused(net):
-    with pytest.raises(TypeError):
-        PhaseCurve(net, 50.0, (TWO_PI * 9e9, TWO_PI * 11e9))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(8.0, 12.0),
+    gaps_mhz=st.lists(st.floats(10.0, 40.0), min_size=2, max_size=2),
+    couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
+    chis_mhz=st.lists(st.floats(0.5, 20.0), min_size=12, max_size=12),
+)
+@example(n=1, m=2, model="stub", f0_ghz=8.0, gaps_mhz=[35.0, 10.0],
+         couplers_ff=[4.0, 7.5, 3.0], chis_mhz=[1.0, 11.0] + [1.0] * 10)
+@example(n=1, m=2, model="lumped", f0_ghz=8.0, gaps_mhz=[34.0, 10.0],
+         couplers_ff=[4.0, 7.5, 3.0], chis_mhz=[1.0, 11.0] + [1.0] * 10)
+def test_random_unequal_chi_devices(n, m, model, f0_ghz, gaps_mhz, couplers_ff,
+                                    chis_mhz):
+    # every state of any chi matrix: the table-built curve against the sweep
+    # of the state's tree.  In the explicit examples two branches' zeros lie
+    # 50-350 kHz apart: the sweep must resolve the full turn of the loaded
+    # pole between them, and that pole is so steep that both evaluations
+    # can sit ~1e-9 rad from the 50-digit value, which the slope term allows.
+    offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
+    modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + d * 1e6), c * 1e-15)
+                  for d, c in zip(offsets, couplers_ff))
+    chi = [[TWO_PI * 1e6 * chis_mhz[j * m + k] for k in range(m)] for j in range(n)]
+    dev = ParityDevice(n=n, modes=modes, chi_matrix=chi, resonator_model=model)
+    states = [QubitState(bits) for bits in itertools.product((0, 1), repeat=n)]
+    for state in states:
+        curve = state_phase_curve(dev, state)
+        assert_matches_sweep(curve, build_state_network(dev, state), slope_ulps=4.0)
+        assert len(curve.poles) == m
+    # an all-equal matrix, given to the plain constructor, collapses onto weight
+    equal = ParityDevice(n=n, modes=modes, chi_matrix=[[chi[0][0]] * m] * n,
+                         resonator_model=model)
+    grid = np.linspace(*analysis_band(equal), 513)
+    by_weight = {}
+    for state in states:
+        theta = state_phase_curve(equal, state).theta(grid)
+        assert np.array_equal(by_weight.setdefault(state.weight, theta), theta)
+
+
+GOOD_TABLE = dict(c_couple=(10e-15,), omega_r=(TWO_PI * 10e9,), z0=50.0,
+                  band=(TWO_PI * 9e9, TWO_PI * 11e9), model="stub")
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(c_couple=(math.nan,)), "c_couple[0] must be finite"),
+    (dict(c_couple=(10e-15, -1e-15), omega_r=(TWO_PI * 10e9,) * 2),
+     "c_couple[1] must be finite"),
+    (dict(omega_r=(math.inf,)), "omega_r[0] must be finite"),
+    (dict(omega_r=(0.0,)), "omega_r[0] must be finite"),
+    (dict(c_couple=(), omega_r=()), "need one c_couple per omega_r"),
+    (dict(c_couple=(10e-15,) * 2), "need one c_couple per omega_r"),
+    (dict(band=(TWO_PI * 9e9, math.inf)), "need finite 0 < band[0] < band[1]"),
+    (dict(band=(math.nan, TWO_PI * 11e9)), "need finite 0 < band[0] < band[1]"),
+    (dict(z0=math.nan), "need 0 < z0"),
+    (dict(model="exact"), "model must be 'stub' or 'lumped'"),
+], ids=["coupler-nan", "coupler-negative", "resonance-inf", "resonance-zero",
+        "empty", "lengths", "band-inf", "band-nan", "z0-nan", "model"])
+def test_phase_curve_refuses_a_bad_table(change, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PhaseCurve(**{**GOOD_TABLE, **change})
