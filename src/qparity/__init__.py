@@ -67,8 +67,6 @@ from .fidelity import (
     quadratic_expansion,
 )
 from .cascade import (
-    CascadeCavity,
-    CascadeDevice,
     ComparisonReport,
     TunedCascade,
     cascade_phase,

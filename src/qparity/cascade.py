@@ -1,14 +1,15 @@
 """Sequential-scattering (circulator-cascade) parity scheme and comparison.
 
-The cascade routes the probe through n single-qubit cavities in turn, all at
-the same resonant frequency, so the total reflected phase is the sum of the
-per-cavity phases.  Tuned so one qubit flip changes the phase by exactly pi
-at the probe frequency, the +/-chi detunings are symmetric and the
-first-order dispersion mismatch cancels; the second-order mismatch survives
-and sets the fidelity limit.  Circulators are treated as ideal, so cavity
-order never matters.
+The cascade routes the probe through n identical single-qubit cavities in
+turn, so the total reflected phase is the sum of the per-cavity phases.
+Each cavity is a one-qubit, one-mode ParityDevice; the cascade is that
+cavity probed once per qubit.  Tuned so one qubit flip changes the phase by
+exactly pi at the probe frequency, the +/-chi detunings are symmetric and
+the first-order dispersion mismatch cancels; the second-order mismatch
+survives and sets the fidelity limit.  Circulators are treated as ideal, so
+cavity order never matters.
 
-Tuning is Newton on one cavity's exact phase derivatives: in omega onto the
+Tuning is Newton on the cavity's exact phase derivatives: in omega onto the
 step maximum, b = theta_0' - theta_1' = 0, and in chi, by the envelope
 derivative of that maximum, onto pi: the smallest chi with a pi step.
 """
@@ -16,17 +17,14 @@ derivative of that maximum, onto pi: the smallest chi with a pi step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
-                     weight_phase_curve)
+from .device import ParityDevice, QubitState, _loaded_zero_estimate, weight_phase_curve
 from .eraser import EraserSolution, _residuals, _thetas, _weight_curves
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
 from .network import PhaseCurve, wrap_phase
 
 __all__ = [
-    "CascadeCavity",
-    "CascadeDevice",
     "TunedCascade",
     "cascade_phase",
     "tune_cascade",
@@ -43,70 +41,12 @@ OMEGA_ULPS = 16     # omega_p has converged once a Newton step is this many ulps
 STEP_TOL = 1e-10    # rad; the step itself is rounding noise below ~1e-12
 
 
-@dataclass(frozen=True)
-class CascadeCavity:
-    """One reflection cavity coupled to one qubit."""
-
-    omega_r: float
-    chi: float
-    c_couple: float
-
-    def __post_init__(self):
-        if min(self.omega_r, self.chi, self.c_couple) <= 0.0:
-            raise ValueError("cavity parameters must be > 0")
-
-
-@dataclass(frozen=True)
-class CascadeDevice:
-    """n identical-frequency cavities hit sequentially by the probe."""
-
-    n: int
-    cavities: tuple
-    z0: float = 50.0
-    resonator_model: str = "stub"
-
-    def __post_init__(self):
-        cavities = tuple(self.cavities)
-        if len(cavities) != self.n:
-            raise ValueError(f"{self.n} qubits need {self.n} cavities")
-        freqs = {c.omega_r for c in cavities}
-        if len(freqs) != 1:
-            raise ValueError(
-                f"cascade cavities must share one resonant frequency, got {freqs}"
-            )
-        if self.z0 <= 0.0:
-            raise ValueError("z0 must be > 0")
-        if self.resonator_model not in ("stub", "lumped"):
-            raise ValueError(f"unknown resonator_model {self.resonator_model!r}")
-        object.__setattr__(self, "cavities", cavities)
-
-    @classmethod
-    def uniform(cls, n: int, omega_r: float, chi: float, c_couple: float,
-                z0: float = 50.0, resonator_model: str = "stub") -> "CascadeDevice":
-        cav = CascadeCavity(omega_r=omega_r, chi=chi, c_couple=c_couple)
-        return cls(n=n, cavities=(cav,) * n, z0=z0,
-                   resonator_model=resonator_model)
-
-    @property
-    def chi(self) -> float:
-        chis = {c.chi for c in self.cavities}
-        if len(chis) != 1:
-            raise ValueError("device does not have a single common chi")
-        return self.cavities[0].chi
-
-    def with_chi(self, chi: float) -> "CascadeDevice":
-        cavities = tuple(replace(c, chi=chi) for c in self.cavities)
-        return replace(self, cavities=cavities)
-
-
-def _curve(dev: CascadeDevice, j: int, bit: int) -> PhaseCurve:
-    """Phase curve of cavity j with its qubit in state ``bit``: the cavity is
-    a one-qubit, one-mode parity device."""
-    cav = dev.cavities[j]
-    single = ParityDevice.equal_coupling(
-        n=1, modes=(Mode(cav.omega_r, cav.c_couple),), chi=cav.chi, z0=dev.z0,
-        resonator_model=dev.resonator_model)
-    return weight_phase_curve(single, bit)
+def _bit_curves(cavity: ParityDevice) -> tuple[PhaseCurve, PhaseCurve]:
+    """The cavity's phase curves with its qubit in state 0 and in state 1."""
+    if (cavity.n, cavity.m) != (1, 1):
+        raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
+                         f"{cavity.n} qubits x {cavity.m} modes")
+    return weight_phase_curve(cavity, 0), weight_phase_curve(cavity, 1)
 
 
 @dataclass(frozen=True)
@@ -123,38 +63,37 @@ class _CavitySum:
         return sum(c.dtheta(omega, order) for c in self.curves)
 
 
-def _state_curve(dev: CascadeDevice, state: QubitState) -> _CavitySum:
-    if state.n != dev.n:
-        raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
-    return _CavitySum(tuple(_curve(dev, j, b) for j, b in enumerate(state.bits)))
+def _state_curve(cavity: ParityDevice, state: QubitState) -> _CavitySum:
+    curves = _bit_curves(cavity)
+    return _CavitySum(tuple(curves[b] for b in state.bits))
 
 
-def cascade_phase(dev: CascadeDevice, state: QubitState, omega):
-    """Total reflected phase: sum of the per-cavity reflection phases."""
-    return _state_curve(dev, state).theta(omega)
+def cascade_phase(cavity: ParityDevice, state: QubitState, omega):
+    """Total reflected phase of one cavity per qubit of ``state``: the sum
+    of the per-cavity reflection phases."""
+    return _state_curve(cavity, state).theta(omega)
 
 
 @dataclass(frozen=True)
 class TunedCascade:
-    """Cascade tuned so one qubit flip shifts the phase by pi at omega_p."""
+    """Cascade cavity tuned so one qubit flip shifts the phase by pi at omega_p."""
 
-    device: CascadeDevice
+    cavity: ParityDevice
     omega_p: float
     step: float          # theta_0 - theta_1 at omega_p (target: pi)
     b_single: float      # theta_0' - theta_1' at omega_p (target: 0)
 
 
-def _newton_symmetric(dev: CascadeDevice, w: float | None = None
+def _newton_symmetric(cavity: ParityDevice, w: float | None = None
                       ) -> tuple[TunedCascade, float]:
     """Newton on b with slope b' = theta_0'' - theta_1'' from w (default:
     the loaded zero, the step's centre at small chi); refuses b' >= 0, which
     is no maximum.  Returns the symmetric point and, from the same jets,
     d step/d chi = d theta_0/d omega_r + d theta_1/d omega_r at fixed omega
     (state 0 and 1 put the cavity at omega_r + chi and omega_r - chi)."""
-    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
+    c0, c1 = _bit_curves(cavity)
     if w is None:
-        cav = dev.cavities[0]
-        w = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), dev.z0)
+        w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
     for _ in range(MAX_NEWTON_STEPS):
         (b0, s0, r0), (b1, s1, r1) = c0._derivatives(w), c1._derivatives(w)
         b, slope = float(b0 - b1), float(s0 - s1)
@@ -163,7 +102,7 @@ def _newton_symmetric(dev: CascadeDevice, w: float | None = None
                              f"maximum near f = {w / TWO_PI:.9g} Hz")
         dw = -b / slope
         if abs(dw) <= OMEGA_ULPS * math.ulp(w):
-            tuned = TunedCascade(device=dev, omega_p=w, b_single=b,
+            tuned = TunedCascade(cavity=cavity, omega_p=w, b_single=b,
                                  step=float(c0.theta(w) - c1.theta(w)))
             return tuned, float(r0[0] + r1[0])
         w += dw
@@ -173,15 +112,16 @@ def _newton_symmetric(dev: CascadeDevice, w: float | None = None
                      "did not converge")
 
 
-def _symmetric_point(dev: CascadeDevice) -> TunedCascade:
-    """The cascade, with its chi as given, probed where the per-qubit phase
+def _symmetric_point(cavity: ParityDevice) -> TunedCascade:
+    """The cavity, with its chi as given, probed where the per-qubit phase
     step is maximal (b = 0): the linear dispersion mismatch cancels, and as
     no smaller chi gets this step anywhere, a pi here is the smallest-chi one."""
-    return _newton_symmetric(dev)[0]
+    return _newton_symmetric(cavity)[0]
 
 
-def tune_cascade(dev: CascadeDevice) -> TunedCascade:
-    """Adjust chi so the maximal per-qubit phase step S(chi) equals pi.
+def tune_cascade(cavity: ParityDevice) -> TunedCascade:
+    """Adjust the cavity's chi so the maximal per-qubit phase step S(chi)
+    equals pi.
 
     Below that chi no probe frequency gives a pi step, so this is the
     smallest-chi pi root (longest Purcell T1), and at b = 0.  Newton on chi
@@ -189,12 +129,13 @@ def tune_cascade(dev: CascadeDevice) -> TunedCascade:
     theorem: b = 0 at the maximum).  S rises from 0 and is concave, like the
     Lorentzian 4 atan(2 chi/kappa), so from CHI_RANGE's bottom the iterates
     climb below pi, each warm-starting omega.  A start above pi or an
-    iterate leaving CHI_RANGE raises ValueError.
+    iterate leaving CHI_RANGE raises ValueError, as does a device that is
+    not one qubit on one mode.
     """
     chi_lo, chi_hi = CHI_RANGE
     chi, w = chi_lo, None
     for _ in range(MAX_NEWTON_STEPS):
-        tuned, ds_dchi = _newton_symmetric(dev.with_chi(chi), w)
+        tuned, ds_dchi = _newton_symmetric(cavity.with_chi(chi), w)
         if abs(tuned.step - math.pi) <= STEP_TOL:
             return tuned
         chi += (math.pi - tuned.step) / ds_dchi if ds_dchi > 0.0 else math.inf
@@ -203,7 +144,7 @@ def tune_cascade(dev: CascadeDevice) -> TunedCascade:
             raise ValueError(
                 "per-qubit phase step never crosses pi over the chi range "
                 f"{chi_lo / TWO_PI / 1e6:g}-{chi_hi / TWO_PI / 1e6:g} MHz; step "
-                f"{tuned.step:.3f} rad at {tuned.device.chi / TWO_PI / 1e6:.6g} MHz")
+                f"{tuned.step:.3f} rad at {tuned.cavity.chi / TWO_PI / 1e6:.6g} MHz")
     raise ValueError("Newton on chi did not converge")
 
 
@@ -264,30 +205,28 @@ def _scheme_metrics(name: str, resonator_count: int, chi: float, curves,
     )
 
 
-def compare_schemes(parallel_dev: ParityDevice, parallel_sol: EraserSolution,
-                    cascade_dev: CascadeDevice, pulse: ProbePulse,
-                    tune: bool = True) -> ComparisonReport:
-    """Side-by-side eraser quality of the two schemes for the same n.
+def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
+                    pulse: ProbePulse, tune: bool = True) -> ComparisonReport:
+    """Side-by-side eraser quality of the two schemes for the same n: the
+    solved parallel device against one ``cavity`` per qubit.
 
     The cascade is tuned (phase step pi, symmetric probe) unless tune=False;
     each scheme's fidelities are evaluated with a pulse centered on its own
     operating frequency.
     """
-    if parallel_dev.n != cascade_dev.n:
-        raise ValueError("schemes must measure the same number of qubits")
     if tune:
-        tuned = tune_cascade(cascade_dev)
+        tuned = tune_cascade(cavity)
     else:
         # keep the given chi but still probe at the symmetric point, where
         # the first-order mismatch cancels (the step may then differ from pi)
-        tuned = _symmetric_point(cascade_dev)
-    dev = parallel_sol.device  # the solved chi/modes, not the template
+        tuned = _symmetric_point(cavity)
+    dev = parallel_sol.device
     par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
                           _weight_curves(dev), parallel_sol.omega_p, pulse)
-    cdev = tuned.device
-    cas = _scheme_metrics("sequential-cascade", cdev.n, cdev.chi,
-                          [_state_curve(cdev, QubitState.of_weight(cdev.n, w))
-                           for w in range(cdev.n + 1)],
+    cav = tuned.cavity
+    cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,
+                          [_state_curve(cav, QubitState.of_weight(dev.n, w))
+                           for w in range(dev.n + 1)],
                           tuned.omega_p, pulse)
     quad_match = {p: abs(f - cas.same_parity_closed[p])
                   for p, f in cas.same_parity_fidelity.items()}

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import CascadeDevice, comparison_to_dict, compare_schemes
+from .cascade import comparison_to_dict, compare_schemes
 from .device import Mode, ParityDevice, analysis_band, weight_phase_curve
 from .eraser import (
     EraserError,
@@ -232,7 +232,9 @@ def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
     return dev, chi_spec
 
 
-def parse_cascade_config(cfg: dict, path: str) -> tuple[CascadeDevice, object]:
+def parse_cascade_config(cfg: dict, path: str) -> tuple[int, ParityDevice, object]:
+    """Returns (n, cavity, chi spec) with chi spec 'tune' or rad/s: n
+    copies of the one-qubit, one-mode cavity, one per qubit."""
     n, chi_spec, chi_start, z0, model = _shared_fields(cfg, path, "cascade", "tune")
     cav = _need(cfg, "cavity", dict, path)
     f = _need(cav, "f_GHz", float, f"{path}.cavity")
@@ -240,12 +242,12 @@ def parse_cascade_config(cfg: dict, path: str) -> tuple[CascadeDevice, object]:
     if f <= 0 or c <= 0:
         raise ConfigError(f"{path}.cavity: f_GHz and C_couple_fF must be > 0")
     try:
-        dev = CascadeDevice.uniform(n=n, omega_r=_ghz(f, f"{path}.cavity.f_GHz"),
-                                    chi=chi_start, z0=z0, resonator_model=model,
-                                    c_couple=_ff(c, f"{path}.cavity.C_couple_fF"))
+        mode = Mode(_ghz(f, f"{path}.cavity.f_GHz"), _ff(c, f"{path}.cavity.C_couple_fF"))
+        cavity = ParityDevice.equal_coupling(n=1, modes=(mode,), chi=chi_start,
+                                             z0=z0, resonator_model=model)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
-    return dev, chi_spec
+    return n, cavity, chi_spec
 
 
 # ----------------------------------------------------------------------
@@ -382,15 +384,17 @@ def cmd_compare(ns) -> int:
     cfg_p = load_config(ns.config_parallel)
     dev_p, chi_spec = parse_parallel_config(cfg_p, ns.config_parallel)
     cfg_c = load_config(ns.config_cascade)
-    dev_c, chi_spec_c = parse_cascade_config(cfg_c, ns.config_cascade)
+    n_c, cavity, chi_spec_c = parse_cascade_config(cfg_c, ns.config_cascade)
+    if n_c != dev_p.n:
+        raise ConfigError(f"{ns.config_cascade}.n_qubits: the cascade measures {n_c} "
+                          f"qubits, {ns.config_parallel} measures {dev_p.n}")
     kwargs = {}
     if chi_spec != "solve":
         kwargs["chi_range"] = (chi_spec / 3.0, chi_spec * 3.0)
     sol = solve_eraser(dev_p, **kwargs)
     alpha = math.sqrt(ns.alpha_sq)
     pulse = ProbePulse.from_duration(alpha, sol.omega_p, ns.t_us * 1e-6)
-    report = compare_schemes(dev_p, sol, dev_c, pulse,
-                             tune=(chi_spec_c == "tune"))
+    report = compare_schemes(sol, cavity, pulse, tune=(chi_spec_c == "tune"))
     payload = comparison_to_dict(report)
     payload["pulse"] = {"alpha_sq": ns.alpha_sq, "T_us": ns.t_us}
     if ns.out:

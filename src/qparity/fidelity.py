@@ -58,6 +58,11 @@ class PulseOutOfRange(ValueError):
     or too long (its spacing is below MIN_SPACING_ULPS float spacings)."""
 
 
+def _positive(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _mean_photons(alpha: complex) -> float:
     """|alpha|^2 via alpha * conj(alpha), exact for exactly-representable
     photon numbers (e.g. alpha = 1+2j gives 5.0 with no rounding)."""
@@ -77,17 +82,18 @@ class ProbePulse:
     bandwidth: float
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise ValueError("omega_p must be > 0")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be > 0")
+        _positive(self.omega_p, "omega_p")
+        _positive(self.bandwidth, "bandwidth")
 
     @classmethod
     def from_duration(cls, alpha: complex, omega_p: float,
                       duration: float) -> "ProbePulse":
-        if duration <= 0.0:
-            raise ValueError("duration must be > 0")
-        return cls(alpha=alpha, omega_p=omega_p, bandwidth=1.0 / duration)
+        _positive(duration, "duration")
+        bandwidth = 1.0 / duration
+        if bandwidth == math.inf:
+            raise PulseOutOfRange(f"too short for its carrier: its bandwidth 1/T "
+                                  f"overflows (T = {duration!r} s)")
+        return cls(alpha=alpha, omega_p=omega_p, bandwidth=bandwidth)
 
     @property
     def duration(self) -> float:
@@ -124,8 +130,8 @@ def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
         raise ValueError("span_sigmas must be >= 6 for negligible truncation")
     if points < 201 or points % 2 == 0:
         raise ValueError("points must be odd and >= 201 (center node at omega_p)")
-    if omega_p <= 0.0 or bandwidth <= 0.0:
-        raise ValueError("omega_p and bandwidth must be > 0")
+    _positive(omega_p, "omega_p")
+    _positive(bandwidth, "bandwidth")
     half = span_sigmas * bandwidth
     if not half < omega_p:
         raise PulseOutOfRange(f"too short for its carrier: the mode comb f_p +/- "

@@ -26,7 +26,7 @@ from qparity.fidelity import (
     fidelity_quadratic_closed,
     quadratic_closed_radical,
 )
-from qparity.cascade import CascadeDevice, compare_schemes
+from qparity.cascade import compare_schemes
 from qparity.estimates import peak_power, purcell_t1
 from qparity.network import phase_sweep, reflection_coefficient
 
@@ -228,9 +228,9 @@ def test_criterion_8_invariant_suites(solved_device):
 def test_criterion_9_cascade_comparison(solved_device):
     dev, _ = solved_device
     sol = solve_eraser(dev)
-    cascade = CascadeDevice.uniform(3, TWO_PI * 10e9, sol.chi, 10e-15)
+    cavity = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 10e9, 10e-15),), sol.chi)
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
-    rep = compare_schemes(dev, sol, cascade, pulse)
+    rep = compare_schemes(sol, cavity, pulse)
     assert rep.cascade.b_max <= rep.parallel.b_max / 100.0, (
         f"b ratio only {rep.b_ratio}")
     assert rep.cascade.b2_max > 0.0

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -13,103 +13,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qparity.cascade import (
-    CascadeCavity,
-    CascadeDevice,
-    cascade_phase,
-    compare_schemes,
-    tune_cascade,
-)
+from qparity.cascade import cascade_phase, compare_schemes, tune_cascade
 from qparity.cli import main
-from qparity.device import Mode, QubitState, _loaded_zero_estimate
+from qparity.device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
+                            phase_derivatives, weight_phase_curve)
 from qparity.fidelity import ProbePulse, fidelity_quadratic_closed
 
 TWO_PI = 2.0 * math.pi
 
 
-def uniform_cascade(n=3, chi=TWO_PI * 5e6):
-    return CascadeDevice.uniform(n, TWO_PI * 10e9, chi, 10e-15)
+def cavity(f_ghz=10.0, chi=TWO_PI * 5e6, c_ff=10.0, model="stub"):
+    """A cascade cavity: one qubit on one mode."""
+    return ParityDevice.equal_coupling(1, (Mode(TWO_PI * f_ghz * 1e9, c_ff * 1e-15),),
+                                       chi, resonator_model=model)
 
 
 @pytest.fixture(scope="module")
 def tuned():
-    return tune_cascade(uniform_cascade())
+    return tune_cascade(cavity())
 
 
 # ----------------------------------------------------------------------
 # construction and additivity
 # ----------------------------------------------------------------------
 
-def test_cavities_must_share_frequency():
-    with pytest.raises(ValueError):
-        CascadeDevice(n=2, cavities=(
-            CascadeCavity(TWO_PI * 10e9, TWO_PI * 5e6, 1e-14),
-            CascadeCavity(TWO_PI * 10.1e9, TWO_PI * 5e6, 1e-14)))
-
-
 def test_cascade_phase_is_sum_of_cavity_phases():
-    dev = uniform_cascade(3)
+    cav = cavity()
     w = TWO_PI * 9.83e9
-    from qparity.cascade import _curve
-
-    total = cascade_phase(dev, QubitState((0, 1, 0)), w)
-    parts = (_curve(dev, 0, 0).theta(w) + _curve(dev, 1, 1).theta(w)
-             + _curve(dev, 2, 0).theta(w))
+    total = cascade_phase(cav, QubitState((0, 1, 0)), w)
+    parts = (weight_phase_curve(cav, 0).theta(w) + weight_phase_curve(cav, 1).theta(w)
+             + weight_phase_curve(cav, 0).theta(w))
     assert total == parts
 
 
 def test_single_cavity_cascade_reduces_to_single_phase():
-    dev = uniform_cascade(1)
-    from qparity.cascade import _curve
-
+    cav = cavity()
     w = TWO_PI * 9.85e9
-    assert cascade_phase(dev, QubitState((1,)), w) == _curve(dev, 0, 1).theta(w)
+    assert cascade_phase(cav, QubitState((1,)), w) == weight_phase_curve(cav, 1).theta(w)
 
 
 def test_equal_weight_states_have_equal_phase():
-    dev = uniform_cascade(3)
+    cav = cavity()
     w = TWO_PI * 9.82e9
-    vals = {cascade_phase(dev, QubitState(b), w)
+    vals = {cascade_phase(cav, QubitState(b), w)
             for b in ((0, 1, 1), (1, 0, 1), (1, 1, 0))}
     assert len(vals) == 1
 
 
-def test_cavity_order_permutation_invariance():
-    # distinct per-cavity chis, permuted together with the state bits
-    cavities = (
-        CascadeCavity(TWO_PI * 10e9, TWO_PI * 4e6, 1e-14),
-        CascadeCavity(TWO_PI * 10e9, TWO_PI * 6e6, 1e-14),
-        CascadeCavity(TWO_PI * 10e9, TWO_PI * 8e6, 1e-14),
-    )
-    dev_a = CascadeDevice(n=3, cavities=cavities)
-    dev_b = CascadeDevice(n=3, cavities=cavities[::-1])
-    w = TWO_PI * 9.81e9
-    pa = cascade_phase(dev_a, QubitState((0, 1, 1)), w)
-    pb = cascade_phase(dev_b, QubitState((1, 1, 0)), w)
-    assert pa == pb
-
-
 @pytest.mark.parametrize("order", [1, 2])
 def test_weight_derivative_is_sum_of_cavity_devices(order):
-    # each cavity is a one-qubit, one-mode parity device; the cascade's
-    # per-weight response adds their derivatives (distinct per-cavity chis)
+    # the cascade's response in any state adds the cavity's per-bit
+    # derivatives, whatever order the bits come in
     from qparity.cascade import _state_curve
-    from qparity.device import Mode, ParityDevice, phase_derivatives
 
-    cavities = (
-        CascadeCavity(TWO_PI * 10e9, TWO_PI * 4e6, 1e-14),
-        CascadeCavity(TWO_PI * 10e9, TWO_PI * 6e6, 1e-14),
-        CascadeCavity(TWO_PI * 10e9, TWO_PI * 8e6, 1e-14),
-    )
-    dev = CascadeDevice(n=3, cavities=cavities)
+    cav = cavity()
     for w in TWO_PI * np.array([9.80e9, 9.81e9, 9.83e9]):
-        for weight in range(4):
-            state = QubitState.of_weight(3, weight)
-            parts = [phase_derivatives(
-                ParityDevice.equal_coupling(1, (Mode(c.omega_r, c.c_couple),), c.chi),
-                QubitState((b,)), w, order) for c, b in zip(cavities, state.bits)]
-            got = _state_curve(dev, state).dtheta(w, order)
+        for bits in itertools.product((0, 1), repeat=3):
+            parts = [phase_derivatives(cav, QubitState((b,)), w, order) for b in bits]
+            got = _state_curve(cav, QubitState(bits)).dtheta(w, order)
             assert got == pytest.approx(sum(parts), rel=1e-12)
+
+
+TOO_BIG = [
+    pytest.param(ParityDevice.equal_coupling(
+        2, (Mode(TWO_PI * 10e9, 10e-15),), TWO_PI * 5e6), id="2-qubit"),
+    pytest.param(ParityDevice.equal_coupling(
+        1, (Mode(TWO_PI * 10e9, 10e-15), Mode(TWO_PI * 10.02e9, 10e-15)),
+        TWO_PI * 5e6), id="2-mode"),
+]
+
+
+@pytest.mark.parametrize("dev", TOO_BIG)
+def test_only_a_one_qubit_one_mode_cavity_is_accepted(dev):
+    with pytest.raises(ValueError, match="1-qubit, 1-mode"):
+        tune_cascade(dev)
+    with pytest.raises(ValueError, match="1-qubit, 1-mode"):
+        cascade_phase(dev, QubitState((0, 1, 1)), TWO_PI * 9.8e9)
 
 
 # ----------------------------------------------------------------------
@@ -121,24 +100,22 @@ def test_tuned_step_is_pi(tuned):
 
 
 def test_tuned_first_order_dispersion_cancels(tuned):
-    from qparity.cascade import _curve
-
-    dev = tuned.device
-    b2 = _curve(dev, 0, 0).dtheta(tuned.omega_p, 2) \
-        - _curve(dev, 0, 1).dtheta(tuned.omega_p, 2)
+    cav = tuned.cavity
+    b2 = weight_phase_curve(cav, 0).dtheta(tuned.omega_p, 2) \
+        - weight_phase_curve(cav, 1).dtheta(tuned.omega_p, 2)
     assert abs(tuned.b_single) < 1e-3 * abs(b2) * 1e6  # vs b2*W at W = 1 MHz
     assert b2 != 0.0
 
 
 def test_tuning_bracket_oracle():
     # the 1-D root the tuner solves: step(chi) - pi changes sign on a scan
-    dev = uniform_cascade()
-    from qparity.cascade import _curve, _symmetric_point
+    cav = cavity()
+    from qparity.cascade import _symmetric_point
 
     def step_at(chi):
-        trial = dev.with_chi(chi)
+        trial = cav.with_chi(chi)
         wp = _symmetric_point(trial).omega_p
-        return _curve(trial, 0, 0).theta(wp) - _curve(trial, 0, 1).theta(wp)
+        return weight_phase_curve(trial, 0).theta(wp) - weight_phase_curve(trial, 1).theta(wp)
 
     lo = step_at(TWO_PI * 0.5e6) - math.pi
     hi = step_at(TWO_PI * 40e6) - math.pi
@@ -146,20 +123,19 @@ def test_tuning_bracket_oracle():
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(f_ghz=st.floats(9.5, 10.5), c_ff=st.floats(5.0, 15.0), n=st.integers(1, 4),
+@given(f_ghz=st.floats(9.5, 10.5), c_ff=st.floats(5.0, 15.0),
        model=st.sampled_from(["stub", "lumped"]))
-def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, n, model):
+def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, model):
     # the compare workload's cavity ranges; the oracle is a bracketing root
     # solve of step(chi) - pi, independent of the Newton iteration on chi
-    from qparity.cascade import _curve, _symmetric_point
+    from qparity.cascade import _symmetric_point
 
-    dev = CascadeDevice.uniform(n, TWO_PI * f_ghz * 1e9, TWO_PI * 5e6, c_ff * 1e-15,
-                                resonator_model=model)
+    dev = cavity(f_ghz, c_ff=c_ff, model=model)
     t = tune_cascade(dev)
-    chi = t.device.chi
+    chi = t.cavity.chi
     assert abs(t.step - math.pi) < 1e-9
-    b2 = (_curve(t.device, 0, 0).dtheta(t.omega_p, 2)
-          - _curve(t.device, 0, 1).dtheta(t.omega_p, 2))
+    b2 = (weight_phase_curve(t.cavity, 0).dtheta(t.omega_p, 2)
+          - weight_phase_curve(t.cavity, 1).dtheta(t.omega_p, 2))
     assert b2 < 0.0  # b' < 0: the step is at its maximum, not a minimum
     assert abs(t.b_single) < 1e-3 * abs(b2) * 1e6
     oracle = brentq(lambda c: _symmetric_point(dev.with_chi(c)).step - math.pi,
@@ -167,15 +143,13 @@ def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, n, model)
     assert chi == pytest.approx(oracle, rel=1e-8)
 
 
-def _old_window_root(dev):
+def _old_window_root(cav):
     """Root of b = theta_0' - theta_1' bracketed on the window the tuner
     used to scan: the loaded zero +/- (2 chi + 0.002 omega_r)."""
-    from qparity.cascade import _curve
-
-    cav = dev.cavities[0]
-    z = _loaded_zero_estimate(Mode(cav.omega_r, cav.c_couple), dev.z0)
-    half = 2.0 * cav.chi + 0.002 * cav.omega_r
-    c0, c1 = _curve(dev, 0, 0), _curve(dev, 0, 1)
+    mode = cav.modes[0]
+    z = _loaded_zero_estimate(mode, cav.z0)
+    half = 2.0 * cav.chi + 0.002 * mode.omega
+    c0, c1 = weight_phase_curve(cav, 0), weight_phase_curve(cav, 1)
     return brentq(lambda w: c0.dtheta(w) - c1.dtheta(w), z - half, z + half,
                   xtol=1e-3)
 
@@ -183,9 +157,9 @@ def _old_window_root(dev):
 @pytest.mark.parametrize("chi_mhz", [1.0, 5.0, 30.0])
 def test_untuned_comparison_probes_the_symmetric_point(paper_solution, chi_mhz):
     # tune=False keeps chi and only moves the probe onto the step maximum
-    dev = uniform_cascade(chi=TWO_PI * chi_mhz * 1e6)
+    dev = cavity(chi=TWO_PI * chi_mhz * 1e6)
     pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-6)
-    rep = compare_schemes(paper_solution.device, paper_solution, dev, pulse, tune=False)
+    rep = compare_schemes(paper_solution, dev, pulse, tune=False)
     assert rep.cascade.chi == dev.chi
     assert abs(rep.cascade.omega_p - _old_window_root(dev)) < 10.0
 
@@ -198,7 +172,7 @@ NO_PI_ROOT = [pytest.param(10.0, 60.0, id="root-above-range"),
 
 @pytest.mark.parametrize("f_ghz, c_ff", NO_PI_ROOT)
 def test_cavity_without_pi_root_in_range_is_refused(f_ghz, c_ff):
-    dev = CascadeDevice.uniform(3, TWO_PI * f_ghz * 1e9, TWO_PI * 5e6, c_ff * 1e-15)
+    dev = cavity(f_ghz, c_ff=c_ff)
     with pytest.raises(ValueError, match="never crosses pi over the chi range"):
         tune_cascade(dev)
 
@@ -251,14 +225,14 @@ def test_tune_cascade_work_count(monkeypatch):
     monkeypatch.setattr(network.PhaseCurve, "theta", counting_theta)
     monkeypatch.setattr(network, "brentq", counting_brentq)
     monkeypatch.setattr(cascade, "brentq", counting_brentq, raising=False)
-    tune_cascade(uniform_cascade())
+    tune_cascade(cavity())
     assert counts["jets"] <= 100
     assert counts["vector theta"] == 0
     assert counts["brentq"] == 0
 
 
 def test_tuned_eraser_conditions_hold(tuned):
-    dev = tuned.device
+    dev = tuned.cavity
     wp = tuned.omega_p
     th = [cascade_phase(dev, QubitState.of_weight(3, w), wp) for w in range(4)]
     assert th[0] - th[2] - TWO_PI == pytest.approx(0.0, abs=1e-6)
@@ -275,8 +249,7 @@ def test_tuned_eraser_conditions_hold(tuned):
 @pytest.fixture(scope="module")
 def comparison(paper_solution):
     pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-6)
-    return compare_schemes(paper_solution.device, paper_solution,
-                           uniform_cascade(), pulse)
+    return compare_schemes(paper_solution, cavity(), pulse)
 
 
 def test_resonator_counts(comparison):

@@ -142,6 +142,22 @@ def test_cascade_nonpositive_z0_names_field(paper_cfg, tmp_path, capsys):
     assert f"{c}.Z0_ohms" in capsys.readouterr().err
 
 
+def test_compare_qubit_count_mismatch_exits_2_before_solving(paper_cfg, tmp_path,
+                                                             capsys, monkeypatch):
+    import qparity.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_eraser ran")
+
+    monkeypatch.setattr(qparity.cli, "solve_eraser", refuse)
+    c, out = tmp_path / "cascade.json", tmp_path / "cmp.json"
+    c.write_text(json.dumps(dict(CASCADE_CONFIG, n_qubits=2)))
+    assert main(["compare", str(paper_cfg), str(c), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {c}.n_qubits: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("kind", "tandem", "expected {kind!r}, got 'tandem'"),
     ("n_qubits", 9, "must be 1..8, got 9"),
@@ -551,8 +567,8 @@ def test_estimate_zero_power_writes_null_dbm(capsys, tmp_path):
 def test_no_cli_path_builds_a_network_tree(monkeypatch, paper_device, tmp_path):
     # phase curves read the branch table; the tree is only the test oracle's
     import qparity.device
-    from qparity import (CascadeDevice, ProbePulse, compare_schemes, eraser_quality,
-                         solve_eraser)
+    from qparity import (Mode, ParityDevice, ProbePulse, compare_schemes,
+                         eraser_quality, solve_eraser)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a network tree was built")
@@ -561,8 +577,8 @@ def test_no_cli_path_builds_a_network_tree(monkeypatch, paper_device, tmp_path):
     sol = solve_eraser(paper_device)
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
     assert eraser_quality(sol.device, sol, pulse)
-    cascade = CascadeDevice.uniform(3, TWO_PI * 10e9, sol.chi, 10e-15)
-    assert compare_schemes(sol.device, sol, cascade, pulse).cascade.b2_max > 0.0
+    cavity = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 10e9, 10e-15),), sol.chi)
+    assert compare_schemes(sol, cavity, pulse).cascade.b2_max > 0.0
     cfg = tmp_path / "paper.json"
     cfg.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
     assert main(["sweep", str(cfg), "--points", "101",
@@ -609,6 +625,8 @@ def test_short_pulse_outside_the_band_is_scored(solved, tmp_path):
 @pytest.mark.parametrize("command, t_us, why", [
     pytest.param("fidelity", "1e-5", "too short", id="fidelity"),
     pytest.param("compare", "1e-5", "too short", id="compare"),
+    # 1/T overflows to an infinite bandwidth, which the pulse refuses
+    pytest.param("fidelity", "1e-303", "too short", id="fidelity-overflow"),
     # the comb spacing rounds to zero at the carrier: F was nan, exit 0 to CSV
     pytest.param("fidelity", "1e300", "too long", id="fidelity-long"),
     pytest.param("compare", "1e300", "too long", id="compare-long"),

@@ -69,6 +69,22 @@ def test_grid_validation():
         build_mode_grid(W_P, 1e6, points=101)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: ProbePulse(1.0, 6e10, math.nan), "bandwidth"),
+    (lambda: ProbePulse(1.0, 6e10, math.inf), "bandwidth"),
+    (lambda: ProbePulse(1.0, math.inf, 1e6), "omega_p"),
+    (lambda: ProbePulse(1.0, math.nan, 1e6), "omega_p"),
+    (lambda: ProbePulse.from_duration(1.0, 6e10, math.nan), "duration"),
+    (lambda: ProbePulse.from_duration(1.0, 6e10, math.inf), "duration"),
+    (lambda: build_mode_grid(math.inf, 1e6), "omega_p"),
+    (lambda: build_mode_grid(6e10, math.nan), "bandwidth"),
+], ids=["bandwidth-nan", "bandwidth-inf", "omega-inf", "omega-nan", "duration-nan",
+        "duration-inf", "grid-omega-inf", "grid-bandwidth-nan"])
+def test_pulse_fields_must_be_finite_and_positive(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+        make()
+
+
 def test_pulse_duration_bandwidth_reciprocal():
     p = ProbePulse.from_duration(1.0, W_P, 1e-6)
     assert p.bandwidth == pytest.approx(1e6)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qparity.cascade import CascadeDevice, _curve
+from qparity.cascade import _bit_curves
 from qparity.device import (
     Mode,
     ParityDevice,
@@ -58,13 +58,9 @@ def device_pairs(dev: ParityDevice):
 
 
 def cascade_pairs():
-    dev = CascadeDevice.uniform(3, TWO_PI * 10e9, TWO_PI * 5e6, 10e-15)
-    cav = dev.cavities[0]
-    single = ParityDevice.equal_coupling(1, (Mode(cav.omega_r, cav.c_couple),),
-                                         cav.chi, z0=dev.z0,
-                                         resonator_model=dev.resonator_model)
-    return [(_curve(dev, 0, bit), build_state_network(single, QubitState((bit,))))
-            for bit in (0, 1)]
+    single = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 10e9, 10e-15),), TWO_PI * 5e6)
+    return [(curve, build_state_network(single, QubitState((bit,))))
+            for bit, curve in enumerate(_bit_curves(single))]
 
 
 CURVE_SETS = {
