@@ -59,8 +59,10 @@ class _CavitySum:
     def theta(self, omega):
         return sum(c.theta(omega) for c in self.curves)
 
-    def dtheta(self, omega, order=1):
-        return sum(c.dtheta(omega, order) for c in self.curves)
+    def _derivatives(self, omega):
+        """The cavities' (theta', theta'', d theta/d omega_r) jets, summed."""
+        jets = [c._derivatives(omega) for c in self.curves]
+        return tuple(sum(j[i] for j in jets) for i in range(3))
 
 
 def _state_curve(cavity: ParityDevice, state: QubitState) -> _CavitySum:
@@ -185,6 +187,10 @@ def _scheme_metrics(name: str, resonator_count: int, chi: float, curves,
     pulse = ProbePulse(pulse.alpha, omega_p, pulse.bandwidth)
     th = _thetas(curves, omega_p)
     delta = float(wrap_phase(th[0] - th[1]))
+    if math.pi - abs(delta) <= STEP_TOL:
+        # a tuned pi step has no sign: rounding noise picks either end of
+        # (-pi, pi], and cos, the only other reader, is even
+        delta = abs(delta)
     table = _pair_table(curves, omega_p, th, delta, pulse,
                         build_mode_grid(omega_p, pulse.bandwidth))
     same = [r for r in table if r.branch != "even-odd"]

@@ -458,7 +458,8 @@ def _checked(kind, ok, need: str):
 POINTS = _checked(int, lambda v: v >= 2, ">= 2")
 FINITE = _checked(float, math.isfinite, "finite")
 ALPHA_SQ = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-DURATION_US = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+DURATION_US = _checked(float, lambda v: 0.0 < v * 1e-6 < math.inf,
+                       "finite and > 0 in seconds")
 TOL = _checked(float, lambda v: MIN_TOL <= v < math.inf, f"finite and >= {MIN_TOL}")
 
 

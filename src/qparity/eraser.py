@@ -2,13 +2,18 @@
 
 For an n-qubit equal-coupling device the parity conditions require, at the
 probe frequency, theta_wt(i) = theta_wt(i+2) + 2*pi for every weight pair
-two apart: n-1 residuals.  Every n >= 1 takes one path.  A coarse
-residual-norm grid over (omega_p, chi) localizes smooth basins (the
-landscape has 2*pi jumps near poles); from each, a damped Gauss-Newton
-iteration on the exact phase derivatives moves x = (omega_p, chi[, gaps])
-onto the root set, and every returned root is verified by its residuals.
-Among verified roots the most distinguishable one (largest
-|sin(delta_theta/2)|) wins.
+two apart: n-1 residuals.  Every n >= 1 takes one path.  Near the probe
+each branch's susceptance is one pole at its series zero, B ~ sum_k
+K_k/(omega - z_k), and a weight-w state moves each zero by (n - 2w) chi
+dz_k/d omega_r.  A coarse residual-norm grid over (omega_p, chi) on this
+pole model localizes smooth basins (the landscape has 2*pi jumps at the
+zeros), and Newton on the same model polishes each; from there a damped
+Gauss-Newton iteration on the exact phase derivatives moves
+x = (omega_p, chi[, gaps]) onto the root set, and every returned root is
+verified by its residuals.  Among verified roots the most distinguishable
+one (largest |sin(delta_theta/2)|) wins.  On two modes with equal couplers
+the n = 3 model root is closed form: the probe midway between the zeros,
+and chi = (zero spacing)/(2 sqrt 3).
 
 With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
 2 knobs), the mode gaps join the unknowns, starting at the template's
@@ -28,7 +33,7 @@ import numpy as np
 
 from .device import (ParityDevice, QubitState, _loaded_zero_estimate, loaded_poles,
                      weight_phase_curve)
-from .network import wrap_phase
+from .network import _branch_parts, lumped_equivalent, wrap_phase
 
 __all__ = [
     "EraserError",
@@ -55,6 +60,8 @@ MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
 NEWTON_MAX_ITER = 30
 GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
 GRID_TOP_K = 12       # grid basins Gauss-Newton starts from, best first
+ZERO_NEWTON_STEPS = 8  # Newton steps on a stub's N_k from its lumped zero
+MODEL_NEWTON_STEPS = 8  # Newton steps on the pole model from a grid basin
 
 
 class EraserError(Exception):
@@ -167,8 +174,9 @@ def _same_parity_pairs(n: int):
 
 
 def _dispersion(curves: list, omega_p: float) -> DispersionReport:
-    d1 = [c.dtheta(omega_p, order=1) for c in curves]
-    d2 = [c.dtheta(omega_p, order=2) for c in curves]
+    jets = [c._derivatives(omega_p) for c in curves]
+    d1 = [float(j[0]) for j in jets]
+    d2 = [float(j[1]) for j in jets]
     pairs = _same_parity_pairs(len(curves) - 1)
     return DispersionReport(
         first={p: d1[p[0]] - d1[p[1]] for p in pairs},
@@ -222,12 +230,17 @@ def _solver_band(dev: ParityDevice, chi_range) -> tuple[tuple, tuple[float, floa
     return search, (float(f"{lo:.12g}"), float(f"{hi:.12g}"))
 
 
-def _with_gaps(dev: ParityDevice, gaps) -> ParityDevice:
-    """dev with its modes respaced by ``gaps`` about their mean frequency."""
+def _gap_frequencies(dev: ParityDevice, gaps) -> np.ndarray:
+    """dev's mode frequencies respaced by ``gaps`` about their mean."""
     center = float(np.mean([mo.omega for mo in dev.modes]))
     offs = np.concatenate([[0.0], np.cumsum(gaps)])
     offs -= offs.mean()
-    return dev.with_mode_frequencies(center + offs)
+    return center + offs
+
+
+def _with_gaps(dev: ParityDevice, gaps) -> ParityDevice:
+    """dev with its modes respaced by ``gaps`` about their mean frequency."""
+    return dev.with_mode_frequencies(_gap_frequencies(dev, gaps))
 
 
 def _device(dev0: ParityDevice, x) -> ParityDevice:
@@ -243,8 +256,9 @@ def _theta_jacobian(curves: list, wp: float, free_gaps: bool) -> np.ndarray:
     the modes through the fixed cumsum-minus-mean map of _with_gaps.
     """
     n = len(curves) - 1
-    d_modes = np.array([c.dtheta_dresonance(wp) for c in curves])
-    cols = [[c.dtheta(wp) for c in curves],
+    jets = [c._derivatives(wp) for c in curves]
+    d_modes = np.array([j[2] for j in jets])
+    cols = [[float(j[0]) for j in jets],
             (n - 2 * np.arange(n + 1)) * d_modes.sum(axis=1)]
     if free_gaps:
         m = d_modes.shape[1]
@@ -294,8 +308,9 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
         lam = 1.0
         while lam > 1e-10:
             xn = x + lam * step
+            # a gap below the frequencies' float spacing merges two modes
             if (lo < xn[0] < hi and chi_range[0] * 0.2 < xn[1] < chi_range[1] * 5.0
-                    and np.all(xn[2:] > 0.0)):
+                    and np.all(np.diff(_gap_frequencies(dev0, xn[2:])) > 0.0)):
                 curves_n, th_n, r_n = evaluate(xn)
                 if np.linalg.norm(r_n) < np.linalg.norm(r):
                     break
@@ -306,18 +321,86 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
     return x, r
 
 
-def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
-    """Local minima of the residual norm on the (omega_p, chi) grid, best
-    first; with no conditions (n = 1) the contrast row's |cos(delta_theta/2)|."""
-    wps = np.linspace(band[0], band[1], wp_points)
-    norm = np.empty((len(chi_grid), len(wps)))
-    for i, chi in enumerate(chi_grid):
-        dev = dev0.with_chi(chi)
-        r = eraser_residuals(dev, wps)
-        if not len(r):  # n = 1
-            th = _thetas(_weight_curves(dev), wps)
-            r = np.cos(0.5 * (th[:1] - th[1:]))
-        norm[i] = np.sqrt((r ** 2).sum(axis=0))
+def _pole_model(dev: ParityDevice):
+    """(z_k, z0 K_k, zeta_k) per branch of dev's bare modes: the series zero
+    z_k, the residue K_k of the branch susceptance B_k ~ K_k/(omega - z_k)
+    there, and zeta_k = dz_k/d omega_r.
+
+    With B_k = P_k/N_k (see _branch_parts), K_k = P_k/N_k' and, as N_k
+    stays zero along the zero, zeta_k = -(dN_k/d omega_r)/N_k'.  Lumped
+    zeros are closed form; stub zeros take Newton steps on N_k from the
+    lumped value.
+    """
+    stub = dev.resonator_model == "stub"
+    rows = []
+    for mo in dev.modes:
+        branch = ((mo.c_couple, mo.omega) if stub
+                  else (mo.c_couple, *lumped_equivalent(mo.omega, dev.z0)))
+        z = _loaded_zero_estimate(mo, dev.z0)
+        for _ in range(ZERO_NEWTON_STEPS if stub else 0):
+            _, n_jet = _branch_parts(stub, dev.z0, branch, z, derivatives=True)
+            dz = n_jet[0] / n_jet[1]
+            z -= dz
+            if abs(dz) <= 4.0 * math.ulp(z):
+                break
+        p, n_jet = _branch_parts(stub, dev.z0, branch, z, derivatives=True)
+        rows.append((z, dev.z0 * p[0] / n_jet[1], -n_jet[3] / n_jet[1]))
+    return np.array(rows).T
+
+
+def _model_thetas(model, n: int, wp, chi, slopes: bool = False):
+    """Pole-model phases theta_w, w = 0..n, at broadcast (wp, chi): weight w
+    moves zero k to z_k + (n - 2w) chi zeta_k, and
+    theta_w = -2 atan(z0 sum_k K_k/(omega - z_k)) - 2 pi #{z_k <= omega}.
+    With ``slopes`` also d theta_w/d omega_p and d theta_w/d chi."""
+    th, d_wp, d_chi = [], [], []
+    for w in range(n + 1):
+        y = passed = g_wp = g_chi = 0.0
+        with np.errstate(all="ignore"):  # on a zero y = +-inf, atan's limit
+            for z, z0k, zeta in zip(*model):
+                offset = wp - (z + (n - 2 * w) * chi * zeta)
+                y = y + z0k / offset
+                passed = passed + (offset >= 0.0)
+                if slopes:
+                    g = z0k / offset ** 2
+                    g_wp, g_chi = g_wp + g, g_chi + g * zeta
+            th.append(-2.0 * np.arctan(y) - TWO_PI * passed)
+            if slopes:
+                gain = 2.0 / (1.0 + y * y)
+                d_wp.append(gain * g_wp)
+                d_chi.append(-gain * (n - 2 * w) * g_chi)
+    if slopes:
+        return np.array(th), np.array(d_wp), np.array(d_chi)
+    return np.array(th)
+
+
+def _model_newton(model, n: int, wp: float, chi: float, box):
+    """Newton on the pole model's n - 1 conditions from (wp, chi), least
+    squares where they are not square; each step must lower |r| and stay in
+    ``box`` = ((omega_p lo, hi), (chi lo, hi))."""
+    (lo, hi), (chi_lo, chi_hi) = box
+    th, d_wp, d_chi = _model_thetas(model, n, wp, chi, slopes=True)
+    r = _residuals(th)
+    for _ in range(MODEL_NEWTON_STEPS):
+        jac = np.column_stack([d_wp[:-2] - d_wp[2:], d_chi[:-2] - d_chi[2:]])
+        try:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        wp_n, chi_n = wp + step[0], chi + step[1]
+        if not (lo < wp_n < hi and chi_lo <= chi_n <= chi_hi):
+            break
+        th, d_wp, d_chi = _model_thetas(model, n, wp_n, chi_n, slopes=True)
+        r_n = _residuals(th)
+        if not np.linalg.norm(r_n) < np.linalg.norm(r):
+            break
+        wp, chi, r = wp_n, chi_n, r_n
+    return float(wp), float(chi)
+
+
+def _grid_minima(norm: np.ndarray, wps: np.ndarray, chi_grid: np.ndarray):
+    """Local minima of a residual-norm grid (rows chi_grid, columns wps),
+    best first, and the grid's best cell, each as (norm, omega_p, chi)."""
     # a NaN anywhere in a cell's 3x3 window makes its minimum NaN: no candidate
     neigh = np.lib.stride_tricks.sliding_window_view(
         np.pad(norm, 1, constant_values=np.inf), (3, 3)).min(axis=(2, 3))
@@ -327,6 +410,23 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
              for a, b in zip(i[order], j[order])]
     flat = np.unravel_index(np.argmin(norm), norm.shape)
     best_cell = (float(norm[flat]), float(wps[flat[1]]), float(chi_grid[flat[0]]))
+    return cands, best_cell
+
+
+def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
+    """Local minima of the pole model's residual norm on the (omega_p, chi)
+    grid, best first, each polished by Newton on the model; with no
+    conditions (n = 1) the contrast row's |cos(delta_theta/2)|."""
+    model = _pole_model(dev0)
+    n = dev0.n
+    wps = np.linspace(band[0], band[1], wp_points)
+    th = _model_thetas(model, n, wps[None, :], chi_grid[:, None])
+    r = _residuals(th) if n > 1 else np.cos(0.5 * (th[:1] - th[1:]))
+    cands, best_cell = _grid_minima(np.sqrt((r ** 2).sum(axis=0)), wps, chi_grid)
+    # n = 1 has no conditions to polish; n > 3 needs the gaps, which the grid holds
+    if 2 <= n <= 3:
+        box = (band, (chi_grid[0], chi_grid[-1]))
+        cands = [(v, *_model_newton(model, n, wp, chi, box)) for v, wp, chi in cands]
     return cands, best_cell
 
 
@@ -356,14 +456,16 @@ def _assemble(roots: list, tol: float) -> EraserSolution:
 
 def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
                       free_gaps: bool):
-    """Grid basins, Gauss-Newton onto the root set, then _assemble.
+    """Pole-model seeds, Gauss-Newton onto the root set, then _assemble.
 
     x = (omega_p, chi[, gaps]), the gaps starting at the template's spacing.
     When the unknowns outnumber the n - 1 conditions (n <= 2, or freed gaps)
     the roots form a family; a second Gauss-Newton from each root adds
     cos(delta_theta/2) = 0, the best score _assemble can rank, and both
-    roots compete.  A basin whose contrast root verifies ends the search:
-    nothing later scores higher.
+    roots compete.  That one runs on to MIN_TOL: the conditions need only
+    tol, but delta_theta = pi is the reported answer, and Newton's last
+    step takes it to the fold's resolution.  A basin whose contrast root
+    verifies ends the search: nothing later scores higher.
     """
     chi_grid = np.geomspace(chi_range[0], chi_range[1], grid_points)
     cands, best_cell = _grid_candidates(dev0, band, chi_grid, max(grid_points, 129))
@@ -376,7 +478,7 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
         if np.max(np.abs(r), initial=0.0) >= tol:
             continue
         if underdetermined:
-            xc, rc = _gauss_newton(dev0, x, band, chi_range, tol, contrast=True)
+            xc, rc = _gauss_newton(dev0, x, band, chi_range, MIN_TOL, contrast=True)
             if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
                 roots.append(xc)  # ahead of x, so it outlives a near-duplicate x
         roots.append(x)
@@ -384,7 +486,8 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
             break
     if not roots:
         raise NoSolution(
-            f"Newton failed from every grid basin; best cell: |R|={best_cell[0]:.3f} "
+            f"Newton failed from every pole-model seed; best cell: "
+            f"|R|={best_cell[0]:.3f} "
             f"at f_p={best_cell[1] / TWO_PI / 1e9:.4f} GHz, "
             f"chi={best_cell[2] / TWO_PI / 1e6:.4f} MHz",
             best=best_cell,
@@ -405,7 +508,8 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
     family wherever Gauss-Newton reaches it, and ``basins`` ends at the
     first such root; n = 1 has no conditions, so its root is that point.
     ``tol`` (rad) bounds every verified residual; it must be finite and at
-    least MIN_TOL.  ``grid_points`` sets the coarse-grid density per axis.
+    least MIN_TOL.  ``grid_points`` sets the pole-model grid's density per
+    axis.
     The probe search band covers every mode and chi in ``chi_range``; a
     device ``band`` clips it.  Raises
     InfeasibleDevice / NoSolution / PoleCollision.

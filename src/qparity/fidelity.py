@@ -238,12 +238,12 @@ def _pair_table(curves, omega_p: float, theta_p, delta_theta: float,
     """Fidelity of every unordered pair of Hamming weights.
 
     ``curves[w]`` is weight w's phase response (anything with ``theta(omega)``
-    and ``dtheta(omega, order)``), ``theta_p[w]`` its phase at omega_p and
-    ``delta_theta`` the parity contrast quoted for cross-parity pairs.  Every
-    pair gets the numeric mode sum; same-parity pairs also get the linear
-    closed form, or the quadratic one when the first-order mismatch cancels
-    (|b| < QUADRATIC_BRANCH_RATIO |b2| W); cross-parity pairs get the
-    even/odd closed form.
+    and PhaseCurve's jets ``_derivatives(omega)``), ``theta_p[w]`` its phase
+    at omega_p and ``delta_theta`` the parity contrast quoted for
+    cross-parity pairs.  Every pair gets the numeric mode sum; same-parity
+    pairs also get the linear closed form, or the quadratic one when the
+    first-order mismatch cancels (|b| < QUADRATIC_BRANCH_RATIO |b2| W);
+    cross-parity pairs get the even/odd closed form.
     """
     n = len(curves) - 1
     rep = _dispersion(curves, omega_p)

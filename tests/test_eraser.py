@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qparity.device import Mode, ParityDevice, QubitState
@@ -396,8 +396,7 @@ def _cell_by_cell_minima(norm, wps, chi_grid, top_k, fail_norm):
 
 @pytest.mark.parametrize("levels", [3, 4, 6])
 @pytest.mark.parametrize("seed", range(4))
-def test_grid_minima_match_the_cell_by_cell_rule(paper_device, monkeypatch,
-                                                  levels, seed):
+def test_grid_minima_match_the_cell_by_cell_rule(monkeypatch, levels, seed):
     # few norm levels make plateaus and exact ties; NaN cells and cells at or
     # above GRID_FAIL_NORM are never basins
     from qparity import eraser
@@ -407,17 +406,171 @@ def test_grid_minima_match_the_cell_by_cell_rule(paper_device, monkeypatch,
     band, points = (TWO_PI * 9.6e9, TWO_PI * 10.4e9), 40
     norm = rng.integers(0, levels, (len(chi_grid), points)) * 0.5
     norm[rng.random(norm.shape) < 0.05] = np.nan
-    rows = dict(zip(chi_grid.tolist(), norm))
-    monkeypatch.setattr(eraser, "eraser_residuals",
-                        lambda dev, wps: rows[dev.chi][None])
     wps = np.linspace(*band, points)
     for top_k in (eraser.GRID_TOP_K, norm.size):  # the solver's cut, then every cell
         monkeypatch.setattr(eraser, "GRID_TOP_K", top_k)
-        cands, _ = eraser._grid_candidates(paper_device, band, chi_grid, points)
+        cands, _ = eraser._grid_minima(norm, wps, chi_grid)
         expected = _cell_by_cell_minima(norm, wps, chi_grid, top_k,
                                         eraser.GRID_FAIL_NORM)
         assert len(expected) > 0
         assert cands == expected
+
+
+# ----------------------------------------------------------------------
+# the pole-model grid against the exact-curve grid
+# ----------------------------------------------------------------------
+
+def _exact_grid_candidates(dev0, band, chi_grid, wp_points):
+    """The coarse grid on the exact phase curves, one device and n + 1
+    curves per chi row: the reference for the solver's pole-model grid."""
+    from qparity import eraser
+
+    wps = np.linspace(band[0], band[1], wp_points)
+    norm = np.empty((len(chi_grid), len(wps)))
+    for i, chi in enumerate(chi_grid):
+        dev = dev0.with_chi(chi)
+        r = eraser_residuals(dev, wps)
+        if not len(r):  # n = 1
+            th = eraser._thetas(eraser._weight_curves(dev), wps)
+            r = np.cos(0.5 * (th[:1] - th[1:]))
+        norm[i] = np.sqrt((r ** 2).sum(axis=0))
+    return eraser._grid_minima(norm, wps, chi_grid)
+
+
+def _solve_or_none(dev, free):
+    try:
+        return solve_eraser(dev, free=free)
+    except NoSolution:
+        return None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3)]),
+    free_modes=st.booleans(),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(9.6, 10.4),
+    gap_mhz=st.floats(12.0, 40.0),
+    couplers_ff=st.lists(st.floats(6.0, 16.0), min_size=3, max_size=3),
+    equal=st.booleans(),
+)
+# the oracle's contrast Gauss-Newton drove a gap below the float spacing of
+# the mode frequencies here, and building that device raised ValueError
+@example(case=(3, 3), free_modes=True, model="stub", f0_ghz=10.0,
+         gap_mhz=19.321627071538963, couplers_ff=[9.375, 6.9375, 6.40625],
+         equal=False)
+# known counterexamples, one per way the property fails: on a root family
+# whose contrast closure fails, the returned root is where Gauss-Newton first
+# lands, which depends on the seed; and at a near-tie the two grids disagree
+# on which cell is a local minimum, so each grid can miss a basin the other
+# finds
+@example(case=(3, 2), free_modes=True, model="stub", f0_ghz=10.0, gap_mhz=12.0,
+         couplers_ff=[6.5, 6.0, 6.0], equal=False).xfail(
+    reason="score 0.67549 against the oracle's 0.67583 on a family without pi",
+    raises=AssertionError)
+@example(case=(4, 3), free_modes=True, model="stub", f0_ghz=9.786917109243868,
+         gap_mhz=12.40929074281045,
+         couplers_ff=[12.015984339091844, 8.248147000656324, 6.0482627588196385],
+         equal=False).xfail(
+    reason="the model grid misses the exact grid's only verifying basin",
+    raises=AssertionError)
+def test_pole_model_grid_solves_whatever_the_exact_grid_solves(
+        case, free_modes, model, f0_ghz, gap_mhz, couplers_ff, equal):
+    # the oracle is the same solve seeded from the exact-curve grid; where it
+    # verifies a root, the pole-model solve verifies one scoring no lower,
+    # and on a square system (n = 3, fixed modes) it is the same root
+    from qparity import eraser
+
+    n, m = case
+    free_modes = free_modes or n == 4
+    if equal:
+        couplers_ff = [couplers_ff[0]] * 3
+    modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + k * gap_mhz * 1e6), c * 1e-15)
+                  for k, c in zip(range(m), couplers_ff))
+    dev = ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6, resonator_model=model)
+    free = ("chi", "mode_frequencies") if free_modes else ("chi",)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eraser, "_grid_candidates", _exact_grid_candidates)
+        oracle = _solve_or_none(dev, free)
+    assume(oracle is not None)
+    sol = _solve_or_none(dev, free)
+    assert sol is not None
+    assert np.max(np.abs(sol.residuals), initial=0.0) < eraser.DEFAULT_TOL
+    score, oracle_score = (abs(math.sin(0.5 * s.delta_theta)) for s in (sol, oracle))
+    assert score >= oracle_score - 1e-9
+    if n == 3 and not free_modes:
+        assert sol.omega_p == pytest.approx(oracle.omega_p, rel=1e-9)
+        assert sol.chi == pytest.approx(oracle.chi, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+@pytest.mark.parametrize("coupler_ff", [5.0, 10.0, 20.0])
+@pytest.mark.parametrize("gap_mhz", [10.0, 20.0, 40.0])
+def test_two_mode_design_rule(model, coupler_ff, gap_mhz):
+    # with zeros at +-a about the probe, the state offsets 3 chi, chi, -chi,
+    # -3 chi meet both conditions where 3 chi/(9 chi^2 - a^2) = -chi/(chi^2 - a^2):
+    # a = sqrt(3) chi, so chi = gap/(2 sqrt 3), whatever the couplers
+    gap = TWO_PI * gap_mhz * 1e6
+    dev = ParityDevice.equal_coupling(
+        3, (Mode(TWO_PI * 10e9, coupler_ff * 1e-15),
+            Mode(TWO_PI * 10e9 + gap, coupler_ff * 1e-15)),
+        TWO_PI * 5e6, resonator_model=model)
+    sol = solve_eraser(dev)
+    assert gap / sol.chi == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-5)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_pole_model_zeros_and_their_pull(model):
+    # z_k is the exact curve's zero, and zeta_k = dz_k/d omega_r its pull,
+    # against a central difference of exact zeros
+    from qparity.eraser import _pole_model
+    from qparity.network import PhaseCurve
+
+    modes = (Mode(TWO_PI * 9.99e9, 8e-15), Mode(TWO_PI * 10.01e9, 12e-15))
+    dev = ParityDevice.equal_coupling(3, modes, TWO_PI * 5e6, resonator_model=model)
+    z, _, zeta = _pole_model(dev)
+
+    def exact_zero(mode, omega_r):
+        band = (0.95 * omega_r, omega_r)
+        return PhaseCurve([mode.c_couple], [omega_r], dev.z0, band, model).zeros[0]
+
+    h = TWO_PI * 1e3
+    for k, mo in enumerate(modes):
+        assert z[k] == pytest.approx(exact_zero(mo, mo.omega), rel=1e-13)
+        fd = (exact_zero(mo, mo.omega + h) - exact_zero(mo, mo.omega - h)) / (2 * h)
+        assert zeta[k] == pytest.approx(fd, rel=1e-5)
+
+
+def test_pole_model_slopes_match_central_difference():
+    from qparity.eraser import _model_thetas, _pole_model
+
+    dev = two_mode_device(3)
+    model = _pole_model(dev)
+    wp, chi = TWO_PI * 9.803e9, TWO_PI * 5.7e6
+    _, d_wp, d_chi = _model_thetas(model, 3, wp, chi, slopes=True)
+    h_wp, h_chi = TWO_PI * 1e3, TWO_PI * 1e2
+    fd_wp = (_model_thetas(model, 3, wp + h_wp, chi)
+             - _model_thetas(model, 3, wp - h_wp, chi)) / (2 * h_wp)
+    fd_chi = (_model_thetas(model, 3, wp, chi + h_chi)
+              - _model_thetas(model, 3, wp, chi - h_chi)) / (2 * h_chi)
+    assert np.allclose(d_wp, fd_wp, rtol=1e-6, atol=0.0)
+    assert np.allclose(d_chi, fd_chi, rtol=1e-6, atol=0.0)
+
+
+def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
+    # one candidate, polished to the model's root: 3e-6 and 4e-6 from the
+    # exact root in omega_p and chi (the residues differ by 0.6% and the
+    # model keeps only the poles), where exact residuals are 7e-3 rad
+    from qparity import eraser
+
+    search, _ = eraser._solver_band(paper_device, eraser.DEFAULT_CHI_RANGE)
+    chi_grid = np.geomspace(*eraser.DEFAULT_CHI_RANGE, 33)
+    cands, _ = eraser._grid_candidates(paper_device, search, chi_grid, 129)
+    (_, wp, chi), = cands
+    assert wp == pytest.approx(paper_solution.omega_p, rel=1e-5)
+    assert chi == pytest.approx(paper_solution.chi, rel=1e-5)
+    r = eraser_residuals(paper_device.with_chi(chi), wp)
+    assert np.max(np.abs(r)) < 1e-2
 
 
 @pytest.mark.parametrize("free_gaps", [False, True])
@@ -494,28 +647,34 @@ def _solve_work(dev, monkeypatch, **kwargs):
 
 def test_paper_solve_work_count(paper_device, monkeypatch):
     # deterministic work bound for one paper n = 3 solve: phase curves built
-    # (132 of them on the coarse grid), residual calls (the 33 grid rows)
-    # and root solves; rebuilding devices for finite differences breaks the
-    # first, and locating branch zeros while building a curve the last
+    # (18, all in Gauss-Newton and the solution; the exact-curve coarse grid
+    # built 154), residual calls (the pole-model grid makes none; the exact
+    # grid made 33) and root solves; rebuilding devices for finite
+    # differences breaks the first, and locating branch zeros while building
+    # a curve the last
     counts = _solve_work(paper_device, monkeypatch)
-    assert counts["curves"] <= 154
-    assert counts["residuals"] <= 33
+    assert counts["curves"] <= 18
+    assert counts["residuals"] == 0
     assert counts["brentq"] == 0
 
 
 def test_two_qubit_solve_work_count(monkeypatch):
-    # the coarse grid (99 curves) and two Gauss-Newton solves from its best
-    # basin, onto the root and then to delta_theta = pi: 139 curves; a
-    # chi-by-chi root search with a golden-section polish built 233
+    # two Gauss-Newton solves from the pole-model grid's best basin, onto
+    # the root and then to delta_theta = pi: 46 curves; the exact-curve grid
+    # added 99 (139), and a chi-by-chi root search with a golden-section
+    # polish built 233
     counts = _solve_work(two_mode_device(2), monkeypatch)
-    assert counts["curves"] <= 250
+    assert counts["curves"] <= 46
+    assert counts["residuals"] == 0
 
 
 def test_four_qubit_free_solve_work_count(monkeypatch):
-    # the coarse grid at the template spacing (165 curves) and two
-    # Gauss-Newton solves from its first basin: 269 curves; least-squares
-    # passes over five fixed gap scales before freeing the gaps built 3392
+    # two Gauss-Newton solves from the pole-model grid's first basin at the
+    # template spacing: 104 curves; the exact-curve grid added 165 (269), and
+    # least-squares passes over five fixed gap scales before freeing the
+    # gaps built 3392
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
-    assert counts["curves"] <= 300
+    assert counts["curves"] <= 104
+    assert counts["residuals"] == 0
     assert counts["brentq"] == 0
