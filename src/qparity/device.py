@@ -25,6 +25,7 @@ from .network import (
     PhaseCurve,
     QuarterWaveStub,
     Series,
+    _crossings,
     lumped_equivalent,
 )
 
@@ -296,3 +297,10 @@ def loaded_poles(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
     assuming either bookkeeping.
     """
     return tuple(float(p) for p in state_phase_curve(dev, state).poles)
+
+
+def loaded_poles_by_weight(dev: ParityDevice) -> list[tuple[float, ...]]:
+    """loaded_poles of every Hamming weight's representative state, 0..n,
+    located together in one broadcast search."""
+    curves = [weight_phase_curve(dev, w) for w in range(dev.n + 1)]
+    return [tuple(float(p) for p in poles) for poles in _crossings(curves)]

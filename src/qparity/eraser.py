@@ -31,9 +31,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .device import (ParityDevice, QubitState, _loaded_zero_estimate, loaded_poles,
+from .device import (ParityDevice, _loaded_zero_estimate, loaded_poles_by_weight,
                      weight_phase_curve)
-from .network import _branch_parts, lumped_equivalent, wrap_phase
+from .network import _branch_parts, _series_zeros, lumped_equivalent, wrap_phase
 
 __all__ = [
     "EraserError",
@@ -60,7 +60,6 @@ MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
 NEWTON_MAX_ITER = 30
 GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
 GRID_TOP_K = 12       # grid basins Gauss-Newton starts from, best first
-ZERO_NEWTON_STEPS = 8  # Newton steps on a stub's N_k from its lumped zero
 MODEL_NEWTON_STEPS = 8  # Newton steps on the pole model from a grid basin
 
 
@@ -327,25 +326,16 @@ def _pole_model(dev: ParityDevice):
     there, and zeta_k = dz_k/d omega_r.
 
     With B_k = P_k/N_k (see _branch_parts), K_k = P_k/N_k' and, as N_k
-    stays zero along the zero, zeta_k = -(dN_k/d omega_r)/N_k'.  Lumped
-    zeros are closed form; stub zeros take Newton steps on N_k from the
-    lumped value.
+    stays zero along the zero, zeta_k = -(dN_k/d omega_r)/N_k'.  The zeros
+    are the branches' own on the fundamental (network._series_zeros).
     """
     stub = dev.resonator_model == "stub"
-    rows = []
-    for mo in dev.modes:
-        branch = ((mo.c_couple, mo.omega) if stub
-                  else (mo.c_couple, *lumped_equivalent(mo.omega, dev.z0)))
-        z = _loaded_zero_estimate(mo, dev.z0)
-        for _ in range(ZERO_NEWTON_STEPS if stub else 0):
-            _, n_jet = _branch_parts(stub, dev.z0, branch, z, derivatives=True)
-            dz = n_jet[0] / n_jet[1]
-            z -= dz
-            if abs(dz) <= 4.0 * math.ulp(z):
-                break
-        p, n_jet = _branch_parts(stub, dev.z0, branch, z, derivatives=True)
-        rows.append((z, dev.z0 * p[0] / n_jet[1], -n_jet[3] / n_jet[1]))
-    return np.array(rows).T
+    table = np.array([(mo.c_couple, mo.omega) if stub
+                      else (mo.c_couple, *lumped_equivalent(mo.omega, dev.z0))
+                      for mo in dev.modes]).T
+    z = _series_zeros(stub, dev.z0, table)
+    p, n_jet = _branch_parts(stub, dev.z0, table, z, derivatives=True)
+    return np.array([z, dev.z0 * p[0] / n_jet[1], -n_jet[3] / n_jet[1]])
 
 
 def _model_thetas(model, n: int, wp, chi, slopes: bool = False):
@@ -583,8 +573,7 @@ def solution_to_dict(sol: EraserSolution) -> dict:
         # bare vs loaded resonances: the coupling caps pull the poles, so
         # both bookkeepings are reported
         "loaded_poles_by_weight_Hz": {
-            str(w): [p / TWO_PI for p in loaded_poles(
-                dev, QubitState.of_weight(dev.n, w))]
-            for w in range(dev.n + 1)
+            str(w): [p / TWO_PI for p in poles]
+            for w, poles in enumerate(loaded_poles_by_weight(dev))
         },
     }

@@ -66,6 +66,14 @@ MAX_SWEEP_POINTS = 2 ** 24
 # aliased full turn and forces further bisection.
 FOSTER_NOISE = 1e-7
 
+# Bracketed Newton steps on a stub branch's N (see _series_zeros); a
+# tan interval bisected this often is below float spacing.
+ZERO_NEWTON_STEPS = 64
+
+# Bracketed Newton passes of the loaded-pole search; bisection alone would
+# shrink any band below float spacing in fewer.
+POLE_NEWTON_PASSES = 64
+
 
 class NetworkError(Exception):
     """Base class for network evaluation failures."""
@@ -448,7 +456,8 @@ def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = F
     branch has B = -1/X = P/N, P = w C_c c and N = c - w C_c s, so N changes
     sign at the branch's series zeros.  With ``derivatives`` each of P and N
     is an array of rows (value, d/dw, d2/dw2, d/dw_r), the last at fixed
-    resonator impedance (the stub's z0, the tank's sqrt(L/C)).
+    resonator impedance (the stub's z0, the tank's sqrt(L/C)).  The row's
+    entries and w may be arrays of one shape: every operation is elementwise.
     """
     c_c = branch[0]
     if stub:
@@ -464,15 +473,19 @@ def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = F
         cap, l = branch[1:]
         c, s = 1.0 - w * w * (l * cap), w * l
         if derivatives:
-            w_r = 1.0 / math.sqrt(l * cap)
-            c = np.array([c, -2.0 * w * l * cap, -2.0 * l * cap, 2.0 * (1.0 - c) / w_r])
-            s = np.array([s, l, 0.0, -s / w_r])
+            w_r = 1.0 / np.sqrt(l * cap)
+            c = np.array([c, -2.0 * w * l * cap, np.full_like(c, -2.0 * l * cap),
+                          2.0 * (1.0 - c) / w_r])
+            s = np.array([s, np.full_like(s, l), np.zeros_like(s), -s / w_r])
     k = w * c_c
     if not derivatives:
         return k * c, c - k * s
 
     def times_k(f):  # product rule for k = w C_c, linear in w
-        return k * f + c_c * np.array([0.0, f[0], 2.0 * f[1], 0.0])
+        out = k * f
+        out[1] += c_c * f[0]
+        out[2] += c_c * (2.0 * f[1])
+        return out
 
     return times_k(c), c - times_k(s)
 
@@ -500,6 +513,157 @@ def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold(stub: bool, z0: float, branches, w: np.ndarray, slope: bool = False):
+    """theta of m parallel branches at w, and with ``slope`` also theta'.
+
+    ``branches`` holds one row of the branch table per branch (see
+    _branch_parts); each entry is a float or an array of w's shape, so one
+    call evaluates many curves at once, one frequency each.  The fold is
+    U <- U N_k + P_k V, V <- V N_k, B = U/V, with
+    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w} and
+    theta' = -2 z0 (U' V - U V')/(V^2 + z0^2 U^2).
+    """
+    u, v, passed = np.zeros_like(w), np.ones_like(w), np.zeros_like(w)
+    du = dv = 0.0
+    for branch in branches:
+        if slope:
+            (p, dp, *_), (n, dn, *_) = _branch_parts(stub, z0, branch, w, derivatives=True)
+            du, dv = du * n + u * dn + dp * v + p * dv, dv * n + v * dn
+        else:
+            p, n = _branch_parts(stub, z0, branch, w)
+        u, v = u * n + p * v, v * n
+        passed += _zeros_below(stub, branch, n, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # V = 0 only exactly on a zero, which B approaches from below
+        z0_b = np.where(v == 0.0, np.inf, z0 * u / v)
+    theta = -2.0 * np.arctan(z0_b) - TWO_PI * passed
+    if not slope:
+        return theta
+    return theta, -2.0 * (z0 * (du * v - u * dv)) / (v * v + (z0 * u) ** 2)
+
+
+def _series_zeros(stub: bool, z0: float, branch, order=0):
+    """A branch's series zero, N = 0 (see _branch_parts), elementwise over
+    the arrays of its table row and of ``order``.
+
+    The lumped tank has one, 1/sqrt(L (C + C_c)).  The stub has one on each
+    interval ((2 order - 1) w_r, (2 order + 1) w_r) of tan x, where
+    N (-1)^order falls from + to -, just below the interval's top: there the
+    stub looks like a tank of C = pi/(4 w_r z0) resonating at
+    (2 order + 1) w_r, and that tank's zero seeds Newton on N.  Every step
+    shrinks the interval to a bracket of the zero, a step that would leave
+    it bisects instead, and an element stops once it moves within 4 ulps.
+    """
+    c_c = branch[0]
+    if not stub:
+        cap, l = branch[1:]
+        return 1.0 / np.sqrt(l * (cap + c_c))
+    w_r = branch[1]
+    top = (2 * order + 1) * w_r
+    lo, hi = np.maximum(top - 2.0 * w_r, 0.0), top
+    cap = math.pi / (4.0 * w_r * z0)
+    z = 1.0 / np.sqrt(1.0 / (top * top * cap) * (cap + c_c))
+    z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
+    sign = np.where(np.asarray(order) % 2 == 0, 1.0, -1.0)
+    active = np.ones(np.shape(z), dtype=bool)
+    for _ in range(ZERO_NEWTON_STEPS):
+        _, n = _branch_parts(stub, z0, branch, z, derivatives=True)
+        lo, hi = np.where(sign * n[0] > 0.0, z, lo), np.where(sign * n[0] < 0.0, z, hi)
+        dz = n[0] / n[1]
+        newton = z - dz
+        # a step within 4 ulps has converged, even onto a bracket end
+        take = ((lo < newton) & (newton < hi)) | (np.abs(dz) <= 4.0 * np.spacing(newton))
+        step = np.where(take, newton, 0.5 * (lo + hi))
+        dz = np.where(take, dz, z - step)
+        z = np.where(active, step, z)
+        active &= np.abs(dz) > 4.0 * np.spacing(z)
+        if not active.any():
+            break
+    return z
+
+
+def _sorted_rows(a: np.ndarray) -> np.ndarray:
+    # rows of a few zeros each; np.sort would load numpy's sort kernels into
+    # every solving process, a few hundred kB of peak memory
+    return np.array([sorted(row) for row in a])
+
+
+def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every branch zero from DC up to hi of each curve, sorted along rows.
+
+    ``table`` stacks the curves' branch tables, shape (curves, branches,
+    columns), and ``hi`` holds each curve's upper band edge.  A stub branch
+    has a zero on every tan interval up to the one holding hi; the rows are
+    padded with zeros of higher intervals, which all lie above hi.
+    """
+    columns = np.moveaxis(table, -1, 0)
+    if not stub:
+        return _sorted_rows(_series_zeros(stub, z0, columns))
+    top = int(np.max(np.floor(0.5 * hi[:, None] / columns[1] + 0.5)))
+    orders = np.arange(top + 1)
+    zeros = _series_zeros(stub, z0, columns[..., None], orders)
+    return _sorted_rows(zeros.reshape(len(table), -1))
+
+
+def _crossings(curves) -> list:
+    """Each curve's loaded poles (theta = 0 mod 2*pi) in its band, ascending,
+    found together in one broadcast pass; the curves share z0, model and
+    branch count.
+
+    theta descends continuously, so the levels 2*pi k with
+    theta(hi) <= 2*pi k < theta(lo) fix how many poles the band holds.
+    Foster interlacing brackets each: on the level 2*pi k, exactly -k
+    branch zeros lie below, so the pole sits between the curve's -k-th and
+    (-k+1)-th zeros from DC (_zero_table), clipped to the band.  Newton on
+    theta with the exact theta' (_fold) starts at the bracket's midpoint,
+    or above the top zero at the top branch's resonance frequency, the exact
+    pole of one branch; every evaluation shrinks the bracket, and a step
+    that would leave it bisects instead.
+    """
+    table = np.array([c._branches for c in curves])
+    band = np.array([c.band for c in curves])
+    stub, z0 = curves[0]._stub, curves[0].z0
+
+    def fold(rows, w, slope=False):  # the curves of ``rows``, one w each
+        return _fold(stub, z0, np.moveaxis(table[rows], (1, 2), (0, 1)), w, slope)
+
+    edges = fold(np.repeat(np.arange(len(curves)), 2), band.ravel()).reshape(-1, 2)
+    zeros = _zero_table(stub, z0, table, band[:, 1])
+    resonance = (table[..., 1] if stub
+                 else 1.0 / np.sqrt(table[..., 1] * table[..., 2])).max(axis=1)
+    rows, levels, lo, hi, seed = [], [], [], [], []
+    for i, (th_lo, th_hi) in enumerate(edges):
+        b_lo, b_hi = band[i]
+        # theta < 0 from DC to the first zero, so every level has k <= -1
+        for k in range(math.ceil(th_lo / TWO_PI) - 1, math.ceil(th_hi / TWO_PI) - 1, -1):
+            below = zeros[i, -k - 1]
+            above = zeros[i, -k] if -k < zeros.shape[1] else math.inf
+            a, b = max(b_lo, below), min(b_hi, above)
+            top = above >= b_hi and a < resonance[i] < b
+            rows.append(i)
+            levels.append(TWO_PI * k)
+            lo.append(a)
+            hi.append(b)
+            seed.append(resonance[i] if top else 0.5 * (a + b))
+    rows, levels = np.array(rows, dtype=int), np.array(levels)
+    lo, hi, x = np.array(lo), np.array(hi), np.array(seed)
+    done = np.zeros(len(x), dtype=bool)
+    for _ in range(POLE_NEWTON_PASSES):
+        if done.all():
+            break
+        theta, slope = fold(rows, x, slope=True)
+        f = theta - levels
+        lo, hi = np.where(f > 0.0, x, lo), np.where(f < 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / slope
+        # a step within 2 ulps has converged, even onto a bracket end
+        converged = done | (f == 0.0) | (np.abs(newton - x) <= 2.0 * np.spacing(x))
+        inside = (lo < newton) & (newton < hi)
+        x = np.where(converged, x, np.where(inside, newton, 0.5 * (lo + hi)))
+        done = converged
+    return [x[rows == i] for i in range(len(curves))]
+
+
 class PhaseCurve:
     """Unwrapped reflection phase of a coupled-resonator one-port, in closed form.
 
@@ -520,10 +684,12 @@ class PhaseCurve:
     and descends continuously everywhere else (Foster), and each branch
     counts its zeros from the sign of the same N_k, so jump and count
     switch together.  So theta holds at any omega > 0; the band is only
-    where zeros (theta = -pi mod 2*pi) and loaded poles (theta = 0 mod 2*pi,
-    r = +1) are searched, as level crossings of this continuous descent.
-    The same fold carried as jets gives exact derivatives, smooth through
-    branch zeros (V = 0) and loaded poles (U = 0).
+    where zeros and loaded poles are located.  The zeros are each branch's
+    own roots of N_k (closed form for the tank, bracketed Newton for the
+    stub); the loaded poles (theta = 0 mod 2*pi, r = +1) are found by
+    bracketed Newton between them (see _crossings).  The same fold carried
+    as jets gives exact derivatives, smooth through branch zeros (V = 0)
+    and loaded poles (U = 0).
     """
 
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
@@ -554,38 +720,24 @@ class PhaseCurve:
 
     def theta(self, omega):
         w = np.atleast_1d(_check_omega(omega))
-        u, v, passed = np.zeros_like(w), np.ones_like(w), np.zeros_like(w)
-        for branch in self._branches:
-            p, n = _branch_parts(self._stub, self.z0, branch, w)
-            u, v = u * n + p * v, v * n
-            passed += _zeros_below(self._stub, branch, n, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # V = 0 only exactly on a zero, which B approaches from below
-            z0_b = np.where(v == 0.0, np.inf, self.z0 * u / v)
-        out = -2.0 * np.arctan(z0_b) - TWO_PI * passed
+        out = _fold(self._stub, self.z0, self._branches, w)
         return out if np.ndim(omega) else float(out[0])
-
-    def _crossings(self, level: float) -> np.ndarray:
-        """Frequencies in the band where theta descends through level
-        mod 2*pi, in ascending order: theta is continuous and decreasing,
-        so one brentq over the band finds each."""
-        lo, hi = self.band
-        turns = range(math.ceil((self.theta(lo) - level) / TWO_PI) - 1,
-                      math.ceil((self.theta(hi) - level) / TWO_PI) - 1, -1)
-        return np.array([brentq(lambda w, t=level + TWO_PI * k: self.theta(w) - t,
-                                lo, hi, xtol=1e-6, rtol=1e-15) for k in turns],
-                        dtype=float)
 
     @functools.cached_property
     def zeros(self) -> np.ndarray:
-        """Branch series zeros (Z = 0) in the band: theta = -pi mod 2*pi."""
-        return self._crossings(-math.pi)
+        """Branch series zeros (Z = 0, theta = -pi mod 2*pi) in the band
+        (lo, hi], ascending: each branch's own roots of N_k."""
+        lo, hi = self.band
+        zeros = _zero_table(self._stub, self.z0, np.array([self._branches]),
+                            np.array([hi]))[0]
+        return zeros[(lo < zeros) & (zeros <= hi)]
 
     @functools.cached_property
     def poles(self) -> np.ndarray:
-        """Loaded pole frequencies of Z (r = +1) in the band: theta = 0
-        mod 2*pi."""
-        return self._crossings(0.0)
+        """Loaded pole frequencies of Z (r = +1) in the band, theta = 0
+        mod 2*pi, ascending: bracketed Newton between the zeros
+        (_crossings)."""
+        return _crossings([self])[0]
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
     def _derivatives(self, omega: float):

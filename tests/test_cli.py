@@ -568,16 +568,23 @@ def test_estimate_zero_power_writes_null_dbm(capsys, tmp_path):
 # ----------------------------------------------------------------------
 
 def test_no_cli_path_builds_a_network_tree(monkeypatch, paper_device, tmp_path):
-    # phase curves read the branch table; the tree is only the test oracle's
+    # phase curves read the branch table; the tree is only the test oracle's,
+    # and so is brentq, which only the oracle sweep still calls
     import qparity.device
+    import qparity.network
     from qparity import (Mode, ParityDevice, ProbePulse, compare_schemes,
-                         eraser_quality, solve_eraser)
+                         eraser_quality, solution_to_dict, solve_eraser)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a network tree was built")
 
+    def refuse_brentq(*args, **kwargs):
+        raise AssertionError("brentq was called")
+
     monkeypatch.setattr(qparity.device, "build_state_network", refuse)
+    monkeypatch.setattr(qparity.network, "brentq", refuse_brentq)
     sol = solve_eraser(paper_device)
+    assert len(solution_to_dict(sol)["loaded_poles_by_weight_Hz"]["0"]) == 2
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
     assert eraser_quality(sol.device, sol, pulse)
     cavity = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 10e9, 10e-15),), sol.chi)

@@ -615,8 +615,10 @@ def test_jacobian_matches_central_difference(free_gaps):
 
 
 def _solve_work(dev, monkeypatch, **kwargs):
-    """Phase curves built, eraser_residuals calls and root solves in
-    qparity.network made by one solve."""
+    """Work of one CLI solve payload, solve_eraser then solution_to_dict:
+    phase curves built, eraser_residuals calls and root solves in
+    qparity.network over both, and the broadcast-fold passes of the
+    loaded-pole search (every _fold call solution_to_dict makes)."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -625,6 +627,7 @@ def _solve_work(dev, monkeypatch, **kwargs):
     init = network.PhaseCurve.__init__
     residuals = eraser.eraser_residuals
     root_solve = network.brentq
+    fold = network._fold
 
     def counting_init(self, *args, **kwargs):
         counts["curves"] += 1
@@ -638,10 +641,19 @@ def _solve_work(dev, monkeypatch, **kwargs):
         counts["brentq"] += 1
         return root_solve(*args, **kwargs)
 
+    def counting_fold(*args, **kwargs):
+        counts["folds"] += 1
+        return fold(*args, **kwargs)
+
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
     monkeypatch.setattr(network, "brentq", counting_brentq)
-    solve_eraser(dev, **kwargs)
+    sol = solve_eraser(dev, **kwargs)
+    solve_curves = counts["curves"]
+    monkeypatch.setattr(network, "_fold", counting_fold)
+    eraser.solution_to_dict(sol)
+    counts["pole_curves"] = counts["curves"] - solve_curves
+    counts["curves"] = solve_curves
     return counts
 
 
@@ -651,11 +663,15 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     # built 154), residual calls (the pole-model grid makes none; the exact
     # grid made 33) and root solves; rebuilding devices for finite
     # differences breaks the first, and locating branch zeros while building
-    # a curve the last
+    # a curve the last.  The payload's 8 loaded poles take one curve per
+    # weight and 6 fold passes over all of them: the band-edge phases, then
+    # 5 bracketed Newton passes (one brentq per pole made 8 root solves)
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] <= 18
     assert counts["residuals"] == 0
     assert counts["brentq"] == 0
+    assert counts["pole_curves"] == 4
+    assert counts["folds"] <= 6
 
 
 def test_two_qubit_solve_work_count(monkeypatch):
@@ -672,9 +688,13 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     # two Gauss-Newton solves from the pole-model grid's first basin at the
     # template spacing: 104 curves; the exact-curve grid added 165 (269), and
     # least-squares passes over five fixed gap scales before freeing the
-    # gaps built 3392
+    # gaps built 3392.  The payload's 15 loaded poles take one curve per
+    # weight and 6 fold passes, as the paper's 8 do (15 brentq root solves
+    # before)
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] <= 104
     assert counts["residuals"] == 0
     assert counts["brentq"] == 0
+    assert counts["pole_curves"] == 5
+    assert counts["folds"] <= 6

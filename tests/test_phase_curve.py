@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qparity.cascade import _bit_curves
 from qparity.device import (
@@ -29,6 +30,7 @@ from qparity.network import (
     Inductor,
     PhaseCurve,
     Series,
+    _crossings,
     phase_sweep,
     reflection_coefficient,
 )
@@ -113,6 +115,24 @@ def test_continuous_at_every_branch_zero(model, chi_mhz):
 
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_broadcast_fold_matches_each_curve(model):
+    # one fold over the stacked branch tables of every weight, one frequency
+    # per curve, gives each curve's own theta bit for bit, and its theta'
+    from qparity.network import _fold
+
+    curves = device_curves(paper(model))
+    grid = TWO_PI * np.linspace(9.7e9, 10.1e9, 7)
+    rows = np.repeat(np.arange(len(curves)), len(grid))
+    table = np.array([c._branches for c in curves])[rows]
+    w = np.tile(grid, len(curves))
+    theta, slope = _fold(model == "stub", curves[0].z0,
+                         np.moveaxis(table, (1, 2), (0, 1)), w, slope=True)
+    assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
+    assert slope == pytest.approx([c.dtheta(x) for c in curves for x in grid],
+                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
 def test_theta_does_not_depend_on_the_band(model):
     # the lower edge of this band sits above the branch zeros near 9.79 GHz,
     # which the DC-referenced phase still counts
@@ -142,6 +162,40 @@ def test_stub_zeros_match_50_digit_roots(chi_mhz):
     for curve, net in device_pairs(paper("stub", chi_mhz)):
         expected = sorted(float(_mp_reactance(b)[1]) for b in net.children)
         assert curve.zeros == pytest.approx(expected, rel=1e-12)
+
+
+def _mp_numerator(branches):
+    """50-digit U(w) = sum_k P_k prod_{j != k} N_j, the numerator of the
+    folded susceptance B = U/V of coupler + stub branches, with
+    P = w C_c cos x and N = cos x - w C_c z0 sin x, x = (pi/2) w/w_r."""
+    mp.mp.dps = 50
+    rows = [(mp.mpf(b.children[0].c), mp.mpf(b.children[1].z0),
+             mp.mpf(b.children[1].omega_r)) for b in branches]
+
+    def u(w):
+        parts = []
+        for c_c, z0, w_r in rows:
+            x = mp.pi / 2 * w / w_r
+            parts.append((w * c_c * mp.cos(x), mp.cos(x) - w * c_c * z0 * mp.sin(x)))
+        return mp.fsum(p * mp.fprod(n for j, (_, n) in enumerate(parts) if j != k)
+                       for k, (p, _) in enumerate(parts))
+
+    return u
+
+
+def test_paper_loaded_poles_match_50_digit_roots():
+    # Foster interlacing brackets the 50-digit roots of U independently of
+    # the float code: one between the two branch zeros, and the top one
+    # between the upper zero and the upper resonator, where U = P_1 N_2 > 0
+    pairs = device_pairs(paper("stub"))
+    assert sum(len(curve.poles) for curve, _ in pairs) == 8
+    for curve, net in pairs:
+        u = _mp_numerator(net.children)
+        z_1, z_2 = sorted(_mp_reactance(b)[1] for b in net.children)
+        top = max(mp.mpf(b.children[1].omega_r) for b in net.children)
+        roots = [mp.findroot(u, bracket, solver="illinois")
+                 for bracket in ((z_1, z_2), (z_2, top))]
+        assert curve.poles == pytest.approx([float(r) for r in roots], rel=1e-13)
 
 
 @pytest.mark.parametrize("chi_mhz", [1.0, 5.77, 20.0])
@@ -298,6 +352,79 @@ def test_random_unequal_chi_devices(n, m, model, f0_ghz, gaps_mhz, couplers_ff,
     for state in states:
         theta = state_phase_curve(equal, state).theta(grid)
         assert np.array_equal(by_weight.setdefault(state.weight, theta), theta)
+
+
+def brentq_crossings(curve: PhaseCurve, level: float) -> np.ndarray:
+    """Where the curve's theta descends through level mod 2*pi in its band,
+    as PhaseCurve located zeros (level -pi) and loaded poles (level 0)
+    before bracketed Newton: one brentq over the whole band per crossing,
+    on scalar theta calls, with the crossing count from theta(lo) and
+    theta(hi)."""
+    lo, hi = curve.band
+    turns = range(math.ceil((curve.theta(lo) - level) / TWO_PI) - 1,
+                  math.ceil((curve.theta(hi) - level) / TWO_PI) - 1, -1)
+    return np.array([brentq(lambda w, t=level + TWO_PI * k: curve.theta(w) - t,
+                            lo, hi, xtol=1e-6, rtol=1e-15) for k in turns], dtype=float)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(8.0, 12.0),
+    gaps_mhz=st.lists(st.floats(10.0, 40.0), min_size=2, max_size=2),
+    couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
+    chis_mhz=st.lists(st.floats(0.5, 20.0), min_size=12, max_size=12),
+    equal=st.booleans(),
+    harmonic=st.booleans(),
+)
+@example(n=1, m=1, model="stub", f0_ghz=10.0, gaps_mhz=[10.0, 10.0],
+         couplers_ff=[20.0, 3.0, 3.0], chis_mhz=[5.0] * 12, equal=True, harmonic=True)
+def test_crossings_match_the_brentq_oracle(n, m, model, f0_ghz, gaps_mhz, couplers_ff,
+                                           chis_mhz, equal, harmonic):
+    # every state's zeros and poles, found in one broadcast pass, against one
+    # brentq per crossing; with ``harmonic`` a user band from below the
+    # loaded zeros to above 3 w_r, where each stub branch has a second zero
+    # and pole
+    offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
+    modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + d * 1e6), c * 1e-15)
+                  for d, c in zip(offsets, couplers_ff))
+    chi = [[TWO_PI * 1e6 * chis_mhz[0 if equal else j * m + k] for k in range(m)]
+           for j in range(n)]
+    band = ((TWO_PI * 0.9 * f0_ghz * 1e9, 3.1 * modes[-1].omega) if harmonic else None)
+    dev = ParityDevice(n=n, modes=modes, chi_matrix=chi, resonator_model=model, band=band)
+    states = [QubitState(bits) for bits in itertools.product((0, 1), repeat=n)]
+    curves = [state_phase_curve(dev, state) for state in states]
+    for curve, poles in zip(curves, _crossings(curves)):
+        expected = brentq_crossings(curve, 0.0)
+        assert len(poles) == len(expected) == m * (2 if harmonic and model == "stub" else 1)
+        assert poles == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(curve.poles, poles)
+        zeros = brentq_crossings(curve, -math.pi)
+        assert len(curve.zeros) == len(zeros)
+        assert curve.zeros == pytest.approx(zeros, rel=1e-12)
+        # Foster: zeros and poles strictly alternate, a zero first
+        merged = np.concatenate([curve.zeros, poles])
+        order = np.argsort(merged)
+        assert np.all(np.diff(merged[order]) > 0.0)
+        assert np.array_equal(order >= len(zeros), np.arange(len(merged)) % 2 == 1)
+
+
+@pytest.mark.parametrize("coupler_ff", [1e3, 1e5])
+def test_stub_zeros_stay_on_their_tan_interval(coupler_ff):
+    # a 1-100 pF coupler pulls the fundamental zero far below w_r, and the
+    # tank seed of the next interval's zero, near 2 w_r, below that interval:
+    # unbracketed Newton from it landed on the fundamental zero again, and
+    # the pole search then returned a zero as a pole
+    modes = (Mode(TWO_PI * 9.99e9, coupler_ff * 1e-15), Mode(TWO_PI * 10.01e9, 10e-15))
+    band = (TWO_PI * 0.1e9, TWO_PI * 11e9)
+    dev = ParityDevice.equal_coupling(3, modes, TWO_PI * 115e6, band=band)
+    for curve in device_curves(dev):
+        for got, level in ((curve.zeros, -math.pi), (curve.poles, 0.0)):
+            expected = brentq_crossings(curve, level)
+            assert len(got) == len(expected) == 2
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 GOOD_TABLE = dict(c_couple=(10e-15,), omega_r=(TWO_PI * 10e9,), z0=50.0,
