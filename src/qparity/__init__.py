@@ -30,9 +30,6 @@ from .device import (
     QubitState,
     analysis_band,
     build_state_network,
-    loaded_poles,
-    phase_derivatives,
-    phase_for_state,
     shifted_frequency,
     state_phase_curve,
     weight_phase_curve,
@@ -69,7 +66,6 @@ from .fidelity import (
 from .cascade import (
     ComparisonReport,
     TunedCascade,
-    cascade_phase,
     compare_schemes,
     tune_cascade,
 )

@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass
 
 from .device import ParityDevice, QubitState, _loaded_zero_estimate, weight_phase_curve
-from .eraser import EraserSolution, _residuals, _thetas, _weight_curves
+from .eraser import EraserSolution, _jets, _residuals, _weight_curves
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
 from .network import PhaseCurve, wrap_phase
 
 __all__ = [
     "TunedCascade",
-    "cascade_phase",
     "tune_cascade",
     "SchemeMetrics",
     "ComparisonReport",
@@ -59,21 +58,18 @@ class _CavitySum:
     def theta(self, omega):
         return sum(c.theta(omega) for c in self.curves)
 
-    def _derivatives(self, omega):
-        """The cavities' (theta', theta'', d theta/d omega_r) jets, summed."""
-        jets = [c._derivatives(omega) for c in self.curves]
-        return tuple(sum(j[i] for j in jets) for i in range(3))
+    def jets(self, omega):
+        """The cavities' (theta, theta', theta'', d theta/d omega_r) jets,
+        summed row by row."""
+        jets = [c.jets(omega) for c in self.curves]
+        return tuple(sum(j[i] for j in jets) for i in range(4))
 
 
 def _state_curve(cavity: ParityDevice, state: QubitState) -> _CavitySum:
+    """The cascade in ``state``: one cavity per qubit, each in its bit's
+    state; its phase is the sum of the per-cavity reflection phases."""
     curves = _bit_curves(cavity)
     return _CavitySum(tuple(curves[b] for b in state.bits))
-
-
-def cascade_phase(cavity: ParityDevice, state: QubitState, omega):
-    """Total reflected phase of one cavity per qubit of ``state``: the sum
-    of the per-cavity reflection phases."""
-    return _state_curve(cavity, state).theta(omega)
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None
     if w is None:
         w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
     for _ in range(MAX_NEWTON_STEPS):
-        (b0, s0, r0), (b1, s1, r1) = c0._derivatives(w), c1._derivatives(w)
+        (t0, b0, s0, r0), (t1, b1, s1, r1) = c0.jets(w), c1.jets(w)
         b, slope = float(b0 - b1), float(s0 - s1)
         if not slope < 0.0:
             raise ValueError("no symmetric point: the per-qubit phase step has no "
@@ -105,7 +101,7 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None
         dw = -b / slope
         if abs(dw) <= OMEGA_ULPS * math.ulp(w):
             tuned = TunedCascade(cavity=cavity, omega_p=w, b_single=b,
-                                 step=float(c0.theta(w) - c1.theta(w)))
+                                 step=float(t0 - t1))
             return tuned, float(r0[0] + r1[0])
         w += dw
         if not 0.0 < w < math.inf:
@@ -185,13 +181,13 @@ def _scheme_metrics(name: str, resonator_count: int, chi: float, curves,
     """One scheme's metrics from its per-weight phase responses, scored by
     the pairwise fidelity table with the pulse centred on omega_p."""
     pulse = ProbePulse(pulse.alpha, omega_p, pulse.bandwidth)
-    th = _thetas(curves, omega_p)
+    th, jets = _jets(curves, omega_p)
     delta = float(wrap_phase(th[0] - th[1]))
     if math.pi - abs(delta) <= STEP_TOL:
         # a tuned pi step has no sign: rounding noise picks either end of
         # (-pi, pi], and cos, the only other reader, is even
         delta = abs(delta)
-    table = _pair_table(curves, omega_p, th, delta, pulse,
+    table = _pair_table(curves, jets, th, delta, pulse,
                         build_mode_grid(omega_p, pulse.bandwidth))
     same = [r for r in table if r.branch != "even-odd"]
     cross = table[0]  # weights (0, 1)

@@ -38,8 +38,6 @@ __all__ = [
     "build_state_network",
     "analysis_band",
     "state_phase_curve",
-    "phase_for_state",
-    "phase_derivatives",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -274,33 +272,13 @@ def weight_phase_curve(dev: ParityDevice, weight: int) -> PhaseCurve:
     return state_phase_curve(dev, QubitState.of_weight(dev.n, weight))
 
 
-def phase_for_state(dev: ParityDevice, state: QubitState, omega: float):
-    """Unwrapped reflection phase of the state network at omega.
-
-    Every state's phase is DC-referenced, so differences between states
-    (including their 2*pi winding offsets) are well defined.
-    """
-    return state_phase_curve(dev, state).theta(omega)
-
-
-def phase_derivatives(dev: ParityDevice, state: QubitState, omega: float,
-                      order: int = 1) -> float:
-    """d theta/d omega (order 1, seconds) or second derivative (order 2)."""
-    return state_phase_curve(dev, state).dtheta(omega, order=order)
-
-
-def loaded_poles(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
-    """Pole frequencies of the loaded one-port for this state.
+def loaded_poles_by_weight(dev: ParityDevice) -> list[tuple[float, ...]]:
+    """Pole frequencies of the loaded one-port of every Hamming weight's
+    representative state, 0..n, located together in one broadcast search.
 
     The coupling capacitors renormalize the bare resonances, so these differ
     from the shifted mode frequencies; diagnostics report both rather than
     assuming either bookkeeping.
     """
-    return tuple(float(p) for p in state_phase_curve(dev, state).poles)
-
-
-def loaded_poles_by_weight(dev: ParityDevice) -> list[tuple[float, ...]]:
-    """loaded_poles of every Hamming weight's representative state, 0..n,
-    located together in one broadcast search."""
     curves = [weight_phase_curve(dev, w) for w in range(dev.n + 1)]
     return [tuple(float(p) for p in poles) for poles in _crossings(curves)]

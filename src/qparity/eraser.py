@@ -33,7 +33,7 @@ import numpy as np
 
 from .device import (ParityDevice, _loaded_zero_estimate, loaded_poles_by_weight,
                      weight_phase_curve)
-from .network import _branch_parts, _series_zeros, lumped_equivalent, wrap_phase
+from .network import _branch_parts, _branch_table, _series_zeros, wrap_phase
 
 __all__ = [
     "EraserError",
@@ -68,7 +68,8 @@ class EraserError(Exception):
 
 
 class InfeasibleDevice(EraserError):
-    """Too few modes for the required phase winding."""
+    """Too few modes for the required phase winding, or modes too low for
+    the n chi search range: its probe band would reach omega <= 0."""
 
 
 class NoSolution(EraserError):
@@ -127,6 +128,13 @@ def _thetas(curves: list, omega_p) -> np.ndarray:
     return np.array([c.theta(omega_p) for c in curves])
 
 
+def _jets(curves: list, omega_p: float) -> tuple[np.ndarray, list]:
+    """Each curve's jets at omega_p (PhaseCurve.jets), one fold per curve,
+    and their phases as an array."""
+    jets = [c.jets(omega_p) for c in curves]
+    return np.array([j[0] for j in jets]), jets
+
+
 def _residuals(th: np.ndarray) -> np.ndarray:
     """theta_wt(i) - theta_wt(i+2) - 2*pi from the per-weight phases."""
     return th[:-2] - th[2:] - TWO_PI
@@ -172,11 +180,11 @@ def _same_parity_pairs(n: int):
     return list(combinations(evens, 2)) + list(combinations(odds, 2))
 
 
-def _dispersion(curves: list, omega_p: float) -> DispersionReport:
-    jets = [c._derivatives(omega_p) for c in curves]
-    d1 = [float(j[0]) for j in jets]
-    d2 = [float(j[1]) for j in jets]
-    pairs = _same_parity_pairs(len(curves) - 1)
+def _dispersion(jets: list) -> DispersionReport:
+    """The report from each weight's jets at the probe (see _jets)."""
+    d1 = [float(j[1]) for j in jets]
+    d2 = [float(j[2]) for j in jets]
+    pairs = _same_parity_pairs(len(jets) - 1)
     return DispersionReport(
         first={p: d1[p[0]] - d1[p[1]] for p in pairs},
         second={p: d2[p[0]] - d2[p[1]] for p in pairs},
@@ -187,15 +195,14 @@ def dispersion_report(dev: ParityDevice, sol: EraserSolution) -> DispersionRepor
     """First/second phase-derivative mismatches among same-parity weights
     at the solution's probe frequency, from the exact derivatives (finite
     at loaded poles, so no point is refused)."""
-    return _dispersion(_weight_curves(dev), sol.omega_p)
+    return _dispersion(_jets(_weight_curves(dev), sol.omega_p)[1])
 
 
 def make_solution(dev: ParityDevice, omega_p: float, basins=()) -> EraserSolution:
     """The solution object at (dev, omega_p): per-weight phases, residuals,
     contrast and dispersion, each computed once."""
-    curves = _weight_curves(dev)
-    th = _thetas(curves, omega_p)
-    rep = _dispersion(curves, omega_p)
+    th, jets = _jets(_weight_curves(dev), omega_p)
+    rep = _dispersion(jets)
     return EraserSolution(
         device=dev,
         omega_p=omega_p,
@@ -247,17 +254,16 @@ def _device(dev0: ParityDevice, x) -> ParityDevice:
     return (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
 
 
-def _theta_jacobian(curves: list, wp: float, free_gaps: bool) -> np.ndarray:
-    """d theta_w / d (omega_p, chi[, gaps]), one row per weight w, from the
-    exact derivatives.
+def _theta_jacobian(jets: list, free_gaps: bool) -> np.ndarray:
+    """d theta_w / d (omega_p, chi[, gaps]), one row per weight w, from each
+    weight's jets at the probe (see _jets).
 
     The weight-w state moves every mode by (n - 2w) chi, and the gaps move
     the modes through the fixed cumsum-minus-mean map of _with_gaps.
     """
-    n = len(curves) - 1
-    jets = [c._derivatives(wp) for c in curves]
-    d_modes = np.array([j[2] for j in jets])
-    cols = [[float(j[0]) for j in jets],
+    n = len(jets) - 1
+    d_modes = np.array([j[3] for j in jets])
+    cols = [[float(j[1]) for j in jets],
             (n - 2 * np.arange(n + 1)) * d_modes.sum(axis=1)]
     if free_gaps:
         m = d_modes.shape[1]
@@ -266,10 +272,11 @@ def _theta_jacobian(curves: list, wp: float, free_gaps: bool) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _jacobian(curves: list, wp: float, free_gaps: bool, th=None) -> np.ndarray:
-    """d residuals / d (omega_p, chi[, gaps]); given the phases ``th`` at wp,
-    also the gradient of the contrast row cos(delta_theta/2)."""
-    d_theta = _theta_jacobian(curves, wp, free_gaps)
+def _jacobian(jets: list, free_gaps: bool, th=None) -> np.ndarray:
+    """d residuals / d (omega_p, chi[, gaps]) from each weight's jets at the
+    probe; given the phases ``th`` there, also the gradient of the contrast
+    row cos(delta_theta/2)."""
+    d_theta = _theta_jacobian(jets, free_gaps)
     jac = d_theta[:-2] - d_theta[2:]
     if th is None:
         return jac
@@ -288,18 +295,17 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
     lo, hi = band
 
     def evaluate(x):
-        curves = _weight_curves(_device(dev0, x))
-        th = _thetas(curves, x[0])
+        th, jets = _jets(_weight_curves(_device(dev0, x)), x[0])
         r = _residuals(th)
         if contrast:
             r = np.append(r, math.cos(0.5 * (th[0] - th[1])))
-        return curves, th, r
+        return jets, th, r
 
-    curves, th, r = evaluate(x)
+    jets, th, r = evaluate(x)
     for _ in range(NEWTON_MAX_ITER):
         if np.max(np.abs(r), initial=0.0) < tol:
             break
-        jac = _jacobian(curves, x[0], len(x) > 2, th if contrast else None)
+        jac = _jacobian(jets, len(x) > 2, th if contrast else None)
         try:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
@@ -310,13 +316,13 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
             # a gap below the frequencies' float spacing merges two modes
             if (lo < xn[0] < hi and chi_range[0] * 0.2 < xn[1] < chi_range[1] * 5.0
                     and np.all(np.diff(_gap_frequencies(dev0, xn[2:])) > 0.0)):
-                curves_n, th_n, r_n = evaluate(xn)
+                jets_n, th_n, r_n = evaluate(xn)
                 if np.linalg.norm(r_n) < np.linalg.norm(r):
                     break
             lam *= 0.5
         else:
             break
-        x, curves, th, r = xn, curves_n, th_n, r_n
+        x, jets, th, r = xn, jets_n, th_n, r_n
     return x, r
 
 
@@ -326,13 +332,13 @@ def _pole_model(dev: ParityDevice):
     there, and zeta_k = dz_k/d omega_r.
 
     With B_k = P_k/N_k (see _branch_parts), K_k = P_k/N_k' and, as N_k
-    stays zero along the zero, zeta_k = -(dN_k/d omega_r)/N_k'.  The zeros
-    are the branches' own on the fundamental (network._series_zeros).
+    stays zero along the zero, zeta_k = -(dN_k/d omega_r)/N_k'.  The branch
+    table is PhaseCurve's (network._branch_table), and the zeros are the
+    branches' own on the fundamental (network._series_zeros).
     """
     stub = dev.resonator_model == "stub"
-    table = np.array([(mo.c_couple, mo.omega) if stub
-                      else (mo.c_couple, *lumped_equivalent(mo.omega, dev.z0))
-                      for mo in dev.modes]).T
+    table = np.array(_branch_table(stub, dev.z0, [mo.c_couple for mo in dev.modes],
+                                   [mo.omega for mo in dev.modes])).T
     z = _series_zeros(stub, dev.z0, table)
     p, n_jet = _branch_parts(stub, dev.z0, table, z, derivatives=True)
     return np.array([z, dev.z0 * p[0] / n_jet[1], -n_jet[3] / n_jet[1]])
@@ -521,6 +527,13 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
         )
     search_band, eval_band = _solver_band(dev_template, chi_range)
     if dev_template.band is None:
+        if not eval_band[0] > 0.0:
+            zero = min(_loaded_zero_estimate(mo, dev_template.z0) for mo in dev_template.modes)
+            raise InfeasibleDevice(
+                f"the probe search band reaches f <= 0: the lowest loaded mode zero, "
+                f"{zero / TWO_PI / 1e9:.6g} GHz, lies below n x chi_MHz = {n} x "
+                f"{chi_range[1] / TWO_PI / 1e6:.6g} MHz (the top of the chi range) "
+                "plus the search margins")
         dev_template = replace(dev_template, band=eval_band)
     else:
         clipped = (max(search_band[0], dev_template.band[0]),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ParityDevice, QubitState
-from .eraser import EraserSolution, _dispersion, _weight_curves, contrast
+from .eraser import EraserSolution, _dispersion, _jets, _weight_curves, contrast
 from .network import wrap_phase
 
 __all__ = [
@@ -233,20 +233,20 @@ class FidelityReport:
     delta_theta: float | None = None
 
 
-def _pair_table(curves, omega_p: float, theta_p, delta_theta: float,
+def _pair_table(curves, jets, theta_p, delta_theta: float,
                 pulse: ProbePulse, grid: ModeGrid) -> tuple:
     """Fidelity of every unordered pair of Hamming weights.
 
-    ``curves[w]`` is weight w's phase response (anything with ``theta(omega)``
-    and PhaseCurve's jets ``_derivatives(omega)``), ``theta_p[w]`` its phase
-    at omega_p and ``delta_theta`` the parity contrast quoted for
-    cross-parity pairs.  Every pair gets the numeric mode sum; same-parity
-    pairs also get the linear closed form, or the quadratic one when the
-    first-order mismatch cancels (|b| < QUADRATIC_BRANCH_RATIO |b2| W);
+    ``curves[w]`` is weight w's phase response (anything with
+    ``theta(omega)``), ``jets[w]`` its jets at the probe (see eraser._jets),
+    ``theta_p[w]`` its phase there and ``delta_theta`` the parity contrast
+    quoted for cross-parity pairs.  Every pair gets the numeric mode sum;
+    same-parity pairs also get the linear closed form, or the quadratic one
+    when the first-order mismatch cancels (|b| < QUADRATIC_BRANCH_RATIO |b2| W);
     cross-parity pairs get the even/odd closed form.
     """
     n = len(curves) - 1
-    rep = _dispersion(curves, omega_p)
+    rep = _dispersion(jets)
     phases = [np.asarray(c.theta(grid.frequencies)) for c in curves]
     w_band = pulse.bandwidth
     reports = []
@@ -296,8 +296,9 @@ def eraser_quality(dev: ParityDevice, sol: EraserSolution,
     """
     if grid is None:
         grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    return _pair_table(_weight_curves(dev), sol.omega_p, sol.theta_by_weight,
-                       contrast(sol), pulse, grid)
+    curves, delta = _weight_curves(dev), contrast(sol)
+    return _pair_table(curves, _jets(curves, sol.omega_p)[1], sol.theta_by_weight,
+                       delta, pulse, grid)
 
 
 def reports_to_dicts(reports) -> list[dict]:

@@ -66,13 +66,9 @@ MAX_SWEEP_POINTS = 2 ** 24
 # aliased full turn and forces further bisection.
 FOSTER_NOISE = 1e-7
 
-# Bracketed Newton steps on a stub branch's N (see _series_zeros); a
-# tan interval bisected this often is below float spacing.
-ZERO_NEWTON_STEPS = 64
-
-# Bracketed Newton passes of the loaded-pole search; bisection alone would
-# shrink any band below float spacing in fewer.
-POLE_NEWTON_PASSES = 64
+# Passes of _bracketed_newton (branch zeros and loaded poles); bisection
+# alone shrinks any bracket below float spacing in fewer.
+NEWTON_PASSES = 64
 
 
 class NetworkError(Exception):
@@ -513,33 +509,85 @@ def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(stub: bool, z0: float, branches, w: np.ndarray, slope: bool = False):
-    """theta of m parallel branches at w, and with ``slope`` also theta'.
+def _fold(stub: bool, z0: float, branches, w, jets: bool = False):
+    """theta of m parallel branches at w, the one fold of the branch parts;
+    with ``jets`` the tuple (theta, theta', theta'', d theta/d w_r of each
+    branch), the last in branch order at fixed resonator impedance.
 
     ``branches`` holds one row of the branch table per branch (see
     _branch_parts); each entry is a float or an array of w's shape, so one
     call evaluates many curves at once, one frequency each.  The fold is
-    U <- U N_k + P_k V, V <- V N_k, B = U/V, with
-    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w} and
-    theta' = -2 z0 (U' V - U V')/(V^2 + z0^2 U^2).
+    U <- U N_k + P_k V, V <- V N_k, B = U/V, and
+    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}.  With ``jets``
+    U and V are jets (value, d/dw, d2/dw2, d/dw_r of each branch), multiplied
+    by _jet_mul; then with A = z0 (U' V - U V') and D = V^2 + z0^2 U^2,
+    theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2.  A scalar w keeps the
+    jets' scalar arithmetic scalar: numpy's scalar x ** 2 calls libm pow,
+    which can round differently from an array's square.
     """
-    u, v, passed = np.zeros_like(w), np.ones_like(w), np.zeros_like(w)
-    du = dv = 0.0
-    for branch in branches:
-        if slope:
-            (p, dp, *_), (n, dn, *_) = _branch_parts(stub, z0, branch, w, derivatives=True)
-            du, dv = du * n + u * dn + dp * v + p * dv, dv * n + v * dn
+    m = len(branches)
+    if jets:
+        u = np.zeros((3 + m,) + np.shape(w))
+        v = np.zeros_like(u)
+        v[0] = 1.0
+    else:
+        u, v = np.zeros_like(w), np.ones_like(w)
+    passed = np.zeros_like(w)
+    for k, branch in enumerate(branches):
+        p, n = _branch_parts(stub, z0, branch, w, derivatives=jets)
+        if jets:
+            # only branch k's own parts move with its resonance
+            p, n = (np.concatenate([j[:3], np.multiply.outer(np.arange(m) == k, j[3])])
+                    for j in (p, n))
+            u, v = _jet_mul(u, n) + _jet_mul(p, v), _jet_mul(v, n)
         else:
-            p, n = _branch_parts(stub, z0, branch, w)
-        u, v = u * n + p * v, v * n
-        passed += _zeros_below(stub, branch, n, w)
+            u, v = u * n + p * v, v * n
+        passed += _zeros_below(stub, branch, n[0] if jets else n, w)
+    u0, v0 = (u[0], v[0]) if jets else (u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         # V = 0 only exactly on a zero, which B approaches from below
-        z0_b = np.where(v == 0.0, np.inf, z0 * u / v)
+        z0_b = np.where(v0 == 0.0, np.inf, z0 * u0 / v0)
     theta = -2.0 * np.arctan(z0_b) - TWO_PI * passed
-    if not slope:
+    if not jets:
         return theta
-    return theta, -2.0 * (z0 * (du * v - u * dv)) / (v * v + (z0 * u) ** 2)
+    a = z0 * (u * v0 - u0 * v)
+    d = v0 ** 2 + (z0 * u0) ** 2
+    d_prime = 2.0 * (v0 * v[1] + z0 ** 2 * u0 * u[1])
+    return (theta, -2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / d ** 2,
+            -2.0 * a[3:] / d)
+
+
+def _bracketed_newton(f, x, lo, hi):
+    """Root of a falling f in each element's bracket (lo, hi), from x.
+
+    f(x) returns (f, f') elementwise.  Every evaluation shrinks the bracket
+    to the sign change, a Newton step that would leave it bisects instead,
+    and an element stops once it moves within 4 ulps; a step that lands
+    within 4 ulps is taken first, even onto a bracket end.
+    """
+    active = np.ones(np.shape(x), dtype=bool)
+    for _ in range(NEWTON_PASSES):
+        if not active.any():
+            break
+        value, slope = f(x)
+        lo, hi = np.where(value > 0.0, x, lo), np.where(value < 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = value / slope
+            newton = x - dx
+            take = ((lo < newton) & (newton < hi)) | (np.abs(dx) <= 4.0 * np.spacing(newton))
+        step = np.where(take, newton, 0.5 * (lo + hi))
+        dx = np.where(take, dx, x - step)
+        x = np.where(active, step, x)
+        active &= np.abs(dx) > 4.0 * np.spacing(x)
+    return x
+
+
+def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> tuple:
+    """A branch table, one row per parallel branch: (C_c, w_r) for the stub,
+    (C_c, C, L) with lumped_equivalent's tank for the lumped model."""
+    if stub:
+        return tuple(zip(c_couple, omega_r))
+    return tuple((c_c, *lumped_equivalent(w_r, z0)) for c_c, w_r in zip(c_couple, omega_r))
 
 
 def _series_zeros(stub: bool, z0: float, branch, order=0):
@@ -550,9 +598,8 @@ def _series_zeros(stub: bool, z0: float, branch, order=0):
     interval ((2 order - 1) w_r, (2 order + 1) w_r) of tan x, where
     N (-1)^order falls from + to -, just below the interval's top: there the
     stub looks like a tank of C = pi/(4 w_r z0) resonating at
-    (2 order + 1) w_r, and that tank's zero seeds Newton on N.  Every step
-    shrinks the interval to a bracket of the zero, a step that would leave
-    it bisects instead, and an element stops once it moves within 4 ulps.
+    (2 order + 1) w_r, and that tank's zero seeds _bracketed_newton on
+    N (-1)^order over the interval.
     """
     c_c = branch[0]
     if not stub:
@@ -565,21 +612,12 @@ def _series_zeros(stub: bool, z0: float, branch, order=0):
     z = 1.0 / np.sqrt(1.0 / (top * top * cap) * (cap + c_c))
     z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
     sign = np.where(np.asarray(order) % 2 == 0, 1.0, -1.0)
-    active = np.ones(np.shape(z), dtype=bool)
-    for _ in range(ZERO_NEWTON_STEPS):
+
+    def falling_n(z):
         _, n = _branch_parts(stub, z0, branch, z, derivatives=True)
-        lo, hi = np.where(sign * n[0] > 0.0, z, lo), np.where(sign * n[0] < 0.0, z, hi)
-        dz = n[0] / n[1]
-        newton = z - dz
-        # a step within 4 ulps has converged, even onto a bracket end
-        take = ((lo < newton) & (newton < hi)) | (np.abs(dz) <= 4.0 * np.spacing(newton))
-        step = np.where(take, newton, 0.5 * (lo + hi))
-        dz = np.where(take, dz, z - step)
-        z = np.where(active, step, z)
-        active &= np.abs(dz) > 4.0 * np.spacing(z)
-        if not active.any():
-            break
-    return z
+        return sign * n[0], sign * n[1]
+
+    return _bracketed_newton(falling_n, z, lo, hi)
 
 
 def _sorted_rows(a: np.ndarray) -> np.ndarray:
@@ -614,18 +652,17 @@ def _crossings(curves) -> list:
     theta(hi) <= 2*pi k < theta(lo) fix how many poles the band holds.
     Foster interlacing brackets each: on the level 2*pi k, exactly -k
     branch zeros lie below, so the pole sits between the curve's -k-th and
-    (-k+1)-th zeros from DC (_zero_table), clipped to the band.  Newton on
-    theta with the exact theta' (_fold) starts at the bracket's midpoint,
-    or above the top zero at the top branch's resonance frequency, the exact
-    pole of one branch; every evaluation shrinks the bracket, and a step
-    that would leave it bisects instead.
+    (-k+1)-th zeros from DC (_zero_table), clipped to the band.
+    _bracketed_newton on theta - 2*pi k with the exact theta' (the jets of
+    _fold) starts at the bracket's midpoint, or above the top zero at the
+    top branch's resonance frequency, the exact pole of one branch.
     """
     table = np.array([c._branches for c in curves])
     band = np.array([c.band for c in curves])
     stub, z0 = curves[0]._stub, curves[0].z0
 
-    def fold(rows, w, slope=False):  # the curves of ``rows``, one w each
-        return _fold(stub, z0, np.moveaxis(table[rows], (1, 2), (0, 1)), w, slope)
+    def fold(rows, w, jets=False):  # the curves of ``rows``, one w each
+        return _fold(stub, z0, np.moveaxis(table[rows], (1, 2), (0, 1)), w, jets)
 
     edges = fold(np.repeat(np.arange(len(curves)), 2), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
@@ -646,21 +683,13 @@ def _crossings(curves) -> list:
             hi.append(b)
             seed.append(resonance[i] if top else 0.5 * (a + b))
     rows, levels = np.array(rows, dtype=int), np.array(levels)
-    lo, hi, x = np.array(lo), np.array(hi), np.array(seed)
-    done = np.zeros(len(x), dtype=bool)
-    for _ in range(POLE_NEWTON_PASSES):
-        if done.all():
-            break
-        theta, slope = fold(rows, x, slope=True)
-        f = theta - levels
-        lo, hi = np.where(f > 0.0, x, lo), np.where(f < 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - f / slope
-        # a step within 2 ulps has converged, even onto a bracket end
-        converged = done | (f == 0.0) | (np.abs(newton - x) <= 2.0 * np.spacing(x))
-        inside = (lo < newton) & (newton < hi)
-        x = np.where(converged, x, np.where(inside, newton, 0.5 * (lo + hi)))
-        done = converged
+
+    def above_level(x):
+        with np.errstate(over="ignore", invalid="ignore"):  # rows theta' does not read
+            theta, slope = fold(rows, x, jets=True)[:2]
+        return theta - levels, slope
+
+    x = _bracketed_newton(above_level, np.array(seed), np.array(lo), np.array(hi))
     return [x[rows == i] for i in range(len(curves))]
 
 
@@ -671,8 +700,8 @@ class PhaseCurve:
     c_couple[k] in series with a resonator at omega_r[k]: a shorted
     quarter-wave stub of impedance z0 (``model`` "stub") or its parallel-LC
     equivalent (``model`` "lumped", with lumped_equivalent's L and C).  The
-    curve keeps only that table of numbers; phase_sweep evaluates the same
-    one-port built as a tree.
+    curve keeps only that table of numbers (_branch_table); phase_sweep
+    evaluates the same one-port built as a tree.
 
     Folding the branches' susceptances B_k = P_k/N_k (see _branch_parts)
     as U <- U N_k + P_k V, V <- V N_k gives B = U/V, and
@@ -687,9 +716,10 @@ class PhaseCurve:
     where zeros and loaded poles are located.  The zeros are each branch's
     own roots of N_k (closed form for the tank, bracketed Newton for the
     stub); the loaded poles (theta = 0 mod 2*pi, r = +1) are found by
-    bracketed Newton between them (see _crossings).  The same fold carried
-    as jets gives exact derivatives, smooth through branch zeros (V = 0)
-    and loaded poles (U = 0).
+    bracketed Newton between them (see _crossings).  ``theta`` and ``jets``
+    both read the one fold, _fold: ``jets`` carries U and V as jets and
+    gives theta with its exact derivatives, smooth through branch zeros
+    (V = 0) and loaded poles (U = 0).
     """
 
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
@@ -712,11 +742,7 @@ class PhaseCurve:
         self.z0 = z0
         self.band = (lo, hi)
         self._stub = model == "stub"
-        if self._stub:
-            self._branches = tuple(zip(c_couple, omega_r))
-        else:
-            self._branches = tuple((c_c, *lumped_equivalent(w_r, z0))
-                                   for c_c, w_r in zip(c_couple, omega_r))
+        self._branches = _branch_table(self._stub, z0, c_couple, omega_r)
 
     def theta(self, omega):
         w = np.atleast_1d(_check_omega(omega))
@@ -740,41 +766,24 @@ class PhaseCurve:
         return _crossings([self])[0]
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-    def _derivatives(self, omega: float):
-        """(theta', theta'', d theta/d w_r of each branch) at one frequency.
-
-        U and V are jets (value, d/dw, d2/dw2, d/dw_r of each branch),
-        folded as U <- U N_k + P_k V, V <- V N_k; then with A = z0 (U' V - U V')
-        and D = V^2 + z0^2 U^2, theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2.
-        """
+    def jets(self, omega: float):
+        """(theta, theta', theta'', d theta/d w_r of each branch) at one
+        frequency, from one fold (_fold): theta equals ``theta(omega)`` bit
+        for bit; the derivatives (in s, s^2, and per branch in branch order
+        at fixed resonator impedance) are exact.  Raises NetworkError where
+        they leave float range."""
         w = float(_check_omega(omega))
-        m = len(self._branches)
-        u, v = np.zeros(3 + m), np.eye(1, 3 + m)[0]
-        for k, branch in enumerate(self._branches):
-            p, n = (np.concatenate([j[:3], j[3] * (np.arange(m) == k)])
-                    for j in _branch_parts(self._stub, self.z0, branch, w,
-                                           derivatives=True))
-            u, v = _jet_mul(u, n) + _jet_mul(p, v), _jet_mul(v, n)
-        a = self.z0 * (u * v[0] - u[0] * v)
-        d = v[0] ** 2 + (self.z0 * u[0]) ** 2
-        d_prime = 2.0 * (v[0] * v[1] + self.z0 ** 2 * u[0] * u[1])
-        out = (-2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / d ** 2,
-               -2.0 * a[3:] / d)
+        theta, *out = _fold(self._stub, self.z0, self._branches, w, jets=True)
         if not (math.isfinite(out[0]) and math.isfinite(out[1])
                 and np.isfinite(out[2]).all()):
             raise NetworkError(f"phase derivatives at omega={w:.6e} rad/s leave float range")
-        return out
+        return (float(theta), *out)
 
     def dtheta(self, omega: float, order: int = 1) -> float:
         """Exact d theta/d omega (order 1, in s) or d2 theta/d omega2
         (order 2, in s^2), finite through branch zeros and loaded poles."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        return float(self._derivatives(omega)[order - 1])
+        return float(self.jets(omega)[order])
 
     dtheta_unchecked = dtheta  # former name; perfbench's tracer still patches it
-
-    def dtheta_dresonance(self, omega: float) -> np.ndarray:
-        """d theta/d w_r of each branch's resonator frequency, in branch
-        order, at fixed resonator impedance."""
-        return self._derivatives(omega)[2]

@@ -200,12 +200,12 @@ def test_criterion_8_invariant_suites(solved_device):
     assert worst_r < 1e-9, f"unimodularity violated by {worst_r}"
 
     dev, omega_p = solved_device
-    from qparity.device import phase_for_state
+    from qparity.device import state_phase_curve
 
     collapse_exact = all(
-        phase_for_state(dev, QubitState((0, 1, 1)), w)
-        == phase_for_state(dev, QubitState((1, 0, 1)), w)
-        == phase_for_state(dev, QubitState((1, 1, 0)), w)
+        state_phase_curve(dev, QubitState((0, 1, 1))).theta(w)
+        == state_phase_curve(dev, QubitState((1, 0, 1))).theta(w)
+        == state_phase_curve(dev, QubitState((1, 1, 0))).theta(w)
         for w in (TWO_PI * 9.7e9, omega_p, TWO_PI * 10.1e9))
     assert collapse_exact, "weight collapse not exact"
 

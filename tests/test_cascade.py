@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qparity.cascade import cascade_phase, compare_schemes, tune_cascade
+from qparity.cascade import _state_curve, compare_schemes, tune_cascade
 from qparity.cli import main
 from qparity.device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
-                            phase_derivatives, weight_phase_curve)
+                            state_phase_curve, weight_phase_curve)
 from qparity.fidelity import ProbePulse, fidelity_quadratic_closed
 
 TWO_PI = 2.0 * math.pi
@@ -40,7 +40,7 @@ def tuned():
 def test_cascade_phase_is_sum_of_cavity_phases():
     cav = cavity()
     w = TWO_PI * 9.83e9
-    total = cascade_phase(cav, QubitState((0, 1, 0)), w)
+    total = _state_curve(cav, QubitState((0, 1, 0))).theta(w)
     parts = (weight_phase_curve(cav, 0).theta(w) + weight_phase_curve(cav, 1).theta(w)
              + weight_phase_curve(cav, 0).theta(w))
     assert total == parts
@@ -49,13 +49,13 @@ def test_cascade_phase_is_sum_of_cavity_phases():
 def test_single_cavity_cascade_reduces_to_single_phase():
     cav = cavity()
     w = TWO_PI * 9.85e9
-    assert cascade_phase(cav, QubitState((1,)), w) == weight_phase_curve(cav, 1).theta(w)
+    assert _state_curve(cav, QubitState((1,))).theta(w) == weight_phase_curve(cav, 1).theta(w)
 
 
 def test_equal_weight_states_have_equal_phase():
     cav = cavity()
     w = TWO_PI * 9.82e9
-    vals = {cascade_phase(cav, QubitState(b), w)
+    vals = {_state_curve(cav, QubitState(b)).theta(w)
             for b in ((0, 1, 1), (1, 0, 1), (1, 1, 0))}
     assert len(vals) == 1
 
@@ -64,13 +64,12 @@ def test_equal_weight_states_have_equal_phase():
 def test_weight_derivative_is_sum_of_cavity_devices(order):
     # the cascade's response in any state adds the cavity's per-bit
     # derivatives, whatever order the bits come in
-    from qparity.cascade import _state_curve
-
     cav = cavity()
     for w in TWO_PI * np.array([9.80e9, 9.81e9, 9.83e9]):
         for bits in itertools.product((0, 1), repeat=3):
-            parts = [phase_derivatives(cav, QubitState((b,)), w, order) for b in bits]
-            got = _state_curve(cav, QubitState(bits))._derivatives(w)[order - 1]
+            parts = [state_phase_curve(cav, QubitState((b,))).dtheta(w, order)
+                     for b in bits]
+            got = _state_curve(cav, QubitState(bits)).jets(w)[order]
             assert got == pytest.approx(sum(parts), rel=1e-12)
 
 
@@ -88,7 +87,7 @@ def test_only_a_one_qubit_one_mode_cavity_is_accepted(dev):
     with pytest.raises(ValueError, match="1-qubit, 1-mode"):
         tune_cascade(dev)
     with pytest.raises(ValueError, match="1-qubit, 1-mode"):
-        cascade_phase(dev, QubitState((0, 1, 1)), TWO_PI * 9.8e9)
+        _state_curve(dev, QubitState((0, 1, 1))).theta(TWO_PI * 9.8e9)
 
 
 # ----------------------------------------------------------------------
@@ -207,11 +206,11 @@ def test_tune_cascade_work_count(monkeypatch):
     from qparity import cascade, network
 
     counts = Counter()
-    derivatives, theta = network.PhaseCurve._derivatives, network.PhaseCurve.theta
+    jets, theta = network.PhaseCurve.jets, network.PhaseCurve.theta
 
-    def counting_derivatives(self, omega):
+    def counting_jets(self, omega):
         counts["jets"] += 1
-        return derivatives(self, omega)
+        return jets(self, omega)
 
     def counting_theta(self, omega):
         counts["vector theta" if np.ndim(omega) else "scalar theta"] += 1
@@ -221,7 +220,7 @@ def test_tune_cascade_work_count(monkeypatch):
         counts["brentq"] += 1
         return brentq(*args, **kwargs)
 
-    monkeypatch.setattr(network.PhaseCurve, "_derivatives", counting_derivatives)
+    monkeypatch.setattr(network.PhaseCurve, "jets", counting_jets)
     monkeypatch.setattr(network.PhaseCurve, "theta", counting_theta)
     monkeypatch.setattr(network, "brentq", counting_brentq)
     monkeypatch.setattr(cascade, "brentq", counting_brentq, raising=False)
@@ -234,7 +233,7 @@ def test_tune_cascade_work_count(monkeypatch):
 def test_tuned_eraser_conditions_hold(tuned):
     dev = tuned.cavity
     wp = tuned.omega_p
-    th = [cascade_phase(dev, QubitState.of_weight(3, w), wp) for w in range(4)]
+    th = [_state_curve(dev, QubitState.of_weight(3, w)).theta(wp) for w in range(4)]
     assert th[0] - th[2] - TWO_PI == pytest.approx(0.0, abs=1e-6)
     assert th[1] - th[3] - TWO_PI == pytest.approx(0.0, abs=1e-6)
     from qparity.network import wrap_phase

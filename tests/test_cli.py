@@ -621,6 +621,30 @@ def test_overflowing_phase_derivatives_end_in_one_line(solved, tmp_path, capsys)
     assert not out.exists()
 
 
+LOW_MODES = [{"f_GHz": 1e-6, "C_couple_fF": 10.0}, {"f_GHz": 1.002e-6, "C_couple_fF": 10.0}]
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("Z0_ohms", 1e100, id="z0"),
+    pytest.param("modes.0.C_couple_fF", 1e300, id="coupler"),
+    pytest.param("modes", LOW_MODES, id="low-modes"),
+])
+def test_search_band_reaching_zero_frequency_names_chi(tmp_path, capsys, field, value):
+    # the probe search band runs from the lowest loaded mode zero less n chi
+    # and margins; each of these puts it below f = 0, which the solve refuses
+    # before any evaluation (it ended in the device's band check, naming no
+    # field)
+    p, out = tmp_path / "c.json", tmp_path / "sol.json"
+    p.write_text(json.dumps(_with_field(PAPER_CONFIG, field, value)))
+    assert main(["solve", str(p), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("no solution: the probe search band reaches f <= 0: "
+                          "the lowest loaded mode zero, ")
+    assert "n x chi_MHz = 3 x 50 MHz" in err
+    assert not out.exists()
+
+
 def test_short_pulse_outside_the_band_is_scored(solved, tmp_path):
     # a 3 ns pulse's mode comb spans f_p +/- 0.42 GHz, beyond the solution's
     # band: theta holds at any omega > 0, so it is scored like any other

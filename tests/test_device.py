@@ -14,8 +14,6 @@ from qparity.device import (
     QubitState,
     analysis_band,
     build_state_network,
-    phase_derivatives,
-    phase_for_state,
     shifted_frequency,
     state_phase_curve,
     weight_phase_curve,
@@ -174,7 +172,7 @@ def test_stub_model_uses_quarter_wave(paper_device):
 
 def test_all_states_anchor_on_principal_branch(paper_device):
     lo, _ = analysis_band(paper_device)
-    thetas = [phase_for_state(paper_device, QubitState.of_weight(3, w), lo)
+    thetas = [state_phase_curve(paper_device, QubitState.of_weight(3, w)).theta(lo)
               for w in range(4)]
     for t in thetas:
         assert -math.pi < t <= math.pi
@@ -183,7 +181,7 @@ def test_all_states_anchor_on_principal_branch(paper_device):
 
 def test_hamming_weight_collapse_is_exact(paper_device):
     w = TWO_PI * 9.85e9
-    vals = [phase_for_state(paper_device, QubitState(b), w)
+    vals = [state_phase_curve(paper_device, QubitState(b)).theta(w)
             for b in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
     assert vals[0] == vals[1] == vals[2]
 
@@ -200,10 +198,10 @@ def test_parity_pair_structure(paper_device):
 def test_eraser_phase_difference_at_solution(paper_solution):
     dev = paper_solution.device
     wp = paper_solution.omega_p
-    d1 = phase_for_state(dev, QubitState((0, 0, 0)), wp) \
-        - phase_for_state(dev, QubitState((0, 1, 1)), wp)
-    d2 = phase_for_state(dev, QubitState((0, 0, 1)), wp) \
-        - phase_for_state(dev, QubitState((1, 1, 1)), wp)
+    d1 = state_phase_curve(dev, QubitState((0, 0, 0))).theta(wp) \
+        - state_phase_curve(dev, QubitState((0, 1, 1))).theta(wp)
+    d2 = state_phase_curve(dev, QubitState((0, 0, 1))).theta(wp) \
+        - state_phase_curve(dev, QubitState((1, 1, 1))).theta(wp)
     assert d1 == pytest.approx(TWO_PI, abs=1e-8)
     assert d2 == pytest.approx(TWO_PI, abs=1e-8)
 
@@ -229,8 +227,8 @@ def test_unequal_chi_breaks_weight_collapse():
     dev = ParityDevice(n=2, modes=modes, chi_matrix=chi_matrix)
     assert not dev.equal_chi
     w = TWO_PI * 9.82e9
-    t01 = phase_for_state(dev, QubitState((0, 1)), w)
-    t10 = phase_for_state(dev, QubitState((1, 0)), w)
+    t01 = state_phase_curve(dev, QubitState((0, 1))).theta(w)
+    t10 = state_phase_curve(dev, QubitState((1, 0))).theta(w)
     assert t01 != t10
 
 
@@ -240,12 +238,12 @@ def test_unequal_chi_breaks_weight_collapse():
 
 def test_derivative_flat_far_from_resonance(paper_device):
     lo, _ = analysis_band(paper_device)
-    d = phase_derivatives(paper_device, QubitState((0, 0, 0)), lo * 1.001)
+    d = state_phase_curve(paper_device, QubitState((0, 0, 0))).dtheta(lo * 1.001)
     assert abs(d) < 1e-9
 
 
 def test_derivative_negative_near_features(paper_device):
-    d = phase_derivatives(paper_device, QubitState((0, 0, 0)), TWO_PI * 9.81e9)
+    d = state_phase_curve(paper_device, QubitState((0, 0, 0))).dtheta(TWO_PI * 9.81e9)
     assert d < 0.0
 
 

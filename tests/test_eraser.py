@@ -62,11 +62,11 @@ def test_residual_count_single_qubit():
 
 
 def test_residuals_use_weight_pairs(paper_device):
-    from qparity.device import phase_for_state
+    from qparity.device import state_phase_curve
 
     wp = TWO_PI * 9.82e9
     r = eraser_residuals(paper_device, wp)
-    th = [phase_for_state(paper_device, QubitState.of_weight(3, w), wp)
+    th = [state_phase_curve(paper_device, QubitState.of_weight(3, w)).theta(wp)
           for w in range(4)]
     assert r[0] == pytest.approx(th[0] - th[2] - TWO_PI, abs=1e-12)
     assert r[1] == pytest.approx(th[1] - th[3] - TWO_PI, abs=1e-12)
@@ -109,11 +109,11 @@ def test_grid_start_independence(paper_device):
 def test_permutation_symmetry_of_residuals(paper_device):
     # residuals depend on states only through Hamming weight, so any qubit
     # permutation leaves them exactly unchanged; spot-check via phases
-    from qparity.device import phase_for_state
+    from qparity.device import state_phase_curve
 
     wp = TWO_PI * 9.81e9
-    assert phase_for_state(paper_device, QubitState((0, 0, 1)), wp) \
-        == phase_for_state(paper_device, QubitState((1, 0, 0)), wp)
+    assert state_phase_curve(paper_device, QubitState((0, 0, 1))).theta(wp) \
+        == state_phase_curve(paper_device, QubitState((1, 0, 0))).theta(wp)
 
 
 # ----------------------------------------------------------------------
@@ -578,7 +578,7 @@ def test_jacobian_matches_central_difference(free_gaps):
     from dataclasses import replace
 
     from qparity.device import weight_phase_curve
-    from qparity.eraser import _jacobian, _weight_curves, _with_gaps
+    from qparity.eraser import _jacobian, _jets, _weight_curves, _with_gaps
 
     if free_gaps:
         modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (9.97, 10.0, 10.03))
@@ -597,10 +597,11 @@ def test_jacobian_matches_central_difference(free_gaps):
         return math.cos(0.5 * (th0 - th1))
 
     curves = _weight_curves(device(x))
-    jac = _jacobian(curves, x[0], free_gaps)
+    jets = _jets(curves, x[0])[1]
+    jac = _jacobian(jets, free_gaps)
     assert jac.shape == (dev0.n - 1, len(x))
     # given the phases, one more row: the gradient of cos(delta_theta/2)
-    full = _jacobian(curves, x[0], free_gaps, [c.theta(x[0]) for c in curves])
+    full = _jacobian(jets, free_gaps, [c.theta(x[0]) for c in curves])
     assert np.array_equal(full[:-1], jac)
     h = 1e3
     fd_contrast = []
@@ -617,8 +618,10 @@ def test_jacobian_matches_central_difference(free_gaps):
 def _solve_work(dev, monkeypatch, **kwargs):
     """Work of one CLI solve payload, solve_eraser then solution_to_dict:
     phase curves built, eraser_residuals calls and root solves in
-    qparity.network over both, and the broadcast-fold passes of the
-    loaded-pole search (every _fold call solution_to_dict makes)."""
+    qparity.network over both, the fold passes of solve_eraser (every
+    _fold call: a theta read and a jets read count one each) and the
+    broadcast-fold passes of the loaded-pole search (every _fold call
+    solution_to_dict makes)."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -648,12 +651,13 @@ def _solve_work(dev, monkeypatch, **kwargs):
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
     monkeypatch.setattr(network, "brentq", counting_brentq)
-    sol = solve_eraser(dev, **kwargs)
-    solve_curves = counts["curves"]
     monkeypatch.setattr(network, "_fold", counting_fold)
+    sol = solve_eraser(dev, **kwargs)
+    solve_curves, counts["solve_folds"] = counts["curves"], counts["folds"]
     eraser.solution_to_dict(sol)
     counts["pole_curves"] = counts["curves"] - solve_curves
     counts["curves"] = solve_curves
+    counts["folds"] -= counts["solve_folds"]
     return counts
 
 
@@ -663,11 +667,16 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     # built 154), residual calls (the pole-model grid makes none; the exact
     # grid made 33) and root solves; rebuilding devices for finite
     # differences breaks the first, and locating branch zeros while building
-    # a curve the last.  The payload's 8 loaded poles take one curve per
-    # weight and 6 fold passes over all of them: the band-edge phases, then
-    # 5 bracketed Newton passes (one brentq per pole made 8 root solves)
+    # a curve the last.  Each curve is folded once: Gauss-Newton and the
+    # solution read theta and its derivatives from one jets call per curve
+    # and point, and ranking roots reads theta (18 theta folds and 12
+    # separate jet folds made 30).  The payload's 8 loaded poles take one
+    # curve per weight and 6 fold passes over all of them: the band-edge
+    # phases, then 5 bracketed Newton passes (one brentq per pole made 8
+    # root solves)
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] <= 18
+    assert counts["solve_folds"] <= 18
     assert counts["residuals"] == 0
     assert counts["brentq"] == 0
     assert counts["pole_curves"] == 4
@@ -688,12 +697,14 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     # two Gauss-Newton solves from the pole-model grid's first basin at the
     # template spacing: 104 curves; the exact-curve grid added 165 (269), and
     # least-squares passes over five fixed gap scales before freeing the
-    # gaps built 3392.  The payload's 15 loaded poles take one curve per
-    # weight and 6 fold passes, as the paper's 8 do (15 brentq root solves
-    # before)
+    # gaps built 3392.  One fold per curve, 104 (theta and separate
+    # derivative folds made 179).  The payload's 15 loaded poles take one
+    # curve per weight and 6 fold passes, as the paper's 8 do (15 brentq
+    # root solves before)
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] <= 104
+    assert counts["solve_folds"] <= 104
     assert counts["residuals"] == 0
     assert counts["brentq"] == 0
     assert counts["pole_curves"] == 5

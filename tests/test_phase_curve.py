@@ -114,6 +114,33 @@ def test_continuous_at_every_branch_zero(model, chi_mhz):
             assert curve.theta(float(z)) == theta[40]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 3),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(4.0, 12.0),
+    gaps_mhz=st.lists(st.floats(5.0, 40.0), min_size=2, max_size=2),
+    couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_jets_lead_with_theta_bit_for_bit(m, model, f0_ghz, gaps_mhz, couplers_ff,
+                                          fractions):
+    # jets folds one scalar frequency where theta folds a one-element array;
+    # its theta is theta's own, across the band and on, and one ulp either
+    # side of, every branch zero and loaded pole
+    offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
+    omega_r = [TWO_PI * (f0_ghz * 1e9 + d * 1e6) for d in offsets]
+    lo, hi = 0.9 * omega_r[0], 1.05 * omega_r[-1]
+    curve = PhaseCurve([c * 1e-15 for c in couplers_ff[:m]], omega_r, 50.0, (lo, hi),
+                       model)
+    points = [lo + (hi - lo) * f for f in fractions]
+    for feature in np.concatenate([curve.zeros, curve.poles]):
+        points += [np.nextafter(feature, 0.0), feature, np.nextafter(feature, np.inf)]
+    assert len(points) == 4 + 2 * 3 * m
+    for w in points:
+        assert curve.jets(w)[0].hex() == curve.theta(w).hex()
+
+
 @pytest.mark.parametrize("model", ["stub", "lumped"])
 def test_broadcast_fold_matches_each_curve(model):
     # one fold over the stacked branch tables of every weight, one frequency
@@ -126,7 +153,7 @@ def test_broadcast_fold_matches_each_curve(model):
     table = np.array([c._branches for c in curves])[rows]
     w = np.tile(grid, len(curves))
     theta, slope = _fold(model == "stub", curves[0].z0,
-                         np.moveaxis(table, (1, 2), (0, 1)), w, slope=True)
+                         np.moveaxis(table, (1, 2), (0, 1)), w, jets=True)[:2]
     assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
     assert slope == pytest.approx([c.dtheta(x) for c in curves for x in grid],
                                   rel=1e-12)
@@ -254,7 +281,7 @@ def test_derivatives_against_50_digit_oracle(make, mp_phase):
                 float(mp.diff(lambda f: theta(f, res), om, 2)), rel=1e-9)
             d_res = [mp.diff(lambda q: theta(om, res[:k] + [q] + res[k + 1:]), res[k])
                      for k in range(len(res))]
-            assert curve.dtheta_dresonance(omega) == pytest.approx(
+            assert curve.jets(omega)[3] == pytest.approx(
                 [float(d) for d in d_res], rel=1e-9)
 
 
