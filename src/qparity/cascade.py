@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .device import ParityDevice, QubitState, _loaded_zero_estimate, weight_phase_curve
-from .eraser import EraserSolution, _jets, _residuals, _weight_curves
+import numpy as np
+
+from .device import ParityDevice, QubitState, _loaded_zero_estimate, _weight_fold
+from .eraser import EraserSolution, _residuals
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
-from .network import PhaseCurve, wrap_phase
+from .network import wrap_phase
 
 __all__ = [
     "TunedCascade",
@@ -40,36 +42,34 @@ OMEGA_ULPS = 16     # omega_p has converged once a Newton step is this many ulps
 STEP_TOL = 1e-10    # rad; the step itself is rounding noise below ~1e-12
 
 
-def _bit_curves(cavity: ParityDevice) -> tuple[PhaseCurve, PhaseCurve]:
-    """The cavity's phase curves with its qubit in state 0 and in state 1."""
+def _bit_fold(cavity: ParityDevice, omega, jets: bool = False):
+    """The cavity's phase with its qubit in state 0 and 1 along omega (rows
+    by bit), or with ``jets`` their jets at one frequency: one fold."""
     if (cavity.n, cavity.m) != (1, 1):
         raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
                          f"{cavity.n} qubits x {cavity.m} modes")
-    return weight_phase_curve(cavity, 0), weight_phase_curve(cavity, 1)
+    return _weight_fold(cavity, omega, jets)
 
 
 @dataclass(frozen=True)
 class _CavitySum:
-    """Phase response of the cascade in one qubit state: the sum of its
-    cavities' curves, in cavity order."""
+    """Phase responses of the cascade in each of ``states``: one cavity per
+    qubit in its bit's state, so the sum of per-cavity phases in cavity
+    order, from one fold of the cavity in both bit states."""
 
-    curves: tuple
+    cavity: ParityDevice
+    states: list
 
-    def theta(self, omega):
-        return sum(c.theta(omega) for c in self.curves)
+    def _sums(self, rows) -> list:
+        return [sum(rows[b] for b in s.bits) for s in self.states]
 
-    def jets(self, omega):
+    def theta(self, omega) -> list:
+        return self._sums(_bit_fold(self.cavity, omega))
+
+    def jets(self, omega) -> np.ndarray:
         """The cavities' (theta, theta', theta'', d theta/d omega_r) jets,
-        summed row by row."""
-        jets = [c.jets(omega) for c in self.curves]
-        return tuple(sum(j[i] for j in jets) for i in range(4))
-
-
-def _state_curve(cavity: ParityDevice, state: QubitState) -> _CavitySum:
-    """The cascade in ``state``: one cavity per qubit, each in its bit's
-    state; its phase is the sum of the per-cavity reflection phases."""
-    curves = _bit_curves(cavity)
-    return _CavitySum(tuple(curves[b] for b in state.bits))
+        summed entry by entry: one row per entry, one column per state."""
+        return np.array(self._sums(np.vstack(_bit_fold(self.cavity, omega, True)).T)).T
 
 
 @dataclass(frozen=True)
@@ -89,20 +89,19 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None
     is no maximum.  Returns the symmetric point and, from the same jets,
     d step/d chi = d theta_0/d omega_r + d theta_1/d omega_r at fixed omega
     (state 0 and 1 put the cavity at omega_r + chi and omega_r - chi)."""
-    c0, c1 = _bit_curves(cavity)
     if w is None:
         w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
     for _ in range(MAX_NEWTON_STEPS):
-        (t0, b0, s0, r0), (t1, b1, s1, r1) = c0.jets(w), c1.jets(w)
-        b, slope = float(b0 - b1), float(s0 - s1)
+        th, d1, d2, d_r = _bit_fold(cavity, w, jets=True)
+        b, slope = float(d1[0] - d1[1]), float(d2[0] - d2[1])
         if not slope < 0.0:
             raise ValueError("no symmetric point: the per-qubit phase step has no "
                              f"maximum near f = {w / TWO_PI:.9g} Hz")
         dw = -b / slope
         if abs(dw) <= OMEGA_ULPS * math.ulp(w):
             tuned = TunedCascade(cavity=cavity, omega_p=w, b_single=b,
-                                 step=float(t0 - t1))
-            return tuned, float(r0[0] + r1[0])
+                                 step=float(th[0] - th[1]))
+            return tuned, float(d_r[0, 0] + d_r[0, 1])
         w += dw
         if not 0.0 < w < math.inf:
             break
@@ -176,19 +175,21 @@ class ComparisonReport:
     quadratic_match: dict        # (w1, w2) -> |F_numeric - F_closed| of the cascade
 
 
-def _scheme_metrics(name: str, resonator_count: int, chi: float, curves,
+def _scheme_metrics(name: str, resonator_count: int, chi: float, thetas, jets,
                     omega_p: float, pulse: ProbePulse) -> SchemeMetrics:
     """One scheme's metrics from its per-weight phase responses, scored by
-    the pairwise fidelity table with the pulse centred on omega_p."""
+    the pairwise fidelity table with the pulse centred on omega_p:
+    ``thetas(omega)`` gives every weight's phase along omega, and ``jets``
+    every weight's jets at omega_p (indexed as device._weight_fold's)."""
     pulse = ProbePulse(pulse.alpha, omega_p, pulse.bandwidth)
-    th, jets = _jets(curves, omega_p)
+    th = jets[0]
     delta = float(wrap_phase(th[0] - th[1]))
     if math.pi - abs(delta) <= STEP_TOL:
         # a tuned pi step has no sign: rounding noise picks either end of
         # (-pi, pi], and cos, the only other reader, is even
         delta = abs(delta)
-    table = _pair_table(curves, jets, th, delta, pulse,
-                        build_mode_grid(omega_p, pulse.bandwidth))
+    grid = build_mode_grid(omega_p, pulse.bandwidth)
+    table = _pair_table(thetas(grid.frequencies), jets, th, delta, pulse, grid)
     same = [r for r in table if r.branch != "even-odd"]
     cross = table[0]  # weights (0, 1)
     return SchemeMetrics(
@@ -222,14 +223,14 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
         # keep the given chi but still probe at the symmetric point, where
         # the first-order mismatch cancels (the step may then differ from pi)
         tuned = _symmetric_point(cavity)
-    dev = parallel_sol.device
+    dev, wp = parallel_sol.device, parallel_sol.omega_p
     par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
-                          _weight_curves(dev), parallel_sol.omega_p, pulse)
+                          lambda omega: _weight_fold(dev, omega),
+                          _weight_fold(dev, wp, jets=True), wp, pulse)
     cav = tuned.cavity
-    cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,
-                          [_state_curve(cav, QubitState.of_weight(dev.n, w))
-                           for w in range(dev.n + 1)],
-                          tuned.omega_p, pulse)
+    cascade = _CavitySum(cav, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)])
+    cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi, cascade.theta,
+                          cascade.jets(tuned.omega_p), tuned.omega_p, pulse)
     quad_match = {p: abs(f - cas.same_parity_closed[p])
                   for p, f in cas.same_parity_fidelity.items()}
     ratio = par.b_max / cas.b_max if cas.b_max > 0.0 else math.inf

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import comparison_to_dict, compare_schemes
-from .device import Mode, ParityDevice, analysis_band, weight_phase_curve
+from .device import Mode, ParityDevice, _weight_fold, analysis_band
 from .eraser import (
     EraserError,
     DEFAULT_TOL,
@@ -261,12 +261,8 @@ def cmd_sweep(ns) -> int:
         raise ConfigError(f"{ns.config}.chi_MHz: sweep needs a numeric chi")
     lo, hi = analysis_band(dev)
     grid = np.linspace(lo, hi, ns.points)
-    columns = [grid / TWO_PI / 1e9]
-    header = ["f_GHz"]
-    for w in range(dev.n + 1):
-        curve = weight_phase_curve(dev, w)
-        columns.append(np.degrees(curve.theta(grid)))
-        header.append(f"theta_wt{w}_deg")
+    columns = [grid / TWO_PI / 1e9, *np.degrees(_weight_fold(dev, grid))]
+    header = ["f_GHz", *(f"theta_wt{w}_deg" for w in range(dev.n + 1))]
     out = Path(ns.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -17,17 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .network import (
-    Capacitor,
-    Inductor,
-    NetworkElement,
-    Parallel,
-    PhaseCurve,
-    QuarterWaveStub,
-    Series,
-    _crossings,
-    lumped_equivalent,
-)
+import numpy as np
+
+from .network import (Capacitor, Inductor, NetworkElement, Parallel, PhaseCurve,
+                      QuarterWaveStub, Series, _check_omega, _crossings, _curve_table,
+                      _fold, _fold_jets, lumped_equivalent)
 
 __all__ = [
     "NonPositiveResult",
@@ -206,12 +200,45 @@ def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
     return Parallel((Inductor(l), Capacitor(c)))
 
 
-def _shifted_modes(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
-    """The state's pulled mode frequencies, in mode order."""
+def _shifted_modes(dev: ParityDevice, state: QubitState, omegas=None,
+                   chi_matrix=None) -> tuple[float, ...]:
+    """The state's pulled mode frequencies, in mode order; ``omegas`` and
+    ``chi_matrix`` stand in for dev's own."""
     if state.n != dev.n:
         raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
-    return tuple(shifted_frequency(mode.omega, [row[k] for row in dev.chi_matrix], state)
-                 for k, mode in enumerate(dev.modes))
+    omegas = [mo.omega for mo in dev.modes] if omegas is None else omegas
+    chi_matrix = dev.chi_matrix if chi_matrix is None else chi_matrix
+    return tuple(shifted_frequency(w, [row[k] for row in chi_matrix], state)
+                 for k, w in enumerate(omegas))
+
+
+def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
+    """Every Hamming weight's branch table, stacked (n + 1, m, columns): row w
+    is weight_phase_curve(dev, w)'s, built and refused as that curve is.
+    ``omegas`` (bare mode frequencies, checked as Mode checks them) and a
+    common ``chi`` stand in for dev's own, so a solver point needs no device."""
+    modes = dev.modes if omegas is None else [Mode(float(w), mo.c_couple)
+                                              for w, mo in zip(omegas, dev.modes)]
+    chi_matrix = None if chi is None else ((float(chi),) * dev.m,) * dev.n
+    couplers, omegas = [mo.c_couple for mo in modes], [mo.omega for mo in modes]
+    states = [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
+    band = analysis_band(dev)
+    return np.array([_curve_table(couplers, _shifted_modes(dev, s, omegas, chi_matrix),
+                                  dev.z0, band, dev.resonator_model)[1] for s in states])
+
+
+def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=None):
+    """theta of every Hamming weight along omega, one row per weight, or with
+    ``jets`` the jets at one frequency, from one fold of the whole
+    _weight_table (network._fold_jets; rows by weight, d theta/d omega_r by
+    branch and weight).  theta folds one weight's table at a time, so a comb
+    of thousands of points holds no (n + 1)-fold temporaries.  Weight w's
+    rows are weight_phase_curve(dev, w)'s theta or jets, bit for bit."""
+    table, stub = _weight_table(dev, omegas, chi), dev.resonator_model == "stub"
+    w = _check_omega(omega)
+    if jets:
+        return _fold_jets(stub, dev.z0, table, np.full(len(table), float(w)))
+    return np.array([_fold(stub, dev.z0, branches, w) for branches in table])
 
 
 def build_state_network(dev: ParityDevice, state: QubitState) -> NetworkElement:

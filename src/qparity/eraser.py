@@ -31,8 +31,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .device import (ParityDevice, _loaded_zero_estimate, loaded_poles_by_weight,
-                     weight_phase_curve)
+from .device import (ParityDevice, _loaded_zero_estimate, _weight_fold,
+                     loaded_poles_by_weight)
 from .network import _branch_parts, _branch_table, _series_zeros, wrap_phase
 
 __all__ = [
@@ -120,21 +120,6 @@ def min_modes_required(n: int) -> int:
     return (n + 2) // 2
 
 
-def _weight_curves(dev: ParityDevice) -> list:
-    return [weight_phase_curve(dev, w) for w in range(dev.n + 1)]
-
-
-def _thetas(curves: list, omega_p) -> np.ndarray:
-    return np.array([c.theta(omega_p) for c in curves])
-
-
-def _jets(curves: list, omega_p: float) -> tuple[np.ndarray, list]:
-    """Each curve's jets at omega_p (PhaseCurve.jets), one fold per curve,
-    and their phases as an array."""
-    jets = [c.jets(omega_p) for c in curves]
-    return np.array([j[0] for j in jets]), jets
-
-
 def _residuals(th: np.ndarray) -> np.ndarray:
     """theta_wt(i) - theta_wt(i+2) - 2*pi from the per-weight phases."""
     return th[:-2] - th[2:] - TWO_PI
@@ -143,7 +128,7 @@ def _residuals(th: np.ndarray) -> np.ndarray:
 def eraser_residuals(dev: ParityDevice, omega_p) -> np.ndarray:
     """theta_wt(i) - theta_wt(i+2) - 2*pi for i = 0..n-2 (n-1 entries), at
     one probe frequency or, row by row, along an array of them."""
-    return _residuals(_thetas(_weight_curves(dev), omega_p))
+    return _residuals(_weight_fold(dev, omega_p))
 
 
 def contrast(sol: EraserSolution) -> float:
@@ -180,11 +165,10 @@ def _same_parity_pairs(n: int):
     return list(combinations(evens, 2)) + list(combinations(odds, 2))
 
 
-def _dispersion(jets: list) -> DispersionReport:
-    """The report from each weight's jets at the probe (see _jets)."""
-    d1 = [float(j[1]) for j in jets]
-    d2 = [float(j[2]) for j in jets]
-    pairs = _same_parity_pairs(len(jets) - 1)
+def _dispersion(jets) -> DispersionReport:
+    """The report from every weight's jets at the probe (device._weight_fold)."""
+    d1, d2 = jets[1].tolist(), jets[2].tolist()
+    pairs = _same_parity_pairs(len(d1) - 1)
     return DispersionReport(
         first={p: d1[p[0]] - d1[p[1]] for p in pairs},
         second={p: d2[p[0]] - d2[p[1]] for p in pairs},
@@ -195,14 +179,16 @@ def dispersion_report(dev: ParityDevice, sol: EraserSolution) -> DispersionRepor
     """First/second phase-derivative mismatches among same-parity weights
     at the solution's probe frequency, from the exact derivatives (finite
     at loaded poles, so no point is refused)."""
-    return _dispersion(_jets(_weight_curves(dev), sol.omega_p)[1])
+    return _dispersion(_weight_fold(dev, sol.omega_p, jets=True))
 
 
-def make_solution(dev: ParityDevice, omega_p: float, basins=()) -> EraserSolution:
+def make_solution(dev: ParityDevice, omega_p: float, basins=(),
+                  jets=None) -> EraserSolution:
     """The solution object at (dev, omega_p): per-weight phases, residuals,
-    contrast and dispersion, each computed once."""
-    th, jets = _jets(_weight_curves(dev), omega_p)
-    rep = _dispersion(jets)
+    contrast and dispersion, each computed once, from ``jets`` when given
+    (_weight_fold(dev, omega_p, jets=True))."""
+    jets = _weight_fold(dev, omega_p, jets=True) if jets is None else jets
+    th, rep = jets[0], _dispersion(jets)
     return EraserSolution(
         device=dev,
         omega_p=omega_p,
@@ -244,43 +230,26 @@ def _gap_frequencies(dev: ParityDevice, gaps) -> np.ndarray:
     return center + offs
 
 
-def _with_gaps(dev: ParityDevice, gaps) -> ParityDevice:
-    """dev with its modes respaced by ``gaps`` about their mean frequency."""
-    return dev.with_mode_frequencies(_gap_frequencies(dev, gaps))
-
-
-def _device(dev0: ParityDevice, x) -> ParityDevice:
-    """dev0 at the solver point x = (omega_p, chi[, gaps])."""
-    return (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
-
-
-def _theta_jacobian(jets: list, free_gaps: bool) -> np.ndarray:
-    """d theta_w / d (omega_p, chi[, gaps]), one row per weight w, from each
-    weight's jets at the probe (see _jets).
+def _jacobian(jets, free_gaps: bool, contrast: bool = False) -> np.ndarray:
+    """d residuals / d (omega_p, chi[, gaps]) from every weight's jets at the
+    probe (device._weight_fold); with ``contrast`` also the gradient of the
+    contrast row cos(delta_theta/2).
 
     The weight-w state moves every mode by (n - 2w) chi, and the gaps move
-    the modes through the fixed cumsum-minus-mean map of _with_gaps.
+    the modes through the fixed cumsum-minus-mean map of _gap_frequencies.
     """
-    n = len(jets) - 1
-    d_modes = np.array([j[3] for j in jets])
-    cols = [[float(j[1]) for j in jets],
-            (n - 2 * np.arange(n + 1)) * d_modes.sum(axis=1)]
+    n = len(jets[0]) - 1
+    d_modes = np.ascontiguousarray(jets[3].T)  # rows by weight, summed along a row
+    cols = [jets[1], (n - 2 * np.arange(n + 1)) * d_modes.sum(axis=1)]
     if free_gaps:
         m = d_modes.shape[1]
         lower = np.tri(m, m - 1, -1)
         cols.append(d_modes @ (lower - lower.mean(axis=0)))
-    return np.column_stack(cols)
-
-
-def _jacobian(jets: list, free_gaps: bool, th=None) -> np.ndarray:
-    """d residuals / d (omega_p, chi[, gaps]) from each weight's jets at the
-    probe; given the phases ``th`` there, also the gradient of the contrast
-    row cos(delta_theta/2)."""
-    d_theta = _theta_jacobian(jets, free_gaps)
+    d_theta = np.column_stack(cols)  # d theta_w / d x, one row per weight
     jac = d_theta[:-2] - d_theta[2:]
-    if th is None:
+    if not contrast:
         return jac
-    half = 0.5 * (th[0] - th[1])
+    half = 0.5 * (jets[0][0] - jets[0][1])
     return np.vstack([jac, -0.5 * math.sin(half) * (d_theta[0] - d_theta[1])])
 
 
@@ -289,23 +258,27 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
     """Damped Gauss-Newton on x = (omega_p, chi[, gaps]) of dev0.
 
     With ``contrast`` the residuals gain a last row cos(delta_theta/2),
-    zero at delta_theta = pi.  Returns the last accepted point and its
-    residuals; the caller decides whether max|r| is good enough.
+    zero at delta_theta = pi.  Each point is one fold of its stacked weight
+    table (device._weight_fold), with no device or curve built.  Returns the
+    last accepted point, its residuals and its jets; the caller decides
+    whether max|r| is good enough.
     """
     lo, hi = band
 
     def evaluate(x):
-        th, jets = _jets(_weight_curves(_device(dev0, x)), x[0])
+        jets = _weight_fold(dev0, x[0], True,
+                            _gap_frequencies(dev0, x[2:]) if len(x) > 2 else None, x[1])
+        th = jets[0]
         r = _residuals(th)
         if contrast:
             r = np.append(r, math.cos(0.5 * (th[0] - th[1])))
-        return jets, th, r
+        return jets, r
 
-    jets, th, r = evaluate(x)
+    jets, r = evaluate(x)
     for _ in range(NEWTON_MAX_ITER):
         if np.max(np.abs(r), initial=0.0) < tol:
             break
-        jac = _jacobian(jets, len(x) > 2, th if contrast else None)
+        jac = _jacobian(jets, len(x) > 2, contrast)
         try:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
@@ -316,14 +289,14 @@ def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
             # a gap below the frequencies' float spacing merges two modes
             if (lo < xn[0] < hi and chi_range[0] * 0.2 < xn[1] < chi_range[1] * 5.0
                     and np.all(np.diff(_gap_frequencies(dev0, xn[2:])) > 0.0)):
-                jets_n, th_n, r_n = evaluate(xn)
+                jets_n, r_n = evaluate(xn)
                 if np.linalg.norm(r_n) < np.linalg.norm(r):
                     break
             lam *= 0.5
         else:
             break
-        x, jets, th, r = xn, jets_n, th_n, r_n
-    return x, r
+        x, jets, r = xn, jets_n, r_n
+    return x, r, jets
 
 
 def _pole_model(dev: ParityDevice):
@@ -426,22 +399,26 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
     return cands, best_cell
 
 
-def _assemble(roots: list, tol: float) -> EraserSolution:
-    """Dedupe verified (omega_p, device) roots, rank them by
-    distinguishability, build the solution."""
+def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
+    """Dedupe verified roots (x, its jets) of dev0, rank them by
+    distinguishability from their jets, build the winner's solution from its
+    jets."""
     distinct = []
-    for wp, dev in roots:
-        if not any(abs(wp - w2) < TWO_PI * 1e4
-                   and abs(dev.chi - d2.chi) < TWO_PI * 1e3 for w2, d2 in distinct):
-            distinct.append((wp, dev))
+    for x, jets in roots:
+        if not any(abs(x[0] - x2[0]) < TWO_PI * 1e4
+                   and abs(x[1] - x2[1]) < TWO_PI * 1e3 for x2, _ in distinct):
+            distinct.append((x, jets))
     scored = []
-    for wp, dev in distinct:
-        th0, th1 = (weight_phase_curve(dev, w).theta(wp) for w in (0, 1))
-        dth = float(wrap_phase(th0 - th1))
-        scored.append((abs(math.sin(0.5 * dth)), wp, dev, dth))
+    for x, jets in distinct:
+        dth = float(wrap_phase(jets[0][0] - jets[0][1]))
+        scored.append((abs(math.sin(0.5 * dth)), x[0], dth, x, jets))
     scored.sort(key=lambda t: (-t[0], t[1]))
-    _, wp, dev, _ = scored[0]
-    sol = make_solution(dev, wp, basins=[(w, d.chi, dth) for _, w, d, dth in scored])
+    _, wp, _, x, jets = scored[0]
+    dev = dev0.with_chi(x[1])
+    if len(x) > 2:
+        dev = dev.with_mode_frequencies(_gap_frequencies(dev0, x[2:]))
+    sol = make_solution(dev, wp, [(w, float(x2[1]), dth) for _, w, dth, x2, _ in scored],
+                        jets)
     if min(abs(wrap_phase(t)) for t in sol.theta_by_weight) < 10.0 * tol:
         raise PoleCollision(
             f"solution at omega_p={wp:.6e} sits within {10 * tol:.1e} rad "
@@ -469,15 +446,15 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
     underdetermined = 2 + len(gaps0) > dev0.n - 1
     roots = []
     for _, wp0, chi0 in cands or [best_cell]:
-        x, r = _gauss_newton(dev0, np.array([wp0, chi0, *gaps0]), band,
-                             chi_range, tol)
+        x, r, jets = _gauss_newton(dev0, np.array([wp0, chi0, *gaps0]), band,
+                                   chi_range, tol)
         if np.max(np.abs(r), initial=0.0) >= tol:
             continue
         if underdetermined:
-            xc, rc = _gauss_newton(dev0, x, band, chi_range, MIN_TOL, contrast=True)
+            xc, rc, jets_c = _gauss_newton(dev0, x, band, chi_range, MIN_TOL, contrast=True)
             if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
-                roots.append(xc)  # ahead of x, so it outlives a near-duplicate x
-        roots.append(x)
+                roots.append((xc, jets_c))  # ahead of x: it outlives a near-duplicate x
+        roots.append((x, jets))
         if underdetermined and np.max(np.abs(rc)) < tol:
             break
     if not roots:
@@ -488,7 +465,7 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
             f"chi={best_cell[2] / TWO_PI / 1e6:.4f} MHz",
             best=best_cell,
         )
-    return _assemble([(x[0], _device(dev0, x)) for x in roots], tol)
+    return _assemble(dev0, roots, tol)
 
 
 def solve_eraser(dev_template: ParityDevice, free=("chi",),

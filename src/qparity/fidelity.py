@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ParityDevice, QubitState
-from .eraser import EraserSolution, _dispersion, _jets, _weight_curves, contrast
+from .device import ParityDevice, QubitState, _weight_fold
+from .eraser import EraserSolution, _dispersion, contrast
 from .network import wrap_phase
 
 __all__ = [
@@ -233,21 +233,20 @@ class FidelityReport:
     delta_theta: float | None = None
 
 
-def _pair_table(curves, jets, theta_p, delta_theta: float,
+def _pair_table(phases, jets, theta_p, delta_theta: float,
                 pulse: ProbePulse, grid: ModeGrid) -> tuple:
     """Fidelity of every unordered pair of Hamming weights.
 
-    ``curves[w]`` is weight w's phase response (anything with
-    ``theta(omega)``), ``jets[w]`` its jets at the probe (see eraser._jets),
+    ``phases[w]`` is weight w's phase on the mode comb, ``jets`` every
+    weight's jets at the probe (indexed as device._weight_fold's),
     ``theta_p[w]`` its phase there and ``delta_theta`` the parity contrast
     quoted for cross-parity pairs.  Every pair gets the numeric mode sum;
     same-parity pairs also get the linear closed form, or the quadratic one
     when the first-order mismatch cancels (|b| < QUADRATIC_BRANCH_RATIO |b2| W);
     cross-parity pairs get the even/odd closed form.
     """
-    n = len(curves) - 1
+    n = len(phases) - 1
     rep = _dispersion(jets)
-    phases = [np.asarray(c.theta(grid.frequencies)) for c in curves]
     w_band = pulse.bandwidth
     reports = []
     for w1 in range(n + 1):
@@ -296,8 +295,8 @@ def eraser_quality(dev: ParityDevice, sol: EraserSolution,
     """
     if grid is None:
         grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    curves, delta = _weight_curves(dev), contrast(sol)
-    return _pair_table(curves, _jets(curves, sol.omega_p)[1], sol.theta_by_weight,
+    delta, jets = contrast(sol), _weight_fold(dev, sol.omega_p, jets=True)
+    return _pair_table(_weight_fold(dev, grid.frequencies), jets, sol.theta_by_weight,
                        delta, pulse, grid)
 
 

@@ -498,7 +498,7 @@ def _zeros_below(stub: bool, branch: tuple, n, w):
     if not stub:
         return n < 0.0
     m = np.floor(0.5 * w / branch[1] + 0.5)
-    return m + (np.where(m % 2.0 == 0.0, n, -n) < 0.0)
+    return m + (np.where(np.fmod(m, 2.0) == 0.0, n, -n) < 0.0)
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -514,27 +514,33 @@ def _fold(stub: bool, z0: float, branches, w, jets: bool = False):
     with ``jets`` the tuple (theta, theta', theta'', d theta/d w_r of each
     branch), the last in branch order at fixed resonator impedance.
 
-    ``branches`` holds one row of the branch table per branch (see
-    _branch_parts); each entry is a float or an array of w's shape, so one
-    call evaluates many curves at once, one frequency each.  The fold is
+    ``branches`` is a branch table, one row per branch (see _branch_parts),
+    or many stacked, shape (curves..., m, columns): the curves' axes
+    broadcast against w's leading axes, so one call evaluates many curves at
+    once.  The branch parts of all branches come from one call.  The fold is
     U <- U N_k + P_k V, V <- V N_k, B = U/V, and
     theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}.  With ``jets``
     U and V are jets (value, d/dw, d2/dw2, d/dw_r of each branch), multiplied
     by _jet_mul; then with A = z0 (U' V - U V') and D = V^2 + z0^2 U^2,
-    theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2.  A scalar w keeps the
-    jets' scalar arithmetic scalar: numpy's scalar x ** 2 calls libm pow,
-    which can round differently from an array's square.
+    theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2.  Squares are written
+    as products (numpy's scalar x ** 2 calls libm pow, which can round
+    differently), so a curve's row of a broadcast fold equals its scalar
+    fold bit for bit.
     """
-    m = len(branches)
+    # the table's columns, each (branches, curves..., 1...) to broadcast against w
+    cols = np.moveaxis(np.asarray(branches, dtype=float), (-2, -1), (1, 0))
+    cols = cols.reshape(cols.shape + (1,) * (np.ndim(w) + 2 - cols.ndim))
+    m = cols.shape[1]
+    parts = _branch_parts(stub, z0, cols, w, derivatives=jets)
+    passed = _zeros_below(stub, cols, parts[1][0] if jets else parts[1], w).sum(axis=0)
     if jets:
         u = np.zeros((3 + m,) + np.shape(w))
         v = np.zeros_like(u)
         v[0] = 1.0
+        parts = [np.moveaxis(j, 1, 0) for j in parts]
     else:
         u, v = np.zeros_like(w), np.ones_like(w)
-    passed = np.zeros_like(w)
-    for k, branch in enumerate(branches):
-        p, n = _branch_parts(stub, z0, branch, w, derivatives=jets)
+    for k, (p, n) in enumerate(zip(*parts)):
         if jets:
             # only branch k's own parts move with its resonance
             p, n = (np.concatenate([j[:3], np.multiply.outer(np.arange(m) == k, j[3])])
@@ -542,7 +548,6 @@ def _fold(stub: bool, z0: float, branches, w, jets: bool = False):
             u, v = _jet_mul(u, n) + _jet_mul(p, v), _jet_mul(v, n)
         else:
             u, v = u * n + p * v, v * n
-        passed += _zeros_below(stub, branch, n[0] if jets else n, w)
     u0, v0 = (u[0], v[0]) if jets else (u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         # V = 0 only exactly on a zero, which B approaches from below
@@ -551,10 +556,22 @@ def _fold(stub: bool, z0: float, branches, w, jets: bool = False):
     if not jets:
         return theta
     a = z0 * (u * v0 - u0 * v)
-    d = v0 ** 2 + (z0 * u0) ** 2
-    d_prime = 2.0 * (v0 * v[1] + z0 ** 2 * u0 * u[1])
-    return (theta, -2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / d ** 2,
+    d = v0 * v0 + (z0 * u0) * (z0 * u0)
+    d_prime = 2.0 * (v0 * v[1] + z0 * z0 * u0 * u[1])
+    return (theta, -2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / (d * d),
             -2.0 * a[3:] / d)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
+def _fold_jets(stub: bool, z0: float, branches, w):
+    """_fold's jets at w, refused (NetworkError) where theta', theta'' or a
+    d theta/d w_r leaves float range."""
+    jets = _fold(stub, z0, branches, w, jets=True)
+    finite = np.isfinite(jets[1]) & np.isfinite(jets[2]) & np.isfinite(jets[3]).all(axis=0)
+    if not finite.all():
+        w_bad = float(np.broadcast_to(w, finite.shape)[~finite][0])
+        raise NetworkError(f"phase derivatives at omega={w_bad:.6e} rad/s leave float range")
+    return jets
 
 
 def _bracketed_newton(f, x, lo, hi):
@@ -588,6 +605,26 @@ def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> tuple:
     if stub:
         return tuple(zip(c_couple, omega_r))
     return tuple((c_c, *lumped_equivalent(w_r, z0)) for c_c, w_r in zip(c_couple, omega_r))
+
+
+def _curve_table(c_couple, omega_r, z0: float, band, model: str) -> tuple:
+    """PhaseCurve's band and branch table (_branch_table), or its ValueError."""
+    c_couple, omega_r = tuple(c_couple), tuple(omega_r)
+    if not 0 < len(c_couple) == len(omega_r):
+        raise ValueError("need one c_couple per omega_r and at least one, got "
+                         f"{len(c_couple)} and {len(omega_r)}")
+    for name, values in (("c_couple", c_couple), ("omega_r", omega_r)):
+        for k, value in enumerate(values):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
+    lo, hi = float(band[0]), float(band[1])
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"need finite 0 < band[0] < band[1], got {band}")
+    if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
+        raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
+    if model not in ("stub", "lumped"):
+        raise ValueError(f"model must be 'stub' or 'lumped', got {model!r}")
+    return (lo, hi), _branch_table(model == "stub", z0, c_couple, omega_r)
 
 
 def _series_zeros(stub: bool, z0: float, branch, order=0):
@@ -660,11 +697,7 @@ def _crossings(curves) -> list:
     table = np.array([c._branches for c in curves])
     band = np.array([c.band for c in curves])
     stub, z0 = curves[0]._stub, curves[0].z0
-
-    def fold(rows, w, jets=False):  # the curves of ``rows``, one w each
-        return _fold(stub, z0, np.moveaxis(table[rows], (1, 2), (0, 1)), w, jets)
-
-    edges = fold(np.repeat(np.arange(len(curves)), 2), band.ravel()).reshape(-1, 2)
+    edges = _fold(stub, z0, table.repeat(2, axis=0), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
     resonance = (table[..., 1] if stub
                  else 1.0 / np.sqrt(table[..., 1] * table[..., 2])).max(axis=1)
@@ -686,7 +719,7 @@ def _crossings(curves) -> list:
 
     def above_level(x):
         with np.errstate(over="ignore", invalid="ignore"):  # rows theta' does not read
-            theta, slope = fold(rows, x, jets=True)[:2]
+            theta, slope = _fold(stub, z0, table[rows], x, jets=True)[:2]
         return theta - levels, slope
 
     x = _bracketed_newton(above_level, np.array(seed), np.array(lo), np.array(hi))
@@ -724,25 +757,9 @@ class PhaseCurve:
 
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
                  model: str):
-        c_couple, omega_r = tuple(c_couple), tuple(omega_r)
-        if not 0 < len(c_couple) == len(omega_r):
-            raise ValueError("need one c_couple per omega_r and at least one, got "
-                             f"{len(c_couple)} and {len(omega_r)}")
-        for name, values in (("c_couple", c_couple), ("omega_r", omega_r)):
-            for k, value in enumerate(values):
-                if not 0.0 < value < math.inf:
-                    raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
-        lo, hi = float(band[0]), float(band[1])
-        if not 0.0 < lo < hi < math.inf:
-            raise ValueError(f"need finite 0 < band[0] < band[1], got {band}")
-        if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
-            raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
-        if model not in ("stub", "lumped"):
-            raise ValueError(f"model must be 'stub' or 'lumped', got {model!r}")
         self.z0 = z0
-        self.band = (lo, hi)
+        self.band, self._branches = _curve_table(c_couple, omega_r, z0, band, model)
         self._stub = model == "stub"
-        self._branches = _branch_table(self._stub, z0, c_couple, omega_r)
 
     def theta(self, omega):
         w = np.atleast_1d(_check_omega(omega))
@@ -765,18 +782,14 @@ class PhaseCurve:
         (_crossings)."""
         return _crossings([self])[0]
 
-    @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
     def jets(self, omega: float):
         """(theta, theta', theta'', d theta/d w_r of each branch) at one
-        frequency, from one fold (_fold): theta equals ``theta(omega)`` bit
-        for bit; the derivatives (in s, s^2, and per branch in branch order
-        at fixed resonator impedance) are exact.  Raises NetworkError where
-        they leave float range."""
+        frequency, from one fold (_fold_jets): theta equals ``theta(omega)``
+        bit for bit; the derivatives (in s, s^2, and per branch in branch
+        order at fixed resonator impedance) are exact.  Raises NetworkError
+        where they leave float range."""
         w = float(_check_omega(omega))
-        theta, *out = _fold(self._stub, self.z0, self._branches, w, jets=True)
-        if not (math.isfinite(out[0]) and math.isfinite(out[1])
-                and np.isfinite(out[2]).all()):
-            raise NetworkError(f"phase derivatives at omega={w:.6e} rad/s leave float range")
+        theta, *out = _fold_jets(self._stub, self.z0, self._branches, w)
         return (float(theta), *out)
 
     def dtheta(self, omega: float, order: int = 1) -> float:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qparity.cascade import _state_curve, compare_schemes, tune_cascade
+from qparity.cascade import _CavitySum, compare_schemes, tune_cascade
 from qparity.cli import main
 from qparity.device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
                             state_phase_curve, weight_phase_curve)
@@ -40,7 +40,7 @@ def tuned():
 def test_cascade_phase_is_sum_of_cavity_phases():
     cav = cavity()
     w = TWO_PI * 9.83e9
-    total = _state_curve(cav, QubitState((0, 1, 0))).theta(w)
+    total = _CavitySum(cav, [QubitState((0, 1, 0))]).theta(w)[0]
     parts = (weight_phase_curve(cav, 0).theta(w) + weight_phase_curve(cav, 1).theta(w)
              + weight_phase_curve(cav, 0).theta(w))
     assert total == parts
@@ -49,14 +49,15 @@ def test_cascade_phase_is_sum_of_cavity_phases():
 def test_single_cavity_cascade_reduces_to_single_phase():
     cav = cavity()
     w = TWO_PI * 9.85e9
-    assert _state_curve(cav, QubitState((1,))).theta(w) == weight_phase_curve(cav, 1).theta(w)
+    assert (_CavitySum(cav, [QubitState((1,))]).theta(w)
+            == [weight_phase_curve(cav, 1).theta(w)])
 
 
 def test_equal_weight_states_have_equal_phase():
     cav = cavity()
     w = TWO_PI * 9.82e9
-    vals = {_state_curve(cav, QubitState(b)).theta(w)
-            for b in ((0, 1, 1), (1, 0, 1), (1, 1, 0))}
+    vals = set(_CavitySum(cav, [QubitState(b) for b in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+                            ).theta(w))
     assert len(vals) == 1
 
 
@@ -69,7 +70,7 @@ def test_weight_derivative_is_sum_of_cavity_devices(order):
         for bits in itertools.product((0, 1), repeat=3):
             parts = [state_phase_curve(cav, QubitState((b,))).dtheta(w, order)
                      for b in bits]
-            got = _state_curve(cav, QubitState(bits)).jets(w)[order]
+            got = _CavitySum(cav, [QubitState(bits)]).jets(w)[order][0]
             assert got == pytest.approx(sum(parts), rel=1e-12)
 
 
@@ -87,7 +88,7 @@ def test_only_a_one_qubit_one_mode_cavity_is_accepted(dev):
     with pytest.raises(ValueError, match="1-qubit, 1-mode"):
         tune_cascade(dev)
     with pytest.raises(ValueError, match="1-qubit, 1-mode"):
-        _state_curve(dev, QubitState((0, 1, 1))).theta(TWO_PI * 9.8e9)
+        _CavitySum(dev, [QubitState((0, 1, 1))]).theta(TWO_PI * 9.8e9)
 
 
 # ----------------------------------------------------------------------
@@ -197,16 +198,20 @@ def test_compare_without_pi_root_exits_3_in_one_line(tmp_path, capsys, f_ghz, c_
 
 
 def test_tune_cascade_work_count(monkeypatch):
-    # two Newton iterations on exact jets: ~30 derivative evaluations and no
-    # vector theta or bracketing root solve; the nested brentq search with
-    # its 257-point window scans made 630 jets, 70 x 257 theta points and
-    # 36 brentq calls
+    # two Newton iterations on exact jets: 18 fold passes, each the jets of
+    # both bit states (36 jets, one curve each, before), and no vector theta
+    # or bracketing root solve; the nested brentq search with its 257-point
+    # window scans made 630 jets, 70 x 257 theta points and 36 brentq calls
     from collections import Counter
 
     from qparity import cascade, network
 
     counts = Counter()
-    jets, theta = network.PhaseCurve.jets, network.PhaseCurve.theta
+    jets, theta, fold = network.PhaseCurve.jets, network.PhaseCurve.theta, network._fold
+
+    def counting_fold(*args, **kwargs):
+        counts["folds"] += 1
+        return fold(*args, **kwargs)
 
     def counting_jets(self, omega):
         counts["jets"] += 1
@@ -220,11 +225,13 @@ def test_tune_cascade_work_count(monkeypatch):
         counts["brentq"] += 1
         return brentq(*args, **kwargs)
 
+    monkeypatch.setattr(network, "_fold", counting_fold)
     monkeypatch.setattr(network.PhaseCurve, "jets", counting_jets)
     monkeypatch.setattr(network.PhaseCurve, "theta", counting_theta)
     monkeypatch.setattr(network, "brentq", counting_brentq)
     monkeypatch.setattr(cascade, "brentq", counting_brentq, raising=False)
     tune_cascade(cavity())
+    assert counts["folds"] <= 18
     assert counts["jets"] <= 100
     assert counts["vector theta"] == 0
     assert counts["brentq"] == 0
@@ -233,7 +240,7 @@ def test_tune_cascade_work_count(monkeypatch):
 def test_tuned_eraser_conditions_hold(tuned):
     dev = tuned.cavity
     wp = tuned.omega_p
-    th = [_state_curve(dev, QubitState.of_weight(3, w)).theta(wp) for w in range(4)]
+    th = _CavitySum(dev, [QubitState.of_weight(3, w) for w in range(4)]).theta(wp)
     assert th[0] - th[2] - TWO_PI == pytest.approx(0.0, abs=1e-6)
     assert th[1] - th[3] - TWO_PI == pytest.approx(0.0, abs=1e-6)
     from qparity.network import wrap_phase

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qparity.device import Mode, ParityDevice, QubitState
+from qparity.device import Mode, NonPositiveResult, ParityDevice, QubitState
 from qparity.eraser import (
     EraserDegenerate,
     EraserSolution,
@@ -23,7 +23,7 @@ from qparity.eraser import (
     solution_to_dict,
     solve_eraser,
 )
-from qparity.network import wrap_phase
+from qparity.network import NetworkError, wrap_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -424,6 +424,7 @@ def _exact_grid_candidates(dev0, band, chi_grid, wp_points):
     """The coarse grid on the exact phase curves, one device and n + 1
     curves per chi row: the reference for the solver's pole-model grid."""
     from qparity import eraser
+    from qparity.device import weight_phase_curve
 
     wps = np.linspace(band[0], band[1], wp_points)
     norm = np.empty((len(chi_grid), len(wps)))
@@ -431,7 +432,7 @@ def _exact_grid_candidates(dev0, band, chi_grid, wp_points):
         dev = dev0.with_chi(chi)
         r = eraser_residuals(dev, wps)
         if not len(r):  # n = 1
-            th = eraser._thetas(eraser._weight_curves(dev), wps)
+            th = np.array([weight_phase_curve(dev, w).theta(wps) for w in (0, 1)])
             r = np.cos(0.5 * (th[:1] - th[1:]))
         norm[i] = np.sqrt((r ** 2).sum(axis=0))
     return eraser._grid_minima(norm, wps, chi_grid)
@@ -573,12 +574,60 @@ def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
     assert np.max(np.abs(r)) < 1e-2
 
 
+def _refusing_point(case):
+    """(template, omega_p, chi, gaps) of a solver point whose weight curves
+    refuse to build or to give jets."""
+    band = (TWO_PI * 0.5e9, TWO_PI * 20e9)
+    paper = [(9.99, 10e-15), (10.01, 10e-15)]
+    spec = {"pull-below-zero": (4, [(1.0, 10e-15), (1.01, 10e-15)], 50.0, "stub"),
+            "jets-overflow": (3, [(9.99, 1e285), (10.01, 10e-15)], 50.0, "stub"),
+            "no-lumped-tank": (3, paper, 1e-300, "lumped"),
+            "z0-squared": (3, paper, 1e155, "stub"),
+            "mode-below-zero": (4, [(9.97, 10e-15), (10.0, 10e-15), (10.03, 10e-15)],
+                                50.0, "stub")}[case]
+    n, modes, z0, model = spec
+    dev0 = ParityDevice.equal_coupling(
+        n, tuple(Mode(TWO_PI * f * 1e9, c) for f, c in modes), TWO_PI * 5e6, z0=z0,
+        resonator_model=model, band=band)
+    chi = TWO_PI * (400e6 if case == "pull-below-zero" else 5.77e6)
+    gaps = TWO_PI * np.array([20e9, 20e9]) if case == "mode-below-zero" else None
+    return dev0, TWO_PI * (1e9 if case == "pull-below-zero" else 9.8e9), chi, gaps
+
+
+@pytest.mark.parametrize("case, exc", [
+    ("pull-below-zero", NonPositiveResult),
+    ("jets-overflow", NetworkError),
+    ("no-lumped-tank", ValueError),
+    ("z0-squared", ValueError),
+    ("mode-below-zero", ValueError),
+])
+def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
+    # a Gauss-Newton point folds its stacked weight table without building a
+    # device or a curve, and still ends in the exception and message that
+    # building that device and each weight's curve, and reading its jets, did
+    from qparity.device import _weight_fold, weight_phase_curve
+    from qparity.eraser import _gap_frequencies
+
+    dev0, wp, chi, gaps = _refusing_point(case)
+    omegas = None if gaps is None else _gap_frequencies(dev0, gaps)
+    with pytest.raises(exc) as curve_path:
+        dev = dev0 if omegas is None else dev0.with_mode_frequencies(omegas)
+        dev = dev.with_chi(chi)
+        for w in range(dev.n + 1):
+            weight_phase_curve(dev, w).jets(wp)
+    with pytest.raises(exc) as stacked:
+        _weight_fold(dev0, wp, True, omegas, chi)
+    assert type(stacked.value) is type(curve_path.value)
+    assert str(stacked.value) == str(curve_path.value)
+
+
 @pytest.mark.parametrize("free_gaps", [False, True])
 def test_jacobian_matches_central_difference(free_gaps):
     from dataclasses import replace
 
     from qparity.device import weight_phase_curve
-    from qparity.eraser import _jacobian, _jets, _weight_curves, _with_gaps
+    from qparity.device import _weight_fold
+    from qparity.eraser import _gap_frequencies, _jacobian
 
     if free_gaps:
         modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (9.97, 10.0, 10.03))
@@ -590,18 +639,19 @@ def test_jacobian_matches_central_difference(free_gaps):
     dev0 = replace(dev0, band=(TWO_PI * 9.5e9, TWO_PI * 10.5e9))
 
     def device(x):
-        return (_with_gaps(dev0, x[2:]) if len(x) > 2 else dev0).with_chi(x[1])
+        if len(x) > 2:
+            return dev0.with_mode_frequencies(_gap_frequencies(dev0, x[2:])).with_chi(x[1])
+        return dev0.with_chi(x[1])
 
     def contrast(x):
         th0, th1 = (weight_phase_curve(device(x), w).theta(x[0]) for w in (0, 1))
         return math.cos(0.5 * (th0 - th1))
 
-    curves = _weight_curves(device(x))
-    jets = _jets(curves, x[0])[1]
+    jets = _weight_fold(device(x), x[0], jets=True)
     jac = _jacobian(jets, free_gaps)
     assert jac.shape == (dev0.n - 1, len(x))
-    # given the phases, one more row: the gradient of cos(delta_theta/2)
-    full = _jacobian(jets, free_gaps, [c.theta(x[0]) for c in curves])
+    # with the contrast row, one more row: the gradient of cos(delta_theta/2)
+    full = _jacobian(jets, free_gaps, contrast=True)
     assert np.array_equal(full[:-1], jac)
     h = 1e3
     fd_contrast = []
@@ -619,7 +669,7 @@ def _solve_work(dev, monkeypatch, **kwargs):
     """Work of one CLI solve payload, solve_eraser then solution_to_dict:
     phase curves built, eraser_residuals calls and root solves in
     qparity.network over both, the fold passes of solve_eraser (every
-    _fold call: a theta read and a jets read count one each) and the
+    _fold call: one stacked fold of every weight counts one) and the
     broadcast-fold passes of the loaded-pole search (every _fold call
     solution_to_dict makes)."""
     from collections import Counter
@@ -663,20 +713,19 @@ def _solve_work(dev, monkeypatch, **kwargs):
 
 def test_paper_solve_work_count(paper_device, monkeypatch):
     # deterministic work bound for one paper n = 3 solve: phase curves built
-    # (18, all in Gauss-Newton and the solution; the exact-curve coarse grid
-    # built 154), residual calls (the pole-model grid makes none; the exact
-    # grid made 33) and root solves; rebuilding devices for finite
-    # differences breaks the first, and locating branch zeros while building
-    # a curve the last.  Each curve is folded once: Gauss-Newton and the
-    # solution read theta and its derivatives from one jets call per curve
-    # and point, and ranking roots reads theta (18 theta folds and 12
-    # separate jet folds made 30).  The payload's 8 loaded poles take one
-    # curve per weight and 6 fold passes over all of them: the band-edge
-    # phases, then 5 bracketed Newton passes (one brentq per pole made 8
-    # root solves)
+    # (none: each Gauss-Newton point folds its stacked weight table once, and
+    # ranking the roots and building the solution reuse those jets; one
+    # curve per weight and point built 18, and the exact-curve coarse grid
+    # 154), residual calls (the pole-model grid makes none; the exact grid
+    # made 33) and root solves; locating branch zeros while folding the
+    # last.  3 fold passes, one per Gauss-Newton point (a fold per curve and
+    # point, plus a theta fold per root to rank it, made 18).  The
+    # payload's 8 loaded poles take one curve per weight and 6 fold passes
+    # over all of them: the band-edge phases, then 5 bracketed Newton passes
+    # (one brentq per pole made 8 root solves)
     counts = _solve_work(paper_device, monkeypatch)
-    assert counts["curves"] <= 18
-    assert counts["solve_folds"] <= 18
+    assert counts["curves"] == 0
+    assert counts["solve_folds"] <= 3
     assert counts["residuals"] == 0
     assert counts["brentq"] == 0
     assert counts["pole_curves"] == 4
@@ -685,26 +734,28 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
 
 def test_two_qubit_solve_work_count(monkeypatch):
     # two Gauss-Newton solves from the pole-model grid's best basin, onto
-    # the root and then to delta_theta = pi: 46 curves; the exact-curve grid
+    # the root and then to delta_theta = pi: 13 stacked folds and no curve,
+    # where one curve per weight and point built 46; the exact-curve grid
     # added 99 (139), and a chi-by-chi root search with a golden-section
     # polish built 233
     counts = _solve_work(two_mode_device(2), monkeypatch)
-    assert counts["curves"] <= 46
+    assert counts["curves"] == 0
+    assert counts["solve_folds"] <= 13
     assert counts["residuals"] == 0
 
 
 def test_four_qubit_free_solve_work_count(monkeypatch):
     # two Gauss-Newton solves from the pole-model grid's first basin at the
-    # template spacing: 104 curves; the exact-curve grid added 165 (269), and
-    # least-squares passes over five fixed gap scales before freeing the
-    # gaps built 3392.  One fold per curve, 104 (theta and separate
-    # derivative folds made 179).  The payload's 15 loaded poles take one
-    # curve per weight and 6 fold passes, as the paper's 8 do (15 brentq
-    # root solves before)
+    # template spacing: 19 stacked folds, one per point, and no curve or
+    # device per point (one curve per weight and point built 104 and folded
+    # each once; the exact-curve grid added 165 curves, and least-squares
+    # passes over five fixed gap scales before freeing the gaps built 3392).
+    # The payload's 15 loaded poles take one curve per weight and 6 fold
+    # passes, as the paper's 8 do (15 brentq root solves before)
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
-    assert counts["curves"] <= 104
-    assert counts["solve_folds"] <= 104
+    assert counts["curves"] == 0
+    assert counts["solve_folds"] <= 19
     assert counts["residuals"] == 0
     assert counts["brentq"] == 0
     assert counts["pole_curves"] == 5

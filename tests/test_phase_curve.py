@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qparity.cascade import _bit_curves
 from qparity.device import (
     Mode,
     ParityDevice,
@@ -62,7 +61,7 @@ def device_pairs(dev: ParityDevice):
 def cascade_pairs():
     single = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 10e9, 10e-15),), TWO_PI * 5e6)
     return [(curve, build_state_network(single, QubitState((bit,))))
-            for bit, curve in enumerate(_bit_curves(single))]
+            for bit, curve in enumerate(device_curves(single))]
 
 
 CURVE_SETS = {
@@ -144,7 +143,7 @@ def test_jets_lead_with_theta_bit_for_bit(m, model, f0_ghz, gaps_mhz, couplers_f
 @pytest.mark.parametrize("model", ["stub", "lumped"])
 def test_broadcast_fold_matches_each_curve(model):
     # one fold over the stacked branch tables of every weight, one frequency
-    # per curve, gives each curve's own theta bit for bit, and its theta'
+    # per curve, gives each curve's own theta and theta' bit for bit
     from qparity.network import _fold
 
     curves = device_curves(paper(model))
@@ -152,11 +151,51 @@ def test_broadcast_fold_matches_each_curve(model):
     rows = np.repeat(np.arange(len(curves)), len(grid))
     table = np.array([c._branches for c in curves])[rows]
     w = np.tile(grid, len(curves))
-    theta, slope = _fold(model == "stub", curves[0].z0,
-                         np.moveaxis(table, (1, 2), (0, 1)), w, jets=True)[:2]
+    theta, slope = _fold(model == "stub", curves[0].z0, table, w, jets=True)[:2]
     assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
-    assert slope == pytest.approx([c.dtheta(x) for c in curves for x in grid],
-                                  rel=1e-12)
+    assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 3),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(4.0, 12.0),
+    gaps_mhz=st.lists(st.floats(5.0, 40.0), min_size=2, max_size=2),
+    couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
+    chi_mhz=st.floats(0.1, 10.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_stacked_weight_fold_is_each_weight_curve_bit_for_bit(
+        n, m, model, f0_ghz, gaps_mhz, couplers_ff, chi_mhz, fractions):
+    # the stacked weight table holds each weight curve's own branch table,
+    # and one broadcast jets fold of it gives each curve's scalar jets, all
+    # four entries bit for bit, across the band and on, and one ulp either
+    # side of, every branch zero and loaded pole of every weight
+    from qparity.device import _weight_fold, _weight_table
+
+    offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
+    modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + d * 1e6), c * 1e-15)
+                  for d, c in zip(offsets, couplers_ff))
+    dev = ParityDevice.equal_coupling(n, modes, TWO_PI * chi_mhz * 1e6,
+                                      resonator_model=model)
+    curves = device_curves(dev)
+    table = _weight_table(dev)
+    assert table.shape == (n + 1, m, 2 if model == "stub" else 3)
+    for row, curve in zip(table, curves):
+        assert row.tolist() == [list(branch) for branch in curve._branches]
+    lo, hi = analysis_band(dev)
+    points = [lo + (hi - lo) * f for f in fractions]
+    for curve in curves:
+        for feature in np.concatenate([curve.zeros, curve.poles]):
+            points += [np.nextafter(feature, 0.0), feature, np.nextafter(feature, np.inf)]
+    for w in points:
+        stacked = _weight_fold(dev, w, jets=True)
+        for k, curve in enumerate(curves):
+            theta, d1, d2, d_r = curve.jets(w)
+            rows = (*(row[k] for row in stacked[:3]), *stacked[3][:, k])
+            assert [x.hex() for x in (theta, d1, d2, *d_r)] == [float(x).hex() for x in rows]
 
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
