@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ParityDevice, QubitState, _loaded_zero_estimate, _weight_fold
+from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _table_fold,
+                     _weight_fold, _weight_table)
 from .eraser import EraserSolution, _residuals
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
 from .network import wrap_phase
@@ -42,13 +43,19 @@ OMEGA_ULPS = 16     # omega_p has converged once a Newton step is this many ulps
 STEP_TOL = 1e-10    # rad; the step itself is rounding noise below ~1e-12
 
 
-def _bit_fold(cavity: ParityDevice, omega, jets: bool = False):
-    """The cavity's phase with its qubit in state 0 and 1 along omega (rows
-    by bit), or with ``jets`` their jets at one frequency: one fold."""
+def _bit_table(cavity: ParityDevice) -> np.ndarray:
+    """The cavity's branch table in both bit states (device._weight_table),
+    refusing a device that is not one qubit on one mode."""
     if (cavity.n, cavity.m) != (1, 1):
         raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
                          f"{cavity.n} qubits x {cavity.m} modes")
-    return _weight_fold(cavity, omega, jets)
+    return _weight_table(cavity)
+
+
+def _bit_fold(cavity: ParityDevice, omega, jets: bool = False):
+    """The cavity's phase with its qubit in state 0 and 1 along omega (rows
+    by bit), or with ``jets`` their jets at one frequency: one fold."""
+    return _table_fold(cavity, _bit_table(cavity), omega, jets)
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,9 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None
     (state 0 and 1 put the cavity at omega_r + chi and omega_r - chi)."""
     if w is None:
         w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
+    table = _bit_table(cavity)  # fixed by chi while omega moves
     for _ in range(MAX_NEWTON_STEPS):
-        th, d1, d2, d_r = _bit_fold(cavity, w, jets=True)
+        th, d1, d2, d_r = _table_fold(cavity, table, w, jets=True)
         b, slope = float(d1[0] - d1[1]), float(d2[0] - d2[1])
         if not slope < 0.0:
             raise ValueError("no symmetric point: the per-qubit phase step has no "
@@ -215,8 +223,12 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
 
     The cascade is tuned (phase step pi, symmetric probe) unless tune=False;
     each scheme's fidelities are evaluated with a pulse centered on its own
-    operating frequency.
+    operating frequency.  The scores need same-parity pairs, so a device
+    of one qubit is refused (ValueError naming n_qubits).
     """
+    if parallel_sol.device.n < 2:
+        raise ValueError("n_qubits: compare needs at least 2 qubits, got "
+                         f"{parallel_sol.device.n}")
     if tune:
         tuned = tune_cascade(cavity)
     else:

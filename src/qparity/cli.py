@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -379,6 +380,9 @@ def cmd_fidelity(ns) -> int:
 def cmd_compare(ns) -> int:
     cfg_p = load_config(ns.config_parallel)
     dev_p, chi_spec = parse_parallel_config(cfg_p, ns.config_parallel)
+    if dev_p.n < 2:  # one qubit has no same-parity pair to score
+        raise ConfigError(f"{ns.config_parallel}.n_qubits: compare needs at least 2 "
+                          f"qubits, got {dev_p.n}")
     cfg_c = load_config(ns.config_cascade)
     n_c, cavity, chi_spec_c = parse_cascade_config(cfg_c, ns.config_cascade)
     if n_c != dev_p.n:
@@ -513,9 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built once per process: parsing leaves it
+    unchanged, and building it costs more than a short command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except ConfigError as exc:

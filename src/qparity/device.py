@@ -234,10 +234,15 @@ def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=
     branch and weight).  theta folds one weight's table at a time, so a comb
     of thousands of points holds no (n + 1)-fold temporaries.  Weight w's
     rows are weight_phase_curve(dev, w)'s theta or jets, bit for bit."""
-    table, stub = _weight_table(dev, omegas, chi), dev.resonator_model == "stub"
-    w = _check_omega(omega)
+    return _table_fold(dev, _weight_table(dev, omegas, chi), omega, jets)
+
+
+def _table_fold(dev: ParityDevice, table: np.ndarray, omega, jets: bool = False):
+    """_weight_fold on a _weight_table of dev built beforehand, so a solver
+    that holds the table fixed while omega moves builds it once."""
+    stub, w = dev.resonator_model == "stub", _check_omega(omega)
     if jets:
-        return _fold_jets(stub, dev.z0, table, np.full(len(table), float(w)))
+        return _fold_jets(stub, dev.z0, table, float(w))
     return np.array([_fold(stub, dev.z0, branches, w) for branches in table])
 
 

@@ -442,7 +442,24 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 # Closed-form phase curve
 # ----------------------------------------------------------------------
 
-def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = False):
+def _branch_factors(stub: bool, branch, w, derivatives: bool = False) -> tuple:
+    """The part of _branch_parts that runs in numpy, elementwise over the
+    arrays of a table row and w: the stub's x = (pi/2) w/w_r with cos x and
+    sin x; the tank's c = 1 - w^2 L C and s = w L, and with ``derivatives``
+    their d/dw_r, which divide by w_r = 1/sqrt(L C), 0 where L C overflows."""
+    if stub:
+        x = 0.5 * math.pi * (w / branch[1])
+        return x, np.cos(x), np.sin(x)
+    cap, l = branch[1:]
+    c, s = 1.0 - w * w * (l * cap), w * l
+    if not derivatives:
+        return c, s
+    w_r = 1.0 / np.sqrt(l * cap)
+    return c, s, 2.0 * (1.0 - c) / w_r, -s / w_r
+
+
+def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = False,
+                  factors=None):
     """Numerator P and denominator N of one branch's susceptance B = P/N.
 
     ``branch`` is a row of PhaseCurve's table: (C_c, w_r) for the stub,
@@ -451,44 +468,51 @@ def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = F
     (1 - w^2 L C, w L) for the tank.  In series with the coupler C_c the
     branch has B = -1/X = P/N, P = w C_c c and N = c - w C_c s, so N changes
     sign at the branch's series zeros.  With ``derivatives`` each of P and N
-    is an array of rows (value, d/dw, d2/dw2, d/dw_r), the last at fixed
-    resonator impedance (the stub's z0, the tank's sqrt(L/C)).  The row's
-    entries and w may be arrays of one shape: every operation is elementwise.
+    is a tuple (value, d/dw, d2/dw2, d/dw_r), the last at fixed resonator
+    impedance (the stub's z0, the tank's sqrt(L/C)).  The row's entries and
+    w may be arrays of one shape: every operation is elementwise.  Given
+    ``factors``, _branch_factors' result for the same row and w, the rest
+    is products and sums only, so it runs on Python floats as well.
     """
     c_c = branch[0]
+    if factors is None:
+        factors = _branch_factors(stub, branch, w, derivatives)
     if stub:
-        w_r = branch[1]
-        x = 0.5 * math.pi * (w / w_r)
-        cos, sin = np.cos(x), np.sin(x)
+        x, cos, sin = factors
         c, s = cos, z0 * sin
         if derivatives:
+            w_r = branch[1]
             a = 0.5 * math.pi / w_r
-            c = np.array([cos, -a * sin, -a * a * cos, x * sin / w_r])
-            s = z0 * np.array([sin, a * cos, -a * a * sin, -x * cos / w_r])
+            c = (cos, -a * sin, -a * a * cos, x * sin / w_r)
+            s = (z0 * sin, z0 * (a * cos), z0 * (-a * a * sin), z0 * (-x * cos / w_r))
     else:
-        cap, l = branch[1:]
-        c, s = 1.0 - w * w * (l * cap), w * l
+        c, s = factors[:2]
         if derivatives:
-            w_r = 1.0 / np.sqrt(l * cap)
-            c = np.array([c, -2.0 * w * l * cap, np.full_like(c, -2.0 * l * cap),
-                          2.0 * (1.0 - c) / w_r])
-            s = np.array([s, np.full_like(s, l), np.zeros_like(s), -s / w_r])
+            cap, l = branch[1:]
+            c = (c, -2.0 * w * l * cap, -2.0 * l * cap, factors[2])
+            s = (s, l, 0.0, factors[3])
     k = w * c_c
     if not derivatives:
         return k * c, c - k * s
 
     def times_k(f):  # product rule for k = w C_c, linear in w
-        out = k * f
-        out[1] += c_c * f[0]
-        out[2] += c_c * (2.0 * f[1])
-        return out
+        return k * f[0], k * f[1] + c_c * f[0], k * f[2] + c_c * (2.0 * f[1]), k * f[3]
 
-    return times_k(c), c - times_k(s)
+    k_s = times_k(s)
+    return times_k(c), (c[0] - k_s[0], c[1] - k_s[1], c[2] - k_s[2], c[3] - k_s[3])
 
 
-def _zeros_below(stub: bool, branch: tuple, n, w):
+def _tan_interval(branch, w) -> tuple:
+    """(m, (-1)^m) of the stub's tan interval ((2m-1) w_r, (2m+1) w_r)
+    holding w, in numpy (the floor of inf or nan is not an error there)."""
+    m = np.floor(0.5 * w / branch[1] + 0.5)
+    return m, np.where(np.fmod(m, 2.0) == 0.0, 1.0, -1.0)
+
+
+def _zeros_below(stub: bool, branch: tuple, n, w, interval=None):
     """Series zeros of one branch below w, from the sign of its N (see
-    _branch_parts).
+    _branch_parts); elementwise over arrays, or on Python floats given the
+    stub's ``interval`` (_tan_interval's result for the same row and w).
 
     Lumped tank: its one zero is behind w once N = 1 - w^2 L (C + C_c) < 0.
     Stub: N/cos x = 1 - w C_c z0 tan x falls through zero once on each
@@ -497,76 +521,112 @@ def _zeros_below(stub: bool, branch: tuple, n, w):
     """
     if not stub:
         return n < 0.0
-    m = np.floor(0.5 * w / branch[1] + 0.5)
-    return m + (np.where(np.fmod(m, 2.0) == 0.0, n, -n) < 0.0)
+    m, sign = _tan_interval(branch, w) if interval is None else interval
+    return m + (sign * n < 0.0)
 
 
-def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two jets (value, d/dw, d2/dw2, first-order directions...)."""
-    out = a[0] * b + b[0] * a
-    out[0] = a[0] * b[0]
-    out[2] += 2.0 * a[1] * b[1]
-    return out
+def _theta(z0_u, v, passed):
+    """theta = -2 atan(z0 U/V) - 2*pi * passed, the fold's last step (see
+    _fold), elementwise over arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # V = 0 only exactly on a zero, which B approaches from below
+        z0_b = np.where(v == 0.0, np.inf, z0_u / v)
+    return -2.0 * np.arctan(z0_b) - TWO_PI * passed
 
 
-def _fold(stub: bool, z0: float, branches, w, jets: bool = False):
-    """theta of m parallel branches at w, the one fold of the branch parts;
-    with ``jets`` the tuple (theta, theta', theta'', d theta/d w_r of each
-    branch), the last in branch order at fixed resonator impedance.
+def _fold(stub: bool, z0: float, branches, w):
+    """theta of m parallel branches along w, in numpy.
 
     ``branches`` is a branch table, one row per branch (see _branch_parts),
     or many stacked, shape (curves..., m, columns): the curves' axes
     broadcast against w's leading axes, so one call evaluates many curves at
     once.  The branch parts of all branches come from one call.  The fold is
     U <- U N_k + P_k V, V <- V N_k, B = U/V, and
-    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}.  With ``jets``
-    U and V are jets (value, d/dw, d2/dw2, d/dw_r of each branch), multiplied
-    by _jet_mul; then with A = z0 (U' V - U V') and D = V^2 + z0^2 U^2,
-    theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2.  Squares are written
-    as products (numpy's scalar x ** 2 calls libm pow, which can round
-    differently), so a curve's row of a broadcast fold equals its scalar
-    fold bit for bit.
+    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}; _jets runs the
+    same recurrence on jets.
     """
     # the table's columns, each (branches, curves..., 1...) to broadcast against w
     cols = np.moveaxis(np.asarray(branches, dtype=float), (-2, -1), (1, 0))
     cols = cols.reshape(cols.shape + (1,) * (np.ndim(w) + 2 - cols.ndim))
-    m = cols.shape[1]
-    parts = _branch_parts(stub, z0, cols, w, derivatives=jets)
-    passed = _zeros_below(stub, cols, parts[1][0] if jets else parts[1], w).sum(axis=0)
-    if jets:
-        u = np.zeros((3 + m,) + np.shape(w))
-        v = np.zeros_like(u)
-        v[0] = 1.0
-        parts = [np.moveaxis(j, 1, 0) for j in parts]
-    else:
-        u, v = np.zeros_like(w), np.ones_like(w)
-    for k, (p, n) in enumerate(zip(*parts)):
-        if jets:
-            # only branch k's own parts move with its resonance
-            p, n = (np.concatenate([j[:3], np.multiply.outer(np.arange(m) == k, j[3])])
-                    for j in (p, n))
-            u, v = _jet_mul(u, n) + _jet_mul(p, v), _jet_mul(v, n)
-        else:
-            u, v = u * n + p * v, v * n
-    u0, v0 = (u[0], v[0]) if jets else (u, v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # V = 0 only exactly on a zero, which B approaches from below
-        z0_b = np.where(v0 == 0.0, np.inf, z0 * u0 / v0)
-    theta = -2.0 * np.arctan(z0_b) - TWO_PI * passed
-    if not jets:
-        return theta
-    a = z0 * (u * v0 - u0 * v)
-    d = v0 * v0 + (z0 * u0) * (z0 * u0)
-    d_prime = 2.0 * (v0 * v[1] + z0 * z0 * u0 * u[1])
-    return (theta, -2.0 * a[1] / d, -2.0 * (a[2] * d - a[1] * d_prime) / (d * d),
-            -2.0 * a[3:] / d)
+    p, n = _branch_parts(stub, z0, cols, w)
+    u, v = np.zeros_like(w), np.ones_like(w)
+    for p_k, n_k in zip(p, n):
+        u, v = u * n_k + p_k * v, v * n_k
+    return _theta(z0 * u, v, _zeros_below(stub, cols, n, w).sum(axis=0))
+
+
+def _jets(stub: bool, z0: float, table, w):
+    """(theta, theta', theta'', d theta/d w_r of each branch) of each row of a
+    stacked branch table, shape (rows, m, columns), at w (one frequency, or
+    one per row); the last entry is (m, rows), in branch order at fixed
+    resonator impedance.  Unchecked: entries that leave float range come out
+    inf or nan.
+
+    One numpy pass over every (row, branch) pair makes what needs numpy:
+    the branch parts' factors (cos and sin, the tank's divisions) and the
+    stub's tan intervals.  The rest of the branch parts, their zeros below w
+    and _fold's recurrence run on Python floats, row by row, where a tiny
+    table costs far less than numpy's per-call dispatch: U and V are jets
+    (value, d/dw, d2/dw2, d/dw_r of each branch), and only branch k's own
+    parts move with its resonance, so the other directions of P_k and N_k
+    are the exact products 0.0 * P3 and 0.0 * N3 (they fix the signs of
+    zeros, and carry inf and nan).  With A = z0 (U' V - U V') and
+    D = V^2 + z0^2 U^2, theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2;
+    these divisions, whose divisors can be 0, and theta's run in numpy over
+    all rows.  So a row equals _fold's theta bit for bit, and its
+    derivatives equal the same recurrence run on numpy jets.  Squares are
+    written as products (numpy's scalar x ** 2 calls libm pow, which can
+    round differently).
+    """
+    table = np.asarray(table, dtype=float)
+    cols = table.T  # (columns, m, rows), to broadcast against w
+    rows, m = table.shape[:2]
+    factors = _branch_factors(stub, cols, w, derivatives=True)
+    per_pair = [*factors, *(_tan_interval(cols, w) if stub else ())]
+    split = len(factors)
+    ws = np.asarray(w, dtype=float)
+    ws = ws.tolist() if ws.ndim else [float(ws)] * rows
+    z0 = float(z0)
+    ends, nums, dens = [], [], []
+    for branches, w_row, pairs in zip(table.tolist(), ws, np.array(per_pair).T.tolist()):
+        u0 = u1 = u2 = v1 = v2 = 0.0
+        v0, ud, vd, count = 1.0, [0.0] * m, [0.0] * m, 0
+        for k, (branch, pair) in enumerate(zip(branches, pairs)):
+            (p0, p1, p2, p3), (n0, n1, n2, n3) = _branch_parts(
+                stub, z0, branch, w_row, True, pair[:split])
+            count += _zeros_below(stub, branch, n0, w_row, pair[split:])
+            # the directions of U N_k + P_k V and V N_k: entry j of N_k and
+            # P_k is n3 and p3 for j = k, else the products 0.0 * n3 and 0.0 * p3
+            u_k, v_k = ud[k], vd[k]
+            u_n, v_p, v_n = u0 * (0.0 * n3), v0 * (0.0 * p3), v0 * (0.0 * n3)
+            ud = [(u_n + n0 * x) + (p0 * y + v_p) for x, y in zip(ud, vd)]
+            vd = [v_n + n0 * y for y in vd]
+            ud[k] = (u0 * n3 + n0 * u_k) + (p0 * v_k + v0 * p3)
+            vd[k] = v0 * n3 + n0 * v_k
+            u0, u1, u2, v0, v1, v2 = (
+                u0 * n0 + p0 * v0,
+                (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
+                (u0 * n2 + n0 * u2 + 2.0 * u1 * n1) + (p0 * v2 + v0 * p2 + 2.0 * p1 * v1),
+                v0 * n0,
+                v0 * n1 + n0 * v1,
+                v0 * n2 + n0 * v2 + 2.0 * v1 * n1)
+        a1, a2 = z0 * (u1 * v0 - u0 * v1), z0 * (u2 * v0 - u0 * v2)
+        d = v0 * v0 + (z0 * u0) * (z0 * u0)
+        d_prime = 2.0 * (v0 * v1 + z0 * z0 * u0 * u1)
+        ends.append((z0 * u0, v0, count))
+        nums.append([-2.0 * a1, -2.0 * (a2 * d - a1 * d_prime),
+                     *[-2.0 * (z0 * (x * v0 - u0 * y)) for x, y in zip(ud, vd)]])
+        dens.append([d, d * d] + [d] * m)
+    nums, dens = np.array([nums, dens])
+    slopes = (nums / dens).T
+    return _theta(*np.array(ends).T), slopes[0], slopes[1], slopes[2:]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-def _fold_jets(stub: bool, z0: float, branches, w):
-    """_fold's jets at w, refused (NetworkError) where theta', theta'' or a
-    d theta/d w_r leaves float range."""
-    jets = _fold(stub, z0, branches, w, jets=True)
+def _fold_jets(stub: bool, z0: float, table, w):
+    """_jets, refused (NetworkError) where theta', theta'' or a d theta/d w_r
+    leaves float range."""
+    jets = _jets(stub, z0, table, w)
     finite = np.isfinite(jets[1]) & np.isfinite(jets[2]) & np.isfinite(jets[3]).all(axis=0)
     if not finite.all():
         w_bad = float(np.broadcast_to(w, finite.shape)[~finite][0])
@@ -690,9 +750,10 @@ def _crossings(curves) -> list:
     Foster interlacing brackets each: on the level 2*pi k, exactly -k
     branch zeros lie below, so the pole sits between the curve's -k-th and
     (-k+1)-th zeros from DC (_zero_table), clipped to the band.
-    _bracketed_newton on theta - 2*pi k with the exact theta' (the jets of
-    _fold) starts at the bracket's midpoint, or above the top zero at the
-    top branch's resonance frequency, the exact pole of one branch.
+    _bracketed_newton on theta - 2*pi k with the exact theta' (from the
+    jets kernel, _jets) starts at the bracket's midpoint, or above the top
+    zero at the top branch's resonance frequency, the exact pole of one
+    branch.
     """
     table = np.array([c._branches for c in curves])
     band = np.array([c.band for c in curves])
@@ -719,7 +780,7 @@ def _crossings(curves) -> list:
 
     def above_level(x):
         with np.errstate(over="ignore", invalid="ignore"):  # rows theta' does not read
-            theta, slope = _fold(stub, z0, table[rows], x, jets=True)[:2]
+            theta, slope = _jets(stub, z0, table[rows], x)[:2]
         return theta - levels, slope
 
     x = _bracketed_newton(above_level, np.array(seed), np.array(lo), np.array(hi))
@@ -749,10 +810,10 @@ class PhaseCurve:
     where zeros and loaded poles are located.  The zeros are each branch's
     own roots of N_k (closed form for the tank, bracketed Newton for the
     stub); the loaded poles (theta = 0 mod 2*pi, r = +1) are found by
-    bracketed Newton between them (see _crossings).  ``theta`` and ``jets``
-    both read the one fold, _fold: ``jets`` carries U and V as jets and
-    gives theta with its exact derivatives, smooth through branch zeros
-    (V = 0) and loaded poles (U = 0).
+    bracketed Newton between them (see _crossings).  ``theta`` reads the
+    numpy fold along arrays, _fold; ``jets`` reads the same recurrence on
+    jets of floats, _jets, which gives theta with its exact derivatives,
+    smooth through branch zeros (V = 0) and loaded poles (U = 0).
     """
 
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
@@ -789,8 +850,8 @@ class PhaseCurve:
         order at fixed resonator impedance) are exact.  Raises NetworkError
         where they leave float range."""
         w = float(_check_omega(omega))
-        theta, *out = _fold_jets(self._stub, self.z0, self._branches, w)
-        return (float(theta), *out)
+        theta, d1, d2, d_r = _fold_jets(self._stub, self.z0, [self._branches], w)
+        return float(theta[0]), d1[0], d2[0], d_r[:, 0]
 
     def dtheta(self, omega: float, order: int = 1) -> float:
         """Exact d theta/d omega (order 1, in s) or d2 theta/d omega2

@@ -201,17 +201,24 @@ def test_tune_cascade_work_count(monkeypatch):
     # two Newton iterations on exact jets: 18 fold passes, each the jets of
     # both bit states (36 jets, one curve each, before), and no vector theta
     # or bracketing root solve; the nested brentq search with its 257-point
-    # window scans made 630 jets, 70 x 257 theta points and 36 brentq calls
+    # window scans made 630 jets, 70 x 257 theta points and 36 brentq calls.
+    # A fold pass is a call of the theta fold or of the jets kernel, patched
+    # where qparity.network resolves them
     from collections import Counter
 
     from qparity import cascade, network
 
     counts = Counter()
-    jets, theta, fold = network.PhaseCurve.jets, network.PhaseCurve.theta, network._fold
+    jets, theta = network.PhaseCurve.jets, network.PhaseCurve.theta
 
-    def counting_fold(*args, **kwargs):
-        counts["folds"] += 1
-        return fold(*args, **kwargs)
+    def counting(name):
+        fold = getattr(network, name)
+
+        def counting_fold(*args, **kwargs):
+            counts["folds"] += 1
+            return fold(*args, **kwargs)
+
+        return counting_fold
 
     def counting_jets(self, omega):
         counts["jets"] += 1
@@ -225,7 +232,8 @@ def test_tune_cascade_work_count(monkeypatch):
         counts["brentq"] += 1
         return brentq(*args, **kwargs)
 
-    monkeypatch.setattr(network, "_fold", counting_fold)
+    for name in ("_fold", "_jets"):
+        monkeypatch.setattr(network, name, counting(name))
     monkeypatch.setattr(network.PhaseCurve, "jets", counting_jets)
     monkeypatch.setattr(network.PhaseCurve, "theta", counting_theta)
     monkeypatch.setattr(network, "brentq", counting_brentq)
@@ -338,6 +346,20 @@ def test_tuned_cascade_step_reports_plus_180(paper_solution):
         rep = compare_schemes(paper_solution, cavity(f_ghz, c_ff=c_ff), pulse)
         cas = _json_ready(comparison_to_dict(rep))["cascade"]
         assert cas["delta_theta_deg"] == 180.0, (f_ghz, c_ff)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_compare_refuses_one_qubit(model):
+    # n = 1 has no same-parity pair, so no b_max or same-parity score: a
+    # ValueError naming n_qubits before the cascade is tuned
+    from qparity import solve_eraser
+
+    sol = solve_eraser(ParityDevice.equal_coupling(
+        1, (Mode(TWO_PI * 9.97e9, 10e-15),), TWO_PI * 5e6, resonator_model=model))
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
+    with pytest.raises(ValueError, match=r"^n_qubits: compare needs at least 2 qubits, "
+                                         r"got 1$"):
+        compare_schemes(sol, cavity(model=model), pulse)
 
 
 def test_comparison_fidelity_sanity(comparison):

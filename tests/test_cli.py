@@ -161,6 +161,63 @@ def test_compare_qubit_count_mismatch_exits_2_before_solving(paper_cfg, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_compare_one_qubit_exits_2_before_solving(tmp_path, capsys, monkeypatch, model):
+    # one qubit has no same-parity pair to score; compare used to solve,
+    # tune and then fail in max() over no pairs (exit 3)
+    import qparity.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_eraser ran")
+
+    monkeypatch.setattr(qparity.cli, "solve_eraser", refuse)
+    p, c, out = tmp_path / "n1.json", tmp_path / "cascade.json", tmp_path / "cmp.json"
+    p.write_text(json.dumps({"schema_version": "1", "n_qubits": 1,
+                             "modes": [{"f_GHz": 9.97, "C_couple_fF": 10.0}],
+                             "chi_MHz": "solve", "resonator_model": model}))
+    c.write_text(json.dumps(dict(CASCADE_CONFIG, n_qubits=1, resonator_model=model)))
+    assert main(["compare", str(p), str(c), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {p}.n_qubits: compare needs at least 2 qubits, "
+                   "got 1\n")
+    assert not out.exists()
+
+
+def test_main_reuses_its_parser_with_fresh_parser_results(solved, tmp_path, capsys,
+                                                         monkeypatch):
+    # main parses with one parser per process; alternating commands, a bad
+    # flag among them, give the exit codes, streams and files that a parser
+    # built anew for every call gives
+    import qparity.cli
+
+    cfg, sol = solved
+
+    def run(tag):
+        results = []
+        for argv in (["solve", str(cfg), "--out", str(tmp_path / f"{tag}.sol.json")],
+                     ["solve", str(cfg), "--tol", "0"],
+                     ["fidelity", str(cfg), str(sol),
+                      "--out-json", str(tmp_path / f"{tag}.fid.json")],
+                     ["compare", str(cfg), "--T-us", "-1"],
+                     ["solve", str(cfg), "--out", str(tmp_path / f"{tag}.sol2.json")]):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+            out, err = capsys.readouterr()
+            results.append((rc, out, err))
+        files = [(tmp_path / f"{tag}.{name}.json").read_bytes()
+                 for name in ("sol", "fid", "sol2")]
+        return results, files
+
+    cached = run("cached")
+    monkeypatch.setattr(qparity.cli, "_parser", qparity.cli.build_parser)
+    fresh = run("fresh")
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached[0]] == [0, 2, 0, 2, 0]
+    assert "argument --tol: must be finite and >= 1e-12, got 0" in cached[0][1][2]
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("kind", "tandem", "expected {kind!r}, got 'tandem'"),
     ("n_qubits", 9, "must be 1..8, got 9"),

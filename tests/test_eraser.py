@@ -668,10 +668,12 @@ def test_jacobian_matches_central_difference(free_gaps):
 def _solve_work(dev, monkeypatch, **kwargs):
     """Work of one CLI solve payload, solve_eraser then solution_to_dict:
     phase curves built, eraser_residuals calls and root solves in
-    qparity.network over both, the fold passes of solve_eraser (every
-    _fold call: one stacked fold of every weight counts one) and the
-    broadcast-fold passes of the loaded-pole search (every _fold call
-    solution_to_dict makes)."""
+    qparity.network over both, the fold passes of solve_eraser (every call
+    of the theta fold _fold or the jets kernel _jets: one stacked fold of
+    every weight counts one) and the broadcast-fold passes of the
+    loaded-pole search (every such call solution_to_dict makes).  Both are
+    patched where qparity.network resolves them, which every caller goes
+    through."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -680,7 +682,6 @@ def _solve_work(dev, monkeypatch, **kwargs):
     init = network.PhaseCurve.__init__
     residuals = eraser.eraser_residuals
     root_solve = network.brentq
-    fold = network._fold
 
     def counting_init(self, *args, **kwargs):
         counts["curves"] += 1
@@ -694,14 +695,20 @@ def _solve_work(dev, monkeypatch, **kwargs):
         counts["brentq"] += 1
         return root_solve(*args, **kwargs)
 
-    def counting_fold(*args, **kwargs):
-        counts["folds"] += 1
-        return fold(*args, **kwargs)
+    def counting(name):
+        fold = getattr(network, name)
+
+        def counting_fold(*args, **kwargs):
+            counts["folds"] += 1
+            return fold(*args, **kwargs)
+
+        return counting_fold
 
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
     monkeypatch.setattr(network, "brentq", counting_brentq)
-    monkeypatch.setattr(network, "_fold", counting_fold)
+    for name in ("_fold", "_jets"):
+        monkeypatch.setattr(network, name, counting(name))
     sol = solve_eraser(dev, **kwargs)
     solve_curves, counts["solve_folds"] = counts["curves"], counts["folds"]
     eraser.solution_to_dict(sol)

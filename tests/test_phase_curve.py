@@ -142,18 +142,126 @@ def test_jets_lead_with_theta_bit_for_bit(m, model, f0_ghz, gaps_mhz, couplers_f
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
 def test_broadcast_fold_matches_each_curve(model):
-    # one fold over the stacked branch tables of every weight, one frequency
-    # per curve, gives each curve's own theta and theta' bit for bit
-    from qparity.network import _fold
+    # one jets kernel pass over the stacked branch tables of every weight,
+    # one frequency per curve, gives each curve's own theta and theta' bit
+    # for bit
+    from qparity.network import _jets
 
     curves = device_curves(paper(model))
     grid = TWO_PI * np.linspace(9.7e9, 10.1e9, 7)
     rows = np.repeat(np.arange(len(curves)), len(grid))
     table = np.array([c._branches for c in curves])[rows]
     w = np.tile(grid, len(curves))
-    theta, slope = _fold(model == "stub", curves[0].z0, table, w, jets=True)[:2]
+    theta, slope = _jets(model == "stub", curves[0].z0, table, w)[:2]
     assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
     assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
+
+
+def _hexes(jets) -> list:
+    """Every entry of (theta, theta', theta'', d theta/d w_r) as float.hex,
+    row by row: the sign of a zero counts, and every nan reads 'nan'."""
+    theta, d1, d2, d_r = (np.asarray(x, dtype=float) for x in jets)
+    return [[float(x).hex() for x in (*row[:3], *row[3:])]
+            for row in np.column_stack([theta, d1, d2, d_r.T])]
+
+
+def _kernel_matches_reference(stub, z0, table, w) -> bool:
+    """The jets kernel equals the numpy reference fold entry for entry by
+    .hex(), and its checked form refuses exactly where a derivative leaves
+    float range; returns whether any entry did."""
+    from jets_reference import reference_jets
+
+    from qparity.network import NetworkError, _fold_jets, _jets
+
+    with np.errstate(all="ignore"):
+        expected = reference_jets(stub, z0, table, w)
+        assert _hexes(_jets(stub, z0, table, w)) == _hexes(expected)
+        finite = all(np.isfinite(x).all() for x in expected[1:])
+        try:
+            _fold_jets(stub, z0, table, w)
+        except NetworkError:
+            assert not finite
+        else:
+            assert finite
+    return not finite
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 3),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(4.0, 12.0),
+    gaps_mhz=st.lists(st.floats(5.0, 40.0), min_size=2, max_size=2),
+    couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
+    chi_mhz=st.floats(0.1, 10.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    extremes=st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+                                st.floats(-150.0, 150.0), st.floats(-300.0, 300.0)),
+                      min_size=4, max_size=4),
+)
+def test_jets_kernel_matches_numpy_reference(n, m, model, f0_ghz, gaps_mhz, couplers_ff,
+                                             chi_mhz, fractions, extremes):
+    # the float jets kernel against the numpy jets fold it replaced (tests/
+    # jets_reference.py): every weight's row, all four entries by .hex(), at
+    # random frequencies, on and one ulp either side of every branch zero
+    # and loaded pole, and one frequency per row; then with branch 0 of
+    # extreme magnitude (coupler, resonance, z0 and omega 10^-300..10^300)
+    # beside the device's other branches, where entries leave float range
+    # and an inf or nan in one branch's direction reaches the others only
+    # through the exact 0.0 * P3 and 0.0 * N3 products
+    from qparity.device import _weight_table
+    from qparity.network import _branch_table
+
+    stub = model == "stub"
+    offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
+    modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + d * 1e6), c * 1e-15)
+                  for d, c in zip(offsets, couplers_ff))
+    dev = ParityDevice.equal_coupling(n, modes, TWO_PI * chi_mhz * 1e6,
+                                      resonator_model=model)
+    table = _weight_table(dev)
+    lo, hi = analysis_band(dev)
+    points = [lo + (hi - lo) * f for f in fractions]
+    for curve in device_curves(dev):
+        for feature in np.concatenate([curve.zeros, curve.poles]):
+            points += [np.nextafter(feature, 0.0), feature, np.nextafter(feature, np.inf)]
+    for w in points:
+        _kernel_matches_reference(stub, dev.z0, table, w)
+    _kernel_matches_reference(stub, dev.z0, table, np.resize(points, n + 1))
+
+    for e_c, e_r, e_z0, e_w in extremes:
+        z0 = 10.0 ** e_z0
+        couplers = [10.0 ** e_c, *(mo.c_couple for mo in modes[1:])]
+        omega_r = [10.0 ** e_r, *(mo.omega for mo in modes[1:])]
+        try:
+            branches = _branch_table(stub, z0, couplers, omega_r)
+        except ValueError:  # no lumped equivalent in float range
+            continue
+        _kernel_matches_reference(stub, z0, [branches] * 2,
+                                  np.array([10.0 ** e_w, points[0]]))
+
+
+def test_jets_kernel_matches_reference_beyond_float_range():
+    # extreme tables reach inf and nan: a huge coupler (the branch parts
+    # overflow), a lumped tank below 1e-154 rad/s (L C overflows, so its
+    # w_r = 1/sqrt(L C) is 0 and the tank's d/dw_r divide by 0),
+    # frequencies far above the resonance, and a stub resonance of 1e-200
+    # rad/s beside a 10 GHz one: its d/dw_r is inf, so theta'' and, through
+    # the products 0.0 * inf, the other branch's d theta/d w_r are nan,
+    # while theta' stays finite
+    from qparity.network import _branch_table, _jets
+
+    cases = [(True, 50.0, (1e285,), (6e10,), 6e10),
+             (False, 1.0, (1e-14,), (1e-160,), 1.0),
+             (True, 50.0, (1e-14,), (6e10,), 1e300),
+             (False, 50.0, (1e-14,), (6e10,), 1e300),
+             (True, 50.0, (1e-14, 1e-14), (1e-200, 6.2e10), 6.1e10)]
+    for stub, z0, c_couple, omega_r, w in cases:
+        table = [_branch_table(stub, z0, c_couple, omega_r)]
+        assert _kernel_matches_reference(stub, z0, table, w)
+    with np.errstate(all="ignore"):
+        _, d1, _, d_r = _jets(True, 50.0, table, 6.1e10)
+    assert np.isfinite(d1).all() and np.isnan(d_r).all()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
