@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "NetworkError",
@@ -148,8 +147,8 @@ NetworkElement = Union[QuarterWaveStub, Capacitor, Inductor, Series, Parallel]
 
 def _check_omega(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("omega must be strictly positive")
+    if not np.all((0.0 < w) & (w < math.inf)):  # refuses nan too
+        raise ValueError("omega must be finite and > 0")
     return w
 
 
@@ -247,11 +246,11 @@ def reflection_coefficient(net: NetworkElement, omega, z0: float):
     return r if np.ndim(omega) else complex(r)
 
 
-def _susceptance(net: NetworkElement, omega: float) -> float:
-    """Im(Y) of the one-port; zero exactly at poles of Z (Foster-increasing)."""
-    w = _check_omega(omega)
-    num, den = _impedance_parts(net, w)
-    return float(np.imag(den / num))
+def _susceptance(net: NetworkElement, omega) -> np.ndarray:
+    """Im(Y) of the one-port, vectorized over omega; zero exactly at poles
+    of Z (Foster-increasing)."""
+    num, den = _impedance_parts(net, _check_omega(omega))
+    return np.imag(den / num)
 
 
 def wrap_phase(delta):
@@ -309,17 +308,22 @@ def _collect_feature_seeds(net: NetworkElement, lo: float, hi: float) -> list[fl
                 if lo * 0.5 <= f <= hi * 1.5:
                     centers.append(f)
                 k += 1
-            # series-capacitor-loaded zero: the root of the reactance
-            # z0 tan((pi/2) w/w_r) - 1/(w C) on (0, w_r), where it rises from
-            # -inf to +inf.  Two branches' zeros can lie closer together than
-            # the offset cloud below, so the seed is the zero itself.
-            for c_ser in series_caps:
-                def reactance(w, stub=node, c_ser=c_ser):
-                    return (stub.z0 * math.tan(0.5 * math.pi * w / stub.omega_r)
-                            - 1.0 / (w * c_ser))
-                centers.append(brentq(reactance, 1e-9 * node.omega_r,
-                                      (1.0 - 1e-12) * node.omega_r,
-                                      xtol=1e-6, rtol=1e-15))
+            # series-capacitor-loaded zeros: the roots of the reactance
+            # z0 tan(a w) - 1/(w C), a = (pi/2)/w_r, on (0, w_r), where it
+            # rises from -inf to +inf, one per series capacitor.  Two
+            # branches' zeros can lie closer together than the offset cloud
+            # below, so the seed is the zero itself.
+            a = 0.5 * math.pi / node.omega_r
+            lo_r, hi_r = 1e-9 * node.omega_r, (1.0 - 1e-12) * node.omega_r
+            caps = np.array(series_caps)
+
+            def minus_reactance(w):
+                tan = np.tan(a * w)
+                return (1.0 / (w * caps) - node.z0 * tan,
+                        -1.0 / (w * w * caps) - node.z0 * a * (1.0 + tan * tan))
+
+            start = np.full(caps.shape, 0.5 * (lo_r + hi_r))
+            centers.extend(_bracketed_newton(minus_reactance, start, lo_r, hi_r).tolist())
         elif isinstance(node, Parallel):
             ls = [c.l for c in node.children if isinstance(c, Inductor)]
             cs = [c.c for c in node.children if isinstance(c, Capacitor)]
@@ -416,26 +420,27 @@ def phase_sweep(net: NetworkElement, omega_lo: float, omega_hi: float,
 def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Pole frequencies of Z: every descent of theta through 0 mod 2*pi.
 
-    Each bracketing grid interval is polished with a root solve on Im(Y),
-    which crosses zero from below exactly at a pole (Foster's theorem).
+    Each bracketing grid interval is polished on Im(Y), which crosses zero
+    from below exactly at a pole (Foster's theorem), all in one
+    _bracketed_newton pass; the tree gives no derivative, so every step
+    bisects.  Where the susceptance's sign does not isolate the crossing,
+    the pole is the phase-interpolated location.
     """
-    poles = []
-    for i in range(len(grid) - 1):
-        t1, t2 = theta[i], theta[i + 1]
-        # half-open: a sample sitting exactly on a level closes the interval
-        # that ends there, so each pole is counted once
-        level = (math.ceil(t1 / TWO_PI) - 1) * TWO_PI
-        if t2 <= level < t1:
-            a, b = float(grid[i]), float(grid[i + 1])
-            ba, bb = _susceptance(net, a), _susceptance(net, b)
-            if ba < 0.0 < bb:
-                poles.append(brentq(lambda w: _susceptance(net, w), a, b,
-                                    xtol=1e-6, rtol=1e-15))
-            else:
-                # susceptance sign did not isolate the crossing; fall back to
-                # the phase-interpolated location
-                poles.append(a + (b - a) * (t1 - level) / (t1 - t2))
-    return np.asarray(poles, dtype=float)
+    t1, t2 = theta[:-1], theta[1:]
+    # half-open: a sample sitting exactly on a level closes the interval
+    # that ends there, so each pole is counted once
+    level = (np.ceil(t1 / TWO_PI) - 1.0) * TWO_PI
+    i = np.flatnonzero((t2 <= level) & (level < t1))
+    a, b, t1, t2, level = grid[i], grid[i + 1], t1[i], t2[i], level[i]
+    poles = a + (b - a) * (t1 - level) / (t1 - t2)
+    isolated = (_susceptance(net, a) < 0.0) & (0.0 < _susceptance(net, b))
+
+    def falling(w):
+        return -_susceptance(net, w), np.full_like(w, np.nan)
+
+    a, b = a[isolated], b[isolated]
+    poles[isolated] = _bracketed_newton(falling, 0.5 * (a + b), a, b)
+    return poles
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +645,9 @@ def _bracketed_newton(f, x, lo, hi):
     f(x) returns (f, f') elementwise.  Every evaluation shrinks the bracket
     to the sign change, a Newton step that would leave it bisects instead,
     and an element stops once it moves within 4 ulps; a step that lands
-    within 4 ulps is taken first, even onto a bracket end.
+    within 4 ulps is taken first, even onto a bracket end.  A slope of nan
+    makes every step bisect (the sweep's poles, whose tree has no
+    derivative).
     """
     active = np.ones(np.shape(x), dtype=bool)
     for _ in range(NEWTON_PASSES):

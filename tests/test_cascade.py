@@ -200,16 +200,19 @@ def test_compare_without_pi_root_exits_3_in_one_line(tmp_path, capsys, f_ghz, c_
 def test_tune_cascade_work_count(monkeypatch):
     # two Newton iterations on exact jets: 18 fold passes, each the jets of
     # both bit states (36 jets, one curve each, before), and no vector theta
-    # or bracketing root solve; the nested brentq search with its 257-point
-    # window scans made 630 jets, 70 x 257 theta points and 36 brentq calls.
-    # A fold pass is a call of the theta fold or of the jets kernel, patched
-    # where qparity.network resolves them
+    # or network-tree evaluation (network._impedance_parts, which every
+    # point and root solve of the oracle sweep goes through); the nested
+    # brentq search with its 257-point window scans made 630 jets,
+    # 70 x 257 theta points and 36 brentq calls.  A fold pass is a call of
+    # the theta fold or of the jets kernel, patched where qparity.network
+    # resolves them
     from collections import Counter
 
-    from qparity import cascade, network
+    from qparity import network
 
     counts = Counter()
     jets, theta = network.PhaseCurve.jets, network.PhaseCurve.theta
+    tree = network._impedance_parts
 
     def counting(name):
         fold = getattr(network, name)
@@ -228,21 +231,20 @@ def test_tune_cascade_work_count(monkeypatch):
         counts["vector theta" if np.ndim(omega) else "scalar theta"] += 1
         return theta(self, omega)
 
-    def counting_brentq(*args, **kwargs):
-        counts["brentq"] += 1
-        return brentq(*args, **kwargs)
+    def counting_tree(*args, **kwargs):
+        counts["tree evaluations"] += 1
+        return tree(*args, **kwargs)
 
     for name in ("_fold", "_jets"):
         monkeypatch.setattr(network, name, counting(name))
     monkeypatch.setattr(network.PhaseCurve, "jets", counting_jets)
     monkeypatch.setattr(network.PhaseCurve, "theta", counting_theta)
-    monkeypatch.setattr(network, "brentq", counting_brentq)
-    monkeypatch.setattr(cascade, "brentq", counting_brentq, raising=False)
+    monkeypatch.setattr(network, "_impedance_parts", counting_tree)
     tune_cascade(cavity())
     assert counts["folds"] <= 18
     assert counts["jets"] <= 100
     assert counts["vector theta"] == 0
-    assert counts["brentq"] == 0
+    assert counts["tree evaluations"] == 0
 
 
 def test_tuned_eraser_conditions_hold(tuned):

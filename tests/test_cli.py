@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -625,31 +629,63 @@ def test_estimate_zero_power_writes_null_dbm(capsys, tmp_path):
 # ----------------------------------------------------------------------
 
 def test_no_cli_path_builds_a_network_tree(monkeypatch, paper_device, tmp_path):
-    # phase curves read the branch table; the tree is only the test oracle's,
-    # and so is brentq, which only the oracle sweep still calls
+    # phase curves read the branch table; the tree, and every evaluation of
+    # one (the oracle sweep's points and root solves alike), is only the
+    # test oracle's
     import qparity.device
     import qparity.network
     from qparity import (Mode, ParityDevice, ProbePulse, compare_schemes,
                          eraser_quality, solution_to_dict, solve_eraser)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a network tree was built")
-
-    def refuse_brentq(*args, **kwargs):
-        raise AssertionError("brentq was called")
+        raise AssertionError("a network tree was built or evaluated")
 
     monkeypatch.setattr(qparity.device, "build_state_network", refuse)
-    monkeypatch.setattr(qparity.network, "brentq", refuse_brentq)
+    monkeypatch.setattr(qparity.network, "_impedance_parts", refuse)
     sol = solve_eraser(paper_device)
     assert len(solution_to_dict(sol)["loaded_poles_by_weight_Hz"]["0"]) == 2
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
     assert eraser_quality(sol.device, sol, pulse)
     cavity = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 10e9, 10e-15),), sol.chi)
     assert compare_schemes(sol, cavity, pulse).cascade.b2_max > 0.0
-    cfg = tmp_path / "paper.json"
-    cfg.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
-    assert main(["sweep", str(cfg), "--points", "101",
-                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    for argv in _readme_commands(tmp_path):
+        assert main(argv) == 0, argv
+
+
+def _readme_commands(root) -> list:
+    """Every subcommand on the README's configs, written under root."""
+    n4 = dict(PAPER_CONFIG, n_qubits=4, modes=[
+        {"f_GHz": f, "C_couple_fF": 10.0} for f in (9.97, 10.0, 10.03)])
+    for name, cfg in (("paper", PAPER_CONFIG), ("fixed", dict(PAPER_CONFIG, chi_MHz=5.77)),
+                      ("n4", n4), ("cascade", CASCADE_CONFIG)):
+        (root / f"{name}.json").write_text(json.dumps(cfg))
+    paper, sol = str(root / "paper.json"), str(root / "sol.json")
+    pulse = ["--alpha-sq", "5", "--T-us", "1"]
+    return [["sweep", str(root / "fixed.json"), "--points", "101",
+             "--out", str(root / "sweep.csv")],
+            ["solve", paper, "--out", sol],
+            ["solve", str(root / "n4.json"), "--free-modes", "--out", str(root / "sol4.json")],
+            ["fidelity", paper, sol, *pulse, "--out-json", str(root / "fid.json")],
+            ["compare", paper, str(root / "cascade.json"), *pulse, "--out", str(root / "cmp.json")],
+            ["estimate", "--delta-GHz", "5", "--kappa-MHz", "5", "--chi-MHz", "5.77",
+             *pulse, "--fp-GHz", "9.804"]]
+
+
+def test_no_cli_path_imports_scipy(tmp_path):
+    # the runtime depends on numpy only: every subcommand, run in one fresh
+    # interpreter, leaves no scipy module loaded
+    script = "\n".join([
+        "import json, sys",
+        "from qparity.cli import main",
+        "for argv in json.loads(sys.argv[1]):",
+        "    assert main(argv) == 0, argv",
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(_readme_commands(tmp_path))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 # ----------------------------------------------------------------------

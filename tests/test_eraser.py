@@ -667,13 +667,14 @@ def test_jacobian_matches_central_difference(free_gaps):
 
 def _solve_work(dev, monkeypatch, **kwargs):
     """Work of one CLI solve payload, solve_eraser then solution_to_dict:
-    phase curves built, eraser_residuals calls and root solves in
-    qparity.network over both, the fold passes of solve_eraser (every call
-    of the theta fold _fold or the jets kernel _jets: one stacked fold of
-    every weight counts one) and the broadcast-fold passes of the
-    loaded-pole search (every such call solution_to_dict makes).  Both are
-    patched where qparity.network resolves them, which every caller goes
-    through."""
+    phase curves built, eraser_residuals calls and network-tree evaluations
+    (network._impedance_parts, which every point and root solve of the
+    oracle sweep goes through) over both, the fold passes of solve_eraser
+    (every call of the theta fold _fold or the jets kernel _jets: one
+    stacked fold of every weight counts one) and the broadcast-fold passes
+    of the loaded-pole search (every such call solution_to_dict makes).
+    Both are patched where qparity.network resolves them, which every
+    caller goes through."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -681,7 +682,7 @@ def _solve_work(dev, monkeypatch, **kwargs):
     counts = Counter()
     init = network.PhaseCurve.__init__
     residuals = eraser.eraser_residuals
-    root_solve = network.brentq
+    tree = network._impedance_parts
 
     def counting_init(self, *args, **kwargs):
         counts["curves"] += 1
@@ -691,9 +692,9 @@ def _solve_work(dev, monkeypatch, **kwargs):
         counts["residuals"] += 1
         return residuals(*args, **kwargs)
 
-    def counting_brentq(*args, **kwargs):
-        counts["brentq"] += 1
-        return root_solve(*args, **kwargs)
+    def counting_tree(*args, **kwargs):
+        counts["tree evaluations"] += 1
+        return tree(*args, **kwargs)
 
     def counting(name):
         fold = getattr(network, name)
@@ -706,7 +707,7 @@ def _solve_work(dev, monkeypatch, **kwargs):
 
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
-    monkeypatch.setattr(network, "brentq", counting_brentq)
+    monkeypatch.setattr(network, "_impedance_parts", counting_tree)
     for name in ("_fold", "_jets"):
         monkeypatch.setattr(network, name, counting(name))
     sol = solve_eraser(dev, **kwargs)
@@ -734,7 +735,7 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 3
     assert counts["residuals"] == 0
-    assert counts["brentq"] == 0
+    assert counts["tree evaluations"] == 0
     assert counts["pole_curves"] == 4
     assert counts["folds"] <= 6
 
@@ -749,6 +750,7 @@ def test_two_qubit_solve_work_count(monkeypatch):
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 13
     assert counts["residuals"] == 0
+    assert counts["tree evaluations"] == 0
 
 
 def test_four_qubit_free_solve_work_count(monkeypatch):
@@ -764,6 +766,6 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 19
     assert counts["residuals"] == 0
-    assert counts["brentq"] == 0
+    assert counts["tree evaluations"] == 0
     assert counts["pole_curves"] == 5
     assert counts["folds"] <= 6

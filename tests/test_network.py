@@ -7,6 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qparity.network import (
     Capacitor,
@@ -16,6 +17,8 @@ from qparity.network import (
     PoleProximity,
     QuarterWaveStub,
     Series,
+    _collect_feature_seeds,
+    _susceptance,
     lumped_equivalent,
     network_impedance,
     phase_sweep,
@@ -226,12 +229,28 @@ def test_single_stub_window_winds_2pi():
 
 
 def test_two_branch_window_winds_4pi(paper_device):
+    # the sweep's root solves (bracketed Newton) against scipy's brentq: each
+    # pole is a root of Im Y, and each branch's series-capacitor-loaded stub
+    # zero, a root of the reactance z0 tan((pi/2) w/w_r) - 1/(w C), is a seed
     from qparity.device import QubitState, build_state_network
 
     net = build_state_network(paper_device, QubitState((0, 0, 0)))
-    prof = phase_sweep(net, TWO_PI * 9.6e9, TWO_PI * 10.2e9, z0=50.0)
+    lo, hi = TWO_PI * 9.6e9, TWO_PI * 10.2e9
+    prof = phase_sweep(net, lo, hi, z0=50.0)
     assert abs(prof.winding) == pytest.approx(4.0 * math.pi, abs=1e-6)
     assert len(prof.poles) == 2
+    for pole in prof.poles:
+        i = np.searchsorted(prof.grid, pole)
+        expected = brentq(lambda w: float(_susceptance(net, w)), prof.grid[i - 1],
+                          prof.grid[i], xtol=1e-6, rtol=1e-15)
+        assert pole == pytest.approx(expected, rel=1e-12)
+    seeds = np.array(_collect_feature_seeds(net, lo, hi))
+    for branch in net.children:
+        cap, stub = branch.children
+        zero = brentq(lambda w: stub.z0 * math.tan(0.5 * math.pi * w / stub.omega_r)
+                      - 1.0 / (w * cap.c), 1e-9 * stub.omega_r,
+                      (1.0 - 1e-12) * stub.omega_r, xtol=1e-6, rtol=1e-15)
+        assert np.min(np.abs(seeds / zero - 1.0)) < 1e-12
 
 
 def test_pole_count_equals_rounded_phase_change(paper_device):
@@ -319,7 +338,7 @@ def test_phase_curve_matches_profile_samples():
 def test_phase_curve_holds_outside_its_band():
     # theta is DC-referenced: the band only windows the zero and pole
     # searches, so values outside it equal those of a curve whose band
-    # covers them; only omega <= 0 is refused
+    # covers them; only an omega that is not finite and > 0 is refused
     w_r = TWO_PI * 10e9
     ws = TWO_PI * np.array([0.2e9, 5e9, 9.7e9, 10.05e9, 10.2e9, 25e9, 35e9])
     table = ((10e-15, 8e-15), (w_r, 1.01 * w_r), 50.0)
@@ -329,11 +348,15 @@ def test_phase_curve_holds_outside_its_band():
         assert np.array_equal(narrow.theta(ws), wide.theta(ws))
         for w in ws:
             assert np.array_equal(np.hstack(narrow.jets(w)), np.hstack(wide.jets(w)))
-        for bad in (0.0, -TWO_PI * 1e9):
+        for bad in (0.0, -TWO_PI * 1e9, math.nan, math.inf):
             for call in (narrow.theta, narrow.dtheta, narrow.jets,
                          lambda w: narrow.theta(np.array([w_r, w]))):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="omega must be finite and > 0"):
                     call(bad)
+    net = Series((Capacitor(10e-15), QuarterWaveStub(50.0, w_r)))
+    for bad in (math.nan, math.inf, np.array([w_r, math.nan])):
+        with pytest.raises(ValueError, match="omega must be finite and > 0"):
+            reflection_coefficient(net, bad, 50.0)
 
 
 def test_wrap_phase_range_and_fixed_points():
