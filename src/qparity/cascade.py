@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _table_fold,
-                     _weight_fold, _weight_table)
+from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _weight_fold,
+                     _weight_table)
 from .eraser import EraserSolution, _residuals
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
-from .network import wrap_phase
+from .network import _fold_jets, wrap_phase
 
 __all__ = [
     "TunedCascade",
@@ -43,40 +43,11 @@ OMEGA_ULPS = 16     # omega_p has converged once a Newton step is this many ulps
 STEP_TOL = 1e-10    # rad; the step itself is rounding noise below ~1e-12
 
 
-def _bit_table(cavity: ParityDevice) -> np.ndarray:
-    """The cavity's branch table in both bit states (device._weight_table),
-    refusing a device that is not one qubit on one mode."""
-    if (cavity.n, cavity.m) != (1, 1):
-        raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
-                         f"{cavity.n} qubits x {cavity.m} modes")
-    return _weight_table(cavity)
-
-
-def _bit_fold(cavity: ParityDevice, omega, jets: bool = False):
-    """The cavity's phase with its qubit in state 0 and 1 along omega (rows
-    by bit), or with ``jets`` their jets at one frequency: one fold."""
-    return _table_fold(cavity, _bit_table(cavity), omega, jets)
-
-
-@dataclass(frozen=True)
-class _CavitySum:
-    """Phase responses of the cascade in each of ``states``: one cavity per
-    qubit in its bit's state, so the sum of per-cavity phases in cavity
-    order, from one fold of the cavity in both bit states."""
-
-    cavity: ParityDevice
-    states: list
-
-    def _sums(self, rows) -> list:
-        return [sum(rows[b] for b in s.bits) for s in self.states]
-
-    def theta(self, omega) -> list:
-        return self._sums(_bit_fold(self.cavity, omega))
-
-    def jets(self, omega) -> np.ndarray:
-        """The cavities' (theta, theta', theta'', d theta/d omega_r) jets,
-        summed entry by entry: one row per entry, one column per state."""
-        return np.array(self._sums(np.vstack(_bit_fold(self.cavity, omega, True)).T)).T
+def _cascade_sums(rows, states) -> list:
+    """The cascade's value in each of ``states`` from the cavity's per-bit
+    ``rows`` (rows[0] and rows[1], as the cavity's _weight_fold gives them):
+    one cavity per qubit in its bit's state, summed in cavity order."""
+    return [sum(rows[b] for b in s.bits) for s in states]
 
 
 @dataclass(frozen=True)
@@ -91,16 +62,20 @@ class TunedCascade:
 
 def _newton_symmetric(cavity: ParityDevice, w: float | None = None
                       ) -> tuple[TunedCascade, float]:
-    """Newton on b with slope b' = theta_0'' - theta_1'' from w (default:
-    the loaded zero, the step's centre at small chi); refuses b' >= 0, which
-    is no maximum.  Returns the symmetric point and, from the same jets,
-    d step/d chi = d theta_0/d omega_r + d theta_1/d omega_r at fixed omega
-    (state 0 and 1 put the cavity at omega_r + chi and omega_r - chi)."""
+    """The cavity, chi as given, probed where the per-qubit phase step is
+    maximal (b = 0), so the linear dispersion mismatch cancels: Newton on b
+    with slope b' = theta_0'' - theta_1'' from w (default: the loaded zero).
+    Refuses b' >= 0, which is no maximum, and a cavity that is not one qubit
+    on one mode.  Also returns d step/d chi = d theta_0/d omega_r + d theta_1/d
+    omega_r at fixed omega (bits 0 and 1 put the cavity at omega_r +/- chi)."""
+    if (cavity.n, cavity.m) != (1, 1):
+        raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
+                         f"{cavity.n} qubits x {cavity.m} modes")
     if w is None:
         w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
-    table = _bit_table(cavity)  # fixed by chi while omega moves
+    table = _weight_table(cavity)  # rows by bit, fixed by chi while omega moves
     for _ in range(MAX_NEWTON_STEPS):
-        th, d1, d2, d_r = _table_fold(cavity, table, w, jets=True)
+        th, d1, d2, d_r = _fold_jets(cavity.resonator_model == "stub", cavity.z0, table, w)
         b, slope = float(d1[0] - d1[1]), float(d2[0] - d2[1])
         if not slope < 0.0:
             raise ValueError("no symmetric point: the per-qubit phase step has no "
@@ -115,13 +90,6 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None
             break
     raise ValueError("no symmetric point: Newton on the per-qubit phase step "
                      "did not converge")
-
-
-def _symmetric_point(cavity: ParityDevice) -> TunedCascade:
-    """The cavity, with its chi as given, probed where the per-qubit phase
-    step is maximal (b = 0): the linear dispersion mismatch cancels, and as
-    no smaller chi gets this step anywhere, a pi here is the smallest-chi one."""
-    return _newton_symmetric(cavity)[0]
 
 
 def tune_cascade(cavity: ParityDevice) -> TunedCascade:
@@ -234,15 +202,16 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
     else:
         # keep the given chi but still probe at the symmetric point, where
         # the first-order mismatch cancels (the step may then differ from pi)
-        tuned = _symmetric_point(cavity)
+        tuned = _newton_symmetric(cavity)[0]
     dev, wp = parallel_sol.device, parallel_sol.omega_p
     par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
                           lambda omega: _weight_fold(dev, omega),
                           _weight_fold(dev, wp, jets=True), wp, pulse)
-    cav = tuned.cavity
-    cascade = _CavitySum(cav, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)])
-    cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi, cascade.theta,
-                          cascade.jets(tuned.omega_p), tuned.omega_p, pulse)
+    cav, states = tuned.cavity, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
+    jets = np.vstack(_weight_fold(cav, tuned.omega_p, jets=True)).T  # rows by bit
+    cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,
+                          lambda omega: _cascade_sums(_weight_fold(cav, omega), states),
+                          np.array(_cascade_sums(jets, states)).T, tuned.omega_p, pulse)
     quad_match = {p: abs(f - cas.same_parity_closed[p])
                   for p, f in cas.same_parity_fidelity.items()}
     ratio = par.b_max / cas.b_max if cas.b_max > 0.0 else math.inf

@@ -234,12 +234,7 @@ def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=
     branch and weight).  theta folds one weight's table at a time, so a comb
     of thousands of points holds no (n + 1)-fold temporaries.  Weight w's
     rows are weight_phase_curve(dev, w)'s theta or jets, bit for bit."""
-    return _table_fold(dev, _weight_table(dev, omegas, chi), omega, jets)
-
-
-def _table_fold(dev: ParityDevice, table: np.ndarray, omega, jets: bool = False):
-    """_weight_fold on a _weight_table of dev built beforehand, so a solver
-    that holds the table fixed while omega moves builds it once."""
+    table = _weight_table(dev, omegas, chi)
     stub, w = dev.resonator_model == "stub", _check_omega(omega)
     if jets:
         return _fold_jets(stub, dev.z0, table, float(w))
@@ -306,11 +301,12 @@ def weight_phase_curve(dev: ParityDevice, weight: int) -> PhaseCurve:
 
 def loaded_poles_by_weight(dev: ParityDevice) -> list[tuple[float, ...]]:
     """Pole frequencies of the loaded one-port of every Hamming weight's
-    representative state, 0..n, located together in one broadcast search.
+    representative state, 0..n, found in one broadcast search of _weight_table.
 
     The coupling capacitors renormalize the bare resonances, so these differ
     from the shifted mode frequencies; diagnostics report both rather than
     assuming either bookkeeping.
     """
-    curves = [weight_phase_curve(dev, w) for w in range(dev.n + 1)]
-    return [tuple(float(p) for p in poles) for poles in _crossings(curves)]
+    bands = np.tile(analysis_band(dev), (dev.n + 1, 1))
+    poles = _crossings(dev.resonator_model == "stub", dev.z0, _weight_table(dev), bands)
+    return [tuple(float(p) for p in row) for row in poles]

@@ -5,9 +5,10 @@ inductors, combined by series/parallel rules.  All evaluation is done
 projectively: a node is represented by a pair (N, D) with Z = N/D, so that
 impedance poles (D -> 0) and zeros (N -> 0) stay finite and the reflection
 coefficient r = (N - Z0*D)/(N + Z0*D) is well defined everywhere, with
-r = +1 exactly at a pole of Z.  PhaseCurve, the closed form every parity
-device and cascade cavity reads, takes its one-port as numbers instead: a
-coupling capacitor and a resonance frequency per parallel branch.
+r = +1 exactly at a pole of Z.  The closed form (PhaseCurve, and the
+stacked branch tables every parity device and cascade cavity folds) takes
+its one-port as numbers instead: a coupling capacitor and a resonance
+frequency per parallel branch.
 
 Sign convention: the unwrapped reflection phase theta(omega) decreases with
 increasing omega through a resonance (passive delay convention).  A window
@@ -422,9 +423,9 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 
     Each bracketing grid interval is polished on Im(Y), which crosses zero
     from below exactly at a pole (Foster's theorem), all in one
-    _bracketed_newton pass; the tree gives no derivative, so every step
-    bisects.  Where the susceptance's sign does not isolate the crossing,
-    the pole is the phase-interpolated location.
+    _bracketed_newton pass on the secant slope over 1e-9 w (the tree has no
+    derivative).  Where the susceptance's sign does not isolate the
+    crossing, the pole is the phase-interpolated location.
     """
     t1, t2 = theta[:-1], theta[1:]
     # half-open: a sample sitting exactly on a level closes the interval
@@ -436,7 +437,9 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
     isolated = (_susceptance(net, a) < 0.0) & (0.0 < _susceptance(net, b))
 
     def falling(w):
-        return -_susceptance(net, w), np.full_like(w, np.nan)
+        step = (w + 1e-9 * w) - w
+        value, above = np.split(-_susceptance(net, np.concatenate((w, w + step))), 2)
+        return value, (above - value) / step
 
     a, b = a[isolated], b[isolated]
     poles[isolated] = _bracketed_newton(falling, 0.5 * (a + b), a, b)
@@ -645,9 +648,8 @@ def _bracketed_newton(f, x, lo, hi):
     f(x) returns (f, f') elementwise.  Every evaluation shrinks the bracket
     to the sign change, a Newton step that would leave it bisects instead,
     and an element stops once it moves within 4 ulps; a step that lands
-    within 4 ulps is taken first, even onto a bracket end.  A slope of nan
-    makes every step bisect (the sweep's poles, whose tree has no
-    derivative).
+    within 4 ulps is taken first, even onto a bracket end.  The slope may
+    be approximate (the sweep's poles pass a secant); nan bisects.
     """
     active = np.ones(np.shape(x), dtype=bool)
     for _ in range(NEWTON_PASSES):
@@ -747,10 +749,10 @@ def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> np.
     return _sorted_rows(zeros.reshape(len(table), -1))
 
 
-def _crossings(curves) -> list:
+def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> list:
     """Each curve's loaded poles (theta = 0 mod 2*pi) in its band, ascending,
-    found together in one broadcast pass; the curves share z0, model and
-    branch count.
+    found together in one broadcast pass on their stacked branch tables,
+    ``table`` (curves, m, columns), and their bands, ``band`` (curves, 2).
 
     theta descends continuously, so the levels 2*pi k with
     theta(hi) <= 2*pi k < theta(lo) fix how many poles the band holds.
@@ -762,9 +764,6 @@ def _crossings(curves) -> list:
     zero at the top branch's resonance frequency, the exact pole of one
     branch.
     """
-    table = np.array([c._branches for c in curves])
-    band = np.array([c.band for c in curves])
-    stub, z0 = curves[0]._stub, curves[0].z0
     edges = _fold(stub, z0, table.repeat(2, axis=0), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
     resonance = (table[..., 1] if stub
@@ -791,7 +790,7 @@ def _crossings(curves) -> list:
         return theta - levels, slope
 
     x = _bracketed_newton(above_level, np.array(seed), np.array(lo), np.array(hi))
-    return [x[rows == i] for i in range(len(curves))]
+    return [x[rows == i] for i in range(len(table))]
 
 
 class PhaseCurve:
@@ -848,7 +847,8 @@ class PhaseCurve:
         """Loaded pole frequencies of Z (r = +1) in the band, theta = 0
         mod 2*pi, ascending: bracketed Newton between the zeros
         (_crossings)."""
-        return _crossings([self])[0]
+        return _crossings(self._stub, self.z0, np.array([self._branches]),
+                          np.array([self.band]))[0]
 
     def jets(self, omega: float):
         """(theta, theta', theta'', d theta/d w_r of each branch) at one

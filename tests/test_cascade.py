@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qparity.cascade import _CavitySum, compare_schemes, tune_cascade
+from qparity.cascade import _cascade_sums, _newton_symmetric, compare_schemes, tune_cascade
 from qparity.cli import main
 from qparity.device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
-                            state_phase_curve, weight_phase_curve)
+                            _weight_fold, state_phase_curve, weight_phase_curve)
 from qparity.fidelity import ProbePulse, fidelity_quadratic_closed
 
 TWO_PI = 2.0 * math.pi
@@ -40,7 +40,7 @@ def tuned():
 def test_cascade_phase_is_sum_of_cavity_phases():
     cav = cavity()
     w = TWO_PI * 9.83e9
-    total = _CavitySum(cav, [QubitState((0, 1, 0))]).theta(w)[0]
+    total = _cascade_sums(_weight_fold(cav, w), [QubitState((0, 1, 0))])[0]
     parts = (weight_phase_curve(cav, 0).theta(w) + weight_phase_curve(cav, 1).theta(w)
              + weight_phase_curve(cav, 0).theta(w))
     assert total == parts
@@ -49,15 +49,15 @@ def test_cascade_phase_is_sum_of_cavity_phases():
 def test_single_cavity_cascade_reduces_to_single_phase():
     cav = cavity()
     w = TWO_PI * 9.85e9
-    assert (_CavitySum(cav, [QubitState((1,))]).theta(w)
+    assert (_cascade_sums(_weight_fold(cav, w), [QubitState((1,))])
             == [weight_phase_curve(cav, 1).theta(w)])
 
 
 def test_equal_weight_states_have_equal_phase():
     cav = cavity()
     w = TWO_PI * 9.82e9
-    vals = set(_CavitySum(cav, [QubitState(b) for b in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
-                            ).theta(w))
+    vals = set(_cascade_sums(_weight_fold(cav, w),
+                             [QubitState(b) for b in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]))
     assert len(vals) == 1
 
 
@@ -67,10 +67,11 @@ def test_weight_derivative_is_sum_of_cavity_devices(order):
     # derivatives, whatever order the bits come in
     cav = cavity()
     for w in TWO_PI * np.array([9.80e9, 9.81e9, 9.83e9]):
+        jets = np.vstack(_weight_fold(cav, w, jets=True)).T  # rows by bit
         for bits in itertools.product((0, 1), repeat=3):
             parts = [state_phase_curve(cav, QubitState((b,))).dtheta(w, order)
                      for b in bits]
-            got = _CavitySum(cav, [QubitState(bits)]).jets(w)[order][0]
+            got = _cascade_sums(jets, [QubitState(bits)])[0][order]
             assert got == pytest.approx(sum(parts), rel=1e-12)
 
 
@@ -84,11 +85,12 @@ TOO_BIG = [
 
 
 @pytest.mark.parametrize("dev", TOO_BIG)
-def test_only_a_one_qubit_one_mode_cavity_is_accepted(dev):
+def test_only_a_one_qubit_one_mode_cavity_is_accepted(dev, paper_solution):
     with pytest.raises(ValueError, match="1-qubit, 1-mode"):
         tune_cascade(dev)
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-6)
     with pytest.raises(ValueError, match="1-qubit, 1-mode"):
-        _CavitySum(dev, [QubitState((0, 1, 1))]).theta(TWO_PI * 9.8e9)
+        compare_schemes(paper_solution, dev, pulse, tune=False)
 
 
 # ----------------------------------------------------------------------
@@ -110,11 +112,10 @@ def test_tuned_first_order_dispersion_cancels(tuned):
 def test_tuning_bracket_oracle():
     # the 1-D root the tuner solves: step(chi) - pi changes sign on a scan
     cav = cavity()
-    from qparity.cascade import _symmetric_point
 
     def step_at(chi):
         trial = cav.with_chi(chi)
-        wp = _symmetric_point(trial).omega_p
+        wp = _newton_symmetric(trial)[0].omega_p
         return weight_phase_curve(trial, 0).theta(wp) - weight_phase_curve(trial, 1).theta(wp)
 
     lo = step_at(TWO_PI * 0.5e6) - math.pi
@@ -128,8 +129,6 @@ def test_tuning_bracket_oracle():
 def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, model):
     # the compare workload's cavity ranges; the oracle is a bracketing root
     # solve of step(chi) - pi, independent of the Newton iteration on chi
-    from qparity.cascade import _symmetric_point
-
     dev = cavity(f_ghz, c_ff=c_ff, model=model)
     t = tune_cascade(dev)
     chi = t.cavity.chi
@@ -138,7 +137,7 @@ def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, model):
           - weight_phase_curve(t.cavity, 1).dtheta(t.omega_p, 2))
     assert b2 < 0.0  # b' < 0: the step is at its maximum, not a minimum
     assert abs(t.b_single) < 1e-3 * abs(b2) * 1e6
-    oracle = brentq(lambda c: _symmetric_point(dev.with_chi(c)).step - math.pi,
+    oracle = brentq(lambda c: _newton_symmetric(dev.with_chi(c))[0].step - math.pi,
                     0.5 * chi, 2.0 * chi)
     assert chi == pytest.approx(oracle, rel=1e-8)
 
@@ -250,7 +249,7 @@ def test_tune_cascade_work_count(monkeypatch):
 def test_tuned_eraser_conditions_hold(tuned):
     dev = tuned.cavity
     wp = tuned.omega_p
-    th = _CavitySum(dev, [QubitState.of_weight(3, w) for w in range(4)]).theta(wp)
+    th = _cascade_sums(_weight_fold(dev, wp), [QubitState.of_weight(3, w) for w in range(4)])
     assert th[0] - th[2] - TWO_PI == pytest.approx(0.0, abs=1e-6)
     assert th[1] - th[3] - TWO_PI == pytest.approx(0.0, abs=1e-6)
     from qparity.network import wrap_phase

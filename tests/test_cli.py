@@ -625,23 +625,24 @@ def test_estimate_zero_power_writes_null_dbm(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# no command builds a network tree
+# no command builds a network tree or a phase curve
 # ----------------------------------------------------------------------
 
-def test_no_cli_path_builds_a_network_tree(monkeypatch, paper_device, tmp_path):
-    # phase curves read the branch table; the tree, and every evaluation of
-    # one (the oracle sweep's points and root solves alike), is only the
-    # test oracle's
+def test_no_cli_path_builds_a_network_tree_or_curve(monkeypatch, paper_device, tmp_path):
+    # every CLI path folds the stacked weight table; the tree, and every
+    # evaluation of one (the oracle sweep's points and root solves alike),
+    # is only the test oracle's, and a PhaseCurve is only the library's
     import qparity.device
     import qparity.network
     from qparity import (Mode, ParityDevice, ProbePulse, compare_schemes,
                          eraser_quality, solution_to_dict, solve_eraser)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a network tree was built or evaluated")
+        raise AssertionError("a network tree or a phase curve was built or evaluated")
 
     monkeypatch.setattr(qparity.device, "build_state_network", refuse)
     monkeypatch.setattr(qparity.network, "_impedance_parts", refuse)
+    monkeypatch.setattr(qparity.network.PhaseCurve, "__init__", refuse)
     sol = solve_eraser(paper_device)
     assert len(solution_to_dict(sol)["loaded_poles_by_weight_Hz"]["0"]) == 2
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)

@@ -728,15 +728,15 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     # made 33) and root solves; locating branch zeros while folding the
     # last.  3 fold passes, one per Gauss-Newton point (a fold per curve and
     # point, plus a theta fold per root to rank it, made 18).  The
-    # payload's 8 loaded poles take one curve per weight and 6 fold passes
-    # over all of them: the band-edge phases, then 5 bracketed Newton passes
-    # (one brentq per pole made 8 root solves)
+    # payload's 8 loaded poles take no curve (one per weight before) and 6
+    # fold passes over the stacked weight table: the band-edge phases, then
+    # 5 bracketed Newton passes (one brentq per pole made 8 root solves)
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 3
     assert counts["residuals"] == 0
     assert counts["tree evaluations"] == 0
-    assert counts["pole_curves"] == 4
+    assert counts["pole_curves"] == 0
     assert counts["folds"] <= 6
 
 
@@ -759,13 +759,13 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     # device per point (one curve per weight and point built 104 and folded
     # each once; the exact-curve grid added 165 curves, and least-squares
     # passes over five fixed gap scales before freeing the gaps built 3392).
-    # The payload's 15 loaded poles take one curve per weight and 6 fold
-    # passes, as the paper's 8 do (15 brentq root solves before)
+    # The payload's 15 loaded poles take no curve (one per weight before)
+    # and 6 fold passes, as the paper's 8 do (15 brentq root solves before)
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 19
     assert counts["residuals"] == 0
     assert counts["tree evaluations"] == 0
-    assert counts["pole_curves"] == 5
+    assert counts["pole_curves"] == 0
     assert counts["folds"] <= 6

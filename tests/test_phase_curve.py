@@ -570,7 +570,8 @@ def test_crossings_match_the_brentq_oracle(n, m, model, f0_ghz, gaps_mhz, couple
     dev = ParityDevice(n=n, modes=modes, chi_matrix=chi, resonator_model=model, band=band)
     states = [QubitState(bits) for bits in itertools.product((0, 1), repeat=n)]
     curves = [state_phase_curve(dev, state) for state in states]
-    for curve, poles in zip(curves, _crossings(curves)):
+    table, bands = np.array([c._branches for c in curves]), np.array([c.band for c in curves])
+    for curve, poles in zip(curves, _crossings(model == "stub", dev.z0, table, bands)):
         expected = brentq_crossings(curve, 0.0)
         assert len(poles) == len(expected) == m * (2 if harmonic and model == "stub" else 1)
         assert poles == pytest.approx(expected, rel=1e-12)
