@@ -183,14 +183,19 @@ def shifted_frequency(omega_mode: float, chis, state: QubitState) -> float:
     chis = tuple(chis)
     if len(chis) != state.n:
         raise ValueError(f"{len(chis)} chis for {state.n} qubits")
-    shifted = omega_mode + sum(
-        (1.0 if b == 0 else -1.0) * c for b, c in zip(state.bits, chis)
-    )
+    shifted = _pulled(omega_mode, chis, [1.0 if b == 0 else -1.0 for b in state.bits])
     if shifted <= 0.0:
-        raise NonPositiveResult(
-            f"shifts drove mode frequency to {shifted:.3e} rad/s"
-        )
+        raise _non_positive(shifted)
     return shifted
+
+
+def _pulled(omega_mode: float, chis, signs) -> float:
+    """omega + sum_j sign_j * chi_j, summed in qubit order, unchecked."""
+    return omega_mode + sum([s * c for s, c in zip(signs, chis)])
+
+
+def _non_positive(shifted: float) -> NonPositiveResult:
+    return NonPositiveResult(f"shifts drove mode frequency to {shifted:.3e} rad/s")
 
 
 def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
@@ -200,31 +205,42 @@ def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
     return Parallel((Inductor(l), Capacitor(c)))
 
 
-def _shifted_modes(dev: ParityDevice, state: QubitState, omegas=None,
-                   chi_matrix=None) -> tuple[float, ...]:
-    """The state's pulled mode frequencies, in mode order; ``omegas`` and
-    ``chi_matrix`` stand in for dev's own."""
+def _shifted_modes(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
+    """The state's pulled mode frequencies, in mode order."""
     if state.n != dev.n:
         raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
-    omegas = [mo.omega for mo in dev.modes] if omegas is None else omegas
-    chi_matrix = dev.chi_matrix if chi_matrix is None else chi_matrix
-    return tuple(shifted_frequency(w, [row[k] for row in chi_matrix], state)
-                 for k, w in enumerate(omegas))
+    return tuple(shifted_frequency(mo.omega, [row[k] for row in dev.chi_matrix], state)
+                 for k, mo in enumerate(dev.modes))
 
 
 def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
     """Every Hamming weight's branch table, stacked (n + 1, m, columns): row w
-    is weight_phase_curve(dev, w)'s, built and refused as that curve is.
-    ``omegas`` (bare mode frequencies, checked as Mode checks them) and a
-    common ``chi`` stand in for dev's own, so a solver point needs no device."""
+    is weight_phase_curve(dev, w)'s, refused as building those curves in
+    weight order is.  ``omegas`` (bare mode frequencies, checked as Mode
+    checks them) and a common ``chi`` stand in for dev's own, so a solver
+    point needs no device.
+
+    The (n + 1) x m pulled frequencies are shifted_frequency's sums on
+    floats, and _curve_table checks and builds the whole table at once.
+    Weight w's curve refuses a pull to or below zero before its table, but
+    after the tables of the weights below it, so _curve_table checks those
+    first.
+    """
     modes = dev.modes if omegas is None else [Mode(float(w), mo.c_couple)
                                               for w, mo in zip(omegas, dev.modes)]
-    chi_matrix = None if chi is None else ((float(chi),) * dev.m,) * dev.n
-    couplers, omegas = [mo.c_couple for mo in modes], [mo.omega for mo in modes]
-    states = [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
     band = analysis_band(dev)
-    return np.array([_curve_table(couplers, _shifted_modes(dev, s, omegas, chi_matrix),
-                                  dev.z0, band, dev.resonator_model)[1] for s in states])
+    chi_matrix = dev.chi_matrix if chi is None else ((float(chi),) * dev.m,) * dev.n
+    couplers, pulls = [mo.c_couple for mo in modes], list(zip(*chi_matrix))
+    # QubitState.of_weight's bits as signs: weight w's last w qubits are 1
+    signs = [(1.0,) * (dev.n - w) + (-1.0,) * w for w in range(dev.n + 1)]
+    rows = [[_pulled(mo.omega, chis, s) for mo, chis in zip(modes, pulls)] for s in signs]
+    for w, row in enumerate(rows):
+        low = [shifted for shifted in row if shifted <= 0.0]
+        if low:
+            if w:
+                _curve_table(couplers, rows[:w], dev.z0, band, dev.resonator_model)
+            raise _non_positive(low[0])
+    return _curve_table(couplers, rows, dev.z0, band, dev.resonator_model)[1]
 
 
 def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=None):

@@ -369,10 +369,17 @@ def _model_newton(model, n: int, wp: float, chi: float, box):
 
 def _grid_minima(norm: np.ndarray, wps: np.ndarray, chi_grid: np.ndarray):
     """Local minima of a residual-norm grid (rows chi_grid, columns wps),
-    best first, and the grid's best cell, each as (norm, omega_p, chi)."""
-    # a NaN anywhere in a cell's 3x3 window makes its minimum NaN: no candidate
-    neigh = np.lib.stride_tricks.sliding_window_view(
-        np.pad(norm, 1, constant_values=np.inf), (3, 3)).min(axis=(2, 3))
+    best first, and the grid's best cell, each as (norm, omega_p, chi).
+
+    A local minimum is a cell no larger than any cell of its 3x3 window.
+    The window minimum is two passes of shifted np.minimum over the grid
+    padded with inf, along rows and then along columns; np.minimum
+    propagates NaN, so a NaN anywhere in a cell's window makes its minimum
+    NaN, and the cell is no candidate.
+    """
+    padded = np.pad(norm, 1, constant_values=np.inf)
+    rows = np.minimum(np.minimum(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    neigh = np.minimum(np.minimum(rows[:-2], rows[1:-1]), rows[2:])
     i, j = np.nonzero((norm <= neigh) & (norm < GRID_FAIL_NORM))
     order = np.lexsort((wps[j], norm[i, j]))[:GRID_TOP_K]  # stable: row-major ties
     cands = [(float(norm[a, b]), float(wps[b]), float(chi_grid[a]))

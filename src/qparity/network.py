@@ -211,13 +211,24 @@ def lumped_equivalent(omega_r: float, z0: float) -> tuple[float, float]:
     """
     if omega_r <= 0.0 or z0 <= 0.0:
         raise ValueError("omega_r and z0 must be > 0")
+    c, l, in_range = _tanks(omega_r, z0)
+    if not in_range:
+        raise _no_tank(omega_r, z0)
+    return float(c), float(l)
+
+
+def _tanks(omega_r, z0: float) -> tuple:
+    """lumped_equivalent's (C, L), elementwise over an array omega_r, and
+    whether each pair is in float range."""
     with np.errstate(all="ignore"):
         c = math.pi / (4.0 * np.float64(omega_r) * z0)
         l = 1.0 / (omega_r * omega_r * c)
-    if not (0.0 < c < math.inf and 0.0 < l < math.inf):
-        raise ValueError(f"omega_r={omega_r:.3e} rad/s with z0={z0:.3e} ohm has no "
-                         "lumped equivalent in float range")
-    return float(c), float(l)
+    return c, l, (0.0 < c) & (c < math.inf) & (0.0 < l) & (l < math.inf)
+
+
+def _no_tank(omega_r: float, z0: float) -> ValueError:
+    return ValueError(f"omega_r={omega_r:.3e} rad/s with z0={z0:.3e} ohm has no "
+                      "lumped equivalent in float range")
 
 
 def network_impedance(net: NetworkElement, omega: float) -> complex:
@@ -542,8 +553,9 @@ def _theta(z0_u, v, passed):
     return -2.0 * np.arctan(z0_b) - TWO_PI * passed
 
 
-def _fold(stub: bool, z0: float, branches, w):
-    """theta of m parallel branches along w, in numpy.
+def _fold(stub: bool, z0: float, branches, w, slope: bool = False):
+    """theta of m parallel branches along w, in numpy, or with ``slope``
+    (theta, theta').
 
     ``branches`` is a branch table, one row per branch (see _branch_parts),
     or many stacked, shape (curves..., m, columns): the curves' axes
@@ -551,16 +563,29 @@ def _fold(stub: bool, z0: float, branches, w):
     once.  The branch parts of all branches come from one call.  The fold is
     U <- U N_k + P_k V, V <- V N_k, B = U/V, and
     theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}; _jets runs the
-    same recurrence on jets.
+    same recurrence on jets.  With ``slope`` the same loop also carries U'
+    and V' from the branch parts' d/dw, and theta' = -2 A/D, with
+    A = z0 (U' V - U V') and D = V^2 + z0^2 U^2.  Every operation is
+    written in _jets' order, so theta and theta' equal _jets' first two
+    entries bit for bit, inf and nan included.
     """
     # the table's columns, each (branches, curves..., 1...) to broadcast against w
     cols = np.moveaxis(np.asarray(branches, dtype=float), (-2, -1), (1, 0))
     cols = cols.reshape(cols.shape + (1,) * (np.ndim(w) + 2 - cols.ndim))
-    p, n = _branch_parts(stub, z0, cols, w)
+    p, n = _branch_parts(stub, z0, cols, w, derivatives=slope)
+    if slope:
+        (p, p1), (n, n1) = p[:2], n[:2]
+        u1 = v1 = np.zeros_like(w)
     u, v = np.zeros_like(w), np.ones_like(w)
-    for p_k, n_k in zip(p, n):
+    for k, (p_k, n_k) in enumerate(zip(p, n)):
+        if slope:
+            u1, v1 = (u * n1[k] + n_k * u1) + (p_k * v1 + v * p1[k]), v * n1[k] + n_k * v1
         u, v = u * n_k + p_k * v, v * n_k
-    return _theta(z0 * u, v, _zeros_below(stub, cols, n, w).sum(axis=0))
+    theta = _theta(z0 * u, v, _zeros_below(stub, cols, n, w).sum(axis=0))
+    if not slope:
+        return theta
+    a1 = z0 * (u1 * v - u * v1)
+    return theta, -2.0 * a1 / (v * v + (z0 * u) * (z0 * u))
 
 
 def _jets(stub: bool, z0: float, table, w):
@@ -668,21 +693,39 @@ def _bracketed_newton(f, x, lo, hi):
     return x
 
 
-def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> tuple:
-    """A branch table, one row per parallel branch: (C_c, w_r) for the stub,
-    (C_c, C, L) with lumped_equivalent's tank for the lumped model."""
+def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
+    """Branch tables of the resonance frequencies omega_r, shape (..., m),
+    sharing the couplers c_couple, shape (..., m, columns): one row per
+    parallel branch, (C_c, w_r) for the stub, (C_c, C, L) with
+    lumped_equivalent's tank for the lumped model, which refuses the first
+    omega_r (in C order) as lumped_equivalent does."""
+    omega_r = np.asarray(omega_r, dtype=float)
+    table = np.empty(omega_r.shape + (2 if stub else 3,))
+    table[..., 0] = c_couple
     if stub:
-        return tuple(zip(c_couple, omega_r))
-    return tuple((c_c, *lumped_equivalent(w_r, z0)) for c_c, w_r in zip(c_couple, omega_r))
+        table[..., 1] = omega_r
+    else:
+        c, l, in_range = _tanks(omega_r, z0)
+        if not in_range.all():
+            raise _no_tank(float(omega_r[~in_range][0]), z0)
+        table[..., 1], table[..., 2] = c, l
+    return table
 
 
 def _curve_table(c_couple, omega_r, z0: float, band, model: str) -> tuple:
-    """PhaseCurve's band and branch table (_branch_table), or its ValueError."""
-    c_couple, omega_r = tuple(c_couple), tuple(omega_r)
-    if not 0 < len(c_couple) == len(omega_r):
-        raise ValueError("need one c_couple per omega_r and at least one, got "
-                         f"{len(c_couple)} and {len(omega_r)}")
-    for name, values in (("c_couple", c_couple), ("omega_r", omega_r)):
+    """The band and the branch tables (_branch_table) of curves sharing the
+    couplers c_couple, one per row of resonance frequencies ``omega_r``,
+    stacked (rows, m, columns), or the ValueError that building the rows'
+    PhaseCurves in row order meets first.  All rows' resonances are checked
+    before the band, z0 and the tanks, which is that order wherever a row's
+    resonances leave float range only where the first row's do, as in a
+    weight table (_weight_table), whose weight 0 pulls every mode highest."""
+    c_couple, omega_r = tuple(c_couple), [tuple(row) for row in omega_r]
+    for row in omega_r:
+        if not 0 < len(c_couple) == len(row):
+            raise ValueError("need one c_couple per omega_r and at least one, got "
+                             f"{len(c_couple)} and {len(row)}")
+    for name, values in (("c_couple", c_couple), *(("omega_r", row) for row in omega_r)):
         for k, value in enumerate(values):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
@@ -759,10 +802,10 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
     Foster interlacing brackets each: on the level 2*pi k, exactly -k
     branch zeros lie below, so the pole sits between the curve's -k-th and
     (-k+1)-th zeros from DC (_zero_table), clipped to the band.
-    _bracketed_newton on theta - 2*pi k with the exact theta' (from the
-    jets kernel, _jets) starts at the bracket's midpoint, or above the top
-    zero at the top branch's resonance frequency, the exact pole of one
-    branch.
+    _bracketed_newton on theta - 2*pi k with the exact theta' (_fold with
+    its slope, which carries only theta and theta') starts at the bracket's
+    midpoint, or above the top zero at the top branch's resonance
+    frequency, the exact pole of one branch.
     """
     edges = _fold(stub, z0, table.repeat(2, axis=0), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
@@ -783,10 +826,11 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
             hi.append(b)
             seed.append(resonance[i] if top else 0.5 * (a + b))
     rows, levels = np.array(rows, dtype=int), np.array(levels)
+    searched = table[rows]
 
     def above_level(x):
         with np.errstate(over="ignore", invalid="ignore"):  # rows theta' does not read
-            theta, slope = _jets(stub, z0, table[rows], x)[:2]
+            theta, slope = _fold(stub, z0, searched, x, slope=True)
         return theta - levels, slope
 
     x = _bracketed_newton(above_level, np.array(seed), np.array(lo), np.array(hi))
@@ -825,7 +869,7 @@ class PhaseCurve:
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
                  model: str):
         self.z0 = z0
-        self.band, self._branches = _curve_table(c_couple, omega_r, z0, band, model)
+        self.band, (self._branches,) = _curve_table(c_couple, [omega_r], z0, band, model)
         self._stub = model == "stub"
 
     def theta(self, omega):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -383,37 +384,48 @@ def test_lumped_model_solves_nearby():
 
 def _cell_by_cell_minima(norm, wps, chi_grid, top_k, fail_norm):
     """Reference rule: cells below fail_norm and no larger than any cell of
-    their 3x3 window, sorted by (norm, omega_p), ties in row-major order."""
-    cands = []
+    their 3x3 window, sorted by (norm, omega_p), ties in row-major order;
+    and the best cell, the first NaN in row-major order if there is one (a
+    NaN norm is no better than any), else the first least cell."""
+    cands, best = [], None
     for i in range(norm.shape[0]):
         for j in range(norm.shape[1]):
             v = norm[i, j]
             if v < fail_norm and v <= norm[max(0, i - 1):i + 2, max(0, j - 1):j + 2].min():
                 cands.append((v, float(wps[j]), float(chi_grid[i])))
+            if best is None or not math.isnan(best[0]) and (math.isnan(v) or v < best[0]):
+                best = (float(v), float(wps[j]), float(chi_grid[i]))
     cands.sort(key=lambda t: (t[0], t[1]))
-    return cands[:top_k]
+    return cands[:top_k], best
 
 
 @pytest.mark.parametrize("levels", [3, 4, 6])
 @pytest.mark.parametrize("seed", range(4))
 def test_grid_minima_match_the_cell_by_cell_rule(monkeypatch, levels, seed):
     # few norm levels make plateaus and exact ties; NaN cells and cells at or
-    # above GRID_FAIL_NORM are never basins
+    # above GRID_FAIL_NORM are never basins, and a cell beside a NaN is none
+    # either; -inf and +inf cells join the levels, and the grid may be a
+    # single row or column, or all NaN
     from qparity import eraser
 
     rng = np.random.default_rng(seed)
-    chi_grid = np.geomspace(*eraser.DEFAULT_CHI_RANGE, 9)
-    band, points = (TWO_PI * 9.6e9, TWO_PI * 10.4e9), 40
-    norm = rng.integers(0, levels, (len(chi_grid), points)) * 0.5
-    norm[rng.random(norm.shape) < 0.05] = np.nan
-    wps = np.linspace(*band, points)
-    for top_k in (eraser.GRID_TOP_K, norm.size):  # the solver's cut, then every cell
-        monkeypatch.setattr(eraser, "GRID_TOP_K", top_k)
-        cands, _ = eraser._grid_minima(norm, wps, chi_grid)
-        expected = _cell_by_cell_minima(norm, wps, chi_grid, top_k,
-                                        eraser.GRID_FAIL_NORM)
-        assert len(expected) > 0
-        assert cands == expected
+    band = (TWO_PI * 9.6e9, TWO_PI * 10.4e9)
+    for shape, nan_share in (((9, 40), 0.05), ((1, 40), 0.05), ((9, 1), 0.05),
+                             ((9, 40), 1.0)):
+        chi_grid = np.geomspace(*eraser.DEFAULT_CHI_RANGE, shape[0])
+        norm = rng.integers(0, levels, shape) * 0.5
+        norm[rng.random(shape) < 0.05] = -np.inf
+        norm[rng.random(shape) < 0.05] = np.inf
+        norm[rng.random(shape) < nan_share] = np.nan
+        wps = np.linspace(*band, shape[1])
+        for top_k in (eraser.GRID_TOP_K, norm.size):  # the solver's cut, then every cell
+            monkeypatch.setattr(eraser, "GRID_TOP_K", top_k)
+            cands, best_cell = eraser._grid_minima(norm, wps, chi_grid)
+            expected, expected_best = _cell_by_cell_minima(norm, wps, chi_grid, top_k,
+                                                           eraser.GRID_FAIL_NORM)
+            assert (len(expected) > 0) == (nan_share < 1.0)
+            assert cands == expected
+            assert repr(best_cell) == repr(expected_best)
 
 
 # ----------------------------------------------------------------------
@@ -576,22 +588,43 @@ def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
 
 def _refusing_point(case):
     """(template, omega_p, chi, gaps) of a solver point whose weight curves
-    refuse to build or to give jets."""
+    refuse to build or to give jets; the template pulls by the point's chi,
+    so a template without a band has the point's analysis band."""
     band = (TWO_PI * 0.5e9, TWO_PI * 20e9)
     paper = [(9.99, 10e-15), (10.01, 10e-15)]
-    spec = {"pull-below-zero": (4, [(1.0, 10e-15), (1.01, 10e-15)], 50.0, "stub"),
-            "jets-overflow": (3, [(9.99, 1e285), (10.01, 10e-15)], 50.0, "stub"),
-            "no-lumped-tank": (3, paper, 1e-300, "lumped"),
-            "z0-squared": (3, paper, 1e155, "stub"),
-            "mode-below-zero": (4, [(9.97, 10e-15), (10.0, 10e-15), (10.03, 10e-15)],
-                                50.0, "stub")}[case]
-    n, modes, z0, model = spec
+    low = [(1.0, 10e-15), (1.01, 10e-15)]
+    three = [(9.97, 10e-15), (10.0, 10e-15), (10.03, 10e-15)]
+    # a mode 1 ulp above a 1 MHz chi: weight 2 of 3 pulls it to 1e-9 rad/s,
+    # where a 1e-300 ohm tank's C overflows, and weight 3 below zero
+    ulp_above = np.nextafter(TWO_PI * 1e6, np.inf) / TWO_PI / 1e9
+    spec = {"pull-below-zero": (4, low, 50.0, "stub", 400e6),
+            "jets-overflow": (3, [(9.99, 1e285), (10.01, 10e-15)], 50.0, "stub", 5.77e6),
+            "no-lumped-tank": (3, paper, 1e-300, "lumped", 5.77e6),
+            "z0-squared": (3, paper, 1e155, "stub", 5.77e6),
+            "mode-below-zero": (4, three, 50.0, "stub", 5.77e6),
+            "device-band": (3, paper, 50.0, "stub", 500e6),
+            # a weight's curve refuses its own table before a later weight's pull
+            "z0-squared-before-pull": (4, low, 1e155, "stub", 400e6),
+            "tank-before-pull": (3, [(ulp_above, 10e-15)], 1e-300, "lumped", 1e6)}[case]
+    n, modes, z0, model, chi_hz = spec
+    chi = TWO_PI * chi_hz
     dev0 = ParityDevice.equal_coupling(
-        n, tuple(Mode(TWO_PI * f * 1e9, c) for f, c in modes), TWO_PI * 5e6, z0=z0,
-        resonator_model=model, band=band)
-    chi = TWO_PI * (400e6 if case == "pull-below-zero" else 5.77e6)
+        n, tuple(Mode(TWO_PI * f * 1e9, c) for f, c in modes), chi, z0=z0,
+        resonator_model=model, band=None if case == "device-band" else band)
     gaps = TWO_PI * np.array([20e9, 20e9]) if case == "mode-below-zero" else None
-    return dev0, TWO_PI * (1e9 if case == "pull-below-zero" else 9.8e9), chi, gaps
+    return dev0, TWO_PI * (1e9 if modes is low else 9.8e9), chi, gaps
+
+
+REFUSALS = {
+    "pull-below-zero": "shifts drove mode frequency",
+    "jets-overflow": "phase derivatives at omega=",
+    "no-lumped-tank": "no lumped equivalent in float range",
+    "z0-squared": "need 0 < z0 with z0**2 in float range",
+    "mode-below-zero": "mode omega must be finite and > 0",
+    "device-band": "need finite 0 < band[0] < band[1]",
+    "z0-squared-before-pull": "need 0 < z0 with z0**2 in float range",
+    "tank-before-pull": "no lumped equivalent in float range",
+}
 
 
 @pytest.mark.parametrize("case, exc", [
@@ -600,6 +633,9 @@ def _refusing_point(case):
     ("no-lumped-tank", ValueError),
     ("z0-squared", ValueError),
     ("mode-below-zero", ValueError),
+    ("device-band", ValueError),
+    ("z0-squared-before-pull", ValueError),
+    ("tank-before-pull", ValueError),
 ])
 def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
     # a Gauss-Newton point folds its stacked weight table without building a
@@ -610,7 +646,7 @@ def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
 
     dev0, wp, chi, gaps = _refusing_point(case)
     omegas = None if gaps is None else _gap_frequencies(dev0, gaps)
-    with pytest.raises(exc) as curve_path:
+    with pytest.raises(exc, match=re.escape(REFUSALS[case])) as curve_path:
         dev = dev0 if omegas is None else dev0.with_mode_frequencies(omegas)
         dev = dev.with_chi(chi)
         for w in range(dev.n + 1):
@@ -673,8 +709,9 @@ def _solve_work(dev, monkeypatch, **kwargs):
     (every call of the theta fold _fold or the jets kernel _jets: one
     stacked fold of every weight counts one) and the broadcast-fold passes
     of the loaded-pole search (every such call solution_to_dict makes).
-    Both are patched where qparity.network resolves them, which every
-    caller goes through."""
+    "jets" and "solve_jets" count the _jets passes among those fold passes
+    on their own.  Both are patched where qparity.network resolves them,
+    which every caller goes through."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -701,6 +738,7 @@ def _solve_work(dev, monkeypatch, **kwargs):
 
         def counting_fold(*args, **kwargs):
             counts["folds"] += 1
+            counts["jets"] += name == "_jets"
             return fold(*args, **kwargs)
 
         return counting_fold
@@ -712,10 +750,12 @@ def _solve_work(dev, monkeypatch, **kwargs):
         monkeypatch.setattr(network, name, counting(name))
     sol = solve_eraser(dev, **kwargs)
     solve_curves, counts["solve_folds"] = counts["curves"], counts["folds"]
+    counts["solve_jets"] = counts["jets"]
     eraser.solution_to_dict(sol)
     counts["pole_curves"] = counts["curves"] - solve_curves
     counts["curves"] = solve_curves
     counts["folds"] -= counts["solve_folds"]
+    counts["jets"] -= counts["solve_jets"]
     return counts
 
 
@@ -730,7 +770,9 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     # point, plus a theta fold per root to rank it, made 18).  The
     # payload's 8 loaded poles take no curve (one per weight before) and 6
     # fold passes over the stacked weight table: the band-edge phases, then
-    # 5 bracketed Newton passes (one brentq per pole made 8 root solves)
+    # 5 bracketed Newton passes (one brentq per pole made 8 root solves).
+    # Those passes fold theta and theta' only: none runs the jets kernel,
+    # whose theta'' and d theta/d w_r the search never read (5 did)
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 3
@@ -738,6 +780,7 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     assert counts["tree evaluations"] == 0
     assert counts["pole_curves"] == 0
     assert counts["folds"] <= 6
+    assert counts["jets"] == 0
 
 
 def test_two_qubit_solve_work_count(monkeypatch):
@@ -745,12 +788,13 @@ def test_two_qubit_solve_work_count(monkeypatch):
     # the root and then to delta_theta = pi: 13 stacked folds and no curve,
     # where one curve per weight and point built 46; the exact-curve grid
     # added 99 (139), and a chi-by-chi root search with a golden-section
-    # polish built 233
+    # polish built 233.  The payload's loaded poles run no jets kernel pass
     counts = _solve_work(two_mode_device(2), monkeypatch)
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 13
     assert counts["residuals"] == 0
     assert counts["tree evaluations"] == 0
+    assert counts["jets"] == 0
 
 
 def test_four_qubit_free_solve_work_count(monkeypatch):
@@ -760,7 +804,8 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     # each once; the exact-curve grid added 165 curves, and least-squares
     # passes over five fixed gap scales before freeing the gaps built 3392).
     # The payload's 15 loaded poles take no curve (one per weight before)
-    # and 6 fold passes, as the paper's 8 do (15 brentq root solves before)
+    # and 6 fold passes, as the paper's 8 do (15 brentq root solves before),
+    # none of them a jets kernel pass
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] == 0
@@ -769,3 +814,4 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     assert counts["tree evaluations"] == 0
     assert counts["pole_curves"] == 0
     assert counts["folds"] <= 6
+    assert counts["jets"] == 0

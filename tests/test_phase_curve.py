@@ -142,19 +142,20 @@ def test_jets_lead_with_theta_bit_for_bit(m, model, f0_ghz, gaps_mhz, couplers_f
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
 def test_broadcast_fold_matches_each_curve(model):
-    # one jets kernel pass over the stacked branch tables of every weight,
-    # one frequency per curve, gives each curve's own theta and theta' bit
-    # for bit
-    from qparity.network import _jets
+    # one jets kernel pass, and one slope fold, over the stacked branch
+    # tables of every weight, one frequency per curve, give each curve's own
+    # theta and theta' bit for bit
+    from qparity.network import _fold, _jets
 
     curves = device_curves(paper(model))
     grid = TWO_PI * np.linspace(9.7e9, 10.1e9, 7)
     rows = np.repeat(np.arange(len(curves)), len(grid))
     table = np.array([c._branches for c in curves])[rows]
     w = np.tile(grid, len(curves))
-    theta, slope = _jets(model == "stub", curves[0].z0, table, w)[:2]
-    assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
-    assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
+    stub, z0 = model == "stub", curves[0].z0
+    for theta, slope in (_jets(stub, z0, table, w)[:2], _fold(stub, z0, table, w, slope=True)):
+        assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
+        assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
 
 
 def _hexes(jets) -> list:
@@ -167,15 +168,20 @@ def _hexes(jets) -> list:
 
 def _kernel_matches_reference(stub, z0, table, w) -> bool:
     """The jets kernel equals the numpy reference fold entry for entry by
-    .hex(), and its checked form refuses exactly where a derivative leaves
-    float range; returns whether any entry did."""
+    .hex(), and so do the slope fold's theta and theta' (_fold with
+    ``slope``), the first two entries; the kernel's checked form refuses
+    exactly where a derivative leaves float range; returns whether any
+    entry did."""
     from jets_reference import reference_jets
 
-    from qparity.network import NetworkError, _fold_jets, _jets
+    from qparity.network import NetworkError, _fold, _fold_jets, _jets
 
     with np.errstate(all="ignore"):
         expected = reference_jets(stub, z0, table, w)
         assert _hexes(_jets(stub, z0, table, w)) == _hexes(expected)
+        slope_fold = _fold(stub, z0, table, w, slope=True)
+        assert ([[float(x).hex() for x in np.ravel(entry)] for entry in slope_fold]
+                == [[float(x).hex() for x in np.ravel(entry)] for entry in expected[:2]])
         finite = all(np.isfinite(x).all() for x in expected[1:])
         try:
             _fold_jets(stub, z0, table, w)
@@ -272,27 +278,31 @@ def test_jets_kernel_matches_reference_beyond_float_range():
     f0_ghz=st.floats(4.0, 12.0),
     gaps_mhz=st.lists(st.floats(5.0, 40.0), min_size=2, max_size=2),
     couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
-    chi_mhz=st.floats(0.1, 10.0),
+    chis_mhz=st.lists(st.floats(0.1, 10.0), min_size=18, max_size=18),
+    equal=st.booleans(),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
 )
 def test_stacked_weight_fold_is_each_weight_curve_bit_for_bit(
-        n, m, model, f0_ghz, gaps_mhz, couplers_ff, chi_mhz, fractions):
-    # the stacked weight table holds each weight curve's own branch table,
-    # and one broadcast jets fold of it gives each curve's scalar jets, all
-    # four entries bit for bit, across the band and on, and one ulp either
-    # side of, every branch zero and loaded pole of every weight
+        n, m, model, f0_ghz, gaps_mhz, couplers_ff, chis_mhz, equal, fractions):
+    # the stacked weight table, built from floats, holds each weight curve's
+    # own branch table bit for bit, for any chi matrix; and one broadcast
+    # jets fold of it gives each curve's scalar jets, all four entries bit
+    # for bit, across the band and on, and one ulp either side of, every
+    # branch zero and loaded pole of every weight
     from qparity.device import _weight_fold, _weight_table
 
     offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
     modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + d * 1e6), c * 1e-15)
                   for d, c in zip(offsets, couplers_ff))
-    dev = ParityDevice.equal_coupling(n, modes, TWO_PI * chi_mhz * 1e6,
-                                      resonator_model=model)
+    chi = [[TWO_PI * 1e6 * chis_mhz[0 if equal else j * m + k] for k in range(m)]
+           for j in range(n)]
+    dev = ParityDevice(n=n, modes=modes, chi_matrix=chi, resonator_model=model)
     curves = device_curves(dev)
     table = _weight_table(dev)
     assert table.shape == (n + 1, m, 2 if model == "stub" else 3)
     for row, curve in zip(table, curves):
-        assert row.tolist() == [list(branch) for branch in curve._branches]
+        assert ([[x.hex() for x in branch] for branch in row.tolist()]
+                == [[x.hex() for x in branch] for branch in curve._branches.tolist()])
     lo, hi = analysis_band(dev)
     points = [lo + (hi - lo) * f for f in fractions]
     for curve in curves:
