@@ -99,12 +99,17 @@ def _json_ready(obj, precise: bool = False):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _output(path) -> Path:
+    """``path`` as a Path, its parent directory made."""
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+    return path
+
+
+def _write_json(path, payload: dict) -> None:
+    _output(path).write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -264,10 +269,7 @@ def cmd_sweep(ns) -> int:
     grid = np.linspace(lo, hi, ns.points)
     columns = [grid / TWO_PI / 1e9, *np.degrees(_weight_fold(dev, grid))]
     header = ["f_GHz", *(f"theta_wt{w}_deg" for w in range(dev.n + 1))]
-    out = Path(ns.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
+    with _output(ns.out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*columns):
@@ -288,7 +290,7 @@ def cmd_solve(ns) -> int:
     payload = solution_to_dict(sol)
     payload["config"] = cfg
     if ns.out:
-        _write_json(Path(ns.out), payload)
+        _write_json(ns.out, payload)
     print(f"f_p= {_fmt(sol.omega_p / TWO_PI / 1e9)} GHz  "
           f"chi= {_fmt(sol.chi / TWO_PI / 1e6)} MHz  "
           f"dtheta= {_fmt(math.degrees(sol.delta_theta))} deg")
@@ -351,14 +353,11 @@ def cmd_fidelity(ns) -> int:
         "pairs": dicts,
     }
     if ns.out_json:
-        _write_json(Path(ns.out_json), payload)
+        _write_json(ns.out_json, payload)
     if ns.out_csv:
-        out = Path(ns.out_csv)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
         cols = ["weights", "state_lo", "state_hi", "branch", "F_numeric",
                 "F_closed", "F_expansion", "b_s", "b2_s2", "delta_theta_rad"]
-        with out.open("w", newline="") as fh:
+        with _output(ns.out_csv).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
             for d in dicts:
@@ -398,7 +397,7 @@ def cmd_compare(ns) -> int:
     payload = comparison_to_dict(report)
     payload["pulse"] = {"alpha_sq": ns.alpha_sq, "T_us": ns.t_us}
     if ns.out:
-        _write_json(Path(ns.out), payload)
+        _write_json(ns.out, payload)
     print(f"b_parallel= {_fmt(report.parallel.b_max)} s  "
           f"b_cascade= {_fmt(report.cascade.b_max)} s  "
           f"ratio= {_fmt(report.b_ratio)}")
@@ -435,7 +434,7 @@ def cmd_estimate(ns) -> int:
     print(f"peak power                   {pp['watts']:.6g} W = {dbm} dBm")
     print("note: cyclic convention reads quoted MHz/GHz as ordinary frequencies")
     if ns.json:
-        _write_json(Path(ns.json), rep)
+        _write_json(ns.json, rep)
     return EXIT_OK
 
 

@@ -7,20 +7,21 @@ each branch's susceptance is one pole at its series zero, B ~ sum_k
 K_k/(omega - z_k), and a weight-w state moves each zero by (n - 2w) chi
 dz_k/d omega_r.  A coarse residual-norm grid over (omega_p, chi) on this
 pole model localizes smooth basins (the landscape has 2*pi jumps at the
-zeros), and Newton on the same model polishes each; from there a damped
-Gauss-Newton iteration on the exact phase derivatives moves
-x = (omega_p, chi[, gaps]) onto the root set, and every returned root is
-verified by its residuals.  Among verified roots the most distinguishable
-one (largest |sin(delta_theta/2)|) wins.  On two modes with equal couplers
-the n = 3 model root is closed form: the probe midway between the zeros,
-and chi = (zero spacing)/(2 sqrt 3).
+zeros).  One damped least-squares Newton loop serves two stages: full
+steps on the model polish each basin, then steps halved down to 1e-10 on
+the exact phase derivatives move x = (omega_p, chi[, gaps]) onto the root
+set.  A trial step is evaluated only inside the search box and where every
+pulled mode stays above zero, so a step the device would refuse is halved,
+not raised.  Every returned root is verified by its residuals, and the
+most distinguishable one (largest |sin(delta_theta/2)|) wins.  On two
+modes with equal couplers the n = 3 model root is closed form: the probe
+midway between the zeros, and chi = (zero spacing)/(2 sqrt 3).
 
 With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
-2 knobs), the mode gaps join the unknowns, starting at the template's
-spacing.  Where the unknowns outnumber the conditions (n <= 2, or freed
-gaps) the roots form a family, and one more condition, cos(delta_theta/2)
-= 0, makes the system square: a second Gauss-Newton from each root goes to
-delta_theta = pi, the maximum of the ranking score.
+2 knobs), the mode gaps join the unknowns.  Where the unknowns outnumber
+the conditions (n <= 2, or freed gaps) the roots form a family, and one
+more condition, cos(delta_theta/2) = 0, makes the system square: a second
+exact stage from each root goes to delta_theta = pi, the top score.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .device import (ParityDevice, _loaded_zero_estimate, _weight_fold,
+from .device import (ParityDevice, _loaded_zero_estimate, _pulled, _weight_fold,
                      loaded_poles_by_weight)
 from .network import _branch_parts, _branch_table, _series_zeros, wrap_phase
 
@@ -58,6 +59,7 @@ DEFAULT_CHI_RANGE = (TWO_PI * 0.1e6, TWO_PI * 50e6)
 DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
 NEWTON_MAX_ITER = 30
+MIN_STEP = 1e-10  # exact-stage steps halve down to this fraction of the Newton step
 GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
 GRID_TOP_K = 12       # grid basins Gauss-Newton starts from, best first
 MODEL_NEWTON_STEPS = 8  # Newton steps on the pole model from a grid basin
@@ -253,50 +255,69 @@ def _jacobian(jets, free_gaps: bool, contrast: bool = False) -> np.ndarray:
     return np.vstack([jac, -0.5 * math.sin(half) * (d_theta[0] - d_theta[1])])
 
 
-def _gauss_newton(dev0: ParityDevice, x: np.ndarray, band, chi_range, tol,
-                  contrast: bool = False):
-    """Damped Gauss-Newton on x = (omega_p, chi[, gaps]) of dev0.
+def _newton(evaluate, inside, x, iterations: int, tol: float, shortest: float):
+    """Damped least-squares Newton from x, the one Newton loop of both stages.
 
-    With ``contrast`` the residuals gain a last row cos(delta_theta/2),
-    zero at delta_theta = pi.  Each point is one fold of its stacked weight
-    table (device._weight_fold), with no device or curve built.  Returns the
-    last accepted point, its residuals and its jets; the caller decides
-    whether max|r| is good enough.
+    evaluate(x) gives the residuals r, a callable for d r/d x and what the
+    caller keeps of x.  The start point is evaluated as given, a trial point
+    only if inside() holds there; it is taken if it lowers |r|, its step
+    halved from 1 while at least ``shortest``.  Stops after ``iterations``
+    steps, at max|r| < tol (tol 0: never), when no step is taken or lstsq
+    fails; returns the last x taken, its residuals and what was kept.
     """
-    lo, hi = band
+    r, jacobian, kept = evaluate(x)
+    norm = np.linalg.norm(r)
+    for _ in range(iterations):
+        if tol > 0.0 and all(abs(v) < tol for v in r.tolist()):  # max|r| < tol; nan: no
+            break
+        try:
+            step, *_ = np.linalg.lstsq(jacobian(), -r, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        while lam >= shortest:
+            xn = x + step  # step is lam times the Newton step: halving is exact
+            if inside(xn):
+                r_n, jacobian_n, kept_n = evaluate(xn)
+                if (norm_n := np.linalg.norm(r_n)) < norm:
+                    break
+            lam, step = 0.5 * lam, 0.5 * step
+        else:
+            break
+        x, r, norm, jacobian, kept = xn, r_n, norm_n, jacobian_n, kept_n
+    return x, r, kept
+
+
+def _exact_stage(dev0: ParityDevice, band, chi_range, contrast: bool = False):
+    """(evaluate, inside) of _newton on the exact phase in x = (omega_p,
+    chi[, gaps]) of dev0, each point one fold of its stacked weight table
+    (device._weight_fold), no device or curve built, and its jets kept.
+    With ``contrast`` the residuals gain a last row cos(delta_theta/2).
+
+    A trial point keeps omega_p in ``band``, chi in (chi_range/5, 5
+    chi_range), the modes apart, and every pull above zero: the lowest
+    mode's weight-n pull, lowest of all, summed as _weight_table sums it.
+    So a step _weight_table would refuse is halved, as one leaving the box.
+    """
+    # of fixed modes only the lowest counts; weight n pulls every mode down
+    fixed, down = [min(mo.omega for mo in dev0.modes)], (-1.0,) * dev0.n
 
     def evaluate(x):
         jets = _weight_fold(dev0, x[0], True,
                             _gap_frequencies(dev0, x[2:]) if len(x) > 2 else None, x[1])
-        th = jets[0]
-        r = _residuals(th)
+        r = _residuals(jets[0])
         if contrast:
-            r = np.append(r, math.cos(0.5 * (th[0] - th[1])))
-        return jets, r
+            r = np.append(r, math.cos(0.5 * (jets[0][0] - jets[0][1])))
+        return r, lambda: _jacobian(jets, len(x) > 2, contrast), jets
 
-    jets, r = evaluate(x)
-    for _ in range(NEWTON_MAX_ITER):
-        if np.max(np.abs(r), initial=0.0) < tol:
-            break
-        jac = _jacobian(jets, len(x) > 2, contrast)
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        while lam > 1e-10:
-            xn = x + lam * step
-            # a gap below the frequencies' float spacing merges two modes
-            if (lo < xn[0] < hi and chi_range[0] * 0.2 < xn[1] < chi_range[1] * 5.0
-                    and np.all(np.diff(_gap_frequencies(dev0, xn[2:])) > 0.0)):
-                jets_n, r_n = evaluate(xn)
-                if np.linalg.norm(r_n) < np.linalg.norm(r):
-                    break
-            lam *= 0.5
-        else:
-            break
-        x, jets, r = xn, jets_n, r_n
-    return x, r, jets
+    def inside(x):
+        omegas = _gap_frequencies(dev0, x[2:]) if len(x) > 2 else fixed
+        # a gap below the frequencies' float spacing merges two modes
+        return (band[0] < x[0] < band[1] and chi_range[0] * 0.2 < x[1] < chi_range[1] * 5.0
+                and np.all(np.diff(omegas) > 0.0)
+                and _pulled(float(omegas[0]), (float(x[1]),) * dev0.n, down) > 0.0)
+
+    return evaluate, inside
 
 
 def _pole_model(dev: ParityDevice):
@@ -343,30 +364,6 @@ def _model_thetas(model, n: int, wp, chi, slopes: bool = False):
     return np.array(th)
 
 
-def _model_newton(model, n: int, wp: float, chi: float, box):
-    """Newton on the pole model's n - 1 conditions from (wp, chi), least
-    squares where they are not square; each step must lower |r| and stay in
-    ``box`` = ((omega_p lo, hi), (chi lo, hi))."""
-    (lo, hi), (chi_lo, chi_hi) = box
-    th, d_wp, d_chi = _model_thetas(model, n, wp, chi, slopes=True)
-    r = _residuals(th)
-    for _ in range(MODEL_NEWTON_STEPS):
-        jac = np.column_stack([d_wp[:-2] - d_wp[2:], d_chi[:-2] - d_chi[2:]])
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        wp_n, chi_n = wp + step[0], chi + step[1]
-        if not (lo < wp_n < hi and chi_lo <= chi_n <= chi_hi):
-            break
-        th, d_wp, d_chi = _model_thetas(model, n, wp_n, chi_n, slopes=True)
-        r_n = _residuals(th)
-        if not np.linalg.norm(r_n) < np.linalg.norm(r):
-            break
-        wp, chi, r = wp_n, chi_n, r_n
-    return float(wp), float(chi)
-
-
 def _grid_minima(norm: np.ndarray, wps: np.ndarray, chi_grid: np.ndarray):
     """Local minima of a residual-norm grid (rows chi_grid, columns wps),
     best first, and the grid's best cell, each as (norm, omega_p, chi).
@@ -391,18 +388,26 @@ def _grid_minima(norm: np.ndarray, wps: np.ndarray, chi_grid: np.ndarray):
 
 def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
     """Local minima of the pole model's residual norm on the (omega_p, chi)
-    grid, best first, each polished by Newton on the model; with no
-    conditions (n = 1) the contrast row's |cos(delta_theta/2)|."""
-    model = _pole_model(dev0)
-    n = dev0.n
+    grid, best first, each polished by full _newton steps on the model that
+    stay in the grid's box; with no conditions (n = 1) the contrast row's
+    |cos(delta_theta/2)|."""
+    model, n = _pole_model(dev0), dev0.n
     wps = np.linspace(band[0], band[1], wp_points)
     th = _model_thetas(model, n, wps[None, :], chi_grid[:, None])
     r = _residuals(th) if n > 1 else np.cos(0.5 * (th[:1] - th[1:]))
     cands, best_cell = _grid_minima(np.sqrt((r ** 2).sum(axis=0)), wps, chi_grid)
     # n = 1 has no conditions to polish; n > 3 needs the gaps, which the grid holds
     if 2 <= n <= 3:
-        box = (band, (chi_grid[0], chi_grid[-1]))
-        cands = [(v, *_model_newton(model, n, wp, chi, box)) for v, wp, chi in cands]
+        def evaluate(x):
+            th, d_wp, d_chi = _model_thetas(model, n, x[0], x[1], slopes=True)
+            return _residuals(th), lambda: np.column_stack(
+                [d_wp[:-2] - d_wp[2:], d_chi[:-2] - d_chi[2:]]), None
+
+        def inside(x):
+            return band[0] < x[0] < band[1] and chi_grid[0] <= x[1] <= chi_grid[-1]
+
+        cands = [(v, *_newton(evaluate, inside, np.array([wp, chi]), MODEL_NEWTON_STEPS,
+                              0.0, 1.0)[0].tolist()) for v, wp, chi in cands]
     return cands, best_cell
 
 
@@ -410,15 +415,12 @@ def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
     """Dedupe verified roots (x, its jets) of dev0, rank them by
     distinguishability from their jets, build the winner's solution from its
     jets."""
-    distinct = []
+    scored = []
     for x, jets in roots:
         if not any(abs(x[0] - x2[0]) < TWO_PI * 1e4
-                   and abs(x[1] - x2[1]) < TWO_PI * 1e3 for x2, _ in distinct):
-            distinct.append((x, jets))
-    scored = []
-    for x, jets in distinct:
-        dth = float(wrap_phase(jets[0][0] - jets[0][1]))
-        scored.append((abs(math.sin(0.5 * dth)), x[0], dth, x, jets))
+                   and abs(x[1] - x2[1]) < TWO_PI * 1e3 for *_, x2, _ in scored):
+            dth = float(wrap_phase(jets[0][0] - jets[0][1]))
+            scored.append((abs(math.sin(0.5 * dth)), x[0], dth, x, jets))
     scored.sort(key=lambda t: (-t[0], t[1]))
     _, wp, _, x, jets = scored[0]
     dev = dev0.with_chi(x[1])
@@ -436,16 +438,14 @@ def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
 
 def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
                       free_gaps: bool):
-    """Pole-model seeds, Gauss-Newton onto the root set, then _assemble.
+    """Pole-model seeds, the exact stage onto the root set, then _assemble.
 
-    x = (omega_p, chi[, gaps]), the gaps starting at the template's spacing.
-    When the unknowns outnumber the n - 1 conditions (n <= 2, or freed gaps)
-    the roots form a family; a second Gauss-Newton from each root adds
-    cos(delta_theta/2) = 0, the best score _assemble can rank, and both
-    roots compete.  That one runs on to MIN_TOL: the conditions need only
-    tol, but delta_theta = pi is the reported answer, and Newton's last
-    step takes it to the fold's resolution.  A basin whose contrast root
-    verifies ends the search: nothing later scores higher.
+    The gaps start at the template's spacing.  Where the unknowns outnumber
+    the n - 1 conditions the roots form a family; a second exact stage from
+    each root adds cos(delta_theta/2) = 0, the best score _assemble ranks,
+    and both roots compete.  It runs on to MIN_TOL, the fold's resolution,
+    as delta_theta = pi is the reported answer; a verified contrast root
+    ends the search, as nothing later scores higher.
     """
     chi_grid = np.geomspace(chi_range[0], chi_range[1], grid_points)
     cands, best_cell = _grid_candidates(dev0, band, chi_grid, max(grid_points, 129))
@@ -453,12 +453,13 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
     underdetermined = 2 + len(gaps0) > dev0.n - 1
     roots = []
     for _, wp0, chi0 in cands or [best_cell]:
-        x, r, jets = _gauss_newton(dev0, np.array([wp0, chi0, *gaps0]), band,
-                                   chi_range, tol)
+        x, r, jets = _newton(*_exact_stage(dev0, band, chi_range),
+                             np.array([wp0, chi0, *gaps0]), NEWTON_MAX_ITER, tol, MIN_STEP)
         if np.max(np.abs(r), initial=0.0) >= tol:
             continue
         if underdetermined:
-            xc, rc, jets_c = _gauss_newton(dev0, x, band, chi_range, MIN_TOL, contrast=True)
+            xc, rc, jets_c = _newton(*_exact_stage(dev0, band, chi_range, contrast=True), x,
+                                     NEWTON_MAX_ITER, MIN_TOL, MIN_STEP)
             if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
                 roots.append((xc, jets_c))  # ahead of x: it outlives a near-duplicate x
         roots.append((x, jets))

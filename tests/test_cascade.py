@@ -109,6 +109,16 @@ def test_tuned_first_order_dispersion_cancels(tuned):
     assert b2 != 0.0
 
 
+def test_symmetric_point_search_refuses_a_start_without_a_step_maximum():
+    # 10% below the loaded zero the per-qubit phase step curves upward
+    # (b' >= 0): Newton on b would climb to no maximum
+    cav = cavity()
+    w = 0.9 * _loaded_zero_estimate(cav.modes[0], cav.z0)
+    with pytest.raises(ValueError, match="no symmetric point: the per-qubit phase step "
+                                         "has no maximum near f = 8.82522608e"):
+        _newton_symmetric(cav, w)
+
+
 def test_tuning_bracket_oracle():
     # the 1-D root the tuner solves: step(chi) - pi changes sign on a scan
     cav = cavity()

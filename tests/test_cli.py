@@ -534,6 +534,70 @@ def test_compare_writes_report(tmp_path):
         assert v < 1e-4
 
 
+# a stub n = 4 device low enough for 4 chi to reach its lowest mode
+LOW_FREQUENCY_N4 = {
+    "schema_version": "1",
+    "n_qubits": 4,
+    "modes": [
+        {"f_GHz": 0.6537931765382204, "C_couple_fF": 15.788318928102584},
+        {"f_GHz": 0.6714462338966602, "C_couple_fF": 13.857957961873346},
+        {"f_GHz": 0.6890992912551002, "C_couple_fF": 4.954421896632994},
+    ],
+    "chi_MHz": "solve",
+    "resonator_model": "stub",
+}
+
+
+def test_free_mode_solve_halves_a_step_that_pulls_a_mode_below_zero(tmp_path, capsys):
+    # Gauss-Newton tried a step here whose weight-4 state pulled the lowest
+    # mode below zero, and the solve exited 3 ("evaluation error: shifts
+    # drove mode frequency to ..."); such a step is halved, as one leaving
+    # the search box is
+    p, out = tmp_path / "lowf.json", tmp_path / "sol.json"
+    p.write_text(json.dumps(LOW_FREQUENCY_N4))
+    rc = main(["solve", str(p), "--free-modes", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in (0, 4) and "evaluation error" not in err
+    if rc == 0:
+        assert max(abs(r) for r in json.loads(out.read_text())["residuals_rad"]) < 1e-9
+
+
+def test_solution_on_a_reflection_pole_exits_3(paper_cfg, tmp_path, capsys):
+    # at --tol 0.3 every weight phase lies within 10 tol = 3 rad of a pole
+    # (theta = 0 mod 2 pi) or closer, and the verified root is refused
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(paper_cfg), "--tol", "0.3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("evaluation error: solution at omega_p=")
+    assert err.endswith("sits within 3.0e+00 rad of a reflection pole")
+    assert not out.exists()
+
+
+def test_compare_searches_chi_about_a_numeric_parallel_chi(paper_cfg, tmp_path,
+                                                           monkeypatch):
+    # a numeric chi_MHz narrows the parallel solve to [chi/3, 3 chi], as
+    # solve's does; the paper root lies inside, so the report is the same
+    from qparity import cli
+
+    calls = []
+    solve = cli.solve_eraser
+
+    def recording_solve(dev, **kwargs):
+        calls.append(kwargs)
+        return solve(dev, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_eraser", recording_solve)
+    fixed, cas = tmp_path / "fixed.json", tmp_path / "cascade.json"
+    fixed.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
+    cas.write_text(json.dumps(CASCADE_CONFIG))
+    for cfg in (paper_cfg, fixed):
+        out = tmp_path / f"{cfg.stem}.out"
+        assert main(["compare", str(cfg), str(cas), "--out", str(out)]) == 0
+    chi = TWO_PI * 5.77 * 1e6
+    assert calls == [{}, {"chi_range": (chi / 3.0, chi * 3.0)}]
+    assert (tmp_path / "fixed.out").read_bytes() == (tmp_path / "paper.out").read_bytes()
+
+
 def test_solve_four_qubit_free_modes(tmp_path):
     cfg = {
         "schema_version": "1",

@@ -701,6 +701,167 @@ def test_jacobian_matches_central_difference(free_gaps):
     assert np.max(np.abs(full[-1] - fd_contrast)) <= 1e-6 * np.max(np.abs(full[-1]))
 
 
+# ----------------------------------------------------------------------
+# the one Newton loop, and the exact stage's domain
+# ----------------------------------------------------------------------
+
+def _one_unknown(residual, derivative, visited):
+    """evaluate for _newton on one unknown: the residual and its Jacobian
+    at x, x kept, and every evaluated x appended to ``visited``."""
+    def evaluate(x):
+        visited.append(float(x[0]))
+        return np.array([residual(x[0])]), lambda: np.array([[derivative(x[0])]]), float(x[0])
+
+    return evaluate
+
+
+def test_newton_evaluates_its_start_point_outside_the_domain():
+    # grid seeds may sit on the band's edges: the start is evaluated as
+    # given, and only trial points are screened
+    from qparity.eraser import _newton
+
+    visited = []
+    x, r, kept = _newton(_one_unknown(lambda x: x - 3.0, lambda x: 1.0, visited),
+                         lambda x: False, np.array([-1.0]), 30, 1e-9, 1e-10)
+    assert visited == [-1.0] and kept == -1.0
+    assert x.tolist() == [-1.0] and r.tolist() == [-4.0]
+
+
+def test_newton_full_steps_stop_at_the_first_rejected_step():
+    # Newton on atan from 2 overshoots to -3.5, where |atan| is larger: with
+    # full steps only (the model stage) that ends the loop, and halving (the
+    # exact stage) goes on to the root
+    from qparity.eraser import _newton
+
+    visited = []
+    newton_atan = _one_unknown(math.atan, lambda x: 1.0 / (1.0 + x * x), visited)
+    x, r, _ = _newton(newton_atan, lambda x: True, np.array([2.0]), 8, 0.0, 1.0)
+    assert x.tolist() == [2.0] and len(visited) == 2
+    assert abs(math.atan(visited[1])) > math.atan(2.0)
+    x, r, _ = _newton(newton_atan, lambda x: True, np.array([2.0]), 30, 1e-12, 1e-10)
+    assert abs(r[0]) < 1e-12
+    # a full step outside the domain ends it too, unevaluated
+    visited.clear()
+    x, _, _ = _newton(newton_atan, lambda x: x[0] > 0.0, np.array([2.0]), 8, 0.0, 1.0)
+    assert x.tolist() == [2.0] and visited == [2.0]
+
+
+@pytest.mark.parametrize("shortest, fractions", [(1e-10, 34), (1.0, 1)])
+def test_newton_halving_ends_below_the_shortest_step(shortest, fractions):
+    # every trial point is screened out: the steps tried are the Newton step
+    # times 1, 1/2, ..., down to the last fraction at least ``shortest``
+    # (2**-33 > 1e-10 > 2**-34)
+    from qparity.eraser import _newton
+
+    tried, visited = [], []
+
+    def inside(x):
+        tried.append(float(x[0]))
+        return False
+
+    _newton(_one_unknown(lambda x: x - 1.0, lambda x: 1.0, visited), inside,
+            np.array([0.0]), 30, 1e-9, shortest)
+    assert tried == [2.0 ** -k for k in range(fractions)]
+    assert visited == [0.0]
+
+
+def test_newton_tol_stops_the_loop_before_a_step():
+    from qparity.eraser import _newton
+
+    steps = []
+
+    def evaluate(x):
+        def jacobian():
+            steps.append(float(x[0]))
+            return np.array([[1.0], [0.0]])
+
+        return np.array([x[0] - 1.0, 2e-10]), jacobian, None
+
+    start = np.array([1.0 + 5e-10])
+    x, r, _ = _newton(evaluate, lambda x: True, start, 30, 1e-9, 1e-10)
+    assert steps == [] and x.tolist() == start.tolist()
+    # max|r| is not below a tol equal to it, and a tol of 0 never stops it
+    for tol in (start[0] - 1.0, 0.0):
+        steps.clear()
+        x, r, _ = _newton(evaluate, lambda x: True, start, 30, tol, 1e-10)
+        assert steps[0] == start[0]
+        assert abs(x[0] - 1.0) < 1e-15 and r[1] == 2e-10
+
+
+def test_newton_ends_where_least_squares_fails():
+    # lstsq raises LinAlgError on a nan Jacobian; the loop returns its start
+    from qparity.eraser import _newton
+
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(np.array([[math.nan]]), np.array([1.0]), rcond=None)
+    visited = []
+    x, r, _ = _newton(_one_unknown(lambda x: x - 1.0, lambda x: math.nan, visited),
+                      lambda x: True, np.array([0.0]), 30, 1e-9, 1e-10)
+    assert visited == [0.0] and x.tolist() == [0.0] and r.tolist() == [-1.0]
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+@pytest.mark.parametrize("n, free_gaps", [(3, False), (4, True)])
+def test_exact_stage_domain_is_where_the_weight_table_refuses(model, n, free_gaps):
+    # chi steps ulp by ulp about omega_low/n, so the lowest mode's weight-n
+    # pull runs through zero a few ulps each side: a trial point is outside
+    # the domain exactly where the point's stacked weight table refuses it
+    from qparity.device import _weight_table
+    from qparity.eraser import DEFAULT_CHI_RANGE, _exact_stage, _gap_frequencies
+
+    band = (TWO_PI * 0.1e9, TWO_PI * 2e9)
+    modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (0.6, 0.62, 0.64))
+    dev0 = ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6, resonator_model=model,
+                                       band=band)
+    _, inside = _exact_stage(dev0, band, DEFAULT_CHI_RANGE)
+    gaps = TWO_PI * np.array([25e6, 15e6]) if free_gaps else np.array([])
+    omegas = _gap_frequencies(dev0, gaps) if free_gaps else None
+    chi = (omegas[0] if free_gaps else modes[0].omega) / n
+    for _ in range(8):
+        chi = np.nextafter(chi, 0.0)
+    refusals = []
+    for _ in range(17):
+        try:
+            _weight_table(dev0, omegas, chi)
+            refusals.append(False)
+        except NonPositiveResult:
+            refusals.append(True)
+        assert inside(np.array([TWO_PI * 0.65e9, chi, *gaps])) == (not refusals[-1])
+        chi = np.nextafter(chi, np.inf)
+    assert refusals[0] is False and refusals[-1] is True  # the pull crossed zero
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from([(3, 2), (3, 3), (4, 3)]),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(0.3, 1.3),
+    gap_ghz=st.floats(0.001, 0.05),
+    couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
+)
+# trial steps pulled the lowest mode below zero here, and the solve raised
+# NonPositiveResult ("shifts drove mode frequency to ...")
+@example(case=(4, 3), model="stub", f0_ghz=0.6537931765382204,
+         gap_ghz=0.017653057358439837,
+         couplers_ff=[15.788318928102584, 13.857957961873346, 4.954421896632994])
+@example(case=(3, 2), model="lumped", f0_ghz=0.3422961048077406,
+         gap_ghz=0.015606405350742442,
+         couplers_ff=[6.786909522645731, 11.604688928540604, 3.0])
+def test_low_frequency_free_gap_solve_ends_in_a_root_or_a_refusal(case, model, f0_ghz,
+                                                                  gap_ghz, couplers_ff):
+    # modes low enough for n chi to reach them: no trial step aborts a solve
+    n, m = case
+    modes = tuple(Mode(TWO_PI * (f0_ghz + k * gap_ghz) * 1e9, c * 1e-15)
+                  for k, c in zip(range(m), couplers_ff))
+    dev = ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6, resonator_model=model)
+    try:
+        sol = solve_eraser(dev, free=("chi", "mode_frequencies"))
+    except (NoSolution, InfeasibleDevice):
+        return
+    assert np.max(np.abs(sol.residuals)) < 1e-9
+    assert np.max(np.abs(eraser_residuals(sol.device, sol.omega_p))) < 1e-9
+
+
 def _solve_work(dev, monkeypatch, **kwargs):
     """Work of one CLI solve payload, solve_eraser then solution_to_dict:
     phase curves built, eraser_residuals calls and network-tree evaluations
