@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import comparison_to_dict, compare_schemes
-from .device import Mode, ParityDevice, _weight_fold, analysis_band
+from .device import Mode, NonPositiveResult, ParityDevice, _weight_fold, analysis_band
 from .eraser import (
     EraserError,
     DEFAULT_TOL,
@@ -265,9 +265,12 @@ def cmd_sweep(ns) -> int:
     dev, chi_spec = parse_parallel_config(cfg, ns.config)
     if chi_spec == "solve":
         raise ConfigError(f"{ns.config}.chi_MHz: sweep needs a numeric chi")
-    lo, hi = analysis_band(dev)
-    grid = np.linspace(lo, hi, ns.points)
-    columns = [grid / TWO_PI / 1e9, *np.degrees(_weight_fold(dev, grid))]
+    try:
+        grid = np.linspace(*analysis_band(dev), ns.points)
+        thetas = _weight_fold(dev, grid)
+    except NonPositiveResult as exc:  # chi pulls a mode, or the default band, to f <= 0
+        raise ConfigError(f"{ns.config}.chi_MHz: {exc}")
+    columns = [grid / TWO_PI / 1e9, *np.degrees(thetas)]
     header = ["f_GHz", *(f"theta_wt{w}_deg" for w in range(dev.n + 1))]
     with _output(ns.out).open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -330,10 +333,13 @@ def _solution_from_file(path: str, dev: ParityDevice) -> EraserSolution:
             dev = change(dev)
         except ValueError as exc:
             raise ConfigError(f"{path}.{key}: {exc}")
-    lo, hi = analysis_band(dev)
-    if not lo <= wp <= hi:
-        raise ConfigError(f"{path}.omega_p_rad_s: {wp!r} lies outside the band")
-    return make_solution(dev, wp)
+    try:
+        lo, hi = analysis_band(dev)
+        if not lo <= wp <= hi:
+            raise ConfigError(f"{path}.omega_p_rad_s: {wp!r} lies outside the band")
+        return make_solution(dev, wp)
+    except NonPositiveResult as exc:  # chi pulls a mode, or the default band, to f <= 0
+        raise ConfigError(f"{path}.chi_rad_s: {exc}")
 
 
 def cmd_fidelity(ns) -> int:

@@ -38,7 +38,8 @@ TWO_PI = 2.0 * math.pi
 
 
 class NonPositiveResult(ValueError):
-    """Dispersive shifts drove a mode frequency to zero or below."""
+    """Dispersive shifts drove a mode frequency, or the low edge of a default
+    analysis band, to zero or below."""
 
 
 @dataclass(frozen=True)
@@ -215,32 +216,27 @@ def _shifted_modes(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
 
 def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
     """Every Hamming weight's branch table, stacked (n + 1, m, columns): row w
-    is weight_phase_curve(dev, w)'s, refused as building those curves in
-    weight order is.  ``omegas`` (bare mode frequencies, checked as Mode
-    checks them) and a common ``chi`` stand in for dev's own, so a solver
-    point needs no device.
+    is weight_phase_curve(dev, w)'s.  ``omegas`` (bare mode frequencies,
+    checked as Mode checks them) and a common ``chi`` stand in for dev's
+    own, so a solver point needs no device.
 
     The (n + 1) x m pulled frequencies are shifted_frequency's sums on
-    floats, and _curve_table checks and builds the whole table at once.
-    Weight w's curve refuses a pull to or below zero before its table, but
-    after the tables of the weights below it, so _curve_table checks those
-    first.
+    floats.  The first pull to or below zero, in weight then mode order, is
+    refused before any table check; then one _curve_table call checks and
+    builds the whole table.  Phases hold at any omega > 0, so no band is
+    read (see analysis_band).
     """
     modes = dev.modes if omegas is None else [Mode(float(w), mo.c_couple)
                                               for w, mo in zip(omegas, dev.modes)]
-    band = analysis_band(dev)
     chi_matrix = dev.chi_matrix if chi is None else ((float(chi),) * dev.m,) * dev.n
     couplers, pulls = [mo.c_couple for mo in modes], list(zip(*chi_matrix))
     # QubitState.of_weight's bits as signs: weight w's last w qubits are 1
     signs = [(1.0,) * (dev.n - w) + (-1.0,) * w for w in range(dev.n + 1)]
     rows = [[_pulled(mo.omega, chis, s) for mo, chis in zip(modes, pulls)] for s in signs]
-    for w, row in enumerate(rows):
-        low = [shifted for shifted in row if shifted <= 0.0]
-        if low:
-            if w:
-                _curve_table(couplers, rows[:w], dev.z0, band, dev.resonator_model)
-            raise _non_positive(low[0])
-    return _curve_table(couplers, rows, dev.z0, band, dev.resonator_model)[1]
+    low = [shifted for row in rows for shifted in row if shifted <= 0.0]
+    if low:
+        raise _non_positive(low[0])
+    return _curve_table(couplers, rows, dev.z0, dev.resonator_model)
 
 
 def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=None):
@@ -280,12 +276,13 @@ def _loaded_zero_estimate(mode: Mode, z0: float) -> float:
 
 def analysis_band(dev: ParityDevice) -> tuple[float, float]:
     """Frequency window of the device's sweeps and of its phase curves'
-    zero and pole searches.
+    zero and pole searches; fidelity checks omega_p against it too.
 
     Phases are DC-referenced and hold at any omega > 0, whatever the band
-    is.  The default covers every state's loaded features
-    (zeros are pulled a few percent below the bare modes by the coupling
-    capacitors) with a margin on both sides.
+    is, so the weight tables read none.  The default covers every state's
+    loaded features (zeros are pulled a few percent below the bare modes
+    by the coupling capacitors) with a margin on both sides, and is
+    refused (NonPositiveResult) where it reaches f <= 0.
     """
     if dev.band is not None:
         return dev.band
@@ -293,7 +290,10 @@ def analysis_band(dev: ParityDevice) -> tuple[float, float]:
     z_min = min(_loaded_zero_estimate(mo, dev.z0) for mo in dev.modes) - spread
     w_max = max(mo.omega for mo in dev.modes) + spread
     margin = max(20.0 * spread, 0.004 * dev.modes[0].omega)
-    return (z_min - margin, w_max + margin)
+    band = (z_min - margin, w_max + margin)
+    if not 0.0 < band[0] < band[1] < math.inf:
+        raise NonPositiveResult(f"need finite 0 < band[0] < band[1], got {band}")
+    return band
 
 
 def state_phase_curve(dev: ParityDevice, state: QubitState) -> PhaseCurve:

@@ -210,8 +210,9 @@ def make_solution(dev: ParityDevice, omega_p: float, basins=(),
 
 def _solver_band(dev: ParityDevice, chi_range) -> tuple[tuple, tuple[float, float]]:
     """(probe search band, evaluation band).  The search band covers every
-    mode and every chi in chi_range; the fixed evaluation band also covers
-    every gap rescaling the free-mode search may try."""
+    mode and every chi in chi_range.  The wider evaluation band is the
+    solution's stored window: its band_rad_s, where its loaded poles are
+    searched, and where fidelity checks omega_p; solver points read no band."""
     freqs = [mo.omega for mo in dev.modes]
     span = (max(freqs) - min(freqs)) if len(freqs) > 1 else 0.0
     spread = dev.n * chi_range[1]

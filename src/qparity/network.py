@@ -712,14 +712,12 @@ def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
     return table
 
 
-def _curve_table(c_couple, omega_r, z0: float, band, model: str) -> tuple:
-    """The band and the branch tables (_branch_table) of curves sharing the
-    couplers c_couple, one per row of resonance frequencies ``omega_r``,
-    stacked (rows, m, columns), or the ValueError that building the rows'
-    PhaseCurves in row order meets first.  All rows' resonances are checked
-    before the band, z0 and the tanks, which is that order wherever a row's
-    resonances leave float range only where the first row's do, as in a
-    weight table (_weight_table), whose weight 0 pulls every mode highest."""
+def _curve_table(c_couple, omega_r, z0: float, model: str) -> np.ndarray:
+    """The branch tables (_branch_table) of curves sharing the couplers
+    c_couple, one per row of resonance frequencies ``omega_r``, stacked
+    (rows, m, columns).  Refuses, in this order, the couplers and every
+    row's resonances, z0, the model and the tanks.  It takes no band: a
+    table's phases hold at any omega > 0."""
     c_couple, omega_r = tuple(c_couple), [tuple(row) for row in omega_r]
     for row in omega_r:
         if not 0 < len(c_couple) == len(row):
@@ -729,14 +727,11 @@ def _curve_table(c_couple, omega_r, z0: float, band, model: str) -> tuple:
         for k, value in enumerate(values):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
-    lo, hi = float(band[0]), float(band[1])
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError(f"need finite 0 < band[0] < band[1], got {band}")
     if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
         raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
     if model not in ("stub", "lumped"):
         raise ValueError(f"model must be 'stub' or 'lumped', got {model!r}")
-    return (lo, hi), _branch_table(model == "stub", z0, c_couple, omega_r)
+    return _branch_table(model == "stub", z0, c_couple, omega_r)
 
 
 def _series_zeros(stub: bool, z0: float, branch, order=0):
@@ -868,9 +863,11 @@ class PhaseCurve:
 
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
                  model: str):
-        self.z0 = z0
-        self.band, (self._branches,) = _curve_table(c_couple, [omega_r], z0, band, model)
-        self._stub = model == "stub"
+        self.z0, self._stub = z0, model == "stub"
+        (self._branches,) = _curve_table(c_couple, [omega_r], z0, model)
+        lo, hi = self.band = float(band[0]), float(band[1])
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError(f"need finite 0 < band[0] < band[1], got {band}")
 
     def theta(self, omega):
         w = np.atleast_1d(_check_omega(omega))

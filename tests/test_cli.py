@@ -410,13 +410,26 @@ def _probe_off_band(sol):
     return dict(sol, omega_p_rad_s=-5.0)
 
 
+def _chi_pulls_below_zero(sol):
+    # 3 x 5 GHz pulls the 9.99 GHz mode to -5 GHz (it exited 3, naming no field)
+    return dict(sol, chi_rad_s=TWO_PI * 5e9)
+
+
+def _chi_band_below_zero(sol):
+    # without its stored band, the default band of that chi reaches f < 0
+    return dict(sol, chi_rad_s=TWO_PI * 5e9, band_rad_s=None)
+
+
 @pytest.mark.parametrize("corrupt,field", [
     (_bad_top_level, ""),
     (_chi_object, ".chi_rad_s"),
     (_chi_string, ".chi_rad_s"),
     (_short_modes, ".mode_f_Hz"),
     (_probe_off_band, ".omega_p_rad_s"),
-], ids=["json-list", "chi-object", "chi-string", "mode-count", "probe-off-band"])
+    (_chi_pulls_below_zero, ".chi_rad_s"),
+    (_chi_band_below_zero, ".chi_rad_s"),
+], ids=["json-list", "chi-object", "chi-string", "mode-count", "probe-off-band",
+        "chi-pull", "chi-default-band"])
 def test_bad_solution_file_names_field(solved, tmp_path, capsys, corrupt, field):
     cfg, sol_path = solved
     bad = tmp_path / "bad_sol.json"
@@ -532,6 +545,47 @@ def test_compare_writes_report(tmp_path):
     assert rep["parallel"]["resonator_count"] == 2
     for v in rep["cascade_quadratic_closed_match"].values():
         assert v < 1e-4
+
+
+def test_compare_keeps_a_numeric_cascade_chi_whose_default_band_reaches_zero(
+        paper_cfg, tmp_path, capsys):
+    # at 500 MHz the cavity's default band reaches f < 0; the symmetric-point
+    # search folds the cavity's table, which reads no band, so the cascade is
+    # scored (it exited 3, "need finite 0 < band[0] < band[1], ...")
+    cas, out = tmp_path / "cascade.json", tmp_path / "cmp.json"
+    cas.write_text(json.dumps(dict(CASCADE_CONFIG, chi_MHz=500)))
+    assert main(["compare", str(paper_cfg), str(cas), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cascade = json.loads(out.read_text())["cascade"]
+    assert cascade["chi_Hz"] == 500e6
+    assert cascade["f_p_Hz"] == pytest.approx(9.7685e9, rel=1e-5)
+    assert 0.0 < cascade["b2_max_s2"] < math.inf
+
+
+LOW_TWO_MODE = {
+    "schema_version": "1",
+    "n_qubits": 3,
+    "modes": [{"f_GHz": 0.99, "C_couple_fF": 10.0}, {"f_GHz": 1.01, "C_couple_fF": 10.0}],
+}
+
+
+@pytest.mark.parametrize("chi_mhz, band, message", [
+    # 3 x 400 MHz pulls the 0.99 GHz mode below zero
+    (400, {"f_lo_GHz": 0.5, "f_hi_GHz": 1.5}, "shifts drove mode frequency to -1.319e+09"),
+    # 3 x 300 MHz does not, but the default band's margins reach below zero
+    (300, None, "need finite 0 < band[0] < band[1], got (-"),
+], ids=["pull", "default-band"])
+def test_sweep_chi_that_cannot_be_evaluated_names_chi(tmp_path, capsys, chi_mhz, band,
+                                                       message):
+    cfg = dict(LOW_TWO_MODE, chi_MHz=chi_mhz, **({"band": band} if band else {}))
+    p, out = tmp_path / "low.json", tmp_path / "s.csv"
+    p.write_text(json.dumps(cfg))
+    assert main(["sweep", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {p}.chi_MHz: ")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # a stub n = 4 device low enough for 4 chi to reach its lowest mode

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qparity.device import (
     QubitState,
     analysis_band,
     build_state_network,
+    loaded_poles_by_weight,
     shifted_frequency,
     state_phase_curve,
     weight_phase_curve,
@@ -193,6 +195,28 @@ def test_parity_pair_structure(paper_device):
     curves = {state_phase_curve(paper_device, QubitState(tuple(
         int(b) for b in f"{k:03b}"))).theta(grid).tobytes() for k in range(8)}
     assert len(curves) == 4
+
+
+def test_band_readers_refuse_a_default_band_below_zero(paper_device):
+    # at 500 MHz, 3 chi and the margins take the paper device's default band
+    # below f = 0: the pole search and the curves, which search in it,
+    # refuse, while the weight fold, which reads no band, does not
+    from dataclasses import replace
+
+    from qparity.device import _weight_fold
+
+    dev = paper_device.with_chi(TWO_PI * 500e6)
+    assert dev.band is None
+    message = re.escape("need finite 0 < band[0] < band[1], got (-")
+    for read in (analysis_band, loaded_poles_by_weight,
+                 lambda d: state_phase_curve(d, QubitState((0, 1, 1)))):
+        with pytest.raises(NonPositiveResult, match=message):
+            read(dev)
+    assert np.isfinite(_weight_fold(dev, TWO_PI * 9.8e9)).all()
+    # a band the device is given is its window, and is not refused
+    poles = loaded_poles_by_weight(replace(dev, band=(TWO_PI * 8e9, TWO_PI * 12e9)))
+    assert all(len(row) and np.all(np.diff(row) > 0.0) for row in poles)
+    assert all(TWO_PI * 8e9 < p < TWO_PI * 12e9 for row in poles for p in row)
 
 
 def test_eraser_phase_difference_at_solution(paper_solution):

@@ -588,8 +588,8 @@ def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
 
 def _refusing_point(case):
     """(template, omega_p, chi, gaps) of a solver point whose weight curves
-    refuse to build or to give jets; the template pulls by the point's chi,
-    so a template without a band has the point's analysis band."""
+    refuse to build or to give jets; the template pulls by 5 MHz, not by the
+    point's chi, since the stacked fold reads neither its chi nor a band."""
     band = (TWO_PI * 0.5e9, TWO_PI * 20e9)
     paper = [(9.99, 10e-15), (10.01, 10e-15)]
     low = [(1.0, 10e-15), (1.01, 10e-15)]
@@ -602,17 +602,15 @@ def _refusing_point(case):
             "no-lumped-tank": (3, paper, 1e-300, "lumped", 5.77e6),
             "z0-squared": (3, paper, 1e155, "stub", 5.77e6),
             "mode-below-zero": (4, three, 50.0, "stub", 5.77e6),
-            "device-band": (3, paper, 50.0, "stub", 500e6),
             # a weight's curve refuses its own table before a later weight's pull
             "z0-squared-before-pull": (4, low, 1e155, "stub", 400e6),
             "tank-before-pull": (3, [(ulp_above, 10e-15)], 1e-300, "lumped", 1e6)}[case]
     n, modes, z0, model, chi_hz = spec
-    chi = TWO_PI * chi_hz
     dev0 = ParityDevice.equal_coupling(
-        n, tuple(Mode(TWO_PI * f * 1e9, c) for f, c in modes), chi, z0=z0,
-        resonator_model=model, band=None if case == "device-band" else band)
+        n, tuple(Mode(TWO_PI * f * 1e9, c) for f, c in modes), TWO_PI * 5e6, z0=z0,
+        resonator_model=model, band=band)
     gaps = TWO_PI * np.array([20e9, 20e9]) if case == "mode-below-zero" else None
-    return dev0, TWO_PI * (1e9 if modes is low else 9.8e9), chi, gaps
+    return dev0, TWO_PI * (1e9 if modes is low else 9.8e9), TWO_PI * chi_hz, gaps
 
 
 REFUSALS = {
@@ -621,10 +619,12 @@ REFUSALS = {
     "no-lumped-tank": "no lumped equivalent in float range",
     "z0-squared": "need 0 < z0 with z0**2 in float range",
     "mode-below-zero": "mode omega must be finite and > 0",
-    "device-band": "need finite 0 < band[0] < band[1]",
     "z0-squared-before-pull": "need 0 < z0 with z0**2 in float range",
     "tank-before-pull": "no lumped equivalent in float range",
 }
+# the stacked table refuses every pull to or below zero before any table
+# check, where building the curves in weight order meets a table first
+PULL_FIRST = {"z0-squared-before-pull", "tank-before-pull"}
 
 
 @pytest.mark.parametrize("case, exc", [
@@ -633,15 +633,15 @@ REFUSALS = {
     ("no-lumped-tank", ValueError),
     ("z0-squared", ValueError),
     ("mode-below-zero", ValueError),
-    ("device-band", ValueError),
     ("z0-squared-before-pull", ValueError),
     ("tank-before-pull", ValueError),
 ])
 def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
     # a Gauss-Newton point folds its stacked weight table without building a
     # device or a curve, and still ends in the exception and message that
-    # building that device and each weight's curve, and reading its jets, did
-    from qparity.device import _weight_fold, weight_phase_curve
+    # building that device and each weight's curve, and reading its jets,
+    # did, except that a pull to or below zero comes first
+    from qparity.device import _shifted_modes, _weight_fold, weight_phase_curve
     from qparity.eraser import _gap_frequencies
 
     dev0, wp, chi, gaps = _refusing_point(case)
@@ -653,8 +653,46 @@ def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
             weight_phase_curve(dev, w).jets(wp)
     with pytest.raises(exc) as stacked:
         _weight_fold(dev0, wp, True, omegas, chi)
-    assert type(stacked.value) is type(curve_path.value)
-    assert str(stacked.value) == str(curve_path.value)
+    expected = curve_path.value
+    if case in PULL_FIRST:
+        # the first pull to or below zero in weight, then mode, order
+        with pytest.raises(NonPositiveResult) as pull:
+            for w in range(dev.n + 1):
+                _shifted_modes(dev, QubitState.of_weight(dev.n, w))
+        expected = pull.value
+    assert type(stacked.value) is type(expected)
+    assert str(stacked.value) == str(expected)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+@pytest.mark.parametrize("free_gaps", [False, True])
+def test_weight_fold_reads_no_band(model, free_gaps):
+    # phases hold at any omega > 0, so a point's theta and jets are the same
+    # bits whatever band its template carries, none included (the default
+    # band of a 500 MHz template reaches f < 0), and whatever chi the
+    # template pulls by; probes inside, beside and beyond every band
+    from qparity.device import _weight_fold
+    from qparity.eraser import _gap_frequencies
+
+    freqs = (9.97, 10.0, 10.03) if free_gaps else (9.99, 10.01)
+    modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in freqs)
+    n, chi = (4, TWO_PI * 5.49e6) if free_gaps else (3, TWO_PI * 5.77e6)
+    bands = [None, (TWO_PI * 9.5e9, TWO_PI * 10.5e9), (TWO_PI * 1e6, TWO_PI * 1e12),
+             (TWO_PI * 11e9, TWO_PI * 12e9)]
+    templates = [ParityDevice.equal_coupling(n, modes, c, resonator_model=model, band=b)
+                 for b in bands for c in (chi, TWO_PI * 500e6)]
+    omegas = _gap_frequencies(templates[0], TWO_PI * np.array([16e6, 30e6])) \
+        if free_gaps else None
+    grid = TWO_PI * np.linspace(9.7e9, 10.3e9, 61)
+    probes = TWO_PI * np.array([9.804e9, 10.6e9, 20e9, 0.2e9])
+    reference = templates[0]
+    theta = _weight_fold(reference, grid, False, omegas, chi)
+    jets = [_weight_fold(reference, wp, True, omegas, chi) for wp in probes]
+    for dev0 in templates[1:]:
+        assert np.array_equal(_weight_fold(dev0, grid, False, omegas, chi), theta)
+        for wp, want in zip(probes, jets):
+            got = _weight_fold(dev0, wp, True, omegas, chi)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("free_gaps", [False, True])
