@@ -399,7 +399,12 @@ def cmd_compare(ns) -> int:
     sol = solve_eraser(dev_p, **kwargs)
     alpha = math.sqrt(ns.alpha_sq)
     pulse = ProbePulse.from_duration(alpha, sol.omega_p, ns.t_us * 1e-6)
-    report = compare_schemes(sol, cavity, pulse, tune=(chi_spec_c == "tune"))
+    try:
+        report = compare_schemes(sol, cavity, pulse, tune=(chi_spec_c == "tune"))
+    except NonPositiveResult as exc:  # a numeric chi pulls the cavity to f <= 0
+        if chi_spec_c == "tune":
+            raise
+        raise ConfigError(f"{ns.config_cascade}.chi_MHz: {exc}")
     payload = comparison_to_dict(report)
     payload["pulse"] = {"alpha_sq": ns.alpha_sq, "T_us": ns.t_us}
     if ns.out:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import (Capacitor, Inductor, NetworkElement, Parallel, PhaseCurve,
-                      QuarterWaveStub, Series, _check_omega, _crossings, _curve_table,
-                      _fold, _fold_jets, lumped_equivalent)
+                      QuarterWaveStub, Series, _check_frequency, _check_omega, _crossings,
+                      _curve_table, _fold, _fold_jets, lumped_equivalent)
 
 __all__ = [
     "NonPositiveResult",
@@ -72,6 +72,13 @@ class QubitState:
         return sum(self.bits)
 
 
+def _mode_omega(omega):
+    """Mode's check of a mode frequency; returns it."""
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"mode omega must be finite and > 0, got {omega!r}")
+    return omega
+
+
 @dataclass(frozen=True)
 class Mode:
     """One resonant mode and its probe coupling capacitor."""
@@ -80,8 +87,7 @@ class Mode:
     c_couple: float
 
     def __post_init__(self):
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError(f"mode omega must be finite and > 0, got {self.omega!r}")
+        _mode_omega(self.omega)
         if not 0.0 < self.c_couple < math.inf:
             raise ValueError(f"mode c_couple must be finite and > 0, got {self.c_couple!r}")
 
@@ -217,8 +223,8 @@ def _shifted_modes(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
 def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
     """Every Hamming weight's branch table, stacked (n + 1, m, columns): row w
     is weight_phase_curve(dev, w)'s.  ``omegas`` (bare mode frequencies,
-    checked as Mode checks them) and a common ``chi`` stand in for dev's
-    own, so a solver point needs no device.
+    checked in mode order with Mode's message, no Mode built) and a common
+    ``chi`` stand in for dev's own, so a solver point needs no device.
 
     The (n + 1) x m pulled frequencies are shifted_frequency's sums on
     floats.  The first pull to or below zero, in weight then mode order, is
@@ -226,17 +232,18 @@ def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
     builds the whole table.  Phases hold at any omega > 0, so no band is
     read (see analysis_band).
     """
-    modes = dev.modes if omegas is None else [Mode(float(w), mo.c_couple)
-                                              for w, mo in zip(omegas, dev.modes)]
+    omegas = ([mo.omega for mo in dev.modes] if omegas is None
+              else [_mode_omega(float(w)) for w in omegas])
     chi_matrix = dev.chi_matrix if chi is None else ((float(chi),) * dev.m,) * dev.n
-    couplers, pulls = [mo.c_couple for mo in modes], list(zip(*chi_matrix))
+    pulls = list(zip(*chi_matrix))
     # QubitState.of_weight's bits as signs: weight w's last w qubits are 1
     signs = [(1.0,) * (dev.n - w) + (-1.0,) * w for w in range(dev.n + 1)]
-    rows = [[_pulled(mo.omega, chis, s) for mo, chis in zip(modes, pulls)] for s in signs]
+    rows = [[_pulled(omega, chis, s) for omega, chis in zip(omegas, pulls)] for s in signs]
     low = [shifted for row in rows for shifted in row if shifted <= 0.0]
     if low:
         raise _non_positive(low[0])
-    return _curve_table(couplers, rows, dev.z0, dev.resonator_model)
+    return _curve_table([mo.c_couple for mo in dev.modes], rows, dev.z0,
+                        dev.resonator_model)
 
 
 def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=None):
@@ -247,9 +254,10 @@ def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=
     of thousands of points holds no (n + 1)-fold temporaries.  Weight w's
     rows are weight_phase_curve(dev, w)'s theta or jets, bit for bit."""
     table = _weight_table(dev, omegas, chi)
-    stub, w = dev.resonator_model == "stub", _check_omega(omega)
+    stub = dev.resonator_model == "stub"
     if jets:
-        return _fold_jets(stub, dev.z0, table, float(w))
+        return _fold_jets(stub, dev.z0, table, _check_frequency(omega))
+    w = _check_omega(omega)
     return np.array([_fold(stub, dev.z0, branches, w) for branches in table])
 
 

@@ -26,6 +26,7 @@ exact stage from each root goes to delta_theta = pi, the top score.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -233,6 +234,16 @@ def _gap_frequencies(dev: ParityDevice, gaps) -> np.ndarray:
     return center + offs
 
 
+@functools.cache
+def _gap_map(m: int) -> np.ndarray:
+    """d (mode frequencies)/d gaps, the cumsum-minus-mean map of
+    _gap_frequencies, built once per m (read-only)."""
+    lower = np.tri(m, m - 1, -1)
+    gap_map = lower - lower.mean(axis=0)
+    gap_map.flags.writeable = False
+    return gap_map
+
+
 def _jacobian(jets, free_gaps: bool, contrast: bool = False) -> np.ndarray:
     """d residuals / d (omega_p, chi[, gaps]) from every weight's jets at the
     probe (device._weight_fold); with ``contrast`` also the gradient of the
@@ -245,9 +256,7 @@ def _jacobian(jets, free_gaps: bool, contrast: bool = False) -> np.ndarray:
     d_modes = np.ascontiguousarray(jets[3].T)  # rows by weight, summed along a row
     cols = [jets[1], (n - 2 * np.arange(n + 1)) * d_modes.sum(axis=1)]
     if free_gaps:
-        m = d_modes.shape[1]
-        lower = np.tri(m, m - 1, -1)
-        cols.append(d_modes @ (lower - lower.mean(axis=0)))
+        cols.append(d_modes @ _gap_map(d_modes.shape[1]))
     d_theta = np.column_stack(cols)  # d theta_w / d x, one row per weight
     jac = d_theta[:-2] - d_theta[2:]
     if not contrast:
@@ -339,30 +348,48 @@ def _pole_model(dev: ParityDevice):
     return np.array([z, dev.z0 * p[0] / n_jet[1], -n_jet[3] / n_jet[1]])
 
 
-def _model_thetas(model, n: int, wp, chi, slopes: bool = False):
-    """Pole-model phases theta_w, w = 0..n, at broadcast (wp, chi): weight w
-    moves zero k to z_k + (n - 2w) chi zeta_k, and
-    theta_w = -2 atan(z0 sum_k K_k/(omega - z_k)) - 2 pi #{z_k <= omega}.
-    With ``slopes`` also d theta_w/d omega_p and d theta_w/d chi."""
-    th, d_wp, d_chi = [], [], []
+def _model_thetas(model, n: int, wp, chi):
+    """Pole-model phases theta_w, w = 0..n, at broadcast (wp, chi), in numpy:
+    weight w moves zero k to z_k + (n - 2w) chi zeta_k, and
+    theta_w = -2 atan(z0 sum_k K_k/(omega - z_k)) - 2 pi #{z_k <= omega}."""
+    th = []
     for w in range(n + 1):
-        y = passed = g_wp = g_chi = 0.0
+        y = passed = 0.0
         with np.errstate(all="ignore"):  # on a zero y = +-inf, atan's limit
             for z, z0k, zeta in zip(*model):
                 offset = wp - (z + (n - 2 * w) * chi * zeta)
                 y = y + z0k / offset
                 passed = passed + (offset >= 0.0)
-                if slopes:
-                    g = z0k / offset ** 2
-                    g_wp, g_chi = g_wp + g, g_chi + g * zeta
             th.append(-2.0 * np.arctan(y) - TWO_PI * passed)
-            if slopes:
-                gain = 2.0 / (1.0 + y * y)
-                d_wp.append(gain * g_wp)
-                d_chi.append(-gain * (n - 2 * w) * g_chi)
-    if slopes:
-        return np.array(th), np.array(d_wp), np.array(d_chi)
     return np.array(th)
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b on Python floats with numpy's result for b = 0 (inf or nan)."""
+    return a / b if b else a * math.copysign(math.inf, b) if a else math.nan
+
+
+def _model_point(model, n: int, wp: float, chi: float):
+    """(theta_w, d theta_w/d omega_p, d theta_w/d chi), w = 0..n, at one point
+    for the model polish: _model_thetas' sums on Python floats, dividing as
+    numpy does, then one np.arctan over every weight."""
+    poles, rows, wp, chi = model.T.tolist(), [], float(wp), float(chi)
+    for w in range(n + 1):
+        y = passed = g_wp = g_chi = 0.0
+        for z, z0k, zeta in poles:
+            offset = wp - (z + (n - 2 * w) * chi * zeta)
+            y = y + _divide(z0k, offset)
+            passed = passed + (offset >= 0.0)
+            try:
+                square = offset ** 2  # libm pow, as numpy's scalar power
+            except OverflowError:
+                square = math.inf
+            g = _divide(z0k, square)
+            g_wp, g_chi = g_wp + g, g_chi + g * zeta
+        gain = 2.0 / (1.0 + y * y)
+        rows.append((y, passed, gain * g_wp, -gain * (n - 2 * w) * g_chi))
+    y, passed, d_wp, d_chi = np.array(rows).T.copy()
+    return -2.0 * np.arctan(y) - TWO_PI * passed, d_wp, d_chi
 
 
 def _grid_minima(norm: np.ndarray, wps: np.ndarray, chi_grid: np.ndarray):
@@ -400,7 +427,7 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
     # n = 1 has no conditions to polish; n > 3 needs the gaps, which the grid holds
     if 2 <= n <= 3:
         def evaluate(x):
-            th, d_wp, d_chi = _model_thetas(model, n, x[0], x[1], slopes=True)
+            th, d_wp, d_chi = _model_point(model, n, x[0], x[1])
             return _residuals(th), lambda: np.column_stack(
                 [d_wp[:-2] - d_wp[2:], d_chi[:-2] - d_chi[2:]]), None
 

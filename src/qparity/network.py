@@ -153,6 +153,14 @@ def _check_omega(omega) -> np.ndarray:
     return w
 
 
+def _check_frequency(omega) -> float:
+    """_check_omega for one frequency, on a Python float."""
+    w = float(omega)
+    if not 0.0 < w < math.inf:  # refuses nan too
+        raise ValueError("omega must be finite and > 0")
+    return w
+
+
 def _normalize(num: np.ndarray, den: np.ndarray):
     scale = np.maximum(np.abs(num), np.abs(den))
     scale = np.where(scale == 0.0, 1.0, scale)
@@ -521,6 +529,22 @@ def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = F
     return times_k(c), (c[0] - k_s[0], c[1] - k_s[1], c[2] - k_s[2], c[3] - k_s[3])
 
 
+def _branch_slopes(stub: bool, z0: float, branch, w, factors) -> tuple:
+    """((P, P'), (N, N')), the first two entries of _branch_parts' P and N
+    with ``derivatives`` by the same expressions, from _branch_factors'
+    result without them; elementwise, or on Python floats."""
+    c_c = branch[0]
+    if stub:
+        _, cos, sin = factors
+        a = 0.5 * math.pi / branch[1]
+        c, c1, s, s1 = cos, -a * sin, z0 * sin, z0 * (a * cos)
+    else:
+        (c, s), (cap, l) = factors, branch[1:]
+        c1, s1 = -2.0 * w * l * cap, l
+    k = w * c_c
+    return (k * c, k * c1 + c_c * c), (c - k * s, c1 - (k * s1 + c_c * s))
+
+
 def _tan_interval(branch, w) -> tuple:
     """(m, (-1)^m) of the stub's tan interval ((2m-1) w_r, (2m+1) w_r)
     holding w, in numpy (the floor of inf or nan is not an error there)."""
@@ -553,39 +577,26 @@ def _theta(z0_u, v, passed):
     return -2.0 * np.arctan(z0_b) - TWO_PI * passed
 
 
-def _fold(stub: bool, z0: float, branches, w, slope: bool = False):
-    """theta of m parallel branches along w, in numpy, or with ``slope``
-    (theta, theta').
+def _fold(stub: bool, z0: float, branches, w):
+    """theta of m parallel branches along w, in numpy.
 
     ``branches`` is a branch table, one row per branch (see _branch_parts),
     or many stacked, shape (curves..., m, columns): the curves' axes
     broadcast against w's leading axes, so one call evaluates many curves at
     once.  The branch parts of all branches come from one call.  The fold is
     U <- U N_k + P_k V, V <- V N_k, B = U/V, and
-    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}; _jets runs the
-    same recurrence on jets.  With ``slope`` the same loop also carries U'
-    and V' from the branch parts' d/dw, and theta' = -2 A/D, with
-    A = z0 (U' V - U V') and D = V^2 + z0^2 U^2.  Every operation is
-    written in _jets' order, so theta and theta' equal _jets' first two
-    entries bit for bit, inf and nan included.
+    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}; _jets and
+    _slopes run the same recurrence on jets of floats, with theta equal to
+    this one's bit for bit.
     """
     # the table's columns, each (branches, curves..., 1...) to broadcast against w
     cols = np.moveaxis(np.asarray(branches, dtype=float), (-2, -1), (1, 0))
     cols = cols.reshape(cols.shape + (1,) * (np.ndim(w) + 2 - cols.ndim))
-    p, n = _branch_parts(stub, z0, cols, w, derivatives=slope)
-    if slope:
-        (p, p1), (n, n1) = p[:2], n[:2]
-        u1 = v1 = np.zeros_like(w)
+    p, n = _branch_parts(stub, z0, cols, w)
     u, v = np.zeros_like(w), np.ones_like(w)
-    for k, (p_k, n_k) in enumerate(zip(p, n)):
-        if slope:
-            u1, v1 = (u * n1[k] + n_k * u1) + (p_k * v1 + v * p1[k]), v * n1[k] + n_k * v1
+    for p_k, n_k in zip(p, n):
         u, v = u * n_k + p_k * v, v * n_k
-    theta = _theta(z0 * u, v, _zeros_below(stub, cols, n, w).sum(axis=0))
-    if not slope:
-        return theta
-    a1 = z0 * (u1 * v - u * v1)
-    return theta, -2.0 * a1 / (v * v + (z0 * u) * (z0 * u))
+    return _theta(z0 * u, v, _zeros_below(stub, cols, n, w).sum(axis=0))
 
 
 def _jets(stub: bool, z0: float, table, w):
@@ -653,6 +664,34 @@ def _jets(stub: bool, z0: float, table, w):
     nums, dens = np.array([nums, dens])
     slopes = (nums / dens).T
     return _theta(*np.array(ends).T), slopes[0], slopes[1], slopes[2:]
+
+
+def _slopes(stub: bool, z0: float, table, w):
+    """(theta, theta') of each row of a stacked branch table, shape (rows, m,
+    columns), at w, one frequency per row: _jets' first two entries bit for
+    bit, by _jets' split (numpy for the factors, tan intervals and last
+    divisions, Python floats row by row for the rest), to first order only,
+    as the loaded-pole search reads no more.  Unchecked."""
+    table = np.asarray(table, dtype=float)
+    cols = table.T  # (columns, m, rows), to broadcast against w
+    factors = _branch_factors(stub, cols, w)
+    per_pair = [*factors, *(_tan_interval(cols, w) if stub else ())]
+    split = len(factors)
+    z0 = float(z0)
+    ends, nums, dens = [], [], []
+    for branches, w_row, pairs in zip(table.tolist(), np.asarray(w, dtype=float).tolist(),
+                                      np.array(per_pair).T.tolist()):
+        u0 = u1 = v1 = 0.0
+        v0, count = 1.0, 0
+        for branch, pair in zip(branches, pairs):
+            (p0, p1), (n0, n1) = _branch_slopes(stub, z0, branch, w_row, pair[:split])
+            count += _zeros_below(stub, branch, n0, w_row, pair[split:])
+            u0, u1, v0, v1 = (u0 * n0 + p0 * v0, (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
+                              v0 * n0, v0 * n1 + n0 * v1)
+        ends.append((z0 * u0, v0, count))
+        nums.append(-2.0 * (z0 * (u1 * v0 - u0 * v1)))
+        dens.append(v0 * v0 + (z0 * u0) * (z0 * u0))
+    return _theta(*np.array(ends).T), np.array(nums) / np.array(dens)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
@@ -743,7 +782,8 @@ def _series_zeros(stub: bool, z0: float, branch, order=0):
     N (-1)^order falls from + to -, just below the interval's top: there the
     stub looks like a tank of C = pi/(4 w_r z0) resonating at
     (2 order + 1) w_r, and that tank's zero seeds _bracketed_newton on
-    N (-1)^order over the interval.
+    N (-1)^order over the interval.  A Newton step evaluates N and N' only
+    (_branch_slopes), elementwise in numpy.
     """
     c_c = branch[0]
     if not stub:
@@ -758,8 +798,8 @@ def _series_zeros(stub: bool, z0: float, branch, order=0):
     sign = np.where(np.asarray(order) % 2 == 0, 1.0, -1.0)
 
     def falling_n(z):
-        _, n = _branch_parts(stub, z0, branch, z, derivatives=True)
-        return sign * n[0], sign * n[1]
+        _, (n, n1) = _branch_slopes(stub, z0, branch, z, _branch_factors(stub, branch, z))
+        return sign * n, sign * n1
 
     return _bracketed_newton(falling_n, z, lo, hi)
 
@@ -797,10 +837,10 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
     Foster interlacing brackets each: on the level 2*pi k, exactly -k
     branch zeros lie below, so the pole sits between the curve's -k-th and
     (-k+1)-th zeros from DC (_zero_table), clipped to the band.
-    _bracketed_newton on theta - 2*pi k with the exact theta' (_fold with
-    its slope, which carries only theta and theta') starts at the bracket's
-    midpoint, or above the top zero at the top branch's resonance
-    frequency, the exact pole of one branch.
+    _bracketed_newton on theta - 2*pi k with the exact theta' (_slopes, the
+    first-order float kernel) starts at the bracket's midpoint, or above
+    the top zero at the top branch's resonance frequency, the exact pole of
+    one branch.
     """
     edges = _fold(stub, z0, table.repeat(2, axis=0), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
@@ -825,7 +865,7 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
 
     def above_level(x):
         with np.errstate(over="ignore", invalid="ignore"):  # rows theta' does not read
-            theta, slope = _fold(stub, z0, searched, x, slope=True)
+            theta, slope = _slopes(stub, z0, searched, x)
         return theta - levels, slope
 
     x = _bracketed_newton(above_level, np.array(seed), np.array(lo), np.array(hi))
@@ -897,7 +937,7 @@ class PhaseCurve:
         bit for bit; the derivatives (in s, s^2, and per branch in branch
         order at fixed resonator impedance) are exact.  Raises NetworkError
         where they leave float range."""
-        w = float(_check_omega(omega))
+        w = _check_frequency(omega)
         theta, d1, d2, d_r = _fold_jets(self._stub, self.z0, [self._branches], w)
         return float(theta[0]), d1[0], d2[0], d_r[:, 0]
 

@@ -562,6 +562,21 @@ def test_compare_keeps_a_numeric_cascade_chi_whose_default_band_reaches_zero(
     assert 0.0 < cascade["b2_max_s2"] < math.inf
 
 
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_compare_names_a_numeric_cascade_chi_the_cavity_cannot_take(paper_cfg, tmp_path,
+                                                                    capsys, model):
+    # 1396 MHz pulls the 0.281 GHz cavity's bit-1 mode below zero: compare
+    # exited 3, "evaluation error: shifts drove mode frequency to ...", naming
+    # no field, where sweep and fidelity name their chi for the same pull
+    cas, out = tmp_path / "cascade.json", tmp_path / "cmp.json"
+    cas.write_text(json.dumps(dict(CASCADE_CONFIG, chi_MHz=1396, resonator_model=model,
+                                   cavity={"f_GHz": 0.281, "C_couple_fF": 10.0})))
+    assert main(["compare", str(paper_cfg), str(cas), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: {cas}.chi_MHz: shifts drove mode "
+                                       "frequency to -7.006e+09 rad/s\n")
+    assert not out.exists()
+
+
 LOW_TWO_MODE = {
     "schema_version": "1",
     "n_qubits": 3,

@@ -555,12 +555,12 @@ def test_pole_model_zeros_and_their_pull(model):
 
 
 def test_pole_model_slopes_match_central_difference():
-    from qparity.eraser import _model_thetas, _pole_model
+    from qparity.eraser import _model_point, _model_thetas, _pole_model
 
     dev = two_mode_device(3)
     model = _pole_model(dev)
     wp, chi = TWO_PI * 9.803e9, TWO_PI * 5.7e6
-    _, d_wp, d_chi = _model_thetas(model, 3, wp, chi, slopes=True)
+    _, d_wp, d_chi = _model_point(model, 3, wp, chi)
     h_wp, h_chi = TWO_PI * 1e3, TWO_PI * 1e2
     fd_wp = (_model_thetas(model, 3, wp + h_wp, chi)
              - _model_thetas(model, 3, wp - h_wp, chi)) / (2 * h_wp)
@@ -568,6 +568,53 @@ def test_pole_model_slopes_match_central_difference():
               - _model_thetas(model, 3, wp, chi - h_chi)) / (2 * h_chi)
     assert np.allclose(d_wp, fd_wp, rtol=1e-6, atol=0.0)
     assert np.allclose(d_chi, fd_chi, rtol=1e-6, atol=0.0)
+
+
+def _model_hexes(point) -> list:
+    return [[float(x).hex() for x in entry] for entry in point]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 3),
+    model=st.sampled_from(["stub", "lumped"]),
+    f0_ghz=st.floats(1.0, 12.0),
+    gaps_mhz=st.lists(st.floats(5.0, 40.0), min_size=2, max_size=2),
+    couplers_ff=st.lists(st.floats(3.0, 20.0), min_size=3, max_size=3),
+    points=st.lists(st.tuples(st.floats(-0.05, 0.05), st.floats(-3.0, 2.5)),
+                    min_size=12, max_size=12),
+    on_zero=st.tuples(st.integers(0, 6), st.integers(0, 2), st.floats(-3.0, 2.5)),
+)
+def test_float_model_point_matches_numpy_scalar_reference(n, m, model, f0_ghz, gaps_mhz,
+                                                          couplers_ff, points, on_zero):
+    # the model polish's float point against the numpy-scalar loop it
+    # replaced (tests/model_reference.py), every entry by .hex(): at random
+    # (omega_p, chi) around the zeros, at an offset of exactly 0 (weight w's
+    # zero k moved onto omega_p: atan's argument and the slopes are inf or
+    # nan there), and at a chi so large that offset**2 overflows
+    from model_reference import reference_model_point
+
+    from qparity.eraser import _model_point, _pole_model
+
+    offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
+    modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + d * 1e6), c * 1e-15)
+                  for d, c in zip(offsets, couplers_ff))
+    pole_model = _pole_model(ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6,
+                                                         resonator_model=model))
+    z, _, zeta = pole_model
+    chis = [10.0 ** (e + 7.0) for _, e in points]
+    cases = [(z[0] * (1.0 + rel), chi) for (rel, _), chi in zip(points, chis)]
+    w, k, e = on_zero[0] % (n + 1), on_zero[1] % m, on_zero[2]
+    chi = 10.0 ** (e + 7.0)
+    cases.append((z[k] + (n - 2 * w) * chi * zeta[k], chi))
+    cases.append((z[0], 1e200))
+    for wp, chi in cases:
+        wp, chi = np.float64(wp), np.float64(chi)  # as the polish passes them
+        assert (_model_hexes(_model_point(pole_model, n, wp, chi))
+                == _model_hexes(reference_model_point(pole_model, n, wp, chi)))
+    wp, chi = cases[-2]  # the zero offset leaves weight w's slope non-finite
+    assert not np.isfinite(reference_model_point(pole_model, n, wp, chi)[1][w])
 
 
 def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
@@ -905,12 +952,13 @@ def _solve_work(dev, monkeypatch, **kwargs):
     phase curves built, eraser_residuals calls and network-tree evaluations
     (network._impedance_parts, which every point and root solve of the
     oracle sweep goes through) over both, the fold passes of solve_eraser
-    (every call of the theta fold _fold or the jets kernel _jets: one
-    stacked fold of every weight counts one) and the broadcast-fold passes
-    of the loaded-pole search (every such call solution_to_dict makes).
-    "jets" and "solve_jets" count the _jets passes among those fold passes
-    on their own.  Both are patched where qparity.network resolves them,
-    which every caller goes through."""
+    (every call of the theta fold _fold, the jets kernel _jets or the
+    first-order kernel _slopes: one stacked fold of every weight counts
+    one) and the broadcast-fold passes of the loaded-pole search (every
+    such call solution_to_dict makes).  "jets" and "solve_jets" count the
+    _jets passes among those fold passes on their own.  All three are
+    patched where qparity.network resolves them, which every caller goes
+    through."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -945,7 +993,7 @@ def _solve_work(dev, monkeypatch, **kwargs):
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
     monkeypatch.setattr(network, "_impedance_parts", counting_tree)
-    for name in ("_fold", "_jets"):
+    for name in ("_fold", "_jets", "_slopes"):
         monkeypatch.setattr(network, name, counting(name))
     sol = solve_eraser(dev, **kwargs)
     solve_curves, counts["solve_folds"] = counts["curves"], counts["folds"]
@@ -968,10 +1016,11 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     # last.  3 fold passes, one per Gauss-Newton point (a fold per curve and
     # point, plus a theta fold per root to rank it, made 18).  The
     # payload's 8 loaded poles take no curve (one per weight before) and 6
-    # fold passes over the stacked weight table: the band-edge phases, then
-    # 5 bracketed Newton passes (one brentq per pole made 8 root solves).
-    # Those passes fold theta and theta' only: none runs the jets kernel,
-    # whose theta'' and d theta/d w_r the search never read (5 did)
+    # fold passes over the stacked weight table: the band-edge phases
+    # (_fold), then 5 bracketed Newton passes of the first-order kernel
+    # _slopes (one brentq per pole made 8 root solves).  Those passes make
+    # theta and theta' only: none runs the jets kernel, whose theta'' and
+    # d theta/d w_r the search never reads (5 did)
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 3
@@ -1003,8 +1052,9 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     # each once; the exact-curve grid added 165 curves, and least-squares
     # passes over five fixed gap scales before freeing the gaps built 3392).
     # The payload's 15 loaded poles take no curve (one per weight before)
-    # and 6 fold passes, as the paper's 8 do (15 brentq root solves before),
-    # none of them a jets kernel pass
+    # and 6 fold passes, as the paper's 8 do: one _fold of the band edges
+    # and 5 _slopes passes (15 brentq root solves before), none of them a
+    # jets kernel pass
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] == 0

@@ -142,10 +142,10 @@ def test_jets_lead_with_theta_bit_for_bit(m, model, f0_ghz, gaps_mhz, couplers_f
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
 def test_broadcast_fold_matches_each_curve(model):
-    # one jets kernel pass, and one slope fold, over the stacked branch
-    # tables of every weight, one frequency per curve, give each curve's own
-    # theta and theta' bit for bit
-    from qparity.network import _fold, _jets
+    # one jets kernel pass, and one first-order kernel pass, over the
+    # stacked branch tables of every weight, one frequency per curve, give
+    # each curve's own theta and theta' bit for bit
+    from qparity.network import _jets, _slopes
 
     curves = device_curves(paper(model))
     grid = TWO_PI * np.linspace(9.7e9, 10.1e9, 7)
@@ -153,7 +153,7 @@ def test_broadcast_fold_matches_each_curve(model):
     table = np.array([c._branches for c in curves])[rows]
     w = np.tile(grid, len(curves))
     stub, z0 = model == "stub", curves[0].z0
-    for theta, slope in (_jets(stub, z0, table, w)[:2], _fold(stub, z0, table, w, slope=True)):
+    for theta, slope in (_jets(stub, z0, table, w)[:2], _slopes(stub, z0, table, w)):
         assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
         assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
 
@@ -168,19 +168,19 @@ def _hexes(jets) -> list:
 
 def _kernel_matches_reference(stub, z0, table, w) -> bool:
     """The jets kernel equals the numpy reference fold entry for entry by
-    .hex(), and so do the slope fold's theta and theta' (_fold with
-    ``slope``), the first two entries; the kernel's checked form refuses
-    exactly where a derivative leaves float range; returns whether any
-    entry did."""
+    .hex(), and so do the first-order kernel's theta and theta' (_slopes,
+    one frequency per row), the first two entries; the kernel's checked
+    form refuses exactly where a derivative leaves float range; returns
+    whether any entry did."""
     from jets_reference import reference_jets
 
-    from qparity.network import NetworkError, _fold, _fold_jets, _jets
+    from qparity.network import NetworkError, _fold_jets, _jets, _slopes
 
     with np.errstate(all="ignore"):
         expected = reference_jets(stub, z0, table, w)
         assert _hexes(_jets(stub, z0, table, w)) == _hexes(expected)
-        slope_fold = _fold(stub, z0, table, w, slope=True)
-        assert ([[float(x).hex() for x in np.ravel(entry)] for entry in slope_fold]
+        first_order = _slopes(stub, z0, table, np.broadcast_to(w, len(table)))
+        assert ([[float(x).hex() for x in np.ravel(entry)] for entry in first_order]
                 == [[float(x).hex() for x in np.ravel(entry)] for entry in expected[:2]])
         finite = all(np.isfinite(x).all() for x in expected[1:])
         try:
@@ -245,6 +245,59 @@ def test_jets_kernel_matches_numpy_reference(n, m, model, f0_ghz, gaps_mhz, coup
             continue
         _kernel_matches_reference(stub, z0, [branches] * 2,
                                   np.array([10.0 ** e_w, points[0]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    stub=st.booleans(),
+    z0=st.floats(1.0, 300.0),
+    f_ghz=st.lists(st.floats(0.2, 40.0), min_size=3, max_size=3),
+    couplers_ff=st.lists(st.floats(0.1, 200.0), min_size=3, max_size=3),
+    top_order=st.integers(0, 5),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_first_order_branch_parts_match_the_full_jets(stub, z0, f_ghz, couplers_ff,
+                                                      top_order, fractions):
+    # _branch_slopes, the zero step's and the pole search's first-order
+    # parts, equals the first two entries of _branch_parts with
+    # derivatives by .hex(), on numpy arrays and on Python floats, at
+    # random frequencies across the tan intervals; and the series zeros it
+    # steps to, for every order up to top_order, are the zeros of a Newton
+    # step on _branch_parts' full N
+    from qparity import network
+    from qparity.network import _branch_factors, _branch_parts, _branch_slopes
+
+    table = network._branch_table(stub, z0, [c * 1e-15 for c in couplers_ff],
+                                  [TWO_PI * f * 1e9 for f in f_ghz])
+    cols = table.T[..., None]  # (columns, branches, 1) against w (points,)
+    w = np.array(fractions) * (2 * top_order + 2) * TWO_PI * max(f_ghz) * 1e9
+    shape = (len(table), len(w))
+
+    def hexes(entries):
+        return [[float(x).hex() for x in np.broadcast_to(e, shape).ravel()] for e in entries]
+
+    p, n = _branch_parts(stub, z0, cols, w, derivatives=True)
+    expected = hexes([*p[:2], *n[:2]])
+    factors = _branch_factors(stub, cols, w)
+    (p, p1), (n, n1) = _branch_slopes(stub, z0, cols, w, factors)
+    assert hexes([p, p1, n, n1]) == expected
+    factors = [np.broadcast_to(f, shape) for f in factors]
+    on_floats = [_branch_slopes(stub, z0, table[b].tolist(), float(w[j]),
+                                [float(f[b, j]) for f in factors])
+                 for b in range(shape[0]) for j in range(shape[1])]
+    assert hexes(np.reshape([[*p, *n] for p, n in on_floats], shape + (4,)).transpose(
+        2, 0, 1)) == expected
+
+    def full_parts(stub, z0, branch, w, factors):
+        p, n = _branch_parts(stub, z0, branch, w, derivatives=True)
+        return p[:2], n[:2]
+
+    orders = np.arange(top_order + 1)
+    zeros = network._series_zeros(stub, z0, cols, orders)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_branch_slopes", full_parts)
+        reference = network._series_zeros(stub, z0, cols, orders)
+    assert [x.hex() for x in np.ravel(zeros)] == [x.hex() for x in np.ravel(reference)]
 
 
 def test_jets_kernel_matches_reference_beyond_float_range():
