@@ -346,10 +346,9 @@ def cmd_fidelity(ns) -> int:
     cfg = load_config(ns.config)
     dev, _ = parse_parallel_config(cfg, ns.config)
     sol = _solution_from_file(ns.solution, dev)
-    dev = sol.device
     alpha = math.sqrt(ns.alpha_sq)
     pulse = ProbePulse.from_duration(alpha, sol.omega_p, ns.t_us * 1e-6)
-    reports = eraser_quality(dev, sol, pulse)
+    reports = eraser_quality(sol, pulse)
     dicts = reports_to_dicts(reports)
     payload = {
         "alpha_sq": ns.alpha_sq,

@@ -14,6 +14,7 @@ require, whatever band a curve is evaluated on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -49,12 +50,12 @@ class QubitState:
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(self.bits)
         if not 1 <= len(bits) <= 8:
             raise ValueError(f"need 1..8 qubits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
+        if any(b != 0 and b != 1 for b in bits):  # int() would truncate 0.5 and 1.9
             raise ValueError(f"bits must be 0 or 1, got {bits}")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
 
     @classmethod
     def of_weight(cls, n: int, weight: int) -> "QubitState":
@@ -190,10 +191,17 @@ def shifted_frequency(omega_mode: float, chis, state: QubitState) -> float:
     chis = tuple(chis)
     if len(chis) != state.n:
         raise ValueError(f"{len(chis)} chis for {state.n} qubits")
-    shifted = _pulled(omega_mode, chis, [1.0 if b == 0 else -1.0 for b in state.bits])
-    if shifted <= 0.0:
-        raise _non_positive(shifted)
-    return shifted
+    return _pulled_rows([omega_mode], [(c,) for c in chis], [_signs(state)])[0][0]
+
+
+def _signs(state: QubitState) -> tuple:
+    return tuple(-1.0 if b else 1.0 for b in state.bits)
+
+
+@functools.cache
+def _weight_signs(n: int) -> tuple:
+    """QubitState.of_weight(n, w)'s signs for w = 0..n, built once per n."""
+    return tuple(_signs(QubitState.of_weight(n, w)) for w in range(n + 1))
 
 
 def _pulled(omega_mode: float, chis, signs) -> float:
@@ -201,8 +209,16 @@ def _pulled(omega_mode: float, chis, signs) -> float:
     return omega_mode + sum([s * c for s, c in zip(signs, chis)])
 
 
-def _non_positive(shifted: float) -> NonPositiveResult:
-    return NonPositiveResult(f"shifts drove mode frequency to {shifted:.3e} rad/s")
+def _pulled_rows(omegas, chi_matrix, signs) -> list:
+    """The one state-to-modes rule: for each row of qubit ``signs``, every
+    mode's frequency _pulled by its column of the n x m chi_matrix.  Refuses
+    the first pull to or below zero, in row then mode order."""
+    pulls = list(zip(*chi_matrix))
+    rows = [[_pulled(omega, chis, s) for omega, chis in zip(omegas, pulls)] for s in signs]
+    low = [shifted for row in rows for shifted in row if shifted <= 0.0]
+    if low:
+        raise NonPositiveResult(f"shifts drove mode frequency to {low[0]:.3e} rad/s")
+    return rows
 
 
 def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
@@ -212,12 +228,11 @@ def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
     return Parallel((Inductor(l), Capacitor(c)))
 
 
-def _shifted_modes(dev: ParityDevice, state: QubitState) -> tuple[float, ...]:
-    """The state's pulled mode frequencies, in mode order."""
+def _state_row(dev: ParityDevice, state: QubitState) -> list:
+    """The state's pulled mode frequencies, in mode order (_pulled_rows)."""
     if state.n != dev.n:
         raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
-    return tuple(shifted_frequency(mo.omega, [row[k] for row in dev.chi_matrix], state)
-                 for k, mo in enumerate(dev.modes))
+    return _pulled_rows([mo.omega for mo in dev.modes], dev.chi_matrix, [_signs(state)])[0]
 
 
 def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
@@ -226,24 +241,19 @@ def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
     checked in mode order with Mode's message, no Mode built) and a common
     ``chi`` stand in for dev's own, so a solver point needs no device.
 
-    The (n + 1) x m pulled frequencies are shifted_frequency's sums on
-    floats.  The first pull to or below zero, in weight then mode order, is
-    refused before any table check; then one _curve_table call checks and
-    builds the whole table.  Phases hold at any omega > 0, so no band is
-    read (see analysis_band).
+    Row w is QubitState.of_weight(n, w)'s pulls (_pulled_rows), which stand
+    for every weight-w state only under equal coupling: without ``chi`` an
+    unequal chi matrix is refused first, then a pull to or below zero, then
+    _curve_table checks and builds the table.  No band is read (analysis_band).
     """
+    if chi is None and not dev.equal_chi:
+        raise ValueError("weight rows stand for every state only under equal coupling, "
+                         "not this chi matrix; read each state with state_phase_curve")
     omegas = ([mo.omega for mo in dev.modes] if omegas is None
               else [_mode_omega(float(w)) for w in omegas])
     chi_matrix = dev.chi_matrix if chi is None else ((float(chi),) * dev.m,) * dev.n
-    pulls = list(zip(*chi_matrix))
-    # QubitState.of_weight's bits as signs: weight w's last w qubits are 1
-    signs = [(1.0,) * (dev.n - w) + (-1.0,) * w for w in range(dev.n + 1)]
-    rows = [[_pulled(omega, chis, s) for omega, chis in zip(omegas, pulls)] for s in signs]
-    low = [shifted for row in rows for shifted in row if shifted <= 0.0]
-    if low:
-        raise _non_positive(low[0])
-    return _curve_table([mo.c_couple for mo in dev.modes], rows, dev.z0,
-                        dev.resonator_model)
+    rows = _pulled_rows(omegas, chi_matrix, _weight_signs(dev.n))
+    return _curve_table([mo.c_couple for mo in dev.modes], rows, dev.z0, dev.resonator_model)
 
 
 def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=None):
@@ -272,7 +282,7 @@ def build_state_network(dev: ParityDevice, state: QubitState) -> NetworkElement:
     """
     branches = tuple(Series((Capacitor(mode.c_couple),
                              _resonator(w_shift, dev.z0, dev.resonator_model)))
-                     for mode, w_shift in zip(dev.modes, _shifted_modes(dev, state)))
+                     for mode, w_shift in zip(dev.modes, _state_row(dev, state)))
     return branches[0] if len(branches) == 1 else Parallel(branches)
 
 
@@ -308,14 +318,12 @@ def state_phase_curve(dev: ParityDevice, state: QubitState) -> PhaseCurve:
     """Closed-form phase curve for one state over the device's analysis band.
 
     Equal-coupling devices collapse onto Hamming weight: equal-weight states
-    map to the same representative state, hence the identical branch table
-    and bit-identical phases, making the weight-collapse invariant exact.
+    read the same representative's row, so their phases are bit-identical and
+    the weight-collapse invariant exact; any other chi matrix reads its own.
     """
-    if state.n != dev.n:
-        raise ValueError(f"state has {state.n} qubits, device has {dev.n}")
-    if dev.equal_chi:
+    if state.n == dev.n and dev.equal_chi:
         state = QubitState.of_weight(dev.n, state.weight)
-    return PhaseCurve([mo.c_couple for mo in dev.modes], _shifted_modes(dev, state),
+    return PhaseCurve([mo.c_couple for mo in dev.modes], _state_row(dev, state),
                       dev.z0, analysis_band(dev), dev.resonator_model)
 
 

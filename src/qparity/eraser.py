@@ -34,7 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from .device import (ParityDevice, _loaded_zero_estimate, _pulled, _weight_fold,
-                     loaded_poles_by_weight)
+                     _weight_signs, loaded_poles_by_weight)
 from .network import _branch_parts, _branch_table, _series_zeros, wrap_phase
 
 __all__ = [
@@ -62,6 +62,7 @@ MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
 NEWTON_MAX_ITER = 30
 MIN_STEP = 1e-10  # exact-stage steps halve down to this fraction of the Newton step
 GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
+GRID_POINTS = 33  # pole-model grid density per axis
 GRID_TOP_K = 12       # grid basins Gauss-Newton starts from, best first
 MODEL_NEWTON_STEPS = 8  # Newton steps on the pole model from a grid basin
 
@@ -178,11 +179,11 @@ def _dispersion(jets) -> DispersionReport:
     )
 
 
-def dispersion_report(dev: ParityDevice, sol: EraserSolution) -> DispersionReport:
+def dispersion_report(sol: EraserSolution) -> DispersionReport:
     """First/second phase-derivative mismatches among same-parity weights
-    at the solution's probe frequency, from the exact derivatives (finite
-    at loaded poles, so no point is refused)."""
-    return _dispersion(_weight_fold(dev, sol.omega_p, jets=True))
+    of the solution's device at its probe frequency, from the exact
+    derivatives (finite at loaded poles, so no point is refused)."""
+    return _dispersion(_weight_fold(sol.device, sol.omega_p, jets=True))
 
 
 def make_solution(dev: ParityDevice, omega_p: float, basins=(),
@@ -310,7 +311,7 @@ def _exact_stage(dev0: ParityDevice, band, chi_range, contrast: bool = False):
     So a step _weight_table would refuse is halved, as one leaving the box.
     """
     # of fixed modes only the lowest counts; weight n pulls every mode down
-    fixed, down = [min(mo.omega for mo in dev0.modes)], (-1.0,) * dev0.n
+    fixed, down = [min(mo.omega for mo in dev0.modes)], _weight_signs(dev0.n)[-1]
 
     def evaluate(x):
         jets = _weight_fold(dev0, x[0], True,
@@ -464,8 +465,7 @@ def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
     return sol
 
 
-def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
-                      free_gaps: bool):
+def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool):
     """Pole-model seeds, the exact stage onto the root set, then _assemble.
 
     The gaps start at the template's spacing.  Where the unknowns outnumber
@@ -475,8 +475,8 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
     as delta_theta = pi is the reported answer; a verified contrast root
     ends the search, as nothing later scores higher.
     """
-    chi_grid = np.geomspace(chi_range[0], chi_range[1], grid_points)
-    cands, best_cell = _grid_candidates(dev0, band, chi_grid, max(grid_points, 129))
+    chi_grid = np.geomspace(chi_range[0], chi_range[1], GRID_POINTS)
+    cands, best_cell = _grid_candidates(dev0, band, chi_grid, max(GRID_POINTS, 129))
     gaps0 = np.diff([mo.omega for mo in dev0.modes]) if free_gaps else []
     underdetermined = 2 + len(gaps0) > dev0.n - 1
     roots = []
@@ -506,8 +506,7 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, grid_points,
 
 def solve_eraser(dev_template: ParityDevice, free=("chi",),
                  tol: float = DEFAULT_TOL,
-                 chi_range: tuple[float, float] = DEFAULT_CHI_RANGE,
-                 grid_points: int = 33) -> EraserSolution:
+                 chi_range: tuple[float, float] = DEFAULT_CHI_RANGE) -> EraserSolution:
     """Find (omega_p, chi[, mode frequencies]) satisfying the parity conditions.
 
     ``free`` lists the searched knobs: "chi" (always) and optionally
@@ -517,11 +516,9 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
     family wherever Gauss-Newton reaches it, and ``basins`` ends at the
     first such root; n = 1 has no conditions, so its root is that point.
     ``tol`` (rad) bounds every verified residual; it must be finite and at
-    least MIN_TOL.  ``grid_points`` sets the pole-model grid's density per
-    axis.
-    The probe search band covers every mode and chi in ``chi_range``; a
-    device ``band`` clips it.  Raises
-    InfeasibleDevice / NoSolution / PoleCollision.
+    least MIN_TOL.  The probe search band covers every mode and chi in
+    ``chi_range``; a device ``band`` clips it.  Raises InfeasibleDevice /
+    NoSolution / PoleCollision.
     """
     free = frozenset(free)
     if "chi" not in free:
@@ -564,8 +561,7 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
             f"{n - 1} conditions with only (omega_p, chi) free; "
             'add "mode_frequencies" to free'
         )
-    return _solve_conditions(dev_template, search_band, chi_range, tol,
-                             grid_points, free_gaps)
+    return _solve_conditions(dev_template, search_band, chi_range, tol, free_gaps)
 
 
 # ----------------------------------------------------------------------

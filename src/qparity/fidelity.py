@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ParityDevice, QubitState, _weight_fold
+from .device import QubitState, _weight_fold
 from .eraser import EraserSolution, _dispersion, contrast
 from .network import wrap_phase
 
@@ -283,9 +283,9 @@ def _pair_table(phases, jets, theta_p, delta_theta: float,
     return tuple(reports)
 
 
-def eraser_quality(dev: ParityDevice, sol: EraserSolution,
-                   pulse: ProbePulse, grid: ModeGrid | None = None) -> tuple:
-    """Full pairwise fidelity table at a solved operating point.
+def eraser_quality(sol: EraserSolution, pulse: ProbePulse,
+                   grid: ModeGrid | None = None) -> tuple:
+    """Full pairwise fidelity table at a solved operating point, on sol.device.
 
     Every unordered pair of Hamming weights gets the numeric mode-sum
     fidelity from the true device phase curves (bandwidth corrections
@@ -295,24 +295,21 @@ def eraser_quality(dev: ParityDevice, sol: EraserSolution,
     """
     if grid is None:
         grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    delta, jets = contrast(sol), _weight_fold(dev, sol.omega_p, jets=True)
-    return _pair_table(_weight_fold(dev, grid.frequencies), jets, sol.theta_by_weight,
+    delta, jets = contrast(sol), _weight_fold(sol.device, sol.omega_p, jets=True)
+    return _pair_table(_weight_fold(sol.device, grid.frequencies), jets, sol.theta_by_weight,
                        delta, pulse, grid)
 
 
 def reports_to_dicts(reports) -> list[dict]:
-    out = []
-    for r in reports:
-        out.append({
-            "weights": list(r.weights),
-            "state_lo": "".join(str(b) for b in r.pair[0].bits),
-            "state_hi": "".join(str(b) for b in r.pair[1].bits),
-            "branch": r.branch,
-            "F_numeric": r.f_numeric,
-            "F_closed": r.f_closed,
-            "F_expansion": r.f_expansion,
-            "b_s": r.b,
-            "b2_s2": r.b2,
-            "delta_theta_rad": r.delta_theta,
-        })
-    return out
+    return [{
+        "weights": list(r.weights),
+        "state_lo": "".join(str(b) for b in r.pair[0].bits),
+        "state_hi": "".join(str(b) for b in r.pair[1].bits),
+        "branch": r.branch,
+        "F_numeric": r.f_numeric,
+        "F_closed": r.f_closed,
+        "F_expansion": r.f_expansion,
+        "b_s": r.b,
+        "b2_s2": r.b2,
+        "delta_theta_rad": r.delta_theta,
+    } for r in reports]

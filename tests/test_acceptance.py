@@ -173,7 +173,7 @@ def test_criterion_6_even_odd_overlap(solved_device):
     dev, omega_p = solved_device
     sol = solve_eraser(dev)  # re-verify on the reconstructed device
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
-    reports = eraser_quality(dev, sol, pulse)
+    reports = eraser_quality(sol, pulse)
     cross = max(r.f_numeric for r in reports if r.branch == "even-odd")
     assert cross < 2e-4, f"cross-parity F = {cross}"
     _report("6", f"F(pi, 5 photons) = e^-10 exactly; device cross-parity "

@@ -310,7 +310,7 @@ def test_parallel_side_is_the_eraser_quality_table(comparison, paper_solution):
 
     sol = paper_solution
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
-    table = {r.weights: r for r in eraser_quality(sol.device, sol, pulse)}
+    table = {r.weights: r for r in eraser_quality(sol, pulse)}
     par = comparison.parallel
     assert par.same_parity_fidelity.keys() == {(0, 2), (1, 3)}
     for pair, f in par.same_parity_fidelity.items():

@@ -779,7 +779,7 @@ def test_no_cli_path_builds_a_network_tree_or_curve(monkeypatch, paper_device, t
     sol = solve_eraser(paper_device)
     assert len(solution_to_dict(sol)["loaded_poles_by_weight_Hz"]["0"]) == 2
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)
-    assert eraser_quality(sol.device, sol, pulse)
+    assert eraser_quality(sol, pulse)
     cavity = ParityDevice.equal_coupling(1, (Mode(TWO_PI * 10e9, 10e-15),), sol.chi)
     assert compare_schemes(sol, cavity, pulse).cascade.b2_max > 0.0
     for argv in _readme_commands(tmp_path):

@@ -42,6 +42,19 @@ def test_qubit_state_validation():
         QubitState((0,) * 9)
 
 
+def test_qubit_state_refuses_bits_that_are_not_0_or_1():
+    # a bit is compared with 0 and 1 before it is converted, so 0.5 and 1.9
+    # are refused where int() would truncate them to 0 and 1
+    for bits in [(0.5, 1.9), (0, 1.9), (1, 0.5), (0, -1), (0, 2), (float("nan"), 1), ("1", 0)]:
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            QubitState(bits)
+    for bits in [(0.0, 1.0), (np.int64(0), np.int8(1)), (False, True),
+                 (np.bool_(True), np.float64(0.0)), np.array([1, 0])]:
+        state = QubitState(bits)
+        assert state.bits == (int(bits[0]), int(bits[1]))
+        assert all(type(b) is int for b in state.bits)
+
+
 def test_state_of_weight():
     assert QubitState.of_weight(4, 2).bits == (0, 0, 1, 1)
     with pytest.raises(ValueError):
@@ -72,6 +85,17 @@ def test_shift_full_flip_differs_by_6chi():
 def test_shift_rejects_unphysical():
     with pytest.raises(NonPositiveResult):
         shifted_frequency(1.0, [2.0], QubitState((1,)))
+
+
+def test_pulled_rows_refuse_the_first_pull_in_row_then_mode_order():
+    # rows (2.5, -0.9) and (-0.5, 4.9): row 0's second mode comes first,
+    # though the first mode reaches zero in row 1
+    from qparity.device import _pulled_rows
+
+    chi_matrix = [[0.5, 3.0], [2.0, 0.1]]
+    assert _pulled_rows([1.0, 2.0], chi_matrix, [(1.0, 1.0)]) == [[3.5, 5.1]]
+    with pytest.raises(NonPositiveResult, match=re.escape("-9.000e-01 rad/s")):
+        _pulled_rows([1.0, 2.0], chi_matrix, [(-1.0, 1.0), (1.0, -1.0)])
 
 
 # ----------------------------------------------------------------------

@@ -99,8 +99,14 @@ def test_solution_reports_conventions(paper_solution):
     assert len(d["basins"]) >= 1
 
 
-def test_grid_start_independence(paper_device):
-    sols = [solve_eraser(paper_device, grid_points=g) for g in (33, 65, 129)]
+def test_grid_start_independence(monkeypatch, paper_device):
+    # the pole-model grid's density is a module constant, set here per solve
+    from qparity import eraser
+
+    sols = []
+    for points in (33, 65, 129):
+        monkeypatch.setattr(eraser, "GRID_POINTS", points)
+        sols.append(solve_eraser(paper_device))
     fps = [s.omega_p for s in sols]
     chis = [s.chi for s in sols]
     assert max(fps) - min(fps) < TWO_PI * 10.0
@@ -280,7 +286,7 @@ def test_contrast_matches_solution_field(paper_solution):
 
 
 def test_dispersion_pair_counting_three_qubits(paper_solution):
-    rep = dispersion_report(paper_solution.device, paper_solution)
+    rep = dispersion_report(paper_solution)
     assert set(rep.first) == {(0, 2), (1, 3)}
 
 
@@ -288,7 +294,7 @@ def test_dispersion_b_scale_and_secant_oracle(paper_solution):
     # |b| is of order 1/chi; cross-check one pair against dense-sweep secants
     dev = paper_solution.device
     wp = paper_solution.omega_p
-    rep = dispersion_report(dev, paper_solution)
+    rep = dispersion_report(paper_solution)
     b02 = rep.first[(0, 2)]
     assert 0.05 / paper_solution.chi < abs(b02) < 20.0 / paper_solution.chi
 
@@ -306,6 +312,45 @@ def test_make_solution_rebuilds_the_solved_point(paper_solution):
     sol = make_solution(paper_solution.device, paper_solution.omega_p,
                         paper_solution.basins)
     assert sol == paper_solution
+
+
+def test_weight_readers_refuse_an_unequal_chi_matrix(paper_solution):
+    # the paper solution with chi_jk scaled by 1 + 0.01 (j + 1)(k + 1): states
+    # of one weight are 0.0906 rad (weight 1) and 0.1482 rad (weight 2) apart
+    # at omega_p, so no weight row stands for its states, and every reader
+    # of the weight table refuses with one message; the per-state curves
+    # still read every state, and show the spreads
+    import itertools
+    from dataclasses import replace
+
+    from qparity.device import (_weight_fold, _weight_table, loaded_poles_by_weight,
+                                state_phase_curve)
+    from qparity.fidelity import ProbePulse, eraser_quality
+
+    wp = paper_solution.omega_p
+    dev = replace(paper_solution.device, chi_matrix=[
+        [c * (1.0 + 0.01 * (j + 1) * (k + 1)) for k, c in enumerate(row)]
+        for j, row in enumerate(paper_solution.device.chi_matrix)])
+    sol = replace(paper_solution, device=dev)
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), wp, 1e-6)
+    readers = [lambda: _weight_table(dev), lambda: _weight_fold(dev, wp),
+               lambda: _weight_fold(dev, wp, jets=True), lambda: eraser_residuals(dev, wp),
+               lambda: make_solution(dev, wp), lambda: dispersion_report(sol),
+               lambda: eraser_quality(sol, pulse), lambda: loaded_poles_by_weight(dev)]
+    message = ("weight rows stand for every state only under equal coupling, not this "
+               "chi matrix; read each state with state_phase_curve")
+    for read in readers:
+        with pytest.raises(ValueError) as refused:
+            read()
+        assert type(refused.value) is ValueError and str(refused.value) == message
+    spreads = []
+    for w in range(4):
+        thetas = [state_phase_curve(dev, QubitState(bits)).theta(wp)
+                  for bits in itertools.product((0, 1), repeat=3) if sum(bits) == w]
+        spreads.append(max(thetas) - min(thetas))
+    assert spreads[0] == spreads[3] == 0.0
+    assert spreads[1] == pytest.approx(0.0906, abs=5e-5)
+    assert spreads[2] == pytest.approx(0.1482, abs=5e-5)
 
 
 def test_dispersion_report_four_qubit_pair_count():
@@ -688,7 +733,7 @@ def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
     # device or a curve, and still ends in the exception and message that
     # building that device and each weight's curve, and reading its jets,
     # did, except that a pull to or below zero comes first
-    from qparity.device import _shifted_modes, _weight_fold, weight_phase_curve
+    from qparity.device import _pulled_rows, _weight_fold, weight_phase_curve
     from qparity.eraser import _gap_frequencies
 
     dev0, wp, chi, gaps = _refusing_point(case)
@@ -705,7 +750,8 @@ def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
         # the first pull to or below zero in weight, then mode, order
         with pytest.raises(NonPositiveResult) as pull:
             for w in range(dev.n + 1):
-                _shifted_modes(dev, QubitState.of_weight(dev.n, w))
+                signs = [-1.0 if b else 1.0 for b in QubitState.of_weight(dev.n, w).bits]
+                _pulled_rows([mo.omega for mo in dev.modes], dev.chi_matrix, [signs])
         expected = pull.value
     assert type(stacked.value) is type(expected)
     assert str(stacked.value) == str(expected)

@@ -241,9 +241,8 @@ def test_mode_sum_convergence_4001_vs_8001(paper_solution):
 # ----------------------------------------------------------------------
 
 def test_eraser_quality_pipeline(paper_solution):
-    dev = paper_solution.device
     pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-6)
-    reports = eraser_quality(dev, paper_solution, pulse)
+    reports = eraser_quality(paper_solution, pulse)
     assert len(reports) == 6  # all weight pairs of 0..3
     for rep in reports:
         assert 0.0 <= rep.f_numeric <= 1.0
@@ -262,9 +261,8 @@ def test_eraser_quality_pipeline(paper_solution):
 
 def test_eraser_quality_cw_limit(paper_solution):
     # W -> 0 (very long pulse): same-parity overlaps approach unity
-    dev = paper_solution.device
     pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-3)
-    reports = eraser_quality(dev, paper_solution, pulse)
+    reports = eraser_quality(paper_solution, pulse)
     for rep in reports:
         if rep.branch.startswith("same-parity"):
             assert rep.f_numeric > 1.0 - 1e-6

@@ -338,11 +338,14 @@ def test_jets_kernel_matches_reference_beyond_float_range():
 def test_stacked_weight_fold_is_each_weight_curve_bit_for_bit(
         n, m, model, f0_ghz, gaps_mhz, couplers_ff, chis_mhz, equal, fractions):
     # the stacked weight table, built from floats, holds each weight curve's
-    # own branch table bit for bit, for any chi matrix; and one broadcast
-    # jets fold of it gives each curve's scalar jets, all four entries bit
-    # for bit, across the band and on, and one ulp either side of, every
-    # branch zero and loaded pole of every weight
-    from qparity.device import _weight_fold, _weight_table
+    # own branch table bit for bit; and one broadcast jets fold of it gives
+    # each curve's scalar jets, all four entries bit for bit, across the band
+    # and on, and one ulp either side of, every branch zero and loaded pole
+    # of every weight.  An unequal chi matrix has no weight table: it is
+    # refused, and the pulled-state rule's row of every state, stacked, is
+    # that state's own curve's table, with its jets, bit for bit
+    from qparity.device import _pulled_rows, _weight_fold, _weight_table
+    from qparity.network import _curve_table, _fold_jets
 
     offsets = np.concatenate([[0.0], np.cumsum(gaps_mhz[:m - 1])])
     modes = tuple(Mode(TWO_PI * (f0_ghz * 1e9 + d * 1e6), c * 1e-15)
@@ -350,19 +353,29 @@ def test_stacked_weight_fold_is_each_weight_curve_bit_for_bit(
     chi = [[TWO_PI * 1e6 * chis_mhz[0 if equal else j * m + k] for k in range(m)]
            for j in range(n)]
     dev = ParityDevice(n=n, modes=modes, chi_matrix=chi, resonator_model=model)
-    curves = device_curves(dev)
-    table = _weight_table(dev)
-    assert table.shape == (n + 1, m, 2 if model == "stub" else 3)
-    for row, curve in zip(table, curves):
-        assert ([[x.hex() for x in branch] for branch in row.tolist()]
-                == [[x.hex() for x in branch] for branch in curve._branches.tolist()])
     lo, hi = analysis_band(dev)
     points = [lo + (hi - lo) * f for f in fractions]
-    for curve in curves:
-        for feature in np.concatenate([curve.zeros, curve.poles]):
-            points += [np.nextafter(feature, 0.0), feature, np.nextafter(feature, np.inf)]
+    if dev.equal_chi:
+        curves, table = device_curves(dev), _weight_table(dev)
+        fold = lambda w: _weight_fold(dev, w, jets=True)
+        assert table.shape == (n + 1, m, 2 if model == "stub" else 3)
+        for curve in curves:
+            for feature in np.concatenate([curve.zeros, curve.poles]):
+                points += [np.nextafter(feature, 0.0), feature, np.nextafter(feature, np.inf)]
+    else:
+        with pytest.raises(ValueError, match="only under equal coupling"):
+            _weight_table(dev)
+        states = [QubitState(bits) for bits in itertools.product((0, 1), repeat=n)]
+        curves = [state_phase_curve(dev, state) for state in states]
+        rows = _pulled_rows([mo.omega for mo in modes], dev.chi_matrix,
+                            [[-1.0 if b else 1.0 for b in state.bits] for state in states])
+        table = _curve_table([mo.c_couple for mo in modes], rows, dev.z0, model)
+        fold = lambda w: _fold_jets(model == "stub", dev.z0, table, w)
+    for row, curve in zip(table, curves, strict=True):
+        assert ([[x.hex() for x in branch] for branch in row.tolist()]
+                == [[x.hex() for x in branch] for branch in curve._branches.tolist()])
     for w in points:
-        stacked = _weight_fold(dev, w, jets=True)
+        stacked = fold(w)
         for k, curve in enumerate(curves):
             theta, d1, d2, d_r = curve.jets(w)
             rows = (*(row[k] for row in stacked[:3]), *stacked[3][:, k])
