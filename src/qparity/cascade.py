@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _weight_fold,
-                     _weight_table)
+                     _weight_phasors, _weight_table)
 from .eraser import EraserSolution, _residuals
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
 from .network import _fold_jets, wrap_phase
@@ -43,11 +43,13 @@ OMEGA_ULPS = 16     # omega_p has converged once a Newton step is this many ulps
 STEP_TOL = 1e-10    # rad; the step itself is rounding noise below ~1e-12
 
 
-def _cascade_sums(rows, states) -> list:
+def _cascade_sums(rows, states, combine=sum) -> list:
     """The cascade's value in each of ``states`` from the cavity's per-bit
-    ``rows`` (rows[0] and rows[1], as the cavity's _weight_fold gives them):
-    one cavity per qubit in its bit's state, summed in cavity order."""
-    return [sum(rows[b] for b in s.bits) for s in states]
+    ``rows`` (rows[0] and rows[1], as the cavity's _weight_fold or
+    _weight_phasors gives them): one cavity per qubit in its bit's state,
+    combined in cavity order.  Phases and their jets sum; with
+    ``combine=math.prod`` comb phasors multiply."""
+    return [combine(rows[b] for b in s.bits) for s in states]
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,14 @@ class ComparisonReport:
     quadratic_match: dict        # (w1, w2) -> |F_numeric - F_closed| of the cascade
 
 
-def _scheme_metrics(name: str, resonator_count: int, chi: float, thetas, jets,
+def _scheme_metrics(name: str, resonator_count: int, chi: float, phasors, jets,
                     omega_p: float, pulse: ProbePulse) -> SchemeMetrics:
-    """One scheme's metrics from its per-weight phase responses, scored by
-    the pairwise fidelity table with the pulse centred on omega_p:
-    ``thetas(omega)`` gives every weight's phase along omega, and ``jets``
-    every weight's jets at omega_p (indexed as device._weight_fold's)."""
+    """One scheme's metrics from its per-weight responses, scored by the
+    pairwise fidelity table with the pulse centred on omega_p:
+    ``phasors(omega)`` gives every weight's reflection phasor
+    r = exp(i theta) along omega, which is all the mode sum reads, and
+    ``jets`` every weight's jets at omega_p (indexed as
+    device._weight_fold's)."""
     pulse = ProbePulse(pulse.alpha, omega_p, pulse.bandwidth)
     th = jets[0]
     delta = float(wrap_phase(th[0] - th[1]))
@@ -165,7 +169,7 @@ def _scheme_metrics(name: str, resonator_count: int, chi: float, thetas, jets,
         # (-pi, pi], and cos, the only other reader, is even
         delta = abs(delta)
     grid = build_mode_grid(omega_p, pulse.bandwidth)
-    table = _pair_table(thetas(grid.frequencies), jets, th, delta, pulse, grid)
+    table = _pair_table(phasors(grid.frequencies), jets, th, delta, pulse, grid)
     same = [r for r in table if r.branch != "even-odd"]
     cross = table[0]  # weights (0, 1)
     return SchemeMetrics(
@@ -205,12 +209,13 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
         tuned = _newton_symmetric(cavity)[0]
     dev, wp = parallel_sol.device, parallel_sol.omega_p
     par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
-                          lambda omega: _weight_fold(dev, omega),
+                          lambda omega: _weight_phasors(dev, omega),
                           _weight_fold(dev, wp, jets=True), wp, pulse)
     cav, states = tuned.cavity, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
     jets = np.vstack(_weight_fold(cav, tuned.omega_p, jets=True)).T  # rows by bit
     cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,
-                          lambda omega: _cascade_sums(_weight_fold(cav, omega), states),
+                          lambda omega: _cascade_sums(_weight_phasors(cav, omega), states,
+                                                      math.prod),
                           np.array(_cascade_sums(jets, states)).T, tuned.omega_p, pulse)
     quad_match = {p: abs(f - cas.same_parity_closed[p])
                   for p, f in cas.same_parity_fidelity.items()}

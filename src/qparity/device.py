@@ -22,7 +22,7 @@ import numpy as np
 
 from .network import (Capacitor, Inductor, NetworkElement, Parallel, PhaseCurve,
                       QuarterWaveStub, Series, _check_frequency, _check_omega, _crossings,
-                      _curve_table, _fold, _fold_jets, lumped_equivalent)
+                      _curve_table, _fold, _fold_jets, _phasor, lumped_equivalent)
 
 __all__ = [
     "NonPositiveResult",
@@ -269,6 +269,15 @@ def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=
         return _fold_jets(stub, dev.z0, table, _check_frequency(omega))
     w = _check_omega(omega)
     return np.array([_fold(stub, dev.z0, branches, w) for branches in table])
+
+
+def _weight_phasors(dev: ParityDevice, omega) -> np.ndarray:
+    """r = e^{i theta} of every Hamming weight along omega, one row per
+    weight, from _weight_table by network._phasor, one weight at a time as
+    _weight_fold's theta: what a mode sum reads, with no 2*pi offsets."""
+    table = _weight_table(dev)
+    stub, w = dev.resonator_model == "stub", _check_omega(omega)
+    return np.array([_phasor(stub, dev.z0, branches, w) for branches in table])
 
 
 def build_state_network(dev: ParityDevice, state: QubitState) -> NetworkElement:

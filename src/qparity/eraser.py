@@ -62,7 +62,8 @@ MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
 NEWTON_MAX_ITER = 30
 MIN_STEP = 1e-10  # exact-stage steps halve down to this fraction of the Newton step
 GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
-GRID_POINTS = 33  # pole-model grid density per axis
+GRID_POINTS = 33  # pole-model grid density along chi
+PROBE_POINTS = 129  # pole-model grid density along omega_p
 GRID_TOP_K = 12       # grid basins Gauss-Newton starts from, best first
 MODEL_NEWTON_STEPS = 8  # Newton steps on the pole model from a grid basin
 
@@ -139,7 +140,13 @@ def contrast(sol: EraserSolution) -> float:
     """delta_theta = wrap(theta_even - theta_odd) in (-pi, pi]."""
     if sol.device.n < 1 or len(sol.theta_by_weight) < 2:
         raise ValueError("solution lacks both parity manifolds")
-    d = wrap_phase(sol.theta_by_weight[0] - sol.theta_by_weight[1])
+    return _contrast(sol.theta_by_weight)
+
+
+def _contrast(th) -> float:
+    """wrap(th[0] - th[1]) from per-weight phases, refused (EraserDegenerate)
+    below 1e-9 rad."""
+    d = wrap_phase(th[0] - th[1])
     if abs(d) < 1e-9:
         raise EraserDegenerate(
             f"parities indistinguishable: delta_theta = {d:.3e} rad"
@@ -476,7 +483,7 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
     ends the search, as nothing later scores higher.
     """
     chi_grid = np.geomspace(chi_range[0], chi_range[1], GRID_POINTS)
-    cands, best_cell = _grid_candidates(dev0, band, chi_grid, max(GRID_POINTS, 129))
+    cands, best_cell = _grid_candidates(dev0, band, chi_grid, PROBE_POINTS)
     gaps0 = np.diff([mo.omega for mo in dev0.modes]) if free_gaps else []
     underdetermined = 2 + len(gaps0) > dev0.n - 1
     roots = []

@@ -2,10 +2,14 @@
 
 A Gaussian probe pulse of bandwidth W decomposes into a dense comb of
 harmonic modes with Gaussian weights; each mode picks up the state-dependent
-reflection phase, and the overlap between the output coherent states for two
-qubit configurations is
+reflection phasor r = exp(i theta), and the overlap between the output
+coherent states for two qubit configurations is
 
-    F = |exp(-sum_i |alpha C_i|^2 (1 - exp(-i (theta_s - theta_s') (w_i))))|.
+    F = exp(-1/2 sum_i |alpha C_i|^2 |r_s(w_i) - r_s'(w_i)|^2),
+
+never above 1.  It equals |exp(-S)| = exp(-Re S) with
+S = sum_i |alpha C_i|^2 (1 - exp(-i (theta_s - theta_s')(w_i))), as
+|r_s - r_s'|^2 = 2 - 2 cos(theta_s - theta_s'), and reads no 2*pi offsets.
 
 Closed forms exist for pure linear (b*dw), pure quadratic (b2*dw^2), and
 constant (even/odd contrast) phase differences; the numeric mode sum and the
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import QubitState, _weight_fold
-from .eraser import EraserSolution, _dispersion, contrast
+from .device import QubitState, _weight_fold, _weight_phasors
+from .eraser import EraserSolution, _contrast, _dispersion
 from .network import wrap_phase
 
 __all__ = [
@@ -149,11 +153,11 @@ def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
     return ModeGrid(frequencies=freqs, spacing=float(spacing), weights=weights)
 
 
-def _mode_sum(dphase: np.ndarray, pulse: ProbePulse, grid: ModeGrid) -> float:
-    """Overlap from the phase difference sampled on the mode comb."""
+def _mode_sum(dr2: np.ndarray, pulse: ProbePulse, grid: ModeGrid) -> float:
+    """Overlap exp(-1/2 sum_i |alpha C_i|^2 dr2_i) from dr2 = |r_s - r_s'|^2,
+    the squared phasor difference sampled on the mode comb."""
     amp2 = pulse.mean_photons * grid.weights ** 2
-    exponent = np.sum(amp2 * (1.0 - np.exp(-1j * dphase)))
-    return float(abs(np.exp(-exponent)))
+    return math.exp(-0.5 * float(np.sum(amp2 * dr2)))
 
 
 def fidelity_numeric(theta_s, theta_s2, pulse: ProbePulse,
@@ -162,12 +166,12 @@ def fidelity_numeric(theta_s, theta_s2, pulse: ProbePulse,
 
     theta_s / theta_s2 are callables returning (unwrapped, common-anchor)
     phase at an array of frequencies; 2*pi offsets between same-parity
-    states drop out through the complex exponential.
+    states drop out of |r_s - r_s'|^2 = 4 sin^2((theta_s - theta_s')/2).
     """
     if grid is None:
         grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    return _mode_sum(np.asarray(theta_s(grid.frequencies))
-                     - np.asarray(theta_s2(grid.frequencies)), pulse, grid)
+    dphase = np.asarray(theta_s(grid.frequencies)) - np.asarray(theta_s2(grid.frequencies))
+    return _mode_sum(4.0 * np.sin(0.5 * dphase) ** 2, pulse, grid)
 
 
 def fidelity_linear_closed(alpha: complex, b: float, bandwidth: float) -> float:
@@ -233,25 +237,27 @@ class FidelityReport:
     delta_theta: float | None = None
 
 
-def _pair_table(phases, jets, theta_p, delta_theta: float,
+def _pair_table(phasors, jets, theta_p, delta_theta: float,
                 pulse: ProbePulse, grid: ModeGrid) -> tuple:
     """Fidelity of every unordered pair of Hamming weights.
 
-    ``phases[w]`` is weight w's phase on the mode comb, ``jets`` every
-    weight's jets at the probe (indexed as device._weight_fold's),
-    ``theta_p[w]`` its phase there and ``delta_theta`` the parity contrast
-    quoted for cross-parity pairs.  Every pair gets the numeric mode sum;
+    ``phasors[w]`` is weight w's reflection phasor r = exp(i theta) on the
+    mode comb, ``jets`` every weight's jets at the probe (indexed as
+    device._weight_fold's), ``theta_p[w]`` its phase there and
+    ``delta_theta`` the parity contrast quoted for cross-parity pairs.
+    Every pair gets the numeric mode sum of |r_w1 - r_w2|^2;
     same-parity pairs also get the linear closed form, or the quadratic one
     when the first-order mismatch cancels (|b| < QUADRATIC_BRANCH_RATIO |b2| W);
     cross-parity pairs get the even/odd closed form.
     """
-    n = len(phases) - 1
+    n = len(phasors) - 1
     rep = _dispersion(jets)
     w_band = pulse.bandwidth
     reports = []
     for w1 in range(n + 1):
         for w2 in range(w1 + 1, n + 1):
-            f_num = _mode_sum(phases[w1] - phases[w2], pulse, grid)
+            gap = phasors[w1] - phasors[w2]
+            f_num = _mode_sum(gap.real ** 2 + gap.imag ** 2, pulse, grid)
             states = (QubitState.of_weight(n, w1), QubitState.of_weight(n, w2))
             if (w1, w2) in rep.first:
                 b, b2 = rep.first[(w1, w2)], rep.second[(w1, w2)]
@@ -288,16 +294,19 @@ def eraser_quality(sol: EraserSolution, pulse: ProbePulse,
     """Full pairwise fidelity table at a solved operating point, on sol.device.
 
     Every unordered pair of Hamming weights gets the numeric mode-sum
-    fidelity from the true device phase curves (bandwidth corrections
+    fidelity from the true device phasors (bandwidth corrections
     included); same-parity pairs additionally get the linear (or, when the
     first-order mismatch cancels, quadratic) closed form, cross-parity pairs
-    the even/odd closed form at the solution contrast.
+    the even/odd closed form at the contrast.  The probe phases and the
+    contrast are the device's own, read from its jets at sol.omega_p, not
+    the fields stored beside it; a contrast below 1e-9 rad is refused
+    (EraserDegenerate).
     """
     if grid is None:
         grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    delta, jets = contrast(sol), _weight_fold(sol.device, sol.omega_p, jets=True)
-    return _pair_table(_weight_fold(sol.device, grid.frequencies), jets, sol.theta_by_weight,
-                       delta, pulse, grid)
+    jets = _weight_fold(sol.device, sol.omega_p, jets=True)
+    return _pair_table(_weight_phasors(sol.device, grid.frequencies), jets, jets[0],
+                       _contrast(jets[0]), pulse, grid)
 
 
 def reports_to_dicts(reports) -> list[dict]:

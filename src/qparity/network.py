@@ -599,6 +599,34 @@ def _fold(stub: bool, z0: float, branches, w):
     return _theta(z0 * u, v, _zeros_below(stub, cols, n, w).sum(axis=0))
 
 
+def _phasor(stub: bool, z0: float, branches, w):
+    """r = e^{i theta} of m parallel branches along w, in numpy, with the
+    table shapes and broadcasting of _fold: the same recurrence gives
+    r = (V - i z0 U)^2 / (V^2 + z0^2 U^2), which scaling U and V together
+    leaves alone.  So each stub branch's parts are divided by cos x,
+    P_k = k and N_k = 1 - k z0 tan x, one tan where _fold takes a cos and a
+    sin; the tank's are _branch_parts'.  r = -1 exactly on a series zero
+    (V = 0).  No zero count, no arctan: 2*pi offsets are not read.  The
+    parts of r are formed in float arithmetic, which is cheaper in numpy
+    than complex products and divisions."""
+    cols = np.moveaxis(np.asarray(branches, dtype=float), (-2, -1), (1, 0))
+    cols = cols.reshape(cols.shape + (1,) * (np.ndim(w) + 2 - cols.ndim))
+    if stub:
+        p = w * cols[0]
+        n = 1.0 - (z0 * p) * np.tan(0.5 * math.pi * (w / cols[1]))
+    else:
+        p, n = _branch_parts(stub, z0, cols, w)
+    u, v = p[0], n[0]  # the recurrence's first step from U = 0, V = 1
+    for p_k, n_k in zip(p[1:], n[1:]):
+        u, v = u * n_k + p_k * v, v * n_k
+    z0_u = z0 * u
+    v2, z0_u2 = v * v, z0_u * z0_u
+    d = v2 + z0_u2
+    r = np.empty(d.shape, complex)
+    r.real, r.imag = (v2 - z0_u2) / d, -2.0 * (v * z0_u) / d
+    return r
+
+
 def _jets(stub: bool, z0: float, table, w):
     """(theta, theta', theta'', d theta/d w_r of each branch) of each row of a
     stacked branch table, shape (rows, m, columns), at w (one frequency, or

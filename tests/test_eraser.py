@@ -100,12 +100,14 @@ def test_solution_reports_conventions(paper_solution):
 
 
 def test_grid_start_independence(monkeypatch, paper_device):
-    # the pole-model grid's density is a module constant, set here per solve
+    # the pole-model grid's densities along chi and omega_p are module
+    # constants, both moved here per solve
     from qparity import eraser
 
     sols = []
-    for points in (33, 65, 129):
-        monkeypatch.setattr(eraser, "GRID_POINTS", points)
+    for chi_points, probe_points in ((33, 65), (65, 129), (129, 257)):
+        monkeypatch.setattr(eraser, "GRID_POINTS", chi_points)
+        monkeypatch.setattr(eraser, "PROBE_POINTS", probe_points)
         sols.append(solve_eraser(paper_device))
     fps = [s.omega_p for s in sols]
     chis = [s.chi for s in sols]

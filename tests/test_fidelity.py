@@ -268,6 +268,72 @@ def test_eraser_quality_cw_limit(paper_solution):
             assert rep.f_numeric > 1.0 - 1e-6
 
 
+def test_eraser_quality_reads_its_device_not_the_stored_fields(paper_solution):
+    # a solution whose device moved away from its stored phases and contrast:
+    # every phase the table quotes is the device's own, read from its jets
+    from dataclasses import replace
+
+    from qparity.eraser import make_solution
+    from qparity.network import wrap_phase
+
+    sol = replace(paper_solution, device=paper_solution.device.with_chi(1.05 * paper_solution.chi))
+    th = make_solution(sol.device, sol.omega_p).theta_by_weight
+    assert th != sol.theta_by_weight
+    # a long pulse: a same-parity pair's F is its CW overlap at its delta_theta
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-4)
+    reports = eraser_quality(sol, pulse)
+    for rep in reports:
+        w1, w2 = rep.weights
+        if rep.branch == "even-odd":
+            assert rep.delta_theta == wrap_phase(th[0] - th[1])  # the contrast
+            continue
+        assert rep.delta_theta == wrap_phase(th[w1] - th[w2])
+        assert rep.f_numeric < 0.95
+        assert rep.f_numeric == pytest.approx(fidelity_even_odd(pulse.alpha, rep.delta_theta),
+                                              abs=1e-5)
+
+
+@pytest.mark.parametrize("n,model", [(3, "stub"), (3, "lumped"), (4, "stub"), (4, "lumped")])
+def test_phasor_mode_sum_matches_the_theta_reference(n, model):
+    # eraser_quality and both sides of compare_schemes, scored on comb
+    # phasors, against the theta-based mode sum they replaced (tests/
+    # mode_sum_reference.py), at 12 seeded pulses on the paper and n = 4
+    # solutions
+    import random
+
+    from mode_sum_reference import cascade_thetas, device_thetas, reference_pair_fidelities
+
+    from qparity.cascade import compare_schemes
+    from qparity.device import Mode, ParityDevice
+    from qparity.eraser import solve_eraser
+
+    def modes(*f_ghz):
+        return tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in f_ghz)
+
+    if n == 3:
+        sol = solve_eraser(ParityDevice.equal_coupling(
+            3, modes(9.99, 10.01), TWO_PI * 5e6, resonator_model=model))
+    else:
+        sol = solve_eraser(ParityDevice.equal_coupling(
+            4, modes(9.97, 10.0, 10.03), TWO_PI * 5e6, resonator_model=model),
+            free=("chi", "mode_frequencies"))
+    cavity = ParityDevice.equal_coupling(1, modes(10.0), TWO_PI * 5e6, resonator_model=model)
+    rng = random.Random(f"mode-sum:{n}:{model}")
+    for _ in range(12):
+        pulse = ProbePulse.from_duration(math.sqrt(rng.uniform(0.5, 10.0)), sol.omega_p,
+                                         rng.uniform(0.3e-6, 3e-6))
+        want = reference_pair_fidelities(device_thetas(sol.device), pulse)
+        got = {r.weights: r.f_numeric for r in eraser_quality(sol, pulse)}
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        rep = compare_schemes(sol, cavity, pulse)
+        for side, thetas in ((rep.parallel, device_thetas(sol.device)),
+                             (rep.cascade, cascade_thetas(cavity.with_chi(rep.cascade.chi), n))):
+            want = reference_pair_fidelities(
+                thetas, ProbePulse(pulse.alpha, side.omega_p, pulse.bandwidth))
+            got = {**side.same_parity_fidelity, (0, 1): side.cross_parity_fidelity}
+            assert got == pytest.approx({p: want[p] for p in got}, rel=1e-13, abs=0.0)
+
+
 def test_equal_weight_pair_is_exactly_unity(paper_solution):
     from qparity.device import weight_phase_curve
 

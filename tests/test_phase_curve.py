@@ -158,6 +158,37 @@ def test_broadcast_fold_matches_each_curve(model):
         assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
 
 
+def test_phasor_kernel_is_unimodular_and_exp_i_theta():
+    # r of 400 seeded stacked tables (1-6 rows of 1-6 branches, stub and
+    # lumped) along a comb that holds every row's resonances and series
+    # zeros exactly: |r| = 1 to 4 ulps, and r = exp(i theta) of the fold it
+    # replaces on the comb to 1e-12, every value finite; on a zero, r = -1
+    from qparity.network import _curve_table, _fold, _phasor, _series_zeros
+
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for k in range(400):
+        model = ("stub", "lumped")[k % 2]
+        stub = model == "stub"
+        rows, m = rng.integers(1, 7, size=2)
+        couplers = rng.uniform(3e-15, 20e-15, m)
+        omega_r = TWO_PI * np.sort(rng.uniform(4e9, 12e9, (rows, m)), axis=1)
+        z0 = rng.uniform(20.0, 100.0)
+        table = _curve_table(couplers, omega_r, z0, model)
+        zeros = _series_zeros(stub, z0, np.moveaxis(table, -1, 0)).ravel()
+        comb = np.concatenate([TWO_PI * np.linspace(3.5e9, 12.5e9, 101), omega_r.ravel(),
+                               zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf)])
+        r = _phasor(stub, z0, table, comb[None, :])
+        assert r.shape == (rows, len(comb)) and np.isfinite(r).all()
+        assert np.max(np.abs(np.abs(r) - 1.0)) <= 4 * np.spacing(1.0)
+        err = np.abs(r - np.exp(1j * _fold(stub, z0, table, comb[None, :])))
+        worst = max(worst, float(np.max(err)))
+        for row, branch_zeros in zip(r, zeros.reshape(rows, m)):
+            on_zero = np.isin(comb, branch_zeros)
+            assert np.max(np.abs(row[on_zero] + 1.0)) <= 1e-9
+    assert worst <= 1e-12
+
+
 def _hexes(jets) -> list:
     """Every entry of (theta, theta', theta'', d theta/d w_r) as float.hex,
     row by row: the sign of a zero counts, and every nan reads 'nan'."""
