@@ -9,15 +9,17 @@ the first-order dispersion mismatch cancels; the second-order mismatch
 survives and sets the fidelity limit.  Circulators are treated as ideal, so
 cavity order never matters.
 
-Tuning is Newton on the cavity's exact phase derivatives: in omega onto the
-step maximum, b = theta_0' - theta_1' = 0, and in chi, by the envelope
-derivative of that maximum, onto pi: the smallest chi with a pi step.
+Tuning is one Newton loop on the cavity's exact phase derivatives, omega
+and chi stepping together on each fold: omega onto the step maximum,
+b = theta_0' - theta_1' = 0, and chi, by the step's partial in chi, onto
+pi: the smallest chi with a pi step.  With chi held the same loop finds
+the step maximum alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,34 +62,57 @@ class TunedCascade:
     omega_p: float
     step: float          # theta_0 - theta_1 at omega_p (target: pi)
     b_single: float      # theta_0' - theta_1' at omega_p (target: 0)
+    # the jets of the fold that stopped the loop: _weight_fold(cavity, omega_p,
+    # jets=True) bit for bit, which compare_schemes scores
+    jets: tuple = field(repr=False, compare=False)
 
 
-def _newton_symmetric(cavity: ParityDevice, w: float | None = None
-                      ) -> tuple[TunedCascade, float]:
-    """The cavity, chi as given, probed where the per-qubit phase step is
-    maximal (b = 0), so the linear dispersion mismatch cancels: Newton on b
-    with slope b' = theta_0'' - theta_1'' from w (default: the loaded zero).
-    Refuses b' >= 0, which is no maximum, and a cavity that is not one qubit
-    on one mode.  Also returns d step/d chi = d theta_0/d omega_r + d theta_1/d
-    omega_r at fixed omega (bits 0 and 1 put the cavity at omega_r +/- chi)."""
+def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
+                      tune_chi: bool = False) -> TunedCascade:
+    """The cavity probed where the per-qubit phase step S = theta_0 - theta_1
+    is maximal (b = theta_0' - theta_1' = 0), so the linear dispersion
+    mismatch cancels; chi as given, or with ``tune_chi`` tuned so S = pi.
+
+    One Newton loop from w (default: the loaded zero) and, tuning, chi at
+    CHI_RANGE's bottom.  Each step is one fold of the cavity's two-row weight
+    table (bits 0 and 1 put the cavity at omega_r +/- chi): omega moves by
+    -b/b' with b' = theta_0'' - theta_1'', and chi by (pi - S)/(dS/dchi) with
+    dS/dchi = d theta_0/d omega_r + d theta_1/d omega_r at fixed omega.  The
+    jets hold no d b/d chi, which the omega step leaves out.  The loop stops
+    at the fold where omega's step is within OMEGA_ULPS ulps and, tuning, S
+    within STEP_TOL of pi, and keeps that fold's jets.  Refuses b' >= 0,
+    which is no maximum, a chi step leaving CHI_RANGE, and a cavity that is
+    not one qubit on one mode.
+    """
     if (cavity.n, cavity.m) != (1, 1):
         raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
                          f"{cavity.n} qubits x {cavity.m} modes")
+    stub, (chi_lo, chi_hi) = cavity.resonator_model == "stub", CHI_RANGE
+    chi = chi_lo if tune_chi else cavity.chi
     if w is None:
         w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
-    table = _weight_table(cavity)  # rows by bit, fixed by chi while omega moves
     for _ in range(MAX_NEWTON_STEPS):
-        th, d1, d2, d_r = _fold_jets(cavity.resonator_model == "stub", cavity.z0, table, w)
-        b, slope = float(d1[0] - d1[1]), float(d2[0] - d2[1])
+        jets = _fold_jets(stub, cavity.z0, _weight_table(cavity, chi=chi), w)  # rows by bit
+        th, d1, d2, d_r = jets
+        b, slope, step = float(d1[0] - d1[1]), float(d2[0] - d2[1]), float(th[0] - th[1])
         if not slope < 0.0:
             raise ValueError("no symmetric point: the per-qubit phase step has no "
                              f"maximum near f = {w / TWO_PI:.9g} Hz")
         dw = -b / slope
-        if abs(dw) <= OMEGA_ULPS * math.ulp(w):
-            tuned = TunedCascade(cavity=cavity, omega_p=w, b_single=b,
-                                 step=float(th[0] - th[1]))
-            return tuned, float(d_r[0, 0] + d_r[0, 1])
+        if (abs(dw) <= OMEGA_ULPS * math.ulp(w)
+                and (not tune_chi or abs(step - math.pi) <= STEP_TOL)):
+            return TunedCascade(cavity=cavity.with_chi(chi), omega_p=w, step=step,
+                                b_single=b, jets=jets)
         w += dw
+        if tune_chi:
+            ds_dchi = float(d_r[0, 0] + d_r[0, 1])
+            next_chi = chi + (math.pi - step) / ds_dchi if ds_dchi > 0.0 else math.inf
+            if not chi_lo <= next_chi <= chi_hi:
+                raise ValueError(
+                    "per-qubit phase step never crosses pi over the chi range "
+                    f"{chi_lo / TWO_PI / 1e6:g}-{chi_hi / TWO_PI / 1e6:g} MHz; step "
+                    f"{step:.3f} rad at {chi / TWO_PI / 1e6:.6g} MHz")
+            chi = next_chi
         if not 0.0 < w < math.inf:
             break
     raise ValueError("no symmetric point: Newton on the per-qubit phase step "
@@ -96,31 +121,18 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None
 
 def tune_cascade(cavity: ParityDevice) -> TunedCascade:
     """Adjust the cavity's chi so the maximal per-qubit phase step S(chi)
-    equals pi.
+    equals pi, probed at that maximum (b = 0): _newton_symmetric with
+    ``tune_chi``, omega and chi stepping together on each fold.
 
     Below that chi no probe frequency gives a pi step, so this is the
-    smallest-chi pi root (longest Purcell T1), and at b = 0.  Newton on chi
-    uses dS/dchi = the step's partial in chi at fixed omega (envelope
-    theorem: b = 0 at the maximum).  S rises from 0 and is concave, like the
-    Lorentzian 4 atan(2 chi/kappa), so from CHI_RANGE's bottom the iterates
-    climb below pi, each warm-starting omega.  A start above pi or an
-    iterate leaving CHI_RANGE raises ValueError, as does a device that is
-    not one qubit on one mode.
+    smallest-chi pi root (longest Purcell T1).  At b = 0 the step's partial
+    in chi at fixed omega is the maximum's own slope (envelope theorem).  S
+    rises from 0 and is concave, like the Lorentzian 4 atan(2 chi/kappa),
+    so from CHI_RANGE's bottom the iterates climb below pi.  A start above
+    pi or an iterate leaving CHI_RANGE raises ValueError, as does a device
+    that is not one qubit on one mode.
     """
-    chi_lo, chi_hi = CHI_RANGE
-    chi, w = chi_lo, None
-    for _ in range(MAX_NEWTON_STEPS):
-        tuned, ds_dchi = _newton_symmetric(cavity.with_chi(chi), w)
-        if abs(tuned.step - math.pi) <= STEP_TOL:
-            return tuned
-        chi += (math.pi - tuned.step) / ds_dchi if ds_dchi > 0.0 else math.inf
-        w = tuned.omega_p
-        if not chi_lo <= chi <= chi_hi:
-            raise ValueError(
-                "per-qubit phase step never crosses pi over the chi range "
-                f"{chi_lo / TWO_PI / 1e6:g}-{chi_hi / TWO_PI / 1e6:g} MHz; step "
-                f"{tuned.step:.3f} rad at {tuned.cavity.chi / TWO_PI / 1e6:.6g} MHz")
-    raise ValueError("Newton on chi did not converge")
+    return _newton_symmetric(cavity, tune_chi=True)
 
 
 # ----------------------------------------------------------------------
@@ -201,18 +213,15 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
     if parallel_sol.device.n < 2:
         raise ValueError("n_qubits: compare needs at least 2 qubits, got "
                          f"{parallel_sol.device.n}")
-    if tune:
-        tuned = tune_cascade(cavity)
-    else:
-        # keep the given chi but still probe at the symmetric point, where
-        # the first-order mismatch cancels (the step may then differ from pi)
-        tuned = _newton_symmetric(cavity)[0]
+    # without tune keep the given chi but still probe at the symmetric point,
+    # where the first-order mismatch cancels (the step may then differ from pi)
+    tuned = tune_cascade(cavity) if tune else _newton_symmetric(cavity)
     dev, wp = parallel_sol.device, parallel_sol.omega_p
     par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
                           lambda omega: _weight_phasors(dev, omega),
                           _weight_fold(dev, wp, jets=True), wp, pulse)
     cav, states = tuned.cavity, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
-    jets = np.vstack(_weight_fold(cav, tuned.omega_p, jets=True)).T  # rows by bit
+    jets = np.vstack(tuned.jets).T  # rows by bit
     cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,
                           lambda omega: _cascade_sums(_weight_phasors(cav, omega), states,
                                                       math.prod),

@@ -450,13 +450,14 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
 def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
     """Dedupe verified roots (x, its jets) of dev0, rank them by
     distinguishability from their jets, build the winner's solution from its
-    jets."""
+    jets.  Its omega_p and every basin's are Python floats, as a solution
+    read from a file holds."""
     scored = []
     for x, jets in roots:
         if not any(abs(x[0] - x2[0]) < TWO_PI * 1e4
                    and abs(x[1] - x2[1]) < TWO_PI * 1e3 for *_, x2, _ in scored):
             dth = float(wrap_phase(jets[0][0] - jets[0][1]))
-            scored.append((abs(math.sin(0.5 * dth)), x[0], dth, x, jets))
+            scored.append((abs(math.sin(0.5 * dth)), float(x[0]), dth, x, jets))
     scored.sort(key=lambda t: (-t[0], t[1]))
     _, wp, _, x, jets = scored[0]
     dev = dev0.with_chi(x[1])

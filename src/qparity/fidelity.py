@@ -153,10 +153,10 @@ def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
     return ModeGrid(frequencies=freqs, spacing=float(spacing), weights=weights)
 
 
-def _mode_sum(dr2: np.ndarray, pulse: ProbePulse, grid: ModeGrid) -> float:
-    """Overlap exp(-1/2 sum_i |alpha C_i|^2 dr2_i) from dr2 = |r_s - r_s'|^2,
-    the squared phasor difference sampled on the mode comb."""
-    amp2 = pulse.mean_photons * grid.weights ** 2
+def _mode_sum(dr2: np.ndarray, amp2: np.ndarray) -> float:
+    """Overlap exp(-1/2 sum_i amp2_i dr2_i) from dr2 = |r_s - r_s'|^2, the
+    squared phasor difference sampled on the mode comb, and the comb's
+    amp2 = |alpha C_i|^2, computed once per comb by the caller."""
     return math.exp(-0.5 * float(np.sum(amp2 * dr2)))
 
 
@@ -171,7 +171,7 @@ def fidelity_numeric(theta_s, theta_s2, pulse: ProbePulse,
     if grid is None:
         grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
     dphase = np.asarray(theta_s(grid.frequencies)) - np.asarray(theta_s2(grid.frequencies))
-    return _mode_sum(4.0 * np.sin(0.5 * dphase) ** 2, pulse, grid)
+    return _mode_sum(4.0 * np.sin(0.5 * dphase) ** 2, pulse.mean_photons * grid.weights ** 2)
 
 
 def fidelity_linear_closed(alpha: complex, b: float, bandwidth: float) -> float:
@@ -252,12 +252,12 @@ def _pair_table(phasors, jets, theta_p, delta_theta: float,
     """
     n = len(phasors) - 1
     rep = _dispersion(jets)
-    w_band = pulse.bandwidth
+    w_band, amp2 = pulse.bandwidth, pulse.mean_photons * grid.weights ** 2
     reports = []
     for w1 in range(n + 1):
         for w2 in range(w1 + 1, n + 1):
             gap = phasors[w1] - phasors[w2]
-            f_num = _mode_sum(gap.real ** 2 + gap.imag ** 2, pulse, grid)
+            f_num = _mode_sum(gap.real ** 2 + gap.imag ** 2, amp2)
             states = (QubitState.of_weight(n, w1), QubitState.of_weight(n, w2))
             if (w1, w2) in rep.first:
                 b, b2 = rep.first[(w1, w2)], rep.second[(w1, w2)]

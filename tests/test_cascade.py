@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qparity.cascade import _cascade_sums, _newton_symmetric, compare_schemes, tune_cascade
+from qparity.cascade import (CHI_RANGE, STEP_TOL, _cascade_sums, _newton_symmetric,
+                             compare_schemes, tune_cascade)
 from qparity.cli import main
 from qparity.device import (Mode, ParityDevice, QubitState, _loaded_zero_estimate,
                             _weight_fold, state_phase_curve, weight_phase_curve)
@@ -125,7 +126,7 @@ def test_tuning_bracket_oracle():
 
     def step_at(chi):
         trial = cav.with_chi(chi)
-        wp = _newton_symmetric(trial)[0].omega_p
+        wp = _newton_symmetric(trial).omega_p
         return weight_phase_curve(trial, 0).theta(wp) - weight_phase_curve(trial, 1).theta(wp)
 
     lo = step_at(TWO_PI * 0.5e6) - math.pi
@@ -133,13 +134,26 @@ def test_tuning_bracket_oracle():
     assert lo < 0.0 < hi
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(f_ghz=st.floats(9.5, 10.5), c_ff=st.floats(5.0, 15.0),
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(f_ghz=st.floats(1.0, 12.0), c_ff=st.floats(2.0, 40.0),
        model=st.sampled_from(["stub", "lumped"]))
 def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, model):
-    # the compare workload's cavity ranges; the oracle is a bracketing root
-    # solve of step(chi) - pi, independent of the Newton iteration on chi
+    # the oracle is a bracketing root solve of step(chi) - pi over the whole
+    # CHI_RANGE, each step the chi-held loop's, independent of chi's Newton
+    # steps; where the step does not cross pi there, tuning is refused (exit 3)
     dev = cavity(f_ghz, c_ff=c_ff, model=model)
+
+    def excess(c):
+        return _newton_symmetric(dev.with_chi(c)).step - math.pi
+
+    try:
+        crosses = excess(CHI_RANGE[0]) < 0.0 < excess(CHI_RANGE[1])
+    except ValueError:  # no step maximum at an end of the range
+        crosses = False
+    if not crosses:
+        with pytest.raises(ValueError, match="never crosses pi over the chi range"):
+            tune_cascade(dev)
+        return
     t = tune_cascade(dev)
     chi = t.cavity.chi
     assert abs(t.step - math.pi) < 1e-9
@@ -147,9 +161,40 @@ def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, model):
           - weight_phase_curve(t.cavity, 1).dtheta(t.omega_p, 2))
     assert b2 < 0.0  # b' < 0: the step is at its maximum, not a minimum
     assert abs(t.b_single) < 1e-3 * abs(b2) * 1e6
-    oracle = brentq(lambda c: _newton_symmetric(dev.with_chi(c))[0].step - math.pi,
-                    0.5 * chi, 2.0 * chi)
-    assert chi == pytest.approx(oracle, rel=1e-8)
+    assert chi == pytest.approx(brentq(excess, *CHI_RANGE), rel=1e-8)
+
+
+def test_tuning_stops_only_at_a_pi_step():
+    # started on the step maximum of CHI_RANGE's bottom, omega has converged
+    # at the first fold while the step is far below pi: chi must go on
+    cav = cavity()
+    w = _newton_symmetric(cav.with_chi(CHI_RANGE[0])).omega_p
+    t = _newton_symmetric(cav, w, tune_chi=True)
+    assert abs(t.step - math.pi) <= STEP_TOL
+    assert t.cavity.chi == pytest.approx(tune_cascade(cav).cavity.chi, rel=1e-8)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+@pytest.mark.parametrize("tune", [False, True])
+def test_the_tuner_keeps_the_fold_compare_scores(paper_solution, model, tune):
+    # the fold that stops the loop is the cascade's jets at omega_p, bit for
+    # bit a fresh _weight_fold there, and compare_schemes reads it
+    from qparity.eraser import _residuals
+
+    dev = cavity(model=model)
+    t = tune_cascade(dev) if tune else _newton_symmetric(dev)
+    fresh = _weight_fold(t.cavity, t.omega_p, jets=True)
+    assert len(t.jets) == len(fresh)
+    for kept, folded in zip(t.jets, fresh):
+        assert kept.shape == folded.shape
+        assert [v.hex() for v in kept.ravel().tolist()] == \
+            [v.hex() for v in folded.ravel().tolist()]
+    pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-6)
+    rep = compare_schemes(paper_solution, dev, pulse, tune=tune)
+    states = [QubitState.of_weight(3, w) for w in range(4)]
+    th = np.array(_cascade_sums(np.vstack(fresh).T, states)).T[0]
+    assert rep.cascade.omega_p == t.omega_p
+    assert rep.cascade.residuals == tuple(float(v) for v in _residuals(th))
 
 
 def _old_window_root(cav):
@@ -207,8 +252,9 @@ def test_compare_without_pi_root_exits_3_in_one_line(tmp_path, capsys, f_ghz, c_
 
 
 def test_tune_cascade_work_count(monkeypatch):
-    # two Newton iterations on exact jets: 18 fold passes, each the jets of
-    # both bit states (36 jets, one curve each, before), and no vector theta
+    # one Newton loop on exact jets, omega and chi stepping together: 6 fold
+    # passes, each the jets of both bit states (the nested loops before,
+    # Newton in omega inside Newton in chi, took 18), and no vector theta
     # or network-tree evaluation (network._impedance_parts, which every
     # point and root solve of the oracle sweep goes through); the nested
     # brentq search with its 257-point window scans made 630 jets,
@@ -250,7 +296,7 @@ def test_tune_cascade_work_count(monkeypatch):
     monkeypatch.setattr(network.PhaseCurve, "theta", counting_theta)
     monkeypatch.setattr(network, "_impedance_parts", counting_tree)
     tune_cascade(cavity())
-    assert counts["folds"] <= 18
+    assert counts["folds"] <= 7
     assert counts["jets"] <= 100
     assert counts["vector theta"] == 0
     assert counts["tree evaluations"] == 0

@@ -388,6 +388,37 @@ def test_fidelity_outputs_and_round_trip(solved, tmp_path):
     assert len(rows) == 7
 
 
+FOUR_QUBIT_CONFIG = {
+    "schema_version": "1",
+    "n_qubits": 4,
+    "modes": [{"f_GHz": f, "C_couple_fF": 10.0} for f in (9.97, 10.0, 10.03)],
+    "chi_MHz": "solve",
+}
+
+
+@pytest.mark.parametrize("config, free", [(PAPER_CONFIG, ()),
+                                          (FOUR_QUBIT_CONFIG, ("--free-modes",))],
+                         ids=["paper", "n4-free"])
+def test_solved_and_file_read_solutions_hold_python_floats(tmp_path, config, free):
+    # a solve's omega_p and its basins' are the Python floats a solution
+    # read back from its file holds, not numpy scalars
+    from qparity.cli import _solution_from_file, load_config, parse_parallel_config
+    from qparity.eraser import solve_eraser
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sol.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["solve", str(cfg), "--out", str(out), *free]) == 0
+    dev, _ = parse_parallel_config(load_config(str(cfg)), str(cfg))
+    solved = solve_eraser(dev, free=("chi", "mode_frequencies") if free else ("chi",))
+    read = _solution_from_file(str(out), solved.device)
+    for sol in (solved, read):
+        assert type(sol.omega_p) is float
+        assert type(sol.chi) is float
+        assert all(type(v) is float for basin in sol.basins for v in basin)
+    assert read.omega_p == solved.omega_p
+    assert solved.basins and solved.basins[0][0] == solved.omega_p
+
+
 def _bad_top_level(sol):
     return [sol]
 
