@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _weight_fold,
-                     _weight_phasors, _weight_table)
+from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _weight_phasors,
+                     _weight_table)
 from .eraser import EraserSolution, _residuals
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
 from .network import _fold_jets, wrap_phase
@@ -181,7 +181,7 @@ def _scheme_metrics(name: str, resonator_count: int, chi: float, phasors, jets,
         # (-pi, pi], and cos, the only other reader, is even
         delta = abs(delta)
     grid = build_mode_grid(omega_p, pulse.bandwidth)
-    table = _pair_table(phasors(grid.frequencies), jets, th, delta, pulse, grid)
+    table = _pair_table(phasors(grid.frequencies), jets, delta, pulse, grid)
     same = [r for r in table if r.branch != "even-odd"]
     cross = table[0]  # weights (0, 1)
     return SchemeMetrics(
@@ -216,10 +216,10 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
     # without tune keep the given chi but still probe at the symmetric point,
     # where the first-order mismatch cancels (the step may then differ from pi)
     tuned = tune_cascade(cavity) if tune else _newton_symmetric(cavity)
-    dev, wp = parallel_sol.device, parallel_sol.omega_p
+    dev = parallel_sol.device
     par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
                           lambda omega: _weight_phasors(dev, omega),
-                          _weight_fold(dev, wp, jets=True), wp, pulse)
+                          parallel_sol.jets, parallel_sol.omega_p, pulse)
     cav, states = tuned.cavity, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
     jets = np.vstack(tuned.jets).T  # rows by bit
     cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,

@@ -31,7 +31,6 @@ from .eraser import (
     EraserSolution,
     NoSolution,
     InfeasibleDevice,
-    make_solution,
     solution_to_dict,
     solve_eraser,
 )
@@ -337,7 +336,7 @@ def _solution_from_file(path: str, dev: ParityDevice) -> EraserSolution:
         lo, hi = analysis_band(dev)
         if not lo <= wp <= hi:
             raise ConfigError(f"{path}.omega_p_rad_s: {wp!r} lies outside the band")
-        return make_solution(dev, wp)
+        return EraserSolution(dev, wp)
     except NonPositiveResult as exc:  # chi pulls a mode, or the default band, to f <= 0
         raise ConfigError(f"{path}.chi_rad_s: {exc}")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "EraserSolution",
     "min_modes_required",
     "eraser_residuals",
-    "make_solution",
     "solve_eraser",
     "contrast",
     "dispersion_report",
@@ -93,24 +92,43 @@ class EraserDegenerate(EraserError):
     """Even and odd parities are indistinguishable (delta_theta = 0)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EraserSolution:
-    """A verified root of the parity conditions.
+    """A verified root of the parity conditions: its device, its probe and
+    the one jets fold there.
 
     ``device`` is the solved device (final chi and mode frequencies);
     ``basins`` lists every distinct verified root found, as tuples of
-    (omega_p, chi, delta_theta), best first.
+    (omega_p, chi, delta_theta), best first.  ``jets`` is
+    _weight_fold(device, omega_p, jets=True), taken from a caller that
+    holds it or folded once here; the per-weight phases, residuals,
+    contrast and dispersion are read from it, and chi is the device's.
+    replace() of the device or omega_p folds again, so no solution
+    disagrees with its own device.
     """
 
     device: ParityDevice
     omega_p: float
-    chi: float
-    theta_by_weight: tuple
-    residuals: tuple
-    delta_theta: float
-    dispersion_b: float
-    dispersion_b2: float
+    chi: float = field(init=False)
+    theta_by_weight: tuple = field(init=False)
+    residuals: tuple = field(init=False)
+    delta_theta: float = field(init=False)
+    dispersion_b: float = field(init=False)
+    dispersion_b2: float = field(init=False)
     basins: tuple = ()
+    jets: tuple = field(init=False, repr=False, compare=False)
+
+    def __init__(self, device: ParityDevice, omega_p: float, basins=(), jets=None):
+        jets = _weight_fold(device, omega_p, jets=True) if jets is None else jets
+        th, rep = jets[0], _dispersion(jets)
+        for name, value in (
+                ("device", device), ("omega_p", omega_p), ("chi", device.chi),
+                ("theta_by_weight", tuple(float(t) for t in th)),
+                ("residuals", tuple(float(v) for v in _residuals(th))),
+                ("delta_theta", float(wrap_phase(th[0] - th[1]))),
+                ("dispersion_b", rep.max_abs_first), ("dispersion_b2", rep.max_abs_second),
+                ("basins", tuple(basins)), ("jets", jets)):
+            object.__setattr__(self, name, value)
 
 
 def min_modes_required(n: int) -> int:
@@ -137,9 +155,8 @@ def eraser_residuals(dev: ParityDevice, omega_p) -> np.ndarray:
 
 
 def contrast(sol: EraserSolution) -> float:
-    """delta_theta = wrap(theta_even - theta_odd) in (-pi, pi]."""
-    if sol.device.n < 1 or len(sol.theta_by_weight) < 2:
-        raise ValueError("solution lacks both parity manifolds")
+    """delta_theta = wrap(theta_even - theta_odd) in (-pi, pi] from the
+    solution's own fold, refused (EraserDegenerate) below 1e-9 rad."""
     return _contrast(sol.theta_by_weight)
 
 
@@ -189,28 +206,9 @@ def _dispersion(jets) -> DispersionReport:
 def dispersion_report(sol: EraserSolution) -> DispersionReport:
     """First/second phase-derivative mismatches among same-parity weights
     of the solution's device at its probe frequency, from the exact
-    derivatives (finite at loaded poles, so no point is refused)."""
-    return _dispersion(_weight_fold(sol.device, sol.omega_p, jets=True))
-
-
-def make_solution(dev: ParityDevice, omega_p: float, basins=(),
-                  jets=None) -> EraserSolution:
-    """The solution object at (dev, omega_p): per-weight phases, residuals,
-    contrast and dispersion, each computed once, from ``jets`` when given
-    (_weight_fold(dev, omega_p, jets=True))."""
-    jets = _weight_fold(dev, omega_p, jets=True) if jets is None else jets
-    th, rep = jets[0], _dispersion(jets)
-    return EraserSolution(
-        device=dev,
-        omega_p=omega_p,
-        chi=dev.chi,
-        theta_by_weight=tuple(float(t) for t in th),
-        residuals=tuple(float(v) for v in _residuals(th)),
-        delta_theta=float(wrap_phase(th[0] - th[1])),
-        dispersion_b=rep.max_abs_first,
-        dispersion_b2=rep.max_abs_second,
-        basins=tuple(basins),
-    )
+    derivatives of the solution's own fold (finite at loaded poles, so no
+    point is refused)."""
+    return _dispersion(sol.jets)
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +461,8 @@ def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
     dev = dev0.with_chi(x[1])
     if len(x) > 2:
         dev = dev.with_mode_frequencies(_gap_frequencies(dev0, x[2:]))
-    sol = make_solution(dev, wp, [(w, float(x2[1]), dth) for _, w, dth, x2, _ in scored],
-                        jets)
+    sol = EraserSolution(dev, wp, [(w, float(x2[1]), dth) for _, w, dth, x2, _ in scored],
+                         jets)
     if min(abs(wrap_phase(t)) for t in sol.theta_by_weight) < 10.0 * tol:
         raise PoleCollision(
             f"solution at omega_p={wp:.6e} sits within {10 * tol:.1e} rad "

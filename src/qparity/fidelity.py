@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import QubitState, _weight_fold, _weight_phasors
-from .eraser import EraserSolution, _contrast, _dispersion
+from .device import QubitState, _weight_phasors
+from .eraser import EraserSolution, _dispersion, contrast
 from .network import wrap_phase
 
 __all__ = [
@@ -237,20 +237,20 @@ class FidelityReport:
     delta_theta: float | None = None
 
 
-def _pair_table(phasors, jets, theta_p, delta_theta: float,
+def _pair_table(phasors, jets, delta_theta: float,
                 pulse: ProbePulse, grid: ModeGrid) -> tuple:
     """Fidelity of every unordered pair of Hamming weights.
 
     ``phasors[w]`` is weight w's reflection phasor r = exp(i theta) on the
     mode comb, ``jets`` every weight's jets at the probe (indexed as
-    device._weight_fold's), ``theta_p[w]`` its phase there and
+    device._weight_fold's; jets[0][w] is its phase there) and
     ``delta_theta`` the parity contrast quoted for cross-parity pairs.
     Every pair gets the numeric mode sum of |r_w1 - r_w2|^2;
     same-parity pairs also get the linear closed form, or the quadratic one
     when the first-order mismatch cancels (|b| < QUADRATIC_BRANCH_RATIO |b2| W);
     cross-parity pairs get the even/odd closed form.
     """
-    n = len(phasors) - 1
+    n, theta_p = len(phasors) - 1, jets[0]
     rep = _dispersion(jets)
     w_band, amp2 = pulse.bandwidth, pulse.mean_photons * grid.weights ** 2
     reports = []
@@ -289,24 +289,21 @@ def _pair_table(phasors, jets, theta_p, delta_theta: float,
     return tuple(reports)
 
 
-def eraser_quality(sol: EraserSolution, pulse: ProbePulse,
-                   grid: ModeGrid | None = None) -> tuple:
-    """Full pairwise fidelity table at a solved operating point, on sol.device.
+def eraser_quality(sol: EraserSolution, pulse: ProbePulse) -> tuple:
+    """Full pairwise fidelity table at a solved operating point, on sol.device,
+    over build_mode_grid's default comb for the pulse.
 
     Every unordered pair of Hamming weights gets the numeric mode-sum
     fidelity from the true device phasors (bandwidth corrections
     included); same-parity pairs additionally get the linear (or, when the
     first-order mismatch cancels, quadratic) closed form, cross-parity pairs
-    the even/odd closed form at the contrast.  The probe phases and the
-    contrast are the device's own, read from its jets at sol.omega_p, not
-    the fields stored beside it; a contrast below 1e-9 rad is refused
-    (EraserDegenerate).
+    the even/odd closed form at the contrast.  The probe phases, jets and
+    contrast are read from the solution's own fold, not folded again; a
+    contrast below 1e-9 rad is refused (EraserDegenerate).
     """
-    if grid is None:
-        grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
-    jets = _weight_fold(sol.device, sol.omega_p, jets=True)
-    return _pair_table(_weight_phasors(sol.device, grid.frequencies), jets, jets[0],
-                       _contrast(jets[0]), pulse, grid)
+    grid = build_mode_grid(pulse.omega_p, pulse.bandwidth)
+    return _pair_table(_weight_phasors(sol.device, grid.frequencies), sol.jets,
+                       contrast(sol), pulse, grid)
 
 
 def reports_to_dicts(reports) -> list[dict]:

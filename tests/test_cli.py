@@ -12,6 +12,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qparity.cli import main
@@ -417,6 +418,88 @@ def test_solved_and_file_read_solutions_hold_python_floats(tmp_path, config, fre
         assert all(type(v) is float for basin in sol.basins for v in basin)
     assert read.omega_p == solved.omega_p
     assert solved.basins and solved.basins[0][0] == solved.omega_p
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.concatenate(
+        [np.ravel(np.asarray(v, dtype=float)) for v in values])]
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+@pytest.mark.parametrize("config, free", [(PAPER_CONFIG, ("chi",)),
+                                          (FOUR_QUBIT_CONFIG, ("chi", "mode_frequencies"))],
+                         ids=["paper", "n4-free"])
+def test_every_solution_route_is_its_own_devices_fold(tmp_path, config, free, model):
+    # solved, read back from its file, and replaced in device or probe: every
+    # derived field, and the fold held beside them, is a fresh jets fold of
+    # the solution's own (device, omega_p), with the definitions written out
+    from dataclasses import replace
+
+    from qparity.cli import _solution_from_file, load_config, parse_parallel_config
+    from qparity.device import _weight_fold
+    from qparity.eraser import solution_to_dict, solve_eraser
+    from qparity.network import wrap_phase
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sol.json"
+    cfg.write_text(json.dumps(dict(config, resonator_model=model)))
+    dev, _ = parse_parallel_config(load_config(str(cfg)), str(cfg))
+    solved = solve_eraser(dev, free=free)
+    out.write_text(json.dumps(solution_to_dict(solved)))
+    routes = {
+        "solved": solved,
+        "file": _solution_from_file(str(out), dev),
+        "chi": replace(solved, device=solved.device.with_chi(1.05 * solved.chi)),
+        "omega_p": replace(solved, omega_p=solved.omega_p + TWO_PI * 1e5),
+    }
+    folds = {route: _weight_fold(sol.device, sol.omega_p, jets=True)
+             for route, sol in routes.items()}
+    for route, sol in routes.items():
+        jets = folds[route]
+        th, d1, d2 = (row.tolist() for row in jets[:3])
+        n = sol.device.n
+        pairs = [(a, b) for a in range(n + 1) for b in range(a + 2, n + 1, 2)]
+        fresh = {
+            "chi": sol.device.chi,
+            "theta_by_weight": th,
+            "residuals": [th[i] - th[i + 2] - TWO_PI for i in range(n - 1)],
+            "delta_theta": wrap_phase(th[0] - th[1]),
+            "dispersion_b": max(abs(d1[a] - d1[b]) for a, b in pairs),
+            "dispersion_b2": max(abs(d2[a] - d2[b]) for a, b in pairs),
+        }
+        for name, value in fresh.items():
+            assert _hexes([getattr(sol, name)]) == _hexes([value]), (route, name)
+    for route, sol in routes.items():
+        assert _hexes(sol.jets) == _hexes(folds[route]), route
+    assert routes["chi"].theta_by_weight != solved.theta_by_weight
+    assert routes["omega_p"].theta_by_weight != solved.theta_by_weight
+
+
+def test_a_solution_is_folded_once(solved, tmp_path, monkeypatch):
+    # one jets fold builds a solution; the fidelity table and the dispersion
+    # report read it, so a fidelity run folds its solution once
+    from qparity import device
+    from qparity.cli import _solution_from_file, load_config, parse_parallel_config
+    from qparity.eraser import EraserSolution, dispersion_report
+    from qparity.fidelity import ProbePulse, eraser_quality
+
+    cfg, sol_path = solved
+    dev, _ = parse_parallel_config(load_config(str(cfg)), str(cfg))
+    template = _solution_from_file(str(sol_path), dev)
+    folds, fold_jets = [], device._fold_jets
+
+    def counting(*args, **kwargs):
+        folds.append(1)
+        return fold_jets(*args, **kwargs)
+
+    monkeypatch.setattr(device, "_fold_jets", counting)
+    sol = EraserSolution(template.device, template.omega_p)
+    assert len(folds) == 1
+    eraser_quality(sol, ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6))
+    dispersion_report(sol)
+    assert len(folds) == 1
+    assert main(["fidelity", str(cfg), str(sol_path),
+                 "--out-json", str(tmp_path / "fid.json")]) == 0
+    assert len(folds) == 2
 
 
 def _bad_top_level(sol):

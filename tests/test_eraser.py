@@ -16,10 +16,10 @@ from qparity.eraser import (
     EraserSolution,
     InfeasibleDevice,
     NoSolution,
+    _contrast,
     contrast,
     dispersion_report,
     eraser_residuals,
-    make_solution,
     min_modes_required,
     solution_to_dict,
     solve_eraser,
@@ -262,25 +262,16 @@ def test_returned_root_reverifies_on_a_rebuilt_device(case, model, f0_ghz, gap_m
 # contrast and dispersion report
 # ----------------------------------------------------------------------
 
-def test_contrast_of_synthetic_pi_shift(paper_solution):
-    sol = EraserSolution(
-        device=paper_solution.device, omega_p=paper_solution.omega_p,
-        chi=paper_solution.chi,
-        theta_by_weight=(1.0, 1.0 - math.pi, 1.0 - TWO_PI, 1.0 - 3 * math.pi),
-        residuals=(0.0, 0.0), delta_theta=math.pi,
-        dispersion_b=0.0, dispersion_b2=0.0)
-    assert contrast(sol) == pytest.approx(math.pi)
+def test_contrast_of_synthetic_pi_shift():
+    # a solution's phases are its device's, so made-up phases go to the
+    # contrast rule itself
+    assert _contrast((1.0, 1.0 - math.pi, 1.0 - TWO_PI, 1.0 - 3 * math.pi)) == \
+        pytest.approx(math.pi)
 
 
-def test_contrast_flags_degenerate(paper_solution):
-    sol = EraserSolution(
-        device=paper_solution.device, omega_p=paper_solution.omega_p,
-        chi=paper_solution.chi,
-        theta_by_weight=(1.0, 1.0 - TWO_PI, 1.0 - TWO_PI, 1.0 - 2 * TWO_PI),
-        residuals=(0.0, 0.0), delta_theta=0.0,
-        dispersion_b=0.0, dispersion_b2=0.0)
+def test_contrast_flags_degenerate():
     with pytest.raises(EraserDegenerate):
-        contrast(sol)
+        _contrast((1.0, 1.0 - TWO_PI, 1.0 - TWO_PI, 1.0 - 2 * TWO_PI))
 
 
 def test_contrast_matches_solution_field(paper_solution):
@@ -310,9 +301,9 @@ def test_dispersion_b_scale_and_secant_oracle(paper_solution):
     assert b02 == pytest.approx(secants[0] - secants[1], rel=1e-4)
 
 
-def test_make_solution_rebuilds_the_solved_point(paper_solution):
-    sol = make_solution(paper_solution.device, paper_solution.omega_p,
-                        paper_solution.basins)
+def test_constructor_rebuilds_the_solved_point(paper_solution):
+    sol = EraserSolution(paper_solution.device, paper_solution.omega_p,
+                         paper_solution.basins)
     assert sol == paper_solution
 
 
@@ -333,12 +324,14 @@ def test_weight_readers_refuse_an_unequal_chi_matrix(paper_solution):
     dev = replace(paper_solution.device, chi_matrix=[
         [c * (1.0 + 0.01 * (j + 1) * (k + 1)) for k, c in enumerate(row)]
         for j, row in enumerate(paper_solution.device.chi_matrix)])
-    sol = replace(paper_solution, device=dev)
     pulse = ProbePulse.from_duration(math.sqrt(5.0), wp, 1e-6)
+    # a solution folds its device when built, so the replace is refused there
     readers = [lambda: _weight_table(dev), lambda: _weight_fold(dev, wp),
                lambda: _weight_fold(dev, wp, jets=True), lambda: eraser_residuals(dev, wp),
-               lambda: make_solution(dev, wp), lambda: dispersion_report(sol),
-               lambda: eraser_quality(sol, pulse), lambda: loaded_poles_by_weight(dev)]
+               lambda: EraserSolution(dev, wp),
+               lambda: dispersion_report(replace(paper_solution, device=dev)),
+               lambda: eraser_quality(replace(paper_solution, device=dev), pulse),
+               lambda: loaded_poles_by_weight(dev)]
     message = ("weight rows stand for every state only under equal coupling, not this "
                "chi matrix; read each state with state_phase_curve")
     for read in readers:

@@ -269,16 +269,16 @@ def test_eraser_quality_cw_limit(paper_solution):
 
 
 def test_eraser_quality_reads_its_device_not_the_stored_fields(paper_solution):
-    # a solution whose device moved away from its stored phases and contrast:
-    # every phase the table quotes is the device's own, read from its jets
+    # a solution whose device moved away from the solved one: replace folds
+    # the new device, and every phase the table quotes is that device's own
     from dataclasses import replace
 
-    from qparity.eraser import make_solution
+    from qparity.device import _weight_fold
     from qparity.network import wrap_phase
 
     sol = replace(paper_solution, device=paper_solution.device.with_chi(1.05 * paper_solution.chi))
-    th = make_solution(sol.device, sol.omega_p).theta_by_weight
-    assert th != sol.theta_by_weight
+    th = tuple(_weight_fold(sol.device, sol.omega_p, jets=True)[0].tolist())
+    assert th == sol.theta_by_weight != paper_solution.theta_by_weight
     # a long pulse: a same-parity pair's F is its CW overlap at its delta_theta
     pulse = ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-4)
     reports = eraser_quality(sol, pulse)
