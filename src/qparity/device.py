@@ -215,10 +215,16 @@ def _pulled_rows(omegas, chi_matrix, signs) -> list:
     the first pull to or below zero, in row then mode order."""
     pulls = list(zip(*chi_matrix))
     rows = [[_pulled(omega, chis, s) for omega, chis in zip(omegas, pulls)] for s in signs]
+    _refuse_low(rows)
+    return rows
+
+
+def _refuse_low(rows) -> None:
+    """Refuse the first pulled frequency to or below zero, in row then mode
+    order."""
     low = [shifted for row in rows for shifted in row if shifted <= 0.0]
     if low:
         raise NonPositiveResult(f"shifts drove mode frequency to {low[0]:.3e} rad/s")
-    return rows
 
 
 def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
@@ -241,18 +247,23 @@ def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
     checked in mode order with Mode's message, no Mode built) and a common
     ``chi`` stand in for dev's own, so a solver point needs no device.
 
-    Row w is QubitState.of_weight(n, w)'s pulls (_pulled_rows), which stand
-    for every weight-w state only under equal coupling: without ``chi`` an
-    unequal chi matrix is refused first, then a pull to or below zero, then
-    _curve_table checks and builds the table.  No band is read (analysis_band).
+    Row w is QubitState.of_weight(n, w)'s pulls, which stand for every
+    weight-w state only under equal coupling: without ``chi`` an unequal chi
+    matrix is refused first, then a pull to or below zero, then _curve_table
+    checks and builds the table.  Under one chi a row's pull is the same sum
+    for every mode, so it is summed once: omega + sum([s * chi ...]) is
+    _pulled's float sequence, and the rows are _pulled_rows' bit for bit.
+    No band is read (analysis_band).
     """
     if chi is None and not dev.equal_chi:
         raise ValueError("weight rows stand for every state only under equal coupling, "
                          "not this chi matrix; read each state with state_phase_curve")
     omegas = ([mo.omega for mo in dev.modes] if omegas is None
               else [_mode_omega(float(w)) for w in omegas])
-    chi_matrix = dev.chi_matrix if chi is None else ((float(chi),) * dev.m,) * dev.n
-    rows = _pulled_rows(omegas, chi_matrix, _weight_signs(dev.n))
+    chi = dev.chi_matrix[0][0] if chi is None else float(chi)
+    rows = [[omega + pull for omega in omegas]
+            for pull in (sum([s * chi for s in signs]) for signs in _weight_signs(dev.n))]
+    _refuse_low(rows)
     return _curve_table([mo.c_couple for mo in dev.modes], rows, dev.z0, dev.resonator_model)
 
 

@@ -21,7 +21,9 @@ With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
 2 knobs), the mode gaps join the unknowns.  Where the unknowns outnumber
 the conditions (n <= 2, or freed gaps) the roots form a family, and one
 more condition, cos(delta_theta/2) = 0, makes the system square: a second
-exact stage from each root goes to delta_theta = pi, the top score.
+exact stage from each root goes to delta_theta = pi, the top score.  It
+starts on the root's own fold, and a trial point's modes are respaced once
+for its domain test and its fold, so each exact point costs one fold.
 """
 
 from __future__ import annotations
@@ -234,10 +236,15 @@ def _solver_band(dev: ParityDevice, chi_range) -> tuple[tuple, tuple[float, floa
 
 def _gap_frequencies(dev: ParityDevice, gaps) -> np.ndarray:
     """dev's mode frequencies respaced by ``gaps`` about their mean."""
-    center = float(np.mean([mo.omega for mo in dev.modes]))
     offs = np.concatenate([[0.0], np.cumsum(gaps)])
     offs -= offs.mean()
-    return center + offs
+    return _mode_mean(dev.modes) + offs
+
+
+@functools.lru_cache(maxsize=64)
+def _mode_mean(modes: tuple) -> float:
+    """The mean of the modes' frequencies, by np.mean, once per mode tuple."""
+    return float(np.mean([mo.omega for mo in modes]))
 
 
 @functools.cache
@@ -271,17 +278,19 @@ def _jacobian(jets, free_gaps: bool, contrast: bool = False) -> np.ndarray:
     return np.vstack([jac, -0.5 * math.sin(half) * (d_theta[0] - d_theta[1])])
 
 
-def _newton(evaluate, inside, x, iterations: int, tol: float, shortest: float):
-    """Damped least-squares Newton from x, the one Newton loop of both stages.
+def _newton(evaluate, inside, start, iterations: int, tol: float, shortest: float):
+    """Damped least-squares Newton, the one Newton loop of both stages.
 
     evaluate(x) gives the residuals r, a callable for d r/d x and what the
-    caller keeps of x.  The start point is evaluated as given, a trial point
-    only if inside() holds there; it is taken if it lowers |r|, its step
-    halved from 1 while at least ``shortest``.  Stops after ``iterations``
-    steps, at max|r| < tol (tol 0: never), when no step is taken or lstsq
-    fails; returns the last x taken, its residuals and what was kept.
+    caller keeps of x.  ``start`` is (x, *evaluate(x)): the caller evaluates
+    the start point, or reads it from a fold it holds, and it is not
+    screened.  A trial point is evaluated only if inside() holds there; it
+    is taken if it lowers |r|, its step halved from 1 while at least
+    ``shortest``.  Stops after ``iterations`` steps, at max|r| < tol (tol 0:
+    never), when no step is taken or lstsq fails; returns the last x taken,
+    its residuals and what was kept.
     """
-    r, jacobian, kept = evaluate(x)
+    x, r, jacobian, kept = start
     norm = np.linalg.norm(r)
     for _ in range(iterations):
         if tol > 0.0 and all(abs(v) < tol for v in r.tolist()):  # max|r| < tol; nan: no
@@ -307,31 +316,42 @@ def _newton(evaluate, inside, x, iterations: int, tol: float, shortest: float):
 def _exact_stage(dev0: ParityDevice, band, chi_range, contrast: bool = False):
     """(evaluate, inside) of _newton on the exact phase in x = (omega_p,
     chi[, gaps]) of dev0, each point one fold of its stacked weight table
-    (device._weight_fold), no device or curve built, and its jets kept.
-    With ``contrast`` the residuals gain a last row cos(delta_theta/2).
+    (device._weight_fold), no device or curve built, and its jets kept;
+    evaluate(x, jets) reads a point whose fold the caller holds, folding
+    nothing.  With ``contrast`` the residuals gain a last row
+    cos(delta_theta/2).
 
     A trial point keeps omega_p in ``band``, chi in (chi_range/5, 5
     chi_range), the modes apart, and every pull above zero: the lowest
     mode's weight-n pull, lowest of all, summed as _weight_table sums it.
     So a step _weight_table would refuse is halved, as one leaving the box.
+    The modes inside() respaces for a trial point are the ones its fold
+    reads: the last point's are held with the point itself.
     """
     # of fixed modes only the lowest counts; weight n pulls every mode down
     fixed, down = [min(mo.omega for mo in dev0.modes)], _weight_signs(dev0.n)[-1]
+    held = [None, None]  # the last point respaced, and its mode frequencies
 
-    def evaluate(x):
-        jets = _weight_fold(dev0, x[0], True,
-                            _gap_frequencies(dev0, x[2:]) if len(x) > 2 else None, x[1])
+    def modes(x):
+        if held[0] is not x:  # x is held, so no new array can reuse its id
+            held[:] = x, _gap_frequencies(dev0, x[2:])
+        return held[1]
+
+    def evaluate(x, jets=None):
+        if jets is None:
+            jets = _weight_fold(dev0, x[0], True, modes(x) if len(x) > 2 else None, x[1])
         r = _residuals(jets[0])
         if contrast:
             r = np.append(r, math.cos(0.5 * (jets[0][0] - jets[0][1])))
         return r, lambda: _jacobian(jets, len(x) > 2, contrast), jets
 
     def inside(x):
-        omegas = _gap_frequencies(dev0, x[2:]) if len(x) > 2 else fixed
+        omegas = modes(x).tolist() if len(x) > 2 else fixed
+        wp, chi = x[:2].tolist()
         # a gap below the frequencies' float spacing merges two modes
-        return (band[0] < x[0] < band[1] and chi_range[0] * 0.2 < x[1] < chi_range[1] * 5.0
-                and np.all(np.diff(omegas) > 0.0)
-                and _pulled(float(omegas[0]), (float(x[1]),) * dev0.n, down) > 0.0)
+        return (band[0] < wp < band[1] and chi_range[0] * 0.2 < chi < chi_range[1] * 5.0
+                and all(a < b for a, b in zip(omegas, omegas[1:]))
+                and _pulled(omegas[0], (chi,) * dev0.n, down) > 0.0)
 
     return evaluate, inside
 
@@ -440,8 +460,11 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
         def inside(x):
             return band[0] < x[0] < band[1] and chi_grid[0] <= x[1] <= chi_grid[-1]
 
-        cands = [(v, *_newton(evaluate, inside, np.array([wp, chi]), MODEL_NEWTON_STEPS,
-                              0.0, 1.0)[0].tolist()) for v, wp, chi in cands]
+        def polish(x):
+            return _newton(evaluate, inside, (x, *evaluate(x)), MODEL_NEWTON_STEPS, 0.0,
+                           1.0)[0].tolist()
+
+        cands = [(v, *polish(np.array([wp, chi]))) for v, wp, chi in cands]
     return cands, best_cell
 
 
@@ -476,10 +499,11 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
 
     The gaps start at the template's spacing.  Where the unknowns outnumber
     the n - 1 conditions the roots form a family; a second exact stage from
-    each root adds cos(delta_theta/2) = 0, the best score _assemble ranks,
-    and both roots compete.  It runs on to MIN_TOL, the fold's resolution,
-    as delta_theta = pi is the reported answer; a verified contrast root
-    ends the search, as nothing later scores higher.
+    each root, started on the root's own fold, adds cos(delta_theta/2) = 0,
+    the best score _assemble ranks, and both roots compete.  It runs on to
+    MIN_TOL, the fold's resolution, as delta_theta = pi is the reported
+    answer; a verified contrast root ends the search, as nothing later
+    scores higher.
     """
     chi_grid = np.geomspace(chi_range[0], chi_range[1], GRID_POINTS)
     cands, best_cell = _grid_candidates(dev0, band, chi_grid, PROBE_POINTS)
@@ -487,12 +511,15 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
     underdetermined = 2 + len(gaps0) > dev0.n - 1
     roots = []
     for _, wp0, chi0 in cands or [best_cell]:
-        x, r, jets = _newton(*_exact_stage(dev0, band, chi_range),
-                             np.array([wp0, chi0, *gaps0]), NEWTON_MAX_ITER, tol, MIN_STEP)
+        evaluate, inside = _exact_stage(dev0, band, chi_range)
+        x0 = np.array([wp0, chi0, *gaps0])
+        x, r, jets = _newton(evaluate, inside, (x0, *evaluate(x0)), NEWTON_MAX_ITER, tol,
+                             MIN_STEP)
         if np.max(np.abs(r), initial=0.0) >= tol:
             continue
         if underdetermined:
-            xc, rc, jets_c = _newton(*_exact_stage(dev0, band, chi_range, contrast=True), x,
+            evaluate, inside = _exact_stage(dev0, band, chi_range, contrast=True)
+            xc, rc, jets_c = _newton(evaluate, inside, (x, *evaluate(x, jets)),
                                      NEWTON_MAX_ITER, MIN_TOL, MIN_STEP)
             if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
                 roots.append((xc, jets_c))  # ahead of x: it outlives a near-duplicate x

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -727,10 +728,15 @@ def _fold_jets(stub: bool, z0: float, table, w):
     """_jets, refused (NetworkError) where theta', theta'' or a d theta/d w_r
     leaves float range."""
     jets = _jets(stub, z0, table, w)
-    finite = np.isfinite(jets[1]) & np.isfinite(jets[2]) & np.isfinite(jets[3]).all(axis=0)
-    if not finite.all():
-        w_bad = float(np.broadcast_to(w, finite.shape)[~finite][0])
-        raise NetworkError(f"phase derivatives at omega={w_bad:.6e} rad/s leave float range")
+    # one pass: a sum of finite entries is finite unless it overflows, and
+    # then the per-row mask finds no row to refuse
+    if not math.isfinite(sum(jets[1].tolist()) + sum(jets[2].tolist())
+                         + sum(jets[3].ravel().tolist())):
+        finite = np.isfinite(jets[1]) & np.isfinite(jets[2]) & np.isfinite(jets[3]).all(axis=0)
+        if not finite.all():
+            w_bad = float(np.broadcast_to(w, finite.shape)[~finite][0])
+            raise NetworkError(f"phase derivatives at omega={w_bad:.6e} rad/s "
+                               "leave float range")
     return jets
 
 
@@ -790,10 +796,12 @@ def _curve_table(c_couple, omega_r, z0: float, model: str) -> np.ndarray:
         if not 0 < len(c_couple) == len(row):
             raise ValueError("need one c_couple per omega_r and at least one, got "
                              f"{len(c_couple)} and {len(row)}")
-    for name, values in (("c_couple", c_couple), *(("omega_r", row) for row in omega_r)):
-        for k, value in enumerate(values):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
+    if not all(0.0 < value < math.inf for value in chain(c_couple, *omega_r)):
+        # the same values in the same order again, to name the first refused
+        for name, values in (("c_couple", c_couple), *(("omega_r", row) for row in omega_r)):
+            for k, value in enumerate(values):
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
     if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
         raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
     if model not in ("stub", "lumped"):

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qparity.device import (
     Mode,
@@ -96,6 +98,71 @@ def test_pulled_rows_refuse_the_first_pull_in_row_then_mode_order():
     assert _pulled_rows([1.0, 2.0], chi_matrix, [(1.0, 1.0)]) == [[3.5, 5.1]]
     with pytest.raises(NonPositiveResult, match=re.escape("-9.000e-01 rad/s")):
         _pulled_rows([1.0, 2.0], chi_matrix, [(-1.0, 1.0), (1.0, -1.0)])
+
+
+def _weight_table_oracle(dev, omegas, chi):
+    """_weight_table summed pull by pull: Mode's check of every omega, then
+    the pulled-state rule (_pulled_rows) with chi in every entry of the
+    n x m chi matrix, then _curve_table."""
+    from qparity.device import _mode_omega, _pulled_rows, _weight_signs
+    from qparity.network import _curve_table
+
+    omegas = [_mode_omega(float(w)) for w in omegas]
+    rows = _pulled_rows(omegas, ((float(chi),) * dev.m,) * dev.n, _weight_signs(dev.n))
+    return _curve_table([mo.c_couple for mo in dev.modes], rows, dev.z0, dev.resonator_model)
+
+
+def _table_or_refusal(build):
+    """The table's shape and entries by .hex(), or the refusal's type and
+    message."""
+    try:
+        table = build()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return table.shape, [x.hex() for x in table.ravel().tolist()]
+
+
+OMEGAS = st.one_of(
+    st.floats(TWO_PI * 0.1e9, TWO_PI * 20e9),
+    st.floats(1e-310, 1e308),  # tanks out of float range, pulls to or below zero
+    st.sampled_from([1.5e308, 0.0, -1.0, math.nan, math.inf]))
+CHIS = st.one_of(
+    # decimal MHz values: their sequential +-chi sums round
+    st.integers(1, 99_999).map(lambda k: TWO_PI * 1e6 * (k / 1000)),
+    st.floats(1e-300, 1e308),
+    st.sampled_from([0.2e308, math.nan]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), m=st.integers(1, 4), model=st.sampled_from(["stub", "lumped"]),
+       omegas=st.lists(OMEGAS, min_size=4, max_size=4), chi=CHIS)
+# a pull to or below zero (row 2, mode 1), a pull past float range (row 0:
+# 1.5e308 + 0.4e308 is inf), a bad omega, and a mode with no lumped tank
+@example(n=3, m=2, model="stub", omegas=[TWO_PI * 9.99e9, 1e6, 1.0, 1.0],
+         chi=TWO_PI * 5.77e6)
+@example(n=2, m=1, model="stub", omegas=[1.5e308] * 4, chi=0.2e308)
+@example(n=4, m=3, model="lumped", omegas=[1e9, math.nan, 2e9, 1.0], chi=TWO_PI * 5.77e6)
+@example(n=1, m=2, model="lumped", omegas=[1e9, 1e308, 1.0, 1.0], chi=1e6)
+def test_weight_table_sums_each_rows_pull_once(n, m, model, omegas, chi):
+    # under one chi every mode of a weight row is pulled by the same sum, so
+    # the table sums it once per row, and it is still the pulled-state
+    # rule's table bit for bit, or the same refusal with the same message;
+    # a device whose own modes and chi are those reads the same table
+    from qparity.device import _weight_table
+
+    omegas = omegas[:m]
+    couplers = [5e-15 + 1e-15 * k for k in range(m)]
+    template = ParityDevice.equal_coupling(
+        n, tuple(Mode(TWO_PI * (10e9 + 20e6 * k), c) for k, c in enumerate(couplers)),
+        TWO_PI * 5e6, resonator_model=model)
+    want = _table_or_refusal(lambda: _weight_table_oracle(template, omegas, chi))
+    assert _table_or_refusal(lambda: _weight_table(template, omegas, chi)) == want
+    try:
+        dev = ParityDevice.equal_coupling(n, tuple(map(Mode, omegas, couplers)), chi,
+                                          resonator_model=model)
+    except ValueError:
+        return
+    assert _table_or_refusal(lambda: _weight_table(dev)) == want
 
 
 # ----------------------------------------------------------------------

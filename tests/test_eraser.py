@@ -841,14 +841,20 @@ def _one_unknown(residual, derivative, visited):
     return evaluate
 
 
+def _start(evaluate, x0: float):
+    """_newton's start: the point x0 and what evaluate gives there."""
+    x = np.array([x0])
+    return (x, *evaluate(x))
+
+
 def test_newton_evaluates_its_start_point_outside_the_domain():
-    # grid seeds may sit on the band's edges: the start is evaluated as
+    # grid seeds may sit on the band's edges: the start comes evaluated as
     # given, and only trial points are screened
     from qparity.eraser import _newton
 
     visited = []
-    x, r, kept = _newton(_one_unknown(lambda x: x - 3.0, lambda x: 1.0, visited),
-                         lambda x: False, np.array([-1.0]), 30, 1e-9, 1e-10)
+    evaluate = _one_unknown(lambda x: x - 3.0, lambda x: 1.0, visited)
+    x, r, kept = _newton(evaluate, lambda x: False, _start(evaluate, -1.0), 30, 1e-9, 1e-10)
     assert visited == [-1.0] and kept == -1.0
     assert x.tolist() == [-1.0] and r.tolist() == [-4.0]
 
@@ -861,14 +867,15 @@ def test_newton_full_steps_stop_at_the_first_rejected_step():
 
     visited = []
     newton_atan = _one_unknown(math.atan, lambda x: 1.0 / (1.0 + x * x), visited)
-    x, r, _ = _newton(newton_atan, lambda x: True, np.array([2.0]), 8, 0.0, 1.0)
+    x, r, _ = _newton(newton_atan, lambda x: True, _start(newton_atan, 2.0), 8, 0.0, 1.0)
     assert x.tolist() == [2.0] and len(visited) == 2
     assert abs(math.atan(visited[1])) > math.atan(2.0)
-    x, r, _ = _newton(newton_atan, lambda x: True, np.array([2.0]), 30, 1e-12, 1e-10)
+    x, r, _ = _newton(newton_atan, lambda x: True, _start(newton_atan, 2.0), 30, 1e-12, 1e-10)
     assert abs(r[0]) < 1e-12
     # a full step outside the domain ends it too, unevaluated
     visited.clear()
-    x, _, _ = _newton(newton_atan, lambda x: x[0] > 0.0, np.array([2.0]), 8, 0.0, 1.0)
+    x, _, _ = _newton(newton_atan, lambda x: x[0] > 0.0, _start(newton_atan, 2.0), 8, 0.0,
+                      1.0)
     assert x.tolist() == [2.0] and visited == [2.0]
 
 
@@ -885,8 +892,8 @@ def test_newton_halving_ends_below_the_shortest_step(shortest, fractions):
         tried.append(float(x[0]))
         return False
 
-    _newton(_one_unknown(lambda x: x - 1.0, lambda x: 1.0, visited), inside,
-            np.array([0.0]), 30, 1e-9, shortest)
+    evaluate = _one_unknown(lambda x: x - 1.0, lambda x: 1.0, visited)
+    _newton(evaluate, inside, _start(evaluate, 0.0), 30, 1e-9, shortest)
     assert tried == [2.0 ** -k for k in range(fractions)]
     assert visited == [0.0]
 
@@ -904,12 +911,12 @@ def test_newton_tol_stops_the_loop_before_a_step():
         return np.array([x[0] - 1.0, 2e-10]), jacobian, None
 
     start = np.array([1.0 + 5e-10])
-    x, r, _ = _newton(evaluate, lambda x: True, start, 30, 1e-9, 1e-10)
+    x, r, _ = _newton(evaluate, lambda x: True, (start, *evaluate(start)), 30, 1e-9, 1e-10)
     assert steps == [] and x.tolist() == start.tolist()
     # max|r| is not below a tol equal to it, and a tol of 0 never stops it
     for tol in (start[0] - 1.0, 0.0):
         steps.clear()
-        x, r, _ = _newton(evaluate, lambda x: True, start, 30, tol, 1e-10)
+        x, r, _ = _newton(evaluate, lambda x: True, (start, *evaluate(start)), 30, tol, 1e-10)
         assert steps[0] == start[0]
         assert abs(x[0] - 1.0) < 1e-15 and r[1] == 2e-10
 
@@ -921,8 +928,8 @@ def test_newton_ends_where_least_squares_fails():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(np.array([[math.nan]]), np.array([1.0]), rcond=None)
     visited = []
-    x, r, _ = _newton(_one_unknown(lambda x: x - 1.0, lambda x: math.nan, visited),
-                      lambda x: True, np.array([0.0]), 30, 1e-9, 1e-10)
+    evaluate = _one_unknown(lambda x: x - 1.0, lambda x: math.nan, visited)
+    x, r, _ = _newton(evaluate, lambda x: True, _start(evaluate, 0.0), 30, 1e-9, 1e-10)
     assert visited == [0.0] and x.tolist() == [0.0] and r.tolist() == [-1.0]
 
 
@@ -1047,6 +1054,86 @@ def _solve_work(dev, monkeypatch, **kwargs):
     return counts
 
 
+def test_free_gap_solve_pays_once_per_point(monkeypatch):
+    # every point of the n = 4 free-gap solve respaces its modes once, for
+    # the domain test and the fold alike, and folds once, except the start
+    # of each delta_theta = pi stage: that is stage 1's root, read from its
+    # own fold.  _assemble respaces the winner's modes once more, for its
+    # device
+    from collections import Counter
+
+    from qparity import eraser
+
+    counts, derived, points = Counter(), [], []
+    gap_frequencies, weight_fold, exact_stage = (
+        eraser._gap_frequencies, eraser._weight_fold, eraser._exact_stage)
+
+    def counting_gaps(dev, gaps):
+        derived.append(gaps.base)  # the point x whose x[2:] is respaced
+        return gap_frequencies(dev, gaps)
+
+    def counting_fold(*args, **kwargs):
+        counts["folds"] += 1
+        return weight_fold(*args, **kwargs)
+
+    def counting_stage(*args, **kwargs):
+        evaluate, inside = exact_stage(*args, **kwargs)
+        counts["contrast stages"] += kwargs.get("contrast", False)
+
+        def counting_evaluate(x, *jets):
+            counts["evaluations"] += 1
+            points.append(x)
+            return evaluate(x, *jets)
+
+        def counting_inside(x):
+            points.append(x)
+            return inside(x)
+
+        return counting_evaluate, counting_inside
+
+    monkeypatch.setattr(eraser, "_gap_frequencies", counting_gaps)
+    monkeypatch.setattr(eraser, "_weight_fold", counting_fold)
+    monkeypatch.setattr(eraser, "_exact_stage", counting_stage)
+    solve_eraser(four_qubit_device(), free=("chi", "mode_frequencies"))
+    assert counts["contrast stages"] >= 1 and counts["folds"] == 18
+    assert counts["folds"] == counts["evaluations"] - counts["contrast stages"]
+    # points holds every x, so no two distinct points share an id; a
+    # contrast stage's start is stage 1's last point, respaced there
+    stage_points = {id(x) for x in points}
+    assert len({id(x) for x in derived[:-1]}) == len(derived) - 1 == len(stage_points)
+    assert {id(x) for x in derived} == stage_points
+
+
+def test_exact_stage_holds_no_stale_modes():
+    # a point's modes are held with the point itself: a fresh array equal to
+    # an earlier point, evaluated after another point, folds the earlier
+    # point's jets bit for bit, not the other point's
+    from dataclasses import replace
+
+    from qparity.device import _weight_fold
+    from qparity.eraser import DEFAULT_CHI_RANGE, _exact_stage, _gap_frequencies, _solver_band
+
+    dev0 = four_qubit_device()
+    search, band = _solver_band(dev0, DEFAULT_CHI_RANGE)
+    dev0 = replace(dev0, band=band)
+    evaluate, inside = _exact_stage(dev0, search, DEFAULT_CHI_RANGE)
+    x1 = TWO_PI * np.array([9.79e9, 5.5e6, 30e6, 30e6])
+    x2 = TWO_PI * np.array([9.79e9, 5.5e6, 20e6, 35e6])
+
+    def hexes(jets):
+        return [[float(v).hex() for v in np.ravel(a)] for a in jets]
+
+    assert inside(x1) and inside(x2)
+    first = hexes(evaluate(x1)[2])
+    other = hexes(evaluate(x2)[2])
+    again = hexes(evaluate(x1.copy())[2])
+    assert again == first != other
+    fresh = _weight_fold(dev0, x1[0], True, _gap_frequencies(dev0, x1[2:]), x1[1])
+    assert first == hexes(fresh)
+    # and the same after the domain test of the other point
+    assert inside(x2) and hexes(evaluate(x1.copy())[2]) == first
+
+
 def test_paper_solve_work_count(paper_device, monkeypatch):
     # deterministic work bound for one paper n = 3 solve: phase curves built
     # (none: each Gauss-Newton point folds its stacked weight table once, and
@@ -1074,13 +1161,15 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
 
 def test_two_qubit_solve_work_count(monkeypatch):
     # two Gauss-Newton solves from the pole-model grid's best basin, onto
-    # the root and then to delta_theta = pi: 13 stacked folds and no curve,
-    # where one curve per weight and point built 46; the exact-curve grid
-    # added 99 (139), and a chi-by-chi root search with a golden-section
-    # polish built 233.  The payload's loaded poles run no jets kernel pass
+    # the root and then to delta_theta = pi: 12 stacked folds and no curve,
+    # one per point, the second solve starting on the root's own fold (13
+    # when it folded the root again; one curve per weight and point built
+    # 46, the exact-curve grid added 99 (139), and a chi-by-chi root search
+    # with a golden-section polish built 233).  The payload's loaded poles
+    # run no jets kernel pass
     counts = _solve_work(two_mode_device(2), monkeypatch)
     assert counts["curves"] == 0
-    assert counts["solve_folds"] <= 13
+    assert counts["solve_folds"] <= 12
     assert counts["residuals"] == 0
     assert counts["tree evaluations"] == 0
     assert counts["jets"] == 0
@@ -1088,10 +1177,12 @@ def test_two_qubit_solve_work_count(monkeypatch):
 
 def test_four_qubit_free_solve_work_count(monkeypatch):
     # two Gauss-Newton solves from the pole-model grid's first basin at the
-    # template spacing: 19 stacked folds, one per point, and no curve or
-    # device per point (one curve per weight and point built 104 and folded
-    # each once; the exact-curve grid added 165 curves, and least-squares
-    # passes over five fixed gap scales before freeing the gaps built 3392).
+    # template spacing: 18 stacked folds, one per point, the second solve
+    # starting on the root's own fold, and no curve or device per point (19
+    # when it folded the root again; one curve per weight and point built
+    # 104 and folded each once; the exact-curve grid added 165 curves, and
+    # least-squares passes over five fixed gap scales before freeing the
+    # gaps built 3392).
     # The payload's 15 loaded poles take no curve (one per weight before)
     # and 6 fold passes, as the paper's 8 do: one _fold of the band edges
     # and 5 _slopes passes (15 brentq root solves before), none of them a
@@ -1099,7 +1190,7 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] == 0
-    assert counts["solve_folds"] <= 19
+    assert counts["solve_folds"] <= 18
     assert counts["residuals"] == 0
     assert counts["tree evaluations"] == 0
     assert counts["pole_curves"] == 0
