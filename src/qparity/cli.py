@@ -201,6 +201,15 @@ def _shared_fields(cfg: dict, path: str, kind: str, chi_keyword: str):
     return n, chi_spec, chi_start, z0, model
 
 
+def _mode(cfg: dict, path: str) -> Mode:
+    """One mode's f_GHz and C_couple_fF, each > 0, as a Mode."""
+    f = _need(cfg, "f_GHz", float, path)
+    c = _need(cfg, "C_couple_fF", float, path)
+    if f <= 0 or c <= 0:
+        raise ConfigError(f"{path}: f_GHz and C_couple_fF must be > 0")
+    return Mode(_ghz(f, f"{path}.f_GHz"), _ff(c, f"{path}.C_couple_fF"))
+
+
 def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
     """Returns (device template, chi spec) with chi spec 'solve' or rad/s."""
     n, chi_spec, chi_start, z0, model = _shared_fields(cfg, path, "parallel", "solve")
@@ -209,14 +218,9 @@ def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
         raise ConfigError(f"{path}.modes: must be non-empty")
     modes = []
     for i, m in enumerate(raw_modes):
-        mpath = f"{path}.modes[{i}]"
         if not isinstance(m, dict):
-            raise ConfigError(f"{mpath}: expected an object")
-        f = _need(m, "f_GHz", float, mpath)
-        c = _need(m, "C_couple_fF", float, mpath)
-        if f <= 0 or c <= 0:
-            raise ConfigError(f"{mpath}: f_GHz and C_couple_fF must be > 0")
-        modes.append(Mode(_ghz(f, f"{mpath}.f_GHz"), _ff(c, f"{mpath}.C_couple_fF")))
+            raise ConfigError(f"{path}.modes[{i}]: expected an object")
+        modes.append(_mode(m, f"{path}.modes[{i}]"))
     freqs = [mo.omega for mo in modes]
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ConfigError(f"{path}.modes: f_GHz values must be strictly increasing")
@@ -241,13 +245,8 @@ def parse_cascade_config(cfg: dict, path: str) -> tuple[int, ParityDevice, objec
     """Returns (n, cavity, chi spec) with chi spec 'tune' or rad/s: n
     copies of the one-qubit, one-mode cavity, one per qubit."""
     n, chi_spec, chi_start, z0, model = _shared_fields(cfg, path, "cascade", "tune")
-    cav = _need(cfg, "cavity", dict, path)
-    f = _need(cav, "f_GHz", float, f"{path}.cavity")
-    c = _need(cav, "C_couple_fF", float, f"{path}.cavity")
-    if f <= 0 or c <= 0:
-        raise ConfigError(f"{path}.cavity: f_GHz and C_couple_fF must be > 0")
+    mode = _mode(_need(cfg, "cavity", dict, path), f"{path}.cavity")
     try:
-        mode = Mode(_ghz(f, f"{path}.cavity.f_GHz"), _ff(c, f"{path}.cavity.C_couple_fF"))
         cavity = ParityDevice.equal_coupling(n=1, modes=(mode,), chi=chi_start,
                                              z0=z0, resonator_model=model)
     except ValueError as exc:
@@ -280,12 +279,21 @@ def cmd_sweep(ns) -> int:
     return EXIT_OK
 
 
+def _chi_search(chi_spec) -> dict:
+    """solve_eraser's chi_range for a chi spec: (chi/3, 3 chi) about a
+    numeric chi, the default range for 'solve'."""
+    return {} if chi_spec == "solve" else {"chi_range": (chi_spec / 3.0, chi_spec * 3.0)}
+
+
+def _pulse(ns, omega_p: float) -> ProbePulse:
+    """The probe pulse of the --alpha-sq and --T-us flags at omega_p."""
+    return ProbePulse.from_duration(math.sqrt(ns.alpha_sq), omega_p, ns.t_us * 1e-6)
+
+
 def cmd_solve(ns) -> int:
     cfg = load_config(ns.config)
     dev, chi_spec = parse_parallel_config(cfg, ns.config)
-    kwargs = {"tol": ns.tol}
-    if chi_spec != "solve":
-        kwargs["chi_range"] = (chi_spec / 3.0, chi_spec * 3.0)
+    kwargs = {"tol": ns.tol, **_chi_search(chi_spec)}
     if ns.free_modes:
         kwargs["free"] = ("chi", "mode_frequencies")
     sol = solve_eraser(dev, **kwargs)
@@ -345,9 +353,7 @@ def cmd_fidelity(ns) -> int:
     cfg = load_config(ns.config)
     dev, _ = parse_parallel_config(cfg, ns.config)
     sol = _solution_from_file(ns.solution, dev)
-    alpha = math.sqrt(ns.alpha_sq)
-    pulse = ProbePulse.from_duration(alpha, sol.omega_p, ns.t_us * 1e-6)
-    reports = eraser_quality(sol, pulse)
+    reports = eraser_quality(sol, _pulse(ns, sol.omega_p))
     dicts = reports_to_dicts(reports)
     payload = {
         "alpha_sq": ns.alpha_sq,
@@ -391,12 +397,8 @@ def cmd_compare(ns) -> int:
     if n_c != dev_p.n:
         raise ConfigError(f"{ns.config_cascade}.n_qubits: the cascade measures {n_c} "
                           f"qubits, {ns.config_parallel} measures {dev_p.n}")
-    kwargs = {}
-    if chi_spec != "solve":
-        kwargs["chi_range"] = (chi_spec / 3.0, chi_spec * 3.0)
-    sol = solve_eraser(dev_p, **kwargs)
-    alpha = math.sqrt(ns.alpha_sq)
-    pulse = ProbePulse.from_duration(alpha, sol.omega_p, ns.t_us * 1e-6)
+    sol = solve_eraser(dev_p, **_chi_search(chi_spec))
+    pulse = _pulse(ns, sol.omega_p)
     try:
         report = compare_schemes(sol, cavity, pulse, tune=(chi_spec_c == "tune"))
     except NonPositiveResult as exc:  # a numeric chi pulls the cavity to f <= 0
@@ -464,7 +466,7 @@ def _checked(kind, ok, need: str):
 
 
 POINTS = _checked(int, lambda v: v >= 2, ">= 2")
-FINITE = _checked(float, math.isfinite, "finite")
+POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 ALPHA_SQ = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 DURATION_US = _checked(float, lambda v: 0.0 < v * 1e-6 < math.inf,
                        "finite and > 0 in seconds")
@@ -513,12 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=cmd_compare)
 
     se = sub.add_parser("estimate", help="Purcell T1, measurement time, power.")
-    se.add_argument("--delta-GHz", dest="delta_ghz", type=FINITE, required=True)
-    se.add_argument("--kappa-MHz", dest="kappa_mhz", type=FINITE, required=True)
-    se.add_argument("--chi-MHz", dest="chi_mhz", type=FINITE, required=True)
+    se.add_argument("--delta-GHz", dest="delta_ghz", type=POSITIVE, required=True)
+    se.add_argument("--kappa-MHz", dest="kappa_mhz", type=POSITIVE, required=True)
+    se.add_argument("--chi-MHz", dest="chi_mhz", type=POSITIVE, required=True)
     se.add_argument("--alpha-sq", type=ALPHA_SQ, default=5.0)
     se.add_argument("--T-us", dest="t_us", type=DURATION_US, default=1.0)
-    se.add_argument("--fp-GHz", dest="fp_ghz", type=FINITE, required=True)
+    se.add_argument("--fp-GHz", dest="fp_ghz", type=POSITIVE, required=True)
     se.add_argument("--json", help="write the full report here")
     se.set_defaults(func=cmd_estimate)
 

@@ -22,8 +22,9 @@ With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
 the conditions (n <= 2, or freed gaps) the roots form a family, and one
 more condition, cos(delta_theta/2) = 0, makes the system square: a second
 exact stage from each root goes to delta_theta = pi, the top score.  It
-starts on the root's own fold, and a trial point's modes are respaced once
-for its domain test and its fold, so each exact point costs one fold.
+starts on the root's own fold.  Each trial point is one call: its modes are
+respaced once, for its domain test and its fold, so each exact point costs
+one fold.
 """
 
 from __future__ import annotations
@@ -234,17 +235,12 @@ def _solver_band(dev: ParityDevice, chi_range) -> tuple[tuple, tuple[float, floa
     return search, (float(f"{lo:.12g}"), float(f"{hi:.12g}"))
 
 
-def _gap_frequencies(dev: ParityDevice, gaps) -> np.ndarray:
-    """dev's mode frequencies respaced by ``gaps`` about their mean."""
+def _gap_frequencies(mean: float, gaps) -> np.ndarray:
+    """Mode frequencies spaced by ``gaps`` about ``mean``, the template's
+    mode mean."""
     offs = np.concatenate([[0.0], np.cumsum(gaps)])
     offs -= offs.mean()
-    return _mode_mean(dev.modes) + offs
-
-
-@functools.lru_cache(maxsize=64)
-def _mode_mean(modes: tuple) -> float:
-    """The mean of the modes' frequencies, by np.mean, once per mode tuple."""
-    return float(np.mean([mo.omega for mo in modes]))
+    return mean + offs
 
 
 @functools.cache
@@ -278,17 +274,17 @@ def _jacobian(jets, free_gaps: bool, contrast: bool = False) -> np.ndarray:
     return np.vstack([jac, -0.5 * math.sin(half) * (d_theta[0] - d_theta[1])])
 
 
-def _newton(evaluate, inside, start, iterations: int, tol: float, shortest: float):
+def _newton(evaluate, start, iterations: int, tol: float, shortest: float):
     """Damped least-squares Newton, the one Newton loop of both stages.
 
-    evaluate(x) gives the residuals r, a callable for d r/d x and what the
-    caller keeps of x.  ``start`` is (x, *evaluate(x)): the caller evaluates
-    the start point, or reads it from a fold it holds, and it is not
-    screened.  A trial point is evaluated only if inside() holds there; it
-    is taken if it lowers |r|, its step halved from 1 while at least
-    ``shortest``.  Stops after ``iterations`` steps, at max|r| < tol (tol 0:
-    never), when no step is taken or lstsq fails; returns the last x taken,
-    its residuals and what was kept.
+    evaluate(x) gives None for a point outside the caller's domain, else
+    the residuals r, a callable for d r/d x and what the caller keeps of x.
+    ``start`` is (x, r, jacobian, kept): the caller reads the start point,
+    unscreened, or takes it from a fold it holds.  A trial point is taken
+    if it lies in the domain and lowers |r|, its step halved from 1 while at
+    least ``shortest``.  Stops after ``iterations`` steps, at max|r| < tol
+    (tol 0: never), when no step is taken or lstsq fails; returns the last x
+    taken, its residuals and what was kept.
     """
     x, r, jacobian, kept = start
     norm = np.linalg.norm(r)
@@ -302,8 +298,8 @@ def _newton(evaluate, inside, start, iterations: int, tol: float, shortest: floa
         lam = 1.0
         while lam >= shortest:
             xn = x + step  # step is lam times the Newton step: halving is exact
-            if inside(xn):
-                r_n, jacobian_n, kept_n = evaluate(xn)
+            if (trial := evaluate(xn)) is not None:
+                r_n, jacobian_n, kept_n = trial
                 if (norm_n := np.linalg.norm(r_n)) < norm:
                     break
             lam, step = 0.5 * lam, 0.5 * step
@@ -314,46 +310,44 @@ def _newton(evaluate, inside, start, iterations: int, tol: float, shortest: floa
 
 
 def _exact_stage(dev0: ParityDevice, band, chi_range, contrast: bool = False):
-    """(evaluate, inside) of _newton on the exact phase in x = (omega_p,
+    """(evaluate, point) of _newton on the exact phase in x = (omega_p,
     chi[, gaps]) of dev0, each point one fold of its stacked weight table
-    (device._weight_fold), no device or curve built, and its jets kept;
-    evaluate(x, jets) reads a point whose fold the caller holds, folding
-    nothing.  With ``contrast`` the residuals gain a last row
-    cos(delta_theta/2).
+    (device._weight_fold), no device or curve built, and its jets kept.
+    point(x, jets) reads a start unscreened, or a point whose fold the
+    caller holds, folding nothing.  With ``contrast`` the residuals gain a
+    last row cos(delta_theta/2).
 
+    evaluate(x) respaces x's modes once, for its domain test and its fold.
     A trial point keeps omega_p in ``band``, chi in (chi_range/5, 5
     chi_range), the modes apart, and every pull above zero: the lowest
     mode's weight-n pull, lowest of all, summed as _weight_table sums it.
     So a step _weight_table would refuse is halved, as one leaving the box.
-    The modes inside() respaces for a trial point are the ones its fold
-    reads: the last point's are held with the point itself.
     """
+    mean = float(np.mean([mo.omega for mo in dev0.modes]))
     # of fixed modes only the lowest counts; weight n pulls every mode down
     fixed, down = [min(mo.omega for mo in dev0.modes)], _weight_signs(dev0.n)[-1]
-    held = [None, None]  # the last point respaced, and its mode frequencies
 
-    def modes(x):
-        if held[0] is not x:  # x is held, so no new array can reuse its id
-            held[:] = x, _gap_frequencies(dev0, x[2:])
-        return held[1]
-
-    def evaluate(x, jets=None):
+    def point(x, jets=None):
         if jets is None:
-            jets = _weight_fold(dev0, x[0], True, modes(x) if len(x) > 2 else None, x[1])
+            omegas = _gap_frequencies(mean, x[2:]) if len(x) > 2 else None
+            jets = _weight_fold(dev0, x[0], True, omegas, x[1])
         r = _residuals(jets[0])
         if contrast:
             r = np.append(r, math.cos(0.5 * (jets[0][0] - jets[0][1])))
         return r, lambda: _jacobian(jets, len(x) > 2, contrast), jets
 
-    def inside(x):
-        omegas = modes(x).tolist() if len(x) > 2 else fixed
+    def evaluate(x):
+        omegas = _gap_frequencies(mean, x[2:]) if len(x) > 2 else None
+        lows = fixed if omegas is None else omegas.tolist()
         wp, chi = x[:2].tolist()
         # a gap below the frequencies' float spacing merges two modes
-        return (band[0] < wp < band[1] and chi_range[0] * 0.2 < chi < chi_range[1] * 5.0
-                and all(a < b for a, b in zip(omegas, omegas[1:]))
-                and _pulled(omegas[0], (chi,) * dev0.n, down) > 0.0)
+        if (band[0] < wp < band[1] and chi_range[0] * 0.2 < chi < chi_range[1] * 5.0
+                and all(a < b for a, b in zip(lows, lows[1:]))
+                and _pulled(lows[0], (chi,) * dev0.n, down) > 0.0):
+            return point(x, _weight_fold(dev0, x[0], True, omegas, x[1]))
+        return None
 
-    return evaluate, inside
+    return evaluate, point
 
 
 def _pole_model(dev: ParityDevice):
@@ -452,17 +446,18 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
     cands, best_cell = _grid_minima(np.sqrt((r ** 2).sum(axis=0)), wps, chi_grid)
     # n = 1 has no conditions to polish; n > 3 needs the gaps, which the grid holds
     if 2 <= n <= 3:
-        def evaluate(x):
+        def point(x):
             th, d_wp, d_chi = _model_point(model, n, x[0], x[1])
             return _residuals(th), lambda: np.column_stack(
                 [d_wp[:-2] - d_wp[2:], d_chi[:-2] - d_chi[2:]]), None
 
-        def inside(x):
-            return band[0] < x[0] < band[1] and chi_grid[0] <= x[1] <= chi_grid[-1]
+        def evaluate(x):
+            if band[0] < x[0] < band[1] and chi_grid[0] <= x[1] <= chi_grid[-1]:
+                return point(x)
+            return None
 
         def polish(x):
-            return _newton(evaluate, inside, (x, *evaluate(x)), MODEL_NEWTON_STEPS, 0.0,
-                           1.0)[0].tolist()
+            return _newton(evaluate, (x, *point(x)), MODEL_NEWTON_STEPS, 0.0, 1.0)[0].tolist()
 
         cands = [(v, *polish(np.array([wp, chi]))) for v, wp, chi in cands]
     return cands, best_cell
@@ -483,7 +478,8 @@ def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
     _, wp, _, x, jets = scored[0]
     dev = dev0.with_chi(x[1])
     if len(x) > 2:
-        dev = dev.with_mode_frequencies(_gap_frequencies(dev0, x[2:]))
+        mean = np.mean([mo.omega for mo in dev0.modes])
+        dev = dev.with_mode_frequencies(_gap_frequencies(mean, x[2:]))
     sol = EraserSolution(dev, wp, [(w, float(x2[1]), dth) for _, w, dth, x2, _ in scored],
                          jets)
     if min(abs(wrap_phase(t)) for t in sol.theta_by_weight) < 10.0 * tol:
@@ -509,18 +505,17 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
     cands, best_cell = _grid_candidates(dev0, band, chi_grid, PROBE_POINTS)
     gaps0 = np.diff([mo.omega for mo in dev0.modes]) if free_gaps else []
     underdetermined = 2 + len(gaps0) > dev0.n - 1
+    evaluate, point = _exact_stage(dev0, band, chi_range)
+    evaluate_c, point_c = _exact_stage(dev0, band, chi_range, contrast=True)
     roots = []
     for _, wp0, chi0 in cands or [best_cell]:
-        evaluate, inside = _exact_stage(dev0, band, chi_range)
         x0 = np.array([wp0, chi0, *gaps0])
-        x, r, jets = _newton(evaluate, inside, (x0, *evaluate(x0)), NEWTON_MAX_ITER, tol,
-                             MIN_STEP)
+        x, r, jets = _newton(evaluate, (x0, *point(x0)), NEWTON_MAX_ITER, tol, MIN_STEP)
         if np.max(np.abs(r), initial=0.0) >= tol:
             continue
         if underdetermined:
-            evaluate, inside = _exact_stage(dev0, band, chi_range, contrast=True)
-            xc, rc, jets_c = _newton(evaluate, inside, (x, *evaluate(x, jets)),
-                                     NEWTON_MAX_ITER, MIN_TOL, MIN_STEP)
+            xc, rc, jets_c = _newton(evaluate_c, (x, *point_c(x, jets)), NEWTON_MAX_ITER,
+                                     MIN_TOL, MIN_STEP)
             if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
                 roots.append((xc, jets_c))  # ahead of x: it outlives a near-duplicate x
         roots.append((x, jets))

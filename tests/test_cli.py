@@ -122,13 +122,19 @@ ESTIMATE_ARGS = ["estimate", "--delta-GHz", "5", "--kappa-MHz", "5",
     (["compare", "{cfg}", "{cas}", "--out", "{out}", "--alpha-sq", "inf"], "--alpha-sq"),
     (ESTIMATE_ARGS + ["--json", "{out}", "--delta-GHz", "nan"], "--delta-GHz"),
     (ESTIMATE_ARGS + ["--json", "{out}", "--kappa-MHz", "inf"], "--kappa-MHz"),
+    # a rate or frequency <= 0 exited 3 naming its rad/s value
+    (ESTIMATE_ARGS + ["--json", "{out}", "--delta-GHz", "-5"], "--delta-GHz"),
+    (ESTIMATE_ARGS + ["--json", "{out}", "--kappa-MHz", "0"], "--kappa-MHz"),
+    (ESTIMATE_ARGS + ["--json", "{out}", "--chi-MHz", "-1"], "--chi-MHz"),
+    (ESTIMATE_ARGS + ["--json", "{out}", "--fp-GHz", "0"], "--fp-GHz"),
     # > 0 in microseconds, but 0.0 once converted to seconds
     (["fidelity", "{cfg}", "{sol}", "--out-json", "{out}", "--T-us", "1e-320"], "--T-us"),
     (["compare", "{cfg}", "{cas}", "--out", "{out}", "--T-us", "1e-320"], "--T-us"),
 ], ids=["points-0", "points-neg", "fidelity-T", "fidelity-alpha", "compare-alpha",
         "compare-T", "estimate-alpha", "estimate-T", "solve-tol-nan", "solve-tol-tiny",
         "fidelity-T-inf", "compare-alpha-inf", "estimate-delta-nan",
-        "estimate-kappa-inf", "fidelity-T-subnormal", "compare-T-subnormal"])
+        "estimate-kappa-inf", "estimate-delta-neg", "estimate-kappa-0", "estimate-chi-neg",
+        "estimate-fp-0", "fidelity-T-subnormal", "compare-T-subnormal"])
 def test_bad_numeric_flag_exits_2_before_any_work(tmp_path, capsys, argv, flag):
     cfg, sol = tmp_path / "c.json", tmp_path / "sol.json"
     cas, out = tmp_path / "cascade.json", tmp_path / "out"

@@ -41,6 +41,14 @@ def four_qubit_device():
         TWO_PI * 5e6)
 
 
+def _respaced(dev0, gaps):
+    """dev0's mode frequencies spaced by ``gaps`` about their mean, as the
+    free-gap solve respaces them."""
+    from qparity.eraser import _gap_frequencies
+
+    return _gap_frequencies(float(np.mean([mo.omega for mo in dev0.modes])), gaps)
+
+
 # ----------------------------------------------------------------------
 # residual structure
 # ----------------------------------------------------------------------
@@ -729,10 +737,9 @@ def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
     # building that device and each weight's curve, and reading its jets,
     # did, except that a pull to or below zero comes first
     from qparity.device import _pulled_rows, _weight_fold, weight_phase_curve
-    from qparity.eraser import _gap_frequencies
 
     dev0, wp, chi, gaps = _refusing_point(case)
-    omegas = None if gaps is None else _gap_frequencies(dev0, gaps)
+    omegas = None if gaps is None else _respaced(dev0, gaps)
     with pytest.raises(exc, match=re.escape(REFUSALS[case])) as curve_path:
         dev = dev0 if omegas is None else dev0.with_mode_frequencies(omegas)
         dev = dev.with_chi(chi)
@@ -760,7 +767,6 @@ def test_weight_fold_reads_no_band(model, free_gaps):
     # band of a 500 MHz template reaches f < 0), and whatever chi the
     # template pulls by; probes inside, beside and beyond every band
     from qparity.device import _weight_fold
-    from qparity.eraser import _gap_frequencies
 
     freqs = (9.97, 10.0, 10.03) if free_gaps else (9.99, 10.01)
     modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in freqs)
@@ -769,8 +775,7 @@ def test_weight_fold_reads_no_band(model, free_gaps):
              (TWO_PI * 11e9, TWO_PI * 12e9)]
     templates = [ParityDevice.equal_coupling(n, modes, c, resonator_model=model, band=b)
                  for b in bands for c in (chi, TWO_PI * 500e6)]
-    omegas = _gap_frequencies(templates[0], TWO_PI * np.array([16e6, 30e6])) \
-        if free_gaps else None
+    omegas = _respaced(templates[0], TWO_PI * np.array([16e6, 30e6])) if free_gaps else None
     grid = TWO_PI * np.linspace(9.7e9, 10.3e9, 61)
     probes = TWO_PI * np.array([9.804e9, 10.6e9, 20e9, 0.2e9])
     reference = templates[0]
@@ -789,7 +794,7 @@ def test_jacobian_matches_central_difference(free_gaps):
 
     from qparity.device import weight_phase_curve
     from qparity.device import _weight_fold
-    from qparity.eraser import _gap_frequencies, _jacobian
+    from qparity.eraser import _jacobian
 
     if free_gaps:
         modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (9.97, 10.0, 10.03))
@@ -802,7 +807,7 @@ def test_jacobian_matches_central_difference(free_gaps):
 
     def device(x):
         if len(x) > 2:
-            return dev0.with_mode_frequencies(_gap_frequencies(dev0, x[2:])).with_chi(x[1])
+            return dev0.with_mode_frequencies(_respaced(dev0, x[2:])).with_chi(x[1])
         return dev0.with_chi(x[1])
 
     def contrast(x):
@@ -831,20 +836,21 @@ def test_jacobian_matches_central_difference(free_gaps):
 # the one Newton loop, and the exact stage's domain
 # ----------------------------------------------------------------------
 
-def _one_unknown(residual, derivative, visited):
-    """evaluate for _newton on one unknown: the residual and its Jacobian
-    at x, x kept, and every evaluated x appended to ``visited``."""
-    def evaluate(x):
+def _one_unknown(residual, derivative, visited, inside=lambda x: True):
+    """(evaluate, point) for _newton on one unknown: point(x) gives the
+    residual and its Jacobian at x, x kept, and appends x to ``visited``;
+    evaluate(x) is point(x) where inside(x) holds, else None."""
+    def point(x):
         visited.append(float(x[0]))
         return np.array([residual(x[0])]), lambda: np.array([[derivative(x[0])]]), float(x[0])
 
-    return evaluate
+    return (lambda x: point(x) if inside(x) else None), point
 
 
-def _start(evaluate, x0: float):
-    """_newton's start: the point x0 and what evaluate gives there."""
+def _start(point, x0: float):
+    """_newton's start: the point x0 and what point gives there."""
     x = np.array([x0])
-    return (x, *evaluate(x))
+    return (x, *point(x))
 
 
 def test_newton_evaluates_its_start_point_outside_the_domain():
@@ -853,8 +859,8 @@ def test_newton_evaluates_its_start_point_outside_the_domain():
     from qparity.eraser import _newton
 
     visited = []
-    evaluate = _one_unknown(lambda x: x - 3.0, lambda x: 1.0, visited)
-    x, r, kept = _newton(evaluate, lambda x: False, _start(evaluate, -1.0), 30, 1e-9, 1e-10)
+    evaluate, point = _one_unknown(lambda x: x - 3.0, lambda x: 1.0, visited, lambda x: False)
+    x, r, kept = _newton(evaluate, _start(point, -1.0), 30, 1e-9, 1e-10)
     assert visited == [-1.0] and kept == -1.0
     assert x.tolist() == [-1.0] and r.tolist() == [-4.0]
 
@@ -866,16 +872,17 @@ def test_newton_full_steps_stop_at_the_first_rejected_step():
     from qparity.eraser import _newton
 
     visited = []
-    newton_atan = _one_unknown(math.atan, lambda x: 1.0 / (1.0 + x * x), visited)
-    x, r, _ = _newton(newton_atan, lambda x: True, _start(newton_atan, 2.0), 8, 0.0, 1.0)
+    newton_atan, point = _one_unknown(math.atan, lambda x: 1.0 / (1.0 + x * x), visited)
+    x, r, _ = _newton(newton_atan, _start(point, 2.0), 8, 0.0, 1.0)
     assert x.tolist() == [2.0] and len(visited) == 2
     assert abs(math.atan(visited[1])) > math.atan(2.0)
-    x, r, _ = _newton(newton_atan, lambda x: True, _start(newton_atan, 2.0), 30, 1e-12, 1e-10)
+    x, r, _ = _newton(newton_atan, _start(point, 2.0), 30, 1e-12, 1e-10)
     assert abs(r[0]) < 1e-12
     # a full step outside the domain ends it too, unevaluated
     visited.clear()
-    x, _, _ = _newton(newton_atan, lambda x: x[0] > 0.0, _start(newton_atan, 2.0), 8, 0.0,
-                      1.0)
+    newton_atan, point = _one_unknown(math.atan, lambda x: 1.0 / (1.0 + x * x), visited,
+                                      lambda x: x[0] > 0.0)
+    x, _, _ = _newton(newton_atan, _start(point, 2.0), 8, 0.0, 1.0)
     assert x.tolist() == [2.0] and visited == [2.0]
 
 
@@ -892,8 +899,8 @@ def test_newton_halving_ends_below_the_shortest_step(shortest, fractions):
         tried.append(float(x[0]))
         return False
 
-    evaluate = _one_unknown(lambda x: x - 1.0, lambda x: 1.0, visited)
-    _newton(evaluate, inside, _start(evaluate, 0.0), 30, 1e-9, shortest)
+    evaluate, point = _one_unknown(lambda x: x - 1.0, lambda x: 1.0, visited, inside)
+    _newton(evaluate, _start(point, 0.0), 30, 1e-9, shortest)
     assert tried == [2.0 ** -k for k in range(fractions)]
     assert visited == [0.0]
 
@@ -911,12 +918,12 @@ def test_newton_tol_stops_the_loop_before_a_step():
         return np.array([x[0] - 1.0, 2e-10]), jacobian, None
 
     start = np.array([1.0 + 5e-10])
-    x, r, _ = _newton(evaluate, lambda x: True, (start, *evaluate(start)), 30, 1e-9, 1e-10)
+    x, r, _ = _newton(evaluate, (start, *evaluate(start)), 30, 1e-9, 1e-10)
     assert steps == [] and x.tolist() == start.tolist()
     # max|r| is not below a tol equal to it, and a tol of 0 never stops it
     for tol in (start[0] - 1.0, 0.0):
         steps.clear()
-        x, r, _ = _newton(evaluate, lambda x: True, (start, *evaluate(start)), 30, tol, 1e-10)
+        x, r, _ = _newton(evaluate, (start, *evaluate(start)), 30, tol, 1e-10)
         assert steps[0] == start[0]
         assert abs(x[0] - 1.0) < 1e-15 and r[1] == 2e-10
 
@@ -928,8 +935,8 @@ def test_newton_ends_where_least_squares_fails():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.lstsq(np.array([[math.nan]]), np.array([1.0]), rcond=None)
     visited = []
-    evaluate = _one_unknown(lambda x: x - 1.0, lambda x: math.nan, visited)
-    x, r, _ = _newton(evaluate, lambda x: True, _start(evaluate, 0.0), 30, 1e-9, 1e-10)
+    evaluate, point = _one_unknown(lambda x: x - 1.0, lambda x: math.nan, visited)
+    x, r, _ = _newton(evaluate, _start(point, 0.0), 30, 1e-9, 1e-10)
     assert visited == [0.0] and x.tolist() == [0.0] and r.tolist() == [-1.0]
 
 
@@ -940,15 +947,15 @@ def test_exact_stage_domain_is_where_the_weight_table_refuses(model, n, free_gap
     # pull runs through zero a few ulps each side: a trial point is outside
     # the domain exactly where the point's stacked weight table refuses it
     from qparity.device import _weight_table
-    from qparity.eraser import DEFAULT_CHI_RANGE, _exact_stage, _gap_frequencies
+    from qparity.eraser import DEFAULT_CHI_RANGE, _exact_stage
 
     band = (TWO_PI * 0.1e9, TWO_PI * 2e9)
     modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (0.6, 0.62, 0.64))
     dev0 = ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6, resonator_model=model,
                                        band=band)
-    _, inside = _exact_stage(dev0, band, DEFAULT_CHI_RANGE)
+    evaluate, _ = _exact_stage(dev0, band, DEFAULT_CHI_RANGE)
     gaps = TWO_PI * np.array([25e6, 15e6]) if free_gaps else np.array([])
-    omegas = _gap_frequencies(dev0, gaps) if free_gaps else None
+    omegas = _respaced(dev0, gaps) if free_gaps else None
     chi = (omegas[0] if free_gaps else modes[0].omega) / n
     for _ in range(8):
         chi = np.nextafter(chi, 0.0)
@@ -959,7 +966,7 @@ def test_exact_stage_domain_is_where_the_weight_table_refuses(model, n, free_gap
             refusals.append(False)
         except NonPositiveResult:
             refusals.append(True)
-        assert inside(np.array([TWO_PI * 0.65e9, chi, *gaps])) == (not refusals[-1])
+        assert (evaluate(np.array([TWO_PI * 0.65e9, chi, *gaps])) is None) == refusals[-1]
         chi = np.nextafter(chi, np.inf)
     assert refusals[0] is False and refusals[-1] is True  # the pull crossed zero
 
@@ -1068,70 +1075,42 @@ def test_free_gap_solve_pays_once_per_point(monkeypatch):
     gap_frequencies, weight_fold, exact_stage = (
         eraser._gap_frequencies, eraser._weight_fold, eraser._exact_stage)
 
-    def counting_gaps(dev, gaps):
+    def counting_gaps(mean, gaps):
         derived.append(gaps.base)  # the point x whose x[2:] is respaced
-        return gap_frequencies(dev, gaps)
+        return gap_frequencies(mean, gaps)
 
     def counting_fold(*args, **kwargs):
         counts["folds"] += 1
         return weight_fold(*args, **kwargs)
 
     def counting_stage(*args, **kwargs):
-        evaluate, inside = exact_stage(*args, **kwargs)
-        counts["contrast stages"] += kwargs.get("contrast", False)
+        evaluate, point = exact_stage(*args, **kwargs)
 
-        def counting_evaluate(x, *jets):
-            counts["evaluations"] += 1
+        def counting_evaluate(x):
             points.append(x)
-            return evaluate(x, *jets)
+            trial = evaluate(x)
+            counts["points read"] += trial is not None
+            return trial
 
-        def counting_inside(x):
+        def counting_point(x, *jets):
             points.append(x)
-            return inside(x)
+            counts["points read"] += 1
+            counts["held starts"] += bool(jets)
+            return point(x, *jets)
 
-        return counting_evaluate, counting_inside
+        return counting_evaluate, counting_point
 
     monkeypatch.setattr(eraser, "_gap_frequencies", counting_gaps)
     monkeypatch.setattr(eraser, "_weight_fold", counting_fold)
     monkeypatch.setattr(eraser, "_exact_stage", counting_stage)
     solve_eraser(four_qubit_device(), free=("chi", "mode_frequencies"))
-    assert counts["contrast stages"] >= 1 and counts["folds"] == 18
-    assert counts["folds"] == counts["evaluations"] - counts["contrast stages"]
+    assert counts["held starts"] >= 1 and counts["folds"] == 18
+    assert counts["folds"] == counts["points read"] - counts["held starts"]
     # points holds every x, so no two distinct points share an id; a
     # contrast stage's start is stage 1's last point, respaced there
     stage_points = {id(x) for x in points}
     assert len({id(x) for x in derived[:-1]}) == len(derived) - 1 == len(stage_points)
     assert {id(x) for x in derived} == stage_points
-
-
-def test_exact_stage_holds_no_stale_modes():
-    # a point's modes are held with the point itself: a fresh array equal to
-    # an earlier point, evaluated after another point, folds the earlier
-    # point's jets bit for bit, not the other point's
-    from dataclasses import replace
-
-    from qparity.device import _weight_fold
-    from qparity.eraser import DEFAULT_CHI_RANGE, _exact_stage, _gap_frequencies, _solver_band
-
-    dev0 = four_qubit_device()
-    search, band = _solver_band(dev0, DEFAULT_CHI_RANGE)
-    dev0 = replace(dev0, band=band)
-    evaluate, inside = _exact_stage(dev0, search, DEFAULT_CHI_RANGE)
-    x1 = TWO_PI * np.array([9.79e9, 5.5e6, 30e6, 30e6])
-    x2 = TWO_PI * np.array([9.79e9, 5.5e6, 20e6, 35e6])
-
-    def hexes(jets):
-        return [[float(v).hex() for v in np.ravel(a)] for a in jets]
-
-    assert inside(x1) and inside(x2)
-    first = hexes(evaluate(x1)[2])
-    other = hexes(evaluate(x2)[2])
-    again = hexes(evaluate(x1.copy())[2])
-    assert again == first != other
-    fresh = _weight_fold(dev0, x1[0], True, _gap_frequencies(dev0, x1[2:]), x1[1])
-    assert first == hexes(fresh)
-    # and the same after the domain test of the other point
-    assert inside(x2) and hexes(evaluate(x1.copy())[2]) == first
 
 
 def test_paper_solve_work_count(paper_device, monkeypatch):

@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""One sha256 per benchmark workload, and one over the device corpus.
+
+    python tools/digest_ops.py                        # seed-0 ops 0-59, all 400 devices
+    python tools/digest_ops.py --ops 3 --devices 5    # a quick check
+    python tools/digest_ops.py --root ../other-checkout
+
+Each op runs in process through cli.main, as perfbench runs it: the inputs
+come from perfbench/workloads.py (generate, prepare) and the corpus from
+tests/corpus.py, both of this checkout.  qparity is imported from the src/
+of ``--root`` (default: this checkout), so two checkouts are compared by
+running this one command on each and diffing the lines.  A digest covers
+every op's exit code, stdout, stderr and written files, in op order; the
+inputs are written with relative paths in a fresh directory, so no message
+carries a temporary path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(HERE / "perfbench"), str(HERE / "tests")]
+
+from corpus import SIZE, devices  # noqa: E402
+from workloads import PAPER_CONFIG, WORKLOADS, generate, prepare, write_json  # noqa: E402
+
+
+def invoke(cli, argv: list, outputs: list, digest) -> int:
+    """cli.main on argv, its exit code, stdout, stderr and outputs digested."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code if isinstance(exc.code, int) else 2
+    digest.update(f"{rc}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
+    for path in outputs:
+        if path.exists():
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return rc
+
+
+def workload_digest(cli, workload: str, count: int) -> tuple[str, collections.Counter]:
+    digest, exits, work = hashlib.sha256(), collections.Counter(), Path(".")
+    write_json(work / "paper.json", PAPER_CONFIG)
+    if WORKLOADS[workload].fixed_solve:
+        invoke(cli, ["solve", "paper.json", "--out", "paper_solution.json"],
+               [Path("paper_solution.json")], digest)
+    for index, op in enumerate(generate(workload, 0, count)):
+        exits[invoke(cli, *prepare(workload, index, op, work), digest)] += 1
+    return digest.hexdigest(), exits
+
+
+def corpus_digest(cli, count: int) -> tuple[str, collections.Counter]:
+    digest, exits, out = hashlib.sha256(), collections.Counter(), Path("solution.json")
+    for index, (config, free) in enumerate(devices(count)):
+        path = Path(f"device{index}.json")
+        write_json(path, config)
+        argv = ["solve", str(path), "--out", str(out)] + ["--free-modes"] * free
+        exits[invoke(cli, argv, [out], digest)] += 1
+    return digest.hexdigest(), exits
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--ops", type=int, default=60, help="ops per workload, from op 0")
+    p.add_argument("--devices", type=int, default=SIZE, help="corpus devices, from 0")
+    p.add_argument("--root", type=Path, default=HERE,
+                   help="the checkout whose src/ is imported")
+    ns = p.parse_args(argv)
+    if ns.ops < 1 or ns.devices < 0:
+        p.error("--ops must be >= 1 and --devices >= 0")
+    sys.path.insert(0, str(ns.root.resolve() / "src"))
+    from qparity import cli
+
+    print(f"qparity from {Path(cli.__file__).resolve().parent}", file=sys.stderr)
+    runs = [(w, f"seed 0 ops 0-{ns.ops - 1}", workload_digest, w, ns.ops) for w in WORKLOADS]
+    runs.append(("corpus", f"devices 0-{ns.devices - 1}", corpus_digest, ns.devices))
+    cwd = os.getcwd()
+    for name, what, run, *args in runs:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                digest, exits = run(cli, *args)
+            finally:
+                os.chdir(cwd)
+        tally = ", ".join(f"exit {rc}: {k}" for rc, k in sorted(exits.items()))
+        print(f"{name:<20} {what:<18} {digest}  ({tally})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
