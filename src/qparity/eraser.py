@@ -22,9 +22,8 @@ With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
 the conditions (n <= 2, or freed gaps) the roots form a family, and one
 more condition, cos(delta_theta/2) = 0, makes the system square: a second
 exact stage from each root goes to delta_theta = pi, the top score.  It
-starts on the root's own fold.  Each trial point is one call: its modes are
-respaced once, for its domain test and its fold, so each exact point costs
-one fold.
+starts on the root's own fold, and each trial point is one call, which
+respaces its modes once for its domain test and its fold: one fold each.
 """
 
 from __future__ import annotations
@@ -236,8 +235,7 @@ def _solver_band(dev: ParityDevice, chi_range) -> tuple[tuple, tuple[float, floa
 
 
 def _gap_frequencies(mean: float, gaps) -> np.ndarray:
-    """Mode frequencies spaced by ``gaps`` about ``mean``, the template's
-    mode mean."""
+    """Mode frequencies spaced by ``gaps`` about the mode mean ``mean``."""
     offs = np.concatenate([[0.0], np.cumsum(gaps)])
     offs -= offs.mean()
     return mean + offs
@@ -309,7 +307,7 @@ def _newton(evaluate, start, iterations: int, tol: float, shortest: float):
     return x, r, kept
 
 
-def _exact_stage(dev0: ParityDevice, band, chi_range, contrast: bool = False):
+def _exact_stage(dev0: ParityDevice, mean: float, band, chi_range, contrast: bool = False):
     """(evaluate, point) of _newton on the exact phase in x = (omega_p,
     chi[, gaps]) of dev0, each point one fold of its stacked weight table
     (device._weight_fold), no device or curve built, and its jets kept.
@@ -317,34 +315,38 @@ def _exact_stage(dev0: ParityDevice, band, chi_range, contrast: bool = False):
     caller holds, folding nothing.  With ``contrast`` the residuals gain a
     last row cos(delta_theta/2).
 
-    evaluate(x) respaces x's modes once, for its domain test and its fold.
-    A trial point keeps omega_p in ``band``, chi in (chi_range/5, 5
-    chi_range), the modes apart, and every pull above zero: the lowest
-    mode's weight-n pull, lowest of all, summed as _weight_table sums it.
-    So a step _weight_table would refuse is halved, as one leaving the box.
+    evaluate(x) respaces x's modes about ``mean``, the template's mode mean,
+    once for its domain test and its fold.  A trial point keeps omega_p in
+    ``band``, chi in (chi_range/5, 5 chi_range), the modes apart, and every
+    pull above zero: the lowest mode's weight-n pull, lowest of all, summed
+    as _weight_table sums it.  So a step _weight_table would refuse is
+    halved, as one leaving the box.
     """
-    mean = float(np.mean([mo.omega for mo in dev0.modes]))
     # of fixed modes only the lowest counts; weight n pulls every mode down
     fixed, down = [min(mo.omega for mo in dev0.modes)], _weight_signs(dev0.n)[-1]
 
+    def respaced(x):
+        return _gap_frequencies(mean, x[2:]) if len(x) > 2 else None
+
+    def fold(x, omegas):
+        return _weight_fold(dev0, x[0], True, omegas, x[1])
+
     def point(x, jets=None):
-        if jets is None:
-            omegas = _gap_frequencies(mean, x[2:]) if len(x) > 2 else None
-            jets = _weight_fold(dev0, x[0], True, omegas, x[1])
+        jets = fold(x, respaced(x)) if jets is None else jets
         r = _residuals(jets[0])
         if contrast:
             r = np.append(r, math.cos(0.5 * (jets[0][0] - jets[0][1])))
         return r, lambda: _jacobian(jets, len(x) > 2, contrast), jets
 
     def evaluate(x):
-        omegas = _gap_frequencies(mean, x[2:]) if len(x) > 2 else None
+        omegas = respaced(x)
         lows = fixed if omegas is None else omegas.tolist()
         wp, chi = x[:2].tolist()
         # a gap below the frequencies' float spacing merges two modes
         if (band[0] < wp < band[1] and chi_range[0] * 0.2 < chi < chi_range[1] * 5.0
                 and all(a < b for a, b in zip(lows, lows[1:]))
                 and _pulled(lows[0], (chi,) * dev0.n, down) > 0.0):
-            return point(x, _weight_fold(dev0, x[0], True, omegas, x[1]))
+            return point(x, fold(x, omegas))
         return None
 
     return evaluate, point
@@ -463,11 +465,11 @@ def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
     return cands, best_cell
 
 
-def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
+def _assemble(dev0: ParityDevice, mean: float, roots: list, tol: float) -> EraserSolution:
     """Dedupe verified roots (x, its jets) of dev0, rank them by
     distinguishability from their jets, build the winner's solution from its
-    jets.  Its omega_p and every basin's are Python floats, as a solution
-    read from a file holds."""
+    jets, its modes about ``mean``.  Its omega_p and every basin's are
+    Python floats, as a solution read from a file holds."""
     scored = []
     for x, jets in roots:
         if not any(abs(x[0] - x2[0]) < TWO_PI * 1e4
@@ -478,7 +480,6 @@ def _assemble(dev0: ParityDevice, roots: list, tol: float) -> EraserSolution:
     _, wp, _, x, jets = scored[0]
     dev = dev0.with_chi(x[1])
     if len(x) > 2:
-        mean = np.mean([mo.omega for mo in dev0.modes])
         dev = dev.with_mode_frequencies(_gap_frequencies(mean, x[2:]))
     sol = EraserSolution(dev, wp, [(w, float(x2[1]), dth) for _, w, dth, x2, _ in scored],
                          jets)
@@ -505,8 +506,9 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
     cands, best_cell = _grid_candidates(dev0, band, chi_grid, PROBE_POINTS)
     gaps0 = np.diff([mo.omega for mo in dev0.modes]) if free_gaps else []
     underdetermined = 2 + len(gaps0) > dev0.n - 1
-    evaluate, point = _exact_stage(dev0, band, chi_range)
-    evaluate_c, point_c = _exact_stage(dev0, band, chi_range, contrast=True)
+    mean = float(np.mean([mo.omega for mo in dev0.modes]))
+    evaluate, point = _exact_stage(dev0, mean, band, chi_range)
+    evaluate_c, point_c = _exact_stage(dev0, mean, band, chi_range, contrast=True)
     roots = []
     for _, wp0, chi0 in cands or [best_cell]:
         x0 = np.array([wp0, chi0, *gaps0])
@@ -529,7 +531,7 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
             f"chi={best_cell[2] / TWO_PI / 1e6:.4f} MHz",
             best=best_cell,
         )
-    return _assemble(dev0, roots, tol)
+    return _assemble(dev0, mean, roots, tol)
 
 
 def solve_eraser(dev_template: ParityDevice, free=("chi",),

@@ -41,12 +41,17 @@ def four_qubit_device():
         TWO_PI * 5e6)
 
 
+def _mode_mean(dev0):
+    """dev0's mode mean, about which the free-gap solve respaces its modes."""
+    return float(np.mean([mo.omega for mo in dev0.modes]))
+
+
 def _respaced(dev0, gaps):
     """dev0's mode frequencies spaced by ``gaps`` about their mean, as the
     free-gap solve respaces them."""
     from qparity.eraser import _gap_frequencies
 
-    return _gap_frequencies(float(np.mean([mo.omega for mo in dev0.modes])), gaps)
+    return _gap_frequencies(_mode_mean(dev0), gaps)
 
 
 # ----------------------------------------------------------------------
@@ -953,7 +958,7 @@ def test_exact_stage_domain_is_where_the_weight_table_refuses(model, n, free_gap
     modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in (0.6, 0.62, 0.64))
     dev0 = ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6, resonator_model=model,
                                        band=band)
-    evaluate, _ = _exact_stage(dev0, band, DEFAULT_CHI_RANGE)
+    evaluate, _ = _exact_stage(dev0, _mode_mean(dev0), band, DEFAULT_CHI_RANGE)
     gaps = TWO_PI * np.array([25e6, 15e6]) if free_gaps else np.array([])
     omegas = _respaced(dev0, gaps) if free_gaps else None
     chi = (omegas[0] if free_gaps else modes[0].omega) / n
