@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _weight_phasors,
-                     _weight_table)
+from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _weight_fold,
+                     _weight_phasors)
 from .eraser import EraserSolution, _residuals
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
-from .network import _fold_jets, wrap_phase
+from .network import wrap_phase
 
 __all__ = [
     "TunedCascade",
@@ -87,12 +87,13 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
     if (cavity.n, cavity.m) != (1, 1):
         raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
                          f"{cavity.n} qubits x {cavity.m} modes")
-    stub, (chi_lo, chi_hi) = cavity.resonator_model == "stub", CHI_RANGE
+    chi_lo, chi_hi = CHI_RANGE
     chi = chi_lo if tune_chi else cavity.chi
     if w is None:
         w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
     for _ in range(MAX_NEWTON_STEPS):
-        jets = _fold_jets(stub, cavity.z0, _weight_table(cavity, chi=chi), w)  # rows by bit
+        at_chi = cavity.with_chi(chi)
+        jets = _weight_fold(at_chi, w, jets=True)  # rows by bit
         th, d1, d2, d_r = jets
         b, slope, step = float(d1[0] - d1[1]), float(d2[0] - d2[1]), float(th[0] - th[1])
         if not slope < 0.0:
@@ -101,7 +102,7 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
         dw = -b / slope
         if (abs(dw) <= OMEGA_ULPS * math.ulp(w)
                 and (not tune_chi or abs(step - math.pi) <= STEP_TOL)):
-            return TunedCascade(cavity=cavity.with_chi(chi), omega_p=w, step=step,
+            return TunedCascade(cavity=at_chi, omega_p=w, step=step,
                                 b_single=b, jets=jets)
         w += dw
         if tune_chi:

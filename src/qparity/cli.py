@@ -31,6 +31,7 @@ from .eraser import (
     EraserSolution,
     NoSolution,
     InfeasibleDevice,
+    _gaps_needed,
     solution_to_dict,
     solve_eraser,
 )
@@ -279,10 +280,13 @@ def cmd_sweep(ns) -> int:
     return EXIT_OK
 
 
-def _chi_search(chi_spec) -> dict:
-    """solve_eraser's chi_range for a chi spec: (chi/3, 3 chi) about a
-    numeric chi, the default range for 'solve'."""
-    return {} if chi_spec == "solve" else {"chi_range": (chi_spec / 3.0, chi_spec * 3.0)}
+def _search(dev: ParityDevice, chi_spec, free_modes: bool = False) -> dict:
+    """solve_eraser's chi_range, (chi/3, 3 chi) about a numeric chi, and its
+    knobs: the mode gaps join chi where asked or where the solver needs them."""
+    kwargs = {} if chi_spec == "solve" else {"chi_range": (chi_spec / 3.0, chi_spec * 3.0)}
+    if free_modes or _gaps_needed(dev.n):
+        kwargs["free"] = ("chi", "mode_frequencies")
+    return kwargs
 
 
 def _pulse(ns, omega_p: float) -> ProbePulse:
@@ -293,10 +297,7 @@ def _pulse(ns, omega_p: float) -> ProbePulse:
 def cmd_solve(ns) -> int:
     cfg = load_config(ns.config)
     dev, chi_spec = parse_parallel_config(cfg, ns.config)
-    kwargs = {"tol": ns.tol, **_chi_search(chi_spec)}
-    if ns.free_modes:
-        kwargs["free"] = ("chi", "mode_frequencies")
-    sol = solve_eraser(dev, **kwargs)
+    sol = solve_eraser(dev, tol=ns.tol, **_search(dev, chi_spec, ns.free_modes))
     payload = solution_to_dict(sol)
     payload["config"] = cfg
     if ns.out:
@@ -397,7 +398,7 @@ def cmd_compare(ns) -> int:
     if n_c != dev_p.n:
         raise ConfigError(f"{ns.config_cascade}.n_qubits: the cascade measures {n_c} "
                           f"qubits, {ns.config_parallel} measures {dev_p.n}")
-    sol = solve_eraser(dev_p, **_chi_search(chi_spec))
+    sol = solve_eraser(dev_p, **_search(dev_p, chi_spec))
     pulse = _pulse(ns, sol.omega_p)
     try:
         report = compare_schemes(sol, cavity, pulse, tune=(chi_spec_c == "tune"))
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="residual tolerance in radians")
     so.add_argument("--out", help="write the solution JSON here")
     so.add_argument("--free-modes", action="store_true",
-                    help="also search mode-frequency spacings (needed for n=4)")
+                    help="also search mode-frequency spacings (always from n=4 on)")
     so.set_defaults(func=cmd_solve)
 
     sf = sub.add_parser("fidelity", help="Pairwise output-state overlaps.")

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import (Capacitor, Inductor, NetworkElement, Parallel, PhaseCurve,
-                      QuarterWaveStub, Series, _check_frequency, _check_omega, _crossings,
-                      _curve_table, _fold, _fold_jets, _phasor, lumped_equivalent)
+                      QuarterWaveStub, Series, _branch_table, _check_frequency, _check_omega,
+                      _crossings, _fold, _fold_jets, _phasor, lumped_equivalent)
 
 __all__ = [
     "NonPositiveResult",
@@ -73,13 +73,6 @@ class QubitState:
         return sum(self.bits)
 
 
-def _mode_omega(omega):
-    """Mode's check of a mode frequency; returns it."""
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"mode omega must be finite and > 0, got {omega!r}")
-    return omega
-
-
 @dataclass(frozen=True)
 class Mode:
     """One resonant mode and its probe coupling capacitor."""
@@ -88,9 +81,9 @@ class Mode:
     c_couple: float
 
     def __post_init__(self):
-        _mode_omega(self.omega)
-        if not 0.0 < self.c_couple < math.inf:
-            raise ValueError(f"mode c_couple must be finite and > 0, got {self.c_couple!r}")
+        for name in ("omega", "c_couple"):
+            if not 0.0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"mode {name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -204,27 +197,31 @@ def _weight_signs(n: int) -> tuple:
     return tuple(_signs(QubitState.of_weight(n, w)) for w in range(n + 1))
 
 
-def _pulled(omega_mode: float, chis, signs) -> float:
-    """omega + sum_j sign_j * chi_j, summed in qubit order, unchecked."""
-    return omega_mode + sum([s * c for s, c in zip(signs, chis)])
-
-
 def _pulled_rows(omegas, chi_matrix, signs) -> list:
     """The one state-to-modes rule: for each row of qubit ``signs``, every
-    mode's frequency _pulled by its column of the n x m chi_matrix.  Refuses
-    the first pull to or below zero, in row then mode order."""
+    mode's omega + sum_j sign_j * chi_j down its chi_matrix column, summed in
+    qubit order.  Refuses the first pull to or below zero, row then mode."""
     pulls = list(zip(*chi_matrix))
-    rows = [[_pulled(omega, chis, s) for omega, chis in zip(omegas, pulls)] for s in signs]
-    _refuse_low(rows)
-    return rows
-
-
-def _refuse_low(rows) -> None:
-    """Refuse the first pulled frequency to or below zero, in row then mode
-    order."""
+    rows = [[omega + sum([s * c for s, c in zip(row, chis)])
+             for omega, chis in zip(omegas, pulls)] for row in signs]
     low = [shifted for row in rows for shifted in row if shifted <= 0.0]
     if low:
         raise NonPositiveResult(f"shifts drove mode frequency to {low[0]:.3e} rad/s")
+    return rows
+
+
+def _weight_rows(omegas, chi: float, n: int):
+    """The weight rows' one pull rule: row w is the bare mode frequencies
+    ``omegas`` (Python floats) pulled by QubitState.of_weight(n, w)'s signs
+    under one ``chi``, its pull summed once for all modes in _pulled_rows'
+    float order, bit for bit.  None where the omegas do not strictly rise or
+    a pull leaves (0, inf) (a row's first entry is then its lowest, its last
+    its highest): where a device with these modes and chi, or its weight
+    table, is refused."""
+    rows = [[omega + pull for omega in omegas]
+            for pull in (sum([s * chi for s in signs]) for signs in _weight_signs(n))]
+    increasing = all(a < b for a, b in zip(omegas, omegas[1:]))
+    return rows if increasing and all(0.0 < r[0] and r[-1] < math.inf for r in rows) else None
 
 
 def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
@@ -241,45 +238,43 @@ def _state_row(dev: ParityDevice, state: QubitState) -> list:
     return _pulled_rows([mo.omega for mo in dev.modes], dev.chi_matrix, [_signs(state)])[0]
 
 
-def _weight_table(dev: ParityDevice, omegas=None, chi=None) -> np.ndarray:
-    """Every Hamming weight's branch table, stacked (n + 1, m, columns): row w
-    is weight_phase_curve(dev, w)'s.  ``omegas`` (bare mode frequencies,
-    checked in mode order with Mode's message, no Mode built) and a common
-    ``chi`` stand in for dev's own, so a solver point needs no device.
-
-    Row w is QubitState.of_weight(n, w)'s pulls, which stand for every
-    weight-w state only under equal coupling: without ``chi`` an unequal chi
-    matrix is refused first, then a pull to or below zero, then _curve_table
-    checks and builds the table.  Under one chi a row's pull is the same sum
-    for every mode, so it is summed once: omega + sum([s * chi ...]) is
-    _pulled's float sequence, and the rows are _pulled_rows' bit for bit.
-    No band is read (analysis_band).
-    """
-    if chi is None and not dev.equal_chi:
+def _weight_table(dev: ParityDevice) -> np.ndarray:
+    """Every Hamming weight's branch table, stacked (n + 1, m, columns), of
+    the rows of _weight_rows: row w is weight_phase_curve(dev, w)'s, which
+    stands for every weight-w state only under equal coupling, so an
+    unequal chi matrix is refused first.  Where _weight_rows gives none,
+    _pulled_rows sums them again to name a pull to or below zero, and
+    network._branch_table refuses the rest.  No band is read."""
+    if not dev.equal_chi:
         raise ValueError("weight rows stand for every state only under equal coupling, "
                          "not this chi matrix; read each state with state_phase_curve")
-    omegas = ([mo.omega for mo in dev.modes] if omegas is None
-              else [_mode_omega(float(w)) for w in omegas])
-    chi = dev.chi_matrix[0][0] if chi is None else float(chi)
-    rows = [[omega + pull for omega in omegas]
-            for pull in (sum([s * chi for s in signs]) for signs in _weight_signs(dev.n))]
-    _refuse_low(rows)
-    return _curve_table([mo.c_couple for mo in dev.modes], rows, dev.z0, dev.resonator_model)
+    omegas, chi = [mo.omega for mo in dev.modes], dev.chi_matrix[0][0]
+    rows = (_weight_rows(omegas, chi, dev.n)
+            or _pulled_rows(omegas, ((chi,) * dev.m,) * dev.n, _weight_signs(dev.n)))
+    return _branch_table(dev.resonator_model == "stub", dev.z0,
+                         [mo.c_couple for mo in dev.modes], rows)
 
 
-def _weight_fold(dev: ParityDevice, omega, jets: bool = False, omegas=None, chi=None):
-    """theta of every Hamming weight along omega, one row per weight, or with
-    ``jets`` the jets at one frequency, from one fold of the whole
-    _weight_table (network._fold_jets; rows by weight, d theta/d omega_r by
-    branch and weight).  theta folds one weight's table at a time, so a comb
-    of thousands of points holds no (n + 1)-fold temporaries.  Weight w's
-    rows are weight_phase_curve(dev, w)'s theta or jets, bit for bit."""
-    table = _weight_table(dev, omegas, chi)
-    stub = dev.resonator_model == "stub"
+def _weight_fold(dev: ParityDevice, omega, jets: bool = False):
+    """theta of every Hamming weight along omega, one row per weight and one
+    weight's table at a time (a long comb holds no (n + 1)-fold
+    temporaries), or with ``jets`` the jets at one frequency from one fold
+    of the whole _weight_table, as _rows_jets folds (network._fold_jets;
+    d theta/d omega_r by branch, then weight).  Weight w's rows are
+    weight_phase_curve(dev, w)'s, bit for bit."""
+    table, stub = _weight_table(dev), dev.resonator_model == "stub"
     if jets:
         return _fold_jets(stub, dev.z0, table, _check_frequency(omega))
     w = _check_omega(omega)
     return np.array([_fold(stub, dev.z0, branches, w) for branches in table])
+
+
+def _rows_jets(dev: ParityDevice, rows, omega: float):
+    """The jets at omega of rows from _weight_rows with dev's couplers, as
+    _weight_fold folds them: a solver point's fold, with no device built."""
+    stub = dev.resonator_model == "stub"
+    table = _branch_table(stub, dev.z0, [mo.c_couple for mo in dev.modes], rows)
+    return _fold_jets(stub, dev.z0, table, _check_frequency(omega))
 
 
 def _weight_phasors(dev: ParityDevice, omega) -> np.ndarray:

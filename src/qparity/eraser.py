@@ -10,20 +10,20 @@ pole model localizes smooth basins (the landscape has 2*pi jumps at the
 zeros).  One damped least-squares Newton loop serves two stages: full
 steps on the model polish each basin, then steps halved down to 1e-10 on
 the exact phase derivatives move x = (omega_p, chi[, gaps]) onto the root
-set.  A trial step is evaluated only inside the search box and where every
-pulled mode stays above zero, so a step the device would refuse is halved,
-not raised.  Every returned root is verified by its residuals, and the
-most distinguishable one (largest |sin(delta_theta/2)|) wins.  On two
-modes with equal couplers the n = 3 model root is closed form: the probe
-midway between the zeros, and chi = (zero spacing)/(2 sqrt 3).
+set.  A trial step is evaluated only inside the search box and where
+device._weight_rows, the one home of the pull rule, gives its weight rows
+back, so a step the device would refuse is halved, not raised.  Every
+returned root is verified by its residuals, and the most distinguishable
+one (largest |sin(delta_theta/2)|) wins.  On two modes with equal
+couplers the n = 3 model root is closed form: the probe midway between
+the zeros, and chi = (zero spacing)/(2 sqrt 3).
 
 With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
 2 knobs), the mode gaps join the unknowns.  Where the unknowns outnumber
 the conditions (n <= 2, or freed gaps) the roots form a family, and one
 more condition, cos(delta_theta/2) = 0, makes the system square: a second
-exact stage from each root goes to delta_theta = pi, the top score.  It
-starts on the root's own fold, and each trial point is one call, which
-respaces its modes once for its domain test and its fold: one fold each.
+exact stage from each root goes to delta_theta = pi, the top score,
+starting on the root's own fold: each point is folded once.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .device import (ParityDevice, _loaded_zero_estimate, _pulled, _weight_fold,
-                     _weight_signs, loaded_poles_by_weight)
+from .device import (ParityDevice, _loaded_zero_estimate, _rows_jets, _weight_fold,
+                     _weight_rows, _weight_table, loaded_poles_by_weight)
 from .network import _branch_parts, _branch_table, _series_zeros, wrap_phase
 
 __all__ = [
@@ -145,6 +145,10 @@ def min_modes_required(n: int) -> int:
     return (n + 2) // 2
 
 
+def _gaps_needed(n: int) -> bool:
+    return n - 1 > 2  # the n - 1 conditions outnumber (omega_p, chi): free the gaps
+
+
 def _residuals(th: np.ndarray) -> np.ndarray:
     """theta_wt(i) - theta_wt(i+2) - 2*pi from the per-weight phases."""
     return th[:-2] - th[2:] - TWO_PI
@@ -234,11 +238,13 @@ def _solver_band(dev: ParityDevice, chi_range) -> tuple[tuple, tuple[float, floa
     return search, (float(f"{lo:.12g}"), float(f"{hi:.12g}"))
 
 
-def _gap_frequencies(mean: float, gaps) -> np.ndarray:
-    """Mode frequencies spaced by ``gaps`` about the mode mean ``mean``."""
-    offs = np.concatenate([[0.0], np.cumsum(gaps)])
-    offs -= offs.mean()
-    return mean + offs
+def _gap_frequencies(mean: float, gaps) -> list:
+    """Mode frequencies spaced by ``gaps`` about the mode mean ``mean``, on
+    Python floats: cumsum offsets less their np.mean (which adds up to 7
+    terms in order, more pairwise), bit for bit."""
+    offs = [0.0, *accumulate(gaps)]
+    mid = sum(offs) / len(offs) if len(offs) < 8 else float(np.mean(offs))
+    return [mean + (o - mid) for o in offs]
 
 
 @functools.cache
@@ -276,13 +282,12 @@ def _newton(evaluate, start, iterations: int, tol: float, shortest: float):
     """Damped least-squares Newton, the one Newton loop of both stages.
 
     evaluate(x) gives None for a point outside the caller's domain, else
-    the residuals r, a callable for d r/d x and what the caller keeps of x.
-    ``start`` is (x, r, jacobian, kept): the caller reads the start point,
-    unscreened, or takes it from a fold it holds.  A trial point is taken
-    if it lies in the domain and lowers |r|, its step halved from 1 while at
-    least ``shortest``.  Stops after ``iterations`` steps, at max|r| < tol
-    (tol 0: never), when no step is taken or lstsq fails; returns the last x
-    taken, its residuals and what was kept.
+    the residuals r, a callable for d r/d x and what the caller keeps of x;
+    ``start`` is (x, r, jacobian, kept), read by the caller, unscreened.  A
+    trial point is taken if it lies in the domain and lowers |r|, its step
+    halved from 1 while at least ``shortest``.  Stops after ``iterations``
+    steps, at max|r| < tol (tol 0: never), when no step is taken or lstsq
+    fails; returns the last x taken, its residuals and what was kept.
     """
     x, r, jacobian, kept = start
     norm = np.linalg.norm(r)
@@ -307,46 +312,46 @@ def _newton(evaluate, start, iterations: int, tol: float, shortest: float):
     return x, r, kept
 
 
+def _point_device(dev0: ParityDevice, mean: float, x) -> ParityDevice:
+    """dev0 at x: chi x[1], the modes spaced by x[2:] about ``mean``."""
+    dev = dev0.with_chi(x[1])
+    if len(x) > 2:
+        dev = dev.with_mode_frequencies(_gap_frequencies(mean, x[2:].tolist()))
+    return dev
+
+
 def _exact_stage(dev0: ParityDevice, mean: float, band, chi_range, contrast: bool = False):
     """(evaluate, point) of _newton on the exact phase in x = (omega_p,
-    chi[, gaps]) of dev0, each point one fold of its stacked weight table
-    (device._weight_fold), no device or curve built, and its jets kept.
-    point(x, jets) reads a start unscreened, or a point whose fold the
-    caller holds, folding nothing.  With ``contrast`` the residuals gain a
-    last row cos(delta_theta/2).
+    chi[, gaps]) of dev0: each point one jets fold (device._rows_jets) of
+    its weight rows (device._weight_rows), its modes respaced once about
+    ``mean``, the template's mode mean, and its jets kept; ``contrast`` adds
+    a last residual cos(delta_theta/2).  point(x) reads a start, in the box
+    or not, refused as its device is where it has no rows; point(x, jets) a
+    fold the caller holds.  evaluate(x) keeps omega_p in ``band`` and chi in
+    (chi_range/5, 5 chi_range) and folds exactly the rows it gets back: with
+    none, the device would refuse x, and its step is halved."""
+    fixed, n = [mo.omega for mo in dev0.modes], dev0.n
 
-    evaluate(x) respaces x's modes about ``mean``, the template's mode mean,
-    once for its domain test and its fold.  A trial point keeps omega_p in
-    ``band``, chi in (chi_range/5, 5 chi_range), the modes apart, and every
-    pull above zero: the lowest mode's weight-n pull, lowest of all, summed
-    as _weight_table sums it.  So a step _weight_table would refuse is
-    halved, as one leaving the box.
-    """
-    # of fixed modes only the lowest counts; weight n pulls every mode down
-    fixed, down = [min(mo.omega for mo in dev0.modes)], _weight_signs(dev0.n)[-1]
-
-    def respaced(x):
-        return _gap_frequencies(mean, x[2:]) if len(x) > 2 else None
-
-    def fold(x, omegas):
-        return _weight_fold(dev0, x[0], True, omegas, x[1])
+    def rows(x):
+        wp, chi, *gaps = x.tolist()
+        return wp, chi, _weight_rows(_gap_frequencies(mean, gaps) if gaps else fixed, chi, n)
 
     def point(x, jets=None):
-        jets = fold(x, respaced(x)) if jets is None else jets
+        if jets is None:
+            wp, _, pulled = rows(x)
+            if pulled is None:
+                _weight_table(_point_device(dev0, mean, x))  # raises, naming the refusal
+            jets = _rows_jets(dev0, pulled, wp)
         r = _residuals(jets[0])
         if contrast:
             r = np.append(r, math.cos(0.5 * (jets[0][0] - jets[0][1])))
         return r, lambda: _jacobian(jets, len(x) > 2, contrast), jets
 
     def evaluate(x):
-        omegas = respaced(x)
-        lows = fixed if omegas is None else omegas.tolist()
-        wp, chi = x[:2].tolist()
-        # a gap below the frequencies' float spacing merges two modes
+        wp, chi, pulled = rows(x)
         if (band[0] < wp < band[1] and chi_range[0] * 0.2 < chi < chi_range[1] * 5.0
-                and all(a < b for a, b in zip(lows, lows[1:]))
-                and _pulled(lows[0], (chi,) * dev0.n, down) > 0.0):
-            return point(x, fold(x, omegas))
+                and pulled is not None):
+            return point(x, _rows_jets(dev0, pulled, wp))
         return None
 
     return evaluate, point
@@ -478,11 +483,8 @@ def _assemble(dev0: ParityDevice, mean: float, roots: list, tol: float) -> Erase
             scored.append((abs(math.sin(0.5 * dth)), float(x[0]), dth, x, jets))
     scored.sort(key=lambda t: (-t[0], t[1]))
     _, wp, _, x, jets = scored[0]
-    dev = dev0.with_chi(x[1])
-    if len(x) > 2:
-        dev = dev.with_mode_frequencies(_gap_frequencies(mean, x[2:]))
-    sol = EraserSolution(dev, wp, [(w, float(x2[1]), dth) for _, w, dth, x2, _ in scored],
-                         jets)
+    sol = EraserSolution(_point_device(dev0, mean, x), wp,
+                         [(w, float(x2[1]), dth) for _, w, dth, x2, _ in scored], jets)
     if min(abs(wrap_phase(t)) for t in sol.theta_by_weight) < 10.0 * tol:
         raise PoleCollision(
             f"solution at omega_p={wp:.6e} sits within {10 * tol:.1e} rad "
@@ -586,7 +588,7 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
         search_band = clipped
 
     free_gaps = "mode_frequencies" in free
-    if n - 1 > 2 and not free_gaps:
+    if _gaps_needed(n) and not free_gaps:
         raise NoSolution(
             f"{n - 1} conditions with only (omega_p, chi) free; "
             'add "mode_frequencies" to free'

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -770,9 +769,16 @@ def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
     """Branch tables of the resonance frequencies omega_r, shape (..., m),
     sharing the couplers c_couple, shape (..., m, columns): one row per
     parallel branch, (C_c, w_r) for the stub, (C_c, C, L) with
-    lumped_equivalent's tank for the lumped model, which refuses the first
-    omega_r (in C order) as lumped_equivalent does."""
+    lumped_equivalent's tank for the lumped model.  Refuses, in this order,
+    the first omega_r (in C order) past float range, a z0 whose square
+    overflows and, as lumped_equivalent does, a tank out of float range."""
     omega_r = np.asarray(omega_r, dtype=float)
+    if not np.isfinite(omega_r).all():
+        first = np.argwhere(~np.isfinite(omega_r))[0]
+        raise ValueError(f"omega_r[{first[-1]}] must be finite and > 0, "
+                         f"got {float(omega_r[tuple(first)])!r}")
+    if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
+        raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
     table = np.empty(omega_r.shape + (2 if stub else 3,))
     table[..., 0] = c_couple
     if stub:
@@ -786,24 +792,18 @@ def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
 
 
 def _curve_table(c_couple, omega_r, z0: float, model: str) -> np.ndarray:
-    """The branch tables (_branch_table) of curves sharing the couplers
-    c_couple, one per row of resonance frequencies ``omega_r``, stacked
-    (rows, m, columns).  Refuses, in this order, the couplers and every
-    row's resonances, z0, the model and the tanks.  It takes no band: a
-    table's phases hold at any omega > 0."""
-    c_couple, omega_r = tuple(c_couple), [tuple(row) for row in omega_r]
-    for row in omega_r:
-        if not 0 < len(c_couple) == len(row):
-            raise ValueError("need one c_couple per omega_r and at least one, got "
-                             f"{len(c_couple)} and {len(row)}")
-    if not all(0.0 < value < math.inf for value in chain(c_couple, *omega_r)):
-        # the same values in the same order again, to name the first refused
-        for name, values in (("c_couple", c_couple), *(("omega_r", row) for row in omega_r)):
-            for k, value in enumerate(values):
-                if not 0.0 < value < math.inf:
-                    raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
-    if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
-        raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
+    """PhaseCurve's branch table (_branch_table) of the couplers c_couple
+    and resonances omega_r.  Refuses, in this order, unequal or empty
+    lengths, the couplers and resonances in one loop, the model, z0 and
+    the tanks; no band: a table's phases hold at any omega > 0."""
+    c_couple, omega_r = tuple(c_couple), tuple(omega_r)
+    if not 0 < len(c_couple) == len(omega_r):
+        raise ValueError("need one c_couple per omega_r and at least one, got "
+                         f"{len(c_couple)} and {len(omega_r)}")
+    for name, values in (("c_couple", c_couple), ("omega_r", omega_r)):
+        for k, value in enumerate(values):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name}[{k}] must be finite and > 0, got {value!r}")
     if model not in ("stub", "lumped"):
         raise ValueError(f"model must be 'stub' or 'lumped', got {model!r}")
     return _branch_table(model == "stub", z0, c_couple, omega_r)
@@ -915,7 +915,7 @@ class PhaseCurve:
     c_couple[k] in series with a resonator at omega_r[k]: a shorted
     quarter-wave stub of impedance z0 (``model`` "stub") or its parallel-LC
     equivalent (``model`` "lumped", with lumped_equivalent's L and C).  The
-    curve keeps only that table of numbers (_branch_table); phase_sweep
+    curve keeps only that table of numbers (_curve_table); phase_sweep
     evaluates the same one-port built as a tree.
 
     Folding the branches' susceptances B_k = P_k/N_k (see _branch_parts)
@@ -940,7 +940,7 @@ class PhaseCurve:
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],
                  model: str):
         self.z0, self._stub = z0, model == "stub"
-        (self._branches,) = _curve_table(c_couple, [omega_r], z0, model)
+        self._branches = _curve_table(c_couple, omega_r, z0, model)
         lo, hi = self.band = float(band[0]), float(band[1])
         if not 0.0 < lo < hi < math.inf:
             raise ValueError(f"need finite 0 < band[0] < band[1], got {band}")

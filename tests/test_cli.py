@@ -809,6 +809,82 @@ def test_solve_four_qubit_free_modes(tmp_path):
     assert len(sol["mode_f_Hz"]) == 3
 
 
+def test_solve_frees_the_mode_gaps_from_four_qubits_on(tmp_path, capsys):
+    # three conditions outnumber (omega_p, chi), so solve frees the mode
+    # gaps with or without --free-modes: the same stdout and the same bytes
+    p = tmp_path / "n4.json"
+    p.write_text(json.dumps(FOUR_QUBIT_CONFIG))
+    runs = []
+    for flags in ((), ("--free-modes",)):
+        out = tmp_path / f"sol4{len(flags)}.json"
+        assert main(["solve", str(p), *flags, "--out", str(out)]) == 0
+        runs.append((capsys.readouterr(), out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].out.endswith("dtheta= -180 deg\n")
+
+
+def test_compare_scores_a_four_qubit_device(tmp_path, capsys):
+    # the surface-code plaquette: compare solves the 4-qubit device with
+    # its mode gaps freed, as solve does, and scores it against four
+    # cascade cavities, byte for byte the same on a second run
+    from qparity.cascade import compare_schemes, comparison_to_dict
+    from qparity.cli import _json_ready, parse_cascade_config, parse_parallel_config
+    from qparity.eraser import solve_eraser
+    from qparity.fidelity import ProbePulse
+
+    p, c = tmp_path / "n4.json", tmp_path / "cascade4.json"
+    p.write_text(json.dumps(FOUR_QUBIT_CONFIG))
+    c.write_text(json.dumps(dict(CASCADE_CONFIG, n_qubits=4)))
+    outs = []
+    for run in (1, 2):
+        out = tmp_path / f"cmp{run}.json"
+        assert main(["compare", str(p), str(c), "--out", str(out)]) == 0, capsys.readouterr()
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    rep = json.loads(outs[0])
+    assert rep["parallel"]["resonator_count"] == 3
+    assert rep["cascade"]["resonator_count"] == 4
+    assert max(abs(r) for r in rep["parallel"]["residuals_rad"]) < 1e-9
+    dev, _ = parse_parallel_config(FOUR_QUBIT_CONFIG, "n4.json")
+    _, cavity, _ = parse_cascade_config(dict(CASCADE_CONFIG, n_qubits=4), "cascade4.json")
+    sol = solve_eraser(dev, free=("chi", "mode_frequencies"))
+    want = comparison_to_dict(compare_schemes(
+        sol, cavity, ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)))
+    del rep["pulse"]
+    assert rep == _json_ready(want)
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_solve_and_compare_free_the_gaps_where_the_solver_needs_them(
+        tmp_path, monkeypatch, command):
+    # the one rule, eraser._gaps_needed, which solve_eraser's own refusal
+    # reads: the gaps are freed from n = 4 on, and below only by
+    # --free-modes, which compare does not take
+    from qparity import cli, eraser
+
+    calls = []
+
+    def recording_solve(dev, **kwargs):
+        calls.append((dev.n, kwargs.get("free", ("chi",))))
+        raise eraser.NoSolution("recorded")
+
+    monkeypatch.setattr(cli, "solve_eraser", recording_solve)
+    cas = tmp_path / "cascade.json"
+    for n in range(2, 9):
+        cfg = tmp_path / f"n{n}.json"
+        cfg.write_text(json.dumps(dict(FOUR_QUBIT_CONFIG, n_qubits=n)))
+        cas.write_text(json.dumps(dict(CASCADE_CONFIG, n_qubits=n)))
+        argv = ["solve", str(cfg)] if command == "solve" else ["compare", str(cfg), str(cas)]
+        assert main(argv) == 4
+        assert eraser._gaps_needed(n) == (n >= 4)
+    free = ("chi", "mode_frequencies")
+    assert calls == [(n, free if n >= 4 else ("chi",)) for n in range(2, 9)]
+    if command == "solve":
+        calls.clear()
+        assert main(["solve", str(tmp_path / "n3.json"), "--free-modes"]) == 4
+        assert calls == [(3, free)]
+
+
 def test_solution_reports_bare_and_loaded_poles(solved):
     _, out = solved
     sol = json.loads(out.read_text())

@@ -100,16 +100,16 @@ def test_pulled_rows_refuse_the_first_pull_in_row_then_mode_order():
         _pulled_rows([1.0, 2.0], chi_matrix, [(-1.0, 1.0), (1.0, -1.0)])
 
 
-def _weight_table_oracle(dev, omegas, chi):
-    """_weight_table summed pull by pull: Mode's check of every omega, then
-    the pulled-state rule (_pulled_rows) with chi in every entry of the
-    n x m chi matrix, then _curve_table."""
-    from qparity.device import _mode_omega, _pulled_rows, _weight_signs
+def _weight_table_oracle(dev):
+    """dev's weight table summed pull by pull: the pulled-state rule
+    (_pulled_rows) with dev's n x m chi matrix, then each row's curve
+    table (network._curve_table), stacked."""
+    from qparity.device import _pulled_rows, _weight_signs
     from qparity.network import _curve_table
 
-    omegas = [_mode_omega(float(w)) for w in omegas]
-    rows = _pulled_rows(omegas, ((float(chi),) * dev.m,) * dev.n, _weight_signs(dev.n))
-    return _curve_table([mo.c_couple for mo in dev.modes], rows, dev.z0, dev.resonator_model)
+    rows = _pulled_rows([mo.omega for mo in dev.modes], dev.chi_matrix, _weight_signs(dev.n))
+    return np.array([_curve_table([mo.c_couple for mo in dev.modes], row, dev.z0,
+                                  dev.resonator_model) for row in rows])
 
 
 def _table_or_refusal(build):
@@ -131,38 +131,60 @@ CHIS = st.one_of(
     st.integers(1, 99_999).map(lambda k: TWO_PI * 1e6 * (k / 1000)),
     st.floats(1e-300, 1e308),
     st.sampled_from([0.2e308, math.nan]))
+W_ULP = np.nextafter(W_A, math.inf)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 8), m=st.integers(1, 4), model=st.sampled_from(["stub", "lumped"]),
-       omegas=st.lists(OMEGAS, min_size=4, max_size=4), chi=CHIS)
+       omegas=st.lists(OMEGAS, min_size=4, max_size=4), chi=CHIS, ordered=st.booleans())
 # a pull to or below zero (row 2, mode 1), a pull past float range (row 0:
-# 1.5e308 + 0.4e308 is inf), a bad omega, and a mode with no lumped tank
+# 1.5e308 + 0.4e308 is inf), a bad omega, a mode with no lumped tank,
+# modes one ulp apart and modes that coincide, and chi one ulp either side
+# of pulling the lowest mode to zero
 @example(n=3, m=2, model="stub", omegas=[TWO_PI * 9.99e9, 1e6, 1.0, 1.0],
-         chi=TWO_PI * 5.77e6)
-@example(n=2, m=1, model="stub", omegas=[1.5e308] * 4, chi=0.2e308)
-@example(n=4, m=3, model="lumped", omegas=[1e9, math.nan, 2e9, 1.0], chi=TWO_PI * 5.77e6)
-@example(n=1, m=2, model="lumped", omegas=[1e9, 1e308, 1.0, 1.0], chi=1e6)
-def test_weight_table_sums_each_rows_pull_once(n, m, model, omegas, chi):
-    # under one chi every mode of a weight row is pulled by the same sum, so
-    # the table sums it once per row, and it is still the pulled-state
-    # rule's table bit for bit, or the same refusal with the same message;
-    # a device whose own modes and chi are those reads the same table
-    from qparity.device import _weight_table
+         chi=TWO_PI * 5.77e6, ordered=False)
+@example(n=2, m=1, model="stub", omegas=[1.5e308] * 4, chi=0.2e308, ordered=False)
+@example(n=4, m=3, model="lumped", omegas=[1e9, math.nan, 2e9, 1.0], chi=TWO_PI * 5.77e6,
+         ordered=False)
+@example(n=1, m=2, model="lumped", omegas=[1e9, 1e308, 1.0, 1.0], chi=1e6, ordered=False)
+@example(n=3, m=2, model="stub", omegas=[W_A, W_ULP, 1.0, 1.0], chi=CHI_PAPER, ordered=False)
+@example(n=3, m=2, model="stub", omegas=[W_A, W_A, 1.0, 1.0], chi=CHI_PAPER, ordered=False)
+@example(n=4, m=1, model="stub", omegas=[W_A] * 4, chi=float(np.nextafter(W_A / 4, 0.0)),
+         ordered=False)
+@example(n=4, m=1, model="stub", omegas=[W_A] * 4, chi=float(np.nextafter(W_A / 4, math.inf)),
+         ordered=False)
+def test_weight_table_sums_each_rows_pull_once(n, m, model, omegas, chi, ordered):
+    # the pull rule of the weight rows lives in _weight_rows alone: under
+    # one chi every mode of a weight row is pulled by the same sum, so it is
+    # summed once per row, and the rows are still the pulled-state rule's
+    # (_pulled_rows with chi in every entry of the n x m chi matrix) bit for
+    # bit.  It gives none exactly where a device with these modes and this
+    # chi is refused: by ParityDevice (mode order, a bad omega or chi), or by
+    # its weight table's pulls, to or below zero or past float range.  A
+    # device that is built reads the table of the pulled-state rule's rows,
+    # or the same refusal with the same message
+    from qparity.device import _pulled_rows, _weight_rows, _weight_signs, _weight_table
 
     omegas = omegas[:m]
+    if ordered:
+        omegas = sorted(omegas)
+    rows = _weight_rows(omegas, chi, n)
+    if rows is not None:
+        want_rows = _pulled_rows(omegas, ((chi,) * m,) * n, _weight_signs(n))
+        assert ([[x.hex() for x in row] for row in rows]
+                == [[x.hex() for x in row] for row in want_rows])
     couplers = [5e-15 + 1e-15 * k for k in range(m)]
-    template = ParityDevice.equal_coupling(
-        n, tuple(Mode(TWO_PI * (10e9 + 20e6 * k), c) for k, c in enumerate(couplers)),
-        TWO_PI * 5e6, resonator_model=model)
-    want = _table_or_refusal(lambda: _weight_table_oracle(template, omegas, chi))
-    assert _table_or_refusal(lambda: _weight_table(template, omegas, chi)) == want
     try:
         dev = ParityDevice.equal_coupling(n, tuple(map(Mode, omegas, couplers)), chi,
                                           resonator_model=model)
     except ValueError:
+        assert rows is None
         return
+    want = _table_or_refusal(lambda: _weight_table_oracle(dev))
     assert _table_or_refusal(lambda: _weight_table(dev)) == want
+    pull_refused = want[0] is NonPositiveResult or (
+        want[0] is ValueError and want[1].startswith("omega_r["))
+    assert (rows is None) == pull_refused
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ def _respaced(dev0, gaps):
     free-gap solve respaces them."""
     from qparity.eraser import _gap_frequencies
 
-    return _gap_frequencies(_mode_mean(dev0), gaps)
+    return _gap_frequencies(_mode_mean(dev0), np.asarray(gaps, dtype=float).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -689,7 +689,7 @@ def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
 def _refusing_point(case):
     """(template, omega_p, chi, gaps) of a solver point whose weight curves
     refuse to build or to give jets; the template pulls by 5 MHz, not by the
-    point's chi, since the stacked fold reads neither its chi nor a band."""
+    point's chi, since a point's fold reads neither its chi nor a band."""
     band = (TWO_PI * 0.5e9, TWO_PI * 20e9)
     paper = [(9.99, 10e-15), (10.01, 10e-15)]
     low = [(1.0, 10e-15), (1.01, 10e-15)]
@@ -737,11 +737,12 @@ PULL_FIRST = {"z0-squared-before-pull", "tank-before-pull"}
     ("tank-before-pull", ValueError),
 ])
 def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
-    # a Gauss-Newton point folds its stacked weight table without building a
-    # device or a curve, and still ends in the exception and message that
-    # building that device and each weight's curve, and reading its jets,
-    # did, except that a pull to or below zero comes first
-    from qparity.device import _pulled_rows, _weight_fold, weight_phase_curve
+    # a Gauss-Newton start folds its weight rows without building a device
+    # or a curve, whatever the search box, and still ends in the exception
+    # and message that building that device and each weight's curve, and
+    # reading its jets, did, except that a pull to or below zero comes first
+    from qparity.device import _pulled_rows, weight_phase_curve
+    from qparity.eraser import DEFAULT_CHI_RANGE, _exact_stage
 
     dev0, wp, chi, gaps = _refusing_point(case)
     omegas = None if gaps is None else _respaced(dev0, gaps)
@@ -750,8 +751,9 @@ def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
         dev = dev.with_chi(chi)
         for w in range(dev.n + 1):
             weight_phase_curve(dev, w).jets(wp)
+    _, start = _exact_stage(dev0, _mode_mean(dev0), dev0.band, DEFAULT_CHI_RANGE)
     with pytest.raises(exc) as stacked:
-        _weight_fold(dev0, wp, True, omegas, chi)
+        start(np.array([wp, chi, *([] if gaps is None else gaps)]))
     expected = curve_path.value
     if case in PULL_FIRST:
         # the first pull to or below zero in weight, then mode, order
@@ -768,10 +770,11 @@ def test_curve_free_evaluation_refuses_as_the_curves_do(case, exc):
 @pytest.mark.parametrize("free_gaps", [False, True])
 def test_weight_fold_reads_no_band(model, free_gaps):
     # phases hold at any omega > 0, so a point's theta and jets are the same
-    # bits whatever band its template carries, none included (the default
-    # band of a 500 MHz template reaches f < 0), and whatever chi the
-    # template pulls by; probes inside, beside and beyond every band
-    from qparity.device import _weight_fold
+    # bits whatever band its device carries, none included (the default
+    # band of a 500 MHz device reaches f < 0); a solver point's fold of its
+    # weight rows reads them too, whatever band its template carries and
+    # whatever chi it pulls by; probes inside, beside and beyond every band
+    from qparity.device import _rows_jets, _weight_fold, _weight_rows
 
     freqs = (9.97, 10.0, 10.03) if free_gaps else (9.99, 10.01)
     modes = tuple(Mode(TWO_PI * f * 1e9, 10e-15) for f in freqs)
@@ -780,17 +783,38 @@ def test_weight_fold_reads_no_band(model, free_gaps):
              (TWO_PI * 11e9, TWO_PI * 12e9)]
     templates = [ParityDevice.equal_coupling(n, modes, c, resonator_model=model, band=b)
                  for b in bands for c in (chi, TWO_PI * 500e6)]
-    omegas = _respaced(templates[0], TWO_PI * np.array([16e6, 30e6])) if free_gaps else None
+    omegas = (_respaced(templates[0], TWO_PI * np.array([16e6, 30e6])) if free_gaps
+              else [mo.omega for mo in modes])
+    rows = _weight_rows(omegas, chi, n)
     grid = TWO_PI * np.linspace(9.7e9, 10.3e9, 61)
     probes = TWO_PI * np.array([9.804e9, 10.6e9, 20e9, 0.2e9])
-    reference = templates[0]
-    theta = _weight_fold(reference, grid, False, omegas, chi)
-    jets = [_weight_fold(reference, wp, True, omegas, chi) for wp in probes]
-    for dev0 in templates[1:]:
-        assert np.array_equal(_weight_fold(dev0, grid, False, omegas, chi), theta)
+    reference = templates[0].with_mode_frequencies(omegas).with_chi(chi)
+    theta = _weight_fold(reference, grid)
+    jets = [_weight_fold(reference, wp, jets=True) for wp in probes]
+    for dev0 in templates:
+        dev = dev0.with_mode_frequencies(omegas).with_chi(chi)
+        assert np.array_equal(_weight_fold(dev, grid), theta)
         for wp, want in zip(probes, jets):
-            got = _weight_fold(dev0, wp, True, omegas, chi)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            for got in (_weight_fold(dev, wp, jets=True), _rows_jets(dev0, rows, wp)):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mean_ghz=st.floats(0.1, 20.0),
+       gaps_mhz=st.lists(st.one_of(st.floats(1e-3, 500.0), st.sampled_from([1e-9, 3e3])),
+                         min_size=1, max_size=11))
+def test_gap_frequencies_are_the_numpy_respacing(mean_ghz, gaps_mhz):
+    # the free-gap respacing runs on Python floats: the bits of the numpy
+    # form it replaced (offsets by cumsum, less their np.mean, plus the
+    # mean), for 2 to 12 modes, on both sides of np.mean's switch from
+    # adding in order to adding pairwise at 8 terms
+    from qparity.eraser import _gap_frequencies
+
+    mean, gaps = TWO_PI * mean_ghz * 1e9, [TWO_PI * g * 1e6 for g in gaps_mhz]
+    offs = np.concatenate([[0.0], np.cumsum(gaps)])
+    offs -= offs.mean()
+    want = mean + offs
+    assert [x.hex() for x in _gap_frequencies(mean, gaps)] == [x.hex() for x in want.tolist()]
 
 
 @pytest.mark.parametrize("free_gaps", [False, True])
@@ -960,14 +984,14 @@ def test_exact_stage_domain_is_where_the_weight_table_refuses(model, n, free_gap
                                        band=band)
     evaluate, _ = _exact_stage(dev0, _mode_mean(dev0), band, DEFAULT_CHI_RANGE)
     gaps = TWO_PI * np.array([25e6, 15e6]) if free_gaps else np.array([])
-    omegas = _respaced(dev0, gaps) if free_gaps else None
-    chi = (omegas[0] if free_gaps else modes[0].omega) / n
+    point_dev = dev0.with_mode_frequencies(_respaced(dev0, gaps)) if free_gaps else dev0
+    chi = point_dev.modes[0].omega / n
     for _ in range(8):
         chi = np.nextafter(chi, 0.0)
     refusals = []
     for _ in range(17):
         try:
-            _weight_table(dev0, omegas, chi)
+            _weight_table(point_dev.with_chi(chi))
             refusals.append(False)
         except NonPositiveResult:
             refusals.append(True)
@@ -1068,54 +1092,62 @@ def _solve_work(dev, monkeypatch, **kwargs):
 
 def test_free_gap_solve_pays_once_per_point(monkeypatch):
     # every point of the n = 4 free-gap solve respaces its modes once, for
-    # the domain test and the fold alike, and folds once, except the start
-    # of each delta_theta = pi stage: that is stage 1's root, read from its
-    # own fold.  _assemble respaces the winner's modes once more, for its
-    # device
+    # its weight rows' screen and its fold alike, and folds them once,
+    # except the start of each delta_theta = pi stage: that is stage 1's
+    # root, read from its own fold.  _assemble respaces the winner's modes
+    # once more, for its device
     from collections import Counter
 
     from qparity import eraser
 
-    counts, derived, points = Counter(), [], []
-    gap_frequencies, weight_fold, exact_stage = (
-        eraser._gap_frequencies, eraser._weight_fold, eraser._exact_stage)
+    counts, derived, points, reading = Counter(), [], [], []
+    gap_frequencies, rows_jets, exact_stage = (
+        eraser._gap_frequencies, eraser._rows_jets, eraser._exact_stage)
 
     def counting_gaps(mean, gaps):
-        derived.append(gaps.base)  # the point x whose x[2:] is respaced
+        derived.append(reading[-1] if reading else None)  # the point respaced
         return gap_frequencies(mean, gaps)
 
     def counting_fold(*args, **kwargs):
         counts["folds"] += 1
-        return weight_fold(*args, **kwargs)
+        return rows_jets(*args, **kwargs)
+
+    def read(x, call):
+        points.append(x)
+        reading.append(x)
+        try:
+            return call()
+        finally:
+            reading.pop()
 
     def counting_stage(*args, **kwargs):
         evaluate, point = exact_stage(*args, **kwargs)
 
         def counting_evaluate(x):
-            points.append(x)
-            trial = evaluate(x)
+            trial = read(x, lambda: evaluate(x))
             counts["points read"] += trial is not None
             return trial
 
         def counting_point(x, *jets):
-            points.append(x)
             counts["points read"] += 1
             counts["held starts"] += bool(jets)
-            return point(x, *jets)
+            return read(x, lambda: point(x, *jets))
 
         return counting_evaluate, counting_point
 
     monkeypatch.setattr(eraser, "_gap_frequencies", counting_gaps)
-    monkeypatch.setattr(eraser, "_weight_fold", counting_fold)
+    monkeypatch.setattr(eraser, "_rows_jets", counting_fold)
     monkeypatch.setattr(eraser, "_exact_stage", counting_stage)
     solve_eraser(four_qubit_device(), free=("chi", "mode_frequencies"))
     assert counts["held starts"] >= 1 and counts["folds"] == 18
     assert counts["folds"] == counts["points read"] - counts["held starts"]
     # points holds every x, so no two distinct points share an id; a
-    # contrast stage's start is stage 1's last point, respaced there
+    # contrast stage's start is stage 1's last point, respaced there, and
+    # the last respacing is _assemble's, outside every stage call
     stage_points = {id(x) for x in points}
+    assert derived[-1] is None
     assert len({id(x) for x in derived[:-1]}) == len(derived) - 1 == len(stage_points)
-    assert {id(x) for x in derived} == stage_points
+    assert {id(x) for x in derived[:-1]} == stage_points
 
 
 def test_paper_solve_work_count(paper_device, monkeypatch):

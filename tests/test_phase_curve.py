@@ -174,7 +174,7 @@ def test_phasor_kernel_is_unimodular_and_exp_i_theta():
         couplers = rng.uniform(3e-15, 20e-15, m)
         omega_r = TWO_PI * np.sort(rng.uniform(4e9, 12e9, (rows, m)), axis=1)
         z0 = rng.uniform(20.0, 100.0)
-        table = _curve_table(couplers, omega_r, z0, model)
+        table = np.array([_curve_table(couplers, row, z0, model) for row in omega_r])
         zeros = _series_zeros(stub, z0, np.moveaxis(table, -1, 0)).ravel()
         comb = np.concatenate([TWO_PI * np.linspace(3.5e9, 12.5e9, 101), omega_r.ravel(),
                                zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf)])
@@ -400,7 +400,8 @@ def test_stacked_weight_fold_is_each_weight_curve_bit_for_bit(
         curves = [state_phase_curve(dev, state) for state in states]
         rows = _pulled_rows([mo.omega for mo in modes], dev.chi_matrix,
                             [[-1.0 if b else 1.0 for b in state.bits] for state in states])
-        table = _curve_table([mo.c_couple for mo in modes], rows, dev.z0, model)
+        table = np.array([_curve_table([mo.c_couple for mo in modes], row, dev.z0, model)
+                          for row in rows])
         fold = lambda w: _fold_jets(model == "stub", dev.z0, table, w)
     for row, curve in zip(table, curves, strict=True):
         assert ([[x.hex() for x in branch] for branch in row.tolist()]
