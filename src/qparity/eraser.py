@@ -37,7 +37,7 @@ import numpy as np
 
 from .device import (ParityDevice, _loaded_zero_estimate, _rows_jets, _weight_fold,
                      _weight_rows, _weight_table, loaded_poles_by_weight)
-from .network import _branch_parts, _branch_table, _series_zeros, wrap_phase
+from .network import _branch_parts, _branch_table, _divide, _series_zeros, wrap_phase
 
 __all__ = [
     "EraserError",
@@ -389,11 +389,6 @@ def _model_thetas(model, n: int, wp, chi):
                 passed = passed + (offset >= 0.0)
             th.append(-2.0 * np.arctan(y) - TWO_PI * passed)
     return np.array(th)
-
-
-def _divide(a: float, b: float) -> float:
-    """a / b on Python floats with numpy's result for b = 0 (inf or nan)."""
-    return a / b if b else a * math.copysign(math.inf, b) if a else math.nan
 
 
 def _model_point(model, n: int, wp: float, chi: float):

@@ -335,15 +335,17 @@ def _collect_feature_seeds(net: NetworkElement, lo: float, hi: float) -> list[fl
             # below, so the seed is the zero itself.
             a = 0.5 * math.pi / node.omega_r
             lo_r, hi_r = 1e-9 * node.omega_r, (1.0 - 1e-12) * node.omega_r
-            caps = np.array(series_caps)
+            count = len(series_caps)
 
-            def minus_reactance(w):
-                tan = np.tan(a * w)
-                return (1.0 / (w * caps) - node.z0 * tan,
-                        -1.0 / (w * w * caps) - node.z0 * a * (1.0 + tan * tan))
+            def minus_reactance(active, ws):
+                terms = list(zip([series_caps[i] for i in active], ws,
+                                 np.tan([a * w for w in ws]).tolist()))
+                return ([1.0 / (w * cap) - node.z0 * tan for cap, w, tan in terms],
+                        [-1.0 / (w * w * cap) - node.z0 * a * (1.0 + tan * tan)
+                         for cap, w, tan in terms])
 
-            start = np.full(caps.shape, 0.5 * (lo_r + hi_r))
-            centers.extend(_bracketed_newton(minus_reactance, start, lo_r, hi_r).tolist())
+            centers.extend(_bracketed_newton(minus_reactance, [0.5 * (lo_r + hi_r)] * count,
+                                             [lo_r] * count, [hi_r] * count))
         elif isinstance(node, Parallel):
             ls = [c.l for c in node.children if isinstance(c, Inductor)]
             cs = [c.c for c in node.children if isinstance(c, Capacitor)]
@@ -442,9 +444,10 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 
     Each bracketing grid interval is polished on Im(Y), which crosses zero
     from below exactly at a pole (Foster's theorem), all in one
-    _bracketed_newton pass on the secant slope over 1e-9 w (the tree has no
-    derivative).  Where the susceptance's sign does not isolate the
-    crossing, the pole is the phase-interpolated location.
+    _bracketed_newton on the secant slope over 1e-9 w (the tree has no
+    derivative), each pass evaluating the tree once over its active poles.
+    Where the susceptance's sign does not isolate the crossing, the pole is
+    the phase-interpolated location.
     """
     t1, t2 = theta[:-1], theta[1:]
     # half-open: a sample sitting exactly on a level closes the interval
@@ -455,13 +458,15 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
     poles = a + (b - a) * (t1 - level) / (t1 - t2)
     isolated = (_susceptance(net, a) < 0.0) & (0.0 < _susceptance(net, b))
 
-    def falling(w):
+    def falling(active, ws):
+        w = np.array(ws)
         step = (w + 1e-9 * w) - w
         value, above = np.split(-_susceptance(net, np.concatenate((w, w + step))), 2)
-        return value, (above - value) / step
+        return value.tolist(), ((above - value) / step).tolist()
 
     a, b = a[isolated], b[isolated]
-    poles[isolated] = _bracketed_newton(falling, 0.5 * (a + b), a, b)
+    poles[isolated] = _bracketed_newton(falling, (0.5 * (a + b)).tolist(), a.tolist(),
+                                        b.tolist())
     return poles
 
 
@@ -545,17 +550,10 @@ def _branch_slopes(stub: bool, z0: float, branch, w, factors) -> tuple:
     return (k * c, k * c1 + c_c * c), (c - k * s, c1 - (k * s1 + c_c * s))
 
 
-def _tan_interval(branch, w) -> tuple:
-    """(m, (-1)^m) of the stub's tan interval ((2m-1) w_r, (2m+1) w_r)
-    holding w, in numpy (the floor of inf or nan is not an error there)."""
-    m = np.floor(0.5 * w / branch[1] + 0.5)
-    return m, np.where(np.fmod(m, 2.0) == 0.0, 1.0, -1.0)
-
-
-def _zeros_below(stub: bool, branch: tuple, n, w, interval=None):
+def _zeros_below(stub: bool, branch: tuple, n, w):
     """Series zeros of one branch below w, from the sign of its N (see
-    _branch_parts); elementwise over arrays, or on Python floats given the
-    stub's ``interval`` (_tan_interval's result for the same row and w).
+    _branch_parts); elementwise over arrays, or on Python floats, with
+    numpy's results there (_floor; m % 2 is nan where np.fmod is).
 
     Lumped tank: its one zero is behind w once N = 1 - w^2 L (C + C_c) < 0.
     Stub: N/cos x = 1 - w C_c z0 tan x falls through zero once on each
@@ -564,8 +562,12 @@ def _zeros_below(stub: bool, branch: tuple, n, w, interval=None):
     """
     if not stub:
         return n < 0.0
-    m, sign = _tan_interval(branch, w) if interval is None else interval
-    return m + (sign * n < 0.0)
+    m = 0.5 * w / branch[1] + 0.5  # its floor is the tan interval's m
+    if isinstance(m, float):
+        m = _floor(m)
+        return m + ((n if m % 2.0 == 0.0 else -n) < 0.0)
+    m = np.floor(m)
+    return m + (np.where(np.fmod(m, 2.0) == 0.0, n, -n) < 0.0)
 
 
 def _theta(z0_u, v, passed):
@@ -586,7 +588,7 @@ def _fold(stub: bool, z0: float, branches, w):
     once.  The branch parts of all branches come from one call.  The fold is
     U <- U N_k + P_k V, V <- V N_k, B = U/V, and
     theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}; _jets and
-    _slopes run the same recurrence on jets of floats, with theta equal to
+    _theta_slopes run the same recurrence on floats, with theta equal to
     this one's bit for bit.
     """
     # the table's columns, each (branches, curves..., 1...) to broadcast against w
@@ -635,12 +637,13 @@ def _jets(stub: bool, z0: float, table, w):
     inf or nan.
 
     One numpy pass over every (row, branch) pair makes what needs numpy:
-    the branch parts' factors (cos and sin, the tank's divisions) and the
-    stub's tan intervals.  The rest of the branch parts, their zeros below w
-    and _fold's recurrence run on Python floats, row by row, where a tiny
-    table costs far less than numpy's per-call dispatch: U and V are jets
-    (value, d/dw, d2/dw2, d/dw_r of each branch), and only branch k's own
-    parts move with its resonance, so the other directions of P_k and N_k
+    the branch parts' factors (cos and sin, the tank's divisions).  The
+    rest of the branch parts, their zeros below w (with the stub's tan
+    intervals) and _fold's recurrence run on Python floats, row by row,
+    where a tiny table costs far less than numpy's per-call dispatch: U and
+    V are jets (value, d/dw, d2/dw2, d/dw_r of each branch), and only
+    branch k's own parts move with its resonance, so the other directions
+    of P_k and N_k
     are the exact products 0.0 * P3 and 0.0 * N3 (they fix the signs of
     zeros, and carry inf and nan).  With A = z0 (U' V - U V') and
     D = V^2 + z0^2 U^2, theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2;
@@ -654,19 +657,17 @@ def _jets(stub: bool, z0: float, table, w):
     cols = table.T  # (columns, m, rows), to broadcast against w
     rows, m = table.shape[:2]
     factors = _branch_factors(stub, cols, w, derivatives=True)
-    per_pair = [*factors, *(_tan_interval(cols, w) if stub else ())]
-    split = len(factors)
     ws = np.asarray(w, dtype=float)
     ws = ws.tolist() if ws.ndim else [float(ws)] * rows
     z0 = float(z0)
     ends, nums, dens = [], [], []
-    for branches, w_row, pairs in zip(table.tolist(), ws, np.array(per_pair).T.tolist()):
+    for branches, w_row, pairs in zip(table.tolist(), ws, np.array(factors).T.tolist()):
         u0 = u1 = u2 = v1 = v2 = 0.0
         v0, ud, vd, count = 1.0, [0.0] * m, [0.0] * m, 0
         for k, (branch, pair) in enumerate(zip(branches, pairs)):
             (p0, p1, p2, p3), (n0, n1, n2, n3) = _branch_parts(
-                stub, z0, branch, w_row, True, pair[:split])
-            count += _zeros_below(stub, branch, n0, w_row, pair[split:])
+                stub, z0, branch, w_row, True, pair)
+            count += _zeros_below(stub, branch, n0, w_row)
             # the directions of U N_k + P_k V and V N_k: entry j of N_k and
             # P_k is n3 and p3 for j = k, else the products 0.0 * n3 and 0.0 * p3
             u_k, v_k = ud[k], vd[k]
@@ -694,34 +695,6 @@ def _jets(stub: bool, z0: float, table, w):
     return _theta(*np.array(ends).T), slopes[0], slopes[1], slopes[2:]
 
 
-def _slopes(stub: bool, z0: float, table, w):
-    """(theta, theta') of each row of a stacked branch table, shape (rows, m,
-    columns), at w, one frequency per row: _jets' first two entries bit for
-    bit, by _jets' split (numpy for the factors, tan intervals and last
-    divisions, Python floats row by row for the rest), to first order only,
-    as the loaded-pole search reads no more.  Unchecked."""
-    table = np.asarray(table, dtype=float)
-    cols = table.T  # (columns, m, rows), to broadcast against w
-    factors = _branch_factors(stub, cols, w)
-    per_pair = [*factors, *(_tan_interval(cols, w) if stub else ())]
-    split = len(factors)
-    z0 = float(z0)
-    ends, nums, dens = [], [], []
-    for branches, w_row, pairs in zip(table.tolist(), np.asarray(w, dtype=float).tolist(),
-                                      np.array(per_pair).T.tolist()):
-        u0 = u1 = v1 = 0.0
-        v0, count = 1.0, 0
-        for branch, pair in zip(branches, pairs):
-            (p0, p1), (n0, n1) = _branch_slopes(stub, z0, branch, w_row, pair[:split])
-            count += _zeros_below(stub, branch, n0, w_row, pair[split:])
-            u0, u1, v0, v1 = (u0 * n0 + p0 * v0, (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
-                              v0 * n0, v0 * n1 + n0 * v1)
-        ends.append((z0 * u0, v0, count))
-        nums.append(-2.0 * (z0 * (u1 * v0 - u0 * v1)))
-        dens.append(v0 * v0 + (z0 * u0) * (z0 * u0))
-    return _theta(*np.array(ends).T), np.array(nums) / np.array(dens)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def _fold_jets(stub: bool, z0: float, table, w):
     """_jets, refused (NetworkError) where theta', theta'' or a d theta/d w_r
@@ -739,30 +712,104 @@ def _fold_jets(stub: bool, z0: float, table, w):
     return jets
 
 
-def _bracketed_newton(f, x, lo, hi):
-    """Root of a falling f in each element's bracket (lo, hi), from x.
+def _divide(a: float, b: float) -> float:
+    """a / b on Python floats with numpy's result for b = 0 (inf or nan)."""
+    return a / b if b else a * math.copysign(math.inf, b) if a else math.nan
 
-    f(x) returns (f, f') elementwise.  Every evaluation shrinks the bracket
-    to the sign change, a Newton step that would leave it bisects instead,
-    and an element stops once it moves within 4 ulps; a step that lands
-    within 4 ulps is taken first, even onto a bracket end.  The slope may
-    be approximate (the sweep's poles pass a secant); nan bisects.
+
+def _spacing(x: float) -> float:
+    """np.spacing on a Python float: the signed gap to the next float away
+    from zero (inf at the largest float, nan at inf and nan), and the
+    smallest subnormal at either zero."""
+    return math.nextafter(x, math.copysign(math.inf, x)) - x if x else 5e-324
+
+
+def _floor(x: float) -> float:
+    """np.floor on a Python float: inf and nan pass through, and the sign
+    of a zero is kept."""
+    return math.copysign(math.floor(x), x) if math.isfinite(x) else x
+
+
+def _bracketed_newton(f, x, lo, hi) -> list:
+    """Root of a falling f in each element's bracket (lo, hi), from x; x, lo
+    and hi are lists of Python floats, and so is the result.
+
+    ``f(active, xs)`` is one pass's kernel: it returns the lists (f, f') at
+    xs, the x of the elements indexed by ``active``.  Every evaluation
+    shrinks the bracket to the sign change, a Newton step that would leave
+    it bisects instead, and an element stops once it moves within 4 ulps
+    (_spacing); a step that lands within 4 ulps is taken first, even onto a
+    bracket end.  A stopped element's x never changes again, so it is left
+    out of later passes.  The slope may be approximate (the sweep's poles
+    pass a secant); nan bisects, and a zero slope divides as numpy does
+    (_divide), so it bisects too.
     """
-    active = np.ones(np.shape(x), dtype=bool)
+    x, lo, hi = list(x), list(lo), list(hi)
+    active = list(range(len(x)))
     for _ in range(NEWTON_PASSES):
-        if not active.any():
+        if not active:
             break
-        value, slope = f(x)
-        lo, hi = np.where(value > 0.0, x, lo), np.where(value < 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = value / slope
-            newton = x - dx
-            take = ((lo < newton) & (newton < hi)) | (np.abs(dx) <= 4.0 * np.spacing(newton))
-        step = np.where(take, newton, 0.5 * (lo + hi))
-        dx = np.where(take, dx, x - step)
-        x = np.where(active, step, x)
-        active &= np.abs(dx) > 4.0 * np.spacing(x)
+        moving = []
+        for i, value, slope in zip(active, *f(active, [x[i] for i in active])):
+            here = x[i]
+            if value > 0.0:
+                lo[i] = here
+            elif value < 0.0:
+                hi[i] = here
+            dx = _divide(value, slope)
+            step = here - dx
+            if not (lo[i] < step < hi[i] or abs(dx) <= 4.0 * _spacing(step)):
+                step = 0.5 * (lo[i] + hi[i])
+                dx = here - step
+            x[i] = step
+            if abs(dx) > 4.0 * _spacing(step):
+                moving.append(i)
+        active = moving
     return x
+
+
+def _pair_factors(stub: bool, branches: list, ws: list) -> list:
+    """_branch_factors without derivatives of each (branch, w) pair, on
+    Python floats: a tank's need no numpy, a stub's x = (pi/2) w/w_r takes
+    one np.cos and one np.sin over every pair.  One call per pass of a
+    bracketed Newton kernel (_series_zeros, _theta_slopes)."""
+    if not stub:
+        return [_branch_factors(stub, branch, w) for branch, w in zip(branches, ws)]
+    x = [0.5 * math.pi * (w / branch[1]) for branch, w in zip(branches, ws)]
+    xs = np.array(x)
+    return list(zip(x, np.cos(xs).tolist(), np.sin(xs).tolist()))
+
+
+def _theta_slopes(stub: bool, z0: float, rows: list, ws: list) -> tuple:
+    """(theta, theta') of each row, a branch table as lists of floats, at
+    its own w of ``ws``: the loaded-pole search's first-order kernel, as
+    two lists of Python floats.  Unchecked.
+
+    Its numpy work is one _pair_factors call over every (row, branch) pair
+    and one np.arctan over every row.  The branch parts (_branch_slopes),
+    zero counts (_zeros_below, with the stub's tan intervals) and _fold's
+    U, V recurrence run on floats, with U' and V' beside them in _jets'
+    order, and theta' = -2 z0 (U' V - U V')/(V^2 + z0^2 U^2) divides as
+    numpy does; so theta equals _fold's and theta' _jets' bit for bit.
+    """
+    z0 = float(z0)
+    factors = iter(_pair_factors(stub, [branch for row in rows for branch in row],
+                                 [w for row, w in zip(rows, ws) for _ in row]))
+    z0_b, passed, slopes = [], [], []
+    for row, w in zip(rows, ws):
+        u0 = u1 = v1 = 0.0
+        v0, count = 1.0, 0
+        for branch in row:
+            (p0, p1), (n0, n1) = _branch_slopes(stub, z0, branch, w, next(factors))
+            count += _zeros_below(stub, branch, n0, w)
+            u0, u1, v0, v1 = (u0 * n0 + p0 * v0, (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
+                              v0 * n0, v0 * n1 + n0 * v1)
+        z0_u = z0 * u0
+        z0_b.append(math.inf if v0 == 0.0 else z0_u / v0)  # _theta's, on a zero
+        passed.append(count)
+        slopes.append(_divide(-2.0 * (z0 * (u1 * v0 - u0 * v1)), v0 * v0 + z0_u * z0_u))
+    atan = np.arctan(z0_b).tolist()
+    return [-2.0 * a - TWO_PI * k for a, k in zip(atan, passed)], slopes
 
 
 def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
@@ -809,63 +856,72 @@ def _curve_table(c_couple, omega_r, z0: float, model: str) -> np.ndarray:
     return _branch_table(model == "stub", z0, c_couple, omega_r)
 
 
-def _series_zeros(stub: bool, z0: float, branch, order=0):
+def _series_zeros(stub: bool, z0: float, branch, order=0) -> np.ndarray:
     """A branch's series zero, N = 0 (see _branch_parts), elementwise over
-    the arrays of its table row and of ``order``.
+    the arrays of its table row and of ``order``, broadcast together.
 
     The lumped tank has one, 1/sqrt(L (C + C_c)).  The stub has one on each
     interval ((2 order - 1) w_r, (2 order + 1) w_r) of tan x, where
     N (-1)^order falls from + to -, just below the interval's top: there the
     stub looks like a tank of C = pi/(4 w_r z0) resonating at
     (2 order + 1) w_r, and that tank's zero seeds _bracketed_newton on
-    N (-1)^order over the interval.  A Newton step evaluates N and N' only
-    (_branch_slopes), elementwise in numpy.
+    N (-1)^order over the interval.  Seeds and steps run on Python floats;
+    a pass evaluates N and N' only (_branch_slopes), at every zero still
+    moving, from one _pair_factors call.
     """
-    c_c = branch[0]
     if not stub:
         cap, l = branch[1:]
-        return 1.0 / np.sqrt(l * (cap + c_c))
-    w_r = branch[1]
-    top = (2 * order + 1) * w_r
-    lo, hi = np.maximum(top - 2.0 * w_r, 0.0), top
-    cap = math.pi / (4.0 * w_r * z0)
-    z = 1.0 / np.sqrt(1.0 / (top * top * cap) * (cap + c_c))
-    z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
-    sign = np.where(np.asarray(order) % 2 == 0, 1.0, -1.0)
+        return 1.0 / np.sqrt(l * (cap + branch[0]))
+    columns = np.broadcast_arrays(branch[0], branch[1], order)
+    shape = columns[0].shape
+    c_c, w_r, order = (a.ravel().tolist() for a in columns)
+    branches = list(zip(c_c, w_r))
+    z0 = float(z0)
+    seed, lo, hi, sign = [], [], [], []
+    for (c_c, w_r), k in zip(branches, order):
+        top = (2 * k + 1) * w_r
+        bottom = max(top - 2.0 * w_r, 0.0)
+        cap = _divide(math.pi, 4.0 * w_r * z0)
+        z = _divide(1.0, math.sqrt(_divide(1.0, top * top * cap) * (cap + c_c)))
+        seed.append(z if bottom < z < top else 0.5 * (bottom + top))
+        lo.append(bottom)
+        hi.append(top)
+        sign.append(1.0 if k % 2 == 0 else -1.0)
 
-    def falling_n(z):
-        _, (n, n1) = _branch_slopes(stub, z0, branch, z, _branch_factors(stub, branch, z))
-        return sign * n, sign * n1
+    def falling_n(active, zs):
+        rows = [branches[i] for i in active]
+        values, slopes = [], []
+        for i, branch, z, factors in zip(active, rows, zs, _pair_factors(stub, rows, zs)):
+            _, (n, n1) = _branch_slopes(stub, z0, branch, z, factors)
+            values.append(sign[i] * n)
+            slopes.append(sign[i] * n1)
+        return values, slopes
 
-    return _bracketed_newton(falling_n, z, lo, hi)
+    return np.reshape(_bracketed_newton(falling_n, seed, lo, hi), shape)
 
 
-def _sorted_rows(a: np.ndarray) -> np.ndarray:
-    # rows of a few zeros each; np.sort would load numpy's sort kernels into
-    # every solving process, a few hundred kB of peak memory
-    return np.array([sorted(row) for row in a])
-
-
-def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Every branch zero from DC up to hi of each curve, sorted along rows.
+def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> list:
+    """Every branch zero from DC up to hi of each curve, one ascending list
+    of Python floats per curve.
 
     ``table`` stacks the curves' branch tables, shape (curves, branches,
     columns), and ``hi`` holds each curve's upper band edge.  A stub branch
-    has a zero on every tan interval up to the one holding hi; the rows are
-    padded with zeros of higher intervals, which all lie above hi.
+    has a zero on every tan interval up to the one holding hi; the lists
+    are padded with zeros of higher intervals, which all lie above hi, so
+    every list has one length.  All are found in one _series_zeros call.
     """
     columns = np.moveaxis(table, -1, 0)
-    if not stub:
-        return _sorted_rows(_series_zeros(stub, z0, columns))
-    top = int(np.max(np.floor(0.5 * hi[:, None] / columns[1] + 0.5)))
-    orders = np.arange(top + 1)
-    zeros = _series_zeros(stub, z0, columns[..., None], orders)
-    return _sorted_rows(zeros.reshape(len(table), -1))
+    if stub:
+        top = int(np.max(np.floor(0.5 * hi[:, None] / columns[1] + 0.5)))
+        zeros = _series_zeros(stub, z0, columns[..., None], np.arange(top + 1))
+    else:
+        zeros = _series_zeros(stub, z0, columns)
+    return [sorted(row) for row in zeros.reshape(len(table), -1).tolist()]
 
 
 def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> list:
     """Each curve's loaded poles (theta = 0 mod 2*pi) in its band, ascending,
-    found together in one broadcast pass on their stacked branch tables,
+    found together in one bracketed Newton on their stacked branch tables,
     ``table`` (curves, m, columns), and their bands, ``band`` (curves, 2).
 
     theta descends continuously, so the levels 2*pi k with
@@ -873,39 +929,39 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
     Foster interlacing brackets each: on the level 2*pi k, exactly -k
     branch zeros lie below, so the pole sits between the curve's -k-th and
     (-k+1)-th zeros from DC (_zero_table), clipped to the band.
-    _bracketed_newton on theta - 2*pi k with the exact theta' (_slopes, the
-    first-order float kernel) starts at the bracket's midpoint, or above
-    the top zero at the top branch's resonance frequency, the exact pole of
-    one branch.
+    _bracketed_newton on theta - 2*pi k with the exact theta' starts at the
+    bracket's midpoint, or above the top zero at the top branch's resonance
+    frequency, the exact pole of one branch.  Its passes run the
+    first-order float kernel _theta_slopes over the poles still moving.
     """
     edges = _fold(stub, z0, table.repeat(2, axis=0), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
     resonance = (table[..., 1] if stub
                  else 1.0 / np.sqrt(table[..., 1] * table[..., 2])).max(axis=1)
     rows, levels, lo, hi, seed = [], [], [], [], []
-    for i, (th_lo, th_hi) in enumerate(edges):
-        b_lo, b_hi = band[i]
+    for i, ((th_lo, th_hi), (b_lo, b_hi), row_zeros, top_pole) in enumerate(
+            zip(edges.tolist(), band.tolist(), zeros, resonance.tolist())):
         # theta < 0 from DC to the first zero, so every level has k <= -1
         for k in range(math.ceil(th_lo / TWO_PI) - 1, math.ceil(th_hi / TWO_PI) - 1, -1):
-            below = zeros[i, -k - 1]
-            above = zeros[i, -k] if -k < zeros.shape[1] else math.inf
+            below = row_zeros[-k - 1]
+            above = row_zeros[-k] if -k < len(row_zeros) else math.inf
             a, b = max(b_lo, below), min(b_hi, above)
-            top = above >= b_hi and a < resonance[i] < b
+            top = above >= b_hi and a < top_pole < b
             rows.append(i)
             levels.append(TWO_PI * k)
             lo.append(a)
             hi.append(b)
-            seed.append(resonance[i] if top else 0.5 * (a + b))
-    rows, levels = np.array(rows, dtype=int), np.array(levels)
-    searched = table[rows]
+            seed.append(top_pole if top else 0.5 * (a + b))
+    branches = table.tolist()
 
-    def above_level(x):
-        with np.errstate(over="ignore", invalid="ignore"):  # rows theta' does not read
-            theta, slope = _slopes(stub, z0, searched, x)
-        return theta - levels, slope
+    def above_level(active, xs):
+        theta, slope = _theta_slopes(stub, z0, [branches[rows[j]] for j in active], xs)
+        return [t - levels[j] for t, j in zip(theta, active)], slope
 
-    x = _bracketed_newton(above_level, np.array(seed), np.array(lo), np.array(hi))
-    return [x[rows == i] for i in range(len(table))]
+    poles = [[] for _ in branches]
+    for i, x in zip(rows, _bracketed_newton(above_level, seed, lo, hi)):
+        poles[i].append(x)
+    return [np.array(row, dtype=float) for row in poles]
 
 
 class PhaseCurve:
@@ -931,7 +987,8 @@ class PhaseCurve:
     where zeros and loaded poles are located.  The zeros are each branch's
     own roots of N_k (closed form for the tank, bracketed Newton for the
     stub); the loaded poles (theta = 0 mod 2*pi, r = +1) are found by
-    bracketed Newton between them (see _crossings).  ``theta`` reads the
+    bracketed Newton between them (see _crossings), both on Python floats
+    (_bracketed_newton).  ``theta`` reads the
     numpy fold along arrays, _fold; ``jets`` reads the same recurrence on
     jets of floats, _jets, which gives theta with its exact derivatives,
     smooth through branch zeros (V = 0) and loaded poles (U = 0).
@@ -953,17 +1010,18 @@ class PhaseCurve:
     @functools.cached_property
     def zeros(self) -> np.ndarray:
         """Branch series zeros (Z = 0, theta = -pi mod 2*pi) in the band
-        (lo, hi], ascending: each branch's own roots of N_k."""
+        (lo, hi], ascending: each branch's own roots of N_k, as an array
+        of the curve's row of _zero_table."""
         lo, hi = self.band
-        zeros = _zero_table(self._stub, self.z0, np.array([self._branches]),
-                            np.array([hi]))[0]
+        zeros = np.array(_zero_table(self._stub, self.z0, np.array([self._branches]),
+                                     np.array([hi]))[0])
         return zeros[(lo < zeros) & (zeros <= hi)]
 
     @functools.cached_property
     def poles(self) -> np.ndarray:
         """Loaded pole frequencies of Z (r = +1) in the band, theta = 0
-        mod 2*pi, ascending: bracketed Newton between the zeros
-        (_crossings)."""
+        mod 2*pi, ascending: bracketed Newton on Python floats between
+        the zeros (_crossings)."""
         return _crossings(self._stub, self.z0, np.array([self._branches]),
                           np.array([self.band]))[0]
 

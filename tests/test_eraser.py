@@ -1037,12 +1037,15 @@ def _solve_work(dev, monkeypatch, **kwargs):
     (network._impedance_parts, which every point and root solve of the
     oracle sweep goes through) over both, the fold passes of solve_eraser
     (every call of the theta fold _fold, the jets kernel _jets or the
-    first-order kernel _slopes: one stacked fold of every weight counts
-    one) and the broadcast-fold passes of the loaded-pole search (every
-    such call solution_to_dict makes).  "jets" and "solve_jets" count the
-    _jets passes among those fold passes on their own.  All three are
-    patched where qparity.network resolves them, which every caller goes
-    through."""
+    loaded-pole search's first-order kernel _theta_slopes: one stacked fold
+    of every weight counts one) and those of solution_to_dict.  "jets" and
+    "solve_jets" count the _jets passes among those fold passes on their
+    own, "pole_passes" the _theta_slopes passes of solution_to_dict, and
+    "zero_passes" and "solve_zero_passes" the bracketed Newton passes of
+    the series-zero search (network._series_zeros: every Newton pass calls
+    _pair_factors once, and only a zero pass does so outside
+    _theta_slopes).  All are patched where qparity.network resolves them,
+    which every caller goes through."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -1051,6 +1054,7 @@ def _solve_work(dev, monkeypatch, **kwargs):
     init = network.PhaseCurve.__init__
     residuals = eraser.eraser_residuals
     tree = network._impedance_parts
+    pair_factors = network._pair_factors
 
     def counting_init(self, *args, **kwargs):
         counts["curves"] += 1
@@ -1064,12 +1068,18 @@ def _solve_work(dev, monkeypatch, **kwargs):
         counts["tree evaluations"] += 1
         return tree(*args, **kwargs)
 
+    def counting_pair_factors(*args, **kwargs):
+        counts["zero_passes"] += 1
+        return pair_factors(*args, **kwargs)
+
     def counting(name):
         fold = getattr(network, name)
 
         def counting_fold(*args, **kwargs):
             counts["folds"] += 1
             counts["jets"] += name == "_jets"
+            counts["pole_passes"] += name == "_theta_slopes"
+            counts["zero_passes"] -= name == "_theta_slopes"
             return fold(*args, **kwargs)
 
         return counting_fold
@@ -1077,16 +1087,20 @@ def _solve_work(dev, monkeypatch, **kwargs):
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
     monkeypatch.setattr(network, "_impedance_parts", counting_tree)
-    for name in ("_fold", "_jets", "_slopes"):
+    monkeypatch.setattr(network, "_pair_factors", counting_pair_factors)
+    for name in ("_fold", "_jets", "_theta_slopes"):
         monkeypatch.setattr(network, name, counting(name))
     sol = solve_eraser(dev, **kwargs)
     solve_curves, counts["solve_folds"] = counts["curves"], counts["folds"]
     counts["solve_jets"] = counts["jets"]
+    counts["solve_zero_passes"] = counts["zero_passes"]
+    assert counts["pole_passes"] == 0  # no solver step locates a pole
     eraser.solution_to_dict(sol)
     counts["pole_curves"] = counts["curves"] - solve_curves
     counts["curves"] = solve_curves
     counts["folds"] -= counts["solve_folds"]
     counts["jets"] -= counts["solve_jets"]
+    counts["zero_passes"] -= counts["solve_zero_passes"]
     return counts
 
 
@@ -1158,20 +1172,26 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     # 154), residual calls (the pole-model grid makes none; the exact grid
     # made 33) and root solves; locating branch zeros while folding the
     # last.  3 fold passes, one per Gauss-Newton point (a fold per curve and
-    # point, plus a theta fold per root to rank it, made 18).  The
-    # payload's 8 loaded poles take no curve (one per weight before) and 6
-    # fold passes over the stacked weight table: the band-edge phases
-    # (_fold), then 5 bracketed Newton passes of the first-order kernel
-    # _slopes (one brentq per pole made 8 root solves).  Those passes make
-    # theta and theta' only: none runs the jets kernel, whose theta'' and
-    # d theta/d w_r the search never reads (5 did)
+    # point, plus a theta fold per root to rank it, made 18), and 3 Newton
+    # passes for the pole model's series zeros.  The payload's 8 loaded
+    # poles take no curve (one per weight before) and 6 fold passes over
+    # the stacked weight table: the band-edge phases (_fold), then 5
+    # bracketed Newton passes of the first-order kernel _theta_slopes (one
+    # brentq per pole made 8 root solves), after 3 Newton passes for the
+    # zero table.  Those passes make theta and theta' only: none runs the
+    # jets kernel, whose theta'' and d theta/d w_r the search never reads
+    # (5 did)
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 3
+    assert counts["solve_zero_passes"] == 3
     assert counts["residuals"] == 0
     assert counts["tree evaluations"] == 0
     assert counts["pole_curves"] == 0
     assert counts["folds"] <= 6
+    assert counts["folds"] - counts["pole_passes"] == 1
+    assert counts["pole_passes"] == 5
+    assert counts["zero_passes"] == 3
     assert counts["jets"] == 0
 
 
@@ -1201,8 +1221,8 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     # gaps built 3392).
     # The payload's 15 loaded poles take no curve (one per weight before)
     # and 6 fold passes, as the paper's 8 do: one _fold of the band edges
-    # and 5 _slopes passes (15 brentq root solves before), none of them a
-    # jets kernel pass
+    # and 5 _theta_slopes passes (15 brentq root solves before), none of
+    # them a jets kernel pass, after 3 Newton passes for the zero table
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] == 0
@@ -1211,4 +1231,59 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     assert counts["tree evaluations"] == 0
     assert counts["pole_curves"] == 0
     assert counts["folds"] <= 6
+    assert counts["folds"] - counts["pole_passes"] == 1
+    assert counts["pole_passes"] == 5
+    assert counts["zero_passes"] == 3
     assert counts["jets"] == 0
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_search_passes_make_few_numpy_calls(model, monkeypatch):
+    # each bracketed Newton pass of the payload's zero and loaded-pole
+    # searches makes only its pass kernel's numpy calls: the array of its
+    # stub pairs' x with their cos and sin (_pair_factors; none for a
+    # tank), and in a pole pass one arctan over its rows (_theta_slopes).
+    # The bracket updates, branch parts, zero counts, recurrence and
+    # divisions run on Python floats
+    from collections import Counter
+
+    from qparity import eraser, network
+
+    sol = solve_eraser(ParityDevice.equal_coupling(3, two_mode_device(3).modes, TWO_PI * 5e6,
+                                                   resonator_model=model))
+    counts, inside = Counter(), []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr):
+                return attr
+
+            def call(*args, **kwargs):
+                counts["numpy calls"] += bool(inside)
+                return attr(*args, **kwargs)
+
+            return call
+
+    def kernel(name):
+        run = getattr(network, name)
+
+        def counting_kernel(*args, **kwargs):
+            counts[name] += 1
+            inside.append(name)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return counting_kernel
+
+    monkeypatch.setattr(network, "np", CountingNumpy())
+    for name in ("_pair_factors", "_theta_slopes"):
+        monkeypatch.setattr(network, name, kernel(name))
+    eraser.solution_to_dict(sol)
+    pole_passes = counts["_theta_slopes"]
+    zero_passes = counts["_pair_factors"] - pole_passes
+    assert pole_passes == 5 and zero_passes == (3 if model == "stub" else 0)
+    factor_calls = 3 if model == "stub" else 0  # np.array, np.cos, np.sin
+    assert counts["numpy calls"] == (pole_passes + zero_passes) * factor_calls + pole_passes

@@ -145,7 +145,7 @@ def test_broadcast_fold_matches_each_curve(model):
     # one jets kernel pass, and one first-order kernel pass, over the
     # stacked branch tables of every weight, one frequency per curve, give
     # each curve's own theta and theta' bit for bit
-    from qparity.network import _jets, _slopes
+    from qparity.network import _jets, _theta_slopes
 
     curves = device_curves(paper(model))
     grid = TWO_PI * np.linspace(9.7e9, 10.1e9, 7)
@@ -153,7 +153,8 @@ def test_broadcast_fold_matches_each_curve(model):
     table = np.array([c._branches for c in curves])[rows]
     w = np.tile(grid, len(curves))
     stub, z0 = model == "stub", curves[0].z0
-    for theta, slope in (_jets(stub, z0, table, w)[:2], _slopes(stub, z0, table, w)):
+    for theta, slope in (_jets(stub, z0, table, w)[:2],
+                         _theta_slopes(stub, z0, table.tolist(), w.tolist())):
         assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
         assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
 
@@ -199,18 +200,19 @@ def _hexes(jets) -> list:
 
 def _kernel_matches_reference(stub, z0, table, w) -> bool:
     """The jets kernel equals the numpy reference fold entry for entry by
-    .hex(), and so do the first-order kernel's theta and theta' (_slopes,
-    one frequency per row), the first two entries; the kernel's checked
-    form refuses exactly where a derivative leaves float range; returns
-    whether any entry did."""
+    .hex(), and so do the first-order kernel's theta and theta'
+    (_theta_slopes on Python floats, one frequency per row), the first two
+    entries; the kernel's checked form refuses exactly where a derivative
+    leaves float range; returns whether any entry did."""
     from jets_reference import reference_jets
 
-    from qparity.network import NetworkError, _fold_jets, _jets, _slopes
+    from qparity.network import NetworkError, _fold_jets, _jets, _theta_slopes
 
     with np.errstate(all="ignore"):
         expected = reference_jets(stub, z0, table, w)
         assert _hexes(_jets(stub, z0, table, w)) == _hexes(expected)
-        first_order = _slopes(stub, z0, table, np.broadcast_to(w, len(table)))
+        first_order = _theta_slopes(stub, z0, np.asarray(table, dtype=float).tolist(),
+                                    np.broadcast_to(w, len(table)).tolist())
         assert ([[float(x).hex() for x in np.ravel(entry)] for entry in first_order]
                 == [[float(x).hex() for x in np.ravel(entry)] for entry in expected[:2]])
         finite = all(np.isfinite(x).all() for x in expected[1:])
