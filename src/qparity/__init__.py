@@ -12,15 +12,12 @@ from .network import (
     Parallel,
     PhaseCurve,
     PhaseProfile,
-    PoleProximity,
     QuarterWaveStub,
     RefinementLimit,
     Series,
     lumped_equivalent,
-    network_impedance,
     phase_sweep,
     reflection_coefficient,
-    stub_impedance,
     wrap_phase,
 )
 from .device import (
@@ -29,8 +26,6 @@ from .device import (
     ParityDevice,
     QubitState,
     analysis_band,
-    build_state_network,
-    shifted_frequency,
     state_phase_curve,
     weight_phase_curve,
 )
@@ -60,7 +55,6 @@ from .fidelity import (
     fidelity_numeric,
     fidelity_quadratic_closed,
     linear_expansion,
-    quadratic_closed_radical,
     quadratic_expansion,
 )
 from .cascade import (

@@ -37,7 +37,7 @@ from .eraser import (
 )
 from .estimates import NonFiniteEstimate, estimate_report
 from .fidelity import ProbePulse, PulseOutOfRange, eraser_quality, reports_to_dicts
-from .network import NetworkError
+from .network import NetworkError, lumped_equivalent
 
 TWO_PI = 2.0 * math.pi
 
@@ -202,13 +202,21 @@ def _shared_fields(cfg: dict, path: str, kind: str, chi_keyword: str):
     return n, chi_spec, chi_start, z0, model
 
 
-def _mode(cfg: dict, path: str) -> Mode:
-    """One mode's f_GHz and C_couple_fF, each > 0, as a Mode."""
+def _mode(cfg: dict, path: str, z0: float, config: str) -> Mode:
+    """One mode's f_GHz and C_couple_fF, each > 0, as a Mode whose resonance
+    has a lumped equivalent under ``config``'s Z0_ohms, z0, whatever the
+    model: the band, probe and tuner estimates read it (_loaded_zero_estimate)."""
     f = _need(cfg, "f_GHz", float, path)
     c = _need(cfg, "C_couple_fF", float, path)
     if f <= 0 or c <= 0:
         raise ConfigError(f"{path}: f_GHz and C_couple_fF must be > 0")
-    return Mode(_ghz(f, f"{path}.f_GHz"), _ff(c, f"{path}.C_couple_fF"))
+    mode = Mode(_ghz(f, f"{path}.f_GHz"), _ff(c, f"{path}.C_couple_fF"))
+    try:
+        lumped_equivalent(mode.omega, z0)
+    except ValueError:
+        raise ConfigError(f"{path}.f_GHz: {f!r} GHz with {config}.Z0_ohms = {z0!r} has no "
+                          "lumped equivalent in float range")
+    return mode
 
 
 def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
@@ -221,7 +229,7 @@ def parse_parallel_config(cfg: dict, path: str) -> tuple[ParityDevice, object]:
     for i, m in enumerate(raw_modes):
         if not isinstance(m, dict):
             raise ConfigError(f"{path}.modes[{i}]: expected an object")
-        modes.append(_mode(m, f"{path}.modes[{i}]"))
+        modes.append(_mode(m, f"{path}.modes[{i}]", z0, path))
     freqs = [mo.omega for mo in modes]
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ConfigError(f"{path}.modes: f_GHz values must be strictly increasing")
@@ -246,7 +254,7 @@ def parse_cascade_config(cfg: dict, path: str) -> tuple[int, ParityDevice, objec
     """Returns (n, cavity, chi spec) with chi spec 'tune' or rad/s: n
     copies of the one-qubit, one-mode cavity, one per qubit."""
     n, chi_spec, chi_start, z0, model = _shared_fields(cfg, path, "cascade", "tune")
-    mode = _mode(_need(cfg, "cavity", dict, path), f"{path}.cavity")
+    mode = _mode(_need(cfg, "cavity", dict, path), f"{path}.cavity", z0, path)
     try:
         cavity = ParityDevice.equal_coupling(n=1, modes=(mode,), chi=chi_start,
                                              z0=z0, resonator_model=model)

@@ -20,17 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import (Capacitor, Inductor, NetworkElement, Parallel, PhaseCurve,
-                      QuarterWaveStub, Series, _branch_table, _check_frequency, _check_omega,
-                      _crossings, _fold, _fold_jets, _phasor, lumped_equivalent)
+from .network import (PhaseCurve, _branch_table, _check_frequency, _check_omega, _crossings,
+                      _fold, _fold_jets, _phasor, lumped_equivalent)
 
 __all__ = [
     "NonPositiveResult",
     "QubitState",
     "Mode",
     "ParityDevice",
-    "shifted_frequency",
-    "build_state_network",
     "analysis_band",
     "state_phase_curve",
 ]
@@ -179,14 +176,6 @@ class ParityDevice:
         return replace(self, modes=modes)
 
 
-def shifted_frequency(omega_mode: float, chis, state: QubitState) -> float:
-    """State-pulled mode frequency: omega + sum_j (-1)**s_j * chi_j."""
-    chis = tuple(chis)
-    if len(chis) != state.n:
-        raise ValueError(f"{len(chis)} chis for {state.n} qubits")
-    return _pulled_rows([omega_mode], [(c,) for c in chis], [_signs(state)])[0][0]
-
-
 def _signs(state: QubitState) -> tuple:
     return tuple(-1.0 if b else 1.0 for b in state.bits)
 
@@ -222,13 +211,6 @@ def _weight_rows(omegas, chi: float, n: int):
             for pull in (sum([s * chi for s in signs]) for signs in _weight_signs(n))]
     increasing = all(a < b for a, b in zip(omegas, omegas[1:]))
     return rows if increasing and all(0.0 < r[0] and r[-1] < math.inf for r in rows) else None
-
-
-def _resonator(omega_r: float, z0: float, model: str) -> NetworkElement:
-    if model == "stub":
-        return QuarterWaveStub(z0=z0, omega_r=omega_r)
-    c, l = lumped_equivalent(omega_r, z0)
-    return Parallel((Inductor(l), Capacitor(c)))
 
 
 def _state_row(dev: ParityDevice, state: QubitState) -> list:
@@ -284,21 +266,6 @@ def _weight_phasors(dev: ParityDevice, omega) -> np.ndarray:
     table = _weight_table(dev)
     stub, w = dev.resonator_model == "stub", _check_omega(omega)
     return np.array([_phasor(stub, dev.z0, branches, w) for branches in table])
-
-
-def build_state_network(dev: ParityDevice, state: QubitState) -> NetworkElement:
-    """One-port seen by the probe for a given joint qubit state, as a tree
-    for phase_sweep and reflection_coefficient (phase curves read the same
-    numbers directly).
-
-    Parallel combination over modes of (coupling capacitor in series with
-    the state-shifted resonator); a single-mode device degenerates to the
-    bare series branch.
-    """
-    branches = tuple(Series((Capacitor(mode.c_couple),
-                             _resonator(w_shift, dev.z0, dev.resonator_model)))
-                     for mode, w_shift in zip(dev.modes, _state_row(dev, state)))
-    return branches[0] if len(branches) == 1 else Parallel(branches)
 
 
 def _loaded_zero_estimate(mode: Mode, z0: float) -> float:

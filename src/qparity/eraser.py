@@ -368,10 +368,10 @@ def _pole_model(dev: ParityDevice):
     branches' own on the fundamental (network._series_zeros).
     """
     stub = dev.resonator_model == "stub"
-    table = np.array(_branch_table(stub, dev.z0, [mo.c_couple for mo in dev.modes],
-                                   [mo.omega for mo in dev.modes])).T
-    z = _series_zeros(stub, dev.z0, table)
-    p, n_jet = _branch_parts(stub, dev.z0, table, z, derivatives=True)
+    table = _branch_table(stub, dev.z0, [mo.c_couple for mo in dev.modes],
+                          [mo.omega for mo in dev.modes])
+    z = np.array(_series_zeros(stub, dev.z0, [(branch, 0) for branch in table.tolist()]))
+    p, n_jet = _branch_parts(stub, dev.z0, table.T, z, derivatives=True)
     return np.array([z, dev.z0 * p[0] / n_jet[1], -n_jet[3] / n_jet[1]])
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "linear_expansion",
     "fidelity_even_odd",
     "fidelity_quadratic_closed",
-    "quadratic_closed_radical",
     "quadratic_expansion",
     "eraser_quality",
 ]
@@ -203,17 +202,6 @@ def fidelity_quadratic_closed(alpha: complex, b2: float, bandwidth: float) -> fl
     a2 = _mean_photons(alpha)
     root = cmath.sqrt(1.0 + 2.0j * b2 * bandwidth ** 2)
     return abs(cmath.exp(-a2 * (1.0 - 1.0 / root)))
-
-
-def quadratic_closed_radical(alpha: complex, b2: float, bandwidth: float) -> float:
-    """Real-radical form of the quadratic overlap, algebraically equal to
-    fidelity_quadratic_closed:
-    F = exp(-|alpha|^2 (1 - sqrt((1 + sqrt(1 + 4 x^2)) / (2 + 8 x^2)))),
-    x = b2 W^2."""
-    a2 = _mean_photons(alpha)
-    x = b2 * bandwidth ** 2
-    inner = math.sqrt(1.0 + 4.0 * x * x)
-    return math.exp(-a2 * (1.0 - math.sqrt((1.0 + inner) / (2.0 + 8.0 * x * x))))
 
 
 def quadratic_expansion(alpha: complex, b2: float, bandwidth: float) -> float:

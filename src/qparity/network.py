@@ -1,4 +1,4 @@
-"""Lossless one-port microwave networks: impedance, reflection, phase curves.
+"""Lossless one-port networks: closed-form phase curves, and trees as their oracle.
 
 Networks are finite trees of quarter-wave stubs, lumped capacitors and
 inductors, combined by series/parallel rules.  All evaluation is done
@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "NetworkError",
-    "PoleProximity",
     "RefinementLimit",
     "QuarterWaveStub",
     "Capacitor",
@@ -40,21 +39,12 @@ __all__ = [
     "PhaseProfile",
     "PhaseCurve",
     "wrap_phase",
-    "stub_impedance",
     "lumped_equivalent",
-    "network_impedance",
     "reflection_coefficient",
     "phase_sweep",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# Total admittance magnitude below which a frequency counts as sitting on a
-# pole of Z (the one-port looks like an exact open).
-POLE_ADMITTANCE_TOL = 1e-18
-
-# |cos| threshold below which the stub tan() form is numerically meaningless.
-STUB_COS_TOL = 1e-14
 
 # Adaptive refinement stops subdividing once adjacent unwrapped-phase steps
 # are below this; 2**24 evaluated points is the pathological-input cutoff.
@@ -73,10 +63,6 @@ NEWTON_PASSES = 64
 
 class NetworkError(Exception):
     """Base class for network evaluation failures."""
-
-
-class PoleProximity(NetworkError):
-    """Evaluation requested too close to a pole for the impedance form."""
 
 
 class RefinementLimit(NetworkError):
@@ -191,26 +177,6 @@ def _impedance_parts(net: NetworkElement, w: np.ndarray):
     raise TypeError(f"not a NetworkElement: {net!r}")
 
 
-def stub_impedance(omega: float, z0: float, omega_r: float) -> complex:
-    """Impedance of a shorted quarter-wave stub, i*z0*tan((pi/2)(w/w_r)).
-
-    Raises PoleProximity within STUB_COS_TOL of a tan singularity; use the
-    admittance (projective) form there instead.
-    """
-    if omega <= 0.0:
-        raise ValueError("omega must be > 0")
-    if z0 <= 0.0 or omega_r <= 0.0:
-        raise ValueError("z0 and omega_r must be > 0")
-    x = 0.5 * math.pi * (omega / omega_r)
-    c = math.cos(x)
-    if abs(c) < STUB_COS_TOL:
-        raise PoleProximity(
-            f"stub evaluated within {STUB_COS_TOL} of a tan singularity "
-            f"(omega={omega:.6e}, omega_r={omega_r:.6e})"
-        )
-    return 1j * z0 * math.tan(x)
-
-
 def lumped_equivalent(omega_r: float, z0: float) -> tuple[float, float]:
     """Parallel-LC equivalent of a quarter-wave stub near its fundamental.
 
@@ -237,23 +203,6 @@ def _tanks(omega_r, z0: float) -> tuple:
 def _no_tank(omega_r: float, z0: float) -> ValueError:
     return ValueError(f"omega_r={omega_r:.3e} rad/s with z0={z0:.3e} ohm has no "
                       "lumped equivalent in float range")
-
-
-def network_impedance(net: NetworkElement, omega: float) -> complex:
-    """Complex impedance of the one-port at a single frequency.
-
-    Raises PoleProximity when the total admittance magnitude drops below
-    POLE_ADMITTANCE_TOL (a pole of Z); the reflection coefficient remains
-    well defined there via reflection_coefficient.
-    """
-    w = _check_omega(omega)
-    num, den = _impedance_parts(net, w)
-    if np.abs(den) < POLE_ADMITTANCE_TOL * np.abs(num):
-        raise PoleProximity(
-            f"admittance magnitude below {POLE_ADMITTANCE_TOL} S at "
-            f"omega={float(w):.6e} (pole of Z)"
-        )
-    return complex(num / den)
 
 
 def reflection_coefficient(net: NetworkElement, omega, z0: float):
@@ -856,29 +805,25 @@ def _curve_table(c_couple, omega_r, z0: float, model: str) -> np.ndarray:
     return _branch_table(model == "stub", z0, c_couple, omega_r)
 
 
-def _series_zeros(stub: bool, z0: float, branch, order=0) -> np.ndarray:
-    """A branch's series zero, N = 0 (see _branch_parts), elementwise over
-    the arrays of its table row and of ``order``, broadcast together.
+def _series_zeros(stub: bool, z0: float, pairs: list) -> list:
+    """The series zero, N = 0 (see _branch_parts), of each (branch, order)
+    pair of ``pairs``, a row of a branch table as a list of floats and the
+    tan interval to search, as a list of Python floats.
 
-    The lumped tank has one, 1/sqrt(L (C + C_c)).  The stub has one on each
-    interval ((2 order - 1) w_r, (2 order + 1) w_r) of tan x, where
-    N (-1)^order falls from + to -, just below the interval's top: there the
-    stub looks like a tank of C = pi/(4 w_r z0) resonating at
+    The lumped tank has one, 1/sqrt(L (C + C_c)), whatever the order.  The
+    stub has one on each interval ((2 order - 1) w_r, (2 order + 1) w_r) of
+    tan x, where N (-1)^order falls from + to -, just below the interval's
+    top: there the stub looks like a tank of C = pi/(4 w_r z0) resonating at
     (2 order + 1) w_r, and that tank's zero seeds _bracketed_newton on
-    N (-1)^order over the interval.  Seeds and steps run on Python floats;
-    a pass evaluates N and N' only (_branch_slopes), at every zero still
-    moving, from one _pair_factors call.
+    N (-1)^order over the interval, on Python floats: a pass evaluates N
+    and N' only (_branch_slopes), at every zero still moving, from one
+    _pair_factors call.
     """
     if not stub:
-        cap, l = branch[1:]
-        return 1.0 / np.sqrt(l * (cap + branch[0]))
-    columns = np.broadcast_arrays(branch[0], branch[1], order)
-    shape = columns[0].shape
-    c_c, w_r, order = (a.ravel().tolist() for a in columns)
-    branches = list(zip(c_c, w_r))
+        return [_divide(1.0, math.sqrt(l * (cap + c_c))) for (c_c, cap, l), _ in pairs]
     z0 = float(z0)
     seed, lo, hi, sign = [], [], [], []
-    for (c_c, w_r), k in zip(branches, order):
+    for (c_c, w_r), k in pairs:
         top = (2 * k + 1) * w_r
         bottom = max(top - 2.0 * w_r, 0.0)
         cap = _divide(math.pi, 4.0 * w_r * z0)
@@ -889,7 +834,7 @@ def _series_zeros(stub: bool, z0: float, branch, order=0) -> np.ndarray:
         sign.append(1.0 if k % 2 == 0 else -1.0)
 
     def falling_n(active, zs):
-        rows = [branches[i] for i in active]
+        rows = [pairs[i][0] for i in active]
         values, slopes = [], []
         for i, branch, z, factors in zip(active, rows, zs, _pair_factors(stub, rows, zs)):
             _, (n, n1) = _branch_slopes(stub, z0, branch, z, factors)
@@ -897,7 +842,7 @@ def _series_zeros(stub: bool, z0: float, branch, order=0) -> np.ndarray:
             slopes.append(sign[i] * n1)
         return values, slopes
 
-    return np.reshape(_bracketed_newton(falling_n, seed, lo, hi), shape)
+    return _bracketed_newton(falling_n, seed, lo, hi)
 
 
 def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> list:
@@ -905,18 +850,18 @@ def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> lis
     of Python floats per curve.
 
     ``table`` stacks the curves' branch tables, shape (curves, branches,
-    columns), and ``hi`` holds each curve's upper band edge.  A stub branch
-    has a zero on every tan interval up to the one holding hi; the lists
-    are padded with zeros of higher intervals, which all lie above hi, so
-    every list has one length.  All are found in one _series_zeros call.
+    columns), and ``hi`` holds each curve's upper band edge.  Each branch
+    has as many zeros below hi as _zeros_below counts from the sign of its
+    N there, the count _fold's theta subtracts at hi: a stub branch one on
+    each tan interval up to that count, a tank one or none.  All are found
+    in one _series_zeros call.
     """
-    columns = np.moveaxis(table, -1, 0)
-    if stub:
-        top = int(np.max(np.floor(0.5 * hi[:, None] / columns[1] + 0.5)))
-        zeros = _series_zeros(stub, z0, columns[..., None], np.arange(top + 1))
-    else:
-        zeros = _series_zeros(stub, z0, columns)
-    return [sorted(row) for row in zeros.reshape(len(table), -1).tolist()]
+    cols, w = np.moveaxis(table, -1, 0), hi[:, None]
+    counts = _zeros_below(stub, cols, _branch_parts(stub, z0, cols, w)[1], w)
+    pairs = [[(branch, k) for branch, count in zip(row, row_counts) for k in range(int(count))]
+             for row, row_counts in zip(table.tolist(), counts.tolist())]
+    found = iter(_series_zeros(stub, z0, [pair for row in pairs for pair in row]))
+    return [sorted(next(found) for _ in row) for row in pairs]
 
 
 def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> list:

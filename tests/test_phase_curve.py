@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle_network import build_state_network
 from scipy.optimize import brentq
 
 from qparity.device import (
@@ -20,7 +21,6 @@ from qparity.device import (
     ParityDevice,
     QubitState,
     analysis_band,
-    build_state_network,
     state_phase_curve,
     weight_phase_curve,
 )
@@ -176,7 +176,8 @@ def test_phasor_kernel_is_unimodular_and_exp_i_theta():
         omega_r = TWO_PI * np.sort(rng.uniform(4e9, 12e9, (rows, m)), axis=1)
         z0 = rng.uniform(20.0, 100.0)
         table = np.array([_curve_table(couplers, row, z0, model) for row in omega_r])
-        zeros = _series_zeros(stub, z0, np.moveaxis(table, -1, 0)).ravel()
+        zeros = np.array(_series_zeros(stub, z0, [(branch, 0) for row in table.tolist()
+                                                  for branch in row]))
         comb = np.concatenate([TWO_PI * np.linspace(3.5e9, 12.5e9, 101), omega_r.ravel(),
                                zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf)])
         r = _phasor(stub, z0, table, comb[None, :])
@@ -325,11 +326,11 @@ def test_first_order_branch_parts_match_the_full_jets(stub, z0, f_ghz, couplers_
         p, n = _branch_parts(stub, z0, branch, w, derivatives=True)
         return p[:2], n[:2]
 
-    orders = np.arange(top_order + 1)
-    zeros = network._series_zeros(stub, z0, cols, orders)
+    pairs = [(branch, k) for branch in table.tolist() for k in range(top_order + 1)]
+    zeros = network._series_zeros(stub, z0, pairs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_branch_slopes", full_parts)
-        reference = network._series_zeros(stub, z0, cols, orders)
+        reference = network._series_zeros(stub, z0, pairs)
     assert [x.hex() for x in np.ravel(zeros)] == [x.hex() for x in np.ravel(reference)]
 
 
