@@ -59,7 +59,6 @@ from .fidelity import (
 )
 from .cascade import (
     ComparisonReport,
-    TunedCascade,
     compare_schemes,
     tune_cascade,
 )

@@ -13,13 +13,14 @@ Tuning is one Newton loop on the cavity's exact phase derivatives, omega
 and chi stepping together on each fold: omega onto the step maximum,
 b = theta_0' - theta_1' = 0, and chi, by the step's partial in chi, onto
 pi: the smallest chi with a pi step.  With chi held the same loop finds
-the step maximum alone.
+the step maximum alone.  The tuned cavity is an EraserSolution, as a
+solved parallel device is: the cavity at its chi, its probe and its fold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .fidelity import ProbePulse, _pair_table, build_mode_grid
 from .network import wrap_phase
 
 __all__ = [
-    "TunedCascade",
     "tune_cascade",
     "SchemeMetrics",
     "ComparisonReport",
@@ -54,21 +54,8 @@ def _cascade_sums(rows, states, combine=sum) -> list:
     return [combine(rows[b] for b in s.bits) for s in states]
 
 
-@dataclass(frozen=True)
-class TunedCascade:
-    """Cascade cavity tuned so one qubit flip shifts the phase by pi at omega_p."""
-
-    cavity: ParityDevice
-    omega_p: float
-    step: float          # theta_0 - theta_1 at omega_p (target: pi)
-    b_single: float      # theta_0' - theta_1' at omega_p (target: 0)
-    # the jets of the fold that stopped the loop: _weight_fold(cavity, omega_p,
-    # jets=True) bit for bit, which compare_schemes scores
-    jets: tuple = field(repr=False, compare=False)
-
-
 def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
-                      tune_chi: bool = False) -> TunedCascade:
+                      tune_chi: bool = False) -> EraserSolution:
     """The cavity probed where the per-qubit phase step S = theta_0 - theta_1
     is maximal (b = theta_0' - theta_1' = 0), so the linear dispersion
     mismatch cancels; chi as given, or with ``tune_chi`` tuned so S = pi.
@@ -80,7 +67,9 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
     dS/dchi = d theta_0/d omega_r + d theta_1/d omega_r at fixed omega.  The
     jets hold no d b/d chi, which the omega step leaves out.  The loop stops
     at the fold where omega's step is within OMEGA_ULPS ulps and, tuning, S
-    within STEP_TOL of pi, and keeps that fold's jets.  Refuses b' >= 0,
+    within STEP_TOL of pi, and returns the cavity at its chi, probed at
+    omega, with that fold's jets (its weights are the two bits, so S is
+    theta_by_weight[0] - theta_by_weight[1]).  Refuses b' >= 0,
     which is no maximum, a chi step leaving CHI_RANGE, and a cavity that is
     not one qubit on one mode.
     """
@@ -102,8 +91,7 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
         dw = -b / slope
         if (abs(dw) <= OMEGA_ULPS * math.ulp(w)
                 and (not tune_chi or abs(step - math.pi) <= STEP_TOL)):
-            return TunedCascade(cavity=at_chi, omega_p=w, step=step,
-                                b_single=b, jets=jets)
+            return EraserSolution(at_chi, w, jets=jets)
         w += dw
         if tune_chi:
             ds_dchi = float(d_r[0, 0] + d_r[0, 1])
@@ -120,7 +108,7 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
                      "did not converge")
 
 
-def tune_cascade(cavity: ParityDevice) -> TunedCascade:
+def tune_cascade(cavity: ParityDevice) -> EraserSolution:
     """Adjust the cavity's chi so the maximal per-qubit phase step S(chi)
     equals pi, probed at that maximum (b = 0): _newton_symmetric with
     ``tune_chi``, omega and chi stepping together on each fold.
@@ -221,7 +209,7 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
     par = _scheme_metrics("parallel-multimode", dev.m, parallel_sol.chi,
                           lambda omega: _weight_phasors(dev, omega),
                           parallel_sol.jets, parallel_sol.omega_p, pulse)
-    cav, states = tuned.cavity, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
+    cav, states = tuned.device, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
     jets = np.vstack(tuned.jets).T  # rows by bit
     cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,
                           lambda omega: _cascade_sums(_weight_phasors(cav, omega), states,

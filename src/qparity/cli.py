@@ -31,7 +31,6 @@ from .eraser import (
     EraserSolution,
     NoSolution,
     InfeasibleDevice,
-    _gaps_needed,
     solution_to_dict,
     solve_eraser,
 )
@@ -99,17 +98,23 @@ def _json_ready(obj, precise: bool = False):
     return obj
 
 
-def _output(path) -> Path:
-    """``path`` as a Path, its parent directory made."""
+def _output(path, flag: str):
+    """``path``, the value of ``flag``, opened for writing, its parent
+    directory made; a path that cannot be written is a config error naming
+    the flag."""
     path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    try:
+        if path.parent != Path(""):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"argument {flag}: cannot write {path}: {exc}") from None
 
 
-def _write_json(path, payload: dict) -> None:
-    _output(path).write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True,
-                                        allow_nan=False) + "\n")
+def _write_json(path, flag: str, payload: dict) -> None:
+    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    with _output(path, flag) as fh:
+        fh.write(text + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +284,7 @@ def cmd_sweep(ns) -> int:
         raise ConfigError(f"{ns.config}.chi_MHz: {exc}")
     columns = [grid / TWO_PI / 1e9, *np.degrees(thetas)]
     header = ["f_GHz", *(f"theta_wt{w}_deg" for w in range(dev.n + 1))]
-    with _output(ns.out).open("w", newline="") as fh:
+    with _output(ns.out, "--out") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*columns):
@@ -288,11 +293,12 @@ def cmd_sweep(ns) -> int:
     return EXIT_OK
 
 
-def _search(dev: ParityDevice, chi_spec, free_modes: bool = False) -> dict:
+def _search(chi_spec, free_modes: bool = False) -> dict:
     """solve_eraser's chi_range, (chi/3, 3 chi) about a numeric chi, and its
-    knobs: the mode gaps join chi where asked or where the solver needs them."""
+    knobs: the mode gaps join chi where asked (the solver frees them itself
+    from n = 4 on)."""
     kwargs = {} if chi_spec == "solve" else {"chi_range": (chi_spec / 3.0, chi_spec * 3.0)}
-    if free_modes or _gaps_needed(dev.n):
+    if free_modes:
         kwargs["free"] = ("chi", "mode_frequencies")
     return kwargs
 
@@ -305,11 +311,11 @@ def _pulse(ns, omega_p: float) -> ProbePulse:
 def cmd_solve(ns) -> int:
     cfg = load_config(ns.config)
     dev, chi_spec = parse_parallel_config(cfg, ns.config)
-    sol = solve_eraser(dev, tol=ns.tol, **_search(dev, chi_spec, ns.free_modes))
+    sol = solve_eraser(dev, tol=ns.tol, **_search(chi_spec, ns.free_modes))
     payload = solution_to_dict(sol)
     payload["config"] = cfg
     if ns.out:
-        _write_json(ns.out, payload)
+        _write_json(ns.out, "--out", payload)
     print(f"f_p= {_fmt(sol.omega_p / TWO_PI / 1e9)} GHz  "
           f"chi= {_fmt(sol.chi / TWO_PI / 1e6)} MHz  "
           f"dtheta= {_fmt(math.degrees(sol.delta_theta))} deg")
@@ -372,11 +378,11 @@ def cmd_fidelity(ns) -> int:
         "pairs": dicts,
     }
     if ns.out_json:
-        _write_json(ns.out_json, payload)
+        _write_json(ns.out_json, "--out-json", payload)
     if ns.out_csv:
         cols = ["weights", "state_lo", "state_hi", "branch", "F_numeric",
                 "F_closed", "F_expansion", "b_s", "b2_s2", "delta_theta_rad"]
-        with _output(ns.out_csv).open("w", newline="") as fh:
+        with _output(ns.out_csv, "--out-csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
             for d in dicts:
@@ -406,7 +412,7 @@ def cmd_compare(ns) -> int:
     if n_c != dev_p.n:
         raise ConfigError(f"{ns.config_cascade}.n_qubits: the cascade measures {n_c} "
                           f"qubits, {ns.config_parallel} measures {dev_p.n}")
-    sol = solve_eraser(dev_p, **_search(dev_p, chi_spec))
+    sol = solve_eraser(dev_p, **_search(chi_spec))
     pulse = _pulse(ns, sol.omega_p)
     try:
         report = compare_schemes(sol, cavity, pulse, tune=(chi_spec_c == "tune"))
@@ -417,7 +423,7 @@ def cmd_compare(ns) -> int:
     payload = comparison_to_dict(report)
     payload["pulse"] = {"alpha_sq": ns.alpha_sq, "T_us": ns.t_us}
     if ns.out:
-        _write_json(ns.out, payload)
+        _write_json(ns.out, "--out", payload)
     print(f"b_parallel= {_fmt(report.parallel.b_max)} s  "
           f"b_cascade= {_fmt(report.cascade.b_max)} s  "
           f"ratio= {_fmt(report.b_ratio)}")
@@ -443,6 +449,8 @@ def cmd_estimate(ns) -> int:
         first, *rest = (ESTIMATE_FLAGS[name] for name in exc.inputs)
         raise ConfigError(f"argument {first}: {exc}"
                           + (f" with {' and '.join(rest)}" if rest else ""))
+    if ns.json:
+        _write_json(ns.json, "--json", rep)
     t1 = rep["purcell_T1_s"]
     tm = rep["measurement_time_s"]
     pp = rep["peak_power"]
@@ -453,8 +461,6 @@ def cmd_estimate(ns) -> int:
     dbm = "-inf" if pp["dBm"] is None else f"{pp['dBm']:.4g}"
     print(f"peak power                   {pp['watts']:.6g} W = {dbm} dBm")
     print("note: cyclic convention reads quoted MHz/GHz as ordinary frequencies")
-    if ns.json:
-        _write_json(ns.json, rep)
     return EXIT_OK
 
 

@@ -18,8 +18,8 @@ one (largest |sin(delta_theta/2)|) wins.  On two modes with equal
 couplers the n = 3 model root is closed form: the probe midway between
 the zeros, and chi = (zero spacing)/(2 sqrt 3).
 
-With mode frequencies freed (the 4-qubit case needs this: 3 conditions vs
-2 knobs), the mode gaps join the unknowns.  Where the unknowns outnumber
+With mode frequencies freed, and always from n = 4 on (3 conditions vs 2
+knobs), the mode gaps join the unknowns.  Where the unknowns outnumber
 the conditions (n <= 2, or freed gaps) the roots form a family, and one
 more condition, cos(delta_theta/2) = 0, makes the system square: a second
 exact stage from each root goes to delta_theta = pi, the top score,
@@ -96,8 +96,9 @@ class EraserDegenerate(EraserError):
 
 @dataclass(frozen=True, init=False)
 class EraserSolution:
-    """A verified root of the parity conditions: its device, its probe and
-    the one jets fold there.
+    """A solved operating point: its device, its probe and the one jets fold
+    there.  solve_eraser returns a verified root of the parity conditions,
+    and cascade.tune_cascade the tuned one-qubit cascade cavity.
 
     ``device`` is the solved device (final chi and mode frequencies);
     ``basins`` lists every distinct verified root found, as tuples of
@@ -143,10 +144,6 @@ def min_modes_required(n: int) -> int:
     asymptotes to zero from below without ever crossing it.
     """
     return (n + 2) // 2
-
-
-def _gaps_needed(n: int) -> bool:
-    return n - 1 > 2  # the n - 1 conditions outnumber (omega_p, chi): free the gaps
 
 
 def _residuals(th: np.ndarray) -> np.ndarray:
@@ -537,7 +534,8 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
     """Find (omega_p, chi[, mode frequencies]) satisfying the parity conditions.
 
     ``free`` lists the searched knobs: "chi" (always) and optionally
-    "mode_frequencies" (required when the condition count n-1 exceeds 2).
+    "mode_frequencies"; the mode gaps are freed regardless from n = 4 on,
+    where the n-1 conditions outnumber (omega_p, chi).
     When the knobs outnumber the conditions (n <= 2, or freed mode
     frequencies) the returned root is the delta_theta = pi point of its
     family wherever Gauss-Newton reaches it, and ``basins`` ends at the
@@ -582,12 +580,7 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
                              f"search band {search_ghz}")
         search_band = clipped
 
-    free_gaps = "mode_frequencies" in free
-    if _gaps_needed(n) and not free_gaps:
-        raise NoSolution(
-            f"{n - 1} conditions with only (omega_p, chi) free; "
-            'add "mode_frequencies" to free'
-        )
+    free_gaps = "mode_frequencies" in free or n - 1 > 2
     return _solve_conditions(dev_template, search_band, chi_range, tol, free_gaps)
 
 

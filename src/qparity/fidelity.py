@@ -55,6 +55,9 @@ EXPANSION_LIMIT = 0.1
 # A mode comb finer than this many float spacings at omega_p does not resolve.
 MIN_SPACING_ULPS = 1000.0
 
+# The mode comb spans omega_p +/- this many W: the truncated weight is negligible.
+SPAN_SIGMAS = 8.0
+
 
 class PulseOutOfRange(ValueError):
     """The pulse has no mode comb: too short (the comb reaches omega <= 0)
@@ -121,24 +124,21 @@ class ModeGrid:
         return float(np.sum(self.weights ** 2))
 
 
-def build_mode_grid(omega_p: float, bandwidth: float, span_sigmas: float = 8.0,
-                    points: int = 4001) -> ModeGrid:
-    """Mode comb over omega_p +/- span_sigmas*W > 0 with Gaussian weights.
+def build_mode_grid(omega_p: float, bandwidth: float, points: int = 4001) -> ModeGrid:
+    """Mode comb over omega_p +/- SPAN_SIGMAS*W > 0 with Gaussian weights.
 
     C_i = sqrt(d_omega) * exp(-(w_i - w_p)^2 / (4 W^2)) / (2 pi W^2)^(1/4),
     normalized so sum C_i^2 -> 1 in the continuum limit.  Raises
     PulseOutOfRange for a comb that reaches omega <= 0 or does not resolve.
     """
-    if span_sigmas < 6.0:
-        raise ValueError("span_sigmas must be >= 6 for negligible truncation")
     if points < 201 or points % 2 == 0:
         raise ValueError("points must be odd and >= 201 (center node at omega_p)")
     _positive(omega_p, "omega_p")
     _positive(bandwidth, "bandwidth")
-    half = span_sigmas * bandwidth
+    half = SPAN_SIGMAS * bandwidth
     if not half < omega_p:
         raise PulseOutOfRange(f"too short for its carrier: the mode comb f_p +/- "
-                              f"{span_sigmas:g} W reaches f <= 0 "
+                              f"{SPAN_SIGMAS:g} W reaches f <= 0 "
                               f"(f_p = {omega_p / TWO_PI / 1e9:.6g} GHz)")
     freqs = np.linspace(omega_p - half, omega_p + half, points)
     spacing = freqs[1] - freqs[0]

@@ -98,15 +98,25 @@ def test_only_a_one_qubit_one_mode_cavity_is_accepted(dev, paper_solution):
 # tuning
 # ----------------------------------------------------------------------
 
+def _step(t):
+    """The per-qubit phase step theta_0 - theta_1 of a tuned cavity."""
+    return t.theta_by_weight[0] - t.theta_by_weight[1]
+
+
+def _b_single(t):
+    """Its first-order mismatch theta_0' - theta_1', from the kept fold."""
+    return t.jets[1][0] - t.jets[1][1]
+
+
 def test_tuned_step_is_pi(tuned):
-    assert tuned.step == pytest.approx(math.pi, abs=1e-9)
+    assert _step(tuned) == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_tuned_first_order_dispersion_cancels(tuned):
-    cav = tuned.cavity
+    cav = tuned.device
     b2 = weight_phase_curve(cav, 0).dtheta(tuned.omega_p, 2) \
         - weight_phase_curve(cav, 1).dtheta(tuned.omega_p, 2)
-    assert abs(tuned.b_single) < 1e-3 * abs(b2) * 1e6  # vs b2*W at W = 1 MHz
+    assert abs(_b_single(tuned)) < 1e-3 * abs(b2) * 1e6  # vs b2*W at W = 1 MHz
     assert b2 != 0.0
 
 
@@ -144,7 +154,7 @@ def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, model):
     dev = cavity(f_ghz, c_ff=c_ff, model=model)
 
     def excess(c):
-        return _newton_symmetric(dev.with_chi(c)).step - math.pi
+        return _step(_newton_symmetric(dev.with_chi(c))) - math.pi
 
     try:
         crosses = excess(CHI_RANGE[0]) < 0.0 < excess(CHI_RANGE[1])
@@ -155,12 +165,12 @@ def test_tuned_cascade_is_the_pi_root_at_the_step_maximum(f_ghz, c_ff, model):
             tune_cascade(dev)
         return
     t = tune_cascade(dev)
-    chi = t.cavity.chi
-    assert abs(t.step - math.pi) < 1e-9
-    b2 = (weight_phase_curve(t.cavity, 0).dtheta(t.omega_p, 2)
-          - weight_phase_curve(t.cavity, 1).dtheta(t.omega_p, 2))
+    chi = t.device.chi
+    assert abs(_step(t) - math.pi) < 1e-9
+    b2 = (weight_phase_curve(t.device, 0).dtheta(t.omega_p, 2)
+          - weight_phase_curve(t.device, 1).dtheta(t.omega_p, 2))
     assert b2 < 0.0  # b' < 0: the step is at its maximum, not a minimum
-    assert abs(t.b_single) < 1e-3 * abs(b2) * 1e6
+    assert abs(_b_single(t)) < 1e-3 * abs(b2) * 1e6
     assert chi == pytest.approx(brentq(excess, *CHI_RANGE), rel=1e-8)
 
 
@@ -170,20 +180,23 @@ def test_tuning_stops_only_at_a_pi_step():
     cav = cavity()
     w = _newton_symmetric(cav.with_chi(CHI_RANGE[0])).omega_p
     t = _newton_symmetric(cav, w, tune_chi=True)
-    assert abs(t.step - math.pi) <= STEP_TOL
-    assert t.cavity.chi == pytest.approx(tune_cascade(cav).cavity.chi, rel=1e-8)
+    assert abs(_step(t) - math.pi) <= STEP_TOL
+    assert t.device.chi == pytest.approx(tune_cascade(cav).device.chi, rel=1e-8)
 
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
 @pytest.mark.parametrize("tune", [False, True])
 def test_the_tuner_keeps_the_fold_compare_scores(paper_solution, model, tune):
     # the fold that stops the loop is the cascade's jets at omega_p, bit for
-    # bit a fresh _weight_fold there, and compare_schemes reads it
-    from qparity.eraser import _residuals
+    # bit a fresh _weight_fold there, and compare_schemes reads it; the
+    # tuner's result is the cavity's solution, as one built from the device
+    # and omega_p alone
+    from qparity.eraser import EraserSolution, _residuals
 
     dev = cavity(model=model)
     t = tune_cascade(dev) if tune else _newton_symmetric(dev)
-    fresh = _weight_fold(t.cavity, t.omega_p, jets=True)
+    assert t == EraserSolution(t.device, t.omega_p)
+    fresh = _weight_fold(t.device, t.omega_p, jets=True)
     assert len(t.jets) == len(fresh)
     for kept, folded in zip(t.jets, fresh):
         assert kept.shape == folded.shape
@@ -303,7 +316,7 @@ def test_tune_cascade_work_count(monkeypatch):
 
 
 def test_tuned_eraser_conditions_hold(tuned):
-    dev = tuned.cavity
+    dev = tuned.device
     wp = tuned.omega_p
     th = _cascade_sums(_weight_fold(dev, wp), [QubitState.of_weight(3, w) for w in range(4)])
     assert th[0] - th[2] - TWO_PI == pytest.approx(0.0, abs=1e-6)

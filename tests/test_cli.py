@@ -860,15 +860,14 @@ def test_compare_scores_a_four_qubit_device(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_solve_and_compare_free_the_gaps_where_the_solver_needs_them(
         tmp_path, monkeypatch, command):
-    # the one rule, eraser._gaps_needed, which solve_eraser's own refusal
-    # reads: the gaps are freed from n = 4 on, and below only by
-    # --free-modes, which compare does not take
+    # solve_eraser frees the gaps from n = 4 on by itself, so the CLI asks
+    # for them only with --free-modes, which compare does not take
     from qparity import cli, eraser
 
     calls = []
 
     def recording_solve(dev, **kwargs):
-        calls.append((dev.n, kwargs.get("free", ("chi",))))
+        calls.append((dev.n, kwargs.get("free")))
         raise eraser.NoSolution("recorded")
 
     monkeypatch.setattr(cli, "solve_eraser", recording_solve)
@@ -879,13 +878,13 @@ def test_solve_and_compare_free_the_gaps_where_the_solver_needs_them(
         cas.write_text(json.dumps(dict(CASCADE_CONFIG, n_qubits=n)))
         argv = ["solve", str(cfg)] if command == "solve" else ["compare", str(cfg), str(cas)]
         assert main(argv) == 4
-        assert eraser._gaps_needed(n) == (n >= 4)
-    free = ("chi", "mode_frequencies")
-    assert calls == [(n, free if n >= 4 else ("chi",)) for n in range(2, 9)]
+    assert calls == [(n, None) for n in range(2, 9)]
     if command == "solve":
         calls.clear()
-        assert main(["solve", str(tmp_path / "n3.json"), "--free-modes"]) == 4
-        assert calls == [(3, free)]
+        for n in (3, 4):
+            assert main(["solve", str(tmp_path / f"n{n}.json"), "--free-modes"]) == 4
+        free = ("chi", "mode_frequencies")
+        assert calls == [(3, free), (4, free)]
 
 
 def test_solution_reports_bare_and_loaded_poles(solved):
@@ -1028,8 +1027,51 @@ def test_write_json_refuses_non_finite(tmp_path):
 
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            _write_json(tmp_path / "x.json", {"a": [1.0, bad]})
+            _write_json(tmp_path / "x.json", "--out", {"a": [1.0, bad]})
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--out"), ("sweep", "--out"), ("fidelity", "--out-json"),
+    ("fidelity", "--out-csv"), ("compare", "--out"), ("estimate", "--json")])
+def test_unwritable_output_path_exits_2_in_one_line(solved, tmp_path, capsys, command,
+                                                    flag, where):
+    # a directory, or a path under a regular file, cannot be written: the
+    # writer refuses it as a config error naming its flag, with nothing on
+    # stdout, and the path stays as it was
+    cfg, sol = solved
+    if where == "directory":
+        target = tmp_path / "adir"
+        target.mkdir()
+    else:
+        (tmp_path / "afile").write_text("kept")
+        target = tmp_path / "afile" / "out.json"
+    fixed, cas = tmp_path / "fixed.json", tmp_path / "cascade.json"
+    fixed.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
+    cas.write_text(json.dumps(CASCADE_CONFIG))
+    argv = {"solve": ["solve", str(cfg)], "sweep": ["sweep", str(fixed), "--points", "3"],
+            "fidelity": ["fidelity", str(cfg), str(sol)],
+            "compare": ["compare", str(cfg), str(cas)], "estimate": ESTIMATE_ARGS}[command]
+    assert main([*argv, flag, str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: argument {flag}: cannot write {target}: ")
+    assert err.count("\n") == 1
+    if where == "directory":
+        assert target.is_dir() and not any(target.iterdir())
+    else:
+        assert (tmp_path / "afile").read_text() == "kept"
+
+
+def test_estimate_writes_its_json_and_prints_its_table(tmp_path, capsys):
+    # the JSON is written before the table prints; both as without the other
+    assert main(ESTIMATE_ARGS) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "est.json"
+    assert main([*ESTIMATE_ARGS, "--json", str(out)]) == 0
+    assert capsys.readouterr().out == table
+    assert json.loads(out.read_text())["peak_power"]["watts"] > 0.0
 
 
 def test_overflowing_phase_derivatives_end_in_one_line(solved, tmp_path, capsys):

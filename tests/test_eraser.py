@@ -162,12 +162,13 @@ def test_refuses_two_modes_four_qubits():
         solve_eraser(dev)
 
 
-def test_four_qubits_fixed_modes_needs_freed_frequencies():
-    dev = ParityDevice.equal_coupling(
-        4, (Mode(TWO_PI * 9.97e9, 1e-14), Mode(TWO_PI * 10.0e9, 1e-14),
-            Mode(TWO_PI * 10.03e9, 1e-14)), TWO_PI * 8e6)
-    with pytest.raises(NoSolution):
-        solve_eraser(dev)
+def test_four_qubits_free_the_gaps_unasked():
+    # three conditions outnumber (omega_p, chi): the solver frees the mode
+    # gaps itself, so the default free=("chi",) gives the freed solve's
+    # every field
+    dev = four_qubit_device()
+    freed = solution_to_dict(solve_eraser(dev, free=("chi", "mode_frequencies")))
+    assert solution_to_dict(solve_eraser(dev)) == freed
 
 
 def test_solver_requires_equal_chi(paper_device):

@@ -39,13 +39,13 @@ def test_weights_normalize_default_grid():
 
 
 def test_weights_normalize_2001_points():
-    grid = build_mode_grid(W_P, 1e6, span_sigmas=8.0, points=2001)
+    grid = build_mode_grid(W_P, 1e6, points=2001)
     assert 1.0 - 1e-6 <= grid.weight_norm <= 1.0
 
 
 def test_weights_normalize_fine_spacing():
     # spacing W/1000 over +/- 8 W
-    grid = build_mode_grid(W_P, 1e6, span_sigmas=8.0, points=16001)
+    grid = build_mode_grid(W_P, 1e6, points=16001)
     assert 1.0 - 1e-6 <= grid.weight_norm <= 1.0
 
 
@@ -61,8 +61,6 @@ def test_center_weight_is_maximal():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        build_mode_grid(W_P, 1e6, span_sigmas=5.0)
     with pytest.raises(ValueError):
         build_mode_grid(W_P, 1e6, points=4000)
     with pytest.raises(ValueError):

@@ -13,6 +13,12 @@ running this one command on each and diffing the lines.  A digest covers
 every op's exit code, stdout, stderr and written files, in op order; the
 inputs are written with relative paths in a fresh directory, so no message
 carries a temporary path.
+
+After the corpus digest three report lines follow, which read the same
+runs and change no digest: the exit-4 devices by the reason their message
+gives, the exit-0 roots by |delta_theta|, and the jets folds per solve
+(calls of qparity.device._fold_jets), at the nearest-rank p50 and p90 and
+at their maximum.
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ import argparse
 import collections
 import contextlib
 import hashlib
+import importlib
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -34,8 +43,16 @@ from corpus import SIZE, devices  # noqa: E402
 from workloads import PAPER_CONFIG, WORKLOADS, generate, prepare, write_json  # noqa: E402
 
 
-def invoke(cli, argv: list, outputs: list, digest) -> int:
-    """cli.main on argv, its exit code, stdout, stderr and outputs digested."""
+# exit-4 message text -> its reason, first match wins
+NO_SOLUTION_REASONS = ("modes required", "reaches f <= 0", "Newton failed")
+# lower edges of the |delta_theta| bins in degrees; the last bin is pi itself
+CONTRAST_BINS = (("<1", -math.inf), ("1-10", 1.0), ("10-45", 10.0), ("45-90", 45.0),
+                 ("90-180", 90.0), ("180", 180.0 - 1e-6))
+
+
+def invoke(cli, argv: list, outputs: list, digest) -> tuple[int, str]:
+    """cli.main on argv, its exit code, stdout, stderr and outputs digested;
+    returns the exit code and stderr."""
     for path in outputs:
         path.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
@@ -48,28 +65,61 @@ def invoke(cli, argv: list, outputs: list, digest) -> int:
     for path in outputs:
         if path.exists():
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return rc
+    return rc, err.getvalue()
 
 
-def workload_digest(cli, workload: str, count: int) -> tuple[str, collections.Counter]:
+def workload_digest(cli, workload: str, count: int) -> tuple[str, collections.Counter, list]:
     digest, exits, work = hashlib.sha256(), collections.Counter(), Path(".")
     write_json(work / "paper.json", PAPER_CONFIG)
     if WORKLOADS[workload].fixed_solve:
         invoke(cli, ["solve", "paper.json", "--out", "paper_solution.json"],
                [Path("paper_solution.json")], digest)
     for index, op in enumerate(generate(workload, 0, count)):
-        exits[invoke(cli, *prepare(workload, index, op, work), digest)] += 1
-    return digest.hexdigest(), exits
+        exits[invoke(cli, *prepare(workload, index, op, work), digest)[0]] += 1
+    return digest.hexdigest(), exits, []
 
 
-def corpus_digest(cli, count: int) -> tuple[str, collections.Counter]:
+def nearest_rank(values: list, p: float):
+    """The nearest-rank p-th percentile of values, None for none."""
+    ordered = sorted(values)
+    return ordered[max(math.ceil(p / 100.0 * len(ordered)), 1) - 1] if ordered else None
+
+
+def corpus_digest(cli, count: int) -> tuple[str, collections.Counter, list]:
     digest, exits, out = hashlib.sha256(), collections.Counter(), Path("solution.json")
-    for index, (config, free) in enumerate(devices(count)):
-        path = Path(f"device{index}.json")
-        write_json(path, config)
-        argv = ["solve", str(path), "--out", str(out)] + ["--free-modes"] * free
-        exits[invoke(cli, argv, [out], digest)] += 1
-    return digest.hexdigest(), exits
+    reasons = collections.Counter({reason: 0 for reason in (*NO_SOLUTION_REASONS, "other")})
+    contrast = collections.Counter({label: 0 for label, _ in CONTRAST_BINS})
+    device = importlib.import_module("qparity.device")
+    fold, folds = device._fold_jets, []
+
+    def counted_fold(*args, **kwargs):
+        folds[-1] += 1
+        return fold(*args, **kwargs)
+
+    device._fold_jets = counted_fold
+    try:
+        for index, (config, free) in enumerate(devices(count)):
+            path = Path(f"device{index}.json")
+            write_json(path, config)
+            argv = ["solve", str(path), "--out", str(out)] + ["--free-modes"] * free
+            folds.append(0)
+            rc, err = invoke(cli, argv, [out], digest)
+            exits[rc] += 1
+            if rc == 4:
+                reasons[next((r for r in NO_SOLUTION_REASONS if r in err), "other")] += 1
+            elif rc == 0:
+                dth = abs(json.loads(out.read_text())["delta_theta_deg"])
+                contrast[[label for label, lo in CONTRAST_BINS if dth >= lo][-1]] += 1
+    finally:
+        device._fold_jets = fold
+    report = [
+        "  exit 4 by reason: " + ", ".join(f"{r} {k}" for r, k in reasons.items()),
+        "  exit 0 by |delta_theta| deg: " + ", ".join(f"{b} {k}" for b, k in contrast.items()),
+        "  folds per solve: " + ", ".join(
+            f"{name} {nearest_rank(folds, p)}" for name, p in (("p50", 50), ("p90", 90),
+                                                               ("max", 100))),
+    ]
+    return digest.hexdigest(), exits, report
 
 
 def main(argv=None) -> int:
@@ -92,11 +142,13 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
-                digest, exits = run(cli, *args)
+                digest, exits, report = run(cli, *args)
             finally:
                 os.chdir(cwd)
         tally = ", ".join(f"exit {rc}: {k}" for rc, k in sorted(exits.items()))
         print(f"{name:<20} {what:<18} {digest}  ({tally})")
+        for line in report:
+            print(line)
     return 0
 
 
