@@ -282,9 +282,11 @@ def _newton(evaluate, start, iterations: int, tol: float, shortest: float):
     the residuals r, a callable for d r/d x and what the caller keeps of x;
     ``start`` is (x, r, jacobian, kept), read by the caller, unscreened.  A
     trial point is taken if it lies in the domain and lowers |r|, its step
-    halved from 1 while at least ``shortest``.  Stops after ``iterations``
-    steps, at max|r| < tol (tol 0: never), when no step is taken or lstsq
-    fails; returns the last x taken, its residuals and what was kept.
+    halved from 1 while at least ``shortest`` and the trial point differs
+    from x (rounding is monotone: no shorter step leaves x either).  Stops
+    after ``iterations`` steps, at max|r| < tol (tol 0: never), when no step
+    is taken or lstsq fails; returns the last x taken, its residuals and
+    what was kept.
     """
     x, r, jacobian, kept = start
     norm = np.linalg.norm(r)
@@ -296,8 +298,9 @@ def _newton(evaluate, start, iterations: int, tol: float, shortest: float):
         except np.linalg.LinAlgError:
             break
         lam = 1.0
-        while lam >= shortest:
-            xn = x + step  # step is lam times the Newton step: halving is exact
+        # step is lam times the Newton step: halving is exact.  A trial that
+        # rounds back to x would be rejected, as would every shorter one
+        while lam >= shortest and ((xn := x + step) != x).any():
             if (trial := evaluate(xn)) is not None:
                 r_n, jacobian_n, kept_n = trial
                 if (norm_n := np.linalg.norm(r_n)) < norm:
@@ -373,19 +376,18 @@ def _pole_model(dev: ParityDevice):
 
 
 def _model_thetas(model, n: int, wp, chi):
-    """Pole-model phases theta_w, w = 0..n, at broadcast (wp, chi), in numpy:
-    weight w moves zero k to z_k + (n - 2w) chi zeta_k, and
+    """Pole-model phases theta_w, w = 0..n, at broadcast (wp, chi), in numpy,
+    every weight in one pass along a leading weight axis: weight w moves
+    zero k to z_k + (n - 2w) chi zeta_k, and
     theta_w = -2 atan(z0 sum_k K_k/(omega - z_k)) - 2 pi #{z_k <= omega}."""
-    th = []
-    for w in range(n + 1):
-        y = passed = 0.0
-        with np.errstate(all="ignore"):  # on a zero y = +-inf, atan's limit
-            for z, z0k, zeta in zip(*model):
-                offset = wp - (z + (n - 2 * w) * chi * zeta)
-                y = y + z0k / offset
-                passed = passed + (offset >= 0.0)
-            th.append(-2.0 * np.arctan(y) - TWO_PI * passed)
-    return np.array(th)
+    shift = (n - 2 * np.arange(n + 1)).reshape(-1, *[1] * np.broadcast(wp, chi).ndim)
+    y = passed = 0.0
+    with np.errstate(all="ignore"):  # on a zero y = +-inf, atan's limit
+        for z, z0k, zeta in zip(*model):
+            offset = wp - (z + shift * chi * zeta)
+            y = y + z0k / offset
+            passed = passed + (offset >= 0.0)
+    return -2.0 * np.arctan(y) - TWO_PI * passed
 
 
 def _model_point(model, n: int, wp: float, chi: float):

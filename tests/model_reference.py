@@ -1,9 +1,10 @@
-"""Reference pole-model point for tests: the numpy-scalar loop qparity's
-model polish ran before its point moved to Python floats.
+"""Reference pole-model evaluations for tests: the numpy-scalar loop
+qparity's model polish ran before its point moved to Python floats, and the
+weight-by-weight loop of the model grid before its weights were broadcast.
 
-Every sum runs on numpy float64 scalars under np.errstate(all="ignore"), so
-a zero offset gives an inf atan argument and inf slopes, as numpy divides;
-it shares no code with eraser._model_point.
+Every sum runs on numpy float64 under np.errstate(all="ignore"), so a zero
+offset gives an inf atan argument and inf slopes, as numpy divides; neither
+shares code with eraser._model_point or eraser._model_thetas.
 """
 
 from __future__ import annotations
@@ -33,3 +34,18 @@ def reference_model_point(model, n: int, wp, chi):
             d_wp.append(gain * g_wp)
             d_chi.append(-gain * (n - 2 * w) * g_chi)
     return np.array(th), np.array(d_wp), np.array(d_chi)
+
+
+def reference_model_thetas(model, n: int, wp, chi):
+    """theta_w, w = 0..n, of the pole model at broadcast (wp, chi), one
+    weight at a time, each sum in pole order."""
+    th = []
+    for w in range(n + 1):
+        y = passed = 0.0
+        with np.errstate(all="ignore"):
+            for z, z0k, zeta in zip(*model):
+                offset = wp - (z + (n - 2 * w) * chi * zeta)
+                y = y + z0k / offset
+                passed = passed + (offset >= 0.0)
+            th.append(-2.0 * np.arctan(y) - TWO_PI * passed)
+    return np.array(th)

@@ -671,6 +671,30 @@ def test_float_model_point_matches_numpy_scalar_reference(n, m, model, f0_ghz, g
     assert not np.isfinite(reference_model_point(pole_model, n, wp, chi)[1][w])
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_model_grid_folds_every_weight_as_the_weight_loop(paper_device, n):
+    # the grid's one broadcast pass over the weight axis against the
+    # weight-by-weight loop it replaced (tests/model_reference.py), bit for
+    # bit, on the solver's own grid of the paper and the n = 4 device, and
+    # at one scalar point with weight 1's zero 0 moved onto omega_p
+    from model_reference import reference_model_thetas
+
+    from qparity import eraser
+
+    dev = paper_device if n == 3 else four_qubit_device()
+    model = eraser._pole_model(dev)
+    search, _ = eraser._solver_band(dev, eraser.DEFAULT_CHI_RANGE)
+    chi_grid = np.geomspace(*eraser.DEFAULT_CHI_RANGE, eraser.GRID_POINTS)
+    wps = np.linspace(*search, eraser.PROBE_POINTS)
+    chi = TWO_PI * 5e6
+    for wp, chi in ((wps[None, :], chi_grid[:, None]),
+                    (model[0][0] + (n - 2) * chi * model[2][0], chi)):
+        th = eraser._model_thetas(model, n, wp, chi)
+        expected = reference_model_thetas(model, n, wp, chi)
+        assert th.shape == expected.shape
+        assert (th.view(np.int64) == expected.view(np.int64)).all()
+
+
 def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
     # one candidate, polished to the model's root: 3e-6 and 4e-6 from the
     # exact root in omega_p and chi (the residues differ by 0.6% and the
@@ -933,6 +957,21 @@ def test_newton_halving_ends_below_the_shortest_step(shortest, fractions):
     _newton(evaluate, _start(point, 0.0), 30, 1e-9, shortest)
     assert tried == [2.0 ** -k for k in range(fractions)]
     assert visited == [0.0]
+
+
+def test_newton_never_evaluates_a_trial_that_rounds_back_to_x():
+    # above 2**53 the float spacing is 2.  With r = (x - 2**53) - 1.5 the
+    # step 1.5 lands on 2**53 + 2 and is taken; the next step, -0.5, rounds
+    # back to that x, and so would every shorter one: the loop ends there
+    # unevaluated.  With r = (x - 2**53) - 0.9 no trial leaves the start
+    from qparity.eraser import _newton
+
+    top = 2.0 ** 53
+    for offset, expected in ((1.5, [top, top + 2.0]), (0.9, [top])):
+        visited = []
+        evaluate, point = _one_unknown(lambda x: (x - top) - offset, lambda x: 1.0, visited)
+        x, _, _ = _newton(evaluate, _start(point, top), 30, 1e-12, 1e-10)
+        assert visited == expected and x.tolist() == expected[-1:]
 
 
 def test_newton_tol_stops_the_loop_before_a_step():
