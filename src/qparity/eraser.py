@@ -5,18 +5,23 @@ probe frequency, theta_wt(i) = theta_wt(i+2) + 2*pi for every weight pair
 two apart: n-1 residuals.  Every n >= 1 takes one path.  Near the probe
 each branch's susceptance is one pole at its series zero, B ~ sum_k
 K_k/(omega - z_k), and a weight-w state moves each zero by (n - 2w) chi
-dz_k/d omega_r.  A coarse residual-norm grid over (omega_p, chi) on this
-pole model localizes smooth basins (the landscape has 2*pi jumps at the
-zeros).  One damped least-squares Newton loop serves two stages: full
-steps on the model polish each basin, then steps halved down to 1e-10 on
-the exact phase derivatives move x = (omega_p, chi[, gaps]) onto the root
-set.  A trial step is evaluated only inside the search box and where
+dz_k/d omega_r.  This pole model seeds the solve.  For n = 3 with fixed
+gaps, the one square case, its roots in (omega_p, chi) are isolated, and
+the seeds are every real one in the search box: the roots of one
+polynomial, the resultant of the two conditions cleared of their
+denominators (on two modes a closed form; with equal couplers the probe
+midway between the zeros and chi = (zero spacing)/(2 sqrt 3)).  Otherwise,
+and as the fallback where no model root lies in the box or one fails to
+verify, a coarse residual-norm grid over (omega_p, chi) on the model
+localizes smooth basins (the landscape has 2*pi jumps at the zeros).  One
+damped least-squares Newton loop serves two stages: full steps on the
+model polish each seed, then steps halved down to 1e-10 on the exact
+phase derivatives move x = (omega_p, chi[, gaps]) onto the root set.  A
+trial step is evaluated only inside the search box and where
 device._weight_rows, the one home of the pull rule, gives its weight rows
 back, so a step the device would refuse is halved, not raised.  Every
 returned root is verified by its residuals, and the most distinguishable
-one (largest |sin(delta_theta/2)|) wins.  On two modes with equal
-couplers the n = 3 model root is closed form: the probe midway between
-the zeros, and chi = (zero spacing)/(2 sqrt 3).
+one (largest |sin(delta_theta/2)|) wins.
 
 With mode frequencies freed, and always from n = 4 on (3 conditions vs 2
 knobs), the mode gaps join the unknowns.  Where the unknowns outnumber
@@ -62,11 +67,12 @@ DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
 NEWTON_MAX_ITER = 30
 MIN_STEP = 1e-10  # exact-stage steps halve down to this fraction of the Newton step
-GRID_FAIL_NORM = 1.0  # rad; grid minima above this are no basin to polish
+GRID_FAIL_NORM = 1.0  # rad; model seeds above this are no basin to polish
 GRID_POINTS = 33  # pole-model grid density along chi
 PROBE_POINTS = 129  # pole-model grid density along omega_p
 GRID_TOP_K = 12       # grid basins Gauss-Newton starts from, best first
-MODEL_NEWTON_STEPS = 8  # Newton steps on the pole model from a grid basin
+MODEL_NEWTON_STEPS = 8  # Newton steps on the pole model from a seed
+MODEL_ROOT_TOL = 1e-9  # rad; a polished model root's residuals are below this
 
 
 class EraserError(Exception):
@@ -435,27 +441,139 @@ def _grid_minima(norm: np.ndarray, wps: np.ndarray, chi_grid: np.ndarray):
     return cands, best_cell
 
 
-def _grid_candidates(dev0: ParityDevice, band, chi_grid, wp_points):
-    """Local minima of the pole model's residual norm on the (omega_p, chi)
-    grid, best first, each polished by full _newton steps on the model that
-    stay in the grid's box; with no conditions (n = 1) the contrast row's
-    |cos(delta_theta/2)|."""
+def _model_stage(model, n: int, band, chi_range):
+    """(evaluate, point) of _newton on the pole model in x = (omega_p, chi),
+    as _exact_stage's: point(x) reads a start, evaluate(x) keeps x in the
+    box (omega_p in band, chi in chi_range)."""
+    def point(x):
+        th, d_wp, d_chi = _model_point(model, n, x[0], x[1])
+        return _residuals(th), lambda: np.column_stack(
+            [d_wp[:-2] - d_wp[2:], d_chi[:-2] - d_chi[2:]]), None
+
+    def evaluate(x):
+        if band[0] < x[0] < band[1] and chi_range[0] <= x[1] <= chi_range[1]:
+            return point(x)
+        return None
+
+    return evaluate, point
+
+
+def _real_roots(coefficients) -> np.ndarray:
+    """The real roots of a polynomial (descending coefficients): those that
+    np.roots gives within 1e-6 relative of the real axis; a linear one's
+    root divided out."""
+    if len(coefficients) == 2 and coefficients[0]:
+        return np.array([-coefficients[1] / coefficients[0]])
+    roots = np.roots(coefficients)
+    return roots.real[abs(roots.imag) <= 1e-6 * np.maximum(1.0, abs(roots))]
+
+
+def _resultant_points(model) -> list:
+    """(omega_p, chi) candidates for the n = 3 model roots on m >= 3 modes,
+    from the resultant of _model_roots, not yet screened."""
+    z, z0k, zeta = model
+    m, mid, spread = len(z), float(np.mean(z)), float(np.ptp(z))
+    if not spread > 0.0:
+        return []
+    scaled, weight = (z - mid) / spread, z0k * zeta
+
+    def coefficients(u):
+        """P's coefficients in v, ascending, at each u: (len(u), 2m - 1)."""
+        c = u[:, None] - scaled
+        factors = (c * c, -2.0 * zeta * c, np.broadcast_to(-3.0 * zeta ** 2, c.shape))
+        total = 0.0
+        for k in range(m):
+            term = np.full((len(u), 1), weight[k], dtype=c.dtype)
+            for j in range(m):
+                if j != k:  # term times c_j^2 - 2 zeta_j c_j v - 3 zeta_j^2 v^2
+                    wider = np.zeros((len(u), term.shape[1] + 2), dtype=c.dtype)
+                    for p, factor in enumerate(factors):
+                        wider[:, p:p + term.shape[1]] += term * factor[:, j, None]
+                    term = wider
+            total = total + term
+        return total
+
+    size, degree = 2 * m - 3, (m - 1) * (2 * m - 3)
+    circle = np.exp(2j * math.pi * np.arange(degree + 1) / (degree + 1))
+    parts = coefficients(circle)
+    sylvester = np.zeros((degree + 1, size, size), dtype=complex)
+    for i in range(m - 2):
+        sylvester[:, i, i:i + m] = parts[:, -1::-2]  # E, descending in t
+    for i in range(m - 1):
+        sylvester[:, m - 2 + i, i:i + m - 1] = parts[:, -2::-2]  # O, descending in t
+    resultant = np.vander(circle.conj(), increasing=True).T @ np.linalg.det(sylvester)
+    us = _real_roots(resultant.real[::-1])
+    return [(mid + spread * u, spread * math.sqrt(t))
+            for u, row in zip(us.tolist(), coefficients(us).real)
+            for t in _real_roots(row[-2::-2]).tolist() if t > 0.0]
+
+
+def _model_roots(model, band, chi_range) -> list:
+    """Every real root (omega_p, chi) of the n = 3 pole-model conditions
+    with omega_p in band and chi in chi_range, polished by full _newton
+    steps on the model (_model_stage) down to MIN_TOL, by ascending omega_p.
+
+    In u = (omega_p - z_mean)/g and v = chi/g, g the zeros' spread, the
+    pair (0, 2) condition y_0 = y_2 of _model_thetas is P(u, v) = 0, with
+    P = sum_k A_k prod_{j != k} (u - u_j - 3 v zeta_j)(u - u_j + v zeta_j),
+    u_j the scaled zeros and A_k = z0 K_k zeta_k; the pair (1, 3) condition
+    is P(u, -v) = 0.  So the even and odd parts of P in v, E(u, t) and
+    O(u, t) with t = v^2, vanish together, and their resultant in t (a
+    Sylvester determinant of size 2m - 3) is one polynomial in u of degree
+    at most (m - 1)(2m - 3), read off its values on the unit circle and
+    solved by np.roots; each real u gives t from O.  On m = 2, O is linear
+    in u and free of t, and E linear in t: the closed form
+    omega_p = z_0 + K_0 (z_1 - z_0)/(K_0 + K_1) and
+    chi = |z_1 - z_0| sqrt(K_0 K_1/(3 zeta_0 zeta_1))/|K_0 + K_1|,
+    on symmetric devices the midpoint and (zero spacing)/(2 sqrt 3 zeta).
+    A candidate is a root where the model's residual norm is below
+    GRID_FAIL_NORM and, polished, its residuals below MODEL_ROOT_TOL: that
+    enforces the zero counts (a count off by one leaves 2 pi) and drops the
+    points that clearing the denominators added, where some y_w has a pole.
+    """
+    if len(model[0]) == 2:
+        (z_0, z_1), (k_0, k_1), (s_0, s_1) = model.tolist()
+        ratio = k_0 * k_1 / (3.0 * s_0 * s_1)
+        points = [(z_0 + k_0 * (z_1 - z_0) / (k_0 + k_1),
+                   abs(z_1 - z_0) * math.sqrt(ratio) / abs(k_0 + k_1))] if ratio > 0.0 else []
+    else:
+        points = _resultant_points(model)
+    (evaluate, point), roots = _model_stage(model, 3, band, chi_range), []
+    for wp, chi in points:
+        if not (band[0] < wp < band[1] and chi_range[0] <= chi <= chi_range[1]):
+            continue
+        start = (x := np.array([wp, chi]), *point(x))
+        if not np.linalg.norm(start[1]) < GRID_FAIL_NORM:  # a zero count off: |r| ~ 2 pi
+            continue
+        x, r, _ = _newton(evaluate, start, MODEL_NEWTON_STEPS, MIN_TOL, 1.0)
+        wp, chi = x.tolist()
+        if np.max(np.abs(r)) < MODEL_ROOT_TOL and not any(
+                abs(wp - w) < TWO_PI * 1e4 and abs(chi - c) < TWO_PI * 1e3 for w, c in roots):
+            roots.append((wp, chi))
+    return sorted(roots)
+
+
+def _seeds(dev0: ParityDevice, band, chi_range, square: bool):
+    """Seeds of the exact stage as (model residual norm, omega_p, chi), and
+    the grid's best cell (None without a grid).
+
+    ``square`` (n = 3, fixed gaps): every real pole-model root in the box
+    (_model_roots), its norm taken as 0.  Else the local minima of the model's residual norm on
+    a GRID_POINTS x PROBE_POINTS grid over the box, best first, each
+    polished by full _newton steps on the model (_model_stage) where there
+    are conditions and no gaps to free (n = 2, 3); with no conditions
+    (n = 1) the contrast row's |cos(delta_theta/2)|."""
     model, n = _pole_model(dev0), dev0.n
-    wps = np.linspace(band[0], band[1], wp_points)
+    if square:
+        return [(0.0, wp, chi) for wp, chi in _model_roots(model, band, chi_range)], None
+    chi_grid = np.geomspace(chi_range[0], chi_range[1], GRID_POINTS)
+    wps = np.linspace(band[0], band[1], PROBE_POINTS)
     th = _model_thetas(model, n, wps[None, :], chi_grid[:, None])
     r = _residuals(th) if n > 1 else np.cos(0.5 * (th[:1] - th[1:]))
     cands, best_cell = _grid_minima(np.sqrt((r ** 2).sum(axis=0)), wps, chi_grid)
     # n = 1 has no conditions to polish; n > 3 needs the gaps, which the grid holds
     if 2 <= n <= 3:
-        def point(x):
-            th, d_wp, d_chi = _model_point(model, n, x[0], x[1])
-            return _residuals(th), lambda: np.column_stack(
-                [d_wp[:-2] - d_wp[2:], d_chi[:-2] - d_chi[2:]]), None
-
-        def evaluate(x):
-            if band[0] < x[0] < band[1] and chi_grid[0] <= x[1] <= chi_grid[-1]:
-                return point(x)
-            return None
+        evaluate, point = _model_stage(model, n, band, chi_range)
 
         def polish(x):
             return _newton(evaluate, (x, *point(x)), MODEL_NEWTON_STEPS, 0.0, 1.0)[0].tolist()
@@ -490,7 +608,10 @@ def _assemble(dev0: ParityDevice, mean: float, roots: list, tol: float) -> Erase
 def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool):
     """Pole-model seeds, the exact stage onto the root set, then _assemble.
 
-    The gaps start at the template's spacing.  Where the unknowns outnumber
+    For n = 3 with fixed gaps the seeds are the model's roots in the box;
+    where there is none, or the exact stage fails from one, the grid's
+    seeds join them, and _assemble ranks every verified root.  The gaps
+    start at the template's spacing.  Where the unknowns outnumber
     the n - 1 conditions the roots form a family; a second exact stage from
     each root, started on the root's own fold, adds cos(delta_theta/2) = 0,
     the best score _assemble ranks, and both roots compete.  It runs on to
@@ -498,27 +619,38 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
     answer; a verified contrast root ends the search, as nothing later
     scores higher.
     """
-    chi_grid = np.geomspace(chi_range[0], chi_range[1], GRID_POINTS)
-    cands, best_cell = _grid_candidates(dev0, band, chi_grid, PROBE_POINTS)
     gaps0 = np.diff([mo.omega for mo in dev0.modes]) if free_gaps else []
     underdetermined = 2 + len(gaps0) > dev0.n - 1
     mean = float(np.mean([mo.omega for mo in dev0.modes]))
     evaluate, point = _exact_stage(dev0, mean, band, chi_range)
     evaluate_c, point_c = _exact_stage(dev0, mean, band, chi_range, contrast=True)
     roots = []
-    for _, wp0, chi0 in cands or [best_cell]:
-        x0 = np.array([wp0, chi0, *gaps0])
-        x, r, jets = _newton(evaluate, (x0, *point(x0)), NEWTON_MAX_ITER, tol, MIN_STEP)
-        if np.max(np.abs(r), initial=0.0) >= tol:
-            continue
-        if underdetermined:
-            xc, rc, jets_c = _newton(evaluate_c, (x, *point_c(x, jets)), NEWTON_MAX_ITER,
-                                     MIN_TOL, MIN_STEP)
-            if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
-                roots.append((xc, jets_c))  # ahead of x: it outlives a near-duplicate x
-        roots.append((x, jets))
-        if underdetermined and np.max(np.abs(rc)) < tol:
-            break
+
+    def descend(seeds) -> bool:
+        """The exact stage from each seed, its verified roots into roots;
+        False if some seed verifies no root."""
+        verified = True
+        for _, wp0, chi0 in seeds:
+            x0 = np.array([wp0, chi0, *gaps0])
+            x, r, jets = _newton(evaluate, (x0, *point(x0)), NEWTON_MAX_ITER, tol, MIN_STEP)
+            if np.max(np.abs(r), initial=0.0) >= tol:
+                verified = False
+                continue
+            if underdetermined:
+                xc, rc, jets_c = _newton(evaluate_c, (x, *point_c(x, jets)), NEWTON_MAX_ITER,
+                                         MIN_TOL, MIN_STEP)
+                if np.max(np.abs(rc[:-1]), initial=0.0) < tol:
+                    roots.append((xc, jets_c))  # ahead of x: it outlives a near-duplicate x
+            roots.append((x, jets))
+            if underdetermined and np.max(np.abs(rc)) < tol:
+                break
+        return verified
+
+    square = dev0.n == 3 and not free_gaps
+    seeds, best_cell = _seeds(dev0, band, chi_range, square) if square else ([], None)
+    if not (seeds and descend(seeds)):
+        cands, best_cell = _seeds(dev0, band, chi_range, False)
+        descend(cands or [best_cell])
     if not roots:
         raise NoSolution(
             f"Newton failed from every pole-model seed; best cell: "

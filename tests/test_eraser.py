@@ -114,14 +114,18 @@ def test_solution_reports_conventions(paper_solution):
 
 def test_grid_start_independence(monkeypatch, paper_device):
     # the pole-model grid's densities along chi and omega_p are module
-    # constants, both moved here per solve
+    # constants, both moved here per solve.  The fixed-gap paper solve seeds
+    # from the model's roots, not the grid; with its gaps freed the roots
+    # form a family, seeded from the grid, and the solve goes to its
+    # delta_theta = pi point
     from qparity import eraser
 
     sols = []
     for chi_points, probe_points in ((33, 65), (65, 129), (129, 257)):
         monkeypatch.setattr(eraser, "GRID_POINTS", chi_points)
         monkeypatch.setattr(eraser, "PROBE_POINTS", probe_points)
-        sols.append(solve_eraser(paper_device))
+        sols.append(solve_eraser(paper_device, free=("chi", "mode_frequencies")))
+    assert all(abs(s.delta_theta) == pytest.approx(math.pi, abs=1e-9) for s in sols)
     fps = [s.omega_p for s in sols]
     chis = [s.chi for s in sols]
     assert max(fps) - min(fps) < TWO_PI * 10.0
@@ -486,13 +490,15 @@ def test_grid_minima_match_the_cell_by_cell_rule(monkeypatch, levels, seed):
 # the pole-model grid against the exact-curve grid
 # ----------------------------------------------------------------------
 
-def _exact_grid_candidates(dev0, band, chi_grid, wp_points):
-    """The coarse grid on the exact phase curves, one device and n + 1
-    curves per chi row: the reference for the solver's pole-model grid."""
+def _exact_grid_seeds(dev0, band, chi_range, square):
+    """eraser._seeds on the exact phase curves: the coarse grid's minima
+    whatever ``square``, one device and n + 1 curves per chi row; the
+    reference for the solver's pole-model roots and grid."""
     from qparity import eraser
     from qparity.device import weight_phase_curve
 
-    wps = np.linspace(band[0], band[1], wp_points)
+    chi_grid = np.geomspace(chi_range[0], chi_range[1], eraser.GRID_POINTS)
+    wps = np.linspace(band[0], band[1], eraser.PROBE_POINTS)
     norm = np.empty((len(chi_grid), len(wps)))
     for i, chi in enumerate(chi_grid):
         dev = dev0.with_chi(chi)
@@ -543,9 +549,11 @@ def _solve_or_none(dev, free):
     raises=AssertionError)
 def test_pole_model_grid_solves_whatever_the_exact_grid_solves(
         case, free_modes, model, f0_ghz, gap_mhz, couplers_ff, equal):
-    # the oracle is the same solve seeded from the exact-curve grid; where it
-    # verifies a root, the pole-model solve verifies one scoring no lower,
-    # and on a square system (n = 3, fixed modes) it is the same root
+    # the oracle is the same solve seeded from the exact-curve grid, on a
+    # square system (n = 3, fixed modes) too, where the solve seeds from the
+    # model's roots; where it verifies a root, the pole-model solve verifies
+    # one scoring no lower, and on a square system it finds the oracle's
+    # root among its basins
     from qparity import eraser
 
     n, m = case
@@ -557,7 +565,7 @@ def test_pole_model_grid_solves_whatever_the_exact_grid_solves(
     dev = ParityDevice.equal_coupling(n, modes, TWO_PI * 5e6, resonator_model=model)
     free = ("chi", "mode_frequencies") if free_modes else ("chi",)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eraser, "_grid_candidates", _exact_grid_candidates)
+        mp.setattr(eraser, "_seeds", _exact_grid_seeds)
         oracle = _solve_or_none(dev, free)
     assume(oracle is not None)
     sol = _solve_or_none(dev, free)
@@ -566,8 +574,8 @@ def test_pole_model_grid_solves_whatever_the_exact_grid_solves(
     score, oracle_score = (abs(math.sin(0.5 * s.delta_theta)) for s in (sol, oracle))
     assert score >= oracle_score - 1e-9
     if n == 3 and not free_modes:
-        assert sol.omega_p == pytest.approx(oracle.omega_p, rel=1e-9)
-        assert sol.chi == pytest.approx(oracle.chi, rel=1e-9)
+        assert any(wp == pytest.approx(oracle.omega_p, rel=1e-9)
+                   and chi == pytest.approx(oracle.chi, rel=1e-9) for wp, chi, _ in sol.basins)
 
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
@@ -696,19 +704,153 @@ def test_model_grid_folds_every_weight_as_the_weight_loop(paper_device, n):
 
 
 def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
-    # one candidate, polished to the model's root: 3e-6 and 4e-6 from the
-    # exact root in omega_p and chi (the residues differ by 0.6% and the
-    # model keeps only the poles), where exact residuals are 7e-3 rad
+    # one model root, the m = 2 closed form: 3e-6 and 4e-6 from the exact
+    # root in omega_p and chi (the residues differ by 0.6% and the model
+    # keeps only the poles), where exact residuals are 7e-3 rad.  The
+    # grid's one basin, polished on the model, is the same point to rounding
     from qparity import eraser
 
     search, _ = eraser._solver_band(paper_device, eraser.DEFAULT_CHI_RANGE)
-    chi_grid = np.geomspace(*eraser.DEFAULT_CHI_RANGE, 33)
-    cands, _ = eraser._grid_candidates(paper_device, search, chi_grid, 129)
-    (_, wp, chi), = cands
+    model = eraser._pole_model(paper_device)
+    (wp, chi), = eraser._model_roots(model, search, eraser.DEFAULT_CHI_RANGE)
     assert wp == pytest.approx(paper_solution.omega_p, rel=1e-5)
     assert chi == pytest.approx(paper_solution.chi, rel=1e-5)
     r = eraser_residuals(paper_device.with_chi(chi), wp)
     assert np.max(np.abs(r)) < 1e-2
+    (_, wp_grid, chi_grid), = eraser._seeds(paper_device, search, eraser.DEFAULT_CHI_RANGE,
+                                            square=False)[0]
+    assert wp == pytest.approx(wp_grid, rel=1e-15)
+    assert chi == pytest.approx(chi_grid, rel=1e-13)
+
+
+def _random_two_to_four_mode_device(m: int, seed: int):
+    """An n = 3 device on m random modes: 1-12 GHz, gaps of 5-60 MHz,
+    couplers of 3-20 fF, the stub or the lumped model."""
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate([[0.0], np.cumsum(rng.uniform(5.0, 60.0, m - 1))])
+    f0 = rng.uniform(1.0, 12.0)
+    modes = tuple(Mode(TWO_PI * (f0 * 1e9 + d * 1e6), c * 1e-15)
+                  for d, c in zip(offsets, rng.uniform(3.0, 20.0, m)))
+    return ParityDevice.equal_coupling(3, modes, TWO_PI * 5e6,
+                                       resonator_model=rng.choice(["stub", "lumped"]))
+
+
+def _dense_model_grid_roots(model, band, chi_range, rows=600, cols=4000):
+    """Every root the model polish reaches from a local minimum below
+    GRID_FAIL_NORM of the residual norm on a dense rows x cols grid over the
+    box: full Newton steps on the model until none lowers |r|, kept where
+    max|r| < 1e-9 rad.  The grid is built 50 chi rows at a time."""
+    from qparity import eraser
+
+    chi_grid = np.geomspace(*chi_range, rows)
+    wps = np.linspace(*band, cols)
+    norm = np.empty((rows, cols))
+    for a in range(0, rows, 50):
+        r = eraser._residuals(eraser._model_thetas(model, 3, wps[None, :],
+                                                   chi_grid[a:a + 50, None]))
+        norm[a:a + 50] = np.sqrt((r ** 2).sum(axis=0))
+    padded = np.pad(norm, 1, constant_values=np.inf)
+    window = np.min([padded[i:i + rows, j:j + cols] for i in range(3) for j in range(3)], axis=0)
+    evaluate, point = eraser._model_stage(model, 3, band, chi_range)
+    roots = []
+    for a, b in zip(*np.nonzero((norm <= window) & (norm < eraser.GRID_FAIL_NORM))):
+        x0 = np.array([wps[b], chi_grid[a]])
+        x, r, _ = eraser._newton(evaluate, (x0, *point(x0)), 30, 0.0, 1.0)
+        if np.max(np.abs(r)) < 1e-9:
+            roots.append(x.tolist())
+    return roots
+
+
+def _model_residuals(model, wp, chi):
+    from qparity import eraser
+
+    return eraser._residuals(eraser._model_point(model, 3, wp, chi)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 2])  # devices whose box holds a root for each m
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_model_roots_hold_every_root_a_dense_model_grid_reaches(m, seed):
+    # the resultant (the closed form on two modes) against a 600 x 4000
+    # grid over the same box, each of its local minima polished on the model
+    from qparity import eraser
+
+    dev = _random_two_to_four_mode_device(m, seed)
+    model = eraser._pole_model(dev)
+    band, _ = eraser._solver_band(dev, eraser.DEFAULT_CHI_RANGE)
+    roots = eraser._model_roots(model, band, eraser.DEFAULT_CHI_RANGE)
+    assert roots == sorted(roots)
+    for wp, chi in roots:
+        assert band[0] < wp < band[1]
+        assert eraser.DEFAULT_CHI_RANGE[0] <= chi <= eraser.DEFAULT_CHI_RANGE[1]
+        assert np.max(np.abs(_model_residuals(model, wp, chi))) < 1e-9
+    dense = _dense_model_grid_roots(model, band, eraser.DEFAULT_CHI_RANGE)
+    assert dense
+    for wp, chi in dense:
+        assert any(wp == pytest.approx(w, rel=1e-9) and chi == pytest.approx(c, rel=1e-6)
+                   for w, c in roots), (wp, chi, roots)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_model_roots_skip_a_point_where_denominators_vanish(seed):
+    # four zeros placed so that, at (wp, chi), weights 0 and 2 each sit on a
+    # zero (one y_w denominator of each term of the (0, 2) condition is 0)
+    # and so do weights 3 and 1: clearing the denominators makes it a root
+    # of both polynomial conditions, while the model's own residuals are
+    # 2 pi there (the zero counts are off).  It is never returned, and every
+    # returned root keeps each weight off its zeros
+    from qparity import eraser
+
+    rng = np.random.default_rng(seed)
+    wp, chi = TWO_PI * 10e9, TWO_PI * 5e6
+    zeta, z0k = rng.uniform(0.9, 1.0, 4), -rng.uniform(1e7, 6e7, 4)
+    z = wp + chi * np.array([-3.0, 1.0, 3.0, -1.0]) * zeta
+    order = np.argsort(z)
+    model = np.array([z[order], z0k[order], zeta[order]])
+    band = (z.min() - TWO_PI * 150e6, z.max() + TWO_PI * 150e6)
+
+    def cleared(sign):
+        c = wp - model[0]
+        pairs = (c - 3 * sign * chi * model[2]) * (c + sign * chi * model[2])
+        return sum(model[1][k] * model[2][k] * np.prod(np.delete(pairs, k)) for k in range(4))
+
+    scale = np.max(np.abs(model[1])) * (np.max(np.abs(wp - model[0])) + 3 * chi) ** 6
+    assert abs(cleared(1.0)) < 1e-12 * scale and abs(cleared(-1.0)) < 1e-12 * scale
+    assert np.abs(_model_residuals(model, wp, chi)) == pytest.approx([TWO_PI] * 2)
+    roots = eraser._model_roots(model, band, eraser.DEFAULT_CHI_RANGE)
+    assert roots
+    for w, c in roots:
+        assert abs(w - wp) > TWO_PI * 1e3 or abs(c - chi) > TWO_PI * 1e3
+        assert np.max(np.abs(_model_residuals(model, w, c))) < 1e-9
+        offsets = w - (model[0] + np.array([[3.0], [1.0], [-1.0], [-3.0]]) * c * model[2])
+        assert np.min(np.abs(offsets)) > 1e-6 * np.ptp(model[0])
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_two_mode_model_root_is_the_design_rule(model):
+    # m = 2 in closed form: with equal residues and pulls the probe sits
+    # midway between the zeros and chi = (zero spacing)/(2 sqrt 3 zeta);
+    # on equal-coupler devices chi = gap/(2 sqrt 3) to the residues' and
+    # pulls' spread, 2e-5 at a 40 MHz gap
+    from qparity import eraser
+
+    z, k, zeta = TWO_PI * 10e9, -3.7e7, 0.96
+    for spacing in (TWO_PI * 10e6, TWO_PI * 40e6):
+        symmetric = np.array([[z, z + spacing], [k, k], [zeta, zeta]])
+        band = (z - TWO_PI * 200e6, z + TWO_PI * 200e6)
+        (wp, chi), = eraser._model_roots(symmetric, band, eraser.DEFAULT_CHI_RANGE)
+        assert wp == pytest.approx(z + 0.5 * spacing, rel=1e-15)
+        assert chi == pytest.approx(spacing / (2.0 * math.sqrt(3.0) * zeta), rel=1e-13)
+    for coupler_ff in (5.0, 10.0, 20.0):
+        for gap_mhz in (10.0, 20.0, 40.0):
+            gap = TWO_PI * gap_mhz * 1e6
+            dev = ParityDevice.equal_coupling(
+                3, (Mode(TWO_PI * 10e9, coupler_ff * 1e-15),
+                    Mode(TWO_PI * 10e9 + gap, coupler_ff * 1e-15)),
+                TWO_PI * 5e6, resonator_model=model)
+            band, _ = eraser._solver_band(dev, eraser.DEFAULT_CHI_RANGE)
+            (wp, chi), = eraser._model_roots(eraser._pole_model(dev), band,
+                                             eraser.DEFAULT_CHI_RANGE)
+            assert gap / chi == pytest.approx(2.0 * math.sqrt(3.0), rel=2e-5)
 
 
 def _refusing_point(case):

@@ -14,11 +14,14 @@ every op's exit code, stdout, stderr and written files, in op order; the
 inputs are written with relative paths in a fresh directory, so no message
 carries a temporary path.
 
-After the corpus digest three report lines follow, which read the same
+After the corpus digest four report lines follow, which read the same
 runs and change no digest: the exit-4 devices by the reason their message
-gives, the exit-0 roots by |delta_theta|, and the jets folds per solve
-(calls of qparity.device._fold_jets), at the nearest-rank p50 and p90 and
-at their maximum.
+gives, the exit-0 roots by |delta_theta|, the jets folds per solve (calls
+of qparity.device._fold_jets), at the nearest-rank p50 and p90 and at
+their maximum, and the n = 3 fixed-gap solves by the source of their
+exact-stage seeds (calls of qparity.eraser._seeds): the pole model's roots
+alone, or the grid as well, as the fallback where no model root lies in
+the box or one fails to verify.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from workloads import PAPER_CONFIG, WORKLOADS, generate, prepare, write_json  # 
 # exit-4 message text -> its reason, first match wins
 NO_SOLUTION_REASONS = ("modes required", "reaches f <= 0", "Newton failed")
 # lower edges of the |delta_theta| bins in degrees; the last bin is pi itself
+# the seeds of an n = 3 fixed-gap solve: the model roots alone, or the grid too
+SEED_SOURCES = ("model roots", "grid fallback")
 CONTRAST_BINS = (("<1", -math.inf), ("1-10", 1.0), ("10-45", 10.0), ("45-90", 45.0),
                  ("90-180", 90.0), ("180", 180.0 - 1e-6))
 
@@ -89,22 +94,33 @@ def corpus_digest(cli, count: int) -> tuple[str, collections.Counter, list]:
     digest, exits, out = hashlib.sha256(), collections.Counter(), Path("solution.json")
     reasons = collections.Counter({reason: 0 for reason in (*NO_SOLUTION_REASONS, "other")})
     contrast = collections.Counter({label: 0 for label, _ in CONTRAST_BINS})
-    device = importlib.import_module("qparity.device")
-    fold, folds = device._fold_jets, []
+    sources = collections.Counter({source: 0 for source in SEED_SOURCES})
+    device, eraser = (importlib.import_module(f"qparity.{name}") for name in ("device", "eraser"))
+    # an older checkout has no _seeds: its square solves seed from the grid alone
+    fold, folds, seeds, squares = device._fold_jets, [], getattr(eraser, "_seeds", None), []
 
     def counted_fold(*args, **kwargs):
         folds[-1] += 1
         return fold(*args, **kwargs)
 
+    def counted_seeds(dev0, band, chi_range, square):
+        squares.append(square)
+        return seeds(dev0, band, chi_range, square)
+
     device._fold_jets = counted_fold
+    if seeds:
+        eraser._seeds = counted_seeds
     try:
         for index, (config, free) in enumerate(devices(count)):
             path = Path(f"device{index}.json")
             write_json(path, config)
             argv = ["solve", str(path), "--out", str(out)] + ["--free-modes"] * free
             folds.append(0)
+            squares.clear()
             rc, err = invoke(cli, argv, [out], digest)
             exits[rc] += 1
+            if squares and config["n_qubits"] == 3 and not free:
+                sources[SEED_SOURCES[False in squares]] += 1
             if rc == 4:
                 reasons[next((r for r in NO_SOLUTION_REASONS if r in err), "other")] += 1
             elif rc == 0:
@@ -112,12 +128,16 @@ def corpus_digest(cli, count: int) -> tuple[str, collections.Counter, list]:
                 contrast[[label for label, lo in CONTRAST_BINS if dth >= lo][-1]] += 1
     finally:
         device._fold_jets = fold
+        if seeds:
+            eraser._seeds = seeds
     report = [
         "  exit 4 by reason: " + ", ".join(f"{r} {k}" for r, k in reasons.items()),
         "  exit 0 by |delta_theta| deg: " + ", ".join(f"{b} {k}" for b, k in contrast.items()),
         "  folds per solve: " + ", ".join(
             f"{name} {nearest_rank(folds, p)}" for name, p in (("p50", 50), ("p90", 90),
                                                                ("max", 100))),
+        "  n = 3 fixed-gap seeds: " + (", ".join(f"{s} {k}" for s, k in sources.items())
+                                        if seeds else "not counted, no qparity.eraser._seeds"),
     ]
     return digest.hexdigest(), exits, report
 
