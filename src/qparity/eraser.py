@@ -460,10 +460,7 @@ def _model_stage(model, n: int, band, chi_range):
 
 def _real_roots(coefficients) -> np.ndarray:
     """The real roots of a polynomial (descending coefficients): those that
-    np.roots gives within 1e-6 relative of the real axis; a linear one's
-    root divided out."""
-    if len(coefficients) == 2 and coefficients[0]:
-        return np.array([-coefficients[1] / coefficients[0]])
+    np.roots gives within 1e-6 relative of the real axis."""
     roots = np.roots(coefficients)
     return roots.real[abs(roots.imag) <= 1e-6 * np.maximum(1.0, abs(roots))]
 
@@ -538,14 +535,14 @@ def _model_roots(model, band, chi_range) -> list:
                    abs(z_1 - z_0) * math.sqrt(ratio) / abs(k_0 + k_1))] if ratio > 0.0 else []
     else:
         points = _resultant_points(model)
-    (evaluate, point), roots = _model_stage(model, 3, band, chi_range), []
+    evaluate, _ = _model_stage(model, 3, band, chi_range)
+    roots = []
     for wp, chi in points:
-        if not (band[0] < wp < band[1] and chi_range[0] <= chi <= chi_range[1]):
+        x = np.array([wp, chi])
+        start = evaluate(x)  # None outside the box
+        if start is None or not np.linalg.norm(start[0]) < GRID_FAIL_NORM:  # a count off: 2 pi
             continue
-        start = (x := np.array([wp, chi]), *point(x))
-        if not np.linalg.norm(start[1]) < GRID_FAIL_NORM:  # a zero count off: |r| ~ 2 pi
-            continue
-        x, r, _ = _newton(evaluate, start, MODEL_NEWTON_STEPS, MIN_TOL, 1.0)
+        x, r, _ = _newton(evaluate, (x, *start), MODEL_NEWTON_STEPS, MIN_TOL, 1.0)
         wp, chi = x.tolist()
         if np.max(np.abs(r)) < MODEL_ROOT_TOL and not any(
                 abs(wp - w) < TWO_PI * 1e4 and abs(chi - c) < TWO_PI * 1e3 for w, c in roots):
@@ -558,11 +555,12 @@ def _seeds(dev0: ParityDevice, band, chi_range, square: bool):
     the grid's best cell (None without a grid).
 
     ``square`` (n = 3, fixed gaps): every real pole-model root in the box
-    (_model_roots), its norm taken as 0.  Else the local minima of the model's residual norm on
-    a GRID_POINTS x PROBE_POINTS grid over the box, best first, each
-    polished by full _newton steps on the model (_model_stage) where there
-    are conditions and no gaps to free (n = 2, 3); with no conditions
-    (n = 1) the contrast row's |cos(delta_theta/2)|."""
+    (_model_roots), its norm taken as 0.  Else the local minima of the
+    model's residual norm on a GRID_POINTS x PROBE_POINTS grid over the
+    box, best first, each polished by full _newton steps on the model
+    (_model_stage) where there are conditions and no gaps to free (n = 2,
+    3); with no conditions (n = 1) the contrast row's |cos(delta_theta/2)|.
+    """
     model, n = _pole_model(dev0), dev0.n
     if square:
         return [(0.0, wp, chi) for wp, chi in _model_roots(model, band, chi_range)], None
@@ -647,9 +645,9 @@ def _solve_conditions(dev0: ParityDevice, band, chi_range, tol, free_gaps: bool)
         return verified
 
     square = dev0.n == 3 and not free_gaps
-    seeds, best_cell = _seeds(dev0, band, chi_range, square) if square else ([], None)
-    if not (seeds and descend(seeds)):
-        cands, best_cell = _seeds(dev0, band, chi_range, False)
+    seeds = _seeds(dev0, band, chi_range, square=True)[0] if square else []
+    if not (seeds and descend(seeds)):  # no model root, or one failed: the grid joins
+        cands, best_cell = _seeds(dev0, band, chi_range, square=False)
         descend(cands or [best_cell])
     if not roots:
         raise NoSolution(
