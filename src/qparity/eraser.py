@@ -383,17 +383,23 @@ def _pole_model(dev: ParityDevice):
 
 def _model_thetas(model, n: int, wp, chi):
     """Pole-model phases theta_w, w = 0..n, at broadcast (wp, chi), in numpy,
-    every weight in one pass along a leading weight axis: weight w moves
-    zero k to z_k + (n - 2w) chi zeta_k, and
+    every weight in one pass along a leading weight axis, in buffers
+    allocated once: weight w moves zero k to z_k + (n - 2w) chi zeta_k, and
     theta_w = -2 atan(z0 sum_k K_k/(omega - z_k)) - 2 pi #{z_k <= omega}."""
-    shift = (n - 2 * np.arange(n + 1)).reshape(-1, *[1] * np.broadcast(wp, chi).ndim)
-    y = passed = 0.0
+    shape = (n + 1, *np.broadcast(wp, chi).shape)
+    shift = (n - 2 * np.arange(n + 1)).reshape(-1, *[1] * (len(shape) - 1))
+    y, passed, offset, above = (np.zeros(shape), np.zeros(shape), np.empty(shape),
+                                np.empty(shape, dtype=bool))
     with np.errstate(all="ignore"):  # on a zero y = +-inf, atan's limit
         for z, z0k, zeta in zip(*model):
-            offset = wp - (z + shift * chi * zeta)
-            y = y + z0k / offset
-            passed = passed + (offset >= 0.0)
-    return -2.0 * np.arctan(y) - TWO_PI * passed
+            np.subtract(wp, z + shift * chi * zeta, out=offset)
+            passed += np.greater_equal(offset, 0.0, out=above)
+            y += np.divide(z0k, offset, out=offset)
+    np.arctan(y, out=y)
+    y *= -2.0
+    passed *= TWO_PI
+    y -= passed
+    return y
 
 
 def _model_point(model, n: int, wp: float, chi: float):
