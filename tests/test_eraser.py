@@ -735,10 +735,10 @@ def _random_two_to_four_mode_device(m: int, seed: int):
                                        resonator_model=rng.choice(["stub", "lumped"]))
 
 
-def _dense_model_grid_roots(model, band, chi_range, rows=600, cols=4000):
-    """Every root the model polish reaches from a local minimum below
-    GRID_FAIL_NORM of the residual norm on a dense rows x cols grid over the
-    box: full Newton steps on the model until none lowers |r|, kept where
+def _dense_model_grid_roots(monkeypatch, model, band, chi_range, rows=600, cols=4000):
+    """Every root the model polish reaches from each local minimum of the
+    residual norm on a dense rows x cols grid over the box (_grid_minima,
+    uncut): full Newton steps on the model until none lowers |r|, kept where
     max|r| < 1e-9 rad.  The grid is built 50 chi rows at a time."""
     from qparity import eraser
 
@@ -749,12 +749,11 @@ def _dense_model_grid_roots(model, band, chi_range, rows=600, cols=4000):
         r = eraser._residuals(eraser._model_thetas(model, 3, wps[None, :],
                                                    chi_grid[a:a + 50, None]))
         norm[a:a + 50] = np.sqrt((r ** 2).sum(axis=0))
-    padded = np.pad(norm, 1, constant_values=np.inf)
-    window = np.min([padded[i:i + rows, j:j + cols] for i in range(3) for j in range(3)], axis=0)
+    monkeypatch.setattr(eraser, "GRID_TOP_K", norm.size)
     evaluate, point = eraser._model_stage(model, 3, band, chi_range)
     roots = []
-    for a, b in zip(*np.nonzero((norm <= window) & (norm < eraser.GRID_FAIL_NORM))):
-        x0 = np.array([wps[b], chi_grid[a]])
+    for _, wp, chi in eraser._grid_minima(norm, wps, chi_grid)[0]:
+        x0 = np.array([wp, chi])
         x, r, _ = eraser._newton(evaluate, (x0, *point(x0)), 30, 0.0, 1.0)
         if np.max(np.abs(r)) < 1e-9:
             roots.append(x.tolist())
@@ -769,7 +768,7 @@ def _model_residuals(model, wp, chi):
 
 @pytest.mark.parametrize("seed", [0, 2])  # devices whose box holds a root for each m
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_model_roots_hold_every_root_a_dense_model_grid_reaches(m, seed):
+def test_model_roots_hold_every_root_a_dense_model_grid_reaches(monkeypatch, m, seed):
     # the resultant (the closed form on two modes) against a 600 x 4000
     # grid over the same box, each of its local minima polished on the model
     from qparity import eraser
@@ -783,7 +782,7 @@ def test_model_roots_hold_every_root_a_dense_model_grid_reaches(m, seed):
         assert band[0] < wp < band[1]
         assert eraser.DEFAULT_CHI_RANGE[0] <= chi <= eraser.DEFAULT_CHI_RANGE[1]
         assert np.max(np.abs(_model_residuals(model, wp, chi))) < 1e-9
-    dense = _dense_model_grid_roots(model, band, eraser.DEFAULT_CHI_RANGE)
+    dense = _dense_model_grid_roots(monkeypatch, model, band, eraser.DEFAULT_CHI_RANGE)
     assert dense
     for wp, chi in dense:
         assert any(wp == pytest.approx(w, rel=1e-9) and chi == pytest.approx(c, rel=1e-6)
