@@ -471,9 +471,10 @@ def _real_roots(coefficients) -> np.ndarray:
     return roots.real[abs(roots.imag) <= 1e-6 * np.maximum(1.0, abs(roots))]
 
 
-def _resultant_points(model) -> list:
-    """(omega_p, chi) candidates for the n = 3 model roots on m >= 3 modes,
-    from the resultant of _model_roots, not yet screened."""
+def _resultant_points(model, band) -> list:
+    """(omega_p, chi) candidates for the n = 3 model roots on m >= 3 modes
+    with omega_p in band, from the resultant of _model_roots, not yet
+    screened."""
     z, z0k, zeta = model
     m, mid, spread = len(z), float(np.mean(z)), float(np.ptp(z))
     if not spread > 0.0:
@@ -506,6 +507,7 @@ def _resultant_points(model) -> list:
         sylvester[:, m - 2 + i, i:i + m - 1] = parts[:, -2::-2]  # O, descending in t
     resultant = np.vander(circle.conj(), increasing=True).T @ np.linalg.det(sylvester)
     us = _real_roots(resultant.real[::-1])
+    us = us[((band[0] - mid) / spread < us) & (us < (band[1] - mid) / spread)]
     return [(mid + spread * u, spread * math.sqrt(t))
             for u, row in zip(us.tolist(), coefficients(us).real)
             for t in _real_roots(row[-2::-2]).tolist() if t > 0.0]
@@ -524,8 +526,8 @@ def _model_roots(model, band, chi_range) -> list:
     O(u, t) with t = v^2, vanish together, and their resultant in t (a
     Sylvester determinant of size 2m - 3) is one polynomial in u of degree
     at most (m - 1)(2m - 3), read off its values on the unit circle and
-    solved by np.roots; each real u gives t from O.  On m = 2, O is linear
-    in u and free of t, and E linear in t: the closed form
+    solved by np.roots; each real u in the box gives t from O.  On m = 2,
+    O is linear in u and free of t, and E linear in t: the closed form
     omega_p = z_0 + K_0 (z_1 - z_0)/(K_0 + K_1) and
     chi = |z_1 - z_0| sqrt(K_0 K_1/(3 zeta_0 zeta_1))/|K_0 + K_1|,
     on symmetric devices the midpoint and (zero spacing)/(2 sqrt 3 zeta).
@@ -540,7 +542,7 @@ def _model_roots(model, band, chi_range) -> list:
         points = [(z_0 + k_0 * (z_1 - z_0) / (k_0 + k_1),
                    abs(z_1 - z_0) * math.sqrt(ratio) / abs(k_0 + k_1))] if ratio > 0.0 else []
     else:
-        points = _resultant_points(model)
+        points = _resultant_points(model, band)
     evaluate, _ = _model_stage(model, 3, band, chi_range)
     roots = []
     for wp, chi in points:
