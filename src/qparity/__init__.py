@@ -5,72 +5,13 @@ quantum-eraser phase conditions for probe frequency and dispersive coupling,
 and quantifies measurement fidelity for finite-bandwidth coherent probes.
 """
 
-from .network import (
-    Capacitor,
-    Inductor,
-    NetworkError,
-    Parallel,
-    PhaseCurve,
-    PhaseProfile,
-    QuarterWaveStub,
-    RefinementLimit,
-    Series,
-    lumped_equivalent,
-    phase_sweep,
-    reflection_coefficient,
-    wrap_phase,
-)
-from .device import (
-    Mode,
-    NonPositiveResult,
-    ParityDevice,
-    QubitState,
-    analysis_band,
-    state_phase_curve,
-    weight_phase_curve,
-)
-from .eraser import (
-    DispersionReport,
-    EraserDegenerate,
-    EraserError,
-    EraserSolution,
-    InfeasibleDevice,
-    NoSolution,
-    PoleCollision,
-    contrast,
-    dispersion_report,
-    eraser_residuals,
-    min_modes_required,
-    solution_to_dict,
-    solve_eraser,
-)
-from .fidelity import (
-    FidelityReport,
-    ModeGrid,
-    ProbePulse,
-    build_mode_grid,
-    eraser_quality,
-    fidelity_even_odd,
-    fidelity_linear_closed,
-    fidelity_numeric,
-    fidelity_quadratic_closed,
-    linear_expansion,
-    quadratic_expansion,
-)
-from .cascade import (
-    ComparisonReport,
-    compare_schemes,
-    tune_cascade,
-)
-from .estimates import (
-    HBAR,
-    estimate_report,
-    kappa_from_coupling,
-    measurement_time,
-    measurement_time_angular,
-    peak_power,
-    purcell_t1,
-    purcell_t1_angular,
-)
+# each module's __all__ is its public API; the package re-exports them all,
+# so a public name is listed once, beside its definition
+from .network import *  # noqa: F403
+from .device import *  # noqa: F403
+from .eraser import *  # noqa: F403
+from .fidelity import *  # noqa: F403
+from .cascade import *  # noqa: F403
+from .estimates import *  # noqa: F403
 
 __version__ = "1.0.0"

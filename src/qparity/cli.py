@@ -339,13 +339,8 @@ def _solution_from_file(path: str, dev: ParityDevice) -> EraserSolution:
         raise ConfigError(f"{path}: top level must be a JSON object")
     wp = _need(data, "omega_p_rad_s", float, path)
     chi = _need(data, "chi_rad_s", float, path)
-    f_hz = _numbers(data, "mode_f_Hz", path, dev.m)
-    if "mode_omega_rad_s" in data:
-        modes_key = "mode_omega_rad_s"
-        omegas = _numbers(data, modes_key, path, dev.m)
-    else:
-        modes_key, omegas = "mode_f_Hz", [TWO_PI * f for f in f_hz]
-    changes = [(modes_key, lambda d: d.with_mode_frequencies(omegas)),
+    omegas = _numbers(data, "mode_omega_rad_s", path, dev.m)
+    changes = [("mode_omega_rad_s", lambda d: d.with_mode_frequencies(omegas)),
                ("chi_rad_s", lambda d: d.with_chi(chi))]
     if data.get("band_rad_s") is not None:
         band = tuple(_numbers(data, "band_rad_s", path, 2))

@@ -30,6 +30,7 @@ __all__ = [
     "ParityDevice",
     "analysis_band",
     "state_phase_curve",
+    "weight_phase_curve",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -200,13 +201,13 @@ def _pulled_rows(omegas, chi_matrix, signs) -> list:
 
 
 def _weight_rows(omegas, chi: float, n: int):
-    """The weight rows' one pull rule: row w is the bare mode frequencies
-    ``omegas`` (Python floats) pulled by QubitState.of_weight(n, w)'s signs
-    under one ``chi``, its pull summed once for all modes in _pulled_rows'
-    float order, bit for bit.  None where the omegas do not strictly rise or
-    a pull leaves (0, inf) (a row's first entry is then its lowest, its last
-    its highest): where a device with these modes and chi, or its weight
-    table, is refused."""
+    """The solver's screen of a trial point: the weight rows of the bare mode
+    frequencies ``omegas`` (Python floats) under one ``chi``, row w pulled
+    by QubitState.of_weight(n, w)'s signs, its pull summed once for all
+    modes; under equal chi these are _pulled_rows' rows bit for bit.  None
+    where the omegas do not strictly rise or a pull leaves (0, inf) (a
+    row's first entry is then its lowest, its last its highest): where a
+    device with these modes and chi, or its weight table, is refused."""
     rows = [[omega + pull for omega in omegas]
             for pull in (sum([s * chi for s in signs]) for signs in _weight_signs(n))]
     increasing = all(a < b for a, b in zip(omegas, omegas[1:]))
@@ -222,17 +223,15 @@ def _state_row(dev: ParityDevice, state: QubitState) -> list:
 
 def _weight_table(dev: ParityDevice) -> np.ndarray:
     """Every Hamming weight's branch table, stacked (n + 1, m, columns), of
-    the rows of _weight_rows: row w is weight_phase_curve(dev, w)'s, which
-    stands for every weight-w state only under equal coupling, so an
-    unequal chi matrix is refused first.  Where _weight_rows gives none,
-    _pulled_rows sums them again to name a pull to or below zero, and
-    network._branch_table refuses the rest.  No band is read."""
+    the rows _pulled_rows pulls by each weight's signs: row w is
+    weight_phase_curve(dev, w)'s, which stands for every weight-w state
+    only under equal coupling, so an unequal chi matrix is refused first.
+    _pulled_rows refuses a pull to or below zero and network._branch_table
+    the rest.  No band is read."""
     if not dev.equal_chi:
         raise ValueError("weight rows stand for every state only under equal coupling, "
                          "not this chi matrix; read each state with state_phase_curve")
-    omegas, chi = [mo.omega for mo in dev.modes], dev.chi_matrix[0][0]
-    rows = (_weight_rows(omegas, chi, dev.n)
-            or _pulled_rows(omegas, ((chi,) * dev.m,) * dev.n, _weight_signs(dev.n)))
+    rows = _pulled_rows([mo.omega for mo in dev.modes], dev.chi_matrix, _weight_signs(dev.n))
     return _branch_table(dev.resonator_model == "stub", dev.z0,
                          [mo.c_couple for mo in dev.modes], rows)
 

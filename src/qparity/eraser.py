@@ -18,7 +18,7 @@ damped least-squares Newton loop serves two stages: full steps on the
 model polish each seed, then steps halved down to 1e-10 on the exact
 phase derivatives move x = (omega_p, chi[, gaps]) onto the root set.  A
 trial step is evaluated only inside the search box and where
-device._weight_rows, the one home of the pull rule, gives its weight rows
+device._weight_rows, the screen of trial points, gives its weight rows
 back, so a step the device would refuse is halved, not raised.  Every
 returned root is verified by its residuals, and the most distinguishable
 one (largest |sin(delta_theta/2)|) wins.
@@ -513,10 +513,17 @@ def _resultant_points(model, band) -> list:
             for t in _real_roots(row[-2::-2]).tolist() if t > 0.0]
 
 
+def _same_root(x, y) -> bool:
+    """Whether roots x and y, (omega_p, chi, ...), are one: within 10 kHz
+    in omega_p and 1 kHz in chi."""
+    return abs(x[0] - y[0]) < TWO_PI * 1e4 and abs(x[1] - y[1]) < TWO_PI * 1e3
+
+
 def _model_roots(model, band, chi_range) -> list:
     """Every real root (omega_p, chi) of the n = 3 pole-model conditions
     with omega_p in band and chi in chi_range, polished by full _newton
-    steps on the model (_model_stage) down to MIN_TOL, by ascending omega_p.
+    steps on the model (_model_stage) down to MIN_TOL, one per _same_root,
+    by ascending omega_p.
 
     In u = (omega_p - z_mean)/g and v = chi/g, g the zeros' spread, the
     pair (0, 2) condition y_0 = y_2 of _model_thetas is P(u, v) = 0, with
@@ -551,10 +558,9 @@ def _model_roots(model, band, chi_range) -> list:
         if start is None or not np.linalg.norm(start[0]) < GRID_FAIL_NORM:  # a count off: 2 pi
             continue
         x, r, _ = _newton(evaluate, (x, *start), MODEL_NEWTON_STEPS, MIN_TOL, 1.0)
-        wp, chi = x.tolist()
-        if np.max(np.abs(r)) < MODEL_ROOT_TOL and not any(
-                abs(wp - w) < TWO_PI * 1e4 and abs(chi - c) < TWO_PI * 1e3 for w, c in roots):
-            roots.append((wp, chi))
+        root = tuple(x.tolist())
+        if np.max(np.abs(r)) < MODEL_ROOT_TOL and not any(_same_root(root, y) for y in roots):
+            roots.append(root)
     return sorted(roots)
 
 
@@ -589,14 +595,13 @@ def _seeds(dev0: ParityDevice, band, chi_range, square: bool):
 
 
 def _assemble(dev0: ParityDevice, mean: float, roots: list, tol: float) -> EraserSolution:
-    """Dedupe verified roots (x, its jets) of dev0, rank them by
+    """Dedupe verified roots (x, its jets) of dev0 (_same_root), rank them by
     distinguishability from their jets, build the winner's solution from its
     jets, its modes about ``mean``.  Its omega_p and every basin's are
     Python floats, as a solution read from a file holds."""
     scored = []
     for x, jets in roots:
-        if not any(abs(x[0] - x2[0]) < TWO_PI * 1e4
-                   and abs(x[1] - x2[1]) < TWO_PI * 1e3 for *_, x2, _ in scored):
+        if not any(_same_root(x, x2) for *_, x2, _ in scored):
             dth = float(wrap_phase(jets[0][0] - jets[0][1]))
             scored.append((abs(math.sin(0.5 * dth)), float(x[0]), dth, x, jets))
     scored.sort(key=lambda t: (-t[0], t[1]))

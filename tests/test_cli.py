@@ -521,9 +521,7 @@ def _chi_string(sol):
 
 
 def _short_modes(sol):
-    sol = dict(sol, mode_f_Hz=sol["mode_f_Hz"][:1])
-    del sol["mode_omega_rad_s"]
-    return sol
+    return dict(sol, mode_omega_rad_s=sol["mode_omega_rad_s"][:1])
 
 
 def _probe_off_band(sol):
@@ -544,7 +542,7 @@ def _chi_band_below_zero(sol):
     (_bad_top_level, ""),
     (_chi_object, ".chi_rad_s"),
     (_chi_string, ".chi_rad_s"),
-    (_short_modes, ".mode_f_Hz"),
+    (_short_modes, ".mode_omega_rad_s"),
     (_probe_off_band, ".omega_p_rad_s"),
     (_chi_pulls_below_zero, ".chi_rad_s"),
     (_chi_band_below_zero, ".chi_rad_s"),
@@ -558,6 +556,29 @@ def test_bad_solution_file_names_field(solved, tmp_path, capsys, corrupt, field)
     err = capsys.readouterr().err
     assert f"{bad}{field}:" in err
     assert "Traceback" not in err
+
+
+def test_solution_modes_are_read_from_mode_omega_rad_s_alone(solved, tmp_path, capsys):
+    # mode_f_Hz is derived, and clamped to 12 digits in the JSON: a short
+    # one changes no fidelity output, and it does not stand in for a
+    # missing mode_omega_rad_s
+    cfg, sol_path = solved
+    sol = json.loads(sol_path.read_text())
+    short = tmp_path / "short_f.json"
+    short.write_text(json.dumps(dict(sol, mode_f_Hz=sol["mode_f_Hz"][:1])))
+    outputs = []
+    for path in (sol_path, short):
+        out_json, out_csv = tmp_path / f"fid_{path.stem}.json", tmp_path / f"fid_{path.stem}.csv"
+        assert main(["fidelity", str(cfg), str(path), "--alpha-sq", "5", "--T-us", "1",
+                     "--out-json", str(out_json), "--out-csv", str(out_csv)]) == 0
+        outputs.append((capsys.readouterr().out, out_json.read_bytes(), out_csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+    del sol["mode_omega_rad_s"]
+    missing = tmp_path / "no_omegas.json"
+    missing.write_text(json.dumps(sol))
+    assert main(["fidelity", str(cfg), str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {missing}.mode_omega_rad_s: missing required field\n")
 
 
 def _with_field(cfg, field, value):

@@ -153,15 +153,16 @@ W_ULP = np.nextafter(W_A, math.inf)
 @example(n=4, m=1, model="stub", omegas=[W_A] * 4, chi=float(np.nextafter(W_A / 4, math.inf)),
          ordered=False)
 def test_weight_table_sums_each_rows_pull_once(n, m, model, omegas, chi, ordered):
-    # the pull rule of the weight rows lives in _weight_rows alone: under
-    # one chi every mode of a weight row is pulled by the same sum, so it is
-    # summed once per row, and the rows are still the pulled-state rule's
-    # (_pulled_rows with chi in every entry of the n x m chi matrix) bit for
-    # bit.  It gives none exactly where a device with these modes and this
-    # chi is refused: by ParityDevice (mode order, a bad omega or chi), or by
-    # its weight table's pulls, to or below zero or past float range.  A
-    # device that is built reads the table of the pulled-state rule's rows,
-    # or the same refusal with the same message
+    # _weight_table pulls its rows by the one pull rule, _pulled_rows; the
+    # solver's screen of trial points, _weight_rows, sums each row's pull
+    # once under one chi, as every mode of a weight row is pulled by the
+    # same sum, and its rows are still _pulled_rows' (chi in every entry of
+    # the n x m chi matrix) bit for bit.  It gives none exactly where a
+    # device with these modes and this chi is refused: by ParityDevice
+    # (mode order, a bad omega or chi), or by its weight table's pulls, to
+    # or below zero or past float range.  A device that is built reads the
+    # table of the pulled-state rule's rows, or the same refusal with the
+    # same message
     from qparity.device import _pulled_rows, _weight_rows, _weight_signs, _weight_table
 
     omegas = omegas[:m]

@@ -723,6 +723,24 @@ def test_pole_model_seeds_the_paper_root(paper_device, paper_solution):
     assert chi == pytest.approx(chi_grid, rel=1e-13)
 
 
+@pytest.mark.parametrize("d_wp_hz, d_chi_hz, basins", [
+    (5e3, 0.0, 1), (20e3, 0.0, 2), (0.0, 0.5e3, 1), (0.0, 2e3, 2)],
+    ids=["wp-5kHz", "wp-20kHz", "chi-500Hz", "chi-2kHz"])
+def test_assemble_ranks_roots_closer_than_the_root_rule_as_one_basin(
+        paper_device, paper_solution, d_wp_hz, d_chi_hz, basins):
+    # _same_root, the one root identity of _model_roots and _assemble:
+    # verified roots within 10 kHz in omega_p and 1 kHz in chi are one
+    # basin, the first one met; farther apart, both are ranked
+    from qparity import eraser
+    from qparity.device import _weight_fold
+
+    x = np.array([paper_solution.omega_p, paper_solution.chi])
+    xs = [x, x + TWO_PI * np.array([d_wp_hz, d_chi_hz])]
+    roots = [(y, _weight_fold(paper_device.with_chi(y[1]), y[0], jets=True)) for y in xs]
+    sol = eraser._assemble(paper_device, _mode_mean(paper_device), roots, eraser.DEFAULT_TOL)
+    assert sorted((wp, chi) for wp, chi, _ in sol.basins) == [tuple(y) for y in xs[:basins]]
+
+
 def _random_two_to_four_mode_device(m: int, seed: int):
     """An n = 3 device on m random modes: 1-12 GHz, gaps of 5-60 MHz,
     couplers of 3-20 fF, the stub or the lumped model."""
