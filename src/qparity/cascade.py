@@ -13,8 +13,10 @@ Tuning is one Newton loop on the cavity's exact phase derivatives, omega
 and chi stepping together on each fold: omega onto the step maximum,
 b = theta_0' - theta_1' = 0, and chi, by the step's partial in chi, onto
 pi: the smallest chi with a pi step.  With chi held the same loop finds
-the step maximum alone.  The tuned cavity is an EraserSolution, as a
-solved parallel device is: the cavity at its chi, its probe and its fold.
+the step maximum alone.  A fold is the cavity's two pulled rows, as the
+eraser's exact stage folds a point; the tuned cavity, the one device
+built, is an EraserSolution, as a solved parallel device is: the cavity
+at its chi, its probe and its fold.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _weight_fold,
-                     _weight_phasors)
+from .device import (ParityDevice, QubitState, _loaded_zero_estimate, _rows_jets,
+                     _weight_phasors, _weight_rows, _weight_table)
 from .eraser import EraserSolution, _residuals
 from .fidelity import ProbePulse, _pair_table, build_mode_grid
 from .network import wrap_phase
@@ -61,17 +63,18 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
     mismatch cancels; chi as given, or with ``tune_chi`` tuned so S = pi.
 
     One Newton loop from w (default: the loaded zero) and, tuning, chi at
-    CHI_RANGE's bottom.  Each step is one fold of the cavity's two-row weight
-    table (bits 0 and 1 put the cavity at omega_r +/- chi): omega moves by
-    -b/b' with b' = theta_0'' - theta_1'', and chi by (pi - S)/(dS/dchi) with
-    dS/dchi = d theta_0/d omega_r + d theta_1/d omega_r at fixed omega.  The
-    jets hold no d b/d chi, which the omega step leaves out.  The loop stops
-    at the fold where omega's step is within OMEGA_ULPS ulps and, tuning, S
-    within STEP_TOL of pi, and returns the cavity at its chi, probed at
+    CHI_RANGE's bottom.  Each step is one _rows_jets fold of the cavity's two
+    _weight_rows (bits 0 and 1 put it at omega_r +/- chi), as the eraser's
+    exact stage folds a point: omega moves by -b/b' with b' = theta_0'' -
+    theta_1'', and chi by (pi - S)/(dS/dchi) with dS/dchi = d theta_0/d
+    omega_r + d theta_1/d omega_r at fixed omega.  The jets hold no d b/d chi,
+    which the omega step leaves out.  The loop stops at the fold where
+    omega's step is within OMEGA_ULPS ulps and, tuning, S within STEP_TOL of
+    pi, and returns the cavity at its chi, the one device built, probed at
     omega, with that fold's jets (its weights are the two bits, so S is
-    theta_by_weight[0] - theta_by_weight[1]).  Refuses b' >= 0,
-    which is no maximum, a chi step leaving CHI_RANGE, and a cavity that is
-    not one qubit on one mode.
+    theta_by_weight[0] - theta_by_weight[1]).  Refuses b' >= 0, which is no
+    maximum, rows the cavity refuses (raised by _weight_table), a chi step
+    leaving CHI_RANGE, and a cavity that is not one qubit on one mode.
     """
     if (cavity.n, cavity.m) != (1, 1):
         raise ValueError("a cascade cavity is a 1-qubit, 1-mode device, got "
@@ -81,8 +84,10 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
     if w is None:
         w = _loaded_zero_estimate(cavity.modes[0], cavity.z0)
     for _ in range(MAX_NEWTON_STEPS):
-        at_chi = cavity.with_chi(chi)
-        jets = _weight_fold(at_chi, w, jets=True)  # rows by bit
+        rows = _weight_rows([cavity.modes[0].omega], chi, 1)
+        if rows is None:
+            _weight_table(cavity.with_chi(chi))  # raises, naming the refusal
+        jets = _rows_jets(cavity, rows, w)  # rows by bit
         th, d1, d2, d_r = jets
         b, slope, step = float(d1[0] - d1[1]), float(d2[0] - d2[1]), float(th[0] - th[1])
         if not slope < 0.0:
@@ -91,7 +96,7 @@ def _newton_symmetric(cavity: ParityDevice, w: float | None = None,
         dw = -b / slope
         if (abs(dw) <= OMEGA_ULPS * math.ulp(w)
                 and (not tune_chi or abs(step - math.pi) <= STEP_TOL)):
-            return EraserSolution(at_chi, w, jets=jets)
+            return EraserSolution(cavity.with_chi(chi), w, jets=jets)
         w += dw
         if tune_chi:
             ds_dchi = float(d_r[0, 0] + d_r[0, 1])

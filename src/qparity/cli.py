@@ -27,6 +27,7 @@ from .device import Mode, NonPositiveResult, ParityDevice, _weight_fold, analysi
 from .eraser import (
     EraserError,
     DEFAULT_TOL,
+    MAX_TOL,
     MIN_TOL,
     EraserSolution,
     NoSolution,
@@ -480,7 +481,7 @@ POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 ALPHA_SQ = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 DURATION_US = _checked(float, lambda v: 0.0 < v * 1e-6 < math.inf,
                        "finite and > 0 in seconds")
-TOL = _checked(float, lambda v: MIN_TOL <= v < math.inf, f"finite and >= {MIN_TOL}")
+TOL = _checked(float, lambda v: MIN_TOL <= v < MAX_TOL, f">= {MIN_TOL} and < pi/10")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -65,6 +65,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_CHI_RANGE = (TWO_PI * 0.1e6, TWO_PI * 50e6)
 DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12  # rad; residuals of the phase fold are not resolved below this
+MAX_TOL = 0.1 * math.pi  # rad; from here the pole guard, 10 tol, takes in every phase
 NEWTON_MAX_ITER = 30
 MIN_STEP = 1e-10  # exact-stage steps halve down to this fraction of the Newton step
 GRID_FAIL_NORM = 1.0  # rad; model seeds above this are no basin to polish
@@ -377,7 +378,7 @@ def _pole_model(dev: ParityDevice):
     table = _branch_table(stub, dev.z0, [mo.c_couple for mo in dev.modes],
                           [mo.omega for mo in dev.modes])
     z = np.array(_series_zeros(stub, dev.z0, [(branch, 0) for branch in table.tolist()]))
-    p, n_jet = _branch_parts(stub, dev.z0, table.T, z, derivatives=True)
+    p, n_jet = _branch_parts(stub, dev.z0, table.T, z, order=2)
     return np.array([z, dev.z0 * p[0] / n_jet[1], -n_jet[3] / n_jet[1]])
 
 
@@ -685,9 +686,10 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
     frequencies) the returned root is the delta_theta = pi point of its
     family wherever Gauss-Newton reaches it, and ``basins`` ends at the
     first such root; n = 1 has no conditions, so its root is that point.
-    ``tol`` (rad) bounds every verified residual; it must be finite and at
-    least MIN_TOL.  The probe search band covers every mode and chi in
-    ``chi_range``; a device ``band`` clips it.  Raises InfeasibleDevice /
+    ``tol`` (rad) bounds every verified residual; it must be at least
+    MIN_TOL and below MAX_TOL, where every root would lie within 10 tol of a
+    pole, which is refused.  The probe search band covers every mode and
+    chi in ``chi_range``; a device ``band`` clips it.  Raises InfeasibleDevice /
     NoSolution / PoleCollision.
     """
     free = frozenset(free)
@@ -697,8 +699,8 @@ def solve_eraser(dev_template: ParityDevice, free=("chi",),
         raise ValueError(f"unknown free knobs: {free - {'chi', 'mode_frequencies'}}")
     if not dev_template.equal_chi:
         raise ValueError("solve_eraser requires an equal_chi device template")
-    if not MIN_TOL <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= {MIN_TOL}, got {tol!r}")
+    if not MIN_TOL <= tol < MAX_TOL:
+        raise ValueError(f"tol must be >= {MIN_TOL} and < pi/10, got {tol!r}")
     n, m = dev_template.n, dev_template.m
     if m < min_modes_required(n):
         raise InfeasibleDevice(

@@ -423,24 +423,23 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 # Closed-form phase curve
 # ----------------------------------------------------------------------
 
-def _branch_factors(stub: bool, branch, w, derivatives: bool = False) -> tuple:
+def _branch_factors(stub: bool, branch, w, order: int = 0) -> tuple:
     """The part of _branch_parts that runs in numpy, elementwise over the
     arrays of a table row and w: the stub's x = (pi/2) w/w_r with cos x and
-    sin x; the tank's c = 1 - w^2 L C and s = w L, and with ``derivatives``
-    their d/dw_r, which divide by w_r = 1/sqrt(L C), 0 where L C overflows."""
+    sin x; the tank's c = 1 - w^2 L C and s = w L, and at ``order`` 2 their
+    d/dw_r, which divide by w_r = 1/sqrt(L C), 0 where L C overflows."""
     if stub:
         x = 0.5 * math.pi * (w / branch[1])
         return x, np.cos(x), np.sin(x)
     cap, l = branch[1:]
     c, s = 1.0 - w * w * (l * cap), w * l
-    if not derivatives:
+    if order < 2:
         return c, s
     w_r = 1.0 / np.sqrt(l * cap)
     return c, s, 2.0 * (1.0 - c) / w_r, -s / w_r
 
 
-def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = False,
-                  factors=None):
+def _branch_parts(stub: bool, z0: float, branch: tuple, w, order: int = 0, factors=None):
     """Numerator P and denominator N of one branch's susceptance B = P/N.
 
     ``branch`` is a row of PhaseCurve's table: (C_c, w_r) for the stub,
@@ -448,55 +447,44 @@ def _branch_parts(stub: bool, z0: float, branch: tuple, w, derivatives: bool = F
     with (c, s) = (cos x, z0 sin x), x = (pi/2) w/w_r, for the stub and
     (1 - w^2 L C, w L) for the tank.  In series with the coupler C_c the
     branch has B = -1/X = P/N, P = w C_c c and N = c - w C_c s, so N changes
-    sign at the branch's series zeros.  With ``derivatives`` each of P and N
-    is a tuple (value, d/dw, d2/dw2, d/dw_r), the last at fixed resonator
-    impedance (the stub's z0, the tank's sqrt(L/C)).  The row's entries and
-    w may be arrays of one shape: every operation is elementwise.  Given
-    ``factors``, _branch_factors' result for the same row and w, the rest
-    is products and sums only, so it runs on Python floats as well.
+    sign at the branch's series zeros.  At ``order`` 0 P and N are values;
+    at order 1 each is a tuple (value, d/dw), and at order 2 (value, d/dw,
+    d2/dw2, d/dw_r), the last at fixed resonator impedance (the stub's z0,
+    the tank's sqrt(L/C)); every order's entries come from the same
+    expressions.  The row's entries and w may be arrays of one shape: every
+    operation is elementwise.  Given ``factors``, _branch_factors' result
+    for the same row, w and order, the rest is products and sums only, so
+    it runs on Python floats as well.
     """
     c_c = branch[0]
     if factors is None:
-        factors = _branch_factors(stub, branch, w, derivatives)
+        factors = _branch_factors(stub, branch, w, order)
     if stub:
         x, cos, sin = factors
         c, s = cos, z0 * sin
-        if derivatives:
-            w_r = branch[1]
-            a = 0.5 * math.pi / w_r
-            c = (cos, -a * sin, -a * a * cos, x * sin / w_r)
-            s = (z0 * sin, z0 * (a * cos), z0 * (-a * a * sin), z0 * (-x * cos / w_r))
     else:
         c, s = factors[:2]
-        if derivatives:
-            cap, l = branch[1:]
-            c = (c, -2.0 * w * l * cap, -2.0 * l * cap, factors[2])
-            s = (s, l, 0.0, factors[3])
     k = w * c_c
-    if not derivatives:
+    if not order:
         return k * c, c - k * s
-
-    def times_k(f):  # product rule for k = w C_c, linear in w
-        return k * f[0], k * f[1] + c_c * f[0], k * f[2] + c_c * (2.0 * f[1]), k * f[3]
-
-    k_s = times_k(s)
-    return times_k(c), (c[0] - k_s[0], c[1] - k_s[1], c[2] - k_s[2], c[3] - k_s[3])
-
-
-def _branch_slopes(stub: bool, z0: float, branch, w, factors) -> tuple:
-    """((P, P'), (N, N')), the first two entries of _branch_parts' P and N
-    with ``derivatives`` by the same expressions, from _branch_factors'
-    result without them; elementwise, or on Python floats."""
-    c_c = branch[0]
     if stub:
-        _, cos, sin = factors
-        a = 0.5 * math.pi / branch[1]
-        c, c1, s, s1 = cos, -a * sin, z0 * sin, z0 * (a * cos)
+        w_r = branch[1]
+        a = 0.5 * math.pi / w_r
+        c1, s1 = -a * sin, z0 * (a * cos)
     else:
-        (c, s), (cap, l) = factors, branch[1:]
+        cap, l = branch[1:]
         c1, s1 = -2.0 * w * l * cap, l
-    k = w * c_c
-    return (k * c, k * c1 + c_c * c), (c - k * s, c1 - (k * s1 + c_c * s))
+    # the product rule for k = w C_c, linear in w
+    p, n = (k * c, k * c1 + c_c * c), (c - k * s, c1 - (k * s1 + c_c * s))
+    if order == 1:
+        return p, n
+    if stub:
+        c2, s2 = -a * a * cos, z0 * (-a * a * sin)
+        c3, s3 = x * sin / w_r, z0 * (-x * cos / w_r)
+    else:
+        c2, s2, c3, s3 = -2.0 * l * cap, 0.0, factors[2], factors[3]
+    return ((*p, k * c2 + c_c * (2.0 * c1), k * c3),
+            (*n, c2 - (k * s2 + c_c * (2.0 * s1)), c3 - k * s3))
 
 
 def _zeros_below(stub: bool, branch: tuple, n, w):
@@ -605,7 +593,7 @@ def _jets(stub: bool, z0: float, table, w):
     table = np.asarray(table, dtype=float)
     cols = table.T  # (columns, m, rows), to broadcast against w
     rows, m = table.shape[:2]
-    factors = _branch_factors(stub, cols, w, derivatives=True)
+    factors = _branch_factors(stub, cols, w, order=2)
     ws = np.asarray(w, dtype=float)
     ws = ws.tolist() if ws.ndim else [float(ws)] * rows
     z0 = float(z0)
@@ -615,7 +603,7 @@ def _jets(stub: bool, z0: float, table, w):
         v0, ud, vd, count = 1.0, [0.0] * m, [0.0] * m, 0
         for k, (branch, pair) in enumerate(zip(branches, pairs)):
             (p0, p1, p2, p3), (n0, n1, n2, n3) = _branch_parts(
-                stub, z0, branch, w_row, True, pair)
+                stub, z0, branch, w_row, 2, pair)
             count += _zeros_below(stub, branch, n0, w_row)
             # the directions of U N_k + P_k V and V N_k: entry j of N_k and
             # P_k is n3 and p3 for j = k, else the products 0.0 * n3 and 0.0 * p3
@@ -718,7 +706,7 @@ def _bracketed_newton(f, x, lo, hi) -> list:
 
 
 def _pair_factors(stub: bool, branches: list, ws: list) -> list:
-    """_branch_factors without derivatives of each (branch, w) pair, on
+    """_branch_factors at order 0 or 1 of each (branch, w) pair, on
     Python floats: a tank's need no numpy, a stub's x = (pi/2) w/w_r takes
     one np.cos and one np.sin over every pair.  One call per pass of a
     bracketed Newton kernel (_series_zeros, _theta_slopes)."""
@@ -735,11 +723,12 @@ def _theta_slopes(stub: bool, z0: float, rows: list, ws: list) -> tuple:
     two lists of Python floats.  Unchecked.
 
     Its numpy work is one _pair_factors call over every (row, branch) pair
-    and one np.arctan over every row.  The branch parts (_branch_slopes),
-    zero counts (_zeros_below, with the stub's tan intervals) and _fold's
-    U, V recurrence run on floats, with U' and V' beside them in _jets'
-    order, and theta' = -2 z0 (U' V - U V')/(V^2 + z0^2 U^2) divides as
-    numpy does; so theta equals _fold's and theta' _jets' bit for bit.
+    and one np.arctan over every row.  The branch parts (_branch_parts at
+    order 1), zero counts (_zeros_below, with the stub's tan intervals) and
+    _fold's U, V recurrence run on floats, with U' and V' beside them in
+    _jets' order, and theta' = -2 z0 (U' V - U V')/(V^2 + z0^2 U^2)
+    divides as numpy does; so theta equals _fold's and theta' _jets' bit
+    for bit.
     """
     z0 = float(z0)
     factors = iter(_pair_factors(stub, [branch for row in rows for branch in row],
@@ -749,7 +738,7 @@ def _theta_slopes(stub: bool, z0: float, rows: list, ws: list) -> tuple:
         u0 = u1 = v1 = 0.0
         v0, count = 1.0, 0
         for branch in row:
-            (p0, p1), (n0, n1) = _branch_slopes(stub, z0, branch, w, next(factors))
+            (p0, p1), (n0, n1) = _branch_parts(stub, z0, branch, w, 1, next(factors))
             count += _zeros_below(stub, branch, n0, w)
             u0, u1, v0, v1 = (u0 * n0 + p0 * v0, (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
                               v0 * n0, v0 * n1 + n0 * v1)
@@ -816,8 +805,8 @@ def _series_zeros(stub: bool, z0: float, pairs: list) -> list:
     top: there the stub looks like a tank of C = pi/(4 w_r z0) resonating at
     (2 order + 1) w_r, and that tank's zero seeds _bracketed_newton on
     N (-1)^order over the interval, on Python floats: a pass evaluates N
-    and N' only (_branch_slopes), at every zero still moving, from one
-    _pair_factors call.
+    and N' only (_branch_parts at order 1), at every zero still moving,
+    from one _pair_factors call.
     """
     if not stub:
         return [_divide(1.0, math.sqrt(l * (cap + c_c))) for (c_c, cap, l), _ in pairs]
@@ -837,7 +826,7 @@ def _series_zeros(stub: bool, z0: float, pairs: list) -> list:
         rows = [pairs[i][0] for i in active]
         values, slopes = [], []
         for i, branch, z, factors in zip(active, rows, zs, _pair_factors(stub, rows, zs)):
-            _, (n, n1) = _branch_slopes(stub, z0, branch, z, factors)
+            _, (n, n1) = _branch_parts(stub, z0, branch, z, 1, factors)
             values.append(sign[i] * n)
             slopes.append(sign[i] * n1)
         return values, slopes

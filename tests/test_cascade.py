@@ -315,6 +315,34 @@ def test_tune_cascade_work_count(monkeypatch):
     assert counts["tree evaluations"] == 0
 
 
+def test_tune_cascade_builds_one_device(monkeypatch):
+    # a Newton point is its two pulled rows folded, as the eraser's exact
+    # stage folds one, with no device built: tuning the README cavity makes
+    # 6 fold passes and builds one ParityDevice, the tuned cavity (a device
+    # per step made 6)
+    from collections import Counter
+
+    from qparity import network
+
+    counts = Counter()
+    cav = cavity()
+    post_init, jets = ParityDevice.__post_init__, network._jets
+
+    def counting_post_init(self):
+        counts["devices"] += 1
+        post_init(self)
+
+    def counting_jets(*args, **kwargs):
+        counts["folds"] += 1
+        return jets(*args, **kwargs)
+
+    monkeypatch.setattr(ParityDevice, "__post_init__", counting_post_init)
+    monkeypatch.setattr(network, "_jets", counting_jets)
+    tuned = tune_cascade(cav)
+    assert counts == {"devices": 1, "folds": 6}
+    assert tuned.device == cav.with_chi(tuned.chi)
+
+
 def test_tuned_eraser_conditions_hold(tuned):
     dev = tuned.device
     wp = tuned.omega_p

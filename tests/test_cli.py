@@ -226,7 +226,7 @@ def test_main_reuses_its_parser_with_fresh_parser_results(solved, tmp_path, caps
     fresh = run("fresh")
     assert cached == fresh
     assert [rc for rc, _, _ in cached[0]] == [0, 2, 0, 2, 0]
-    assert "argument --tol: must be finite and >= 1e-12, got 0" in cached[0][1][2]
+    assert "argument --tol: must be >= 1e-12 and < pi/10, got 0" in cached[0][1][2]
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -773,6 +773,29 @@ def test_free_mode_solve_halves_a_step_that_pulls_a_mode_below_zero(tmp_path, ca
     assert rc in (0, 4) and "evaluation error" not in err
     if rc == 0:
         assert max(abs(r) for r in json.loads(out.read_text())["residuals_rad"]) < 1e-9
+
+
+@pytest.mark.parametrize("tol", ["0.5", "1e308", str(0.1 * math.pi)])
+def test_solve_tol_whose_pole_guard_takes_every_phase_exits_2(paper_cfg, tmp_path, capsys,
+                                                              monkeypatch, tol):
+    # from tol = pi/10 on, 10 tol >= pi >= |wrap theta| for every phase, so
+    # every root sat "within 10 tol of a reflection pole": the solve ran its
+    # full search and exited 3 (at 1e308 "within inf rad")
+    import qparity.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_eraser ran")
+
+    monkeypatch.setattr(qparity.cli, "solve_eraser", refuse)
+    out = tmp_path / "sol.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(paper_cfg), "--tol", tol, "--out", str(out)])
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines()[-1] == ("qparity solve: error: argument --tol: must be "
+                                    f">= 1e-12 and < pi/10, got {tol}")
+    assert not out.exists()
 
 
 def test_solution_on_a_reflection_pole_exits_3(paper_cfg, tmp_path, capsys):

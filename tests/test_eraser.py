@@ -392,8 +392,9 @@ def test_solver_rejects_bad_arguments(paper_device):
         solve_eraser(paper_device, free=("mode_frequencies",))
     with pytest.raises(ValueError):
         solve_eraser(paper_device, free=("chi", "z0"))
-    with pytest.raises(ValueError):
-        solve_eraser(paper_device, tol=1e-15)
+    for tol in (1e-15, 0.1 * math.pi, 0.5, 1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be"):
+            solve_eraser(paper_device, tol=tol)
 
 
 def test_theta_by_weight_consistent_with_delta(paper_solution):

@@ -292,14 +292,14 @@ def test_jets_kernel_matches_numpy_reference(n, m, model, f0_ghz, gaps_mhz, coup
 )
 def test_first_order_branch_parts_match_the_full_jets(stub, z0, f_ghz, couplers_ff,
                                                       top_order, fractions):
-    # _branch_slopes, the zero step's and the pole search's first-order
-    # parts, equals the first two entries of _branch_parts with
-    # derivatives by .hex(), on numpy arrays and on Python floats, at
-    # random frequencies across the tan intervals; and the series zeros it
-    # steps to, for every order up to top_order, are the zeros of a Newton
-    # step on _branch_parts' full N
+    # _branch_parts at order 1, the zero step's and the pole search's
+    # first-order parts, equals the first two entries at order 2 by
+    # .hex(), on numpy arrays and on Python floats, at random frequencies
+    # across the tan intervals; and the series zeros it steps to, for
+    # every order up to top_order, are the zeros of a Newton step on the
+    # order-2 N
     from qparity import network
-    from qparity.network import _branch_factors, _branch_parts, _branch_slopes
+    from qparity.network import _branch_factors, _branch_parts
 
     table = network._branch_table(stub, z0, [c * 1e-15 for c in couplers_ff],
                                   [TWO_PI * f * 1e9 for f in f_ghz])
@@ -310,26 +310,25 @@ def test_first_order_branch_parts_match_the_full_jets(stub, z0, f_ghz, couplers_
     def hexes(entries):
         return [[float(x).hex() for x in np.broadcast_to(e, shape).ravel()] for e in entries]
 
-    p, n = _branch_parts(stub, z0, cols, w, derivatives=True)
+    p, n = _branch_parts(stub, z0, cols, w, order=2)
     expected = hexes([*p[:2], *n[:2]])
-    factors = _branch_factors(stub, cols, w)
-    (p, p1), (n, n1) = _branch_slopes(stub, z0, cols, w, factors)
+    (p, p1), (n, n1) = _branch_parts(stub, z0, cols, w, order=1)
     assert hexes([p, p1, n, n1]) == expected
-    factors = [np.broadcast_to(f, shape) for f in factors]
-    on_floats = [_branch_slopes(stub, z0, table[b].tolist(), float(w[j]),
-                                [float(f[b, j]) for f in factors])
+    factors = [np.broadcast_to(f, shape) for f in _branch_factors(stub, cols, w, order=1)]
+    on_floats = [_branch_parts(stub, z0, table[b].tolist(), float(w[j]), 1,
+                               [float(f[b, j]) for f in factors])
                  for b in range(shape[0]) for j in range(shape[1])]
     assert hexes(np.reshape([[*p, *n] for p, n in on_floats], shape + (4,)).transpose(
         2, 0, 1)) == expected
 
-    def full_parts(stub, z0, branch, w, factors):
-        p, n = _branch_parts(stub, z0, branch, w, derivatives=True)
-        return p[:2], n[:2]
+    def full_parts(stub, z0, branch, w, order=0, factors=None):
+        p, n = _branch_parts(stub, z0, branch, w, order=2)
+        return p[:order + 1], n[:order + 1]
 
     pairs = [(branch, k) for branch in table.tolist() for k in range(top_order + 1)]
     zeros = network._series_zeros(stub, z0, pairs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network, "_branch_slopes", full_parts)
+        patch.setattr(network, "_branch_parts", full_parts)
         reference = network._series_zeros(stub, z0, pairs)
     assert [x.hex() for x in np.ravel(zeros)] == [x.hex() for x in np.ravel(reference)]
 
