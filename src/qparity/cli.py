@@ -464,6 +464,14 @@ def cmd_estimate(ns) -> int:
 # Parser wiring
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a flag (its subparsers too) by ConfigError, so main reports
+    it as a refused config field: exit 2 in one "config error:" line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _checked(kind, ok, need: str):
     """argparse type: parse with ``kind`` and refuse values failing ``ok``,
     so a bad flag exits 2 naming itself before any work starts."""
@@ -485,7 +493,7 @@ TOL = _checked(float, lambda v: MIN_TOL <= v < MAX_TOL, f">= {MIN_TOL} and < pi/
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qparity",
         description="Design toolkit for direct multi-qubit parity readout: "
                     "reflection-phase engineering, quantum-eraser solving, "
@@ -546,8 +554,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
     try:
+        ns = _parser().parse_args(argv)
         return ns.func(ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

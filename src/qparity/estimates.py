@@ -37,7 +37,7 @@ class NonFiniteEstimate(ValueError):
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if value is None or value <= 0.0:
+        if value is None or not value > 0.0:  # nan too; inf is estimate_report's
             raise ValueError(f"{name} must be > 0, got {value}")
 
 
@@ -76,7 +76,7 @@ def measurement_time_angular(chi: float, safety_factor: float = 10.0) -> float:
 
 def peak_power(alpha_sq: float, omega_p: float, duration: float) -> tuple[float, float]:
     """Peak pulse power P = |alpha|^2 * hbar * omega_p / T as (watts, dBm)."""
-    if alpha_sq < 0.0:
+    if not alpha_sq >= 0.0:  # refuses nan too
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     _require_positive(omega_p=omega_p, duration=duration)
     watts = alpha_sq * HBAR * omega_p / duration

@@ -8,7 +8,8 @@ coefficient r = (N - Z0*D)/(N + Z0*D) is well defined everywhere, with
 r = +1 exactly at a pole of Z.  The closed form (PhaseCurve, and the
 stacked branch tables every parity device and cascade cavity folds) takes
 its one-port as numbers instead: a coupling capacitor and a resonance
-frequency per parallel branch.
+frequency per parallel branch, folded along arrays in numpy (_fold) or,
+with theta's derivatives at order 1 or 2, in one float fold (_jets).
 
 Sign convention: the unwrapped reflection phase theta(omega) decreases with
 increasing omega through a resonance (passive delay convention).  A window
@@ -425,9 +426,10 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 
 def _branch_factors(stub: bool, branch, w, order: int = 0) -> tuple:
     """The part of _branch_parts that runs in numpy, elementwise over the
-    arrays of a table row and w: the stub's x = (pi/2) w/w_r with cos x and
-    sin x; the tank's c = 1 - w^2 L C and s = w L, and at ``order`` 2 their
-    d/dw_r, which divide by w_r = 1/sqrt(L C), 0 where L C overflows."""
+    arrays of a table row and w (_pair_factors makes it on floats): the
+    stub's x = (pi/2) w/w_r with cos x and sin x; the tank's c = 1 - w^2 L C
+    and s = w L, and at ``order`` 2 their d/dw_r, which divide by
+    w_r = 1/sqrt(L C), 0 where L C overflows."""
     if stub:
         x = 0.5 * math.pi * (w / branch[1])
         return x, np.cos(x), np.sin(x)
@@ -453,8 +455,8 @@ def _branch_parts(stub: bool, z0: float, branch: tuple, w, order: int = 0, facto
     the tank's sqrt(L/C)); every order's entries come from the same
     expressions.  The row's entries and w may be arrays of one shape: every
     operation is elementwise.  Given ``factors``, _branch_factors' result
-    for the same row, w and order, the rest is products and sums only, so
-    it runs on Python floats as well.
+    for the same row, w and order (on floats, _pair_factors'), the rest is
+    products and sums only, so it runs on Python floats as well.
     """
     c_c = branch[0]
     if factors is None:
@@ -507,15 +509,6 @@ def _zeros_below(stub: bool, branch: tuple, n, w):
     return m + (np.where(np.fmod(m, 2.0) == 0.0, n, -n) < 0.0)
 
 
-def _theta(z0_u, v, passed):
-    """theta = -2 atan(z0 U/V) - 2*pi * passed, the fold's last step (see
-    _fold), elementwise over arrays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # V = 0 only exactly on a zero, which B approaches from below
-        z0_b = np.where(v == 0.0, np.inf, z0_u / v)
-    return -2.0 * np.arctan(z0_b) - TWO_PI * passed
-
-
 def _fold(stub: bool, z0: float, branches, w):
     """theta of m parallel branches along w, in numpy.
 
@@ -524,8 +517,8 @@ def _fold(stub: bool, z0: float, branches, w):
     broadcast against w's leading axes, so one call evaluates many curves at
     once.  The branch parts of all branches come from one call.  The fold is
     U <- U N_k + P_k V, V <- V N_k, B = U/V, and
-    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}; _jets and
-    _theta_slopes run the same recurrence on floats, with theta equal to
+    theta = -2 atan(z0 U/V) - 2*pi #{branch zeros below w}; the float fold
+    _jets runs the same recurrence, at either order, with theta equal to
     this one's bit for bit.
     """
     # the table's columns, each (branches, curves..., 1...) to broadcast against w
@@ -535,7 +528,10 @@ def _fold(stub: bool, z0: float, branches, w):
     u, v = np.zeros_like(w), np.ones_like(w)
     for p_k, n_k in zip(p, n):
         u, v = u * n_k + p_k * v, v * n_k
-    return _theta(z0 * u, v, _zeros_below(stub, cols, n, w).sum(axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # V = 0 only exactly on a zero, which B approaches from below
+        z0_b = np.where(v == 0.0, np.inf, (z0 * u) / v)
+    return -2.0 * np.arctan(z0_b) - TWO_PI * _zeros_below(stub, cols, n, w).sum(axis=0)
 
 
 def _phasor(stub: bool, z0: float, branches, w):
@@ -564,89 +560,6 @@ def _phasor(stub: bool, z0: float, branches, w):
     r = np.empty(d.shape, complex)
     r.real, r.imag = (v2 - z0_u2) / d, -2.0 * (v * z0_u) / d
     return r
-
-
-def _jets(stub: bool, z0: float, table, w):
-    """(theta, theta', theta'', d theta/d w_r of each branch) of each row of a
-    stacked branch table, shape (rows, m, columns), at w (one frequency, or
-    one per row); the last entry is (m, rows), in branch order at fixed
-    resonator impedance.  Unchecked: entries that leave float range come out
-    inf or nan.
-
-    One numpy pass over every (row, branch) pair makes what needs numpy:
-    the branch parts' factors (cos and sin, the tank's divisions).  The
-    rest of the branch parts, their zeros below w (with the stub's tan
-    intervals) and _fold's recurrence run on Python floats, row by row,
-    where a tiny table costs far less than numpy's per-call dispatch: U and
-    V are jets (value, d/dw, d2/dw2, d/dw_r of each branch), and only
-    branch k's own parts move with its resonance, so the other directions
-    of P_k and N_k
-    are the exact products 0.0 * P3 and 0.0 * N3 (they fix the signs of
-    zeros, and carry inf and nan).  With A = z0 (U' V - U V') and
-    D = V^2 + z0^2 U^2, theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2;
-    these divisions, whose divisors can be 0, and theta's run in numpy over
-    all rows.  So a row equals _fold's theta bit for bit, and its
-    derivatives equal the same recurrence run on numpy jets.  Squares are
-    written as products (numpy's scalar x ** 2 calls libm pow, which can
-    round differently).
-    """
-    table = np.asarray(table, dtype=float)
-    cols = table.T  # (columns, m, rows), to broadcast against w
-    rows, m = table.shape[:2]
-    factors = _branch_factors(stub, cols, w, order=2)
-    ws = np.asarray(w, dtype=float)
-    ws = ws.tolist() if ws.ndim else [float(ws)] * rows
-    z0 = float(z0)
-    ends, nums, dens = [], [], []
-    for branches, w_row, pairs in zip(table.tolist(), ws, np.array(factors).T.tolist()):
-        u0 = u1 = u2 = v1 = v2 = 0.0
-        v0, ud, vd, count = 1.0, [0.0] * m, [0.0] * m, 0
-        for k, (branch, pair) in enumerate(zip(branches, pairs)):
-            (p0, p1, p2, p3), (n0, n1, n2, n3) = _branch_parts(
-                stub, z0, branch, w_row, 2, pair)
-            count += _zeros_below(stub, branch, n0, w_row)
-            # the directions of U N_k + P_k V and V N_k: entry j of N_k and
-            # P_k is n3 and p3 for j = k, else the products 0.0 * n3 and 0.0 * p3
-            u_k, v_k = ud[k], vd[k]
-            u_n, v_p, v_n = u0 * (0.0 * n3), v0 * (0.0 * p3), v0 * (0.0 * n3)
-            ud = [(u_n + n0 * x) + (p0 * y + v_p) for x, y in zip(ud, vd)]
-            vd = [v_n + n0 * y for y in vd]
-            ud[k] = (u0 * n3 + n0 * u_k) + (p0 * v_k + v0 * p3)
-            vd[k] = v0 * n3 + n0 * v_k
-            u0, u1, u2, v0, v1, v2 = (
-                u0 * n0 + p0 * v0,
-                (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
-                (u0 * n2 + n0 * u2 + 2.0 * u1 * n1) + (p0 * v2 + v0 * p2 + 2.0 * p1 * v1),
-                v0 * n0,
-                v0 * n1 + n0 * v1,
-                v0 * n2 + n0 * v2 + 2.0 * v1 * n1)
-        a1, a2 = z0 * (u1 * v0 - u0 * v1), z0 * (u2 * v0 - u0 * v2)
-        d = v0 * v0 + (z0 * u0) * (z0 * u0)
-        d_prime = 2.0 * (v0 * v1 + z0 * z0 * u0 * u1)
-        ends.append((z0 * u0, v0, count))
-        nums.append([-2.0 * a1, -2.0 * (a2 * d - a1 * d_prime),
-                     *[-2.0 * (z0 * (x * v0 - u0 * y)) for x, y in zip(ud, vd)]])
-        dens.append([d, d * d] + [d] * m)
-    nums, dens = np.array([nums, dens])
-    slopes = (nums / dens).T
-    return _theta(*np.array(ends).T), slopes[0], slopes[1], slopes[2:]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-def _fold_jets(stub: bool, z0: float, table, w):
-    """_jets, refused (NetworkError) where theta', theta'' or a d theta/d w_r
-    leaves float range."""
-    jets = _jets(stub, z0, table, w)
-    # one pass: a sum of finite entries is finite unless it overflows, and
-    # then the per-row mask finds no row to refuse
-    if not math.isfinite(sum(jets[1].tolist()) + sum(jets[2].tolist())
-                         + sum(jets[3].ravel().tolist())):
-        finite = np.isfinite(jets[1]) & np.isfinite(jets[2]) & np.isfinite(jets[3]).all(axis=0)
-        if not finite.all():
-            w_bad = float(np.broadcast_to(w, finite.shape)[~finite][0])
-            raise NetworkError(f"phase derivatives at omega={w_bad:.6e} rad/s "
-                               "leave float range")
-    return jets
 
 
 def _divide(a: float, b: float) -> float:
@@ -705,49 +618,114 @@ def _bracketed_newton(f, x, lo, hi) -> list:
     return x
 
 
-def _pair_factors(stub: bool, branches: list, ws: list) -> list:
-    """_branch_factors at order 0 or 1 of each (branch, w) pair, on
-    Python floats: a tank's need no numpy, a stub's x = (pi/2) w/w_r takes
-    one np.cos and one np.sin over every pair.  One call per pass of a
-    bracketed Newton kernel (_series_zeros, _theta_slopes)."""
-    if not stub:
-        return [_branch_factors(stub, branch, w) for branch, w in zip(branches, ws)]
-    x = [0.5 * math.pi * (w / branch[1]) for branch, w in zip(branches, ws)]
-    xs = np.array(x)
-    return list(zip(x, np.cos(xs).tolist(), np.sin(xs).tolist()))
+def _pair_factors(stub: bool, branches: list, ws: list, order: int) -> list:
+    """_branch_factors at ``order`` of each (branch, w) pair, on Python
+    floats, for one pass of a float fold (_jets, _series_zeros): a stub's
+    x = (pi/2) w/w_r takes one np.cos and one np.sin over every pair, a
+    tank's no numpy call, its order-2 d/dw_r dividing by w_r = 1/sqrt(L C)
+    as numpy does (_divide), to 0, inf or nan where L C leaves float range."""
+    if stub:
+        x = [0.5 * math.pi * (w / branch[1]) for branch, w in zip(branches, ws)]
+        xs = np.array(x)
+        return list(zip(x, np.cos(xs).tolist(), np.sin(xs).tolist()))
+    parts = [(1.0 - w * w * (l * cap), w * l) for (_, cap, l), w in zip(branches, ws)]
+    if order < 2:
+        return parts
+    w_rs = [_divide(1.0, math.sqrt(l * cap)) for _, cap, l in branches]
+    return [(c, s, _divide(2.0 * (1.0 - c), w_r), _divide(-s, w_r))
+            for (c, s), w_r in zip(parts, w_rs)]
 
 
-def _theta_slopes(stub: bool, z0: float, rows: list, ws: list) -> tuple:
-    """(theta, theta') of each row, a branch table as lists of floats, at
-    its own w of ``ws``: the loaded-pole search's first-order kernel, as
-    two lists of Python floats.  Unchecked.
+def _jets(stub: bool, z0: float, rows: list, ws: list, order: int) -> tuple:
+    """The float fold: (theta, theta') at ``order`` 1, and (theta, theta',
+    theta'', d theta/d w_r) at order 2, of each row of ``rows`` (a stacked
+    branch table as lists of floats) at its own w of ``ws``, as lists of
+    Python floats; d theta/d w_r is one list over the rows per branch, in
+    branch order at fixed resonator impedance.  Unchecked: entries that
+    leave float range come out inf or nan.
 
-    Its numpy work is one _pair_factors call over every (row, branch) pair
-    and one np.arctan over every row.  The branch parts (_branch_parts at
-    order 1), zero counts (_zeros_below, with the stub's tan intervals) and
-    _fold's U, V recurrence run on floats, with U' and V' beside them in
-    _jets' order, and theta' = -2 z0 (U' V - U V')/(V^2 + z0^2 U^2)
-    divides as numpy does; so theta equals _fold's and theta' _jets' bit
-    for bit.
+    Its numpy work is one _pair_factors call and one np.arctan over every
+    row; the branch parts, their zeros below w (_zeros_below) and _fold's
+    recurrence run on floats, with U and V as jets: (value, d/dw), and at
+    order 2, in a loop of its own, d2/dw2 and d/dw_r of each branch.  Only
+    branch k's parts move with its resonance, so the other directions of
+    P_k and N_k are the exact products 0.0 * P3 and 0.0 * N3 (they fix the
+    signs of zeros, and carry inf and nan).  With A = z0 (U' V - U V') and
+    D = V^2 + z0^2 U^2, theta' = -2 A/D and theta'' = -2 (A' D - A D')/D^2,
+    divided as numpy divides (_divide).  So theta equals _fold's bit for
+    bit, and the derivatives the same recurrence run on numpy jets.
+    Squares are written as products (numpy's scalar x ** 2 calls libm pow,
+    which can round differently).
     """
     z0 = float(z0)
     factors = iter(_pair_factors(stub, [branch for row in rows for branch in row],
-                                 [w for row, w in zip(rows, ws) for _ in row]))
-    z0_b, passed, slopes = [], [], []
+                                 [w for row, w in zip(rows, ws) for _ in row], order))
+    z0_b, passed, d1, d2 = [], [], [], []
+    d_r = [[] for _ in (rows[0] if rows else ())]
     for row, w in zip(rows, ws):
-        u0 = u1 = v1 = 0.0
+        u0 = u1 = u2 = v1 = v2 = 0.0
         v0, count = 1.0, 0
-        for branch in row:
-            (p0, p1), (n0, n1) = _branch_parts(stub, z0, branch, w, 1, next(factors))
-            count += _zeros_below(stub, branch, n0, w)
-            u0, u1, v0, v1 = (u0 * n0 + p0 * v0, (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
-                              v0 * n0, v0 * n1 + n0 * v1)
+        if order == 1:
+            for branch in row:
+                (p0, p1), (n0, n1) = _branch_parts(stub, z0, branch, w, 1, next(factors))
+                count += _zeros_below(stub, branch, n0, w)
+                u0, u1, v0, v1 = (u0 * n0 + p0 * v0, (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
+                                  v0 * n0, v0 * n1 + n0 * v1)
+        else:
+            ud, vd = [0.0] * len(row), [0.0] * len(row)
+            for k, branch in enumerate(row):
+                (p0, p1, p2, p3), (n0, n1, n2, n3) = _branch_parts(stub, z0, branch, w, 2,
+                                                                   next(factors))
+                count += _zeros_below(stub, branch, n0, w)
+                # the directions of U N_k + P_k V and V N_k: entry j of N_k
+                # and P_k is n3 and p3 for j = k, else 0.0 * n3 and 0.0 * p3
+                u_k, v_k = ud[k], vd[k]
+                u_n, v_p, v_n = u0 * (0.0 * n3), v0 * (0.0 * p3), v0 * (0.0 * n3)
+                ud = [(u_n + n0 * x) + (p0 * y + v_p) for x, y in zip(ud, vd)]
+                vd = [v_n + n0 * y for y in vd]
+                ud[k] = (u0 * n3 + n0 * u_k) + (p0 * v_k + v0 * p3)
+                vd[k] = v0 * n3 + n0 * v_k
+                u0, u1, u2, v0, v1, v2 = (
+                    u0 * n0 + p0 * v0,
+                    (u0 * n1 + n0 * u1) + (p0 * v1 + v0 * p1),
+                    (u0 * n2 + n0 * u2 + 2.0 * u1 * n1) + (p0 * v2 + v0 * p2 + 2.0 * p1 * v1),
+                    v0 * n0,
+                    v0 * n1 + n0 * v1,
+                    v0 * n2 + n0 * v2 + 2.0 * v1 * n1)
         z0_u = z0 * u0
-        z0_b.append(math.inf if v0 == 0.0 else z0_u / v0)  # _theta's, on a zero
+        z0_b.append(math.inf if v0 == 0.0 else z0_u / v0)  # _fold's, on a zero
         passed.append(count)
-        slopes.append(_divide(-2.0 * (z0 * (u1 * v0 - u0 * v1)), v0 * v0 + z0_u * z0_u))
-    atan = np.arctan(z0_b).tolist()
-    return [-2.0 * a - TWO_PI * k for a, k in zip(atan, passed)], slopes
+        a1 = z0 * (u1 * v0 - u0 * v1)
+        d = v0 * v0 + z0_u * z0_u
+        d1.append(_divide(-2.0 * a1, d))
+        if order == 2:
+            a2 = z0 * (u2 * v0 - u0 * v2)
+            d_prime = 2.0 * (v0 * v1 + z0 * z0 * u0 * u1)
+            d2.append(_divide(-2.0 * (a2 * d - a1 * d_prime), d * d))
+            for col, x, y in zip(d_r, ud, vd):
+                col.append(_divide(-2.0 * (z0 * (x * v0 - u0 * y)), d))
+    theta = [-2.0 * a - TWO_PI * k for a, k in zip(np.arctan(z0_b).tolist(), passed)]
+    return (theta, d1) if order == 1 else (theta, d1, d2, d_r)
+
+
+@np.errstate(invalid="ignore")  # a cos or sin of inf; the entries are checked below
+def _fold_jets(stub: bool, z0: float, table, w):
+    """_jets at order 2 of a stacked branch table, shape (rows, m, columns),
+    at w (a float, or one per row), as arrays: theta, theta' and theta'' by
+    row, and d theta/d w_r, (m, rows).  Refused (NetworkError) where a
+    derivative leaves float range."""
+    rows = np.asarray(table, dtype=float).tolist()
+    ws = [float(w)] * len(rows) if isinstance(w, float) else np.asarray(w, dtype=float).tolist()
+    theta, d1, d2, d_r = _jets(stub, z0, rows, ws, 2)
+    # one pass: a sum of finite entries is finite unless it overflows, and
+    # then the per-row test finds no row to refuse
+    if not math.isfinite(sum(d1) + sum(d2) + sum(map(sum, d_r))):
+        for w_row, *entries in zip(ws, d1, d2, *d_r):
+            if not all(map(math.isfinite, entries)):
+                raise NetworkError(f"phase derivatives at omega={w_row:.6e} rad/s "
+                                   "leave float range")
+    out = np.array([theta, d1, d2, *d_r])
+    return out[0], out[1], out[2], out[3:]
 
 
 def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
@@ -806,7 +784,7 @@ def _series_zeros(stub: bool, z0: float, pairs: list) -> list:
     (2 order + 1) w_r, and that tank's zero seeds _bracketed_newton on
     N (-1)^order over the interval, on Python floats: a pass evaluates N
     and N' only (_branch_parts at order 1), at every zero still moving,
-    from one _pair_factors call.
+    from one _pair_factors call at order 1.
     """
     if not stub:
         return [_divide(1.0, math.sqrt(l * (cap + c_c))) for (c_c, cap, l), _ in pairs]
@@ -825,7 +803,7 @@ def _series_zeros(stub: bool, z0: float, pairs: list) -> list:
     def falling_n(active, zs):
         rows = [pairs[i][0] for i in active]
         values, slopes = [], []
-        for i, branch, z, factors in zip(active, rows, zs, _pair_factors(stub, rows, zs)):
+        for i, branch, z, factors in zip(active, rows, zs, _pair_factors(stub, rows, zs, 1)):
             _, (n, n1) = _branch_parts(stub, z0, branch, z, 1, factors)
             values.append(sign[i] * n)
             slopes.append(sign[i] * n1)
@@ -865,8 +843,8 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
     (-k+1)-th zeros from DC (_zero_table), clipped to the band.
     _bracketed_newton on theta - 2*pi k with the exact theta' starts at the
     bracket's midpoint, or above the top zero at the top branch's resonance
-    frequency, the exact pole of one branch.  Its passes run the
-    first-order float kernel _theta_slopes over the poles still moving.
+    frequency, the exact pole of one branch.  Each pass is one float fold
+    at order 1 (_jets, theta and theta') over the poles still moving.
     """
     edges = _fold(stub, z0, table.repeat(2, axis=0), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
@@ -889,7 +867,7 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
     branches = table.tolist()
 
     def above_level(active, xs):
-        theta, slope = _theta_slopes(stub, z0, [branches[rows[j]] for j in active], xs)
+        theta, slope = _jets(stub, z0, [branches[rows[j]] for j in active], xs, 1)
         return [t - levels[j] for t, j in zip(theta, active)], slope
 
     poles = [[] for _ in branches]
@@ -923,9 +901,10 @@ class PhaseCurve:
     stub); the loaded poles (theta = 0 mod 2*pi, r = +1) are found by
     bracketed Newton between them (see _crossings), both on Python floats
     (_bracketed_newton).  ``theta`` reads the
-    numpy fold along arrays, _fold; ``jets`` reads the same recurrence on
-    jets of floats, _jets, which gives theta with its exact derivatives,
-    smooth through branch zeros (V = 0) and loaded poles (U = 0).
+    numpy fold along arrays, _fold; the pole search and ``jets`` read the
+    same recurrence on jets of floats, _jets, at order 1 and 2, which gives
+    theta with its exact derivatives, smooth through branch zeros (V = 0)
+    and loaded poles (U = 0).
     """
 
     def __init__(self, c_couple, omega_r, z0: float, band: tuple[float, float],

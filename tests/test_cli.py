@@ -142,11 +142,34 @@ def test_bad_numeric_flag_exits_2_before_any_work(tmp_path, capsys, argv, flag):
     sol.write_text("{}")
     cas.write_text(json.dumps(CASCADE_CONFIG))
     argv = [a.format(cfg=cfg, sol=sol, cas=cas, out=out) for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert main(argv) == 2
+    out_text, err = capsys.readouterr()
+    # one line, as every other exit-2 refusal: no argparse usage line
+    assert err.startswith(f"config error: argument {flag}: must be ")
+    assert err.count("\n") == 1 and err.endswith("\n") and not out_text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve"], "the following arguments are required: config"),
+    (["bogus"], "argument cmd: invalid choice: 'bogus'"),
+    (["solve", "c.json", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+    (["solve", "c.json", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+], ids=["missing", "choice", "type", "unknown"])
+def test_every_parser_refusal_is_one_config_error_line(capsys, argv, message):
+    # a flag argparse refuses for itself, not through a checked type, exits
+    # 2 in the same one "config error:" line
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not out
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qparity solve")
 
 
 def test_cascade_nonpositive_z0_names_field(paper_cfg, tmp_path, capsys):
@@ -211,10 +234,7 @@ def test_main_reuses_its_parser_with_fresh_parser_results(solved, tmp_path, caps
                       "--out-json", str(tmp_path / f"{tag}.fid.json")],
                      ["compare", str(cfg), "--T-us", "-1"],
                      ["solve", str(cfg), "--out", str(tmp_path / f"{tag}.sol2.json")]):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                rc = exc.code
+            rc = main(argv)
             out, err = capsys.readouterr()
             results.append((rc, out, err))
         files = [(tmp_path / f"{tag}.{name}.json").read_bytes()
@@ -226,7 +246,7 @@ def test_main_reuses_its_parser_with_fresh_parser_results(solved, tmp_path, caps
     fresh = run("fresh")
     assert cached == fresh
     assert [rc for rc, _, _ in cached[0]] == [0, 2, 0, 2, 0]
-    assert "argument --tol: must be >= 1e-12 and < pi/10, got 0" in cached[0][1][2]
+    assert cached[0][1][2] == "config error: argument --tol: must be >= 1e-12 and < pi/10, got 0\n"
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -788,13 +808,11 @@ def test_solve_tol_whose_pole_guard_takes_every_phase_exits_2(paper_cfg, tmp_pat
 
     monkeypatch.setattr(qparity.cli, "solve_eraser", refuse)
     out = tmp_path / "sol.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", str(paper_cfg), "--tol", tol, "--out", str(out)])
-    assert exc.value.code == 2
+    assert main(["solve", str(paper_cfg), "--tol", tol, "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    assert err.splitlines()[-1] == ("qparity solve: error: argument --tol: must be "
-                                    f">= 1e-12 and < pi/10, got {tol}")
+    assert err == ("config error: argument --tol: must be "
+                   f">= 1e-12 and < pi/10, got {tol}\n")
     assert not out.exists()
 
 

@@ -1236,16 +1236,16 @@ def _solve_work(dev, monkeypatch, **kwargs):
     phase curves built, eraser_residuals calls and network-tree evaluations
     (network._impedance_parts, which every point and root solve of the
     oracle sweep goes through) over both, the fold passes of solve_eraser
-    (every call of the theta fold _fold, the jets kernel _jets or the
-    loaded-pole search's first-order kernel _theta_slopes: one stacked fold
-    of every weight counts one) and those of solution_to_dict.  "jets" and
-    "solve_jets" count the _jets passes among those fold passes on their
-    own, "pole_passes" the _theta_slopes passes of solution_to_dict, and
+    (every call of the theta fold _fold or the float fold _jets, at either
+    order: one stacked fold of every weight counts one) and those of
+    solution_to_dict.  "jets" and "solve_jets" count the order-2 _jets
+    passes among those fold passes on their own, "pole_passes" the order-1
+    passes of solution_to_dict (the loaded-pole search's), and
     "zero_passes" and "solve_zero_passes" the bracketed Newton passes of
     the series-zero search (network._series_zeros: every Newton pass calls
-    _pair_factors once, and only a zero pass does so outside
-    _theta_slopes).  All are patched where qparity.network resolves them,
-    which every caller goes through."""
+    _pair_factors once, and only a zero pass does so outside _jets).  All
+    are patched where qparity.network resolves them, which every caller
+    goes through."""
     from collections import Counter
 
     from qparity import eraser, network
@@ -1272,24 +1272,25 @@ def _solve_work(dev, monkeypatch, **kwargs):
         counts["zero_passes"] += 1
         return pair_factors(*args, **kwargs)
 
-    def counting(name):
-        fold = getattr(network, name)
+    fold, jets = network._fold, network._jets
 
-        def counting_fold(*args, **kwargs):
-            counts["folds"] += 1
-            counts["jets"] += name == "_jets"
-            counts["pole_passes"] += name == "_theta_slopes"
-            counts["zero_passes"] -= name == "_theta_slopes"
-            return fold(*args, **kwargs)
+    def counting_fold(*args, **kwargs):
+        counts["folds"] += 1
+        return fold(*args, **kwargs)
 
-        return counting_fold
+    def counting_jets(stub, z0, rows, ws, order):
+        counts["folds"] += 1
+        counts["jets"] += order == 2
+        counts["pole_passes"] += order == 1
+        counts["zero_passes"] -= 1
+        return jets(stub, z0, rows, ws, order)
 
     monkeypatch.setattr(network.PhaseCurve, "__init__", counting_init)
     monkeypatch.setattr(eraser, "eraser_residuals", counting_residuals)
     monkeypatch.setattr(network, "_impedance_parts", counting_tree)
     monkeypatch.setattr(network, "_pair_factors", counting_pair_factors)
-    for name in ("_fold", "_jets", "_theta_slopes"):
-        monkeypatch.setattr(network, name, counting(name))
+    monkeypatch.setattr(network, "_fold", counting_fold)
+    monkeypatch.setattr(network, "_jets", counting_jets)
     sol = solve_eraser(dev, **kwargs)
     solve_curves, counts["solve_folds"] = counts["curves"], counts["folds"]
     counts["solve_jets"] = counts["jets"]
@@ -1376,10 +1377,10 @@ def test_paper_solve_work_count(paper_device, monkeypatch):
     # passes for the pole model's series zeros.  The payload's 8 loaded
     # poles take no curve (one per weight before) and 6 fold passes over
     # the stacked weight table: the band-edge phases (_fold), then 5
-    # bracketed Newton passes of the first-order kernel _theta_slopes (one
+    # bracketed Newton passes of the float fold _jets at order 1 (one
     # brentq per pole made 8 root solves), after 3 Newton passes for the
-    # zero table.  Those passes make theta and theta' only: none runs the
-    # jets kernel, whose theta'' and d theta/d w_r the search never reads
+    # zero table.  Those passes make theta and theta' only: none runs it
+    # at order 2, whose theta'' and d theta/d w_r the search never reads
     # (5 did)
     counts = _solve_work(paper_device, monkeypatch)
     assert counts["curves"] == 0
@@ -1402,7 +1403,7 @@ def test_two_qubit_solve_work_count(monkeypatch):
     # when it folded the root again; one curve per weight and point built
     # 46, the exact-curve grid added 99 (139), and a chi-by-chi root search
     # with a golden-section polish built 233).  The payload's loaded poles
-    # run no jets kernel pass
+    # run no order-2 fold pass
     counts = _solve_work(two_mode_device(2), monkeypatch)
     assert counts["curves"] == 0
     assert counts["solve_folds"] <= 12
@@ -1421,8 +1422,8 @@ def test_four_qubit_free_solve_work_count(monkeypatch):
     # gaps built 3392).
     # The payload's 15 loaded poles take no curve (one per weight before)
     # and 6 fold passes, as the paper's 8 do: one _fold of the band edges
-    # and 5 _theta_slopes passes (15 brentq root solves before), none of
-    # them a jets kernel pass, after 3 Newton passes for the zero table
+    # and 5 order-1 _jets passes (15 brentq root solves before), none of
+    # them at order 2, after 3 Newton passes for the zero table
     counts = _solve_work(four_qubit_device(), monkeypatch,
                          free=("chi", "mode_frequencies"))
     assert counts["curves"] == 0
@@ -1442,12 +1443,16 @@ def test_search_passes_make_few_numpy_calls(model, monkeypatch):
     # each bracketed Newton pass of the payload's zero and loaded-pole
     # searches makes only its pass kernel's numpy calls: the array of its
     # stub pairs' x with their cos and sin (_pair_factors; none for a
-    # tank), and in a pole pass one arctan over its rows (_theta_slopes).
-    # The bracket updates, branch parts, zero counts, recurrence and
-    # divisions run on Python floats
+    # tank), and in a pole pass, the float fold _jets at order 1, one
+    # arctan over its rows.  An exact-stage point's fold (_rows_jets, the
+    # float fold at order 2 through _fold_jets) makes the same factor calls
+    # and arctan, and its array build: the table read into lists and one
+    # array of every entry (ten calls on a stub, nine on a tank, when its
+    # divisions ran in numpy).  The bracket updates, branch parts, zero
+    # counts, recurrence and divisions run on Python floats
     from collections import Counter
 
-    from qparity import eraser, network
+    from qparity import device, eraser, network
 
     sol = solve_eraser(ParityDevice.equal_coupling(3, two_mode_device(3).modes, TWO_PI * 5e6,
                                                    resonator_model=model))
@@ -1465,25 +1470,33 @@ def test_search_passes_make_few_numpy_calls(model, monkeypatch):
 
             return call
 
-    def kernel(name):
-        run = getattr(network, name)
-
-        def counting_kernel(*args, **kwargs):
-            counts[name] += 1
+    def kernel(name, run):
+        def counting_kernel(*args):
+            counts[f"{name} order {args[4]}" if name == "_jets" else name] += 1
             inside.append(name)
             try:
-                return run(*args, **kwargs)
+                return run(*args)
             finally:
                 inside.pop()
 
         return counting_kernel
 
     monkeypatch.setattr(network, "np", CountingNumpy())
-    for name in ("_pair_factors", "_theta_slopes"):
-        monkeypatch.setattr(network, name, kernel(name))
+    for name in ("_pair_factors", "_jets"):
+        monkeypatch.setattr(network, name, kernel(name, getattr(network, name)))
+    monkeypatch.setattr(device, "_fold_jets", kernel("_fold_jets", network._fold_jets))
     eraser.solution_to_dict(sol)
-    pole_passes = counts["_theta_slopes"]
+    pole_passes = counts["_jets order 1"]
     zero_passes = counts["_pair_factors"] - pole_passes
     assert pole_passes == 5 and zero_passes == (3 if model == "stub" else 0)
+    assert counts["_jets order 2"] == counts["_fold_jets"] == 0
     factor_calls = 3 if model == "stub" else 0  # np.array, np.cos, np.sin
     assert counts["numpy calls"] == (pole_passes + zero_passes) * factor_calls + pole_passes
+
+    counts.clear()
+    dev = sol.device
+    rows = device._weight_rows([mo.omega for mo in dev.modes], dev.chi, dev.n)
+    jets = device._rows_jets(dev, rows, sol.omega_p)
+    assert counts["_fold_jets"] == counts["_jets order 2"] == counts["_pair_factors"] == 1
+    assert counts["numpy calls"] == factor_calls + 1 + 2  # np.asarray and np.array
+    assert all(np.array_equal(got, held) for got, held in zip(jets, sol.jets))

@@ -96,6 +96,30 @@ def test_inputs_validated():
         kappa_from_coupling(1e-15, 50.0, 0.0)
 
 
+@pytest.mark.parametrize("args,name", [
+    ((math.nan, 1.0, 1.0), "delta"),
+    ((1.0, math.nan, 1.0), "kappa"),
+    ((1.0, 1.0, math.nan), "chi"),
+])
+def test_purcell_t1_refuses_nan_naming_it(args, name):
+    # nan fails every comparison, so a "<= 0" test let it through, and
+    # T1 came out nan
+    for estimate in (purcell_t1, purcell_t1_angular):
+        with pytest.raises(ValueError, match=f"^{name} must be > 0, got nan$"):
+            estimate(*args)
+
+
+@pytest.mark.parametrize("args,need", [
+    ((math.nan, 1.0, 1.0), "alpha_sq must be >= 0"),
+    ((1.0, math.nan, 1.0), "omega_p must be > 0"),
+    ((1.0, 1.0, math.nan), "duration must be > 0"),
+])
+def test_peak_power_refuses_nan_naming_it(args, need):
+    # a nan |alpha|^2 passed "< 0" and gave (nan, -inf)
+    with pytest.raises(ValueError, match=f"^{need}, got nan$"):
+        peak_power(*args)
+
+
 def test_report_carries_convention_tags():
     rep = estimate_report(TWO_PI * 5e9, TWO_PI * 5e6, TWO_PI * 5.77e6,
                           5.0, TWO_PI * 9.804e9, 1e-6)

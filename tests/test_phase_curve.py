@@ -142,10 +142,10 @@ def test_jets_lead_with_theta_bit_for_bit(m, model, f0_ghz, gaps_mhz, couplers_f
 
 @pytest.mark.parametrize("model", ["stub", "lumped"])
 def test_broadcast_fold_matches_each_curve(model):
-    # one jets kernel pass, and one first-order kernel pass, over the
-    # stacked branch tables of every weight, one frequency per curve, give
-    # each curve's own theta and theta' bit for bit
-    from qparity.network import _jets, _theta_slopes
+    # one float fold pass at order 2, and one at order 1, over the stacked
+    # branch tables of every weight, one frequency per curve, give each
+    # curve's own theta and theta' bit for bit
+    from qparity.network import _jets
 
     curves = device_curves(paper(model))
     grid = TWO_PI * np.linspace(9.7e9, 10.1e9, 7)
@@ -153,8 +153,8 @@ def test_broadcast_fold_matches_each_curve(model):
     table = np.array([c._branches for c in curves])[rows]
     w = np.tile(grid, len(curves))
     stub, z0 = model == "stub", curves[0].z0
-    for theta, slope in (_jets(stub, z0, table, w)[:2],
-                         _theta_slopes(stub, z0, table.tolist(), w.tolist())):
+    for order in (2, 1):
+        theta, slope = _jets(stub, z0, table.tolist(), w.tolist(), order)[:2]
         assert np.array_equal(theta, np.concatenate([c.theta(grid) for c in curves]))
         assert np.array_equal(slope, [c.dtheta(x) for c in curves for x in grid])
 
@@ -200,29 +200,30 @@ def _hexes(jets) -> list:
 
 
 def _kernel_matches_reference(stub, z0, table, w) -> bool:
-    """The jets kernel equals the numpy reference fold entry for entry by
-    .hex(), and so do the first-order kernel's theta and theta'
-    (_theta_slopes on Python floats, one frequency per row), the first two
-    entries; the kernel's checked form refuses exactly where a derivative
-    leaves float range; returns whether any entry did."""
+    """The float fold at order 2 equals the numpy reference fold entry for
+    entry by .hex(), and at order 1 its theta and theta', the first two
+    entries; its checked form, _fold_jets, equals it too and refuses
+    exactly where a derivative leaves float range; returns whether any
+    entry did."""
     from jets_reference import reference_jets
 
-    from qparity.network import NetworkError, _fold_jets, _jets, _theta_slopes
+    from qparity.network import NetworkError, _fold_jets, _jets
 
+    rows = np.asarray(table, dtype=float).tolist()
+    ws = np.broadcast_to(w, len(rows)).tolist()
     with np.errstate(all="ignore"):
         expected = reference_jets(stub, z0, table, w)
-        assert _hexes(_jets(stub, z0, table, w)) == _hexes(expected)
-        first_order = _theta_slopes(stub, z0, np.asarray(table, dtype=float).tolist(),
-                                    np.broadcast_to(w, len(table)).tolist())
+        assert _hexes(_jets(stub, z0, rows, ws, 2)) == _hexes(expected)
+        first_order = _jets(stub, z0, rows, ws, 1)
         assert ([[float(x).hex() for x in np.ravel(entry)] for entry in first_order]
                 == [[float(x).hex() for x in np.ravel(entry)] for entry in expected[:2]])
         finite = all(np.isfinite(x).all() for x in expected[1:])
         try:
-            _fold_jets(stub, z0, table, w)
+            checked = _fold_jets(stub, z0, table, w)
         except NetworkError:
             assert not finite
         else:
-            assert finite
+            assert finite and _hexes(checked) == _hexes(expected)
     return not finite
 
 
@@ -352,7 +353,7 @@ def test_jets_kernel_matches_reference_beyond_float_range():
         table = [_branch_table(stub, z0, c_couple, omega_r)]
         assert _kernel_matches_reference(stub, z0, table, w)
     with np.errstate(all="ignore"):
-        _, d1, _, d_r = _jets(True, 50.0, table, 6.1e10)
+        _, d1, _, d_r = _jets(True, 50.0, np.asarray(table).tolist(), [6.1e10], 2)
     assert np.isfinite(d1).all() and np.isnan(d_r).all()
 
 
