@@ -49,10 +49,10 @@ STEP_TOL = 1e-10    # rad; the step itself is rounding noise below ~1e-12
 
 def _cascade_sums(rows, states, combine=sum) -> list:
     """The cascade's value in each of ``states`` from the cavity's per-bit
-    ``rows`` (rows[0] and rows[1], as the cavity's _weight_fold or
-    _weight_phasors gives them): one cavity per qubit in its bit's state,
-    combined in cavity order.  Phases and their jets sum; with
-    ``combine=math.prod`` comb phasors multiply."""
+    ``rows`` (rows[0] and rows[1], as the cavity's _weight_fold gives them,
+    or its bits' comb phasors as complex arrays): one cavity per qubit in
+    its bit's state, combined in cavity order.  Phases and their jets sum;
+    with ``combine=math.prod`` comb phasors multiply."""
     return [combine(rows[b] for b in s.bits) for s in states]
 
 
@@ -164,8 +164,8 @@ def _scheme_metrics(name: str, resonator_count: int, chi: float, phasors, jets,
     """One scheme's metrics from its per-weight responses, scored by the
     pairwise fidelity table with the pulse centred on omega_p:
     ``phasors(omega)`` gives every weight's reflection phasor
-    r = exp(i theta) along omega, which is all the mode sum reads, and
-    ``jets`` every weight's jets at omega_p (indexed as
+    r = exp(i theta) along omega as (Re r, Im r), all the mode sum reads,
+    and ``jets`` every weight's jets at omega_p (indexed as
     device._weight_fold's)."""
     pulse = ProbePulse(pulse.alpha, omega_p, pulse.bandwidth)
     th = jets[0]
@@ -215,10 +215,16 @@ def compare_schemes(parallel_sol: EraserSolution, cavity: ParityDevice,
                           lambda omega: _weight_phasors(dev, omega),
                           parallel_sol.jets, parallel_sol.omega_p, pulse)
     cav, states = tuned.device, [QubitState.of_weight(dev.n, w) for w in range(dev.n + 1)]
+
+    def cascade_phasors(omega) -> list:
+        # numpy's complex product rounds unlike a parts formula: the bits'
+        # rows are rebuilt exactly as complex arrays, which multiply
+        bits = [np.empty(len(omega), complex), np.empty(len(omega), complex)]
+        (bits[0].real, bits[0].imag), (bits[1].real, bits[1].imag) = _weight_phasors(cav, omega)
+        return [(r.real, r.imag) for r in _cascade_sums(bits, states, math.prod)]
+
     jets = np.vstack(tuned.jets).T  # rows by bit
-    cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi,
-                          lambda omega: _cascade_sums(_weight_phasors(cav, omega), states,
-                                                      math.prod),
+    cas = _scheme_metrics("sequential-cascade", dev.n, cav.chi, cascade_phasors,
                           np.array(_cascade_sums(jets, states)).T, tuned.omega_p, pulse)
     quad_match = {p: abs(f - cas.same_parity_closed[p])
                   for p, f in cas.same_parity_fidelity.items()}

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -87,16 +88,36 @@ PRECISE_KEYS = frozenset({
 })
 
 
-def _json_ready(obj, precise: bool = False):
-    """Clamp floats to 12 significant digits for byte-stable output."""
-    if isinstance(obj, dict):
-        return {k: _json_ready(v, precise or k in PRECISE_KEYS)
-                for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v, precise) for v in obj]
+def _json_text(obj, precise: bool = False, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) in one
+    walk, each float outside a PRECISE_KEYS value clamped to 12 significant
+    digits (_fmt), for byte-stable output.  Keys must be strings; NaN, inf
+    and a type JSON lacks raise json's ValueError and TypeError."""
     if isinstance(obj, float):
-        return obj if precise else float(_fmt(obj))
-    return obj
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        if precise:
+            return float.__repr__(obj)
+        # float(_fmt(obj))'s repr, which differs from _fmt's text only where
+        # that has an exponent or no point (repr writes "1.0" for "1")
+        text = _fmt(obj)
+        return float.__repr__(float(text)) if "e" in text else text if "." in text else text + ".0"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        ends, items = "{}", [encode_basestring_ascii(k) + ": "
+                             + _json_text(obj[k], precise or k in PRECISE_KEYS, inner)
+                             for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        ends, items = "[]", [_json_text(v, precise, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def _output(path, flag: str):
@@ -105,7 +126,7 @@ def _output(path, flag: str):
     the flag."""
     path = Path(path)
     try:
-        if path.parent != Path(""):
+        if not path.parent.is_dir():  # mkdir on one raises and catches FileExistsError
             path.parent.mkdir(parents=True, exist_ok=True)
         return path.open("w", newline="")
     except OSError as exc:
@@ -113,7 +134,9 @@ def _output(path, flag: str):
 
 
 def _write_json(path, flag: str, payload: dict) -> None:
-    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    """payload's _json_text and a newline to ``path`` (see _output), which is
+    opened only once the text is made: a refused payload writes nothing."""
+    text = _json_text(payload)
     with _output(path, flag) as fh:
         fh.write(text + "\n")
 

@@ -56,8 +56,10 @@ class QubitState:
         object.__setattr__(self, "bits", tuple(int(b) for b in bits))
 
     @classmethod
+    @functools.lru_cache(maxsize=None, typed=True)  # typed: a float weight fails as uncached
     def of_weight(cls, n: int, weight: int) -> "QubitState":
-        """Representative state with the given Hamming weight (1s last)."""
+        """Representative state with the given Hamming weight (1s last),
+        built once per (n, weight): states are immutable."""
         if not 0 <= weight <= n:
             raise ValueError(f"weight {weight} out of range for {n} qubits")
         return cls((0,) * (n - weight) + (1,) * weight)
@@ -258,13 +260,12 @@ def _rows_jets(dev: ParityDevice, rows, omega: float):
     return _fold_jets(stub, dev.z0, table, _check_frequency(omega))
 
 
-def _weight_phasors(dev: ParityDevice, omega) -> np.ndarray:
-    """r = e^{i theta} of every Hamming weight along omega, one row per
-    weight, from _weight_table by network._phasor, one weight at a time as
-    _weight_fold's theta: what a mode sum reads, with no 2*pi offsets."""
-    table = _weight_table(dev)
-    stub, w = dev.resonator_model == "stub", _check_omega(omega)
-    return np.array([_phasor(stub, dev.z0, branches, w) for branches in table])
+def _weight_phasors(dev: ParityDevice, omega) -> list:
+    """r = e^{i theta} of every Hamming weight along omega as (Re r, Im r),
+    from _weight_table by network._phasor: what a mode sum reads, with no
+    2*pi offsets."""
+    return _phasor(dev.resonator_model == "stub", dev.z0, _weight_table(dev),
+                   _check_omega(omega))
 
 
 def _loaded_zero_estimate(mode: Mode, z0: float) -> float:

@@ -155,8 +155,10 @@ def build_mode_grid(omega_p: float, bandwidth: float, points: int = 4001) -> Mod
 def _mode_sum(dr2: np.ndarray, amp2: np.ndarray) -> float:
     """Overlap exp(-1/2 sum_i amp2_i dr2_i) from dr2 = |r_s - r_s'|^2, the
     squared phasor difference sampled on the mode comb, and the comb's
-    amp2 = |alpha C_i|^2, computed once per comb by the caller."""
-    return math.exp(-0.5 * float(np.sum(amp2 * dr2)))
+    amp2 = |alpha C_i|^2, computed once per comb by the caller.  dr2 is
+    consumed: multiplied by amp2 in place."""
+    dr2 *= amp2
+    return math.exp(-0.5 * float(np.sum(dr2)))
 
 
 def fidelity_numeric(theta_s, theta_s2, pulse: ProbePulse,
@@ -230,10 +232,11 @@ def _pair_table(phasors, jets, delta_theta: float,
     """Fidelity of every unordered pair of Hamming weights.
 
     ``phasors[w]`` is weight w's reflection phasor r = exp(i theta) on the
-    mode comb, ``jets`` every weight's jets at the probe (indexed as
-    device._weight_fold's; jets[0][w] is its phase there) and
-    ``delta_theta`` the parity contrast quoted for cross-parity pairs.
-    Every pair gets the numeric mode sum of |r_w1 - r_w2|^2;
+    mode comb as (Re r, Im r) (device._weight_phasors' rows), ``jets``
+    every weight's jets at the probe (indexed as device._weight_fold's;
+    jets[0][w] is its phase there) and ``delta_theta`` the parity contrast
+    quoted for cross-parity pairs.  Every pair gets the numeric mode sum of
+    |r_w1 - r_w2|^2 = (Re r_w1 - Re r_w2)^2 + (Im r_w1 - Im r_w2)^2;
     same-parity pairs also get the linear closed form, or the quadratic one
     when the first-order mismatch cancels (|b| < QUADRATIC_BRANCH_RATIO |b2| W);
     cross-parity pairs get the even/odd closed form.
@@ -242,10 +245,13 @@ def _pair_table(phasors, jets, delta_theta: float,
     rep = _dispersion(jets)
     w_band, amp2 = pulse.bandwidth, pulse.mean_photons * grid.weights ** 2
     reports = []
-    for w1 in range(n + 1):
+    for w1, (re1, im1) in enumerate(phasors):
         for w2 in range(w1 + 1, n + 1):
-            gap = phasors[w1] - phasors[w2]
-            f_num = _mode_sum(gap.real ** 2 + gap.imag ** 2, amp2)
+            dr2, d_im = re1 - phasors[w2][0], im1 - phasors[w2][1]
+            dr2 *= dr2
+            d_im *= d_im
+            dr2 += d_im
+            f_num = _mode_sum(dr2, amp2)
             states = (QubitState.of_weight(n, w1), QubitState.of_weight(n, w2))
             if (w1, w2) in rep.first:
                 b, b2 = rep.first[(w1, w2)], rep.second[(w1, w2)]

@@ -225,6 +225,9 @@ def _susceptance(net: NetworkElement, omega) -> np.ndarray:
 
 def wrap_phase(delta):
     """Map phase differences into (-pi, pi]."""
+    if isinstance(delta, float):  # a float or float64, in Python floats: % is np.mod
+        d = (float(delta) + math.pi) % TWO_PI - math.pi
+        return math.pi if d == -math.pi else d
     d = np.mod(np.asarray(delta, dtype=float) + math.pi, TWO_PI) - math.pi
     d = np.where(d == -math.pi, math.pi, d)
     return d if np.ndim(delta) else float(d)
@@ -534,32 +537,46 @@ def _fold(stub: bool, z0: float, branches, w):
     return -2.0 * np.arctan(z0_b) - TWO_PI * _zeros_below(stub, cols, n, w).sum(axis=0)
 
 
-def _phasor(stub: bool, z0: float, branches, w):
-    """r = e^{i theta} of m parallel branches along w, in numpy, with the
-    table shapes and broadcasting of _fold: the same recurrence gives
-    r = (V - i z0 U)^2 / (V^2 + z0^2 U^2), which scaling U and V together
-    leaves alone.  So each stub branch's parts are divided by cos x,
-    P_k = k and N_k = 1 - k z0 tan x, one tan where _fold takes a cos and a
-    sin; the tank's are _branch_parts'.  r = -1 exactly on a series zero
-    (V = 0).  No zero count, no arctan: 2*pi offsets are not read.  The
-    parts of r are formed in float arithmetic, which is cheaper in numpy
-    than complex products and divisions."""
-    cols = np.moveaxis(np.asarray(branches, dtype=float), (-2, -1), (1, 0))
-    cols = cols.reshape(cols.shape + (1,) * (np.ndim(w) + 2 - cols.ndim))
-    if stub:
-        p = w * cols[0]
-        n = 1.0 - (z0 * p) * np.tan(0.5 * math.pi * (w / cols[1]))
-    else:
-        p, n = _branch_parts(stub, z0, cols, w)
-    u, v = p[0], n[0]  # the recurrence's first step from U = 0, V = 1
-    for p_k, n_k in zip(p[1:], n[1:]):
-        u, v = u * n_k + p_k * v, v * n_k
-    z0_u = z0 * u
-    v2, z0_u2 = v * v, z0_u * z0_u
-    d = v2 + z0_u2
-    r = np.empty(d.shape, complex)
-    r.real, r.imag = (v2 - z0_u2) / d, -2.0 * (v * z0_u) / d
-    return r
+def _phasor(stub: bool, z0: float, table, w) -> list:
+    """(Re r, Im r), float arrays, of r = e^{i theta} along the 1-d array w
+    for each row of a stacked branch table (rows, m, columns).  _fold's
+    recurrence gives r = (V - i z0 U)^2 / (V^2 + z0^2 U^2), which scaling U
+    and V together leaves alone.  So a stub branch's parts are divided by
+    cos x: P_k = k = w C_k and N_k = 1 - z0 k tan x, one tan where _fold
+    takes a cos and a sin, with k and z0 k formed once per call, as the
+    rows share their couplers; a tank's are _branch_parts'.  r = -1 exactly
+    on a series zero (V = 0); no 2*pi offset is read.  Each array op is one
+    IEEE operation of these formulas, in place on arrays this call made."""
+    rows = np.asarray(table, dtype=float).tolist()
+    ks = [w * branch[0] for branch in rows[0]] if stub else []
+    z0_ks = [z0 * k for k in ks]
+    parts = []
+    for row in rows:
+        if stub:
+            p, n = ks, []
+            for (_, w_r), z0_k in zip(row, z0_ks):
+                t = w / w_r
+                t *= 0.5 * math.pi
+                np.tan(t, out=t)
+                t *= z0_k
+                n.append(1.0 - t)
+        else:
+            p, n = zip(*(_branch_parts(stub, z0, branch, w) for branch in row))
+        u, v = p[0], n[0]  # the recurrence's first step from U = 0, V = 1
+        for p_k, n_k in zip(p[1:], n[1:]):
+            u = u * n_k
+            u += p_k * v
+            v *= n_k
+        z0_u = z0 * u
+        v2, z0_u2 = v * v, z0_u * z0_u
+        d = v2 + z0_u2
+        v2 -= z0_u2
+        v2 /= d
+        v *= z0_u
+        v *= -2.0
+        v /= d
+        parts.append((v2, v))
+    return parts
 
 
 def _divide(a: float, b: float) -> float:

@@ -436,13 +436,14 @@ def test_tuned_cascade_step_reports_plus_180(paper_solution):
     # a tuned step lands within STEP_TOL of pi on either side, and wrapping
     # into (-pi, pi] gave +180 on 8 of these and -180 on 12: a sign that is
     # rounding noise
+    from json_reference import json_ready
+
     from qparity.cascade import comparison_to_dict
-    from qparity.cli import _json_ready
 
     pulse = ProbePulse.from_duration(math.sqrt(5.0), paper_solution.omega_p, 1e-6)
     for f_ghz, c_ff in BENCH_CAVITIES:
         rep = compare_schemes(paper_solution, cavity(f_ghz, c_ff=c_ff), pulse)
-        cas = _json_ready(comparison_to_dict(rep))["cascade"]
+        cas = json_ready(comparison_to_dict(rep))["cascade"]
         assert cas["delta_theta_deg"] == 180.0, (f_ghz, c_ff)
 
 

@@ -892,8 +892,10 @@ def test_compare_scores_a_four_qubit_device(tmp_path, capsys):
     # the surface-code plaquette: compare solves the 4-qubit device with
     # its mode gaps freed, as solve does, and scores it against four
     # cascade cavities, byte for byte the same on a second run
+    from json_reference import json_ready
+
     from qparity.cascade import compare_schemes, comparison_to_dict
-    from qparity.cli import _json_ready, parse_cascade_config, parse_parallel_config
+    from qparity.cli import parse_cascade_config, parse_parallel_config
     from qparity.eraser import solve_eraser
     from qparity.fidelity import ProbePulse
 
@@ -916,7 +918,7 @@ def test_compare_scores_a_four_qubit_device(tmp_path, capsys):
     want = comparison_to_dict(compare_schemes(
         sol, cavity, ProbePulse.from_duration(math.sqrt(5.0), sol.omega_p, 1e-6)))
     del rep["pulse"]
-    assert rep == _json_ready(want)
+    assert rep == json_ready(want)
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])
@@ -1088,9 +1090,78 @@ def test_write_json_refuses_non_finite(tmp_path):
     from qparity.cli import _write_json
 
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            _write_json(tmp_path / "x.json", "--out", {"a": [1.0, bad]})
+        for payload in ({"a": [1.0, bad]}, {"omega_p_rad_s": bad}):
+            with pytest.raises(ValueError, match=r"^Out of range float values are not "
+                                                 r"JSON compliant"):
+                _write_json(tmp_path / "x.json", "--out", payload)
     assert not (tmp_path / "x.json").exists()
+
+
+def _random_json(rng, depth: int = 0):
+    """A random JSON payload: nested dicts (string keys, PRECISE_KEYS among
+    them), lists and tuples, and leaves where the two writers could part."""
+    from qparity.cli import PRECISE_KEYS
+
+    kind = rng.random()
+    if depth < 4 and kind < 0.3:
+        keys = rng.sample(sorted(PRECISE_KEYS) + ["a", "b_s", "Z", "\u00e9t\u00e9", "k\n", ""],
+                          rng.randint(0, 5))
+        return {k: _random_json(rng, depth + 1) for k in keys}
+    if depth < 4 and kind < 0.5:
+        items = [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.3 else items
+    return rng.choice([
+        lambda: rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308),
+        lambda: rng.uniform(1e12, 1e16),           # .12g and repr differ in notation
+        lambda: float(rng.randrange(10 ** 11, 10 ** 17)),
+        lambda: rng.choice([0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308]),
+        lambda: rng.random() * 2.2250738585072014e-308,   # subnormal
+        lambda: rng.randrange(-2 ** 70, 2 ** 70),    # ints past 2**53
+        lambda: rng.choice([True, False, None, 0, -1]),
+        lambda: "".join(rng.choice(["a", "\u00e9", "\u2603", "\U0001f600", "\n", "\t", "\x00",
+                                    "\x1f", "\x7f", '"', "\\", "/"])
+                        for _ in range(rng.randint(0, 6))),
+    ])()
+
+
+def test_json_writer_matches_the_two_walk_reference():
+    # cli._json_text against json.dumps(indent=2, sort_keys=True) over the
+    # clamped copy qparity wrote before (tests/json_reference.py), byte for
+    # byte on 500 seeded nested payloads, 20000 floats, and one payload that
+    # holds each case: PRECISE_KEYS at several depths, one holding a dict;
+    # -0.0 and subnormals; floats in [1e12, 1e16), where .12g and repr pick
+    # different notations; ints past 2**53, bools and None; non-ASCII and
+    # control characters; empty dicts, lists and tuples
+    import random
+
+    from json_reference import reference_json
+
+    from qparity.cli import _json_text
+
+    fixed = {
+        "omega_p_rad_s": 61600237676.08135, "chi_rad_s": [36275968.16617383, -0.0],
+        "band_rad_s": {"lo": 1.0000000000001, "inner": {"x": 2.0 / 3.0}},
+        "outer": {"mode_omega_rad_s": (62769021218.72407, 5e-324),
+                  "deep": [{"residuals_rad": [1e-13 / 3.0]}, 1e-13 / 3.0]},
+        "notation": [1e12, 1.5e12, 123456789012345.6, 9.999999999999e15, 1e16, 1e-5, 1e-4],
+        "ints": [2 ** 53 + 1, -2 ** 64, True, False, None],
+        "text": ["\u00e9\u2603\U0001f600", "\x00\x1f\x7f\n\t\"\\/"],
+        "empty": [{}, [], ()], "tuple": (1, 2.5, "x"), "": -0.0,
+    }
+    assert _json_text(fixed) == reference_json(fixed)
+    rng = random.Random(20261021)
+    floats = [rng.choice([1.0, float(rng.randrange(1, 10 ** 17))]) * rng.uniform(-1.0, 1.0)
+              * 10.0 ** rng.randint(-30, 30) for _ in range(20000)]
+    assert _json_text(floats) == reference_json(floats)
+    for _ in range(500):
+        payload = {"pairs": _random_json(rng), "f_p_Hz": _random_json(rng, 3),
+                   "theta_by_weight_rad": _random_json(rng, 2)}
+        assert _json_text(payload) == reference_json(payload), payload
+    for bad in ({"a": math.nan}, {"a": [object()]}, {"a": np.int64(1)}):
+        with pytest.raises((ValueError, TypeError)) as want:
+            reference_json(bad)
+        with pytest.raises(want.type):
+            _json_text(bad)
 
 
 @pytest.mark.parametrize("where", ["directory", "under-a-file"])

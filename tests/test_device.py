@@ -60,6 +60,11 @@ def test_state_of_weight():
     assert QubitState.of_weight(4, 2).bits == (0, 0, 1, 1)
     with pytest.raises(ValueError):
         QubitState.of_weight(3, 4)
+    # built once per (n, weight); an equal float weight is not served the
+    # cached state, but refused as before the cache
+    assert QubitState.of_weight(4, 2) is QubitState.of_weight(4, 2)
+    with pytest.raises(TypeError):
+        QubitState.of_weight(4, 2.0)
 
 
 # ----------------------------------------------------------------------

@@ -296,13 +296,16 @@ def test_phasor_mode_sum_matches_the_theta_reference(n, model):
     # eraser_quality and both sides of compare_schemes, scored on comb
     # phasors, against the theta-based mode sum they replaced (tests/
     # mode_sum_reference.py), at 12 seeded pulses on the paper and n = 4
-    # solutions
+    # solutions; and bit for bit against the same sums on complex phasors
+    # (phasor_pair_fidelities), the cascade's bit phasors multiplied as
+    # complex arrays
     import random
 
-    from mode_sum_reference import cascade_thetas, device_thetas, reference_pair_fidelities
+    from mode_sum_reference import (cascade_thetas, device_thetas, phasor_pair_fidelities,
+                                    reference_pair_fidelities)
 
     from qparity.cascade import compare_schemes
-    from qparity.device import Mode, ParityDevice
+    from qparity.device import Mode, ParityDevice, QubitState
     from qparity.eraser import solve_eraser
 
     def modes(*f_ghz):
@@ -323,13 +326,21 @@ def test_phasor_mode_sum_matches_the_theta_reference(n, model):
         want = reference_pair_fidelities(device_thetas(sol.device), pulse)
         got = {r.weights: r.f_numeric for r in eraser_quality(sol, pulse)}
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got == phasor_pair_fidelities(sol.device, pulse)
         rep = compare_schemes(sol, cavity, pulse)
-        for side, thetas in ((rep.parallel, device_thetas(sol.device)),
-                             (rep.cascade, cascade_thetas(cavity.with_chi(rep.cascade.chi), n))):
-            want = reference_pair_fidelities(
-                thetas, ProbePulse(pulse.alpha, side.omega_p, pulse.bandwidth))
+        cascade = cavity.with_chi(rep.cascade.chi)
+        for side, thetas, exact in (
+                (rep.parallel, device_thetas(sol.device),
+                 lambda pulse: phasor_pair_fidelities(sol.device, pulse)),
+                (rep.cascade, cascade_thetas(cascade, n),
+                 lambda pulse: phasor_pair_fidelities(
+                     cascade, pulse, [QubitState.of_weight(n, w) for w in range(n + 1)]))):
+            side_pulse = ProbePulse(pulse.alpha, side.omega_p, pulse.bandwidth)
+            want = reference_pair_fidelities(thetas, side_pulse)
             got = {**side.same_parity_fidelity, (0, 1): side.cross_parity_fidelity}
             assert got == pytest.approx({p: want[p] for p in got}, rel=1e-13, abs=0.0)
+            want = exact(side_pulse)
+            assert {p: f.hex() for p, f in got.items()} == {p: want[p].hex() for p in got}
 
 
 def test_equal_weight_pair_is_exactly_unity(paper_solution):

@@ -357,6 +357,21 @@ def test_phase_curve_holds_outside_its_band():
             reflection_coefficient(net, bad, 50.0)
 
 
+def test_wrap_phase_of_one_number_is_the_array_path_bit_for_bit():
+    # one float (a numpy float64 too) is wrapped in Python floats, whose %
+    # must be np.mod's: float.hex against the array path on 20000 seeded
+    # values over 40 decades, the multiples of pi and their neighbours,
+    # signed zeros and nan; the result is a Python float
+    rng = np.random.default_rng(20261021)
+    values = np.concatenate([rng.uniform(-1.0, 1.0, 20000) * 10.0 ** rng.integers(-20, 20, 20000),
+                             np.arange(-64, 65) * math.pi, [0.0, -0.0, 1e300, -1e300]])
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf),
+                             [math.nan]])
+    for x, want in zip(values.tolist(), wrap_phase(values).tolist()):
+        for got in (wrap_phase(x), wrap_phase(np.float64(x))):
+            assert type(got) is float and got.hex() == want.hex(), x
+
+
 def test_wrap_phase_range_and_fixed_points():
     assert wrap_phase(math.pi) == pytest.approx(math.pi)
     assert wrap_phase(-math.pi) == pytest.approx(math.pi)

@@ -162,8 +162,9 @@ def test_broadcast_fold_matches_each_curve(model):
 def test_phasor_kernel_is_unimodular_and_exp_i_theta():
     # r of 400 seeded stacked tables (1-6 rows of 1-6 branches, stub and
     # lumped) along a comb that holds every row's resonances and series
-    # zeros exactly: |r| = 1 to 4 ulps, and r = exp(i theta) of the fold it
-    # replaces on the comb to 1e-12, every value finite; on a zero, r = -1
+    # zeros exactly, as Re r + i Im r from the kernel's parts: |r| = 1 to
+    # 4 ulps, and r = exp(i theta) of the fold it replaces on the comb to
+    # 1e-12, every value finite; on a zero, r = -1
     from qparity.network import _curve_table, _fold, _phasor, _series_zeros
 
     rng = np.random.default_rng(20261019)
@@ -180,7 +181,9 @@ def test_phasor_kernel_is_unimodular_and_exp_i_theta():
                                                   for branch in row]))
         comb = np.concatenate([TWO_PI * np.linspace(3.5e9, 12.5e9, 101), omega_r.ravel(),
                                zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf)])
-        r = _phasor(stub, z0, table, comb[None, :])
+        parts = _phasor(stub, z0, table, comb)
+        assert len(parts) == rows
+        r = np.array([re + 1j * im for re, im in parts])
         assert r.shape == (rows, len(comb)) and np.isfinite(r).all()
         assert np.max(np.abs(np.abs(r) - 1.0)) <= 4 * np.spacing(1.0)
         err = np.abs(r - np.exp(1j * _fold(stub, z0, table, comb[None, :])))
@@ -189,6 +192,64 @@ def test_phasor_kernel_is_unimodular_and_exp_i_theta():
             on_zero = np.isin(comb, branch_zeros)
             assert np.max(np.abs(row[on_zero] + 1.0)) <= 1e-9
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_phasor_parts_and_pair_sums_match_the_complex_reference(model):
+    # the kernel's parts, and every pair sum of the fidelity table, against
+    # the complex recurrence they replaced (tests/mode_sum_reference.py), by
+    # float.hex, on 60 seeded tables of 2-5 rows of 1-3 branches with 3-20
+    # fF couplers, along a comb holding every branch's series zero and its
+    # neighbours.  Branch 0's coupler is nudged by the fewest float steps
+    # (up to 256) that make row 0's N exactly 0.0 at its zero, where V = 0
+    # and r = -1 + 0i.  No output digest reads the lumped comb phasors.
+    from mode_sum_reference import reference_phasor
+
+    from qparity.fidelity import ModeGrid, ProbePulse, _pair_table, build_mode_grid
+    from qparity.network import _curve_table, _fold_jets, _phasor, _series_zeros
+
+    def hexes(x):
+        return [v.hex() for v in np.asarray(x, dtype=float).tolist()]
+
+    stub = model == "stub"
+    rng = np.random.default_rng([20261021, stub])
+    steps = sorted(range(-256, 257), key=abs)
+    exact = 0
+    for _ in range(60):
+        rows, m = rng.integers(2, 6), rng.integers(1, 4)
+        couplers = rng.uniform(3e-15, 20e-15, m)
+        omega_r = TWO_PI * np.sort(rng.uniform(9.5e9, 10.5e9, (rows, m)), axis=1)
+        z0 = rng.uniform(20.0, 100.0)
+        table = np.array([_curve_table(couplers, row, z0, model) for row in omega_r])
+        z = _series_zeros(stub, z0, [(table[0, 0].tolist(), 0)])[0]
+        c_c = table[0, 0, 0] + np.array(steps) * np.spacing(table[0, 0, 0])
+        r = reference_phasor(stub, z0, [(c_c, *table[0, 0, 1:])], np.array([z]))
+        hit = np.flatnonzero((r.real == -1.0) & (r.imag == 0.0))
+        if hit.size:
+            table[:, 0, 0] = c_c[hit[0]]
+        zeros = np.array(_series_zeros(stub, z0, [(branch, 0) for row in table.tolist()
+                                                  for branch in row]))
+        omega_p, bandwidth = TWO_PI * rng.uniform(9.8e9, 10.2e9), rng.uniform(0.3e6, 3e6)
+        grid = build_mode_grid(omega_p, bandwidth, 201)
+        comb = np.sort(np.concatenate([grid.frequencies, [z], zeros, np.nextafter(zeros, 0.0),
+                                       np.nextafter(zeros, np.inf)]))
+        grid = ModeGrid(comb, grid.spacing, rng.uniform(0.0, 0.1, len(comb)))
+        refs = [reference_phasor(stub, z0, branches, comb) for branches in table]
+        parts = _phasor(stub, z0, table, comb)
+        for (re, im), ref in zip(parts, refs):
+            assert hexes(re) == hexes(ref.real) and hexes(im) == hexes(ref.imag)
+        if hit.size:
+            (re, im), at_z = parts[0], comb == z
+            assert (re[at_z] == -1.0).all() and (im[at_z] == 0.0).all()
+            exact += 1
+        pulse = ProbePulse(complex(*rng.uniform(0.5, 3.0, 2)), omega_p, bandwidth)
+        amp2 = pulse.mean_photons * grid.weights ** 2
+        jets = _fold_jets(stub, z0, table, omega_p)
+        for rep in _pair_table(parts, jets, 1.0, pulse, grid):
+            gap = refs[rep.weights[0]] - refs[rep.weights[1]]
+            want = math.exp(-0.5 * float(np.sum(amp2 * (gap.real ** 2 + gap.imag ** 2))))
+            assert rep.f_numeric.hex() == want.hex(), rep.weights
+    assert exact >= 40
 
 
 def _hexes(jets) -> list:
