@@ -12,8 +12,10 @@ Exit codes: 0 ok, 2 config or flag error, 3 evaluation error, 4 no solution.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -120,25 +122,44 @@ def _json_text(obj, precise: bool = False, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
-def _output(path, flag: str):
-    """``path``, the value of ``flag``, opened for writing, its parent
-    directory made; a path that cannot be written is a config error naming
-    the flag."""
+def _output(path, flag: str, mode: str = "w"):
+    """``path``, the value of ``flag``, opened for writing (``mode``), its
+    parent directory made; a path that cannot be written is a config error
+    naming the flag."""
     path = Path(path)
     try:
         if not path.parent.is_dir():  # mkdir on one raises and catches FileExistsError
             path.parent.mkdir(parents=True, exist_ok=True)
-        return path.open("w", newline="")
+        return path.open(mode, newline="")
     except OSError as exc:
         raise ConfigError(f"argument {flag}: cannot write {path}: {exc}") from None
 
 
+def _write_outputs(*outputs) -> None:
+    """Writes the text of each (path, flag, text) of ``outputs`` with a path
+    once every path is open (_output, for appending, which changes no file):
+    a refused path leaves all as they were and removes the files made."""
+    outputs, handles = [out for out in outputs if out[0]], []
+    made = [not Path(path).exists() for path, _, _ in outputs]
+    try:
+        with contextlib.ExitStack() as stack:
+            for path, flag, _ in outputs:
+                handles.append(stack.enter_context(_output(path, flag, "a")))
+            for fh, (_, _, text) in zip(handles, outputs):
+                if fh.tell():  # a file's end, in append mode; a made one is empty
+                    fh.truncate(0)
+                fh.write(text)
+    except ConfigError:  # only an open raises it
+        for fh, new in zip(handles, made):
+            if new:
+                Path(fh.name).unlink()
+        raise
+
+
 def _write_json(path, flag: str, payload: dict) -> None:
-    """payload's _json_text and a newline to ``path`` (see _output), which is
-    opened only once the text is made: a refused payload writes nothing."""
-    text = _json_text(payload)
-    with _output(path, flag) as fh:
-        fh.write(text + "\n")
+    """payload's _json_text and a newline to ``path`` (_write_outputs), the
+    text made before the file opens: a refused payload writes nothing."""
+    _write_outputs((path, flag, _json_text(payload) + "\n"))
 
 
 # ----------------------------------------------------------------------
@@ -303,10 +324,12 @@ def cmd_sweep(ns) -> int:
         raise ConfigError(f"{ns.config}.chi_MHz: sweep needs a numeric chi")
     try:
         grid = np.linspace(*analysis_band(dev), ns.points)
-        thetas = _weight_fold(dev, grid)
+        columns = [grid / TWO_PI / 1e9, *np.degrees(_weight_fold(dev, grid))]
     except NonPositiveResult as exc:  # chi pulls a mode, or the default band, to f <= 0
         raise ConfigError(f"{ns.config}.chi_MHz: {exc}")
-    columns = [grid / TWO_PI / 1e9, *np.degrees(thetas)]
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        raise ConfigError(f"argument --points: {ns.points} points do not fit in memory: "
+                          f"{exc}") from None
     header = ["f_GHz", *(f"theta_wt{w}_deg" for w in range(dev.n + 1))]
     with _output(ns.out, "--out") as fh:
         writer = csv.writer(fh)
@@ -396,21 +419,14 @@ def cmd_fidelity(ns) -> int:
         "residuals_rad": list(sol.residuals),
         "pairs": dicts,
     }
-    if ns.out_json:
-        _write_json(ns.out_json, "--out-json", payload)
-    if ns.out_csv:
-        cols = ["weights", "state_lo", "state_hi", "branch", "F_numeric",
-                "F_closed", "F_expansion", "b_s", "b2_s2", "delta_theta_rad"]
-        with _output(ns.out_csv, "--out-csv") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for d in dicts:
-                writer.writerow([
-                    f"{d['weights'][0]}-{d['weights'][1]}",
-                    d["state_lo"], d["state_hi"], d["branch"],
-                    *(("" if d[k] is None else _fmt(d[k]))
-                      for k in cols[4:]),
-                ])
+    cols = ["weights", "state_lo", "state_hi", "branch", "F_numeric",
+            "F_closed", "F_expansion", "b_s", "b2_s2", "delta_theta_rad"]
+    table = io.StringIO()
+    csv.writer(table).writerows([cols] + [
+        [f"{d['weights'][0]}-{d['weights'][1]}", d["state_lo"], d["state_hi"], d["branch"],
+         *("" if d[k] is None else _fmt(d[k]) for k in cols[4:])] for d in dicts])
+    _write_outputs((ns.out_json, "--out-json", ns.out_json and _json_text(payload) + "\n"),
+                   (ns.out_csv, "--out-csv", table.getvalue()))
     worst_same = min((d["F_numeric"] for d in dicts
                       if d["branch"].startswith("same-parity")), default=1.0)
     best_cross = max((d["F_numeric"] for d in dicts

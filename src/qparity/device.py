@@ -224,7 +224,7 @@ def _state_row(dev: ParityDevice, state: QubitState) -> list:
 
 
 def _weight_table(dev: ParityDevice) -> np.ndarray:
-    """Every Hamming weight's branch table, stacked (n + 1, m, columns), of
+    """Every Hamming weight's branch table, stacked (n + 1, m, 2), of
     the rows _pulled_rows pulls by each weight's signs: row w is
     weight_phase_curve(dev, w)'s, which stands for every weight-w state
     only under equal coupling, so an unequal chi matrix is refused first.

@@ -427,58 +427,52 @@ def _locate_poles(net: NetworkElement, grid: np.ndarray, theta: np.ndarray) -> n
 # Closed-form phase curve
 # ----------------------------------------------------------------------
 
-def _branch_factors(stub: bool, branch, w, order: int = 0) -> tuple:
+def _branch_factors(stub: bool, branch, w) -> tuple:
     """The part of _branch_parts that runs in numpy, elementwise over the
     arrays of a table row and w (_pair_factors makes it on floats): the
-    stub's x = (pi/2) w/w_r with cos x and sin x; the tank's c = 1 - w^2 L C
-    and s = w L, and at ``order`` 2 their d/dw_r, which divide by
-    w_r = 1/sqrt(L C), 0 where L C overflows."""
+    stub's x = (pi/2) w/w_r with cos x and sin x; the tank's t = w/w_r with
+    c = (1 - t)(1 + t), which calls no numpy function."""
+    t = w / branch[1]
     if stub:
-        x = 0.5 * math.pi * (w / branch[1])
+        x = 0.5 * math.pi * t
         return x, np.cos(x), np.sin(x)
-    cap, l = branch[1:]
-    c, s = 1.0 - w * w * (l * cap), w * l
-    if order < 2:
-        return c, s
-    w_r = 1.0 / np.sqrt(l * cap)
-    return c, s, 2.0 * (1.0 - c) / w_r, -s / w_r
+    return t, (1.0 - t) * (1.0 + t)
 
 
 def _branch_parts(stub: bool, z0: float, branch: tuple, w, order: int = 0, factors=None):
     """Numerator P and denominator N of one branch's susceptance B = P/N.
 
-    ``branch`` is a row of PhaseCurve's table: (C_c, w_r) for the stub,
-    (C_c, C, L) for the lumped tank.  The resonator's impedance is i*s/c,
-    with (c, s) = (cos x, z0 sin x), x = (pi/2) w/w_r, for the stub and
-    (1 - w^2 L C, w L) for the tank.  In series with the coupler C_c the
-    branch has B = -1/X = P/N, P = w C_c c and N = c - w C_c s, so N changes
-    sign at the branch's series zeros.  At ``order`` 0 P and N are values;
-    at order 1 each is a tuple (value, d/dw), and at order 2 (value, d/dw,
-    d2/dw2, d/dw_r), the last at fixed resonator impedance (the stub's z0,
-    the tank's sqrt(L/C)); every order's entries come from the same
-    expressions.  The row's entries and w may be arrays of one shape: every
-    operation is elementwise.  Given ``factors``, _branch_factors' result
-    for the same row, w and order (on floats, _pair_factors'), the rest is
+    ``branch`` is a row (C_c, w_r) of PhaseCurve's table.  The resonator's
+    impedance is i*s/c, with (c, s) = (cos x, z0 sin x), x = (pi/2) w/w_r,
+    for the stub and ((1 - t)(1 + t), Z_r t), t = w/w_r, for the tank,
+    Z_r = 4 z0/pi the sqrt(L/C) of lumped_equivalent's L and C.  In series
+    with the coupler C_c the branch has B = -1/X = P/N, P = w C_c c and
+    N = c - w C_c s, so N changes sign at the branch's series zeros.  At
+    ``order`` 0 P and N are values; at order 1 each is a tuple (value,
+    d/dw), and at order 2 (value, d/dw, d2/dw2, d/dw_r), the last at fixed
+    resonator impedance (z0, Z_r); every order's entries come from the
+    same expressions.  The row's entries and w may be arrays of one shape:
+    every operation is elementwise.  Given ``factors``, _branch_factors'
+    result for the same row and w (on floats, _pair_factors'), the rest is
     products and sums only, so it runs on Python floats as well.
     """
-    c_c = branch[0]
+    c_c, w_r = branch
     if factors is None:
-        factors = _branch_factors(stub, branch, w, order)
+        factors = _branch_factors(stub, branch, w)
     if stub:
         x, cos, sin = factors
         c, s = cos, z0 * sin
     else:
-        c, s = factors[:2]
+        (t, c), z_r = factors, 4.0 * z0 / math.pi
+        s = z_r * t
     k = w * c_c
     if not order:
         return k * c, c - k * s
     if stub:
-        w_r = branch[1]
         a = 0.5 * math.pi / w_r
         c1, s1 = -a * sin, z0 * (a * cos)
     else:
-        cap, l = branch[1:]
-        c1, s1 = -2.0 * w * l * cap, l
+        c1, s1 = -2.0 * t / w_r, z_r / w_r
     # the product rule for k = w C_c, linear in w
     p, n = (k * c, k * c1 + c_c * c), (c - k * s, c1 - (k * s1 + c_c * s))
     if order == 1:
@@ -486,8 +480,8 @@ def _branch_parts(stub: bool, z0: float, branch: tuple, w, order: int = 0, facto
     if stub:
         c2, s2 = -a * a * cos, z0 * (-a * a * sin)
         c3, s3 = x * sin / w_r, z0 * (-x * cos / w_r)
-    else:
-        c2, s2, c3, s3 = -2.0 * l * cap, 0.0, factors[2], factors[3]
+    else:  # w_r > 0, so no division here is by zero, on floats either
+        c2, s2, c3, s3 = -2.0 / w_r / w_r, 0.0, 2.0 * t * t / w_r, -s / w_r
     return ((*p, k * c2 + c_c * (2.0 * c1), k * c3),
             (*n, c2 - (k * s2 + c_c * (2.0 * s1)), c3 - k * s3))
 
@@ -497,7 +491,7 @@ def _zeros_below(stub: bool, branch: tuple, n, w):
     _branch_parts); elementwise over arrays, or on Python floats, with
     numpy's results there (_floor; m % 2 is nan where np.fmod is).
 
-    Lumped tank: its one zero is behind w once N = 1 - w^2 L (C + C_c) < 0.
+    Lumped tank: its one zero is behind w once N < 0.
     Stub: N/cos x = 1 - w C_c z0 tan x falls through zero once on each
     interval ((2m-1) w_r, (2m+1) w_r) of tan x, where cos x has the sign
     (-1)^m: m completed intervals, plus one once N (-1)^m < 0.
@@ -516,7 +510,7 @@ def _fold(stub: bool, z0: float, branches, w):
     """theta of m parallel branches along w, in numpy.
 
     ``branches`` is a branch table, one row per branch (see _branch_parts),
-    or many stacked, shape (curves..., m, columns): the curves' axes
+    or many stacked, shape (curves..., m, 2): the curves' axes
     broadcast against w's leading axes, so one call evaluates many curves at
     once.  The branch parts of all branches come from one call.  The fold is
     U <- U N_k + P_k V, V <- V N_k, B = U/V, and
@@ -539,7 +533,7 @@ def _fold(stub: bool, z0: float, branches, w):
 
 def _phasor(stub: bool, z0: float, table, w) -> list:
     """(Re r, Im r), float arrays, of r = e^{i theta} along the 1-d array w
-    for each row of a stacked branch table (rows, m, columns).  _fold's
+    for each row of a stacked branch table (rows, m, 2).  _fold's
     recurrence gives r = (V - i z0 U)^2 / (V^2 + z0^2 U^2), which scaling U
     and V together leaves alone.  So a stub branch's parts are divided by
     cos x: P_k = k = w C_k and N_k = 1 - z0 k tan x, one tan where _fold
@@ -635,22 +629,16 @@ def _bracketed_newton(f, x, lo, hi) -> list:
     return x
 
 
-def _pair_factors(stub: bool, branches: list, ws: list, order: int) -> list:
-    """_branch_factors at ``order`` of each (branch, w) pair, on Python
-    floats, for one pass of a float fold (_jets, _series_zeros): a stub's
-    x = (pi/2) w/w_r takes one np.cos and one np.sin over every pair, a
-    tank's no numpy call, its order-2 d/dw_r dividing by w_r = 1/sqrt(L C)
-    as numpy does (_divide), to 0, inf or nan where L C leaves float range."""
-    if stub:
-        x = [0.5 * math.pi * (w / branch[1]) for branch, w in zip(branches, ws)]
-        xs = np.array(x)
-        return list(zip(x, np.cos(xs).tolist(), np.sin(xs).tolist()))
-    parts = [(1.0 - w * w * (l * cap), w * l) for (_, cap, l), w in zip(branches, ws)]
-    if order < 2:
-        return parts
-    w_rs = [_divide(1.0, math.sqrt(l * cap)) for _, cap, l in branches]
-    return [(c, s, _divide(2.0 * (1.0 - c), w_r), _divide(-s, w_r))
-            for (c, s), w_r in zip(parts, w_rs)]
+def _pair_factors(stub: bool, branches: list, ws: list) -> list:
+    """_branch_factors of each (branch, w) pair, on Python floats, for one
+    pass of a float fold (_jets, _series_zeros): a stub's x = (pi/2) w/w_r
+    takes one np.cos and one np.sin over every pair, a tank's t = w/w_r
+    no numpy call."""
+    if not stub:
+        return [_branch_factors(stub, branch, w) for branch, w in zip(branches, ws)]
+    x = [0.5 * math.pi * (w / branch[1]) for branch, w in zip(branches, ws)]
+    xs = np.array(x)
+    return list(zip(x, np.cos(xs).tolist(), np.sin(xs).tolist()))
 
 
 def _jets(stub: bool, z0: float, rows: list, ws: list, order: int) -> tuple:
@@ -661,10 +649,11 @@ def _jets(stub: bool, z0: float, rows: list, ws: list, order: int) -> tuple:
     branch order at fixed resonator impedance.  Unchecked: entries that
     leave float range come out inf or nan.
 
-    Its numpy work is one _pair_factors call and one np.arctan over every
-    row; the branch parts, their zeros below w (_zeros_below) and _fold's
-    recurrence run on floats, with U and V as jets: (value, d/dw), and at
-    order 2, in a loop of its own, d2/dw2 and d/dw_r of each branch.  Only
+    Its numpy work is one _pair_factors call (a stub's cos and sin) and one
+    np.arctan over every row; the branch parts, their zeros below w
+    (_zeros_below) and _fold's recurrence run on floats, with U and V as
+    jets: (value, d/dw), and at order 2, in a loop of its own, d2/dw2 and
+    d/dw_r of each branch.  Only
     branch k's parts move with its resonance, so the other directions of
     P_k and N_k are the exact products 0.0 * P3 and 0.0 * N3 (they fix the
     signs of zeros, and carry inf and nan).  With A = z0 (U' V - U V') and
@@ -676,7 +665,7 @@ def _jets(stub: bool, z0: float, rows: list, ws: list, order: int) -> tuple:
     """
     z0 = float(z0)
     factors = iter(_pair_factors(stub, [branch for row in rows for branch in row],
-                                 [w for row, w in zip(rows, ws) for _ in row], order))
+                                 [w for row, w in zip(rows, ws) for _ in row]))
     z0_b, passed, d1, d2 = [], [], [], []
     d_r = [[] for _ in (rows[0] if rows else ())]
     for row, w in zip(rows, ws):
@@ -727,7 +716,7 @@ def _jets(stub: bool, z0: float, rows: list, ws: list, order: int) -> tuple:
 
 @np.errstate(invalid="ignore")  # a cos or sin of inf; the entries are checked below
 def _fold_jets(stub: bool, z0: float, table, w):
-    """_jets at order 2 of a stacked branch table, shape (rows, m, columns),
+    """_jets at order 2 of a stacked branch table, shape (rows, m, 2),
     at w (a float, or one per row), as arrays: theta, theta' and theta'' by
     row, and d theta/d w_r, (m, rows).  Refused (NetworkError) where a
     derivative leaves float range."""
@@ -747,10 +736,9 @@ def _fold_jets(stub: bool, z0: float, table, w):
 
 def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
     """Branch tables of the resonance frequencies omega_r, shape (..., m),
-    sharing the couplers c_couple, shape (..., m, columns): one row per
-    parallel branch, (C_c, w_r) for the stub, (C_c, C, L) with
-    lumped_equivalent's tank for the lumped model.  Refuses, in this order,
-    the first omega_r (in C order) past float range, a z0 whose square
+    sharing the couplers c_couple, shape (..., m, 2): one row (C_c, w_r)
+    per parallel branch in either model.  Refuses, in this order, the
+    first omega_r (in C order) past float range, a z0 whose square
     overflows and, as lumped_equivalent does, a tank out of float range."""
     omega_r = np.asarray(omega_r, dtype=float)
     if not np.isfinite(omega_r).all():
@@ -759,15 +747,10 @@ def _branch_table(stub: bool, z0: float, c_couple, omega_r) -> np.ndarray:
                          f"got {float(omega_r[tuple(first)])!r}")
     if not (z0 > 0.0 and math.isfinite(z0 * z0)):  # the derivatives use z0**2
         raise ValueError(f"need 0 < z0 with z0**2 in float range, got {z0!r}")
-    table = np.empty(omega_r.shape + (2 if stub else 3,))
-    table[..., 0] = c_couple
-    if stub:
-        table[..., 1] = omega_r
-    else:
-        c, l, in_range = _tanks(omega_r, z0)
-        if not in_range.all():
-            raise _no_tank(float(omega_r[~in_range][0]), z0)
-        table[..., 1], table[..., 2] = c, l
+    table = np.empty(omega_r.shape + (2,))
+    table[..., 0], table[..., 1] = c_couple, omega_r
+    if not stub and not (in_range := _tanks(omega_r, z0)[2]).all():
+        raise _no_tank(float(omega_r[~in_range][0]), z0)
     return table
 
 
@@ -794,18 +777,19 @@ def _series_zeros(stub: bool, z0: float, pairs: list) -> list:
     pair of ``pairs``, a row of a branch table as a list of floats and the
     tan interval to search, as a list of Python floats.
 
-    The lumped tank has one, 1/sqrt(L (C + C_c)), whatever the order.  The
-    stub has one on each interval ((2 order - 1) w_r, (2 order + 1) w_r) of
-    tan x, where N (-1)^order falls from + to -, just below the interval's
-    top: there the stub looks like a tank of C = pi/(4 w_r z0) resonating at
-    (2 order + 1) w_r, and that tank's zero seeds _bracketed_newton on
-    N (-1)^order over the interval, on Python floats: a pass evaluates N
-    and N' only (_branch_parts at order 1), at every zero still moving,
-    from one _pair_factors call at order 1.
+    The lumped tank has one, w_r/sqrt(1 + w_r C_c Z_r), whatever the order.
+    The stub has one on each interval ((2 order - 1) w_r, (2 order + 1) w_r)
+    of tan x, where N (-1)^order falls from + to -, just below the
+    interval's top: there the stub looks like a tank of C = pi/(4 w_r z0)
+    resonating at (2 order + 1) w_r, and that tank's zero seeds
+    _bracketed_newton on N (-1)^order over the interval, on Python floats:
+    a pass evaluates N and N' only (_branch_parts at order 1), at every
+    zero still moving, from one _pair_factors call.
     """
-    if not stub:
-        return [_divide(1.0, math.sqrt(l * (cap + c_c))) for (c_c, cap, l), _ in pairs]
     z0 = float(z0)
+    if not stub:
+        z_r = 4.0 * z0 / math.pi
+        return [w_r / math.sqrt(1.0 + w_r * c_c * z_r) for (c_c, w_r), _ in pairs]
     seed, lo, hi, sign = [], [], [], []
     for (c_c, w_r), k in pairs:
         top = (2 * k + 1) * w_r
@@ -820,7 +804,7 @@ def _series_zeros(stub: bool, z0: float, pairs: list) -> list:
     def falling_n(active, zs):
         rows = [pairs[i][0] for i in active]
         values, slopes = [], []
-        for i, branch, z, factors in zip(active, rows, zs, _pair_factors(stub, rows, zs, 1)):
+        for i, branch, z, factors in zip(active, rows, zs, _pair_factors(stub, rows, zs)):
             _, (n, n1) = _branch_parts(stub, z0, branch, z, 1, factors)
             values.append(sign[i] * n)
             slopes.append(sign[i] * n1)
@@ -833,8 +817,8 @@ def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> lis
     """Every branch zero from DC up to hi of each curve, one ascending list
     of Python floats per curve.
 
-    ``table`` stacks the curves' branch tables, shape (curves, branches,
-    columns), and ``hi`` holds each curve's upper band edge.  Each branch
+    ``table`` stacks the curves' branch tables, shape (curves, branches, 2),
+    and ``hi`` holds each curve's upper band edge.  Each branch
     has as many zeros below hi as _zeros_below counts from the sign of its
     N there, the count _fold's theta subtracts at hi: a stub branch one on
     each tan interval up to that count, a tank one or none.  All are found
@@ -851,7 +835,7 @@ def _zero_table(stub: bool, z0: float, table: np.ndarray, hi: np.ndarray) -> lis
 def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> list:
     """Each curve's loaded poles (theta = 0 mod 2*pi) in its band, ascending,
     found together in one bracketed Newton on their stacked branch tables,
-    ``table`` (curves, m, columns), and their bands, ``band`` (curves, 2).
+    ``table`` (curves, m, 2), and their bands, ``band`` (curves, 2).
 
     theta descends continuously, so the levels 2*pi k with
     theta(hi) <= 2*pi k < theta(lo) fix how many poles the band holds.
@@ -865,11 +849,9 @@ def _crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> li
     """
     edges = _fold(stub, z0, table.repeat(2, axis=0), band.ravel()).reshape(-1, 2)
     zeros = _zero_table(stub, z0, table, band[:, 1])
-    resonance = (table[..., 1] if stub
-                 else 1.0 / np.sqrt(table[..., 1] * table[..., 2])).max(axis=1)
     rows, levels, lo, hi, seed = [], [], [], [], []
     for i, ((th_lo, th_hi), (b_lo, b_hi), row_zeros, top_pole) in enumerate(
-            zip(edges.tolist(), band.tolist(), zeros, resonance.tolist())):
+            zip(edges.tolist(), band.tolist(), zeros, table[..., 1].max(axis=1).tolist())):
         # theta < 0 from DC to the first zero, so every level has k <= -1
         for k in range(math.ceil(th_lo / TWO_PI) - 1, math.ceil(th_hi / TWO_PI) - 1, -1):
             below = row_zeros[-k - 1]
@@ -899,9 +881,10 @@ class PhaseCurve:
     The one-port is m branches in parallel, branch k a coupling capacitor
     c_couple[k] in series with a resonator at omega_r[k]: a shorted
     quarter-wave stub of impedance z0 (``model`` "stub") or its parallel-LC
-    equivalent (``model`` "lumped", with lumped_equivalent's L and C).  The
-    curve keeps only that table of numbers (_curve_table); phase_sweep
-    evaluates the same one-port built as a tree.
+    equivalent (``model`` "lumped", lumped_equivalent's tank of impedance
+    sqrt(L/C) = 4 z0/pi).  The curve keeps only the table of numbers
+    (C_c, w_r) per branch, the same for both models (_curve_table);
+    phase_sweep evaluates the same one-port built as a tree.
 
     Folding the branches' susceptances B_k = P_k/N_k (see _branch_parts)
     as U <- U N_k + P_k V, V <- V N_k gives B = U/V, and

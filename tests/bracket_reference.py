@@ -46,10 +46,9 @@ def series_zeros(stub: bool, z0: float, branch, order=0):
     table row and of ``order``: closed form for the tank, bracketed Newton
     on N (-1)^order over the stub's tan interval from its tank seed."""
     c_c = branch[0]
-    if not stub:
-        cap, l = branch[1:]
-        return 1.0 / np.sqrt(l * (cap + c_c))
     w_r = branch[1]
+    if not stub:
+        return w_r / np.sqrt(1.0 + w_r * c_c * (4.0 * z0 / math.pi))
     top = (2 * order + 1) * w_r
     lo, hi = np.maximum(top - 2.0 * w_r, 0.0), top
     cap = math.pi / (4.0 * w_r * z0)
@@ -83,8 +82,7 @@ def crossings(stub: bool, z0: float, table: np.ndarray, band: np.ndarray) -> lis
         edges = reference_jets(stub, z0, table.repeat(2, axis=0), band.ravel())[0]
     edges = edges.reshape(-1, 2)
     zeros = zero_table(stub, z0, table, band[:, 1])
-    resonance = (table[..., 1] if stub
-                 else 1.0 / np.sqrt(table[..., 1] * table[..., 2])).max(axis=1)
+    resonance = table[..., 1].max(axis=1)
     rows, levels, lo, hi, seed = [], [], [], [], []
     for i, (th_lo, th_hi) in enumerate(edges):
         b_lo, b_hi = band[i]

@@ -5,7 +5,7 @@ Each device is drawn from ``random.Random(SEED)`` in this order: n in
 m couplers U(3, 20) fF, the stub or lumped model, and then free gaps: always
 for n = 4, else with probability 0.3.  The modes sit at f0 + k gap.  Seed 1's
 first 400 devices are the corpus: a solve of each through the CLI exits 0 or
-4 (242 and 158 of them).
+4 (248 and 152 of them).
 """
 
 from __future__ import annotations

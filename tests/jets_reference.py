@@ -22,7 +22,8 @@ TWO_PI = 2.0 * math.pi
 def branch_parts(stub: bool, z0: float, branch, w):
     """P and N of one branch's susceptance B = P/N, each an array of rows
     (value, d/dw, d2/dw2, d/dw_r), elementwise over the arrays of a table
-    row (C_c, w_r) for the stub, (C_c, C, L) for the tank, and w."""
+    row (C_c, w_r) and w: the stub's in x = (pi/2) w/w_r, the tank's in
+    t = w/w_r with its sqrt(L/C) = 4 z0/pi."""
     c_c = branch[0]
     if stub:
         w_r = branch[1]
@@ -32,12 +33,11 @@ def branch_parts(stub: bool, z0: float, branch, w):
         c = np.array([cos, -a * sin, -a * a * cos, x * sin / w_r])
         s = z0 * np.array([sin, a * cos, -a * a * sin, -x * cos / w_r])
     else:
-        cap, l = branch[1:]
-        c, s = 1.0 - w * w * (l * cap), w * l
-        w_r = 1.0 / np.sqrt(l * cap)
-        c = np.array([c, -2.0 * w * l * cap, np.full_like(c, -2.0 * l * cap),
-                      2.0 * (1.0 - c) / w_r])
-        s = np.array([s, np.full_like(s, l), np.zeros_like(s), -s / w_r])
+        w_r = branch[1]
+        t, z_r = w / w_r, 4.0 * z0 / math.pi
+        c = np.array([(1.0 - t) * (1.0 + t), -2.0 * t / w_r, np.full_like(t, -2.0 / w_r / w_r),
+                      2.0 * t * t / w_r])
+        s = np.array([z_r * t, np.full_like(t, z_r / w_r), np.zeros_like(t), -(z_r * t) / w_r])
     k = w * c_c
 
     def times_k(f):  # product rule for k = w C_c, linear in w

@@ -55,11 +55,11 @@ def cascade_thetas(cavity, n: int):
 
 def reference_phasor(stub: bool, z0: float, branches, w) -> np.ndarray:
     """r = e^{i theta} of one branch table ``branches`` (m rows of (C_c,
-    w_r) for the stub, (C_c, C, L) for the tank) along the array w, as a
-    complex array: each stub branch's susceptance parts divided by cos x,
-    P_k = w C_c and N_k = 1 - w C_c z0 tan x with x = (pi/2) w/w_r, the
-    tank's P_k = k c and N_k = c - k s with k = w C_c, c = 1 - w^2 L C and
-    s = w L, folded as U <- U N_k + P_k V, V <- V N_k from (U, V) = (P_1,
+    w_r)) along the array w, as a complex array: each stub branch's
+    susceptance parts divided by cos x, P_k = w C_c and N_k = 1 - w C_c z0
+    tan x with x = (pi/2) w/w_r, the tank's P_k = k c and N_k = c - k s
+    with k = w C_c, c = (1 - t)(1 + t), s = (4 z0/pi) t and t = w/w_r,
+    folded as U <- U N_k + P_k V, V <- V N_k from (U, V) = (P_1,
     N_1), and r = (V - i z0 U)^2 / (V^2 + z0^2 U^2) formed by its parts."""
     p, n = [], []
     for branch in branches:
@@ -68,9 +68,10 @@ def reference_phasor(stub: bool, z0: float, branches, w) -> np.ndarray:
             p.append(k)
             n.append(1.0 - (z0 * k) * np.tan(0.5 * math.pi * (w / branch[1])))
         else:
-            c = 1.0 - w * w * (branch[2] * branch[1])
+            t = w / branch[1]
+            c = (1.0 - t) * (1.0 + t)
             p.append(k * c)
-            n.append(c - k * (w * branch[2]))
+            n.append(c - k * ((4.0 * z0 / math.pi) * t))
     u, v = p[0], n[0]
     for p_k, n_k in zip(p[1:], n[1:]):
         u, v = u * n_k + p_k * v, v * n_k

@@ -1197,6 +1197,78 @@ def test_unwritable_output_path_exits_2_in_one_line(solved, tmp_path, capsys, co
         assert (tmp_path / "afile").read_text() == "kept"
 
 
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_fidelity_refuses_its_csv_before_writing_its_json(solved, tmp_path, capsys, where,
+                                                          existing):
+    # both output paths are refused before either file is written: a CSV
+    # path that cannot be written leaves no new JSON behind, and an existing
+    # JSON unchanged
+    cfg, sol = solved
+    out_json = tmp_path / "fid.json"
+    if existing:
+        out_json.write_text("kept")
+    if where == "directory":
+        target = tmp_path / "adir"
+        target.mkdir()
+    else:
+        (tmp_path / "afile").write_text("kept")
+        target = tmp_path / "afile" / "fid.csv"
+    assert main(["fidelity", str(cfg), str(sol), "--out-json", str(out_json),
+                 "--out-csv", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: argument --out-csv: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert (out_json.read_text() == "kept") if existing else not out_json.exists()
+
+
+def test_outputs_replace_longer_existing_files(solved, tmp_path, capsys):
+    # outputs are opened for appending and emptied once all are open: a
+    # longer file already at the path leaves nothing of itself behind
+    cfg, sol = solved
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    for root in (fresh, stale):
+        root.mkdir()
+    for name in ("fid.json", "fid.csv", "sol.json"):
+        (stale / name).write_text("stale\n" * 10000)
+    for root in (fresh, stale):
+        assert main(["fidelity", str(cfg), str(sol), "--out-json", str(root / "fid.json"),
+                     "--out-csv", str(root / "fid.csv")]) == 0
+        assert main(["solve", str(cfg), "--out", str(root / "sol.json")]) == 0
+    capsys.readouterr()
+    for name in ("fid.json", "fid.csv", "sol.json"):
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_sweep_points_past_memory_exit_2(tmp_path):
+    # a child that caps its own address space (RLIMIT_AS, which limits that
+    # process only) at 512 MiB before it imports qparity cannot allocate the
+    # 763 MiB grid of 10**8 points: the allocation fails before any page is
+    # touched, and sweep refuses --points in one line and writes nothing
+    pytest.importorskip("resource")
+    script = "\n".join([
+        "import resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))",
+        "from qparity.cli import main",
+        "sys.exit(main(sys.argv[1:]))",
+    ])
+    fixed, out = tmp_path / "fixed.json", tmp_path / "c.csv"
+    fixed.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "sweep", str(fixed), "--out", str(out),
+         "--points", str(10 ** 8)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("config error: argument --points: 100000000 points do not "
+                                  "fit in memory: ")
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_estimate_writes_its_json_and_prints_its_table(tmp_path, capsys):
     # the JSON is written before the table prints; both as without the other
     assert main(ESTIMATE_ARGS) == 0

@@ -376,7 +376,7 @@ def test_first_order_branch_parts_match_the_full_jets(stub, z0, f_ghz, couplers_
     expected = hexes([*p[:2], *n[:2]])
     (p, p1), (n, n1) = _branch_parts(stub, z0, cols, w, order=1)
     assert hexes([p, p1, n, n1]) == expected
-    factors = [np.broadcast_to(f, shape) for f in _branch_factors(stub, cols, w, order=1)]
+    factors = [np.broadcast_to(f, shape) for f in _branch_factors(stub, cols, w)]
     on_floats = [_branch_parts(stub, z0, table[b].tolist(), float(w[j]), 1,
                                [float(f[b, j]) for f in factors])
                  for b in range(shape[0]) for j in range(shape[1])]
@@ -397,8 +397,8 @@ def test_first_order_branch_parts_match_the_full_jets(stub, z0, f_ghz, couplers_
 
 def test_jets_kernel_matches_reference_beyond_float_range():
     # extreme tables reach inf and nan: a huge coupler (the branch parts
-    # overflow), a lumped tank below 1e-154 rad/s (L C overflows, so its
-    # w_r = 1/sqrt(L C) is 0 and the tank's d/dw_r divide by 0),
+    # overflow), a lumped tank below 1e-154 rad/s (its d2/dw2, -2/w_r^2,
+    # overflows),
     # frequencies far above the resonance, and a stub resonance of 1e-200
     # rad/s beside a 10 GHz one: its d/dw_r is inf, so theta'' and, through
     # the products 0.0 * inf, the other branch's d theta/d w_r are nan,
@@ -453,7 +453,7 @@ def test_stacked_weight_fold_is_each_weight_curve_bit_for_bit(
     if dev.equal_chi:
         curves, table = device_curves(dev), _weight_table(dev)
         fold = lambda w: _weight_fold(dev, w, jets=True)
-        assert table.shape == (n + 1, m, 2 if model == "stub" else 3)
+        assert table.shape == (n + 1, m, 2)
         for curve in curves:
             for feature in np.concatenate([curve.zeros, curve.poles]):
                 points += [np.nextafter(feature, 0.0), feature, np.nextafter(feature, np.inf)]
@@ -698,6 +698,64 @@ def test_random_unequal_chi_devices(n, m, model, f0_ghz, gaps_mhz, couplers_ff,
     for state in states:
         theta = state_phase_curve(equal, state).theta(grid)
         assert np.array_equal(by_weight.setdefault(state.weight, theta), theta)
+
+
+@pytest.mark.parametrize("model", ["stub", "lumped"])
+def test_branch_table_is_coupler_and_resonance_for_both_models(model):
+    # one table shape for both resonator models: a row (C_c, w_r) per
+    # branch, w_r the state's pulled resonance bit for bit, stacked by
+    # weight or one curve's own
+    from qparity.device import _state_row, _weight_table
+    from qparity.network import _curve_table
+
+    dev = paper(model)
+    couplers = [mo.c_couple for mo in dev.modes]
+    rows = [_state_row(dev, QubitState.of_weight(dev.n, w)) for w in range(dev.n + 1)]
+    table = _weight_table(dev)
+    assert table.shape == (dev.n + 1, dev.m, 2)
+    assert table[..., 1].tolist() == rows
+    assert table[..., 0].tolist() == [couplers] * (dev.n + 1)
+    for row, branches in zip(rows, table):
+        assert _curve_table(couplers, row, dev.z0, model).tolist() == branches.tolist()
+
+
+def test_lumped_theta_between_close_zeros_against_50_digits():
+    # the lumped @example of test_random_unequal_chi_devices with its first
+    # gap at 34.6 MHz: in state 0 its two branch zeros lie 48 kHz apart, and
+    # theta turns by 2*pi between them.  Rounding t = w/w_r alone can move
+    # theta by 2^-53 omega |theta'|, 0.73 ulp(omega) |theta'| here.  On 401
+    # points between the zeros and at the loaded pole there, theta stays
+    # within 0.5 ulp(omega) |theta'| (+1e-15 rad) of the 50-digit tank
+    # built from lumped_equivalent's formulas (0.36 measured; with the tank
+    # written as c = 1 - w^2 L C the same fold reaches 0.62)
+    from qparity.device import _state_row
+
+    modes = (Mode(TWO_PI * 8.0e9, 4e-15), Mode(TWO_PI * (8.0e9 + 34.6e6), 7.5e-15))
+    dev = ParityDevice(n=1, modes=modes, chi_matrix=[[TWO_PI * 1e6, TWO_PI * 1e6 * 11.0]],
+                       resonator_model="lumped")
+    state = QubitState((0,))
+    curve = state_phase_curve(dev, state)
+    assert len(curve.zeros) == 2 and curve.zeros[1] - curve.zeros[0] < TWO_PI * 5e4
+    mp.mp.dps = 50
+    z0 = mp.mpf(dev.z0)
+    tanks = [(mp.pi / (4 * mp.mpf(w_r) * z0), mp.mpf(w_r), mp.mpf(mo.c_couple))
+             for w_r, mo in zip(_state_row(dev, state), modes)]
+
+    def mp_theta(w):
+        w, b = mp.mpf(w), 0
+        for cap, w_r, c_c in tanks:
+            l = 1 / (w_r ** 2 * cap)
+            b -= 1 / (w * l / (1 - w * w * l * cap) - 1 / (w * c_c))
+        return -2 * mp.atan(z0 * b)
+
+    points = np.linspace(*curve.zeros, 403)[1:-1]
+    points = np.append(points, curve.poles[(curve.zeros[0] < curve.poles)
+                                           & (curve.poles < curve.zeros[1])])
+    assert len(points) == 402
+    for w, theta in zip(points.tolist(), curve.theta(points).tolist()):
+        err = mp.mpf(theta) - mp_theta(w)
+        err = abs(float(err - 2 * mp.pi * mp.nint(err / (2 * mp.pi))))
+        assert err <= 0.5 * np.spacing(w) * abs(curve.dtheta(w)) + 1e-15, w
 
 
 def brentq_crossings(curve: PhaseCurve, level: float) -> np.ndarray:

@@ -14,11 +14,16 @@ every op's exit code, stdout, stderr and written files, in op order; the
 inputs are written with relative paths in a fresh directory, so no message
 carries a temporary path.
 
-After the corpus digest four report lines follow, which read the same
-runs and change no digest: the exit-4 devices by the reason their message
-gives, the exit-0 roots by |delta_theta|, the jets folds per solve (calls
-of qparity.device._fold_jets), at the nearest-rank p50 and p90 and at
-their maximum, and the n = 3 fixed-gap solves by the source of their
+Each digest line is followed by a precise line, a sha256 of the float.hex
+of every float in every JSON payload the run's ops write (each payload
+given to qparity.cli._json_text, walked in sorted-key order), taken
+before the 12-digit clamp of the written files: it sees last-bit changes
+that a digest of clamped outputs cannot.  After the corpus's precise line
+four report lines follow, which read the same runs and change no digest:
+the exit-4 devices by the reason their message gives, the exit-0 roots by
+|delta_theta|, the jets folds per solve (calls of
+qparity.device._fold_jets), at the nearest-rank p50 and p90 and at their
+maximum, and the n = 3 fixed-gap solves by the source of their
 exact-stage seeds (calls of qparity.eraser._seeds): the pole model's roots
 alone, or the grid as well, as the fallback where no model root lies in
 the box or one fails to verify.
@@ -53,6 +58,42 @@ NO_SOLUTION_REASONS = ("modes required", "reaches f <= 0", "Newton failed")
 SEED_SOURCES = ("model roots", "grid fallback")
 CONTRAST_BINS = (("<1", -math.inf), ("1-10", 1.0), ("10-45", 10.0), ("45-90", 45.0),
                  ("90-180", 90.0), ("180", 180.0 - 1e-6))
+
+
+def hash_floats(obj, digest) -> None:
+    """float.hex of every float in a JSON payload into digest, dict values
+    in sorted-key order."""
+    if isinstance(obj, float):
+        digest.update(float.hex(obj).encode() + b"\0")
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            hash_floats(obj[key], digest)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            hash_floats(value, digest)
+
+
+@contextlib.contextmanager
+def precise_floats(cli):
+    """A sha256 fed, inside the block, every JSON payload cli writes, by
+    hash_floats, as cli._json_text is given it to clamp and render: only its
+    outermost calls, not those it makes on the payload's parts."""
+    digest, render, depth = hashlib.sha256(), cli._json_text, [0]
+
+    def hashed_render(obj, *args, **kwargs):
+        if not depth[0]:
+            hash_floats(obj, digest)
+        depth[0] += 1
+        try:
+            return render(obj, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    cli._json_text = hashed_render
+    try:
+        yield digest
+    finally:
+        cli._json_text = render
 
 
 def invoke(cli, argv: list, outputs: list, digest) -> tuple[int, str]:
@@ -159,7 +200,7 @@ def main(argv=None) -> int:
     runs.append(("corpus", f"devices 0-{ns.devices - 1}", corpus_digest, ns.devices))
     cwd = os.getcwd()
     for name, what, run, *args in runs:
-        with tempfile.TemporaryDirectory() as work:
+        with tempfile.TemporaryDirectory() as work, precise_floats(cli) as precise:
             os.chdir(work)
             try:
                 digest, exits, report = run(cli, *args)
@@ -167,6 +208,7 @@ def main(argv=None) -> int:
                 os.chdir(cwd)
         tally = ", ".join(f"exit {rc}: {k}" for rc, k in sorted(exits.items()))
         print(f"{name:<20} {what:<18} {digest}  ({tally})")
+        print(f"  precise floats: {precise.hexdigest()}")
         for line in report:
             print(line)
     return 0
