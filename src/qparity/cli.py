@@ -15,9 +15,10 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -122,44 +123,43 @@ def _json_text(obj, precise: bool = False, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
-def _output(path, flag: str, mode: str = "w"):
-    """``path``, the value of ``flag``, opened for writing (``mode``), its
-    parent directory made; a path that cannot be written is a config error
-    naming the flag."""
-    path = Path(path)
-    try:
-        if not path.parent.is_dir():  # mkdir on one raises and catches FileExistsError
-            path.parent.mkdir(parents=True, exist_ok=True)
-        return path.open(mode, newline="")
-    except OSError as exc:
-        raise ConfigError(f"argument {flag}: cannot write {path}: {exc}") from None
-
-
 def _write_outputs(*outputs) -> None:
-    """Writes the text of each (path, flag, text) of ``outputs`` with a path
-    once every path is open (_output, for appending, which changes no file):
-    a refused path leaves all as they were and removes the files made."""
-    outputs, handles = [out for out in outputs if out[0]], []
-    made = [not Path(path).exists() for path, _, _ in outputs]
+    """Calls write(file) for each (path, flag, write) of ``outputs`` with a
+    path, once every path is open: each is opened as given, for appending,
+    which changes no file, and emptied only then.  A path that cannot be
+    written, or one naming the file of an earlier flag, is a config error
+    naming its flag; it leaves every path as it was and removes the files
+    made (through symlinks, which stay)."""
+    outputs, handles, made, seen = [out for out in outputs if out[0]], [], [], {}
     try:
         with contextlib.ExitStack() as stack:
             for path, flag, _ in outputs:
-                handles.append(stack.enter_context(_output(path, flag, "a")))
-            for fh, (_, _, text) in zip(handles, outputs):
+                made.append(not os.path.exists(path))  # False where an earlier flag made it
+                try:
+                    handles.append(stack.enter_context(open(path, "a", newline="")))
+                    stat = os.fstat(handles[-1].fileno())
+                except OSError as exc:
+                    raise ConfigError(f"argument {flag}: cannot write {path}: {exc}") from None
+                other = seen.setdefault((stat.st_dev, stat.st_ino), flag)
+                if other != flag:
+                    raise ConfigError(f"argument {flag}: cannot write {path}: "
+                                      f"same file as {other}")
+            for fh, (_, _, write) in zip(handles, outputs):
                 if fh.tell():  # a file's end, in append mode; a made one is empty
                     fh.truncate(0)
-                fh.write(text)
-    except ConfigError:  # only an open raises it
+                write(fh)
+    except ConfigError:  # only the opening loop raises it
         for fh, new in zip(handles, made):
             if new:
-                Path(fh.name).unlink()
+                os.remove(os.path.realpath(fh.name))
         raise
 
 
 def _write_json(path, flag: str, payload: dict) -> None:
     """payload's _json_text and a newline to ``path`` (_write_outputs), the
     text made before the file opens: a refused payload writes nothing."""
-    _write_outputs((path, flag, _json_text(payload) + "\n"))
+    text = _json_text(payload) + "\n"
+    _write_outputs((path, flag, lambda fh: fh.write(text)))
 
 
 # ----------------------------------------------------------------------
@@ -330,12 +330,9 @@ def cmd_sweep(ns) -> int:
     except MemoryError as exc:  # numpy's names the array it could not allocate
         raise ConfigError(f"argument --points: {ns.points} points do not fit in memory: "
                           f"{exc}") from None
-    header = ["f_GHz", *(f"theta_wt{w}_deg" for w in range(dev.n + 1))]
-    with _output(ns.out, "--out") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+    rows = itertools.chain([["f_GHz", *(f"theta_wt{w}_deg" for w in range(dev.n + 1))]],
+                           ([_fmt(v) for v in row] for row in zip(*columns)))  # streamed, not held
+    _write_outputs((ns.out, "--out", lambda fh: csv.writer(fh).writerows(rows)))
     print(f"wrote {ns.out}: {ns.points} rows, weights 0..{dev.n}")
     return EXIT_OK
 
@@ -421,12 +418,12 @@ def cmd_fidelity(ns) -> int:
     }
     cols = ["weights", "state_lo", "state_hi", "branch", "F_numeric",
             "F_closed", "F_expansion", "b_s", "b2_s2", "delta_theta_rad"]
-    table = io.StringIO()
-    csv.writer(table).writerows([cols] + [
+    rows = [cols] + [
         [f"{d['weights'][0]}-{d['weights'][1]}", d["state_lo"], d["state_hi"], d["branch"],
-         *("" if d[k] is None else _fmt(d[k]) for k in cols[4:])] for d in dicts])
-    _write_outputs((ns.out_json, "--out-json", ns.out_json and _json_text(payload) + "\n"),
-                   (ns.out_csv, "--out-csv", table.getvalue()))
+         *("" if d[k] is None else _fmt(d[k]) for k in cols[4:])] for d in dicts]
+    text = ns.out_json and _json_text(payload) + "\n"
+    _write_outputs((ns.out_json, "--out-json", lambda fh: fh.write(text)),
+                   (ns.out_csv, "--out-csv", lambda fh: csv.writer(fh).writerows(rows)))
     worst_same = min((d["F_numeric"] for d in dicts
                       if d["branch"].startswith("same-parity")), default=1.0)
     best_cross = max((d["F_numeric"] for d in dicts

@@ -269,7 +269,12 @@ def _weight_phasors(dev: ParityDevice, omega) -> list:
 
 
 def _loaded_zero_estimate(mode: Mode, z0: float) -> float:
-    """Series resonance of coupling cap + tank, in the lumped picture."""
+    """Series resonance of coupling cap + tank, in the lumped picture.
+
+    Kept in the L, C form, not the closed form
+    omega_r/sqrt(1 + omega_r*C_c*4*z0/pi): it places the default band, the
+    solver's search box and the cascade tuner's start, and the closed form
+    rounds differently, which moves solve and compare outputs."""
     c_r, l_r = lumped_equivalent(mode.omega, z0)
     return 1.0 / math.sqrt(l_r * (c_r + mode.c_couple))
 

@@ -181,8 +181,8 @@ def _impedance_parts(net: NetworkElement, w: np.ndarray):
 def lumped_equivalent(omega_r: float, z0: float) -> tuple[float, float]:
     """Parallel-LC equivalent of a quarter-wave stub near its fundamental.
 
-    C = pi/(4*omega_r*z0), L = 1/(omega_r**2 * C); the LC resonance
-    1/sqrt(L*C) reproduces omega_r exactly.
+    C = pi/(4*omega_r*z0), L = 1/(omega_r**2 * C); in floats the LC
+    resonance 1/sqrt(L*C) reproduces omega_r only to within two ulps.
     """
     if omega_r <= 0.0 or z0 <= 0.0:
         raise ValueError("omega_r and z0 must be > 0")

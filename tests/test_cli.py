@@ -1164,22 +1164,28 @@ def test_json_writer_matches_the_two_walk_reference():
             _json_text(bad)
 
 
-@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+@pytest.mark.parametrize("where", ["directory", "under-a-file", "missing-parent",
+                                   "trailing-slash"])
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--out"), ("sweep", "--out"), ("fidelity", "--out-json"),
     ("fidelity", "--out-csv"), ("compare", "--out"), ("estimate", "--json")])
 def test_unwritable_output_path_exits_2_in_one_line(solved, tmp_path, capsys, command,
                                                     flag, where):
-    # a directory, or a path under a regular file, cannot be written: the
-    # writer refuses it as a config error naming its flag, with nothing on
-    # stdout, and the path stays as it was
+    # a directory, a path under a regular file or a missing directory, or
+    # one ending in "/", cannot be written: the writer opens the path as
+    # given and refuses it as a config error naming its flag, with nothing
+    # on stdout, and no path is made or changed
     cfg, sol = solved
     if where == "directory":
         target = tmp_path / "adir"
         target.mkdir()
-    else:
+    elif where == "under-a-file":
         (tmp_path / "afile").write_text("kept")
         target = tmp_path / "afile" / "out.json"
+    elif where == "missing-parent":
+        target = tmp_path / "newdir" / "sub" / "out.json"
+    else:  # a pathlib path drops the slash
+        target = f"{tmp_path / 'out'}/"
     fixed, cas = tmp_path / "fixed.json", tmp_path / "cascade.json"
     fixed.write_text(json.dumps(dict(PAPER_CONFIG, chi_MHz=5.77)))
     cas.write_text(json.dumps(CASCADE_CONFIG))
@@ -1193,21 +1199,29 @@ def test_unwritable_output_path_exits_2_in_one_line(solved, tmp_path, capsys, co
     assert err.count("\n") == 1
     if where == "directory":
         assert target.is_dir() and not any(target.iterdir())
-    else:
+    elif where == "under-a-file":
         assert (tmp_path / "afile").read_text() == "kept"
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cascade.json", "fixed.json"]
 
 
 @pytest.mark.parametrize("where", ["directory", "under-a-file"])
-@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("existing", [False, True, "missing-parent", "dangling-link"])
 def test_fidelity_refuses_its_csv_before_writing_its_json(solved, tmp_path, capsys, where,
                                                           existing):
     # both output paths are refused before either file is written: a CSV
     # path that cannot be written leaves no new JSON behind, and an existing
-    # JSON unchanged
+    # JSON unchanged; a JSON path under a missing directory is refused
+    # itself, making no directory, and a JSON path that is a dangling
+    # symlink keeps its link while the file made at its target goes
     cfg, sol = solved
     out_json = tmp_path / "fid.json"
-    if existing:
+    if existing is True:
         out_json.write_text("kept")
+    elif existing == "missing-parent":
+        out_json = tmp_path / "newdir" / "sub" / "fid.json"
+    elif existing == "dangling-link":
+        out_json.symlink_to(tmp_path / "missing")
     if where == "directory":
         target = tmp_path / "adir"
         target.mkdir()
@@ -1218,9 +1232,47 @@ def test_fidelity_refuses_its_csv_before_writing_its_json(solved, tmp_path, caps
                  "--out-csv", str(target)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"config error: argument --out-csv: cannot write {target}: ")
+    flag, refused = (("--out-json", out_json) if existing == "missing-parent"
+                     else ("--out-csv", target))
+    assert err.startswith(f"config error: argument {flag}: cannot write {refused}: ")
     assert err.count("\n") == 1
-    assert (out_json.read_text() == "kept") if existing else not out_json.exists()
+    if existing is True:
+        assert out_json.read_text() == "kept"
+    elif existing == "dangling-link":
+        assert out_json.is_symlink() and not os.path.lexists(tmp_path / "missing")
+    else:
+        assert not os.path.lexists(out_json) and not (tmp_path / "newdir").exists()
+
+
+@pytest.mark.parametrize("alias, existing", [
+    ("same-path", False), ("same-path", True), ("symlink", False), ("symlink", True),
+    ("hard-link", True)])
+def test_fidelity_refuses_two_outputs_naming_one_file(solved, tmp_path, capsys, alias,
+                                                      existing):
+    # --out-json and --out-csv naming one file, by the same path, a symlink
+    # or a hard link, would write both tables into it: the second is refused
+    # in one line, nothing is written, and a file the call made is removed
+    cfg, sol = solved
+    out_json, out_csv = tmp_path / "same.out", tmp_path / "alias.out"
+    if existing:
+        out_json.write_text("kept")
+    if alias == "same-path":
+        out_csv = out_json
+    elif alias == "symlink":
+        out_csv.symlink_to(out_json)
+    else:
+        os.link(out_json, out_csv)
+    assert main(["fidelity", str(cfg), str(sol), "--out-json", str(out_json),
+                 "--out-csv", str(out_csv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"config error: argument --out-csv: cannot write {out_csv}: "
+                   "same file as --out-json\n")
+    if existing:
+        assert out_json.read_text() == out_csv.read_text() == "kept"
+    else:
+        assert not out_json.exists()
+        assert out_csv == out_json or out_csv.is_symlink()
 
 
 def test_outputs_replace_longer_existing_files(solved, tmp_path, capsys):
